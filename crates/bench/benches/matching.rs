@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks: bipartite matching (Hopcroft–Karp vs
 //! Kuhn) on random graphs and on dominance split graphs, plus the
 //! list-vs-bitset end-to-end `ChainDecomposition` comparison recorded
-//! to `BENCH_matching.json` at the repo root (the ISSUE's ≥4×
-//! acceptance gate at n = 20 000, d = 4; override the size with
-//! `MC_BENCH_MATCHING_N` for smoke runs).
+//! to `BENCH_matching.json` at the repo root (n = 20 000, d = 4;
+//! override the size with `MC_BENCH_MATCHING_N` for smoke runs), and the
+//! matrix-free `compute_from_oracle` timings on the scale workload's
+//! Lemma-6 instances at n ∈ {10⁵, 10⁶}.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc_chains::{ChainDecomposition, MatchingEngine};
+use mc_chains::{ChainDecomposition, DominanceDag};
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
 use mc_geom::{DominanceIndex, PointSet, RankOracle};
 use mc_matching::{
@@ -89,12 +90,10 @@ fn bench_engines(c: &mut Criterion) {
         let points = random_points(n, 4, 0xE0);
         let index = DominanceIndex::build(&points);
         group.bench_with_input(BenchmarkId::new("list", n), &index, |b, index| {
-            b.iter(|| ChainDecomposition::compute_with_engine(index, MatchingEngine::List).width())
+            b.iter(|| ChainDecomposition::from_dag(&DominanceDag::from_index(index)).width())
         });
         group.bench_with_input(BenchmarkId::new("bitset", n), &index, |b, index| {
-            b.iter(|| {
-                ChainDecomposition::compute_with_engine(index, MatchingEngine::Bitset).width()
-            })
+            b.iter(|| ChainDecomposition::compute_from_index(index).width())
         });
     }
     group.finish();
@@ -133,87 +132,43 @@ fn scale_ones_oracle(n: usize) -> (PointSet, RankOracle) {
     (ones, oracle)
 }
 
-/// The sharded scaling record: sequential bitset engine vs the banded
-/// shard engine (8 shards) across a 1/2/4/8-requested-thread curve, on
-/// the pipeline's own Lemma-6 instances. `MC_THREADS` is re-set per
-/// point; `effective_workers` records what `mc_geom::max_threads()`
-/// actually granted (the curve is flat on a single-core host — there
-/// the speedup is the band decomposition's K× cut of quadratic row
-/// width, not parallelism, and the record says so honestly).
-fn sharded_section() -> String {
-    let sizes: Vec<usize> = std::env::var("MC_BENCH_MATCHING_SHARD_NS")
-        .unwrap_or_else(|_| "100000,1000000".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-    let shards = 8usize;
+/// The matrix-free record: `compute_from_oracle` on the pipeline's own
+/// Lemma-6 instances, with the width checked against the matrix path
+/// (`compute_from_index` over a dominator matrix of the same points).
+fn matrix_free_section() -> String {
     let reps = 3;
-    let prev_threads = std::env::var_os("MC_THREADS");
     let mut entries = Vec::new();
-    for &n in &sizes {
+    for n in [100_000usize, 1_000_000] {
         let (ones, oracle) = scale_ones_oracle(n);
-        std::env::set_var("MC_THREADS", "1");
-        let sequential = time_runs(reps, || ChainDecomposition::compute_from_oracle(&oracle));
-        let seq_dec = ChainDecomposition::compute_from_oracle(&oracle);
-
-        let mut curve = Vec::new();
-        let mut sharded_8t = sequential;
-        for threads in [1usize, 2, 4, 8] {
-            std::env::set_var("MC_THREADS", threads.to_string());
-            let effective = mc_geom::max_threads().min(shards);
-            let t = time_runs(reps, || {
-                ChainDecomposition::compute_sharded(&oracle, shards)
-            });
-            if threads == 8 {
-                sharded_8t = t;
-            }
-            println!(
-                "matching/sharded: n = {n} ({} ones) | threads {threads} \
-                 (effective {effective}) | sharded {t:?} vs sequential {sequential:?}",
-                oracle.len()
-            );
-            curve.push(format!(
-                r#"{{ "requested_threads": {threads}, "effective_workers": {effective}, "sharded_ms": {:.3} }}"#,
-                t.as_secs_f64() * 1e3
-            ));
-        }
-        let shard_dec = ChainDecomposition::compute_sharded(&oracle, shards);
-        shard_dec.validate(&ones).expect("sharded path invalid");
-        let width_identical = shard_dec.width() == seq_dec.width()
-            && shard_dec.antichain().len() == seq_dec.antichain().len();
-        let speedup = sequential.as_secs_f64() / sharded_8t.as_secs_f64();
+        let t = time_runs(reps, || ChainDecomposition::compute_from_oracle(&oracle));
+        let dec = ChainDecomposition::compute_from_oracle(&oracle);
+        dec.validate(&ones).expect("matrix-free path invalid");
+        let via_matrix = ChainDecomposition::compute_from_index(&DominanceIndex::build(&ones));
+        let width_identical = dec.width() == via_matrix.width()
+            && dec.antichain().len() == via_matrix.antichain().len();
         println!(
-            "matching/sharded: n = {n} | width {} | 8-thread sharded speedup \
-             {speedup:.2}x | width identical: {width_identical}",
-            shard_dec.width()
+            "matching/matrix-free: n = {n} ({} ones) | width {} | {t:?} | \
+             width identical: {width_identical}",
+            oracle.len(),
+            dec.width()
         );
         entries.push(format!(
             r#"{{
       "n": {n},
       "instance": {},
       "width": {},
-      "sequential_1t_ms": {:.3},
-      "curve": [
-        {}
-      ],
-      "speedup_8t_vs_sequential": {speedup:.2},
+      "oracle_ms": {:.3},
       "width_identical": {width_identical}
     }}"#,
             oracle.len(),
-            shard_dec.width(),
-            sequential.as_secs_f64() * 1e3,
-            curve.join(",\n        "),
+            dec.width(),
+            t.as_secs_f64() * 1e3,
         ));
-    }
-    match prev_threads {
-        Some(v) => std::env::set_var("MC_THREADS", v),
-        None => std::env::remove_var("MC_THREADS"),
     }
     format!(
         r#"{{
     "workload": "scale-ones",
     "dim": 4,
-    "shards": {shards},
     "reps": {reps},
     "sizes": [
     {}
@@ -240,16 +195,16 @@ fn record_comparison(_c: &mut Criterion) {
     let index = DominanceIndex::build(&points);
 
     let list = time_runs(reps, || {
-        ChainDecomposition::compute_with_engine(&index, MatchingEngine::List).width()
+        ChainDecomposition::from_dag(&DominanceDag::from_index(&index)).width()
     });
     let bitset = time_runs(reps, || {
-        ChainDecomposition::compute_with_engine(&index, MatchingEngine::Bitset).width()
+        ChainDecomposition::compute_from_index(&index).width()
     });
 
     // Behavioral equivalence at full scale: both decompositions are
     // structurally valid, with identical width and antichain size.
-    let list_dec = ChainDecomposition::compute_with_engine(&index, MatchingEngine::List);
-    let bitset_dec = ChainDecomposition::compute_with_engine(&index, MatchingEngine::Bitset);
+    let list_dec = ChainDecomposition::from_dag(&DominanceDag::from_index(&index));
+    let bitset_dec = ChainDecomposition::compute_from_index(&index);
     list_dec.validate(&points).expect("list path invalid");
     bitset_dec.validate(&points).expect("bitset path invalid");
     let width_identical = list_dec.width() == bitset_dec.width();
@@ -277,7 +232,7 @@ fn record_comparison(_c: &mut Criterion) {
         width_identical && antichain_identical
     );
 
-    let sharded = sharded_section();
+    let matrix_free = matrix_free_section();
     let meta = mc_bench::bench_meta_json();
     let json = format!(
         r#"{{
@@ -304,7 +259,7 @@ fn record_comparison(_c: &mut Criterion) {
     "width_identical": {width_identical},
     "antichain_size_identical": {antichain_identical}
   }},
-  "sharded": {sharded}
+  "matrix_free": {matrix_free}
 }}
 "#,
         index_build.as_secs_f64() * 1e3,

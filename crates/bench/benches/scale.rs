@@ -221,9 +221,8 @@ fn telemetry_section() -> String {
 /// One streamed solve at `n`: generate → load (rank table + labels +
 /// weights) → solve, timing each leg and recording the process peak RSS
 /// after the solve (sizes run ascending, so each entry's RSS is set by
-/// its own run, not a later one). With `shards = Some(k)` the Lemma-6
-/// chain decomposition runs the banded shard engine.
-fn size_entry(n: usize, shards: Option<usize>) -> String {
+/// its own run, not a later one).
+fn size_entry(n: usize) -> String {
     let config = ScaleConfig::new(n, 4, 0x5CA1E);
     let path = temp_path(&format!("n{n}"));
     let gen_start = Instant::now();
@@ -241,36 +240,20 @@ fn size_entry(n: usize, shards: Option<usize>) -> String {
 
     let ones = labels.iter().filter(|l| l.is_one()).count();
     let solve_start = Instant::now();
-    let sol = match shards {
-        Some(k) => {
-            mc_chains::with_matching_override(mc_chains::MatchingEngine::Shard, Some(k), || {
-                solve_passive_scale(&table, &labels, &weights)
-            })
-        }
-        None => solve_passive_scale(&table, &labels, &weights),
-    };
+    let sol = solve_passive_scale(&table, &labels, &weights);
     let solve = solve_start.elapsed();
     println!(
-        "scale/solve{}: n = {n} | ones {ones} | gen {generate:?}, load {load:?}, \
+        "scale/solve: n = {n} | ones {ones} | gen {generate:?}, load {load:?}, \
          solve {solve:?} | err {}, contending {}, width {}, edges {}, rss {} MiB",
-        shards.map(|k| format!("[shards={k}]")).unwrap_or_default(),
         sol.weighted_error,
         sol.contending_zeros + sol.contending_ones,
         sol.width,
         sol.network_edges,
         sol.report.peak_rss_bytes / (1 << 20)
     );
-    let shards_field = shards
-        .map(|k| {
-            format!(
-                "\n      \"shards\": {k},\n      \"effective_workers\": {},",
-                mc_geom::max_threads().min(k)
-            )
-        })
-        .unwrap_or_default();
     format!(
         r#"{{
-      "n": {n},{shards_field}
+      "n": {n},
       "ones": {ones},
       "contending": {},
       "width": {},
@@ -303,21 +286,8 @@ fn record_scale(_c: &mut Criterion) {
         .collect();
     assert!(!sizes.is_empty(), "MC_BENCH_SCALE_NS parsed to no sizes");
 
-    // The sharded rows re-solve with the banded shard engine (the
-    // n = 10⁷ row is the headline: the Lemma-6 instance there is
-    // ~120k label-1 points, far past the sequential engine's comfort).
-    let shard_sizes: Vec<usize> = std::env::var("MC_BENCH_SCALE_SHARD_NS")
-        .unwrap_or_else(|_| "100000,1000000,10000000".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .collect();
-
     let kernel_json = kernel_section();
-    let size_entries: Vec<String> = sizes.iter().map(|&n| size_entry(n, None)).collect();
-    let shard_entries: Vec<String> = shard_sizes
-        .iter()
-        .map(|&n| size_entry(n, Some(8)))
-        .collect();
+    let size_entries: Vec<String> = sizes.iter().map(|&n| size_entry(n)).collect();
     let parity_json = parity_section();
     let telemetry_json = telemetry_section();
 
@@ -334,13 +304,8 @@ fn record_scale(_c: &mut Criterion) {
     let _ = writeln!(json, "  \"telemetry\": {telemetry_json},");
     let _ = writeln!(
         json,
-        "  \"sizes\": [\n    {}\n  ],",
+        "  \"sizes\": [\n    {}\n  ]\n}}",
         size_entries.join(",\n    ")
-    );
-    let _ = writeln!(
-        json,
-        "  \"sizes_sharded\": [\n    {}\n  ]\n}}",
-        shard_entries.join(",\n    ")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
     std::fs::write(path, json).expect("write BENCH_scale.json");

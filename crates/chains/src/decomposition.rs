@@ -14,129 +14,33 @@
 //!
 //! Total: `O(d·n² + n^2.5)`, matching Lemma 6.
 //!
-//! Two matching engines implement step 3. The default ([`MatchingEngine::Bitset`])
-//! views the split graph directly as the dominance index's bitset rows —
-//! no `DominanceDag` adjacency lists (Θ(n²) edges) are ever materialized —
-//! and runs `mc_matching::HopcroftKarpBitset`'s word-parallel phases. The
-//! adjacency-list reference path survives behind `MC_MATCHING=list`.
+//! One matching engine implements step 3: `mc_matching::HopcroftKarpBitset`
+//! runs word-parallel phases straight over bitset rows, so no
+//! `DominanceDag` adjacency lists (Θ(n²) edges) are ever materialized.
+//! The index path borrows the dominator matrix's rows; the oracle path
+//! computes rows from rank columns, and caches them once when they fit
+//! the row-cache budget, because every Hopcroft–Karp phase revisits
+//! them. The adjacency-list path ([`ChainDecomposition::from_dag`])
+//! stays as the tested reference.
 
 use crate::dag::DominanceDag;
-use mc_geom::{DominanceIndex, GeomError, PointSet, RankOracle};
+use mc_geom::{matrix_bytes, DominanceIndex, GeomError, PointSet, RankOracle};
 use mc_matching::{
     minimum_vertex_cover, BipartiteAdjacency, BipartiteGraph, BitsetGraph, HopcroftKarp,
-    HopcroftKarpBitset, Matching, MatchingAlgorithm, OracleGraph,
+    HopcroftKarpBitset, Matching, MatchingAlgorithm, OracleGraph, RowSource,
 };
 
-/// Which Hopcroft–Karp engine drives the Lemma-6 path cover.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MatchingEngine {
-    /// Word-parallel BFS/DFS straight over the dominance index's bitset
-    /// rows; never materializes adjacency lists. The default.
-    #[default]
-    Bitset,
-    /// Pointer-walking Hopcroft–Karp over explicit [`DominanceDag`]
-    /// adjacency lists; kept as the tested reference path.
-    List,
-    /// Banded shard decomposition: the points are cut into contiguous
-    /// rank bands, matched per band on worker threads, stitched across
-    /// boundaries, and repaired to a global maximum matching (see
-    /// [`crate::shard`]). Width-identical to the bitset engine; the
-    /// chains themselves may differ. Shard count from `MC_SHARDS`
-    /// (default: `max(worker threads, 2)`).
-    Shard,
-}
+/// Row-cache budget (bytes) when `MC_MATRIX_BUDGET_BYTES` is unset. The
+/// oracle path runs where the dominator matrix may be out of reach, so
+/// unlike the index builders (unset = unlimited) its cache defaults to
+/// a bound; setting the env knob overrides both in one place.
+const DEFAULT_ROW_CACHE_BYTES: u64 = 256 << 20;
 
-thread_local! {
-    /// Per-thread engine override (see [`with_matching_override`]):
-    /// `(engine, shard count)`, with `None` deferring the count to
-    /// `MC_SHARDS`.
-    static MATCHING_OVERRIDE: std::cell::Cell<Option<(MatchingEngine, Option<usize>)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// Runs `f` with the Lemma-6 matching engine (and optionally the shard
-/// count) pinned for the *current thread*, overriding `MC_MATCHING` /
-/// `MC_SHARDS`. This is how callers that race engines in one process —
-/// the portfolio's `shard-hk` roster entry, the CLI's `--shards` flag —
-/// select an engine without mutating process-global environment state
-/// under concurrent readers. Nested overrides restore the outer one on
-/// exit (even on panic).
-pub fn with_matching_override<T>(
-    engine: MatchingEngine,
-    shards: Option<usize>,
-    f: impl FnOnce() -> T,
-) -> T {
-    struct Restore(Option<(MatchingEngine, Option<usize>)>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MATCHING_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(MATCHING_OVERRIDE.with(|c| c.replace(Some((engine, shards)))));
-    f()
-}
-
-impl MatchingEngine {
-    /// Reads the `MC_MATCHING` env toggle: `bitset` (the default),
-    /// `list`, or `shard`. A thread-local [`with_matching_override`]
-    /// wins over the environment. Unrecognised values warn once and
-    /// fall back to the default.
-    pub fn from_env() -> Self {
-        if let Some((engine, _)) = MATCHING_OVERRIDE.with(|c| c.get()) {
-            return engine;
-        }
-        match std::env::var("MC_MATCHING") {
-            Ok(v) if v.eq_ignore_ascii_case("list") => Self::List,
-            Ok(v) if v.eq_ignore_ascii_case("shard") => Self::Shard,
-            Ok(v) if v.eq_ignore_ascii_case("bitset") || v.is_empty() => Self::Bitset,
-            Ok(_) => {
-                mc_obs::warn_once(
-                    "mc_matching_env",
-                    "unrecognised MC_MATCHING value (expected 'bitset', 'list' or 'shard'); \
-                     using the bitset engine",
-                );
-                Self::Bitset
-            }
-            Err(_) => Self::Bitset,
-        }
-    }
-}
-
-/// Default shard count when neither an override nor `MC_SHARDS` sets
-/// one: every worker thread gets a band, and even a single-core host
-/// gets two — the band-local matchings run on rows `K×` narrower than
-/// the global graph, so the decomposition usually wins on total work,
-/// not just on parallelism.
-fn default_shards() -> usize {
-    mc_geom::max_threads().max(2)
-}
-
-/// Resolves the shard count for a [`MatchingEngine::Shard`] solve:
-/// thread-local override first, then `MC_SHARDS`, then
-/// [`default_shards`]. Returns `None` — after a one-shot warning — when
-/// `MC_SHARDS` is set but malformed; callers fall back to the bitset
-/// engine, matching the env-parsing discipline of `mc_geom::parallel`.
-pub(crate) fn effective_shards() -> Option<usize> {
-    if let Some((_, Some(k))) = MATCHING_OVERRIDE.with(|c| c.get()) {
-        return Some(k);
-    }
-    match std::env::var_os("MC_SHARDS") {
-        None => Some(default_shards()),
-        Some(raw) => match raw
-            .into_string()
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(v) if v >= 1 => Some(v),
-            _ => {
-                mc_obs::warn_once(
-                    "mc_shards_env",
-                    "MC_SHARDS must be a positive integer; using the bitset engine",
-                );
-                None
-            }
-        },
-    }
+/// `true` iff the `n`-point split graph's rows (`n·⌈n/64⌉·8` bytes) fit
+/// the row-cache budget: `MC_MATRIX_BUDGET_BYTES` if configured, else
+/// [`DEFAULT_ROW_CACHE_BYTES`].
+fn rows_fit_cache(n: usize) -> bool {
+    matrix_bytes(n) <= mc_geom::matrix_budget_bytes().unwrap_or(DEFAULT_ROW_CACHE_BYTES)
 }
 
 /// A partition of point indices into chains, each sorted in ascending
@@ -173,183 +77,85 @@ impl ChainDecomposition {
     }
 
     /// Matrix-free decomposition over a [`RankOracle`]: the Lemma-6
-    /// split graph's rows are computed on demand from rank columns
-    /// (`O(d·n)` resident instead of `Θ(n²/64)`), and the oracle rows
-    /// are bit-identical to the dominator-matrix rows, so the chains,
-    /// width, and antichain certificate match the matrix path exactly.
+    /// split graph's rows come from rank columns (`O(d·n)` resident
+    /// instead of `Θ(n²/64)` when they do not fit the row cache), and
+    /// the oracle rows are bit-identical to the dominator-matrix rows,
+    /// so the chains, width, and antichain certificate match the matrix
+    /// path exactly.
     pub fn compute_from_oracle(oracle: &RankOracle) -> Self {
         Self::compute_from_oracle_cancellable(oracle, &mc_obs::CancelToken::never())
             .expect("a never-token cannot cancel")
     }
 
     /// Cancellable twin of [`compute_from_oracle`](Self::compute_from_oracle).
-    ///
-    /// Dispatches on the `MC_MATCHING` toggle (or a thread-local
-    /// [`with_matching_override`]): `shard` routes to
-    /// [`compute_sharded_cancellable`](Self::compute_sharded_cancellable);
-    /// everything else runs the word-parallel bitset engine. The
-    /// `MC_MATCHING=list` reference path needs materialized adjacency
-    /// lists, which is exactly what this entry point exists to avoid,
-    /// so that toggle warns once and is ignored here (the matching is
-    /// identical).
     pub fn compute_from_oracle_cancellable(
         oracle: &RankOracle,
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
-        match MatchingEngine::from_env() {
-            MatchingEngine::Shard => {
-                if let Some(k) = effective_shards() {
-                    return Self::compute_sharded_cancellable(oracle, k, token);
-                }
-                // Malformed MC_SHARDS: already warned, bitset below.
-            }
-            MatchingEngine::List => {
-                mc_obs::warn_once(
-                    "mc_matching_oracle_list",
-                    "MC_MATCHING=list has no matrix-free variant; the rank-oracle \
-                     path uses the bitset engine (the matching is identical)",
-                );
-            }
-            MatchingEngine::Bitset => {}
-        }
-        Self::oracle_bitset_cancellable(oracle, token)
+        Self::from_oracle_rows(oracle, rows_fit_cache(oracle.len()), token)
     }
 
-    /// The sequential matrix-free path: one bitset Hopcroft–Karp solve
-    /// over the whole oracle. Shared by the env dispatcher above and by
-    /// the sharded engine's certificate-failure fallback.
-    pub(crate) fn oracle_bitset_cancellable(
+    /// The oracle path with the row-cache decision made by the caller.
+    /// Hopcroft–Karp revisits every row once per BFS/DFS phase and the
+    /// König sweep once more, so with `cache_rows` the rows are
+    /// materialized once and scanned at word speed; without it each
+    /// visit recomputes a row from the rank columns. The rows are
+    /// bit-identical either way, so the result is too.
+    fn from_oracle_rows(
         oracle: &RankOracle,
+        cache_rows: bool,
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
         let _span = mc_obs::span("path_cover");
-        let n = oracle.len();
-        if n == 0 {
-            return Ok(Self {
-                chains: Vec::new(),
-                antichain: Vec::new(),
-            });
+        let og = OracleGraph::new(oracle);
+        if cache_rows {
+            mc_obs::counter_add("matching.rows_cached", oracle.len() as u64);
+            Self::from_rows(&og.materialize_cancellable(token)?, token)
+        } else {
+            mc_obs::counter_add("matching.rows_cached", 0);
+            Self::from_rows(&og, token)
         }
-        let g = OracleGraph::new(oracle);
-        let (matching, _) = HopcroftKarpBitset.solve_with_stats_cancellable(&g, token)?;
-        token.poll()?;
-        let chains = Self::chains_from_matching(n, &matching);
-        let antichain = Self::antichain_from_cover(n, &g, &matching);
-        Ok(Self::finish(chains, antichain))
-    }
-
-    /// Banded shard decomposition (`MC_MATCHING=shard`): cuts the
-    /// points into at most `shards` contiguous rank bands, matches each
-    /// band independently on worker threads, stitches chains across
-    /// band boundaries, and repairs the stitched matching to a global
-    /// maximum with a warm-started Hopcroft–Karp pass — so the width
-    /// (and the König antichain certificate) is identical to the
-    /// sequential engines even though the individual chains may differ.
-    /// See [`crate::shard`] for the algorithm and its invariants.
-    pub fn compute_sharded(oracle: &RankOracle, shards: usize) -> Self {
-        Self::compute_sharded_cancellable(oracle, shards, &mc_obs::CancelToken::never())
-            .expect("a never-token cannot cancel")
-    }
-
-    /// Cancellable twin of [`compute_sharded`](Self::compute_sharded):
-    /// the token is threaded into every band's matching (per-shard
-    /// checkpoints) and into the stitch and repair phases.
-    pub fn compute_sharded_cancellable(
-        oracle: &RankOracle,
-        shards: usize,
-        token: &mc_obs::CancelToken,
-    ) -> Result<Self, mc_obs::Cancelled> {
-        crate::shard::compute_sharded_cancellable(oracle, shards, token)
     }
 
     /// Computes the decomposition from a prebuilt [`DominanceIndex`],
     /// letting callers share one index between the Lemma-6 phase and
     /// later dominance queries (e.g. the passive solve on a subsample).
-    /// Dispatches on the `MC_MATCHING` env toggle (bitset by default).
+    /// The split graph borrows the index's bitset rows (owned masked
+    /// copies only for duplicated points).
     pub fn compute_from_index(index: &DominanceIndex) -> Self {
-        Self::compute_with_engine(index, MatchingEngine::from_env())
+        Self::compute_from_index_cancellable(index, &mc_obs::CancelToken::never())
+            .expect("a never-token cannot cancel")
     }
 
-    /// Cancellable twin of [`compute_from_index`](Self::compute_from_index).
-    /// The bitset engine threads the token into Hopcroft–Karp; the list
-    /// engine (exercised only via `MC_MATCHING=list`) polls once up
-    /// front and runs to completion.
+    /// Cancellable twin of [`compute_from_index`](Self::compute_from_index):
+    /// the token is threaded into the Hopcroft–Karp engine (polled per
+    /// round and checkpointed on greedy-seed word scans) so a portfolio
+    /// race can stop a losing chain decomposition mid-matching.
     pub fn compute_from_index_cancellable(
         index: &DominanceIndex,
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
-        match MatchingEngine::from_env() {
-            MatchingEngine::Bitset => Self::compute_bitset_cancellable(index, token),
-            MatchingEngine::List => {
-                token.poll()?;
-                Ok(Self::from_dag(&DominanceDag::from_index(index)))
-            }
-            MatchingEngine::Shard => match effective_shards() {
-                Some(k) => {
-                    Self::compute_sharded_cancellable(&Self::oracle_from_index(index), k, token)
-                }
-                // Malformed MC_SHARDS: already warned, bitset fallback.
-                None => Self::compute_bitset_cancellable(index, token),
-            },
-        }
+        let _span = mc_obs::span("path_cover");
+        Self::from_rows(&BitsetGraph::from_index(index), token)
     }
 
-    /// Computes the decomposition with an explicit engine choice.
-    pub fn compute_with_engine(index: &DominanceIndex, engine: MatchingEngine) -> Self {
-        match engine {
-            MatchingEngine::Bitset => Self::compute_bitset(index),
-            MatchingEngine::List => Self::from_dag(&DominanceDag::from_index(index)),
-            MatchingEngine::Shard => Self::compute_sharded(
-                &Self::oracle_from_index(index),
-                effective_shards().unwrap_or_else(default_shards),
-            ),
-        }
-    }
-
-    /// Lifts a prebuilt index's rank columns into a [`RankOracle`] so
-    /// the sharded engine (which bands and gathers rank columns) can
-    /// serve index-path callers too. `O(d·n)` copy; the ranks are the
-    /// same compressed columns, so dominance answers — and the width —
-    /// are identical.
-    fn oracle_from_index(index: &DominanceIndex) -> RankOracle {
-        let (n, dim) = (index.len(), index.dim());
-        let mut ranks = Vec::with_capacity(dim * n);
-        for k in 0..dim {
-            ranks.extend_from_slice(index.rank_column(k));
-        }
-        RankOracle::from_rank_columns(n, dim, ranks)
-    }
-
-    /// Computes the decomposition straight off the index's bitset rows:
-    /// the split bipartite graph borrows the dominator matrix (owned
-    /// masked copies only for duplicated points), so no adjacency lists
-    /// or DAG are ever materialized.
-    pub fn compute_bitset(index: &DominanceIndex) -> Self {
-        Self::compute_bitset_cancellable(index, &mc_obs::CancelToken::never())
-            .expect("a never-token cannot cancel")
-    }
-
-    /// Cancellable twin of [`compute_bitset`](Self::compute_bitset):
-    /// the token is threaded into the Hopcroft–Karp engine (polled per
-    /// round and checkpointed on greedy-seed word scans) so a portfolio
-    /// race can stop a losing chain decomposition mid-matching.
-    pub fn compute_bitset_cancellable(
-        index: &DominanceIndex,
+    /// Matches the split graph `g` with the bitset engine and reads off
+    /// the chains and the König antichain.
+    fn from_rows<G: RowSource + BipartiteAdjacency>(
+        g: &G,
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
-        let _span = mc_obs::span("path_cover");
-        let n = index.len();
+        let n = RowSource::num_left(g);
         if n == 0 {
             return Ok(Self {
                 chains: Vec::new(),
                 antichain: Vec::new(),
             });
         }
-        let g = BitsetGraph::from_index(index);
-        let (matching, _) = HopcroftKarpBitset.solve_with_stats_cancellable(&g, token)?;
+        let (matching, _) = HopcroftKarpBitset.solve_with_stats_cancellable(g, token)?;
         token.poll()?;
         let chains = Self::chains_from_matching(n, &matching);
-        let antichain = Self::antichain_from_cover(n, &g, &matching);
+        let antichain = Self::antichain_from_cover(n, g, &matching);
         Ok(Self::finish(chains, antichain))
     }
 
@@ -378,7 +184,7 @@ impl ChainDecomposition {
 
     /// Shared tail of every construction path: Dilworth duality check
     /// plus the `chains.*` metrics.
-    pub(crate) fn finish(chains: Vec<Vec<usize>>, antichain: Vec<usize>) -> Self {
+    fn finish(chains: Vec<Vec<usize>>, antichain: Vec<usize>) -> Self {
         debug_assert_eq!(chains.len(), antichain.len(), "Dilworth duality violated");
         mc_obs::counter_add("chains.count", chains.len() as u64);
         if mc_obs::enabled() {
@@ -392,7 +198,7 @@ impl ChainDecomposition {
 
     /// Follows matched successors from every chain head (a vertex whose
     /// right copy is unmatched).
-    pub(crate) fn chains_from_matching(n: usize, matching: &Matching) -> Vec<Vec<usize>> {
+    fn chains_from_matching(n: usize, matching: &Matching) -> Vec<Vec<usize>> {
         let mut chains = Vec::new();
         for start in 0..n {
             if matching.right_match[start].is_some() {
@@ -411,7 +217,7 @@ impl ChainDecomposition {
 
     /// Maximum antichain: vertices neither of whose split copies lies in
     /// König's minimum vertex cover.
-    pub(crate) fn antichain_from_cover<G: BipartiteAdjacency>(
+    fn antichain_from_cover<G: BipartiteAdjacency>(
         n: usize,
         g: &G,
         matching: &Matching,
@@ -600,14 +406,55 @@ mod tests {
     }
 
     #[test]
+    fn cached_and_on_demand_rows_give_identical_decompositions() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // A small palette so duplicates, `-0.0`/`0.0` ties and infinite
+        // coordinates actually occur.
+        const PALETTE: [f64; 8] = [
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            -1.5,
+            1.0,
+            2.0,
+            3.25,
+            f64::INFINITY,
+        ];
+        let never = mc_obs::CancelToken::never();
+        let mut rng = StdRng::seed_from_u64(0xCAC4E);
+        for dim in 1..=4usize {
+            for _ in 0..12 {
+                let n = rng.gen_range(0..160);
+                let mut points = PointSet::new(dim);
+                for _ in 0..n {
+                    let row: Vec<f64> = (0..dim)
+                        .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())])
+                        .collect();
+                    points.push(&row);
+                }
+                let oracle = RankOracle::build(&points);
+                let cached = ChainDecomposition::from_oracle_rows(&oracle, true, &never).unwrap();
+                let on_demand =
+                    ChainDecomposition::from_oracle_rows(&oracle, false, &never).unwrap();
+                assert_eq!(cached.chains(), on_demand.chains(), "dim {dim} n {n}");
+                assert_eq!(cached.antichain(), on_demand.antichain(), "dim {dim} n {n}");
+                let via_matrix =
+                    ChainDecomposition::compute_from_index(&DominanceIndex::build(&points));
+                assert_eq!(cached.chains(), via_matrix.chains(), "dim {dim} n {n}");
+                cached.validate(&points).unwrap();
+            }
+        }
+    }
+
+    #[test]
     fn try_compute_respects_matrix_budget() {
         // 10 bytes cannot hold any dominator matrix with n >= 2; the
         // guard must refuse with the typed error instead of building.
-        std::env::set_var("MC_MATRIX_BUDGET_BYTES", "10");
+        // The budget is passed explicitly: setting the env knob here
+        // would leak into tests running in parallel in this binary.
         let points = PointSet::from_rows(2, &[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let err = ChainDecomposition::try_compute(&points).unwrap_err();
-        std::env::remove_var("MC_MATRIX_BUDGET_BYTES");
-        match err {
+        match mc_geom::check_matrix_budget_against(points.len(), Some(10)).unwrap_err() {
             GeomError::MatrixBudget {
                 points: n,
                 budget_bytes,
@@ -618,7 +465,7 @@ mod tests {
             }
             other => panic!("expected MatrixBudget, got {other:?}"),
         }
-        // With the budget lifted the same input solves fine.
+        // Without a budget the same input solves fine.
         assert_eq!(ChainDecomposition::try_compute(&points).unwrap().width(), 2);
     }
 

@@ -10,10 +10,10 @@
 //! dominance DAG → split bipartite graph → Hopcroft–Karp matching →
 //! minimum path cover (= chains) + König antichain certificate.
 //!
-//! By default the "DAG" step is virtual: the split graph is read
-//! directly off the `mc_geom::DominanceIndex` bitset rows and matched
-//! with the word-parallel `HopcroftKarpBitset` engine (see
-//! [`decomposition::MatchingEngine`] and the `MC_MATCHING` env toggle).
+//! The "DAG" step is virtual: the split graph is read directly off
+//! bitset rows (a `mc_geom::DominanceIndex` or a `mc_geom::RankOracle`)
+//! and matched with the word-parallel `HopcroftKarpBitset` engine; the
+//! explicit [`DominanceDag`] path stays as the tested reference.
 //!
 //! # Example
 //!
@@ -38,14 +38,11 @@ pub mod dag;
 pub mod decomposition;
 pub mod greedy;
 pub mod mirsky;
-pub mod shard;
 pub mod test_support;
 pub mod two_dim;
 
 pub use dag::DominanceDag;
-pub use decomposition::{
-    dominance_width, with_matching_override, ChainDecomposition, MatchingEngine,
-};
+pub use decomposition::{dominance_width, ChainDecomposition};
 pub use greedy::GreedyDecomposition;
 pub use mirsky::{longest_chain_len, AntichainPartition};
 pub use two_dim::TwoDimDecomposition;

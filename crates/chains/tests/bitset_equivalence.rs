@@ -5,12 +5,12 @@
 //!
 //! * `HopcroftKarpBitset` finds a matching of the same *size* as the
 //!   `O(V·E)` reference `Kuhn` on the Lemma-6 split graph;
-//! * `ChainDecomposition::compute_bitset` passes `validate()` and has
-//!   the same width and antichain size as the adjacency-list path
-//!   (`MatchingEngine::List`);
+//! * `ChainDecomposition::compute_from_index` passes `validate()` and
+//!   has the same width and antichain size as the adjacency-list path
+//!   (`ChainDecomposition::from_dag`);
 //! * the two engines agree on the paper's Figure-1 fixture.
 
-use mc_chains::{ChainDecomposition, DominanceDag, MatchingEngine};
+use mc_chains::{ChainDecomposition, DominanceDag};
 use mc_geom::{DominanceIndex, PointSet};
 use mc_matching::{BipartiteGraph, BitsetGraph, HopcroftKarpBitset, Kuhn, MatchingAlgorithm};
 use proptest::prelude::*;
@@ -65,9 +65,9 @@ fn check_engines_agree(points: &PointSet) {
     );
 
     // Decomposition-level parity: width and antichain size.
-    let bitset_dec = ChainDecomposition::compute_with_engine(&index, MatchingEngine::Bitset);
+    let bitset_dec = ChainDecomposition::compute_from_index(&index);
     bitset_dec.validate(points).unwrap();
-    let list_dec = ChainDecomposition::compute_with_engine(&index, MatchingEngine::List);
+    let list_dec = ChainDecomposition::from_dag(&dag);
     list_dec.validate(points).unwrap();
     assert_eq!(bitset_dec.width(), list_dec.width(), "width differs");
     assert_eq!(
@@ -113,6 +113,6 @@ fn engines_agree_on_figure1() {
     let points = mc_chains::test_support::figure1_like_points();
     check_engines_agree(&points);
     let index = DominanceIndex::build(&points);
-    let dec = ChainDecomposition::compute_bitset(&index);
+    let dec = ChainDecomposition::compute_from_index(&index);
     assert_eq!(dec.width(), 6);
 }

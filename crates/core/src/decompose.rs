@@ -51,9 +51,8 @@ pub fn minimum_chains_with_index(points: &PointSet) -> (Vec<Vec<usize>>, Option<
         }
         2 => (TwoDimDecomposition::compute(points).chains().to_vec(), None),
         _ => {
-            // The Lemma-6 pipeline runs the bitset matching engine off
-            // this index by default (MC_MATCHING=list for the
-            // adjacency-list reference path).
+            // The Lemma-6 pipeline runs the bitset matching engine
+            // straight off this index's rows.
             let index = DominanceIndex::build(points);
             let chains = ChainDecomposition::compute_from_index(&index)
                 .chains()

@@ -96,7 +96,7 @@ impl NetworkStrategy {
 
     /// Reads the `MC_FLOW_NET` env toggle: `auto` (the default),
     /// `dense`, or `sparse`. Unrecognised values warn once and fall back
-    /// to the default, mirroring `MC_MATCHING`.
+    /// to the default.
     pub fn from_env() -> Self {
         match std::env::var("MC_FLOW_NET") {
             Ok(v) => Self::parse(&v).unwrap_or_else(|| {

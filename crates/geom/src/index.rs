@@ -112,9 +112,11 @@ pub fn matrix_bytes(n: usize) -> u64 {
 /// The `MC_MATRIX_BUDGET_BYTES` budget, if one is configured: the most
 /// bytes a single bitset dominator matrix may occupy before builders
 /// refuse with [`GeomError::MatrixBudget`] instead of attempting an
-/// allocation that would OOM. Unset means unlimited; a set-but-invalid
-/// value (non-numeric, zero) is ignored with a one-shot warning, like
-/// the `MC_FLOW_NET` / `MC_MATCHING` knobs.
+/// allocation that would OOM. The same budget caps the Lemma-6 row
+/// cache in `mc-chains`. Unset means unlimited for the builders (the row
+/// cache then keeps its own default); a set-but-invalid value
+/// (non-numeric, zero) is ignored with a one-shot warning, like the
+/// `MC_FLOW_NET` knob.
 pub fn matrix_budget_bytes() -> Option<u64> {
     let raw = std::env::var_os("MC_MATRIX_BUDGET_BYTES")?;
     match raw

@@ -19,7 +19,6 @@
 //! *distinct* points. We expose both flavours ([`dominates`] is reflexive,
 //! [`strictly_dominates`] excludes equality).
 
-pub mod bands;
 pub mod dataset;
 pub mod dominance;
 pub mod error;
@@ -32,7 +31,6 @@ pub mod pareto;
 pub mod point;
 pub mod transform;
 
-pub use bands::{band_partition, BandPartition};
 pub use dataset::{LabeledSet, PointSet, WeightedSet};
 pub use dominance::{dominates, incomparable, strictly_dominates, Dominance};
 pub use error::GeomError;
@@ -43,9 +41,7 @@ pub use index::{
 };
 pub use label::Label;
 pub use oracle::RankOracle;
-pub use parallel::{
-    max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold, with_sequential,
-};
+pub use parallel::{max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold};
 pub use pareto::{maxima, minima, minima_2d};
 pub use point::Point;
 pub use transform::{transform_pointset, AxisTransform};

@@ -148,39 +148,6 @@ impl RankOracle {
         }
     }
 
-    /// Builds a new oracle over a subset of this oracle's points
-    /// (`indices`, in the given order) by gathering its own rank
-    /// columns — the band-restriction path of the sharded matching.
-    /// Gathered ranks stay order- and equality-preserving, so the
-    /// subset's rows, dominance answers, and duplicate groups are
-    /// bit-identical to an oracle rebuilt from the same points (the
-    /// proptests in `tests/band_subsets.rs` pin this down, including
-    /// dup groups and signed zeros straddling a band boundary).
-    pub fn from_subset(&self, indices: &[usize]) -> Self {
-        let m = indices.len();
-        let mut ranks = vec![0u32; self.dim * m];
-        for k in 0..self.dim {
-            let col = self.column(k);
-            let sub = &mut ranks[k * m..(k + 1) * m];
-            for (local, &g) in indices.iter().enumerate() {
-                sub[local] = col[g];
-            }
-        }
-        Self::from_rank_columns(m, self.dim, ranks)
-    }
-
-    /// The dimension whose rank column spreads over the most distinct
-    /// values (largest maximum rank; ranks are dense when built from
-    /// points, so `col_max + 1` is exactly the distinct-value count).
-    /// Ties break to the lowest dimension. The band partitioner slices
-    /// along this axis because it orders the points most finely, which
-    /// keeps bands balanced even on duplicate-heavy inputs.
-    pub fn most_selective_dim(&self) -> usize {
-        (0..self.dim)
-            .max_by_key(|&k| (self.col_max[k], std::cmp::Reverse(k)))
-            .unwrap_or(0)
-    }
-
     /// Number of indexed points.
     pub fn len(&self) -> usize {
         self.n

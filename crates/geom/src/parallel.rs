@@ -25,34 +25,6 @@ use std::time::Instant;
 /// costs more than it saves.
 pub const DEFAULT_PAR_THRESHOLD: usize = 2_048;
 
-thread_local! {
-    /// When set, the chunked helpers stay inline on the calling thread
-    /// regardless of problem size (see [`with_sequential`]).
-    static FORCE_SEQUENTIAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Runs `f` with [`parallel_chunks`]/[`parallel_chunks_mut`] pinned to
-/// the calling thread. Outer fan-outs (the sharded matching's band
-/// workers) wrap their per-item work in this so an inner kernel that
-/// crosses `MC_PAR_THRESHOLD` does not spawn a second layer of threads
-/// under every worker. Thread-local and re-entrant; the flag is
-/// restored even if `f` panics.
-pub fn with_sequential<T>(f: impl FnOnce() -> T) -> T {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCE_SEQUENTIAL.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCE_SEQUENTIAL.with(|c| c.replace(true)));
-    f()
-}
-
-/// `true` iff the calling thread is inside [`with_sequential`].
-fn sequential_forced() -> bool {
-    FORCE_SEQUENTIAL.with(|c| c.get())
-}
-
 /// Parses a tunable env value. `None` (unset) quietly yields the
 /// default; a set-but-invalid value — non-UTF-8, non-numeric, or zero
 /// (both knobs are minimum-1 quantities) — yields the default *with* a
@@ -131,7 +103,7 @@ where
     F: Fn(Range<usize>) -> T + Sync,
 {
     let threads = max_threads();
-    if n < parallel_threshold() || threads <= 1 || sequential_forced() {
+    if n < parallel_threshold() || threads <= 1 {
         mc_obs::counter_add("parallel.sequential", 1);
         return vec![kernel(0..n)];
     }
@@ -192,7 +164,7 @@ where
     assert_eq!(out.len() % stride, 0, "output length must be n * stride");
     let n = out.len() / stride;
     let threads = max_threads();
-    if n < parallel_threshold() || threads <= 1 || sequential_forced() {
+    if n < parallel_threshold() || threads <= 1 {
         mc_obs::counter_add("parallel.sequential", 1);
         kernel(0..n, out);
         return;

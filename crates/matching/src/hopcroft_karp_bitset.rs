@@ -63,68 +63,6 @@ const INF: u32 = u32::MAX;
 /// Sentinel for a DFS row-cache slot nobody owns.
 const NO_OWNER: u32 = u32::MAX;
 
-/// Reusable cross-solve buffers for [`HopcroftKarpBitset`].
-///
-/// A solve needs `O(n)` bookkeeping (BFS layers, level masks, the DFS
-/// row cache) plus one full-row popcount pass to order the greedy seed
-/// sparsest-first. Callers that solve many graphs in a row — the
-/// sharded engine's band workers, a repair pass after stitching —
-/// hand the same workspace to every call so the buffers are allocated
-/// once, and so a re-solve of the *same* graph reuses the cached
-/// per-row popcounts instead of recounting every row.
-///
-/// The degree cache is only valid for the graph it was counted on;
-/// call [`invalidate_degrees`](Self::invalidate_degrees) before
-/// reusing a workspace on a different graph. (Buffer *capacity* is
-/// always safe to carry across graphs — sizes are re-fit per solve.)
-#[derive(Debug, Default)]
-pub struct HkWorkspace {
-    /// Cached per-row popcounts from the greedy seed's degree pass.
-    deg: Vec<u32>,
-    /// Sparsest-first visit order derived from `deg`.
-    order: Vec<u32>,
-    /// `true` while `deg`/`order` describe the last-solved graph.
-    deg_valid: bool,
-    dist: Vec<u32>,
-    seen: Vec<u64>,
-    levels: Vec<(Vec<u64>, Vec<u32>)>,
-    row_pool: Vec<Vec<u64>>,
-    pool_owner: Vec<u32>,
-}
-
-impl HkWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops the cached degree pass. Required between solves of
-    /// *different* graphs; a matching left/right size alone does not
-    /// make two graphs share row popcounts.
-    pub fn invalidate_degrees(&mut self) {
-        self.deg_valid = false;
-    }
-
-    /// Re-fits buffer sizes to a graph, keeping capacity where layouts
-    /// agree. The DFS row cache is per-graph (rows are only static
-    /// within one solve), so its owners always reset.
-    fn fit(&mut self, nl: usize, words: usize) {
-        self.dist.clear();
-        self.dist.resize(nl, INF);
-        self.seen.clear();
-        self.seen.resize(words, 0);
-        self.levels.clear();
-        if self.row_pool.first().is_some_and(|r| r.len() != words) {
-            self.row_pool.clear();
-            self.pool_owner.clear();
-        }
-        self.pool_owner.fill(NO_OWNER);
-        if self.deg.len() != nl {
-            self.deg_valid = false;
-        }
-    }
-}
-
 struct State<'g, G: RowSource> {
     g: &'g G,
     left_match: Vec<Option<u32>>,
@@ -359,96 +297,29 @@ impl HopcroftKarpBitset {
         g: &G,
         token: &mc_obs::CancelToken,
     ) -> Result<(Matching, MatchingStats), mc_obs::Cancelled> {
-        self.solve_in_workspace_cancellable(g, &mut HkWorkspace::new(), token)
-    }
-
-    /// Like [`solve_with_stats_cancellable`](Self::solve_with_stats_cancellable)
-    /// but reusing `ws` across calls: buffers are allocated once, and a
-    /// re-solve of the same graph skips the degree pass entirely (the
-    /// cached popcounts and visit order are reused). The matching is
-    /// identical either way. Callers moving the workspace to a
-    /// *different* graph must [`HkWorkspace::invalidate_degrees`] first.
-    pub fn solve_in_workspace_cancellable<G: RowSource>(
-        &self,
-        g: &G,
-        ws: &mut HkWorkspace,
-        token: &mc_obs::CancelToken,
-    ) -> Result<(Matching, MatchingStats), mc_obs::Cancelled> {
-        self.run(g, ws, token, None)
-    }
-
-    /// Warm-start entry: resumes the phased search from `initial`, a
-    /// valid (not necessarily maximal) matching of `g` — the sharded
-    /// engine's repair pass, where `initial` is the stitched union of
-    /// per-band matchings. Unmatched lefts are first greedy-completed
-    /// in ascending index order — no degree pass, no row recounts —
-    /// then BFS/DFS phases run to a maximum matching as usual. The
-    /// *size* of the result is therefore the true maximum regardless of
-    /// how `initial` was produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial`'s sides do not match `g`'s dimensions.
-    /// `initial` must pair only actual edges of `g`; this is the
-    /// caller's contract and is not re-verified here.
-    pub fn resume_with_stats_cancellable<G: RowSource>(
-        &self,
-        g: &G,
-        initial: Matching,
-        ws: &mut HkWorkspace,
-        token: &mc_obs::CancelToken,
-    ) -> Result<(Matching, MatchingStats), mc_obs::Cancelled> {
-        assert_eq!(initial.left_match.len(), g.num_left(), "left side mismatch");
-        assert_eq!(
-            initial.right_match.len(),
-            g.num_right(),
-            "right side mismatch"
-        );
-        self.run(g, ws, token, Some(initial))
-    }
-
-    fn run<G: RowSource>(
-        &self,
-        g: &G,
-        ws: &mut HkWorkspace,
-        token: &mc_obs::CancelToken,
-        initial: Option<Matching>,
-    ) -> Result<(Matching, MatchingStats), mc_obs::Cancelled> {
         let _span = mc_obs::span("hopcroft_karp_bitset");
         token.poll()?;
         let nl = g.num_left();
         let nr = g.num_right();
         let words = g.words();
-        let warm = initial.is_some();
         // One full row sweep (the degree pass) is the work estimate;
         // BFS/DFS rounds beyond it saturate `frac` at 1.
         let mut cp = mc_obs::Checkpoint::with_progress(token, "matching", nl as u64 * words as u64);
-        ws.fit(nl, words);
-        let (left_match, right_match) = match initial {
-            Some(m) => (m.left_match, m.right_match),
-            None => (vec![None; nl], vec![None; nr]),
-        };
         let mut st = State {
             g,
-            left_match,
-            right_match,
-            dist: std::mem::take(&mut ws.dist),
-            seen: std::mem::take(&mut ws.seen),
-            levels: std::mem::take(&mut ws.levels),
-            row_pool: std::mem::take(&mut ws.row_pool),
-            pool_owner: std::mem::take(&mut ws.pool_owner),
+            left_match: vec![None; nl],
+            right_match: vec![None; nr],
+            dist: vec![INF; nl],
+            seen: vec![0u64; words],
+            levels: Vec::new(),
+            row_pool: Vec::new(),
+            pool_owner: Vec::new(),
             words_scanned: 0,
         };
-        // All-valid-rights mask (padding bits beyond `nr` stay zero),
-        // minus any rights the initial matching already claimed.
+        // All-valid-rights mask (padding bits beyond `nr` stay zero).
         let mut free = vec![!0u64; words];
         if words > 0 && nr & 63 != 0 {
             free[words - 1] = (1u64 << (nr & 63)) - 1;
-        }
-        for (r, rm) in st.right_match.iter().enumerate() {
-            if rm.is_some() {
-                free[r >> 6] &= !(1u64 << (r & 63));
-            }
         }
         // Greedy seed: sparsest rows commit first (Karp–Sipser flavour —
         // scarce lefts take a right before flexible ones use it up),
@@ -457,67 +328,45 @@ impl HopcroftKarpBitset {
         // deterministically. The popcount pass fans out over row chunks
         // (each worker with its own scratch); chunk results concatenate
         // in index order, so the degrees — and everything downstream —
-        // are identical to the sequential sweep. A warm start skips the
-        // ordering (its lefts are mostly matched already — recounting
-        // every row to sort the stragglers would cost more than it
-        // saves), and a workspace re-solve of the same graph reuses the
-        // cached counts.
-        if !warm {
-            if !ws.deg_valid {
-                let deg_parts = parallel_chunks(nl, |range| {
-                    let mut scratch = vec![0u64; words];
-                    let mut local: Vec<u32> = Vec::with_capacity(range.len());
-                    let mut scanned = 0u64;
-                    // Workers contribute units to the same phase; a zero
-                    // hint leaves the total set by the owning solve.
-                    let mut cp_w = Checkpoint::with_progress(token, "matching", 0);
-                    for l in range {
-                        if cp_w.tick(words as u64).is_err() {
-                            return (local, scanned);
-                        }
-                        let resolved = g.resolve_row(l, &mut scratch);
-                        scanned += words as u64;
-                        let mut count = 0u32;
-                        for (wi, &w) in resolved.row.iter().enumerate() {
-                            let w = if wi == resolved.patch_word {
-                                w & resolved.patch_mask
-                            } else {
-                                w
-                            };
-                            count += w.count_ones();
-                        }
-                        local.push(count);
-                    }
-                    (local, scanned)
-                });
-                ws.deg.clear();
-                for (part, scanned) in deg_parts {
-                    ws.deg.extend(part);
-                    st.words_scanned += scanned;
+        // are identical to the sequential sweep.
+        let mut order: Vec<u32> = (0..nl as u32).collect();
+        let deg_parts = parallel_chunks(nl, |range| {
+            let mut scratch = vec![0u64; words];
+            let mut local: Vec<u32> = Vec::with_capacity(range.len());
+            let mut scanned = 0u64;
+            // Workers contribute units to the same phase; a zero hint
+            // leaves the total set by the owning solve.
+            let mut cp_w = Checkpoint::with_progress(token, "matching", 0);
+            for l in range {
+                if cp_w.tick(words as u64).is_err() {
+                    return (local, scanned);
                 }
-                token.poll()?;
-                ws.order.clear();
-                ws.order.extend(0..nl as u32);
-                let deg = &ws.deg;
-                ws.order.sort_unstable_by_key(|&l| (deg[l as usize], l));
-                ws.deg_valid = true;
-            } else {
-                mc_obs::counter_add("matching.degree_cache_hits", 1);
+                let resolved = g.resolve_row(l, &mut scratch);
+                scanned += words as u64;
+                let mut count = 0u32;
+                for (wi, &w) in resolved.row.iter().enumerate() {
+                    let w = if wi == resolved.patch_word {
+                        w & resolved.patch_mask
+                    } else {
+                        w
+                    };
+                    count += w.count_ones();
+                }
+                local.push(count);
             }
+            (local, scanned)
+        });
+        let mut deg: Vec<u32> = Vec::with_capacity(nl);
+        for (part, scanned) in deg_parts {
+            deg.extend(part);
+            st.words_scanned += scanned;
         }
+        token.poll()?;
+        order.sort_unstable_by_key(|&l| (deg[l as usize], l));
         let mut greedy = 0u64;
         let mut scratch = vec![0u64; words];
-        // Warm starts greedy-complete the unmatched stragglers in index
-        // order; cold starts walk the sparsest-first order.
-        let order_it: &mut dyn Iterator<Item = usize> = if warm {
-            &mut (0..nl)
-        } else {
-            &mut ws.order.iter().map(|&l| l as usize)
-        };
-        for l in order_it {
-            if st.left_match[l].is_some() {
-                continue;
-            }
+        for &l in &order {
+            let l = l as usize;
             cp.tick(words as u64 + 1)?;
             let resolved = g.resolve_row(l, &mut scratch);
             let (row, pw, pmask) = (resolved.row, resolved.patch_word, resolved.patch_mask);
@@ -558,12 +407,6 @@ impl HopcroftKarpBitset {
             words_scanned: st.words_scanned,
         };
         flush_stats(&stats);
-        // Return the buffers for the next solve on this workspace.
-        ws.dist = st.dist;
-        ws.seen = st.seen;
-        ws.levels = st.levels;
-        ws.row_pool = st.row_pool;
-        ws.pool_owner = st.pool_owner;
         Ok((
             Matching {
                 left_match: st.left_match,
@@ -724,83 +567,6 @@ mod tests {
             m.validate(&g).unwrap();
             let k = Kuhn.solve(&list);
             assert_eq!(m.size(), k.size(), "trial {trial}: sizes differ");
-        }
-    }
-
-    #[test]
-    fn workspace_reuse_reproduces_fresh_solves() {
-        // Same graph twice on one workspace: the second solve hits the
-        // degree cache and must still produce the identical matching.
-        // Then a *different* graph after invalidation must too.
-        let mut rng = StdRng::seed_from_u64(0xCAFE);
-        let mut ws = HkWorkspace::new();
-        for trial in 0..20 {
-            let nl = rng.gen_range(1..60);
-            let nr = rng.gen_range(1..130);
-            let mut edges = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for _ in 0..rng.gen_range(0..3 * nl) {
-                let e = (rng.gen_range(0..nl), rng.gen_range(0..nr));
-                if seen.insert(e) {
-                    edges.push(e);
-                }
-            }
-            let rows = Rows::from_edges(nl, nr, &edges);
-            let g = rows.graph();
-            let (fresh, _) = HopcroftKarpBitset.solve_with_stats(&g);
-            ws.invalidate_degrees();
-            let token = mc_obs::CancelToken::never();
-            let (a, _) = HopcroftKarpBitset
-                .solve_in_workspace_cancellable(&g, &mut ws, &token)
-                .unwrap();
-            let (b, _) = HopcroftKarpBitset
-                .solve_in_workspace_cancellable(&g, &mut ws, &token)
-                .unwrap();
-            assert_eq!(fresh.left_match, a.left_match, "trial {trial}");
-            assert_eq!(a.left_match, b.left_match, "trial {trial} cached");
-            assert_eq!(a.right_match, b.right_match, "trial {trial} cached");
-        }
-    }
-
-    #[test]
-    fn resume_reaches_maximum_from_any_valid_partial_matching() {
-        let mut rng = StdRng::seed_from_u64(0xAB5E);
-        for trial in 0..40 {
-            let nl = rng.gen_range(1..50);
-            let nr = rng.gen_range(1..50);
-            let mut edges = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            let mut list = BipartiteGraph::new(nl, nr);
-            for _ in 0..rng.gen_range(0..2 * nl * nr) {
-                let e = (rng.gen_range(0..nl), rng.gen_range(0..nr));
-                if seen.insert(e) {
-                    edges.push(e);
-                    list.add_edge(e.0, e.1);
-                }
-            }
-            let rows = Rows::from_edges(nl, nr, &edges);
-            let g = rows.graph();
-            // Seed with a random valid partial matching over real edges.
-            let mut init = Matching {
-                left_match: vec![None; nl],
-                right_match: vec![None; nr],
-            };
-            for &(l, r) in &edges {
-                if rng.gen_bool(0.3)
-                    && init.left_match[l].is_none()
-                    && init.right_match[r].is_none()
-                {
-                    init.left_match[l] = Some(r as u32);
-                    init.right_match[r] = Some(l as u32);
-                }
-            }
-            let mut ws = HkWorkspace::new();
-            let (m, _) = HopcroftKarpBitset
-                .resume_with_stats_cancellable(&g, init, &mut ws, &mc_obs::CancelToken::never())
-                .unwrap();
-            m.validate(&g).unwrap();
-            let best = Kuhn.solve(&list);
-            assert_eq!(m.size(), best.size(), "trial {trial}: resume not maximum");
         }
     }
 

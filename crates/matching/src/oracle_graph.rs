@@ -45,14 +45,13 @@ impl<'a> OracleGraph<'a> {
     /// per row — after which every scan of the returned graph is a pure
     /// word load, `Θ(n²/64)` words resident.
     ///
-    /// This is the seam the sharded engine's repair pass uses: a
-    /// warm-started Hopcroft–Karp revisits the same rows once per
-    /// BFS/DFS sweep per phase, so recomputing them from rank columns
-    /// every time costs more than the whole matching. Callers are
-    /// responsible for gating the `Θ(n²/64)` residency (the shard
-    /// engine checks `mc_geom::matrix_bytes` against its cache budget
-    /// first). Rows are bit-identical to the on-demand ones, so the
-    /// matching — and everything downstream — is unchanged.
+    /// Hopcroft–Karp revisits the same rows once per BFS/DFS sweep per
+    /// phase, so recomputing them from rank columns every time can cost
+    /// more than the whole matching. Callers are responsible for gating
+    /// the `Θ(n²/64)` residency (the Lemma-6 decomposition checks
+    /// `mc_geom::matrix_bytes` against its row-cache budget first).
+    /// Rows are bit-identical to the on-demand ones, so the matching —
+    /// and everything downstream — is unchanged.
     pub fn materialize_cancellable(
         &self,
         token: &mc_obs::CancelToken,

@@ -28,12 +28,6 @@ pub enum EngineSpec {
     SparsePushRelabel,
     /// FIFO push-relabel over the dense network.
     DensePushRelabel,
-    /// Dinic over the forced chain ladder, with the Lemma-6 chain
-    /// decomposition computed by the banded shard engine
-    /// (`mc_chains::shard`): per-band matchings on worker threads,
-    /// stitched and repaired to the same width as the sequential
-    /// engines. Shard count from `MC_SHARDS` (or its default).
-    ShardHk,
     /// Fault injector: panics immediately. The coordinator must isolate
     /// it and keep racing.
     Panic,
@@ -104,7 +98,6 @@ engine_names! {
     DenseDinic => "dense-dinic",
     SparsePushRelabel => "sparse-pr",
     DensePushRelabel => "dense-pr",
-    ShardHk => "shard-hk",
     Panic => "panic",
     Hang => "hang",
 }
@@ -112,13 +105,12 @@ engine_names! {
 impl EngineSpec {
     /// Every engine, in the roster's canonical order (real engines
     /// first, injectors last).
-    pub const ALL: [EngineSpec; 8] = [
+    pub const ALL: [EngineSpec; 7] = [
         EngineSpec::AutoDinic,
         EngineSpec::SparseDinic,
         EngineSpec::DenseDinic,
         EngineSpec::SparsePushRelabel,
         EngineSpec::DensePushRelabel,
-        EngineSpec::ShardHk,
         EngineSpec::Panic,
         EngineSpec::Hang,
     ];
@@ -202,11 +194,6 @@ impl EngineSpec {
             EngineSpec::DensePushRelabel => PassiveSolver::with_algorithm(PushRelabel)
                 .with_network(NetworkStrategy::Dense)
                 .solve_certified_cancellable(data, token),
-            EngineSpec::ShardHk => mc_chains::with_matching_override(
-                mc_chains::MatchingEngine::Shard,
-                None, // shard count from MC_SHARDS or its default
-                || solver(NetworkStrategy::Sparse).solve_certified_cancellable(data, token),
-            ),
             EngineSpec::Panic => panic!("injected fault: the panic engine always dies"),
             EngineSpec::Hang => loop {
                 token.poll()?;

@@ -233,26 +233,3 @@ fn history_learns_across_races_in_one_process() {
     assert_eq!(roster[0], EngineSpec::SparseDinic);
     history.reset();
 }
-
-#[test]
-fn shard_hk_engine_races_and_matches_the_reference() {
-    let _l = obs_lock();
-    // d = 3 forces the chain-ladder network, whose Lemma-6 chain
-    // decomposition is exactly what the shard-hk entry reroutes through
-    // the banded engine. The answer must be bit-identical.
-    let data = noisy_set(300, 3, 41);
-    let solo = PassiveSolver::new()
-        .with_network(NetworkStrategy::Sparse)
-        .solve(&data);
-
-    let config = PortfolioConfig::new(vec![EngineSpec::ShardHk]);
-    let out = race(&data, &config).expect("shard-hk must win a solo race");
-    assert_eq!(out.race.winner, Some(EngineSpec::ShardHk));
-    assert_eq!(out.solution.assignment, solo.assignment);
-    assert_eq!(
-        out.solution.weighted_error.to_bits(),
-        solo.weighted_error.to_bits()
-    );
-    out.certificate.verify(&data).expect("referee-audited");
-    assert!(out.report.is_clean());
-}

@@ -40,9 +40,7 @@
 //! nothing to anchor one on).
 
 use monotone_classification::bench::serve_load;
-use monotone_classification::chains::{
-    with_matching_override, AntichainPartition, ChainDecomposition, MatchingEngine,
-};
+use monotone_classification::chains::{AntichainPartition, ChainDecomposition};
 use monotone_classification::core::metrics::ConfusionMatrix;
 use monotone_classification::core::passive::{
     solve_passive, ContendingPoints, NetworkStrategy, PassiveSolver,
@@ -153,16 +151,13 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   mcc passive  <data.csv> [--weighted] [--out classifier.csv]
-               [--net auto|dense|sparse] [--shards N] [--trace]
-               [--metrics-out metrics.jsonl]
+               [--net auto|dense|sparse] [--trace] [--metrics-out metrics.jsonl]
                [--telemetry ts.jsonl] [--sample-ms MS] [--stall-window-ms MS]
                [--watch-abort]
                [--portfolio] [--engines e1,e2,...] [--time-limit SECS] [--no-fallback]
                engines: auto-dinic | sparse-dinic | dense-dinic | sparse-pr
-                        | dense-pr | shard-hk | panic | hang
-               (MC_PORTFOLIO env also accepted)
-  mcc passive  <data.mcc> [--shards N] [--trace] [--metrics-out metrics.jsonl]
-               [--time-limit SECS]
+                        | dense-pr | panic | hang   (MC_PORTFOLIO env also accepted)
+  mcc passive  <data.mcc> [--trace] [--metrics-out metrics.jsonl] [--time-limit SECS]
                [--telemetry ts.jsonl] [--sample-ms MS] [--stall-window-ms MS]
                [--watch-abort]
                columnar MCC1 input: streams the matrix-free solve, prints
@@ -470,7 +465,6 @@ fn cmd_passive(args: &[String]) -> Result<(), CliError> {
             "net",
             "engines",
             "time-limit",
-            "shards",
             "telemetry",
             "sample-ms",
             "stall-window-ms",
@@ -503,17 +497,8 @@ fn cmd_passive_impl(
         })?,
         None => NetworkStrategy::Auto,
     };
-    // --shards routes the Lemma-6 chain decomposition through the
-    // banded shard engine, like MC_MATCHING=shard MC_SHARDS=N but
-    // scoped to this solve (thread-local override, no env mutation).
-    let shards = match get_value(values, "shards") {
-        Some(v) => Some(v.parse::<usize>().ok().filter(|&s| s >= 1).ok_or_else(|| {
-            CliError::Param(format!("--shards: expected a positive integer, got {v:?}"))
-        })?),
-        None => None,
-    };
     if path.ends_with(".mcc") {
-        return cmd_passive_columnar(path, values, flags, obs_out, network, shards);
+        return cmd_passive_columnar(path, values, flags, obs_out, network);
     }
     let text = read_file(path)?;
     let weighted = if flags.contains(&"weighted".to_string()) {
@@ -531,13 +516,6 @@ fn cmd_passive_impl(
     let cli_engines = get_value(values, "engines");
     let portfolio_mode =
         flags.contains(&"portfolio".to_string()) || cli_engines.is_some() || env_engines.is_some();
-    if portfolio_mode && shards.is_some() {
-        return Err(CliError::Usage(
-            "--shards applies to a single solve; for the portfolio set MC_SHARDS \
-             and include shard-hk in --engines"
-                .into(),
-        ));
-    }
     let sol = if portfolio_mode {
         let roster = match cli_engines.or(env_engines) {
             Some(list) => EngineSpec::parse_list(&list)
@@ -620,16 +598,9 @@ fn cmd_passive_impl(
                 ("d", Value::U(weighted.dim() as u64)),
             ],
         )?;
-        let sol = match shards {
-            Some(k) => with_matching_override(MatchingEngine::Shard, Some(k), || {
-                PassiveSolver::new()
-                    .with_network(network)
-                    .try_solve(&weighted)
-            })?,
-            None => PassiveSolver::new()
-                .with_network(network)
-                .try_solve(&weighted)?,
-        };
+        let sol = PassiveSolver::new()
+            .with_network(network)
+            .try_solve(&weighted)?;
         obs_out.finish(
             &[
                 ("tool", Value::S("mcc passive".into())),
@@ -677,7 +648,6 @@ fn cmd_passive_columnar(
     flags: &[String],
     obs_out: &ObsOutput,
     network: NetworkStrategy,
-    shards: Option<usize>,
 ) -> Result<(), CliError> {
     use monotone_classification::core::passive::solve_passive_scale_cancellable;
     use monotone_classification::data::columnar::ColumnarDataset;
@@ -737,12 +707,7 @@ fn cmd_passive_columnar(
     let weights = ds.read_weights().map_err(columnar_err)?;
     drop(ds);
     let load_secs = start.elapsed().as_secs_f64();
-    let sol = match shards {
-        Some(k) => with_matching_override(MatchingEngine::Shard, Some(k), || {
-            solve_passive_scale_cancellable(&table, &labels, &weights, &token)
-        })?,
-        None => solve_passive_scale_cancellable(&table, &labels, &weights, &token)?,
-    };
+    let sol = solve_passive_scale_cancellable(&table, &labels, &weights, &token)?;
     let total_secs = start.elapsed().as_secs_f64();
     println!(
         "n = {n}, d = {d}, contending = {} ({} label-0, {} label-1)",

@@ -709,54 +709,45 @@ fn passive_portfolio_rejects_unknown_engines_cleanly() {
 }
 
 #[test]
-fn passive_shards_flag_matches_sequential_answer() {
-    let data = write_temp("shards.csv", DEMO);
-    let seq = mcc().args(["passive"]).arg(&data).output().unwrap();
-    assert!(seq.status.success());
-    let out = mcc()
-        .args(["passive"])
+fn passive_columnar_answer_is_identical_across_thread_counts() {
+    let data = write_temp("threads.mcc", "");
+    let gen = mcc()
+        .args(["generate", "scale"])
         .arg(&data)
-        .args(["--shards", "3"])
+        .args(["--n", "30000", "--dim", "4", "--seed", "7"])
         .output()
         .unwrap();
     assert!(
-        out.status.success(),
+        gen.status.success(),
         "{}",
-        String::from_utf8_lossy(&out.stderr)
+        String::from_utf8_lossy(&gen.stderr)
     );
-    // Width-identical contract: the reported error is bit-identical to
-    // the sequential engines.
-    let line = |o: &std::process::Output| {
-        String::from_utf8_lossy(&o.stdout)
-            .lines()
-            .find(|l| l.starts_with("optimal weighted error"))
-            .map(str::to_owned)
-            .expect("error line")
-    };
-    assert_eq!(line(&out), line(&seq));
-}
-
-#[test]
-fn passive_shards_flag_rejects_bad_values() {
-    let data = write_temp("shards_bad.csv", DEMO);
-    for bad in ["0", "-2", "lots"] {
+    // A threshold of 1 makes every chunked kernel fan out whenever more
+    // than one worker is allowed, so the two runs really differ in how
+    // the work is split.
+    let run = |threads: &str| {
         let out = mcc()
             .args(["passive"])
             .arg(&data)
-            .args(["--shards", bad])
+            .env("MC_THREADS", threads)
+            .env("MC_PAR_THRESHOLD", "1")
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(5), "--shards {bad} must exit 5");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
-    }
-    // --shards is a per-solve override; the portfolio reads MC_SHARDS.
-    let out = mcc()
-        .args(["passive"])
-        .arg(&data)
-        .args(["--shards", "2", "--portfolio"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // Everything but the timing/RSS line must repeat exactly.
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| !l.starts_with("load "))
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    let one = run("1");
+    assert!(one.iter().any(|l| l.contains("dominance width")), "{one:?}");
+    assert_eq!(one, run("4"));
 }
 
 #[test]

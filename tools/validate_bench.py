@@ -19,8 +19,8 @@ import sys
 REQUIRED = {
     "dominance": ["config", "timings_ms", "speedup", "equivalence"],
     "flow": ["config", "sizes", "timings_ms", "edges", "speedup", "equivalence"],
-    "matching": ["config", "timings_ms", "speedup", "stats", "equivalence", "sharded"],
-    "scale": ["config", "kernel", "parity", "telemetry", "sizes", "sizes_sharded"],
+    "matching": ["config", "timings_ms", "speedup", "stats", "equivalence", "matrix_free"],
+    "scale": ["config", "kernel", "parity", "telemetry", "sizes"],
     "serve": ["config", "throughput", "latency_ms", "server"],
 }
 
@@ -130,32 +130,21 @@ def main():
                         f"but the generator recorded {t['points']}"
                     )
         if name == "matching":
-            sharded = doc["sharded"]
-            if not isinstance(sharded, dict):
-                fail(f"{path}: `sharded` must be an object with a `sizes` array")
-            for key in ("workload", "dim", "shards", "reps", "sizes"):
-                if key not in sharded:
-                    fail(f"{path}: sharded section missing {key!r}")
-            rows = sharded["sizes"]
+            mf = doc["matrix_free"]
+            if not isinstance(mf, dict):
+                fail(f"{path}: `matrix_free` must be an object with a `sizes` array")
+            for key in ("workload", "dim", "reps", "sizes"):
+                if key not in mf:
+                    fail(f"{path}: matrix_free section missing {key!r}")
+            rows = mf["sizes"]
             if not isinstance(rows, list) or not rows:
-                fail(f"{path}: sharded.sizes must be a non-empty array of per-size rows")
+                fail(f"{path}: matrix_free.sizes must be a non-empty array of per-size rows")
             for row in rows:
-                for key in (
-                    "n",
-                    "width",
-                    "sequential_1t_ms",
-                    "curve",
-                    "speedup_8t_vs_sequential",
-                    "width_identical",
-                ):
+                for key in ("n", "instance", "width", "oracle_ms", "width_identical"):
                     if key not in row:
-                        fail(f"{path}: sharded row missing {key!r}: {row}")
+                        fail(f"{path}: matrix_free row missing {key!r}: {row}")
                 if row["width_identical"] is not True:
-                    fail(f"{path}: sharded row n={row['n']} is not width-identical")
-                for pt in row["curve"]:
-                    for key in ("requested_threads", "effective_workers", "sharded_ms"):
-                        if key not in pt:
-                            fail(f"{path}: sharded curve point missing {key!r}: {pt}")
+                    fail(f"{path}: matrix_free row n={row['n']} is not width-identical")
         print(f"{path}: OK ({name})")
     print(f"{len(paths)} bench records valid")
 
