@@ -1,6 +1,7 @@
 //! The memory-wall record: streaming passive solves off columnar files
-//! at n ∈ {10⁵, 10⁶, 10⁷} (wall time, peak RSS, network size), the
-//! scalar-vs-blocked compare-kernel microbench, and the n = 20 000
+//! at n ∈ {10⁵, 10⁶, 10⁷} (wall time split into span-timed stages, peak
+//! RSS, network size), the scalar-vs-blocked compare-kernel microbench,
+//! and the n = 20 000
 //! parity check of the matrix-free pipeline against the dominator-matrix
 //! path — all written to `BENCH_scale.json` at the repo root.
 //!
@@ -159,7 +160,11 @@ fn telemetry_section() -> String {
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(1_000_000);
-    let reps = 3;
+    // An n = 10⁶ solve takes well under a second, so drift in the
+    // host's load between a block of plain runs and a block of sampled
+    // runs can exceed the 2% budget. The runs therefore alternate, one
+    // plain and one sampled per rep, and each side takes its median.
+    let reps = 9;
     let config = ScaleConfig::new(n, 4, 0x5CA1E);
     let path = temp_path("telemetry");
     write_scale_dataset(&path, &config).expect("write telemetry dataset");
@@ -170,32 +175,45 @@ fn telemetry_section() -> String {
     drop(ds);
     std::fs::remove_file(&path).ok();
 
-    let plain = time_runs(reps, || solve_passive_scale(&table, &labels, &weights));
-
     let ts_path = {
         let mut p = std::env::temp_dir();
         p.push(format!("mc_bench_scale_{}_ts.jsonl", std::process::id()));
         p
     };
     let prev_level = mc_obs::level();
-    mc_obs::set_level(mc_obs::Level::Info);
-    let mut sampler = mc_obs::telemetry::SamplerConfig::new(&ts_path);
-    sampler.interval = Duration::from_millis(100);
-    assert!(
-        mc_obs::telemetry::start(sampler).expect("start sampler"),
-        "a sampler was already running"
-    );
-    let sampled = time_runs(reps, || solve_passive_scale(&table, &labels, &weights));
-    mc_obs::telemetry::stop();
-    mc_obs::set_level(prev_level);
-    let samples = std::fs::read_to_string(&ts_path)
-        .map(|t| {
-            t.lines()
-                .filter(|l| l.contains(r#""type":"sample""#))
-                .count()
-        })
-        .unwrap_or(0);
+    let mut plain_runs = Vec::with_capacity(reps);
+    let mut sampled_runs = Vec::with_capacity(reps);
+    let mut samples = 0;
+    for _ in 0..reps {
+        plain_runs.push(time_runs(1, || {
+            solve_passive_scale(&table, &labels, &weights)
+        }));
+        mc_obs::set_level(mc_obs::Level::Info);
+        let mut sampler = mc_obs::telemetry::SamplerConfig::new(&ts_path);
+        sampler.interval = Duration::from_millis(100);
+        assert!(
+            mc_obs::telemetry::start(sampler).expect("start sampler"),
+            "a sampler was already running"
+        );
+        sampled_runs.push(time_runs(1, || {
+            solve_passive_scale(&table, &labels, &weights)
+        }));
+        mc_obs::telemetry::stop();
+        mc_obs::set_level(prev_level);
+        // The sampler truncates its file on start, so count per run.
+        samples += std::fs::read_to_string(&ts_path)
+            .map(|t| {
+                t.lines()
+                    .filter(|l| l.contains(r#""type":"sample""#))
+                    .count()
+            })
+            .unwrap_or(0);
+    }
     std::fs::remove_file(&ts_path).ok();
+    plain_runs.sort_unstable();
+    sampled_runs.sort_unstable();
+    let plain = plain_runs[reps / 2];
+    let sampled = sampled_runs[reps / 2];
 
     let overhead = sampled.as_secs_f64() / plain.as_secs_f64() - 1.0;
     println!(
@@ -218,10 +236,32 @@ fn telemetry_section() -> String {
     )
 }
 
+/// The solve's stages as the `mc-obs` span tree times them, in ms:
+/// the Lemma-6 matching, the ladder's zero sweep and wiring, max flow,
+/// and `other` for the rest of `solve_ms` (rank gathering, readout).
+/// `tools/validate_bench.py` checks that they sum to `solve_ms`.
+fn stages_json(snap: &mc_obs::Snapshot, solve_ms: f64) -> String {
+    let ms = |path: &str| snap.span(path).map_or(0.0, |s| s.total_ns as f64 / 1e6);
+    let stages = [
+        ("path_cover", ms("passive/ladder/path_cover")),
+        ("ladder_sweep", ms("passive/ladder/ladder_sweep")),
+        ("ladder_wire", ms("passive/ladder/ladder_wire")),
+        ("maxflow", ms("passive/maxflow")),
+    ];
+    let other = solve_ms - stages.iter().map(|&(_, v)| v).sum::<f64>();
+    let fields: Vec<String> = stages
+        .iter()
+        .chain(&[("other", other)])
+        .map(|(name, v)| format!("\"{name}\": {v:.1}"))
+        .collect();
+    format!("{{ {} }}", fields.join(", "))
+}
+
 /// One streamed solve at `n`: generate → load (rank table + labels +
-/// weights) → solve, timing each leg and recording the process peak RSS
-/// after the solve (sizes run ascending, so each entry's RSS is set by
-/// its own run, not a later one).
+/// weights) → solve, timing each leg, splitting the solve into stages
+/// off the span tree, and recording the process peak RSS after the
+/// solve (sizes run ascending, so each entry's RSS is set by its own
+/// run, not a later one).
 fn size_entry(n: usize) -> String {
     let config = ScaleConfig::new(n, 4, 0x5CA1E);
     let path = temp_path(&format!("n{n}"));
@@ -239,12 +279,17 @@ fn size_entry(n: usize) -> String {
     std::fs::remove_file(&path).ok();
 
     let ones = labels.iter().filter(|l| l.is_one()).count();
+    let prev_level = mc_obs::level();
+    mc_obs::set_level(mc_obs::Level::Info);
+    mc_obs::reset();
     let solve_start = Instant::now();
     let sol = solve_passive_scale(&table, &labels, &weights);
     let solve = solve_start.elapsed();
+    let stages = stages_json(&mc_obs::snapshot(), solve.as_secs_f64() * 1e3);
+    mc_obs::set_level(prev_level);
     println!(
         "scale/solve: n = {n} | ones {ones} | gen {generate:?}, load {load:?}, \
-         solve {solve:?} | err {}, contending {}, width {}, edges {}, rss {} MiB",
+         solve {solve:?} {stages} | err {}, contending {}, width {}, edges {}, rss {} MiB",
         sol.weighted_error,
         sol.contending_zeros + sol.contending_ones,
         sol.width,
@@ -262,6 +307,7 @@ fn size_entry(n: usize) -> String {
       "generate_ms": {:.1},
       "load_ms": {:.1},
       "solve_ms": {:.1},
+      "stages_ms": {stages},
       "peak_rss_bytes": {}
     }}"#,
         sol.contending_zeros + sol.contending_ones,

@@ -28,9 +28,10 @@
 //! separate source from sink — is exactly that of the dense network.
 //! Min cuts (and hence Lemma-16/17 classifier readouts) coincide.
 //!
-//! Cost: `O(w·n·log n)` build time after the decomposition, and at most
-//! `2·|P₁^con| + w·|P₀^con|` gadget edges versus up to
-//! `|P₀^con|·|P₁^con|` dense edges.
+//! Cost after the decomposition: one head query per 0-point (below)
+//! plus one `O(d log n)` search per chain it hits, so `O(w·n·log n)` in
+//! the worst case, and at most `2·|P₁^con| + w·|P₀^con|` gadget edges
+//! versus up to `|P₀^con|·|P₁^con|` dense edges.
 //!
 //! Two entry points share the construction:
 //!
@@ -45,17 +46,224 @@
 //!   edges double as Lemma-15 contending discovery: a 0-point contends
 //!   iff some chain search returns a non-empty prefix, and the
 //!   contending 1-points of chain `c` are exactly its prefix up to the
-//!   deepest rung any 0-point reaches. The zero sweep fans out over
-//!   `parallel_chunks` behind two `O(d)` prefilters (per-dimension
-//!   minimum head rank, then per-chain head tests), which is what
-//!   carries the `n = 10⁷` scale solves of [`super::scale`].
+//!   deepest rung any 0-point reaches.
+//!
+//! Both entry points share one zero sweep. It fans out over
+//! `parallel_chunks`, and a [`HeadQuery`] over the `w` chain heads finds
+//! the chains a zero hits before any binary search runs: `d` searches
+//! over the heads sorted per dimension count `c_k`, the heads at or
+//! below the zero on dimension `k`, and one bitset over the smallest
+//! such prefix is narrowed on the other dimensions. That is
+//! `O(d log w + d·c_min/64)` word operations per zero instead of `w`
+//! head tests, and it is what carries the `n = 10⁷` scale solves of
+//! [`super::scale`], where almost every zero dominates no head.
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::sparse::ClassifierNetwork;
 use mc_chains::ChainDecomposition;
 use mc_flow::{Capacity, FlowNetwork, NodeId};
+use mc_geom::kernel::{and_ge_mask, ones_mask_into};
 use mc_geom::{parallel_chunks, DominanceIndex, Label, RankOracle, RankTable, WeightedSet};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
+
+/// The chain heads a point dominates, answered from per-dimension sorted
+/// head ranks plus one bitset narrowing.
+///
+/// For each dimension `k` the heads are kept sorted by their rank on
+/// `k`. A point `p` with rank `r_k` on `k` dominates, on that dimension,
+/// exactly the first `c_k` heads of the `k` order, where `c_k` is one
+/// binary search. If some `c_k` is 0, `p` dominates no head. Otherwise
+/// the query starts from the all-ones bitset over the shortest prefix
+/// and narrows it with [`and_ge_mask`] on every other dimension that
+/// some head fails (`c_j < w`). The narrowing compares reversed ranks
+/// (`u32::MAX − rank`), stored per dimension in each `k` order, so
+/// `rank_j(head) ≤ r_j` becomes the kernel's `≥ u32::MAX − r_j`.
+///
+/// Layout: `d·w` chain indices and sorted ranks, plus `d²·w` reversed
+/// ranks, all `u32`.
+struct HeadQuery {
+    dim: usize,
+    width: usize,
+    /// `order[k·w + i]`: chain of the `i`-th head in ascending `k` rank.
+    order: Vec<u32>,
+    /// `sorted[k·w + i]`: that head's rank on `k` (ascending in `i`).
+    sorted: Vec<u32>,
+    /// `reversed[(k·d + j)·w + i]`: `u32::MAX − rank_j` of the `i`-th
+    /// head in `k` order.
+    reversed: Vec<u32>,
+}
+
+/// Per-worker scratch for [`HeadQuery::dominated_heads`].
+#[derive(Default)]
+struct HeadScratch {
+    counts: Vec<usize>,
+    row: Vec<u64>,
+}
+
+impl HeadQuery {
+    /// Indexes the heads `heads[c]` (point ids into `cols`) of chains
+    /// `c = 0..w`.
+    fn new(cols: &[&[u32]], heads: &[usize]) -> Self {
+        let dim = cols.len();
+        let width = heads.len();
+        let mut order = Vec::with_capacity(dim * width);
+        let mut sorted = Vec::with_capacity(dim * width);
+        let mut reversed = Vec::with_capacity(dim * dim * width);
+        let mut by_rank: Vec<u32> = (0..width as u32).collect();
+        for col in cols {
+            by_rank.sort_by_key(|&c| col[heads[c as usize]]);
+            order.extend_from_slice(&by_rank);
+            sorted.extend(by_rank.iter().map(|&c| col[heads[c as usize]]));
+            for other in cols {
+                reversed.extend(by_rank.iter().map(|&c| u32::MAX - other[heads[c as usize]]));
+            }
+        }
+        Self {
+            dim,
+            width,
+            order,
+            sorted,
+            reversed,
+        }
+    }
+
+    /// Appends to `out`, in ascending chain order, every chain whose head
+    /// point `p` dominates. Returns `false` without touching `out` when
+    /// some dimension has no head at or below `p` — the zero never
+    /// reached the bitset narrowing.
+    fn dominated_heads(
+        &self,
+        cols: &[&[u32]],
+        p: usize,
+        scratch: &mut HeadScratch,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        let w = self.width;
+        scratch.counts.clear();
+        let mut best = 0;
+        for (k, col) in cols.iter().enumerate() {
+            let r = col[p];
+            let c = self.sorted[k * w..(k + 1) * w].partition_point(|&x| x <= r);
+            if c == 0 {
+                return false;
+            }
+            scratch.counts.push(c);
+            // Strict `<`: the lowest dimension wins ties.
+            if c < scratch.counts[best] {
+                best = k;
+            }
+        }
+        let len = scratch.counts[best];
+        let row = &mut scratch.row;
+        row.clear();
+        row.resize(len.div_ceil(64), 0);
+        ones_mask_into(len, row);
+        for (j, (&c, col)) in scratch.counts.iter().zip(cols).enumerate() {
+            if j == best || c == w {
+                continue;
+            }
+            let base = (best * self.dim + j) * w;
+            if !and_ge_mask(&self.reversed[base..base + len], u32::MAX - col[p], row) {
+                return true;
+            }
+        }
+        let start = out.len();
+        let order = &self.order[best * w..(best + 1) * w];
+        for (wi, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(order[wi * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        out[start..].sort_unstable();
+        true
+    }
+}
+
+/// What the zero sweep learns: each zero that hits some chain, as its
+/// position in the swept list with its `(chain, dominated-prefix
+/// length)` hits in ascending chain order, plus the deepest prefix any
+/// zero reaches per chain.
+struct Sweep {
+    hits: Vec<(usize, Vec<(u32, u32)>)>,
+    max_cnt: Vec<usize>,
+}
+
+/// The zero sweep both ladder builders run: for every `zeros[zi]`, the
+/// chains whose head it dominates come from one [`HeadQuery`], and a
+/// binary search on each of those chains finds its dominated prefix.
+/// Chain entries are positions into `ones`; both `zeros` and `ones` hold
+/// point ids into the rank columns `cols`. Chunk results concatenate in
+/// index order, so the output equals a sequential sweep's.
+fn sweep_zeros(
+    cols: &[&[u32]],
+    zeros: &[usize],
+    ones: &[usize],
+    chains: &[Vec<usize>],
+    token: &CancelToken,
+) -> Result<Sweep, Cancelled> {
+    let _span = mc_obs::span("ladder_sweep");
+    let dominates = |p: usize, q: usize| cols.iter().all(|c| c[p] >= c[q]);
+    let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
+    let query = HeadQuery::new(cols, &heads);
+    let width = chains.len();
+    /// Per-chunk sweep output: the chunk's [`Sweep`] and how many of
+    /// its zeros reached the bitset narrowing.
+    type SweepChunk = (Vec<(usize, Vec<(u32, u32)>)>, Vec<usize>, u64);
+    let chunks: Vec<SweepChunk> = parallel_chunks(zeros.len(), |range| {
+        let mut hits_out: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
+        let mut local_max = vec![0usize; width];
+        let mut candidates = 0u64;
+        let mut scratch = HeadScratch::default();
+        let mut hit_chains = Vec::new();
+        // Every worker passes the same global total (one unit per zero),
+        // so `progress.ladder_sweep.frac` is exact for the sweep.
+        let mut cp = Checkpoint::with_progress(token, "ladder_sweep", zeros.len() as u64);
+        for zi in range {
+            if cp.tick(1).is_err() {
+                break; // partial chunk; the caller polls and bails
+            }
+            let p = zeros[zi];
+            hit_chains.clear();
+            if !query.dominated_heads(cols, p, &mut scratch, &mut hit_chains) {
+                continue;
+            }
+            candidates += 1;
+            if hit_chains.is_empty() {
+                continue;
+            }
+            let hits: Vec<(u32, u32)> = hit_chains
+                .iter()
+                .map(|&c| {
+                    let chain = &chains[c as usize];
+                    // Ascending chain ⇒ "p dominates chain[i]" holds on
+                    // a prefix, and the head is already known dominated.
+                    let cnt = 1 + chain[1..].partition_point(|&local| dominates(p, ones[local]));
+                    local_max[c as usize] = local_max[c as usize].max(cnt);
+                    (c, cnt as u32)
+                })
+                .collect();
+            hits_out.push((zi, hits));
+        }
+        (hits_out, local_max, candidates)
+    });
+    token.poll()?;
+    let mut sweep = Sweep {
+        hits: Vec::new(),
+        max_cnt: vec![0usize; width],
+    };
+    let mut candidates = 0u64;
+    for (chunk_hits, local_max, chunk_candidates) in chunks {
+        sweep.hits.extend(chunk_hits);
+        for (m, l) in sweep.max_cnt.iter_mut().zip(local_max) {
+            *m = (*m).max(l);
+        }
+        candidates += chunk_candidates;
+    }
+    mc_obs::counter_add("passive.sweep_candidates", candidates);
+    Ok(sweep)
+}
 
 /// Builds the sparsified network for any dimension off a prebuilt
 /// [`DominanceIndex`] over `data.points()`. Production callers go
@@ -72,13 +280,75 @@ pub(crate) fn build_ladder_network(
 }
 
 /// Cancellable twin of [`build_ladder_network`]: the token reaches the
-/// Hopcroft–Karp matching inside the chain decomposition, and the
-/// `|P₀^con| × w` binary-search loop ticks a checkpoint per pair.
+/// Hopcroft–Karp matching inside the chain decomposition, the zero
+/// sweep ticks a checkpoint per zero, and the wiring one per edge.
 pub(crate) fn build_ladder_network_cancellable(
     data: &WeightedSet,
     con: &ContendingPoints,
     index: &DominanceIndex,
     token: &CancelToken,
+) -> Result<ClassifierNetwork, Cancelled> {
+    build_ladder_network_with(data, con, index, token, sweep_zeros)
+}
+
+/// The zero sweep's signature; the builders take it as a parameter so
+/// the tests can run them over a reference sweep.
+type SweepFn =
+    fn(&[&[u32]], &[usize], &[usize], &[Vec<usize>], &CancelToken) -> Result<Sweep, Cancelled>;
+
+/// Wires the gadget into `net`: per chain, a rung ladder over its first
+/// `len` elements (`rungs[c][i]` reaches elements `0..=i` of chain `c`),
+/// then one infinite `zero → rung` edge per sweep hit, into the rung of
+/// the deepest dominated element. `one_node(local)` names the node of
+/// chain entry `local`, and `zero_node(k, zi)` that of the `k`-th hitting
+/// zero, `zeros[zi]`.
+fn wire_ladder(
+    net: &mut FlowNetwork,
+    chains: &[Vec<usize>],
+    lens: impl Iterator<Item = usize>,
+    one_node: impl Fn(usize) -> NodeId,
+    sweep: &Sweep,
+    zero_node: impl Fn(usize, usize) -> NodeId,
+    token: &CancelToken,
+) -> Result<(), Cancelled> {
+    let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(chains.len());
+    let mut rung_edges = 0u64;
+    for (chain, len) in chains.iter().zip(lens) {
+        let mut ladder: Vec<NodeId> = Vec::with_capacity(len);
+        for (i, &local) in chain[..len].iter().enumerate() {
+            let a = net.add_node();
+            net.add_edge(a, one_node(local), Capacity::Infinite);
+            if i > 0 {
+                net.add_edge(a, ladder[i - 1], Capacity::Infinite);
+            }
+            ladder.push(a);
+        }
+        rung_edges += (2 * ladder.len()).saturating_sub(1) as u64;
+        rungs.push(ladder);
+    }
+    let total: u64 = sweep.hits.iter().map(|(_, h)| h.len() as u64).sum();
+    let mut cp = Checkpoint::with_progress(token, "ladder_wire", total);
+    for (k, (zi, hits)) in sweep.hits.iter().enumerate() {
+        for &(c, cnt) in hits {
+            cp.tick(1)?;
+            net.add_edge(
+                zero_node(k, *zi),
+                rungs[c as usize][cnt as usize - 1],
+                Capacity::Infinite,
+            );
+        }
+    }
+    mc_obs::counter_add("passive.ladder_chains", chains.len() as u64);
+    mc_obs::counter_add("passive.ladder_rungs", rung_edges);
+    Ok(())
+}
+
+fn build_ladder_network_with(
+    data: &WeightedSet,
+    con: &ContendingPoints,
+    index: &DominanceIndex,
+    token: &CancelToken,
+    sweep: SweepFn,
 ) -> Result<ClassifierNetwork, Cancelled> {
     let _span = mc_obs::span("ladder");
     token.poll()?; // small inputs may never reach a checkpoint
@@ -108,46 +378,23 @@ pub(crate) fn build_ladder_network_cancellable(
     let ones_index = index.subset(&con.ones);
     let dec = ChainDecomposition::compute_from_index_cancellable(&ones_index, token)?;
 
-    // One rung ladder per chain; rungs[c][i] reaches ones 0..=i of chain c.
-    let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(dec.width());
-    let mut rung_edges = 0u64;
-    for chain in dec.chains() {
-        let mut ladder: Vec<NodeId> = Vec::with_capacity(chain.len());
-        for (i, &local) in chain.iter().enumerate() {
-            let a = net.add_node();
-            net.add_edge(a, one_nodes[local], Capacity::Infinite);
-            if i > 0 {
-                net.add_edge(a, ladder[i - 1], Capacity::Infinite);
-            }
-            ladder.push(a);
-        }
-        rung_edges += 2 * ladder.len() as u64 - 1;
-        rungs.push(ladder);
-    }
-
-    // `p ⪰ q` iff p's dense rank is ≥ q's on every dimension (ranks are
-    // order-preserving per dimension; reflexive, matching the dense
+    // Ranks are order-preserving per dimension, so `p ⪰ q` iff p's rank
+    // is ≥ q's on every dimension (reflexive, matching the dense
     // builder's row-AND semantics on duplicates).
     let cols: Vec<&[u32]> = (0..index.dim()).map(|k| index.rank_column(k)).collect();
-    let dominates = |p: usize, q: usize| cols.iter().all(|c| c[p] >= c[q]);
-    let mut cp = Checkpoint::with_progress(
-        token,
-        "ladder_build",
-        con.zeros.len() as u64 * dec.chains().len() as u64,
-    );
-    for (zi, &p) in con.zeros.iter().enumerate() {
-        for (c, chain) in dec.chains().iter().enumerate() {
-            cp.tick(1)?;
-            // Ascending chain ⇒ "p dominates chain[i]" holds on a prefix.
-            let cnt = chain.partition_point(|&local| dominates(p, con.ones[local]));
-            if cnt > 0 {
-                net.add_edge(zero_nodes[zi], rungs[c][cnt - 1], Capacity::Infinite);
-            }
-        }
-    }
+    let sweep = sweep(&cols, &con.zeros, &con.ones, dec.chains(), token)?;
 
-    mc_obs::counter_add("passive.ladder_chains", dec.width() as u64);
-    mc_obs::counter_add("passive.ladder_rungs", rung_edges);
+    let _wire = mc_obs::span("ladder_wire");
+    let chains = dec.chains();
+    wire_ladder(
+        &mut net,
+        chains,
+        chains.iter().map(Vec::len),
+        |local| one_nodes[local],
+        &sweep,
+        |_, zi| zero_nodes[zi],
+        token,
+    )?;
     Ok(ClassifierNetwork {
         net,
         zero_nodes,
@@ -200,16 +447,26 @@ pub(crate) struct LadderOutcome {
 /// No `Θ(n²/64)` structure exists anywhere in this path: the Lemma-6
 /// matching runs over a [`RankOracle`] gathered from the table's
 /// label-1 rows (`O(d·|P₁|)` resident, rows computed on demand and
-/// bit-identical to the dominator matrix's), and the zero sweep is
-/// `O(d)`-prefiltered rank comparisons. The sweep fans out over
-/// `parallel_chunks`; chunk results concatenate in index order, so the
-/// contending sets, the network, and hence the min cut are identical to
-/// the sequential pipeline.
+/// bit-identical to the dominator matrix's), and the zero sweep is one
+/// [`HeadQuery`] per zero plus binary searches on the chains it hits.
+/// The sweep fans out over `parallel_chunks`; chunk results concatenate
+/// in index order, so the contending sets, the network, and hence the
+/// min cut are identical to the sequential pipeline.
 pub(crate) fn discover_and_build_from_table_cancellable(
     table: &RankTable,
     labels: &[Label],
     weights: &[f64],
     token: &CancelToken,
+) -> Result<LadderOutcome, Cancelled> {
+    discover_with(table, labels, weights, token, sweep_zeros)
+}
+
+fn discover_with(
+    table: &RankTable,
+    labels: &[Label],
+    weights: &[f64],
+    token: &CancelToken,
+    sweep: SweepFn,
 ) -> Result<LadderOutcome, Cancelled> {
     let _span = mc_obs::span("ladder");
     token.poll()?; // small inputs may never reach a checkpoint
@@ -244,86 +501,20 @@ pub(crate) fn discover_and_build_from_table_cancellable(
     let oracle = RankOracle::try_from_table_subset(table, &ones, token)?;
     let dec = ChainDecomposition::compute_from_oracle_cancellable(&oracle, token)?;
 
-    // One pass of chain binary searches per 0-point: the deepest
-    // dominated prefix per chain places its rung edge *and* answers
-    // Lemma 15 — `p` contends iff any prefix is non-empty, and chain
-    // `c`'s contending 1-points are its prefix up to the deepest rung
-    // any 0-point reaches. Two prefilters carry the scale workloads,
-    // where almost every zero dominates nothing:
-    //
-    // * per dimension, the minimum rank over all chain *heads*: a zero
-    //   below that floor anywhere dominates no head, hence nothing in
-    //   any chain — one `O(d)` test retires it;
-    // * per chain, the head itself: an ascending chain's dominated
-    //   prefix is empty iff the head is not dominated, so the
-    //   `O(d log ·)` binary search only runs on chains that hit.
-    let dim = table.dim();
-    let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
-    let heads: Vec<usize> = dec.chains().iter().map(|chain| ones[chain[0]]).collect();
-    let mut min_head_rank = vec![u32::MAX; dim];
-    for &h in &heads {
-        for (k, col) in cols.iter().enumerate() {
-            min_head_rank[k] = min_head_rank[k].min(col[h]);
-        }
-    }
-    let chains = dec.chains();
+    // The sweep's deepest dominated prefix per chain places each rung
+    // edge *and* answers Lemma 15: a zero contends iff it hits some
+    // chain, and chain `c`'s contending 1-points are its prefix up to
+    // the deepest rung any zero reaches.
+    let cols: Vec<&[u32]> = (0..table.dim()).map(|k| table.column(k)).collect();
+    let sweep = sweep(&cols, &zeros, &ones, dec.chains(), token)?;
     let width = dec.width();
-    /// Per-chunk sweep output: each contending zero with its
-    /// `(chain, dominated-prefix length)` hits, plus the chunk's
-    /// deepest rung per chain.
-    type SweepChunk = (Vec<(usize, Vec<(u32, u32)>)>, Vec<usize>);
-    let sweep: Vec<SweepChunk> = parallel_chunks(zeros.len(), |range| {
-        let mut hits_out: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
-        let mut local_max = vec![0usize; width];
-        // Every worker passes the same global total (one unit per zero),
-        // so `progress.ladder_sweep.frac` is exact for the sweep.
-        let mut cp = Checkpoint::with_progress(token, "ladder_sweep", zeros.len() as u64);
-        for zi in range {
-            if cp.tick(1).is_err() {
-                break; // partial chunk; the caller polls and bails
-            }
-            let p = zeros[zi];
-            if cols
-                .iter()
-                .zip(&min_head_rank)
-                .any(|(col, &floor)| col[p] < floor)
-            {
-                continue;
-            }
-            let mut hits = Vec::new();
-            for (c, chain) in chains.iter().enumerate() {
-                if !table.dominates(p, heads[c]) {
-                    continue;
-                }
-                // Ascending chain ⇒ "p dominates chain[i]" holds on
-                // a prefix, and the head is already known dominated.
-                let cnt = 1 + chain[1..].partition_point(|&local| table.dominates(p, ones[local]));
-                hits.push((c as u32, cnt as u32));
-                local_max[c] = local_max[c].max(cnt);
-            }
-            if !hits.is_empty() {
-                hits_out.push((p, hits));
-            }
-        }
-        (hits_out, local_max)
-    });
-    token.poll()?;
-    let mut con_zeros = Vec::new();
-    let mut zero_hits: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut max_cnt = vec![0usize; width];
-    for (chunk_hits, local_max) in sweep {
-        for (p, hits) in chunk_hits {
-            con_zeros.push(p);
-            zero_hits.push(hits);
-        }
-        for (m, l) in max_cnt.iter_mut().zip(local_max) {
-            *m = (*m).max(l);
-        }
-    }
+
+    let _wire = mc_obs::span("ladder_wire");
+    let con_zeros: Vec<usize> = sweep.hits.iter().map(|&(zi, _)| zeros[zi]).collect();
     let mut con_ones: Vec<usize> = dec
         .chains()
         .iter()
-        .zip(&max_cnt)
+        .zip(&sweep.max_cnt)
         .flat_map(|(chain, &cnt)| chain[..cnt].iter().map(|&local| ones[local]))
         .collect();
     con_ones.sort_unstable();
@@ -351,41 +542,17 @@ pub(crate) fn discover_and_build_from_table_cancellable(
         one_pos[q] = oi as u32;
     }
 
-    // Rung ladders, truncated to the reached prefix of each chain.
-    let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(dec.width());
-    let mut rung_edges = 0u64;
-    for (chain, &cnt) in dec.chains().iter().zip(&max_cnt) {
-        let mut ladder: Vec<NodeId> = Vec::with_capacity(cnt);
-        for (i, &local) in chain[..cnt].iter().enumerate() {
-            let a = net.add_node();
-            net.add_edge(
-                a,
-                one_nodes[one_pos[ones[local]] as usize],
-                Capacity::Infinite,
-            );
-            if i > 0 {
-                net.add_edge(a, ladder[i - 1], Capacity::Infinite);
-            }
-            ladder.push(a);
-        }
-        rung_edges += (2 * ladder.len()).saturating_sub(1) as u64;
-        rungs.push(ladder);
-    }
-    let total_hits: u64 = zero_hits.iter().map(|h| h.len() as u64).sum();
-    let mut cp = Checkpoint::with_progress(token, "ladder_wire", total_hits);
-    for (zi, hits) in zero_hits.iter().enumerate() {
-        for &(c, cnt) in hits {
-            cp.tick(1)?;
-            net.add_edge(
-                zero_nodes[zi],
-                rungs[c as usize][cnt as usize - 1],
-                Capacity::Infinite,
-            );
-        }
-    }
+    // Rung ladders truncated to the reached prefix of each chain.
+    wire_ladder(
+        &mut net,
+        dec.chains(),
+        sweep.max_cnt.iter().copied(),
+        |local| one_nodes[one_pos[ones[local]] as usize],
+        &sweep,
+        |k, _| zero_nodes[k],
+        token,
+    )?;
 
-    mc_obs::counter_add("passive.ladder_chains", dec.width() as u64);
-    mc_obs::counter_add("passive.ladder_rungs", rung_edges);
     let con = ContendingPoints {
         zeros: con_zeros,
         ones: con_ones,
@@ -422,6 +589,159 @@ mod tests {
             );
         }
         ws
+    }
+
+    /// Reference sweep without [`HeadQuery`]: a per-dimension floor over
+    /// the head ranks, then a dominance test against every head. The
+    /// builders are diffed against it.
+    fn reference_sweep(
+        cols: &[&[u32]],
+        zeros: &[usize],
+        ones: &[usize],
+        chains: &[Vec<usize>],
+        _token: &CancelToken,
+    ) -> Result<Sweep, Cancelled> {
+        let dominates = |p: usize, q: usize| cols.iter().all(|c| c[p] >= c[q]);
+        let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
+        let mut head_floor = vec![u32::MAX; cols.len()];
+        for &h in &heads {
+            for (k, col) in cols.iter().enumerate() {
+                head_floor[k] = head_floor[k].min(col[h]);
+            }
+        }
+        let mut sweep = Sweep {
+            hits: Vec::new(),
+            max_cnt: vec![0; chains.len()],
+        };
+        for (zi, &p) in zeros.iter().enumerate() {
+            if cols
+                .iter()
+                .zip(&head_floor)
+                .any(|(col, &floor)| col[p] < floor)
+            {
+                continue;
+            }
+            let mut hits = Vec::new();
+            for (c, chain) in chains.iter().enumerate() {
+                if !dominates(p, heads[c]) {
+                    continue;
+                }
+                let cnt = 1 + chain[1..].partition_point(|&local| dominates(p, ones[local]));
+                hits.push((c as u32, cnt as u32));
+                sweep.max_cnt[c] = sweep.max_cnt[c].max(cnt);
+            }
+            if !hits.is_empty() {
+                sweep.hits.push((zi, hits));
+            }
+        }
+        Ok(sweep)
+    }
+
+    fn edge_list(net: &FlowNetwork) -> Vec<(NodeId, NodeId, Capacity)> {
+        (0..net.num_edges())
+            .map(|e| {
+                let (u, v) = net.endpoints(2 * e);
+                (u, v, net.capacity(2 * e))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn head_query_matches_naive_head_scan() {
+        let mut rng = StdRng::seed_from_u64(0x4EAD);
+        for dim in 1..=6usize {
+            for w in [1usize, 63, 64, 65, 255, 256, 257, 1200] {
+                // Spread 1 makes every head rank equal; 4 makes most
+                // heads duplicates of one another.
+                for spread in [1u32, 4, 64] {
+                    // Points 0..w are the heads, the next 200 are
+                    // queries. Head ranks start at 1, so a query with
+                    // rank 0 anywhere lies below every head there.
+                    let n = w + 200;
+                    let mut cols_owned: Vec<Vec<u32>> = (0..dim)
+                        .map(|_| {
+                            (0..n)
+                                .map(|i| {
+                                    if i < w {
+                                        rng.gen_range(1..=spread)
+                                    } else {
+                                        rng.gen_range(0..=spread + 1)
+                                    }
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    for col in &mut cols_owned {
+                        col[w - 1] = col[0]; // a duplicate head
+                        col[w] = col[0]; // a query equal to a head
+                        col[w + 1] = 0; // a query below every head
+                    }
+                    let cols: Vec<&[u32]> = cols_owned.iter().map(Vec::as_slice).collect();
+                    let heads: Vec<usize> = (0..w).collect();
+                    let query = HeadQuery::new(&cols, &heads);
+                    let mut scratch = HeadScratch::default();
+                    let mut got = Vec::new();
+                    for p in (0..w.min(100)).chain(w..n) {
+                        got.clear();
+                        let candidate = query.dominated_heads(&cols, p, &mut scratch, &mut got);
+                        let naive: Vec<u32> = (0..w as u32)
+                            .filter(|&c| cols.iter().all(|col| col[p] >= col[heads[c as usize]]))
+                            .collect();
+                        let reaches_every_floor = cols
+                            .iter()
+                            .all(|col| heads.iter().any(|&h| col[h] <= col[p]));
+                        assert_eq!(got, naive, "dim {dim} w {w} spread {spread} p {p}");
+                        assert_eq!(candidate, reaches_every_floor, "dim {dim} w {w} p {p}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn builders_match_the_reference_sweep_edge_for_edge() {
+        let never = CancelToken::never();
+        let mut rng = StdRng::seed_from_u64(0x1AE0);
+        for dim in [4usize, 5] {
+            let ws = random_weighted(1200, dim, 1e6, &mut rng);
+
+            let table = RankTable::build(ws.points());
+            let fast = discover_and_build_from_table_cancellable(
+                &table,
+                ws.labels(),
+                ws.weights(),
+                &never,
+            )
+            .unwrap();
+            let slow =
+                discover_with(&table, ws.labels(), ws.weights(), &never, reference_sweep).unwrap();
+            assert!(
+                fast.width > 64,
+                "dim {dim}: width {} fits one word",
+                fast.width
+            );
+            assert_eq!(fast.width, slow.width);
+            assert_eq!(
+                (&fast.con.zeros, &fast.con.ones),
+                (&slow.con.zeros, &slow.con.ones)
+            );
+            let (fast_net, slow_net) = (fast.network.unwrap(), slow.network.unwrap());
+            assert_eq!(
+                edge_list(&fast_net.net),
+                edge_list(&slow_net.net),
+                "dim {dim}"
+            );
+
+            let index = DominanceIndex::build(ws.points());
+            let con = ContendingPoints::compute_indexed(&ws, &index);
+            let ones_index = index.subset(&con.ones);
+            let w = ChainDecomposition::compute_from_index(&ones_index).width();
+            assert!(w > 64, "dim {dim}: contending width {w} fits one word");
+            let fast = build_ladder_network(&ws, &con, &index);
+            let slow =
+                build_ladder_network_with(&ws, &con, &index, &never, reference_sweep).unwrap();
+            assert_eq!(edge_list(&fast.net), edge_list(&slow.net), "dim {dim}");
+        }
     }
 
     #[test]

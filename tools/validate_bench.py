@@ -30,6 +30,10 @@ COMMON = ["bench", "meta"]
 # Provenance keys `meta` must carry (bench_meta_json in mc-bench).
 META_REQUIRED = ["git_sha", "threads"]
 
+# Stages every scale `sizes` row splits `solve_ms` into, read from the
+# mc-obs span tree (`other` is the remainder outside the named spans).
+SCALE_STAGES = ["path_cover", "ladder_sweep", "ladder_wire", "maxflow", "other"]
+
 SCALE_TELEMETRY = [
     "n",
     "reps",
@@ -103,6 +107,18 @@ def main():
                     f"{path}: telemetry overhead {t['overhead_frac']:.2%} "
                     "breaches the 2% budget"
                 )
+            for row in doc["sizes"]:
+                stages = row.get("stages_ms")
+                if not isinstance(stages, dict) or sorted(stages) != sorted(SCALE_STAGES):
+                    fail(f"{path}: sizes row n={row.get('n')} needs stages_ms {SCALE_STAGES}")
+                if any(v < 0 for v in stages.values()):
+                    fail(f"{path}: negative stage time in row n={row['n']}: {stages}")
+                total = sum(stages.values())
+                if abs(total - row["solve_ms"]) > 0.05 * row["solve_ms"]:
+                    fail(
+                        f"{path}: stages of row n={row['n']} sum to {total:.1f} ms, "
+                        f"not solve_ms {row['solve_ms']} (±5%)"
+                    )
         if name == "serve":
             t = doc["throughput"]
             for key in ("frames", "errors", "points", "elapsed_s",
