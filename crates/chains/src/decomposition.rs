@@ -110,7 +110,11 @@ impl ChainDecomposition {
         let og = OracleGraph::new(oracle);
         if cache_rows {
             mc_obs::counter_add("matching.rows_cached", oracle.len() as u64);
-            Self::from_rows(&og.materialize_cancellable(token)?, token)
+            let rows = {
+                let _span = mc_obs::span("rows");
+                og.materialize_cancellable(token)?
+            };
+            Self::from_rows(&rows, token)
         } else {
             mc_obs::counter_add("matching.rows_cached", 0);
             Self::from_rows(&og, token)
@@ -118,8 +122,9 @@ impl ChainDecomposition {
     }
 
     /// Computes the decomposition from a prebuilt [`DominanceIndex`],
-    /// letting callers share one index between the Lemma-6 phase and
-    /// later dominance queries (e.g. the passive solve on a subsample).
+    /// for callers that already hold one. Callers without an index
+    /// should use [`compute_from_oracle`](Self::compute_from_oracle),
+    /// which gives the same result without the `n²` matrix.
     /// The split graph borrows the index's bitset rows (owned masked
     /// copies only for duplicated points).
     pub fn compute_from_index(index: &DominanceIndex) -> Self {

@@ -15,7 +15,9 @@
 //!    reduction).
 //!
 //! Probing cost: `O((w/ε²)·log(n/w)·log n)`; CPU time
-//! `Õ(d·n² + n^2.5 + w/ε²) + T_prob2(d, |Σ|)`.
+//! `Õ(d·n² + n^2.5 + w/ε²) + T_prob2(d, |Σ|)`. Memory stays `O(d·n)` plus
+//! the Lemma-6 row cache, which is capped by the row budget: no `n²`
+//! dominance matrix is built over P or Σ.
 //!
 //! # Example
 //!
@@ -38,7 +40,7 @@ use crate::error::McError;
 use crate::oracle::{FallibleOracle, FallibleSubsetOracle, InfallibleAdapter, LabelOracle};
 use crate::passive::solver::{PassiveSolution, PassiveSolver};
 use crate::report::SolveReport;
-use mc_geom::{DominanceIndex, PointSet, WeightedSet};
+use mc_geom::{PointSet, WeightedSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -175,14 +177,13 @@ impl ActiveSolver {
         }
         let _span = mc_obs::span("active");
         // Phase 1: minimum chain decomposition (Lemma 6, dispatched on
-        // dimensionality — see `crate::decompose::minimum_chains`). For
-        // d ≥ 3 the decomposition builds a `DominanceIndex` over P; we
-        // keep it and later restrict it to Σ for the passive phase
-        // instead of recomputing dominances from coordinates.
+        // dimensionality — see `crate::decompose::minimum_chains`). At
+        // d ≥ 3 it matches off rank columns; no dominance matrix over P
+        // is built.
         let t0 = Instant::now();
-        let (chains, index) = crate::decompose::minimum_chains_with_index(points);
+        let chains = crate::decompose::minimum_chains(points);
         let decomposition_time = t0.elapsed();
-        let mut sol = self.solve_with_chains_inner(points, &chains, oracle, index.as_ref())?;
+        let mut sol = self.solve_with_chains_inner(points, &chains, oracle)?;
         sol.decomposition_time = decomposition_time;
         Ok(sol)
     }
@@ -242,7 +243,7 @@ impl ActiveSolver {
         oracle: &mut dyn FallibleOracle,
     ) -> Result<ActiveSolution, McError> {
         let _span = mc_obs::span("active");
-        self.solve_with_chains_inner(points, chains, oracle, None)
+        self.solve_with_chains_inner(points, chains, oracle)
     }
 
     fn solve_with_chains_inner(
@@ -250,7 +251,6 @@ impl ActiveSolver {
         points: &PointSet,
         chains: &[Vec<usize>],
         oracle: &mut dyn FallibleOracle,
-        index: Option<&DominanceIndex>,
     ) -> Result<ActiveSolution, McError> {
         let partial = self.try_sampling_phase(points, chains, oracle)?;
 
@@ -258,22 +258,14 @@ impl ActiveSolver {
         // on Σ (Theorem 3's reduction to the passive solver). Under
         // degradation Σ is missing the unanswerable points, but it is
         // still a fully-labeled weighted set — the reduction is
-        // unaffected and the result stays monotone. When phase 1 built a
-        // dominance index over P, restrict it to Σ's rows (Σ ⊆ P) so the
-        // passive solver skips its own index build.
+        // unaffected and the result stays monotone. At d ≥ 3 the solve
+        // is the matrix-free chain ladder over Σ's own rank columns.
         let t2 = Instant::now();
-        let solver = PassiveSolver::new();
         let PassiveSolution {
             classifier,
             weighted_error,
             ..
-        } = match index {
-            Some(idx) if partial.sigma.dim() >= 3 => {
-                let sub = idx.subset(&partial.sigma_globals);
-                solver.solve_with_index(&partial.sigma, &sub)
-            }
-            _ => solver.solve(&partial.sigma),
-        };
+        } = PassiveSolver::new().solve(&partial.sigma);
         let passive_time = t2.elapsed();
 
         Ok(ActiveSolution {
@@ -307,7 +299,6 @@ impl ActiveSolver {
         if n == 0 {
             return Ok(SamplingPhase {
                 sigma: WeightedSet::empty(points.dim().max(1)),
-                sigma_globals: Vec::new(),
                 probes_used: 0,
                 width: 0,
                 sampling_time: Duration::ZERO,
@@ -387,11 +378,9 @@ impl ActiveSolver {
             }
         }
         let mut sigma = WeightedSet::empty(points.dim());
-        let mut sigma_globals = Vec::new();
         for (global, slot) in merged.iter().enumerate() {
             if let Some((label, weight)) = slot {
                 sigma.push(points.point(global), *label, *weight);
-                sigma_globals.push(global);
             }
         }
         let sampling_time = t1.elapsed();
@@ -416,7 +405,6 @@ impl ActiveSolver {
 
         Ok(SamplingPhase {
             sigma,
-            sigma_globals,
             probes_used: oracle.probes_charged() - probes_before,
             width: w,
             sampling_time,
@@ -428,10 +416,6 @@ impl ActiveSolver {
 /// Intermediate result of the probing phases (before the passive solve).
 struct SamplingPhase {
     sigma: WeightedSet,
-    /// `sigma_globals[i]` is the index into the input point set of
-    /// `sigma`'s `i`-th row — the map needed to restrict a
-    /// [`DominanceIndex`] on P down to Σ.
-    sigma_globals: Vec<usize>,
     probes_used: usize,
     width: usize,
     sampling_time: Duration,

@@ -5,8 +5,10 @@
 //!
 //! * `d = 1` — sorting: the whole set is one chain (`O(n log n)`);
 //! * `d = 2` — the patience-pile construction (`O(n log n)`);
-//! * `d ≥ 3` — the generic DAG + Hopcroft–Karp pipeline
-//!   (`O(d·n² + n^2.5)`, the paper's Lemma 6).
+//! * `d ≥ 3` — the paper's Lemma 6: Hopcroft–Karp on the split graph
+//!   of the dominance order (`O(d·n² + n^2.5)` time), with rows computed
+//!   from a [`RankOracle`]'s `O(d·n)` rank columns instead of an `n²`
+//!   dominance matrix.
 //!
 //! All three return a *minimum* decomposition, so every probing/error
 //! guarantee downstream is unaffected by the dispatch.
@@ -23,45 +25,34 @@
 //! ```
 
 use mc_chains::{ChainDecomposition, TwoDimDecomposition};
-use mc_geom::{DominanceIndex, PointSet};
+use mc_geom::{PointSet, RankOracle};
 
 /// Computes a minimum chain decomposition (ascending dominance order
 /// within each chain), dispatching on dimensionality.
 pub fn minimum_chains(points: &PointSet) -> Vec<Vec<usize>> {
-    minimum_chains_with_index(points).0
-}
-
-/// Like [`minimum_chains`], additionally returning the
-/// [`DominanceIndex`] the `d ≥ 3` pipeline built (the `d ≤ 2` paths use
-/// sort/sweep algorithms and return `None`). The active solver reuses
-/// the index for the passive solve on its subsample via
-/// [`DominanceIndex::subset`].
-pub fn minimum_chains_with_index(points: &PointSet) -> (Vec<Vec<usize>>, Option<DominanceIndex>) {
     if points.is_empty() {
-        return (Vec::new(), None);
+        return Vec::new();
     }
     // Spanned here (not in mc-chains) so the d ≤ 2 sort/sweep dispatch
     // arms are timed under the same name as the Lemma-6 pipeline.
     let _span = mc_obs::span("chain_decomposition");
-    let (chains, index) = match points.dim() {
+    let chains = match points.dim() {
         1 => {
             let mut order: Vec<usize> = (0..points.len()).collect();
             order.sort_by(|&a, &b| points.point(a)[0].total_cmp(&points.point(b)[0]));
-            (vec![order], None)
+            vec![order]
         }
-        2 => (TwoDimDecomposition::compute(points).chains().to_vec(), None),
-        _ => {
-            // The Lemma-6 pipeline runs the bitset matching engine
-            // straight off this index's rows.
-            let index = DominanceIndex::build(points);
-            let chains = ChainDecomposition::compute_from_index(&index)
-                .chains()
-                .to_vec();
-            (chains, Some(index))
-        }
+        2 => TwoDimDecomposition::compute(points).chains().to_vec(),
+        // The Lemma-6 matching runs matrix-free off rank columns: rows
+        // are cached when they fit the row budget, computed on demand
+        // above it, and bit-identical to the dominator matrix's rows
+        // either way.
+        _ => ChainDecomposition::compute_from_oracle(&RankOracle::build(points))
+            .chains()
+            .to_vec(),
     };
     mc_obs::gauge_set("chains.width", chains.len() as f64);
-    (chains, index)
+    chains
 }
 
 #[cfg(test)]

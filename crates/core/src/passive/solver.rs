@@ -226,8 +226,9 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
     /// [`DominanceIndex`] over `data.points()` for contending-point
     /// discovery and network construction (`d ≥ 3`; for `d ≤ 2` under
     /// [`NetworkStrategy::Auto`] the sparse sweep is faster and the
-    /// index is ignored). The active solver uses this to share one index
-    /// between chain decomposition and the passive solve on its sample.
+    /// index is ignored), for callers that already hold an index. The
+    /// default [`PassiveSolver::solve`] needs none: at `d ≥ 3` it runs
+    /// the matrix-free chain ladder.
     ///
     /// # Panics
     ///

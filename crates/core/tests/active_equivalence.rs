@@ -1,0 +1,197 @@
+//! Differential test: the matrix-free active solve equals the pipeline
+//! it replaced, rebuilt here from public parts — one `DominanceIndex`
+//! over P, the Lemma-6 decomposition off its rows, the per-chain
+//! sampling, and the passive solve on Σ over the index restricted to
+//! Σ's rows.
+//!
+//! Compared per input: probes, width, Σ (points, labels, weights) and
+//! its weighted error bit for bit, and the classifier's anchors.
+
+use mc_chains::ChainDecomposition;
+use mc_core::{ActiveParams, ActiveSolver, InMemoryOracle, PassiveSolver};
+use mc_geom::{DominanceIndex, Label, LabeledSet, WeightedSet};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The rows of `data` that Σ kept. Σ lists its points in input order,
+/// so one merge pass finds an embedding; where duplicates make it
+/// ambiguous, any copy has the same dominance relations.
+fn sigma_rows(data: &LabeledSet, sigma: &WeightedSet) -> Vec<usize> {
+    let mut rows = Vec::with_capacity(sigma.len());
+    for i in 0..data.len() {
+        if rows.len() < sigma.len() && data.points().point(i) == sigma.points().point(rows.len()) {
+            rows.push(i);
+        }
+    }
+    assert_eq!(rows.len(), sigma.len(), "Σ must be a subsequence of P");
+    rows
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs both pipelines with the same parameters and asserts identical
+/// output; returns the probes used.
+fn assert_same_as_index_pipeline(data: &LabeledSet, params: ActiveParams, what: &str) -> usize {
+    let solver = ActiveSolver::new(params);
+    let mut oracle = InMemoryOracle::from_labeled(data);
+    let new = solver.solve(data.points(), &mut oracle);
+
+    let index = DominanceIndex::build(data.points());
+    let dec = ChainDecomposition::compute_from_index(&index);
+    let mut oracle = InMemoryOracle::from_labeled(data);
+    let (sigma, probes) =
+        solver.collect_sigma_with_chains(data.points(), dec.chains(), &mut oracle);
+    let old =
+        PassiveSolver::new().solve_with_index(&sigma, &index.subset(&sigma_rows(data, &sigma)));
+
+    assert_eq!(new.probes_used, probes, "{what}: probes");
+    assert_eq!(new.width, dec.width(), "{what}: width");
+    assert_eq!(new.sigma.len(), sigma.len(), "{what}: |Σ|");
+    for i in 0..sigma.len() {
+        assert_eq!(
+            bits(new.sigma.points().point(i)),
+            bits(sigma.points().point(i)),
+            "{what}: Σ point {i}"
+        );
+        assert_eq!(new.sigma.label(i), sigma.label(i), "{what}: Σ label {i}");
+        assert_eq!(
+            new.sigma.weight(i).to_bits(),
+            sigma.weight(i).to_bits(),
+            "{what}: Σ weight {i}"
+        );
+    }
+    assert_eq!(
+        new.sigma_weighted_error.to_bits(),
+        old.weighted_error.to_bits(),
+        "{what}: w-err_Σ {} vs {}",
+        new.sigma_weighted_error,
+        old.weighted_error
+    );
+    let anchors = |c: &mc_core::MonotoneClassifier| -> Vec<Vec<u64>> {
+        c.anchors().iter().map(|a| bits(a)).collect()
+    };
+    assert_eq!(
+        anchors(&new.classifier),
+        anchors(&old.classifier),
+        "{what}: classifier anchors"
+    );
+    probes
+}
+
+/// Coordinate on a small grid (so duplicates and ties are common), with
+/// zeros drawn as `+0.0` or `-0.0` at random.
+fn grid_coord(rng: &mut StdRng, levels: u32) -> f64 {
+    let v = rng.gen_range(0..levels) as f64;
+    if v == 0.0 && rng.gen_bool(0.5) {
+        -0.0
+    } else {
+        v
+    }
+}
+
+/// Labels from a planted monotone threshold on the coordinate sum, with
+/// a fraction flipped.
+fn planted_label(rng: &mut StdRng, coords: &[f64], cut: f64, noise: f64) -> Label {
+    let clean = coords.iter().sum::<f64>() > cut;
+    Label::from_bool(clean != rng.gen_bool(noise))
+}
+
+#[test]
+fn random_sets_with_duplicates_and_signed_zeros() {
+    let mut rng = StdRng::seed_from_u64(0xAC71);
+    for case in 0..24u64 {
+        let dim = 3 + (case % 3) as usize;
+        let n = match case % 4 {
+            0 => rng.gen_range(1..40),
+            1 => rng.gen_range(40..300),
+            2 => rng.gen_range(300..900),
+            _ => rng.gen_range(900..=1500),
+        };
+        // Coarse grids force many exact duplicates; fine ones few.
+        let levels = if case % 2 == 0 { 4 } else { 60 };
+        let noise = [0.0, 0.05, 0.2][(case % 3) as usize];
+        let cut = dim as f64 * (levels as f64 - 1.0) / 2.0;
+        let mut data = LabeledSet::empty(dim);
+        for _ in 0..n {
+            let coords: Vec<f64> = (0..dim).map(|_| grid_coord(&mut rng, levels)).collect();
+            let label = planted_label(&mut rng, &coords, cut, noise);
+            data.push(&coords, label);
+        }
+        assert_same_as_index_pipeline(
+            &data,
+            ActiveParams::new(0.5).with_seed(case),
+            &format!("random case {case} (d {dim}, n {n})"),
+        );
+    }
+}
+
+/// `width` mutually incomparable chains of `len` points in `dim`
+/// dimensions, each labeled by a random boundary with 5% noise. Chain c
+/// sits in block c on axis 0 and block width-1-c on axis 1, so points of
+/// different chains are incomparable; within a chain every axis ascends
+/// with the position. Points are pushed in shuffled order so chain
+/// membership is not the input order.
+fn incomparable_chains(rng: &mut StdRng, dim: usize, width: usize, len: usize) -> LabeledSet {
+    let block = len as f64 + 1.0;
+    let mut rows: Vec<(Vec<f64>, Label)> = Vec::new();
+    for c in 0..width {
+        let boundary = rng.gen_range(0..=len);
+        for t in 0..len {
+            let mut coords = vec![
+                c as f64 * block + t as f64,
+                (width - 1 - c) as f64 * block + t as f64,
+            ];
+            coords.extend((2..dim).map(|k| (t * k) as f64));
+            let clean = t >= boundary;
+            rows.push((coords, Label::from_bool(clean != rng.gen_bool(0.05))));
+        }
+    }
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, rng.gen_range(0..=i));
+    }
+    let mut data = LabeledSet::empty(dim);
+    for (coords, label) in &rows {
+        data.push(coords, *label);
+    }
+    data
+}
+
+#[test]
+fn mutually_incomparable_chains() {
+    let mut rng = StdRng::seed_from_u64(0xC4A1);
+    for (case, &(dim, width, len)) in [
+        (3, 2, 700),
+        (3, 5, 200),
+        (4, 3, 400),
+        (5, 8, 150),
+        (5, 1, 1200),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let data = incomparable_chains(&mut rng, dim, width, len);
+        assert_same_as_index_pipeline(
+            &data,
+            ActiveParams::new(0.5).with_seed(100 + case as u64),
+            &format!("chains case {case} (d {dim}, width {width}, len {len})"),
+        );
+    }
+}
+
+/// Below a few thousand points per chain the sampler probes every point,
+/// so Σ is P with unit weights. Chains long enough to be sampled check
+/// that the per-chain draws, Σ's merged weights and its solve still
+/// agree.
+#[test]
+fn sampled_long_chains() {
+    let mut rng = StdRng::seed_from_u64(0x5A3);
+    let data = incomparable_chains(&mut rng, 3, 2, 4000);
+    let probes = assert_same_as_index_pipeline(
+        &data,
+        ActiveParams::new(1.0).with_seed(7).with_delta(0.5),
+        "sampled chains (d 3, width 2, len 4000)",
+    );
+    assert!(probes < data.len(), "expected sampling, probed {probes}");
+}

@@ -369,8 +369,8 @@ impl DominanceIndex {
     /// Restriction of the index to `indices` (in the given order): the
     /// result is exactly `DominanceIndex::build` of the corresponding
     /// point subset, but extracted from the existing matrix instead of
-    /// re-running the compare kernel. This is how one index built on `P`
-    /// is shared with a solve on a sample `Σ ⊆ P`.
+    /// re-running the compare kernel, so one index built on `P` can serve
+    /// a solve on a sample `Σ ⊆ P`.
     ///
     /// # Panics
     ///

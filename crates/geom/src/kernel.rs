@@ -1,24 +1,25 @@
 //! Blocked rank-compare kernels shared by every dominance sweep.
 //!
-//! The workspace's one remaining hot loop (after the chain-ladder
-//! sparsification of PR 5) is the `u32` rank comparison that turns a
+//! The workspace's hot loop is the `u32` rank comparison that turns a
 //! rank column and a threshold into a bitset of the points at or above
-//! it. Three consumers run it:
+//! it. Its consumers:
 //!
 //! * the explicit `d ≥ 3` matrix fill of [`crate::DominanceIndex`]
 //!   (only when a caller still asks for the full matrix),
-//! * the on-demand dominator rows of [`crate::RankOracle`], and
-//! * the rank-column sweeps behind the passive chain-ladder builder.
+//! * the on-demand dominator rows of [`crate::RankOracle`], which feed
+//!   the Lemma-6 matching of both the passive and the active solver,
+//! * the chain-head query of the passive chain-ladder sweep, and
+//! * the per-dimension narrowing of the serving `AnchorIndex`.
 //!
-//! All of them now share the kernels here. The inner loops are written
-//! for autovectorization rather than explicit intrinsics (the crate is
-//! `forbid(unsafe)`-adjacent and dependency-free): each 64-rank lane is
-//! a fixed-trip-count loop over a `&[u32; 64]` chunk — no bounds checks,
-//! no early exit — packing `rank ≥ threshold` flags into one `u64`, and
-//! lanes are processed [`LANES`] at a time (u64×4, 256 ranks per block)
-//! so the compiler can keep four independent accumulators in vector
-//! registers. Block-level short-circuiting happens *between* blocks,
-//! where it does not break the vector body.
+//! The inner loops are written for autovectorization rather than
+//! explicit intrinsics (safe code only, no target-specific flags): each
+//! 64-rank lane is a fixed-trip-count loop over a `&[u32; 64]` chunk —
+//! no bounds checks, no early exit — that writes one 0/1 byte per
+//! `rank ≥ threshold` compare, and each group of 8 bytes is then packed
+//! into 8 mask bits with one multiply and shift. Lanes are processed
+//! [`LANES`] at a time (u64×4, 256 ranks per block); block-level
+//! short-circuiting happens *between* blocks, where it does not break
+//! the vector body.
 
 /// Words per block: the kernels narrow bitset rows in u64×4 strides
 /// (256 ranks at a time).
@@ -27,14 +28,26 @@ pub const LANES: usize = 4;
 /// Ranks covered by one block (`LANES * 64`).
 pub const BLOCK_RANKS: usize = LANES * 64;
 
+/// Multiplier that gathers the low bit of each byte of a `u64` whose
+/// bytes are all 0 or 1 into its top byte: byte `i` lands on bit
+/// `56 + i`, and no two partial products share a bit, so nothing
+/// carries.
+const PACK_BYTES: u64 = 0x0102_0408_1020_4080;
+
 /// Packs `chunk[b] >= threshold` into bit `b` of the returned word.
-/// Fixed 64-iteration trip count so the compiler vectorizes the compare
-/// and keeps the bit packing branch-free.
+/// The 64 compares write one 0/1 byte each (a fixed-trip loop the
+/// compiler turns into vector compares), then each 8 bytes become 8
+/// bits with one multiply and shift.
 #[inline]
 fn ge_word_full(chunk: &[u32; 64], threshold: u32) -> u64 {
+    let mut flags = [0u8; 64];
+    for (f, &r) in flags.iter_mut().zip(chunk) {
+        *f = (r >= threshold) as u8;
+    }
     let mut ge = 0u64;
-    for (b, &r) in chunk.iter().enumerate() {
-        ge |= ((r >= threshold) as u64) << b;
+    for (g, bytes) in flags.chunks_exact(8).enumerate() {
+        let lanes = u64::from_le_bytes(bytes.try_into().expect("8-byte group"));
+        ge |= (lanes.wrapping_mul(PACK_BYTES) >> 56) << (8 * g);
     }
     ge
 }
@@ -174,6 +187,57 @@ mod tests {
                 assert_eq!(a, b, "n {n} t {t}");
                 assert_eq!(ra, rb, "n {n} t {t}");
                 assert_eq!(ra, a.iter().any(|&w| w != 0));
+            }
+        }
+    }
+
+    /// Ranks in the top half of `u32` (where a signed compare would
+    /// flip), the extreme thresholds, and a single passing rank at
+    /// every bit position of every word of a block: the byte-packed
+    /// kernels must agree with the scalar reference bit for bit.
+    #[test]
+    fn high_ranks_and_every_bit_position_match_scalar() {
+        const HIGH: u32 = 1 << 31;
+        let mut rng = StdRng::seed_from_u64(0xB17);
+        let thresholds = [0u32, 1, HIGH, u32::MAX];
+        let check = |col: &[u32], t: u32| {
+            let n = col.len();
+            let words = n.div_ceil(64);
+            let mut reference = vec![0u64; words];
+            ones_mask_into(n, &mut reference);
+            let ref_any = and_ge_mask_scalar(col, t, &mut reference);
+            let mut blocked = vec![0u64; words];
+            ones_mask_into(n, &mut blocked);
+            assert_eq!(and_ge_mask(col, t, &mut blocked), ref_any, "n {n} t {t}");
+            assert_eq!(blocked, reference, "and_ge_mask, n {n} t {t}");
+            let mut fresh = vec![!0u64; words];
+            ge_mask_into(col, t, &mut fresh);
+            assert_eq!(fresh, reference, "ge_mask_into, n {n} t {t}");
+        };
+        for n in [1usize, 63, 64, 65, 256, 300, 513] {
+            let col: Vec<u32> = (0..n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => u32::MAX,
+                    1 => HIGH,
+                    2 => rng.gen_range(HIGH..=u32::MAX),
+                    _ => rng.gen_range(0..=u32::MAX),
+                })
+                .collect();
+            for t in thresholds {
+                check(&col, t);
+            }
+        }
+        // One rank at the threshold (then at u32::MAX), every other
+        // rank just below it (or at it, for t = 0), at each position of
+        // a column of one u64×4 block plus one remainder word.
+        let n = BLOCK_RANKS + 64;
+        for t in thresholds {
+            for pos in 0..n {
+                let mut col = vec![t.saturating_sub(1); n];
+                col[pos] = t;
+                check(&col, t);
+                col[pos] = u32::MAX;
+                check(&col, t);
             }
         }
     }

@@ -240,14 +240,14 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) {
             Ok(FrameEvent::Frame(payload)) => {
                 let t0 = Instant::now();
                 let outcome = handle_request(&payload, ctx);
+                // Counted before the reply leaves: a client that has read
+                // it (and then asks for metrics) must see it counted.
+                ctx.stats
+                    .note_request(outcome.batch_points, outcome.errored);
                 let write_ok = write_frame(&mut out, &outcome.response)
                     .and_then(|()| out.flush())
                     .is_ok();
-                ctx.stats.note_request(
-                    outcome.batch_points,
-                    t0.elapsed().as_micros() as u64,
-                    outcome.errored,
-                );
+                ctx.stats.note_latency(t0.elapsed().as_micros() as u64);
                 if outcome.shutdown {
                     ctx.begin_shutdown();
                 }

@@ -37,7 +37,7 @@ pub struct ServeStats {
     /// Classify batch sizes.
     pub batch_points: Histogram,
     /// Per-request service latency in microseconds (time from frame
-    /// decode start to response encode end).
+    /// decode start to the flushed reply).
     pub latency_us: Histogram,
 }
 
@@ -53,9 +53,11 @@ impl ServeStats {
         mc_obs::counter_add("serve.connections", 1);
     }
 
-    /// Notes one served request: its batch size (for classify frames),
-    /// service latency, and whether it was answered with an error.
-    pub fn note_request(&self, batch_points: Option<u64>, latency_us: u64, errored: bool) {
+    /// Notes one served request: its batch size (for classify frames)
+    /// and whether it was answered with an error. Called before the
+    /// reply is written, so a client that has read its reply always
+    /// finds the request counted.
+    pub fn note_request(&self, batch_points: Option<u64>, errored: bool) {
         self.requests.fetch_add(1, Relaxed);
         mc_obs::counter_add("serve.requests", 1);
         if let Some(n) = batch_points {
@@ -64,12 +66,16 @@ impl ServeStats {
             mc_obs::counter_add("serve.points", n);
             mc_obs::record("serve.batch_points", n);
         }
-        self.latency_us.record(latency_us);
-        mc_obs::record("serve.latency_us", latency_us);
         if errored {
             self.errors.fetch_add(1, Relaxed);
             mc_obs::counter_add("serve.errors", 1);
         }
+    }
+
+    /// Notes one request's service latency, reply write included.
+    pub fn note_latency(&self, latency_us: u64) {
+        self.latency_us.record(latency_us);
+        mc_obs::record("serve.latency_us", latency_us);
     }
 
     /// Notes a snapshot swap.
@@ -108,8 +114,10 @@ mod tests {
         // still count.
         let s = ServeStats::new();
         s.note_connection();
-        s.note_request(Some(100), 250, false);
-        s.note_request(None, 10, true);
+        s.note_request(Some(100), false);
+        s.note_latency(250);
+        s.note_request(None, true);
+        s.note_latency(10);
         s.note_swap();
         assert_eq!(s.connections.load(Relaxed), 1);
         assert_eq!(s.requests.load(Relaxed), 2);
@@ -123,7 +131,8 @@ mod tests {
     #[test]
     fn metrics_json_is_parseable_and_complete() {
         let s = ServeStats::new();
-        s.note_request(Some(7), 123, false);
+        s.note_request(Some(7), false);
+        s.note_latency(123);
         let json = s.to_json(3);
         let tree = json_in::parse(json.as_bytes()).expect("valid JSON");
         for key in [

@@ -917,3 +917,58 @@ fn bench_serve_self_hosts_and_writes_schema_stable_json() {
         throughput.get("points").and_then(|v| v.as_u64())
     );
 }
+
+#[test]
+fn active_decomposes_matrix_free_with_rows_cached_or_on_demand() {
+    let data = write_temp("active-rows.csv", "");
+    let gen = mcc()
+        .args(["generate", "entity-matching"])
+        .arg(&data)
+        .args(["--n", "800", "--seed", "2"])
+        .output()
+        .unwrap();
+    assert!(
+        gen.status.success(),
+        "{}",
+        String::from_utf8_lossy(&gen.stderr)
+    );
+    let run = |metrics: &str, budget: Option<&str>| {
+        let metrics = write_temp(metrics, "");
+        let mut cmd = mcc();
+        cmd.args(["active"])
+            .arg(&data)
+            .arg("--metrics-out")
+            .arg(&metrics);
+        if let Some(b) = budget {
+            cmd.env("MC_MATRIX_BUDGET_BYTES", b);
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let jsonl = std::fs::read_to_string(&metrics).unwrap();
+        let rows_cached = jsonl
+            .lines()
+            .find(|l| l.contains(r#""name":"matching.rows_cached""#))
+            .and_then(|l| json_f64(l, "value"))
+            .expect("matching.rows_cached counter");
+        (String::from_utf8(out.stdout).unwrap(), jsonl, rows_cached)
+    };
+    let (cached_out, jsonl, cached) = run("active-rows.jsonl", None);
+    assert!(cached_out.contains("d = 3"), "{cached_out}");
+    // The Lemma-6 rows come from the rank oracle, and no dominance
+    // matrix is filled on the way.
+    assert!(
+        jsonl.contains(r#""path":"active/chain_decomposition/path_cover/rows""#),
+        "{jsonl}"
+    );
+    assert!(!jsonl.contains("progress.index_build"), "{jsonl}");
+    assert!(cached > 0.0);
+
+    // A one-byte budget computes every row on demand: same answer.
+    let (on_demand_out, _, on_demand) = run("active-rows-1.jsonl", Some("1"));
+    assert_eq!(on_demand, 0.0);
+    assert_eq!(cached_out, on_demand_out);
+}
