@@ -18,29 +18,23 @@
 //! runs word-parallel phases straight over bitset rows, so no
 //! `DominanceDag` adjacency lists (Θ(n²) edges) are ever materialized.
 //! The index path borrows the dominator matrix's rows; the oracle path
-//! computes rows from rank columns, and caches them once when they fit
-//! the row-cache budget, because every Hopcroft–Karp phase revisits
-//! them. The adjacency-list path ([`ChainDecomposition::from_dag`])
-//! stays as the tested reference.
+//! computes rows from the rank oracle's suffix bitsets and, when all
+//! `n` rows would fit the row budget, keeps the rows the Hopcroft–Karp
+//! phases ask for. The adjacency-list path
+//! ([`ChainDecomposition::from_dag`]) stays as the tested reference.
 
 use crate::dag::DominanceDag;
-use mc_geom::{matrix_bytes, DominanceIndex, GeomError, PointSet, RankOracle};
+use mc_geom::{matrix_bytes, row_budget_bytes, DominanceIndex, GeomError, PointSet, RankOracle};
 use mc_matching::{
     minimum_vertex_cover, BipartiteAdjacency, BipartiteGraph, BitsetGraph, HopcroftKarp,
     HopcroftKarpBitset, Matching, MatchingAlgorithm, OracleGraph, RowSource,
 };
 
-/// Row-cache budget (bytes) when `MC_MATRIX_BUDGET_BYTES` is unset. The
-/// oracle path runs where the dominator matrix may be out of reach, so
-/// unlike the index builders (unset = unlimited) its cache defaults to
-/// a bound; setting the env knob overrides both in one place.
-const DEFAULT_ROW_CACHE_BYTES: u64 = 256 << 20;
-
-/// `true` iff the `n`-point split graph's rows (`n·⌈n/64⌉·8` bytes) fit
-/// the row-cache budget: `MC_MATRIX_BUDGET_BYTES` if configured, else
-/// [`DEFAULT_ROW_CACHE_BYTES`].
+/// `true` iff all of the `n`-point split graph's rows (`n·⌈n/64⌉·8`
+/// bytes) would fit [`row_budget_bytes`]: `MC_MATRIX_BUDGET_BYTES` if
+/// configured, else 256 MiB.
 fn rows_fit_cache(n: usize) -> bool {
-    matrix_bytes(n) <= mc_geom::matrix_budget_bytes().unwrap_or(DEFAULT_ROW_CACHE_BYTES)
+    matrix_bytes(n) <= row_budget_bytes()
 }
 
 /// A partition of point indices into chains, each sorted in ascending
@@ -77,48 +71,42 @@ impl ChainDecomposition {
     }
 
     /// Matrix-free decomposition over a [`RankOracle`]: the Lemma-6
-    /// split graph's rows come from rank columns (`O(d·n)` resident
-    /// instead of `Θ(n²/64)` when they do not fit the row cache), and
-    /// the oracle rows are bit-identical to the dominator-matrix rows,
-    /// so the chains, width, and antichain certificate match the matrix
-    /// path exactly.
+    /// split graph's rows come from the oracle's suffix bitsets instead
+    /// of a resident `Θ(n²/64)` matrix, and the oracle rows are
+    /// bit-identical to the dominator-matrix rows, so the chains, width,
+    /// and antichain certificate match the matrix path exactly.
     pub fn compute_from_oracle(oracle: &RankOracle) -> Self {
         Self::compute_from_oracle_cancellable(oracle, &mc_obs::CancelToken::never())
             .expect("a never-token cannot cancel")
     }
 
     /// Cancellable twin of [`compute_from_oracle`](Self::compute_from_oracle).
+    /// Hopcroft–Karp phases revisit rows, so when all rows would fit the
+    /// row budget the graph keeps every row a phase asks for; otherwise
+    /// every visit recomputes its row. The rows are bit-identical either way,
+    /// so the result is too.
     pub fn compute_from_oracle_cancellable(
         oracle: &RankOracle,
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
-        Self::from_oracle_rows(oracle, rows_fit_cache(oracle.len()), token)
+        let og = if rows_fit_cache(oracle.len()) {
+            OracleGraph::with_row_cache(oracle)
+        } else {
+            OracleGraph::new(oracle)
+        };
+        Self::from_oracle_graph(&og, token)
     }
 
-    /// The oracle path with the row-cache decision made by the caller.
-    /// Hopcroft–Karp revisits every row once per BFS/DFS phase and the
-    /// König sweep once more, so with `cache_rows` the rows are
-    /// materialized once and scanned at word speed; without it each
-    /// visit recomputes a row from the rank columns. The rows are
-    /// bit-identical either way, so the result is too.
-    fn from_oracle_rows(
-        oracle: &RankOracle,
-        cache_rows: bool,
+    /// Decomposes over `og` and reports the rows its phases cached as
+    /// `matching.rows_cached`.
+    fn from_oracle_graph(
+        og: &OracleGraph<'_>,
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
         let _span = mc_obs::span("path_cover");
-        let og = OracleGraph::new(oracle);
-        if cache_rows {
-            mc_obs::counter_add("matching.rows_cached", oracle.len() as u64);
-            let rows = {
-                let _span = mc_obs::span("rows");
-                og.materialize_cancellable(token)?
-            };
-            Self::from_rows(&rows, token)
-        } else {
-            mc_obs::counter_add("matching.rows_cached", 0);
-            Self::from_rows(&og, token)
-        }
+        let dec = Self::from_rows(og, token)?;
+        mc_obs::counter_add("matching.rows_cached", og.rows_cached() as u64);
+        Ok(dec)
     }
 
     /// Computes the decomposition from a prebuilt [`DominanceIndex`],
@@ -410,8 +398,26 @@ mod tests {
         assert_eq!(dec.width(), 0);
     }
 
+    /// Decomposes `oracle` with and without the phase row cache; returns
+    /// both results with the rows each cached (the count
+    /// `compute_from_oracle` reports as `matching.rows_cached`).
+    fn decompose_cached_and_on_demand(
+        oracle: &RankOracle,
+    ) -> ((ChainDecomposition, usize), (ChainDecomposition, usize)) {
+        let never = mc_obs::CancelToken::never();
+        let run = |og: OracleGraph<'_>| {
+            let dec = ChainDecomposition::from_oracle_graph(&og, &never).unwrap();
+            (dec, og.rows_cached())
+        };
+        (
+            run(OracleGraph::with_row_cache(oracle)),
+            run(OracleGraph::new(oracle)),
+        )
+    }
+
     #[test]
     fn cached_and_on_demand_rows_give_identical_decompositions() {
+        use mc_matching::HopcroftKarpBitset;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         // A small palette so duplicates, `-0.0`/`0.0` ties and infinite
@@ -426,8 +432,24 @@ mod tests {
             3.25,
             f64::INFINITY,
         ];
-        let never = mc_obs::CancelToken::never();
         let mut rng = StdRng::seed_from_u64(0xCAC4E);
+        let assert_identical = |points: &PointSet, what: &str| {
+            let oracle = RankOracle::build(points);
+            let ((cached, rows_cached), (on_demand, none_cached)) =
+                decompose_cached_and_on_demand(&oracle);
+            assert_eq!(cached.chains(), on_demand.chains(), "{what}");
+            assert_eq!(cached.antichain(), on_demand.antichain(), "{what}");
+            let via_matrix = ChainDecomposition::compute_from_index(&DominanceIndex::build(points));
+            assert_eq!(cached.chains(), via_matrix.chains(), "{what}");
+            assert_eq!(cached.antichain(), via_matrix.antichain(), "{what}");
+            cached.validate(points).unwrap();
+            assert_eq!(none_cached, 0, "{what}");
+            let rounds = HopcroftKarpBitset
+                .solve_with_stats(&OracleGraph::new(&oracle))
+                .1
+                .rounds;
+            (rows_cached, rounds, cached.chains().len())
+        };
         for dim in 1..=4usize {
             for _ in 0..12 {
                 let n = rng.gen_range(0..160);
@@ -438,18 +460,30 @@ mod tests {
                         .collect();
                     points.push(&row);
                 }
-                let oracle = RankOracle::build(&points);
-                let cached = ChainDecomposition::from_oracle_rows(&oracle, true, &never).unwrap();
-                let on_demand =
-                    ChainDecomposition::from_oracle_rows(&oracle, false, &never).unwrap();
-                assert_eq!(cached.chains(), on_demand.chains(), "dim {dim} n {n}");
-                assert_eq!(cached.antichain(), on_demand.antichain(), "dim {dim} n {n}");
-                let via_matrix =
-                    ChainDecomposition::compute_from_index(&DominanceIndex::build(&points));
-                assert_eq!(cached.chains(), via_matrix.chains(), "dim {dim} n {n}");
-                cached.validate(&points).unwrap();
+                assert_identical(&points, &format!("palette dim {dim} n {n}"));
             }
         }
+
+        // Uniform points in 3 dimensions leave the greedy seed short, so
+        // Hopcroft–Karp runs phases and the cache keeps their rows.
+        let rows: Vec<Vec<f64>> = (0..300)
+            .map(|_| (0..3).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        let (rows_cached, rounds, _) = assert_identical(&PointSet::from_rows(3, &rows), "uniform");
+        assert!(rounds >= 1, "uniform input needs at least one phase");
+        assert!(rows_cached > 0, "phases cached no row");
+
+        // A shuffled chain: the greedy seed matches it fully, so no
+        // round runs and the one BFS caches at most the rows of the
+        // unmatched lefts (one per chain).
+        let mut chain: Vec<Vec<f64>> = (0..300).map(|i| vec![i as f64; 3]).collect();
+        for i in (1..chain.len()).rev() {
+            chain.swap(i, rng.gen_range(0..=i));
+        }
+        let (rows_cached, rounds, unmatched) =
+            assert_identical(&PointSet::from_rows(3, &chain), "chain");
+        assert_eq!(rounds, 0);
+        assert!(rows_cached <= unmatched, "{rows_cached} rows cached");
     }
 
     #[test]

@@ -112,11 +112,11 @@ pub fn matrix_bytes(n: usize) -> u64 {
 /// The `MC_MATRIX_BUDGET_BYTES` budget, if one is configured: the most
 /// bytes a single bitset dominator matrix may occupy before builders
 /// refuse with [`GeomError::MatrixBudget`] instead of attempting an
-/// allocation that would OOM. The same budget caps the Lemma-6 row
-/// cache in `mc-chains`. Unset means unlimited for the builders (the row
-/// cache then keeps its own default); a set-but-invalid value
-/// (non-numeric, zero) is ignored with a one-shot warning, like the
-/// `MC_FLOW_NET` knob.
+/// allocation that would OOM. The same budget caps the row structures
+/// of the matrix-free path ([`row_budget_bytes`]). Unset means unlimited
+/// for the builders (the row structures then keep their own default); a
+/// set-but-invalid value (non-numeric, zero) is ignored with a one-shot
+/// warning, like the `MC_FLOW_NET` knob.
 pub fn matrix_budget_bytes() -> Option<u64> {
     let raw = std::env::var_os("MC_MATRIX_BUDGET_BYTES")?;
     match raw
@@ -133,6 +133,19 @@ pub fn matrix_budget_bytes() -> Option<u64> {
             None
         }
     }
+}
+
+/// Row budget (bytes) of the matrix-free path when
+/// `MC_MATRIX_BUDGET_BYTES` is unset. That path runs where the dominator
+/// matrix may be out of reach, so unlike the index builders (unset =
+/// unlimited) it defaults to a bound.
+const DEFAULT_ROW_BUDGET_BYTES: u64 = 256 << 20;
+
+/// The byte budget of the matrix-free path's row structures — the
+/// [`crate::RankOracle`] suffix-bitset table and the Lemma-6 row cache in
+/// `mc-chains`: [`matrix_budget_bytes`] if configured, else 256 MiB.
+pub fn row_budget_bytes() -> u64 {
+    matrix_budget_bytes().unwrap_or(DEFAULT_ROW_BUDGET_BYTES)
 }
 
 /// Refuses with [`GeomError::MatrixBudget`] when an `n × n` bitset

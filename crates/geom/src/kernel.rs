@@ -6,10 +6,12 @@
 //!
 //! * the explicit `d ≥ 3` matrix fill of [`crate::DominanceIndex`]
 //!   (only when a caller still asks for the full matrix),
-//! * the on-demand dominator rows of [`crate::RankOracle`], which feed
-//!   the Lemma-6 matching of both the passive and the active solver,
-//! * the chain-head query of the passive chain-ladder sweep, and
-//! * the per-dimension narrowing of the serving `AnchorIndex`.
+//! * the chain-head query of the passive chain-ladder sweep,
+//! * the per-dimension narrowing of the serving `AnchorIndex`, and
+//! * the on-demand dominator rows of [`crate::RankOracle`], but only on
+//!   a dimension where a budget-widened checkpoint stride leaves more
+//!   bits to clear than a compare pass costs (rows otherwise AND
+//!   precomputed per-dimension suffix bitsets).
 //!
 //! The inner loops are written for autovectorization rather than
 //! explicit intrinsics (safe code only, no target-specific flags): each

@@ -37,7 +37,7 @@ pub use error::GeomError;
 pub use index::{
     bitmask_of, check_matrix_budget, check_matrix_budget_against, compress_column_ranks,
     compress_column_ranks_with_values, count_dominating_pairs, iter_ones, matrix_budget_bytes,
-    matrix_bytes, DominanceIndex, RankTable,
+    matrix_bytes, row_budget_bytes, DominanceIndex, RankTable,
 };
 pub use label::Label;
 pub use oracle::RankOracle;

@@ -2,27 +2,32 @@
 //!
 //! [`RankOracle`] answers the same row queries as the bitset matrix of
 //! [`DominanceIndex`](crate::DominanceIndex) — "which points dominate
-//! `p_i`?", as a `⌈n/64⌉`-word
-//! bitset — but computes each row on demand from the `O(d·n)` rank
-//! columns of a [`RankTable`] instead of materializing the `Θ(n²/64)`
-//! matrix. That matrix is the workspace's last memory wall: at
-//! `n = 10⁶` it would occupy ~125 GB, while the oracle's whole state is
-//! `4·d·n` bytes of ranks plus `~d·n/32` bytes of block summaries.
+//! `p_i`?", as a `⌈n/64⌉`-word bitset — but assembles each row on demand
+//! instead of materializing the `Θ(n²/64)` matrix. That matrix is the
+//! workspace's last memory wall: at `n = 10⁶` it would occupy ~125 GB.
 //!
-//! A row query narrows an all-ones bitset one dimension at a time with
-//! the shared u64×4 compare kernel ([`crate::kernel`]), pruned by
-//! per-block rank summaries:
+//! Rows come from **per-dimension suffix bitsets**. For every dimension
+//! `k` the oracle keeps the points in ascending rank order and, at every
+//! `B`-th sorted position, the bitset `S_k[c]` of the points at sorted
+//! position `≥ c·B`. The points that weakly dominate `p_i` on dimension
+//! `k` are exactly those at or after `pos_k(i)`, the first sorted
+//! position of `i`'s rank tie group, so
 //!
-//! * each dimension stores the min/max rank of every 256-point block
-//!   (the kd-style bucket grain of the kernel): blocks whose max rank
-//!   sits below the query threshold are zeroed without comparing, and
-//!   blocks whose min rank clears it are kept without comparing;
-//! * dimensions are visited most-selective-first (largest threshold
-//!   relative to the column's rank range), so for `d ≥ 3` most blocks
-//!   die in the first pass and later dimensions skip them entirely;
-//! * for `d ≤ 2` the loop degenerates to the one/two-column sweep with
-//!   the same summaries — no narrowing bookkeeping beyond the single
-//!   AND.
+//! ```text
+//! row(i) = AND_k S_k[⌊pos_k(i)/B⌋],
+//!          minus, per k, the < B points at sorted positions ⌊pos_k(i)/B⌋·B .. pos_k(i)
+//! ```
+//!
+//! That is `d·⌈n/64⌉` word ANDs plus fewer than `d·B` bit clears per
+//! row, where a rank-compare pass costs `d·n` compares. The stride `B`
+//! starts at 64 and doubles until the table (`d·⌈n/B⌉·⌈n/64⌉·8` bytes)
+//! fits [`crate::row_budget_bytes`], or until one checkpoint per
+//! dimension covers every point. A small budget can widen `B` until one
+//! dimension's clears cost more than a compare pass over its rank
+//! column; that dimension then narrows the row with
+//! [`kernel::and_ge_mask`] instead, so a row costs at most about the
+//! `d` compare passes. Besides the table the oracle holds `12·d·n`
+//! bytes: ranks, sorted orders and tie-group starts.
 //!
 //! Rows are bit-identical to [`DominanceIndex::dominator_row_words`](crate::DominanceIndex::dominator_row_words)
 //! over the same points (same rank compression, same `-0.0 == 0.0`
@@ -31,9 +36,19 @@
 //! matrix-free with unchanged results.
 
 use crate::dataset::PointSet;
-use crate::index::{duplicate_groups, try_compress_ranks, RankTable};
-use crate::kernel::{self, BLOCK_RANKS, LANES};
+use crate::index::{duplicate_groups, row_budget_bytes, try_compress_ranks, RankTable};
+use crate::kernel;
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
+
+/// Smallest checkpoint stride of the suffix-bitset table: one word of
+/// sorted positions.
+const MIN_STRIDE: usize = 64;
+
+/// Single-bit clears that cost about as much as narrowing one row word
+/// by a 64-rank compare ([`kernel::and_ge_mask`]). Past
+/// `words · CLEARS_PER_COMPARE_WORD` clears on one dimension, a row
+/// narrows by the compare pass instead.
+const CLEARS_PER_COMPARE_WORD: usize = 16;
 
 /// On-demand dominator-row oracle; see the module docs.
 #[derive(Debug, Clone)]
@@ -42,19 +57,24 @@ pub struct RankOracle {
     dim: usize,
     /// Words per bitset row: `ceil(n / 64)`.
     words: usize,
-    /// 256-point blocks per column: `ceil(words / 4)`.
-    blocks: usize,
     /// Column-major, order-preserving ranks: `ranks[k * n + i]` is point
     /// `i`'s rank on dimension `k`. Dense when built from points; a
     /// subset gather keeps the parent's (sparser) ranks, which preserve
     /// order and therefore dominance.
     ranks: Vec<u32>,
-    /// Per-dimension, per-block minimum rank (`dim * blocks` entries).
-    block_min: Vec<u32>,
-    /// Per-dimension, per-block maximum rank (`dim * blocks` entries).
-    block_max: Vec<u32>,
-    /// Per-dimension maximum rank, for the selectivity ordering.
-    col_max: Vec<u32>,
+    /// Column-major ascending rank order: `order[k * n + p]` is the point
+    /// at sorted position `p` on dimension `k`.
+    order: Vec<u32>,
+    /// `group_start[k * n + i]` is `pos_k(i)`, the first sorted position
+    /// on dimension `k` that holds `i`'s rank.
+    group_start: Vec<u32>,
+    /// `log2` of the checkpoint stride `B`.
+    stride_shift: u32,
+    /// Checkpoints per dimension: `ceil(n / B)`.
+    checkpoints: usize,
+    /// Suffix bitsets: the `words` words at `(k * checkpoints + c) *
+    /// words` hold `S_k[c]`.
+    suffix: Vec<u64>,
     /// Canonical duplicate-group id per point (equal rank tuples ⇔
     /// equal group), with member lists exactly as in `DominanceIndex`.
     dup_group: Vec<u32>,
@@ -62,24 +82,40 @@ pub struct RankOracle {
     dup_offsets: Vec<u32>,
 }
 
+/// Bytes of the suffix-bitset table at checkpoint stride `stride`.
+fn table_bytes(n: usize, dim: usize, stride: usize) -> u64 {
+    dim as u64 * n.div_ceil(stride) as u64 * n.div_ceil(64) as u64 * 8
+}
+
+/// The smallest power-of-two stride `≥ 64` whose table fits `budget`
+/// bytes; if none does, the first that needs only one checkpoint per
+/// dimension.
+fn table_stride(n: usize, dim: usize, budget: u64) -> usize {
+    let mut stride = MIN_STRIDE;
+    while stride < n && table_bytes(n, dim, stride) > budget {
+        stride *= 2;
+    }
+    stride
+}
+
 impl RankOracle {
     /// Builds the oracle from raw points: `O(d·n log n)` rank
-    /// compression plus an `O(d·n)` summary pass. No quadratic work.
+    /// compression and sorting plus the budgeted suffix-bitset table.
     pub fn build(points: &PointSet) -> Self {
         Self::try_build(points, &CancelToken::never()).expect("a never-token cannot cancel")
     }
 
     /// Cancellable twin of [`build`](Self::build); polls between the
-    /// per-dimension rank sorts.
+    /// per-dimension rank sorts and while filling the table.
     pub fn try_build(points: &PointSet, token: &CancelToken) -> Result<Self, Cancelled> {
         let ranks = try_compress_ranks(points, token)?;
-        Ok(Self::from_rank_columns(points.len(), points.dim(), ranks))
+        Self::try_from_rank_columns(points.len(), points.dim(), ranks, token)
     }
 
     /// Builds the oracle over a subset of an existing [`RankTable`]'s
     /// points (`indices`, in the given order) by gathering their rank
     /// columns — the path the passive ladder uses to match over the
-    /// label-1 points without re-sorting or building any matrix.
+    /// label-1 points without re-ranking or building any matrix.
     pub fn try_from_table_subset(
         table: &RankTable,
         indices: &[usize],
@@ -99,53 +135,102 @@ impl RankOracle {
                 sub[local] = col[g];
             }
         }
-        Ok(Self::from_rank_columns(m, dim, ranks))
+        Self::try_from_rank_columns(m, dim, ranks, token)
     }
 
     /// Core constructor from prepared column-major rank columns
-    /// (`ranks[k * n + i]`). Ranks need only be order-preserving per
+    /// (`ranks[k * n + i]`), with the table stride fitted to
+    /// [`row_budget_bytes`]. Ranks need only be order-preserving per
     /// dimension — `p ⪰ q ⟺ rank_k(p) ≥ rank_k(q)` for every `k`.
+    fn try_from_rank_columns(
+        n: usize,
+        dim: usize,
+        ranks: Vec<u32>,
+        token: &CancelToken,
+    ) -> Result<Self, Cancelled> {
+        let stride = table_stride(n, dim, row_budget_bytes());
+        Self::with_stride(n, dim, ranks, stride, token)
+    }
+
+    /// Sorts every dimension and fills the suffix-bitset table at
+    /// checkpoint stride `stride` (a power of two `≥ 64`). Polls once per
+    /// dimension and ticks one unit per table word written.
     ///
     /// # Panics
     ///
-    /// Panics if `ranks.len() != dim * n`.
-    pub fn from_rank_columns(n: usize, dim: usize, ranks: Vec<u32>) -> Self {
+    /// Panics if `ranks.len() != dim * n` or `stride` is not a power of
+    /// two `≥ 64`.
+    fn with_stride(
+        n: usize,
+        dim: usize,
+        ranks: Vec<u32>,
+        stride: usize,
+        token: &CancelToken,
+    ) -> Result<Self, Cancelled> {
         assert_eq!(ranks.len(), dim * n, "rank column layout mismatch");
+        assert!(
+            stride.is_power_of_two() && stride >= MIN_STRIDE,
+            "stride {stride} must be a power of two of at least {MIN_STRIDE}"
+        );
         let words = n.div_ceil(64);
-        let blocks = words.div_ceil(LANES);
-        let mut block_min = vec![0u32; dim * blocks];
-        let mut block_max = vec![0u32; dim * blocks];
-        let mut col_max = vec![0u32; dim];
+        let checkpoints = n.div_ceil(stride);
+        let mut order = vec![0u32; dim * n];
+        let mut group_start = vec![0u32; dim * n];
+        let mut suffix = vec![0u64; dim * checkpoints * words];
+        let mut cp = Checkpoint::new(token);
+        // (rank, index) in one integer, so a plain sort gives a
+        // deterministic order; only the rank part matters for rows.
+        let mut keys: Vec<u64> = Vec::with_capacity(n);
         for k in 0..dim {
-            let col = &ranks[k * n..(k + 1) * n];
-            for b in 0..blocks {
-                let lo = b * BLOCK_RANKS;
-                let hi = (lo + BLOCK_RANKS).min(n);
-                let mut mn = u32::MAX;
-                let mut mx = 0u32;
-                for &r in &col[lo..hi] {
-                    mn = mn.min(r);
-                    mx = mx.max(r);
+            token.poll()?;
+            keys.clear();
+            keys.extend(
+                ranks[k * n..(k + 1) * n]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &r)| u64::from(r) << 32 | i as u64),
+            );
+            keys.sort_unstable();
+            let ord = &mut order[k * n..(k + 1) * n];
+            let starts = &mut group_start[k * n..(k + 1) * n];
+            let mut start = 0u32;
+            for (p, &key) in keys.iter().enumerate() {
+                if p > 0 && key >> 32 != keys[p - 1] >> 32 {
+                    start = p as u32;
                 }
-                block_min[k * blocks + b] = mn;
-                block_max[k * blocks + b] = mx;
-                col_max[k] = col_max[k].max(mx);
+                ord[p] = key as u32;
+                starts[key as u32 as usize] = start;
+            }
+            // S_k[c] = S_k[c + 1] ∪ {sorted positions c·B .. (c + 1)·B},
+            // filled from the last checkpoint down.
+            let table = &mut suffix[k * checkpoints * words..(k + 1) * checkpoints * words];
+            for c in (0..checkpoints).rev() {
+                cp.tick(words as u64)?;
+                let (head, tail) = table.split_at_mut((c + 1) * words);
+                let set = &mut head[c * words..];
+                if c + 1 < checkpoints {
+                    set.copy_from_slice(&tail[..words]);
+                }
+                for &j in &ord[c * stride..((c + 1) * stride).min(n)] {
+                    set[j as usize >> 6] |= 1u64 << (j & 63);
+                }
             }
         }
         let dups = duplicate_groups(n, dim, &ranks);
-        Self {
+        Ok(Self {
             n,
             dim,
             words,
-            blocks,
             ranks,
-            block_min,
-            block_max,
-            col_max,
+            order,
+            group_start,
+            stride_shift: stride.trailing_zeros(),
+            checkpoints,
+            suffix,
             dup_group: dups.group,
             dup_members: dups.members,
             dup_offsets: dups.offsets,
-        }
+        })
     }
 
     /// Number of indexed points.
@@ -201,81 +286,50 @@ impl RankOracle {
     /// Computes `i`'s *reflexive dominator row* into `out`: bit `j` is
     /// set iff `p_j ⪰ p_i` (so bit `i` is always set). Bit-identical to
     /// [`crate::DominanceIndex::dominator_row_words`] over the same
-    /// points. `O(d·n/64)` word operations worst case, usually far less
-    /// thanks to the block summaries.
+    /// points. At most `d·⌈n/64⌉` word ANDs plus, per dimension, fewer
+    /// than `B` bit clears or one rank-compare pass, whichever is cheaper.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.words()`.
     pub fn dominator_row_into(&self, i: usize, out: &mut [u64]) {
         assert_eq!(out.len(), self.words, "row width mismatch");
-        kernel::ones_mask_into(self.n, out);
-        if self.n == 0 {
-            return;
-        }
-        // Most-selective dimension first: the larger the threshold sits
-        // within its column's rank range, the fewer survivors, and every
-        // later dimension skips the blocks the first one emptied. A
-        // fixed-size order array covers realistic dimensionalities;
-        // beyond it the natural order is used (the result is the same
-        // either way — this is purely a pruning heuristic).
-        const ORDER_CAP: usize = 16;
-        let mut dims = [0usize; ORDER_CAP];
-        let ordered = self.dim <= ORDER_CAP;
-        if ordered {
-            let mut keys = [0f64; ORDER_CAP];
-            for k in 0..self.dim {
-                dims[k] = k;
-                keys[k] = self.ranks[k * self.n + i] as f64 / (self.col_max[k] as f64 + 1.0);
+        let n = self.n;
+        let mut filled = false;
+        for k in 0..self.dim {
+            let c = self.group_start[k * n + i] as usize >> self.stride_shift;
+            if c == 0 {
+                continue; // S_k[0] holds every point
             }
-            dims[..self.dim].sort_unstable_by(|&a, &b| keys[b].total_cmp(&keys[a]).then(a.cmp(&b)));
-        }
-        // Not an iterator over `dims`: when `dim > ORDER_CAP` the loop
-        // runs past the fixed-size order array (unordered fallback).
-        #[allow(clippy::needless_range_loop)]
-        for pos in 0..self.dim {
-            let k = if ordered { dims[pos] } else { pos };
-            let t = self.ranks[k * self.n + i];
-            if t == 0 {
-                continue; // ranks are non-negative: the dimension filters nothing
-            }
-            if !self.narrow_dim(k, t, out) {
-                return; // row emptied — impossible for dominator rows (self-bit), defensive
+            let base = (k * self.checkpoints + c) * self.words;
+            let set = &self.suffix[base..base + self.words];
+            if filled {
+                for (o, &w) in out.iter_mut().zip(set) {
+                    *o &= w;
+                }
+            } else {
+                out.copy_from_slice(set);
+                filled = true;
             }
         }
-    }
-
-    /// Narrows `out` to the points whose rank on dimension `k` is at
-    /// least `t`, using the block summaries to skip decided blocks.
-    /// Returns `true` iff any bit survives.
-    fn narrow_dim(&self, k: usize, t: u32, out: &mut [u64]) -> bool {
-        let col = &self.ranks[k * self.n..(k + 1) * self.n];
-        let bmin = &self.block_min[k * self.blocks..(k + 1) * self.blocks];
-        let bmax = &self.block_max[k * self.blocks..(k + 1) * self.blocks];
-        let mut any = 0u64;
-        for b in 0..self.blocks {
-            let w0 = b * LANES;
-            let w1 = (w0 + LANES).min(self.words);
-            let block = &mut out[w0..w1];
-            let live = block.iter().fold(0u64, |acc, &w| acc | w);
-            if live == 0 {
+        if !filled {
+            kernel::ones_mask_into(n, out);
+        }
+        // The points between each checkpoint and `pos_k(i)` are in
+        // `S_k[c]` but rank below `i` on dimension `k`. A stride widened
+        // by a small budget can leave more of them than one rank-compare
+        // pass over the column costs; narrow by that pass instead.
+        for k in 0..self.dim {
+            let pos = self.group_start[k * n + i] as usize;
+            let from = pos >> self.stride_shift << self.stride_shift;
+            if pos - from > self.words * CLEARS_PER_COMPARE_WORD {
+                kernel::and_ge_mask(self.column(k), self.rank(k, i), out);
                 continue;
             }
-            if bmax[b] < t {
-                block.fill(0);
-                continue;
-            }
-            if bmin[b] >= t {
-                any |= live;
-                continue;
-            }
-            let lo = w0 * 64;
-            let hi = (w1 * 64).min(self.n);
-            if kernel::and_ge_mask(&col[lo..hi], t, block) {
-                any |= 1;
+            for &j in &self.order[k * n + from..k * n + pos] {
+                out[j as usize >> 6] &= !(1u64 << (j & 63));
             }
         }
-        any != 0
     }
 
     /// Computes `i`'s *strict-successor row* into `out`: the dominator
@@ -404,5 +458,98 @@ mod tests {
         let mut row = vec![0u64; 1];
         oracle.dominator_row_into(0, &mut row);
         assert_eq!(row, vec![0b111]);
+    }
+
+    /// Every dominator and strict row of `ranks` (column-major over `n`
+    /// points) at checkpoint strides 64, 128 and one covering all `n`
+    /// points must equal `index`'s rows bit for bit.
+    fn assert_rows_match_at_every_stride(
+        n: usize,
+        dim: usize,
+        ranks: &[u32],
+        index: &DominanceIndex,
+        what: &str,
+    ) {
+        let never = CancelToken::never();
+        for stride in [64, 128, n.next_power_of_two().max(MIN_STRIDE)] {
+            let oracle = RankOracle::with_stride(n, dim, ranks.to_vec(), stride, &never).unwrap();
+            let mut row = vec![0u64; oracle.words()];
+            let mut strict_ref = vec![0u64; oracle.words()];
+            for i in 0..n {
+                oracle.dominator_row_into(i, &mut row);
+                assert_eq!(
+                    row,
+                    index.dominator_row_words(i),
+                    "{what}: dim {dim} n {n} stride {stride} i {i}"
+                );
+                oracle.strict_successor_row_into(i, &mut row);
+                index.strict_successor_row_into(i, &mut strict_ref);
+                assert_eq!(
+                    row, strict_ref,
+                    "{what}, strict: dim {dim} n {n} stride {stride} i {i}"
+                );
+            }
+        }
+    }
+
+    fn dense_ranks(points: &PointSet) -> Vec<u32> {
+        try_compress_ranks(points, &CancelToken::never()).unwrap()
+    }
+
+    #[test]
+    fn rows_match_dominance_index_at_every_stride() {
+        let mut rng = StdRng::seed_from_u64(0x5714DE);
+        // No n is a multiple of 64 (so none of 128 either).
+        for dim in 1..=6usize {
+            for n in [1usize, 37, 65, 130, 201, 299] {
+                let points = random_points(n, dim, 5.0, &mut rng);
+                let index = DominanceIndex::build(&points);
+                assert_rows_match_at_every_stride(n, dim, &dense_ranks(&points), &index, "random");
+            }
+        }
+
+        // Dimension 0 has tie groups at sorted positions 0..50, 50..100
+        // and 100..150: the second straddles the checkpoint at 64, the
+        // third the one at 128.
+        let rows: Vec<Vec<f64>> = (0..150)
+            .map(|i| vec![(i % 3) as f64, ((i * 7) % 5) as f64])
+            .collect();
+        let points = PointSet::from_rows(2, &rows);
+        let index = DominanceIndex::build(&points);
+        assert_rows_match_at_every_stride(150, 2, &dense_ranks(&points), &index, "straddling ties");
+
+        // All duplicates: every tie group starts at position 0.
+        let dup_rows: Vec<Vec<f64>> = (0..150).map(|_| vec![3.0, -1.0, 2.0]).collect();
+        let points = PointSet::from_rows(3, &dup_rows);
+        let index = DominanceIndex::build(&points);
+        assert_rows_match_at_every_stride(150, 3, &dense_ranks(&points), &index, "duplicates");
+
+        // Sparse ranks gathered off a parent table.
+        for dim in [1usize, 3, 6] {
+            let points = random_points(400, dim, 6.0, &mut rng);
+            let table = RankTable::build(&points);
+            let picks: Vec<usize> = (0..400).filter(|_| rng.gen_bool(0.5)).collect();
+            let gathered =
+                RankOracle::try_from_table_subset(&table, &picks, &CancelToken::never()).unwrap();
+            let index = DominanceIndex::build(&points.subset(&picks));
+            assert_rows_match_at_every_stride(
+                picks.len(),
+                dim,
+                &gathered.ranks,
+                &index,
+                "gathered",
+            );
+        }
+    }
+
+    #[test]
+    fn stride_doubles_until_the_table_fits() {
+        // 24,000 points in 3 dimensions: 3.4 MB at stride 64.
+        assert_eq!(table_bytes(24_000, 3, 64), 3 * 375 * 375 * 8);
+        assert_eq!(table_stride(24_000, 3, 256 << 20), 64);
+        assert_eq!(table_stride(24_000, 3, table_bytes(24_000, 3, 64) - 1), 128);
+        // A budget nothing fits stops at one checkpoint per dimension.
+        assert_eq!(table_stride(5_000, 3, 1), 8192);
+        assert_eq!(table_stride(0, 3, 1), 64);
     }
 }

@@ -37,7 +37,11 @@
 //! its depth and stays valid while that left owns the slot, so
 //! backtracking and resuming a frame never recomputes its row — the
 //! per-thread scratch is reused across BFS layers, DFS descents, and
-//! phases alike.
+//! phases alike. The phases ask for rows through
+//! [`RowSource::phase_row`] and [`RowSource::or_row_into`], so a source
+//! with a row cache (an [`OracleGraph`] built `with_row_cache`) keeps
+//! the rows they ask for; the one-pass degree and greedy sweeps use
+//! [`RowSource::resolve_row`] and cache nothing.
 //!
 //! The layering is level-synchronous and rights are claimed lowest-index
 //! first, which makes the engine's tie-breaking line up with the list
@@ -53,6 +57,7 @@ use crate::row_source::RowSource;
 use crate::{MatchingAlgorithm, MatchingStats};
 use mc_geom::parallel_chunks;
 use mc_obs::cancel::Checkpoint;
+use mc_obs::{CancelToken, Cancelled};
 
 /// Bitset-native Hopcroft–Karp algorithm.
 #[derive(Debug, Clone, Copy, Default)]
@@ -63,8 +68,12 @@ const INF: u32 = u32::MAX;
 /// Sentinel for a DFS row-cache slot nobody owns.
 const NO_OWNER: u32 = u32::MAX;
 
-struct State<'g, G: RowSource> {
+struct State<'g, 't, G: RowSource> {
     g: &'g G,
+    token: &'t CancelToken,
+    /// Ticks one unit per row word the DFS resolves, so on-demand row
+    /// computations and cache fills stay interruptible.
+    cp: Checkpoint<'t>,
     left_match: Vec<Option<u32>>,
     right_match: Vec<Option<u32>>,
     /// BFS layer of each left vertex.
@@ -85,7 +94,7 @@ struct State<'g, G: RowSource> {
     words_scanned: u64,
 }
 
-impl<G: RowSource> State<'_, G> {
+impl<G: RowSource> State<'_, '_, G> {
     /// Level-synchronous layered BFS from all unmatched left vertices.
     /// Returns `true` iff an augmenting path exists. Like the list
     /// engine, the whole reachable graph is layered every phase (no
@@ -93,7 +102,8 @@ impl<G: RowSource> State<'_, G> {
     /// level masks at every depth they occur, letting the DFS sweep
     /// augment along paths of several lengths per phase, which cuts the
     /// phase count enough to beat the classic truncated variant here.
-    fn bfs(&mut self) -> bool {
+    /// Workers tick one unit per row word they OR in.
+    fn bfs(&mut self) -> Result<bool, Cancelled> {
         let words = self.g.words();
         let mut frontier: Vec<u32> = Vec::new();
         for l in 0..self.g.num_left() {
@@ -113,17 +123,21 @@ impl<G: RowSource> State<'_, G> {
             // Word-parallel frontier expansion: OR all frontier rows.
             reached.iter_mut().for_each(|w| *w = 0);
             let g = self.g;
+            let token = self.token;
             let fr = &frontier;
             let partials = parallel_chunks(fr.len(), |range| {
                 let mut acc = vec![0u64; words];
                 let mut scratch = vec![0u64; words];
                 let mut scanned = 0u64;
+                let mut cp = Checkpoint::new(token);
                 for &l in &fr[range] {
+                    cp.tick(words as u64)?;
                     scanned += g.or_row_into(l as usize, &mut acc, &mut scratch);
                 }
-                (acc, scanned)
+                Ok((acc, scanned))
             });
-            for (acc, scanned) in partials {
+            for part in partials {
+                let (acc, scanned) = part?;
                 for (r, a) in reached.iter_mut().zip(acc) {
                     *r |= a;
                 }
@@ -160,7 +174,7 @@ impl<G: RowSource> State<'_, G> {
             layer += 1;
             frontier = next;
         }
-        found
+        Ok(found)
     }
 
     /// DFS along the layered graph, flipping an augmenting path if
@@ -168,7 +182,7 @@ impl<G: RowSource> State<'_, G> {
     /// at layer `d` scans `row AND levels[d]` over only that level's
     /// nonzero words — every surviving bit is a free right (augment) or
     /// a next-layer left (descend), so no edge is examined in vain.
-    fn dfs(&mut self, root: usize) -> bool {
+    fn dfs(&mut self, root: usize) -> Result<bool, Cancelled> {
         let words = self.g.words();
         let State {
             g,
@@ -179,6 +193,7 @@ impl<G: RowSource> State<'_, G> {
             row_pool,
             pool_owner,
             words_scanned,
+            cp,
             ..
         } = self;
         let g: &G = g;
@@ -208,7 +223,8 @@ impl<G: RowSource> State<'_, G> {
                 let (row, pw, pmask): (&[u64], usize, u64) = if pool_owner[depth] == l {
                     (&slot[..], 0, !0u64)
                 } else {
-                    let resolved = g.resolve_row(lu, slot);
+                    cp.tick(words as u64)?;
+                    let resolved = g.phase_row(lu, slot);
                     pool_owner[depth] = if resolved.cached { l } else { NO_OWNER };
                     (resolved.row, resolved.patch_word, resolved.patch_mask)
                 };
@@ -239,7 +255,7 @@ impl<G: RowSource> State<'_, G> {
                                 left_match[lv as usize] = Some(rv as u32);
                                 right_match[rv] = Some(lv);
                             }
-                            return true;
+                            return Ok(true);
                         }
                         Some(l2) => {
                             let l2u = l2 as usize;
@@ -269,7 +285,7 @@ impl<G: RowSource> State<'_, G> {
             dist[lu] = INF;
             frames.pop();
             if frames.is_empty() {
-                return false;
+                return Ok(false);
             }
             via.pop();
         }
@@ -288,15 +304,15 @@ impl HopcroftKarpBitset {
 
     /// Cancellable twin of [`solve_with_stats`](Self::solve_with_stats):
     /// the token is checkpointed on the words scanned by the degree
-    /// pass and greedy seed and polled between Hopcroft–Karp rounds
-    /// (each round is `O(V²/64)` word ops, so round-granularity keeps
-    /// latency bounded without touching the word-parallel inner loops).
-    /// On cancellation the partial matching is discarded.
+    /// pass and greedy seed, polled between Hopcroft–Karp rounds, and
+    /// checkpointed once per row the BFS/DFS phases resolve (on-demand
+    /// sources compute or cache rows there). On cancellation the
+    /// partial matching is discarded.
     pub fn solve_with_stats_cancellable<G: RowSource>(
         &self,
         g: &G,
-        token: &mc_obs::CancelToken,
-    ) -> Result<(Matching, MatchingStats), mc_obs::Cancelled> {
+        token: &CancelToken,
+    ) -> Result<(Matching, MatchingStats), Cancelled> {
         let _span = mc_obs::span("hopcroft_karp_bitset");
         token.poll()?;
         let nl = g.num_left();
@@ -307,6 +323,8 @@ impl HopcroftKarpBitset {
         let mut cp = mc_obs::Checkpoint::with_progress(token, "matching", nl as u64 * words as u64);
         let mut st = State {
             g,
+            token,
+            cp: Checkpoint::new(token),
             left_match: vec![None; nl],
             right_match: vec![None; nr],
             dist: vec![INF; nl],
@@ -390,12 +408,12 @@ impl HopcroftKarpBitset {
         let mut augmented = 0u64;
         loop {
             token.poll()?;
-            if !st.bfs() {
+            if !st.bfs()? {
                 break;
             }
             rounds += 1;
             for l in 0..nl {
-                if st.left_match[l].is_none() && st.dfs(l) {
+                if st.left_match[l].is_none() && st.dfs(l)? {
                     augmented += 1;
                 }
             }
@@ -570,9 +588,10 @@ mod tests {
         }
     }
 
-    /// The on-demand oracle source must reproduce the materialized
-    /// matching vertex for vertex — not just the same size — across
-    /// dimensions and duplicate-heavy grids.
+    /// The on-demand oracle source, with and without its phase row
+    /// cache, must reproduce the materialized matching vertex for vertex
+    /// — not just the same size — across dimensions and duplicate-heavy
+    /// grids.
     #[test]
     fn oracle_source_matches_bitset_source_exactly() {
         use crate::{BitsetGraph, OracleGraph};
@@ -594,13 +613,15 @@ mod tests {
                 let bg = BitsetGraph::from_index(&index);
                 let og = OracleGraph::new(&oracle);
                 let (mb, sb) = HopcroftKarpBitset.solve_with_stats(&bg);
-                let (mo, so) = HopcroftKarpBitset.solve_with_stats(&og);
-                assert_eq!(mb.left_match, mo.left_match, "dim {dim} n {n}");
-                assert_eq!(mb.right_match, mo.right_match, "dim {dim} n {n}");
-                assert_eq!(sb.greedy_matched, so.greedy_matched);
-                assert_eq!(sb.rounds, so.rounds);
-                assert_eq!(sb.augmented, so.augmented);
-                mo.validate(&og).unwrap();
+                for og in [og, OracleGraph::with_row_cache(&oracle)] {
+                    let (mo, so) = HopcroftKarpBitset.solve_with_stats(&og);
+                    assert_eq!(mb.left_match, mo.left_match, "dim {dim} n {n}");
+                    assert_eq!(mb.right_match, mo.right_match, "dim {dim} n {n}");
+                    assert_eq!(sb.greedy_matched, so.greedy_matched);
+                    assert_eq!(sb.rounds, so.rounds);
+                    assert_eq!(sb.augmented, so.augmented);
+                    mo.validate(&og).unwrap();
+                }
             }
         }
     }

@@ -4,11 +4,17 @@
 //! [`BitsetGraph::from_index`](crate::BitsetGraph::from_index): the same
 //! strict-successor bipartite graph (left copy of point `u` adjacent to
 //! right copy of `v` iff `v` strictly dominates `u`, or equals it with
-//! `v > u`), but no row is stored anywhere — each is computed from the
-//! oracle's rank columns when the engine asks, into the scratch buffer
-//! the engine supplies. Residency drops from `Θ(n²/64)` words to the
-//! oracle's `O(d·n)` ranks, which is what lets Lemma-6 matching run at
-//! `n` far past the matrix wall.
+//! `v > u`), but rows are computed from the oracle's suffix bitsets when
+//! the engine asks, into the scratch buffer the engine supplies.
+//! Residency drops from `Θ(n²/64)` words to the oracle's budgeted table,
+//! which is what lets Lemma-6 matching run at `n` far past the matrix
+//! wall.
+//!
+//! Built [`with_row_cache`](OracleGraph::with_row_cache), the graph also
+//! keeps every row a Hopcroft–Karp BFS or DFS asks for and serves it from
+//! the cache after that: each round ends in a BFS that revisits nearly
+//! all of them. One-pass sweeps (degree pass, greedy seed, König) never
+//! fill it.
 //!
 //! Rows are bit-identical to the `BitsetGraph` rows over the same
 //! points (the oracle reproduces `DominanceIndex` rows exactly), and
@@ -16,22 +22,41 @@
 //! engine, the König vertex cover, and the width certification all run
 //! unchanged — same tie-breaks, same matching, same antichain.
 
-use crate::bitset::BitsetGraph;
 use crate::row_source::{ResolvedRow, RowSource};
 use crate::BipartiteAdjacency;
 use mc_geom::RankOracle;
+use std::sync::OnceLock;
 
 /// A bipartite strict-dominance graph whose rows are computed on demand
-/// from rank columns. See the module docs.
-#[derive(Debug, Clone, Copy)]
+/// from a rank oracle. See the module docs.
+#[derive(Debug)]
 pub struct OracleGraph<'a> {
     oracle: &'a RankOracle,
+    /// Per-row cache of the rows the phases asked for. `Sync`, so the
+    /// parallel BFS can fill it from every worker.
+    cache: Option<Vec<OnceLock<Box<[u64]>>>>,
 }
 
 impl<'a> OracleGraph<'a> {
-    /// Wraps an oracle as the Lemma-6 split graph of its points.
+    /// Wraps an oracle as the Lemma-6 split graph of its points; every
+    /// row is recomputed whenever the engine asks for it.
     pub fn new(oracle: &'a RankOracle) -> Self {
-        Self { oracle }
+        Self {
+            oracle,
+            cache: None,
+        }
+    }
+
+    /// Like [`new`](Self::new), but keeps every row a Hopcroft–Karp
+    /// phase asks for. The cache grows to at most `n·⌈n/64⌉` words, so
+    /// callers gate it on that size (the Lemma-6 decomposition checks
+    /// it against `mc_geom::row_budget_bytes`).
+    pub fn with_row_cache(oracle: &'a RankOracle) -> Self {
+        let n = oracle.len();
+        Self {
+            oracle,
+            cache: Some((0..n).map(|_| OnceLock::new()).collect()),
+        }
     }
 
     /// The underlying oracle.
@@ -39,43 +64,16 @@ impl<'a> OracleGraph<'a> {
         self.oracle
     }
 
-    /// Materializes every strict-successor row once into an owned
-    /// [`BitsetGraph`], fanning the row computations out over
-    /// [`mc_geom::parallel_chunks`]. One `O(d·n/64)` rank-compare pass
-    /// per row — after which every scan of the returned graph is a pure
-    /// word load, `Θ(n²/64)` words resident.
-    ///
-    /// Hopcroft–Karp revisits the same rows once per BFS/DFS sweep per
-    /// phase, so recomputing them from rank columns every time can cost
-    /// more than the whole matching. Callers are responsible for gating
-    /// the `Θ(n²/64)` residency (the Lemma-6 decomposition checks
-    /// `mc_geom::matrix_bytes` against its row-cache budget first).
-    /// Rows are bit-identical to the on-demand ones, so the matching —
-    /// and everything downstream — is unchanged.
-    pub fn materialize_cancellable(
-        &self,
-        token: &mc_obs::CancelToken,
-    ) -> Result<BitsetGraph<'static>, mc_obs::Cancelled> {
-        let n = self.oracle.len();
-        let words = RowSource::words(self);
-        let parts = mc_geom::parallel_chunks(n, |range| {
-            let mut rows: Vec<Box<[u64]>> = Vec::with_capacity(range.len());
-            let mut cp = mc_obs::cancel::Checkpoint::new(token);
-            for l in range {
-                cp.tick(words as u64)?;
-                let mut row = vec![0u64; words].into_boxed_slice();
-                self.oracle.strict_successor_row_into(l, &mut row);
-                rows.push(row);
-            }
-            Ok(rows)
-        });
-        let mut g = BitsetGraph::new(n);
-        for part in parts {
-            for row in part? {
-                g.push_owned_row(row);
-            }
-        }
-        Ok(g)
+    /// Number of rows the cache holds (0 without a cache).
+    pub fn rows_cached(&self) -> usize {
+        self.cache
+            .as_ref()
+            .map_or(0, |c| c.iter().filter(|r| r.get().is_some()).count())
+    }
+
+    /// The cached row of `l`, if one is stored.
+    fn cached_row(&self, l: usize) -> Option<&[u64]> {
+        self.cache.as_ref()?[l].get().map(|r| &r[..])
     }
 
     /// Counts edges by materializing each row once. `O(n)` row
@@ -116,10 +114,27 @@ impl RowSource for OracleGraph<'_> {
         }
     }
 
+    fn phase_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s> {
+        let Some(cache) = &self.cache else {
+            return self.resolve_row(l, scratch);
+        };
+        let row = cache[l].get_or_init(|| {
+            let mut row = vec![0u64; self.oracle.words()].into_boxed_slice();
+            self.oracle.strict_successor_row_into(l, &mut row);
+            row
+        });
+        ResolvedRow {
+            row,
+            patch_word: 0,
+            patch_mask: !0u64,
+            cached: false,
+        }
+    }
+
     #[inline]
     fn or_row_into(&self, l: usize, acc: &mut [u64], scratch: &mut [u64]) -> u64 {
-        self.oracle.strict_successor_row_into(l, scratch);
-        for (a, &w) in acc.iter_mut().zip(scratch.iter()) {
+        let row = self.phase_row(l, scratch).row;
+        for (a, &w) in acc.iter_mut().zip(row) {
             *a |= w;
         }
         self.oracle.words() as u64
@@ -139,13 +154,17 @@ impl BipartiteAdjacency for OracleGraph<'_> {
         r != l && self.oracle.dominates(r, l) && (!self.oracle.equal_points(r, l) || r > l)
     }
 
-    fn for_each_neighbour<F: FnMut(usize)>(&self, l: usize, mut f: F) {
+    fn for_each_neighbour<F: FnMut(usize)>(&self, l: usize, f: F) {
         // König's alternating reachability visits each left at most once
-        // per call site, so a per-call row buffer is fine here.
-        let mut row = vec![0u64; self.oracle.words()];
-        self.oracle.strict_successor_row_into(l, &mut row);
-        for r in mc_geom::iter_ones(&row) {
-            f(r);
+        // per call site: read a cached row, else compute one without
+        // caching it.
+        match self.cached_row(l) {
+            Some(row) => mc_geom::iter_ones(row).for_each(f),
+            None => {
+                let mut row = vec![0u64; self.oracle.words()];
+                self.oracle.strict_successor_row_into(l, &mut row);
+                mc_geom::iter_ones(&row).for_each(f);
+            }
         }
     }
 }
@@ -180,12 +199,30 @@ mod tests {
             let bits = BitsetGraph::from_index(&index);
             let og = OracleGraph::new(&oracle);
             assert_eq!(og.count_edges(), bits.count_edges(), "dim {dim} n {n}");
+            // Visit every row twice through the phases: the first visit
+            // fills the cache, the second and König's neighbour walks
+            // read the cached rows.
+            let cached = OracleGraph::with_row_cache(&oracle);
+            let mut scratch = vec![0u64; RowSource::words(&cached)];
+            for _ in 0..2 {
+                for l in 0..n {
+                    let row = cached.phase_row(l, &mut scratch).row.to_vec();
+                    let (want, pw, pmask) = bits.row_parts(l);
+                    let mut want = want.to_vec();
+                    want[pw] &= pmask;
+                    assert_eq!(row, want, "dim {dim} n {n} l {l}");
+                }
+            }
+            assert_eq!(cached.rows_cached(), n);
             for l in 0..n {
                 let mut a = Vec::new();
                 let mut b = Vec::new();
+                let mut c = Vec::new();
                 bits.for_each_neighbour(l, |r| a.push(r));
                 og.for_each_neighbour(l, |r| b.push(r));
+                cached.for_each_neighbour(l, |r| c.push(r));
                 assert_eq!(a, b, "dim {dim} n {n} l {l}");
+                assert_eq!(a, c, "cached, dim {dim} n {n} l {l}");
                 for r in 0..n {
                     assert_eq!(
                         BipartiteAdjacency::has_edge(&og, l, r),

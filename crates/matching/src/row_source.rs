@@ -8,7 +8,8 @@
 //! * [`BitsetGraph`] stores (mostly borrows) every
 //!   row up front — O(n²/64) words resident;
 //! * [`OracleGraph`](crate::OracleGraph) computes each row on demand
-//!   from `mc_geom::RankOracle` rank columns — O(d·n) words resident.
+//!   from a `mc_geom::RankOracle`, optionally keeping the rows the
+//!   Hopcroft–Karp phases ask for.
 //!
 //! [`RowSource`] is the seam between them. The engine always offers a
 //! scratch buffer when it asks for a row; materialized sources ignore
@@ -16,7 +17,10 @@
 //! `BitsetGraph` representation uses), on-demand sources fill it and
 //! report `cached = true` so the engine can reuse the buffer without
 //! recomputing while the same left vertex stays resident at that DFS
-//! depth.
+//! depth. The engine asks through [`RowSource::resolve_row`] in its
+//! one-pass sweeps (degree pass, greedy seed) and through
+//! [`RowSource::phase_row`] / [`RowSource::or_row_into`] in the BFS/DFS
+//! phases, which revisit rows.
 
 use crate::bitset::BitsetGraph;
 
@@ -49,15 +53,23 @@ pub trait RowSource: Sync {
     /// Words per row: `ceil(num_right / 64)`.
     fn words(&self) -> usize;
 
-    /// Resolves left vertex `l`'s row for scanning. `scratch` has
-    /// exactly [`words`](Self::words) words; sources that compute rows
-    /// on demand fill it and return it (`cached = true`), materialized
-    /// sources return their own storage untouched.
+    /// Resolves left vertex `l`'s row for a sweep that reads each row
+    /// once. `scratch` has exactly [`words`](Self::words) words; sources
+    /// that compute rows on demand fill it and return it
+    /// (`cached = true`), materialized sources return their own storage
+    /// untouched.
     fn resolve_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s>;
 
-    /// ORs left vertex `l`'s row into `acc`, using `scratch` as working
-    /// space if the row must be computed first. Returns the number of
-    /// words charged to the scan statistics.
+    /// Resolves left vertex `l`'s row for a Hopcroft–Karp phase. Same
+    /// contract as [`resolve_row`](Self::resolve_row), but a source with
+    /// a row cache may serve the row from it (or fill it) instead.
+    fn phase_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s> {
+        self.resolve_row(l, scratch)
+    }
+
+    /// ORs left vertex `l`'s row into `acc` for a BFS layer, using
+    /// `scratch` as working space if the row must be computed first.
+    /// Returns the number of words charged to the scan statistics.
     fn or_row_into(&self, l: usize, acc: &mut [u64], scratch: &mut [u64]) -> u64;
 }
 

@@ -958,12 +958,14 @@ fn active_decomposes_matrix_free_with_rows_cached_or_on_demand() {
     };
     let (cached_out, jsonl, cached) = run("active-rows.jsonl", None);
     assert!(cached_out.contains("d = 3"), "{cached_out}");
-    // The Lemma-6 rows come from the rank oracle, and no dominance
-    // matrix is filled on the way.
+    // The Lemma-6 rows come from the rank oracle as the phases ask for
+    // them: no up-front row pass, and no dominance matrix is filled on
+    // the way.
     assert!(
-        jsonl.contains(r#""path":"active/chain_decomposition/path_cover/rows""#),
+        jsonl.contains(r#""path":"active/chain_decomposition/path_cover""#),
         "{jsonl}"
     );
+    assert!(!jsonl.contains("path_cover/rows"), "{jsonl}");
     assert!(!jsonl.contains("progress.index_build"), "{jsonl}");
     assert!(cached > 0.0);
 
