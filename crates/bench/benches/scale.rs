@@ -257,11 +257,24 @@ fn stages_json(snap: &mc_obs::Snapshot, solve_ms: f64) -> String {
     format!("{{ {} }}", fields.join(", "))
 }
 
+/// The load's stages as the `mc-obs` span tree times them, in ms: the
+/// MCC1 reads, the rank compression, and `other` for the rest of
+/// `load_ms` (opening the file). `tools/validate_bench.py` checks that
+/// they sum to `load_ms`.
+fn load_stages_json(snap: &mc_obs::Snapshot, load_ms: f64) -> String {
+    let ms = |path: &str| snap.span(path).map_or(0.0, |s| s.total_ns as f64 / 1e6);
+    let (read, rank) = (ms("columnar_load/read"), ms("columnar_load/rank"));
+    format!(
+        "{{ \"read\": {read:.1}, \"rank\": {rank:.1}, \"other\": {:.1} }}",
+        load_ms - read - rank
+    )
+}
+
 /// One streamed solve at `n`: generate → load (rank table + labels +
-/// weights) → solve, timing each leg, splitting the solve into stages
-/// off the span tree, and recording the process peak RSS after the
-/// solve (sizes run ascending, so each entry's RSS is set by its own
-/// run, not a later one).
+/// weights) → solve, timing each leg, splitting the load and the solve
+/// into stages off the span tree, and recording the process peak RSS
+/// after the solve (sizes run ascending, so each entry's RSS is set by
+/// its own run, not a later one).
 fn size_entry(n: usize) -> String {
     let config = ScaleConfig::new(n, 4, 0x5CA1E);
     let path = temp_path(&format!("n{n}"));
@@ -269,6 +282,9 @@ fn size_entry(n: usize) -> String {
     write_scale_dataset(&path, &config).expect("write scale dataset");
     let generate = gen_start.elapsed();
 
+    let prev_level = mc_obs::level();
+    mc_obs::set_level(mc_obs::Level::Info);
+    mc_obs::reset();
     let load_start = Instant::now();
     let mut ds = ColumnarDataset::open(&path).expect("open scale dataset");
     let table = ds.rank_table().expect("rank table");
@@ -276,11 +292,10 @@ fn size_entry(n: usize) -> String {
     let weights = ds.read_weights().expect("weights");
     drop(ds);
     let load = load_start.elapsed();
+    let load_stages = load_stages_json(&mc_obs::snapshot(), load.as_secs_f64() * 1e3);
     std::fs::remove_file(&path).ok();
 
     let ones = labels.iter().filter(|l| l.is_one()).count();
-    let prev_level = mc_obs::level();
-    mc_obs::set_level(mc_obs::Level::Info);
     mc_obs::reset();
     let solve_start = Instant::now();
     let sol = solve_passive_scale(&table, &labels, &weights);
@@ -288,7 +303,7 @@ fn size_entry(n: usize) -> String {
     let stages = stages_json(&mc_obs::snapshot(), solve.as_secs_f64() * 1e3);
     mc_obs::set_level(prev_level);
     println!(
-        "scale/solve: n = {n} | ones {ones} | gen {generate:?}, load {load:?}, \
+        "scale/solve: n = {n} | ones {ones} | gen {generate:?}, load {load:?} {load_stages}, \
          solve {solve:?} {stages} | err {}, contending {}, width {}, edges {}, rss {} MiB",
         sol.weighted_error,
         sol.contending_zeros + sol.contending_ones,
@@ -306,6 +321,7 @@ fn size_entry(n: usize) -> String {
       "weighted_error": {},
       "generate_ms": {:.1},
       "load_ms": {:.1},
+      "load_stages_ms": {load_stages},
       "solve_ms": {:.1},
       "stages_ms": {stages},
       "peak_rss_bytes": {}

@@ -50,13 +50,15 @@
 //!
 //! Both entry points share one zero sweep. It fans out over
 //! `parallel_chunks`, and a [`HeadQuery`] over the `w` chain heads finds
-//! the chains a zero hits before any binary search runs: `d` searches
-//! over the heads sorted per dimension count `c_k`, the heads at or
-//! below the zero on dimension `k`, and one bitset over the smallest
-//! such prefix is narrowed on the other dimensions. That is
-//! `O(d log w + d·c_min/64)` word operations per zero instead of `w`
-//! head tests, and it is what carries the `n = 10⁷` scale solves of
-//! [`super::scale`], where almost every zero dominates no head.
+//! the chains a zero hits before any binary search runs: `d` bucket
+//! lookups count `c_k`, the heads at or below the zero on dimension `k`;
+//! `d²` prefix minima reject a zero that no head lies below on some
+//! pair of dimensions; and for the rest one bitset over the smallest
+//! prefix is narrowed on the other dimensions. That is `O(d²)` work for
+//! most zeros and `O(d·c_min/64)` word operations for the few that
+//! reach the narrowing, instead of `w` head tests, and it is what
+//! carries the `n = 10⁷` scale solves of [`super::scale`], where almost
+//! every zero dominates no head.
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::sparse::ClassifierNetwork;
@@ -67,20 +69,27 @@ use mc_geom::{parallel_chunks, DominanceIndex, Label, RankOracle, RankTable, Wei
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
 
 /// The chain heads a point dominates, answered from per-dimension sorted
-/// head ranks plus one bitset narrowing.
+/// head ranks, a prefix-min reject and one bitset narrowing.
 ///
 /// For each dimension `k` the heads are kept sorted by their rank on
 /// `k`. A point `p` with rank `r_k` on `k` dominates, on that dimension,
-/// exactly the first `c_k` heads of the `k` order, where `c_k` is one
-/// binary search. If some `c_k` is 0, `p` dominates no head. Otherwise
-/// the query starts from the all-ones bitset over the shortest prefix
-/// and narrows it with [`and_ge_mask`] on every other dimension that
-/// some head fails (`c_j < w`). The narrowing compares reversed ranks
-/// (`u32::MAX − rank`), stored per dimension in each `k` order, so
+/// exactly the first `c_k` heads of the `k` order. If `r_k` is below the
+/// lowest head on some `k`, `p` dominates no head. Otherwise a bucket
+/// table finds each `c_k` in `O(1)` expected: `4w` buckets of `2^s`
+/// ranks each, where `base[b]` counts the heads with rank `< b·2^s`, so
+/// `c_k` is `base[b]` plus a search inside bucket `b` of `r_k + 1`.
+/// Next, `pmin[k][j][i]`, the least rank on `j` among the first `i + 1`
+/// heads of the `k` order, rejects `p` when `pmin[k][j][c_k − 1] > r_j`
+/// for some `k ≠ j`: no head is at or below `p` on both `k` and `j`. Each
+/// count is tested against those before it as soon as it is known.
+/// Otherwise the query starts from the all-ones bitset over the shortest
+/// prefix and narrows it with [`and_ge_mask`] on every other dimension
+/// that some head fails (`c_j < w`). The narrowing compares reversed
+/// ranks (`u32::MAX − rank`), stored per dimension in each `k` order, so
 /// `rank_j(head) ≤ r_j` becomes the kernel's `≥ u32::MAX − r_j`.
 ///
-/// Layout: `d·w` chain indices and sorted ranks, plus `d²·w` reversed
-/// ranks, all `u32`.
+/// Layout: `d·w` chain indices and sorted ranks, `d·(4w + 1)` bucket
+/// bases, and `d²·w` reversed ranks and `d²·w` prefix minima, all `u32`.
 struct HeadQuery {
     dim: usize,
     width: usize,
@@ -88,9 +97,31 @@ struct HeadQuery {
     order: Vec<u32>,
     /// `sorted[k·w + i]`: that head's rank on `k` (ascending in `i`).
     sorted: Vec<u32>,
+    /// `shift[k]`: the bucket width on `k` is `2^shift[k]` ranks.
+    shift: Vec<u32>,
+    /// `base[k·(4w + 1) + b]`: how many heads rank `< b·2^shift[k]` on
+    /// `k`. The buckets cover every head rank, so the trailing entries
+    /// are `w`.
+    base: Vec<u32>,
     /// `reversed[(k·d + j)·w + i]`: `u32::MAX − rank_j` of the `i`-th
     /// head in `k` order.
     reversed: Vec<u32>,
+    /// `pmin[(k·w + i)·d + j]`: the least `rank_j` among the first
+    /// `i + 1` heads in `k` order. The `d` minima of one prefix share a
+    /// cache line, so a reject test costs one miss per dimension.
+    pmin: Vec<u32>,
+}
+
+/// How far a point's head query got.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HeadHits {
+    /// Some dimension has no head at or below the point.
+    Below,
+    /// Every dimension has one, but the prefix minima show that no head
+    /// is at or below the point on some pair of dimensions.
+    Rejected,
+    /// The bitset narrowing ran; its hits (maybe none) are in `out`.
+    Narrowed,
 }
 
 /// Per-worker scratch for [`HeadQuery::dominated_heads`].
@@ -100,20 +131,47 @@ struct HeadScratch {
     row: Vec<u64>,
 }
 
+/// Buckets per head in a [`HeadQuery`] bucket table.
+const BUCKETS_PER_HEAD: u64 = 4;
+
 impl HeadQuery {
     /// Indexes the heads `heads[c]` (point ids into `cols`) of chains
-    /// `c = 0..w`.
+    /// `c = 0..w`, `w ≥ 1`.
     fn new(cols: &[&[u32]], heads: &[usize]) -> Self {
         let dim = cols.len();
         let width = heads.len();
         let mut order = Vec::with_capacity(dim * width);
         let mut sorted = Vec::with_capacity(dim * width);
+        let mut shift = Vec::with_capacity(dim);
+        let buckets = BUCKETS_PER_HEAD * width as u64;
+        let mut base = Vec::with_capacity(dim * (buckets as usize + 1));
         let mut reversed = Vec::with_capacity(dim * dim * width);
+        let mut pmin = Vec::with_capacity(dim * dim * width);
         let mut by_rank: Vec<u32> = (0..width as u32).collect();
         for col in cols {
             by_rank.sort_by_key(|&c| col[heads[c as usize]]);
             order.extend_from_slice(&by_rank);
-            sorted.extend(by_rank.iter().map(|&c| col[heads[c as usize]]));
+            let ranks: Vec<u32> = by_rank.iter().map(|&c| col[heads[c as usize]]).collect();
+            // The narrowest buckets of `2^s` ranks of which `4w` cover
+            // ranks 0..=max.
+            let max = u64::from(ranks[width - 1]);
+            let s = (0..32).find(|&s| max >> s < buckets).unwrap_or(32);
+            let mut i = 0;
+            for b in 0..=buckets {
+                while i < width && u64::from(ranks[i]) < b << s {
+                    i += 1;
+                }
+                base.push(i as u32);
+            }
+            shift.push(s);
+            sorted.extend_from_slice(&ranks);
+            let mut least = vec![u32::MAX; dim];
+            for &c in &by_rank {
+                for (m, other) in least.iter_mut().zip(cols) {
+                    *m = (*m).min(other[heads[c as usize]]);
+                }
+                pmin.extend_from_slice(&least);
+            }
             for other in cols {
                 reversed.extend(by_rank.iter().map(|&c| u32::MAX - other[heads[c as usize]]));
             }
@@ -123,33 +181,71 @@ impl HeadQuery {
             width,
             order,
             sorted,
+            shift,
+            base,
             reversed,
+            pmin,
         }
     }
 
+    /// `c_k`: how many heads rank at or below `r` on dimension `k`.
+    fn count_at_or_below(&self, k: usize, r: u32) -> usize {
+        let w = self.width;
+        let sorted = &self.sorted[k * w..(k + 1) * w];
+        if r >= sorted[w - 1] {
+            return w;
+        }
+        // The heads ranked below `t = r + 1`; `t ≤` the largest head
+        // rank, so its bucket and the next base exist.
+        let t = r + 1;
+        let stride = BUCKETS_PER_HEAD as usize * w + 1;
+        let base = &self.base[k * stride..(k + 1) * stride];
+        let b = (t >> self.shift[k]) as usize;
+        let (lo, hi) = (base[b] as usize, base[b + 1] as usize);
+        lo + sorted[lo..hi].partition_point(|&x| x < t)
+    }
+
+    /// Whether no head among the `ck ≥ 1` at or below `p` on dimension
+    /// `k` is at or below `r`, `p`'s rank, on dimension `j`. A full
+    /// prefix never excludes: with `c_j ≥ 1` some head is at or below
+    /// `p` on `j`.
+    fn excludes(&self, k: usize, ck: usize, j: usize, r: u32) -> bool {
+        let (w, d) = (self.width, self.dim);
+        ck < w && self.pmin[(k * w + ck - 1) * d + j] > r
+    }
+
     /// Appends to `out`, in ascending chain order, every chain whose head
-    /// point `p` dominates. Returns `false` without touching `out` when
-    /// some dimension has no head at or below `p` — the zero never
-    /// reached the bitset narrowing.
+    /// point `p` dominates, and says how far the query got: `out` is
+    /// touched only when the bitset narrowing ran.
     fn dominated_heads(
         &self,
         cols: &[&[u32]],
         p: usize,
         scratch: &mut HeadScratch,
         out: &mut Vec<u32>,
-    ) -> bool {
-        let w = self.width;
+    ) -> HeadHits {
+        let (w, d) = (self.width, self.dim);
+        // Most zeros lie below the lowest head on some dimension: one
+        // compare per dimension, before any bucket lookup.
+        if cols
+            .iter()
+            .enumerate()
+            .any(|(k, col)| col[p] < self.sorted[k * w])
+        {
+            return HeadHits::Below;
+        }
         scratch.counts.clear();
         let mut best = 0;
         for (k, col) in cols.iter().enumerate() {
-            let r = col[p];
-            let c = self.sorted[k * w..(k + 1) * w].partition_point(|&x| x <= r);
-            if c == 0 {
-                return false;
+            let ck = self.count_at_or_below(k, col[p]);
+            for (j, &cj) in scratch.counts.iter().enumerate() {
+                if self.excludes(k, ck, j, cols[j][p]) || self.excludes(j, cj, k, col[p]) {
+                    return HeadHits::Rejected;
+                }
             }
-            scratch.counts.push(c);
+            scratch.counts.push(ck);
             // Strict `<`: the lowest dimension wins ties.
-            if c < scratch.counts[best] {
+            if ck < scratch.counts[best] {
                 best = k;
             }
         }
@@ -162,9 +258,9 @@ impl HeadQuery {
             if j == best || c == w {
                 continue;
             }
-            let base = (best * self.dim + j) * w;
+            let base = (best * d + j) * w;
             if !and_ge_mask(&self.reversed[base..base + len], u32::MAX - col[p], row) {
-                return true;
+                return HeadHits::Narrowed;
             }
         }
         let start = out.len();
@@ -177,7 +273,7 @@ impl HeadQuery {
             }
         }
         out[start..].sort_unstable();
-        true
+        HeadHits::Narrowed
     }
 }
 
@@ -208,13 +304,15 @@ fn sweep_zeros(
     let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
     let query = HeadQuery::new(cols, &heads);
     let width = chains.len();
-    /// Per-chunk sweep output: the chunk's [`Sweep`] and how many of
-    /// its zeros reached the bitset narrowing.
-    type SweepChunk = (Vec<(usize, Vec<(u32, u32)>)>, Vec<usize>, u64);
+    /// Per-chunk sweep output: the chunk's [`Sweep`], how many of its
+    /// zeros had a head at or below them on every dimension, and how
+    /// many of those reached the bitset narrowing.
+    type SweepChunk = (Vec<(usize, Vec<(u32, u32)>)>, Vec<usize>, u64, u64);
     let chunks: Vec<SweepChunk> = parallel_chunks(zeros.len(), |range| {
         let mut hits_out: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
         let mut local_max = vec![0usize; width];
         let mut candidates = 0u64;
+        let mut narrowed = 0u64;
         let mut scratch = HeadScratch::default();
         let mut hit_chains = Vec::new();
         // Every worker passes the same global total (one unit per zero),
@@ -226,10 +324,14 @@ fn sweep_zeros(
             }
             let p = zeros[zi];
             hit_chains.clear();
-            if !query.dominated_heads(cols, p, &mut scratch, &mut hit_chains) {
-                continue;
+            match query.dominated_heads(cols, p, &mut scratch, &mut hit_chains) {
+                HeadHits::Below => continue,
+                HeadHits::Rejected => candidates += 1,
+                HeadHits::Narrowed => {
+                    candidates += 1;
+                    narrowed += 1;
+                }
             }
-            candidates += 1;
             if hit_chains.is_empty() {
                 continue;
             }
@@ -246,22 +348,24 @@ fn sweep_zeros(
                 .collect();
             hits_out.push((zi, hits));
         }
-        (hits_out, local_max, candidates)
+        (hits_out, local_max, candidates, narrowed)
     });
     token.poll()?;
     let mut sweep = Sweep {
         hits: Vec::new(),
         max_cnt: vec![0usize; width],
     };
-    let mut candidates = 0u64;
-    for (chunk_hits, local_max, chunk_candidates) in chunks {
+    let (mut candidates, mut narrowed) = (0u64, 0u64);
+    for (chunk_hits, local_max, chunk_candidates, chunk_narrowed) in chunks {
         sweep.hits.extend(chunk_hits);
         for (m, l) in sweep.max_cnt.iter_mut().zip(local_max) {
             *m = (*m).max(l);
         }
         candidates += chunk_candidates;
+        narrowed += chunk_narrowed;
     }
     mc_obs::counter_add("passive.sweep_candidates", candidates);
+    mc_obs::counter_add("passive.sweep_narrowed", narrowed);
     Ok(sweep)
 }
 
@@ -646,27 +750,57 @@ mod tests {
             .collect()
     }
 
+    /// What a head query over `heads` must answer for `p`, by brute
+    /// force: the dominated heads, and how far the query gets.
+    fn naive_head_scan(cols: &[&[u32]], heads: &[usize], p: usize) -> (Vec<u32>, HeadHits) {
+        let at_or_below = |k: usize, h: usize| cols[k][h] <= cols[k][p];
+        let dim = cols.len();
+        let hits = (0..heads.len() as u32)
+            .filter(|&c| (0..dim).all(|k| at_or_below(k, heads[c as usize])))
+            .collect();
+        let outcome = if (0..dim).any(|k| !heads.iter().any(|&h| at_or_below(k, h))) {
+            HeadHits::Below
+        } else if (0..dim).any(|k| {
+            (0..dim).any(|j| {
+                j != k
+                    && !heads
+                        .iter()
+                        .any(|&h| at_or_below(k, h) && at_or_below(j, h))
+            })
+        }) {
+            HeadHits::Rejected
+        } else {
+            HeadHits::Narrowed
+        };
+        (hits, outcome)
+    }
+
     #[test]
     fn head_query_matches_naive_head_scan() {
         let mut rng = StdRng::seed_from_u64(0x4EAD);
+        let mut seen = [0usize; 3];
         for dim in 1..=6usize {
-            for w in [1usize, 63, 64, 65, 255, 256, 257, 1200] {
-                // Spread 1 makes every head rank equal; 4 makes most
-                // heads duplicates of one another.
-                for spread in [1u32, 4, 64] {
+            for w in [1usize, 2, 63, 64, 65, 255, 256, 257, 1200] {
+                // Spread 1 makes every head rank equal, 4 makes most
+                // heads duplicates of one another, and 64 spreads them
+                // over many buckets. Offset 2^20 packs every head into
+                // one bucket, far above rank 0.
+                for (spread, offset) in [(1u32, 0u32), (4, 0), (64, 0), (4, 1 << 20), (64, 1 << 20)]
+                {
                     // Points 0..w are the heads, the next 200 are
-                    // queries. Head ranks start at 1, so a query with
-                    // rank 0 anywhere lies below every head there.
+                    // queries. Head ranks start at offset + 1, so a
+                    // query at offset or below lies below every head.
                     let n = w + 200;
                     let mut cols_owned: Vec<Vec<u32>> = (0..dim)
                         .map(|_| {
                             (0..n)
                                 .map(|i| {
-                                    if i < w {
-                                        rng.gen_range(1..=spread)
-                                    } else {
-                                        rng.gen_range(0..=spread + 1)
-                                    }
+                                    offset
+                                        + if i < w {
+                                            rng.gen_range(1..=spread)
+                                        } else {
+                                            rng.gen_range(0..=spread + 1)
+                                        }
                                 })
                                 .collect()
                         })
@@ -675,6 +809,8 @@ mod tests {
                         col[w - 1] = col[0]; // a duplicate head
                         col[w] = col[0]; // a query equal to a head
                         col[w + 1] = 0; // a query below every head
+                        col[w + 2] = offset + spread + 1; // above every head
+                        col[w + 3] = u32::MAX - 1;
                     }
                     let cols: Vec<&[u32]> = cols_owned.iter().map(Vec::as_slice).collect();
                     let heads: Vec<usize> = (0..w).collect();
@@ -683,19 +819,17 @@ mod tests {
                     let mut got = Vec::new();
                     for p in (0..w.min(100)).chain(w..n) {
                         got.clear();
-                        let candidate = query.dominated_heads(&cols, p, &mut scratch, &mut got);
-                        let naive: Vec<u32> = (0..w as u32)
-                            .filter(|&c| cols.iter().all(|col| col[p] >= col[heads[c as usize]]))
-                            .collect();
-                        let reaches_every_floor = cols
-                            .iter()
-                            .all(|col| heads.iter().any(|&h| col[h] <= col[p]));
-                        assert_eq!(got, naive, "dim {dim} w {w} spread {spread} p {p}");
-                        assert_eq!(candidate, reaches_every_floor, "dim {dim} w {w} p {p}");
+                        let outcome = query.dominated_heads(&cols, p, &mut scratch, &mut got);
+                        let (naive, expected) = naive_head_scan(&cols, &heads, p);
+                        let what = format!("dim {dim} w {w} spread {spread} offset {offset} p {p}");
+                        assert_eq!(outcome, expected, "{what}");
+                        assert_eq!(got, naive, "{what}");
+                        seen[outcome as usize] += 1;
                     }
                 }
             }
         }
+        assert!(seen.iter().all(|&count| count > 100), "outcomes {seen:?}");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! CSV keeps every coordinate resident twice (text + parsed rows), which
 //! is exactly the wall the streaming solve of `mc_core::passive::scale`
 //! exists to avoid. This module defines a minimal binary format, `MCC1`,
-//! laid out **column-major** so a reader can feed
-//! [`mc_geom::compress_column_ranks`] one dimension at a time and never
-//! hold more than a single `f64` column plus the accumulated `u32` rank
-//! table:
+//! laid out **column-major** so a reader can feed the rank kernel
+//! ([`mc_geom::rank_records_into`]) one dimension at a time and never
+//! hold more than one column's sort records plus the `u32` rank table:
 //!
 //! ```text
 //! magic   4 bytes  b"MCC1"
@@ -25,7 +24,7 @@
 //! the banded minority-positive scale workload from a counter-based
 //! generator, `O(1)` resident no matter the `n`.
 
-use mc_geom::{compress_column_ranks, Label, RankTable, WeightedSet};
+use mc_geom::{rank_record, rank_records_into, Label, RankTable, WeightedSet};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -196,17 +195,34 @@ impl ColumnarDataset {
     /// Reads feature column `k` into `out` (cleared first). Rejects
     /// non-finite coordinates — rank compression has no order for NaN.
     pub fn read_column_into(&mut self, k: usize, out: &mut Vec<f64>) -> Result<(), ColumnarError> {
-        assert!(k < self.dim, "dimension {k} out of range ({})", self.dim);
-        self.seek_to(HEADER_BYTES + (k as u64) * (self.n as u64) * 8)?;
-        read_f64s(&mut self.file, self.n, out)?;
-        if let Some(index) = out.iter().position(|v| !v.is_finite()) {
-            return Err(ColumnarError::NonFinite { dim: k, index });
-        }
-        Ok(())
+        out.clear();
+        out.reserve(self.n);
+        self.read_column_with(k, |_, v| out.push(v))
     }
 
-    /// Reads and validates the label column.
+    /// Streams the values of feature column `k` into `sink` as
+    /// `(index, value)`, failing on the first non-finite one.
+    fn read_column_with(
+        &mut self,
+        k: usize,
+        mut sink: impl FnMut(usize, f64),
+    ) -> Result<(), ColumnarError> {
+        assert!(k < self.dim, "dimension {k} out of range ({})", self.dim);
+        self.seek_to(HEADER_BYTES + (k as u64) * (self.n as u64) * 8)?;
+        read_f64s(&mut self.file, self.n, |index, v| {
+            if !v.is_finite() {
+                return Err(ColumnarError::NonFinite { dim: k, index });
+            }
+            sink(index, v);
+            Ok(())
+        })
+    }
+
+    /// Reads and validates the label column (a `columnar_load/read`
+    /// span).
     pub fn read_labels(&mut self) -> Result<Vec<Label>, ColumnarError> {
+        let _span = mc_obs::span("columnar_load");
+        let _read = mc_obs::span("read");
         self.seek_to(HEADER_BYTES + (self.dim as u64) * (self.n as u64) * 8)?;
         let mut bytes = vec![0u8; self.n];
         self.file.read_exact(&mut bytes)?;
@@ -221,11 +237,17 @@ impl ColumnarDataset {
         Ok(labels)
     }
 
-    /// Reads and validates the weight column.
+    /// Reads and validates the weight column (a `columnar_load/read`
+    /// span).
     pub fn read_weights(&mut self) -> Result<Vec<f64>, ColumnarError> {
+        let _span = mc_obs::span("columnar_load");
+        let _read = mc_obs::span("read");
         self.seek_to(HEADER_BYTES + (self.dim as u64) * (self.n as u64) * 8 + self.n as u64)?;
-        let mut weights = Vec::new();
-        read_f64s(&mut self.file, self.n, &mut weights)?;
+        let mut weights = Vec::with_capacity(self.n);
+        read_f64s(&mut self.file, self.n, |_, v| {
+            weights.push(v);
+            Ok(())
+        })?;
         for (index, &value) in weights.iter().enumerate() {
             if !(value.is_finite() && value > 0.0) {
                 return Err(ColumnarError::BadWeight { index, value });
@@ -235,28 +257,35 @@ impl ColumnarDataset {
     }
 
     /// Builds the `O(d·n)` [`RankTable`] by streaming one column at a
-    /// time through [`compress_column_ranks`]. Peak residency beyond the
-    /// returned table is a single `n × f64` column buffer — the format's
-    /// whole reason to exist. The coordinates are gone when this
-    /// returns; dominance queries live on as rank comparisons.
+    /// time into the rank kernel: each value is decoded straight into its
+    /// [`rank_record`], and [`rank_records_into`] writes the column's
+    /// ranks into the table. Peak residency beyond the returned table is
+    /// the kernel's `16·n`-byte record buffer, reused across columns. The
+    /// coordinates are gone when this returns; dominance queries live on
+    /// as rank comparisons. The reads and the ranking run under the
+    /// `columnar_load/read` and `columnar_load/rank` spans.
     pub fn rank_table(&mut self) -> Result<RankTable, ColumnarError> {
-        let mut ranks: Vec<u32> = Vec::with_capacity(self.dim * self.n);
-        let mut column: Vec<f64> = Vec::new();
+        let _span = mc_obs::span("columnar_load");
+        let n = self.n;
+        let mut ranks = vec![0u32; self.dim * n];
+        let mut records: Vec<u128> = Vec::with_capacity(n);
         // Progress only — loading is not cancellable, so the checkpoint
         // rides a never-token and just publishes one unit per value
         // streamed into `progress.columnar_load.*`.
         let token = mc_obs::CancelToken::never();
-        let mut cp = mc_obs::Checkpoint::with_progress(
-            &token,
-            "columnar_load",
-            self.dim as u64 * self.n as u64,
-        );
-        for k in 0..self.dim {
-            self.read_column_into(k, &mut column)?;
-            ranks.extend(compress_column_ranks(&column));
-            let _ = cp.tick(self.n as u64);
+        let mut cp =
+            mc_obs::Checkpoint::with_progress(&token, "columnar_load", self.dim as u64 * n as u64);
+        for (k, out) in ranks.chunks_exact_mut(n.max(1)).enumerate() {
+            records.clear();
+            {
+                let _read = mc_obs::span("read");
+                self.read_column_with(k, |i, v| records.push(rank_record(i, v)))?;
+            }
+            let _rank = mc_obs::span("rank");
+            rank_records_into(&mut records, out);
+            let _ = cp.tick(n as u64);
         }
-        Ok(RankTable::from_rank_columns(self.n, self.dim, ranks))
+        Ok(RankTable::from_rank_columns(n, self.dim, ranks))
     }
 
     /// Loads the whole file into a row-major [`WeightedSet`] — the
@@ -284,22 +313,29 @@ impl ColumnarDataset {
     }
 }
 
-fn read_f64s(r: &mut impl Read, n: usize, out: &mut Vec<f64>) -> Result<(), ColumnarError> {
-    out.clear();
-    out.reserve(n);
+/// Decodes `n` little-endian `f64`s from `r` into `sink` as
+/// `(index, value)`, stopping at the first error either returns.
+fn read_f64s(
+    r: &mut impl Read,
+    n: usize,
+    mut sink: impl FnMut(usize, f64) -> Result<(), ColumnarError>,
+) -> Result<(), ColumnarError> {
     // Chunked converts keep the byte staging buffer bounded regardless
-    // of n (the f64 output is the caller's to budget).
+    // of n (the decoded values are the sink's to budget).
     const CHUNK: usize = 1 << 16;
     let mut bytes = vec![0u8; CHUNK * 8];
-    let mut remaining = n;
-    while remaining > 0 {
-        let take = remaining.min(CHUNK);
+    let mut done = 0;
+    while done < n {
+        let take = (n - done).min(CHUNK);
         let buf = &mut bytes[..take * 8];
         r.read_exact(buf)?;
         for chunk in buf.chunks_exact(8) {
-            out.push(f64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+            sink(
+                done,
+                f64::from_le_bytes(chunk.try_into().expect("8-byte chunk")),
+            )?;
+            done += 1;
         }
-        remaining -= take;
     }
     Ok(())
 }

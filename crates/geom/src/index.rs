@@ -50,18 +50,8 @@ use crate::dominance::Dominance;
 use crate::error::GeomError;
 use crate::kernel;
 use crate::parallel::parallel_chunks_mut;
+use crate::rank::try_compress_ranks;
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
-
-/// Identifies `-0.0` with `0.0` so that rank order matches the IEEE
-/// `>=` used by the naive [`crate::dominance::dominates`].
-#[inline]
-fn canon(v: f64) -> f64 {
-    if v == 0.0 {
-        0.0
-    } else {
-        v
-    }
-}
 
 #[inline]
 fn set_bit(words: &mut [u64], i: usize) {
@@ -510,9 +500,10 @@ impl RankTable {
     /// Assembles a table from prepared column-major rank columns
     /// (`ranks[k * n + i]`), the streaming entry point: callers that
     /// cannot hold all coordinates resident (e.g. a columnar file at
-    /// `n = 10⁷`) compress one dimension at a time with
-    /// [`compress_column_ranks`] and hand the concatenated columns here,
-    /// so peak residency stays one `f64` column plus the `u32` ranks.
+    /// `n = 10⁷`) rank one dimension at a time with
+    /// [`crate::rank::rank_records_into`] straight into the column slices
+    /// and hand the columns here, so peak residency stays one column's
+    /// sort records plus the `u32` ranks.
     ///
     /// # Panics
     ///
@@ -521,99 +512,6 @@ impl RankTable {
         assert_eq!(ranks.len(), dim * n, "rank column layout mismatch");
         Self { n, dim, ranks }
     }
-}
-
-/// Dense rank compression of a single coordinate column — the
-/// per-dimension kernel of [`RankTable::build`], exposed for streaming
-/// builders that load one column at a time. Identical semantics:
-/// `-0.0` and `0.0` share a rank, `±∞` sentinels order naturally,
-/// `NaN` is unsupported.
-pub fn compress_column_ranks(values: &[f64]) -> Vec<u32> {
-    let n = values.len();
-    let mut out = vec![0u32; n];
-    if n == 0 {
-        return out;
-    }
-    debug_assert!(
-        values.iter().all(|v| !v.is_nan()),
-        "NaN coordinates are unsupported by rank compression"
-    );
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order
-        .sort_unstable_by(|&a, &b| canon(values[a as usize]).total_cmp(&canon(values[b as usize])));
-    let mut rank = 0u32;
-    for pos in 0..n {
-        if pos > 0 {
-            let prev = canon(values[order[pos - 1] as usize]);
-            let cur = canon(values[order[pos] as usize]);
-            if prev.total_cmp(&cur) != std::cmp::Ordering::Equal {
-                rank += 1;
-            }
-        }
-        out[order[pos] as usize] = rank;
-    }
-    out
-}
-
-/// Like [`compress_column_ranks`], but also returns the sorted distinct
-/// canonical values backing the ranks: `values[r]` is the coordinate
-/// every rank-`r` entry shares (`-0.0` stored as `0.0`). The pair lets a
-/// consumer translate an arbitrary query coordinate `q` into the rank
-/// domain with one binary search: `values.partition_point(|v| *v <= q)`
-/// counts the ranks at or below `q` under the same IEEE `<=` the naive
-/// dominance scan uses (`NaN` queries count zero, matching `dominates`).
-pub fn compress_column_ranks_with_values(values: &[f64]) -> (Vec<u32>, Vec<f64>) {
-    let ranks = compress_column_ranks(values);
-    let num_ranks = ranks.iter().map(|&r| r as usize + 1).max().unwrap_or(0);
-    let mut distinct = vec![0.0f64; num_ranks];
-    for (&r, &v) in ranks.iter().zip(values) {
-        distinct[r as usize] = canon(v);
-    }
-    (ranks, distinct)
-}
-
-/// Dense per-dimension rank compression, column-major.
-fn compress_ranks(points: &PointSet) -> Vec<u32> {
-    try_compress_ranks(points, &CancelToken::never()).expect("a never-token cannot cancel")
-}
-
-/// Cancellable rank compression: each dimension costs an `O(n log n)`
-/// sort, so the token is polled once per dimension rather than inside
-/// the comparator.
-pub(crate) fn try_compress_ranks(
-    points: &PointSet,
-    token: &CancelToken,
-) -> Result<Vec<u32>, Cancelled> {
-    let n = points.len();
-    let dim = points.dim();
-    let mut ranks = vec![0u32; dim * n];
-    if n == 0 {
-        return Ok(ranks);
-    }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    for k in 0..dim {
-        token.poll()?;
-        debug_assert!(
-            points.iter().all(|p| !p[k].is_nan()),
-            "NaN coordinates are unsupported by DominanceIndex"
-        );
-        order.sort_unstable_by(|&a, &b| {
-            canon(points.point(a as usize)[k]).total_cmp(&canon(points.point(b as usize)[k]))
-        });
-        let col = &mut ranks[k * n..(k + 1) * n];
-        let mut rank = 0u32;
-        for pos in 0..n {
-            if pos > 0 {
-                let prev = canon(points.point(order[pos - 1] as usize)[k]);
-                let cur = canon(points.point(order[pos] as usize)[k]);
-                if prev.total_cmp(&cur) != std::cmp::Ordering::Equal {
-                    rank += 1;
-                }
-            }
-            col[order[pos] as usize] = rank;
-        }
-    }
-    Ok(ranks)
 }
 
 /// Duplicate-group assignment: canonical ids plus per-group member
@@ -808,7 +706,8 @@ pub fn count_dominating_pairs(points: &PointSet) -> u64 {
     if points.dim() > 2 {
         return DominanceIndex::build(points).num_dominating_pairs();
     }
-    let ranks = compress_ranks(points);
+    let ranks =
+        try_compress_ranks(points, &CancelToken::never()).expect("a never-token cannot cancel");
     let rx = &ranks[..n];
     // 1D embeds as (v, v), exactly like the sparse network builder.
     let ry = if points.dim() == 2 {
@@ -923,6 +822,7 @@ fn dominators_naive(points: &PointSet, i: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::compress_column_ranks;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -29,21 +29,24 @@ pub mod oracle;
 pub mod parallel;
 pub mod pareto;
 pub mod point;
+pub mod rank;
 pub mod transform;
 
 pub use dataset::{LabeledSet, PointSet, WeightedSet};
 pub use dominance::{dominates, incomparable, strictly_dominates, Dominance};
 pub use error::GeomError;
 pub use index::{
-    bitmask_of, check_matrix_budget, check_matrix_budget_against, compress_column_ranks,
-    compress_column_ranks_with_values, count_dominating_pairs, iter_ones, matrix_budget_bytes,
-    matrix_bytes, row_budget_bytes, DominanceIndex, RankTable,
+    bitmask_of, check_matrix_budget, check_matrix_budget_against, count_dominating_pairs,
+    iter_ones, matrix_budget_bytes, matrix_bytes, row_budget_bytes, DominanceIndex, RankTable,
 };
 pub use label::Label;
 pub use oracle::RankOracle;
 pub use parallel::{max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold};
 pub use pareto::{maxima, minima, minima_2d};
 pub use point::Point;
+pub use rank::{
+    compress_column_ranks, compress_column_ranks_with_values, rank_record, rank_records_into,
+};
 pub use transform::{transform_pointset, AxisTransform};
 
 #[cfg(test)]

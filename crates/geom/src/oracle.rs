@@ -36,8 +36,9 @@
 //! matrix-free with unchanged results.
 
 use crate::dataset::PointSet;
-use crate::index::{duplicate_groups, row_budget_bytes, try_compress_ranks, RankTable};
+use crate::index::{duplicate_groups, row_budget_bytes, RankTable};
 use crate::kernel;
+use crate::rank::try_compress_ranks;
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
 
 /// Smallest checkpoint stride of the suffix-bitset table: one word of

@@ -993,6 +993,11 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     let n: usize = parse_num(&values, "n", 1000)?;
     let noise: f64 = parse_num(&values, "noise", 0.05)?;
     let seed: u64 = parse_num(&values, "seed", 0)?;
+    if !(0.0..=1.0).contains(&noise) {
+        return Err(CliError::Param(format!(
+            "--noise must lie in [0, 1], got {noise}"
+        )));
+    }
     if family == "scale" {
         // Columnar: streamed one column at a time, so any n works
         // without holding the dataset resident.
@@ -1038,6 +1043,11 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
             else {
                 return Err(CliError::Usage(format!("unknown family {other:?}")));
             };
+            if width == 0 || (n > 0 && width > n) {
+                return Err(CliError::Param(format!(
+                    "{other} needs a width in 1 ..= n, got width {width} with --n {n}"
+                )));
+            }
             mcd::controlled_width::generate(&mcd::controlled_width::ControlledWidthConfig {
                 n,
                 width,

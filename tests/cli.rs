@@ -146,6 +146,31 @@ fn generate_rejects_unknown_family() {
 }
 
 #[test]
+fn generate_rejects_bad_parameters_cleanly() {
+    let out_path = std::env::temp_dir().join(format!("mcc-never-{}.csv", std::process::id()));
+    let cases: [&[&str]; 4] = [
+        &["width-0", "--n", "5"],
+        &["width-6", "--n", "5"],
+        &["planted", "--noise", "2"],
+        &["entity-matching", "--noise", "-0.5"],
+    ];
+    for case in cases {
+        let out = mcc()
+            .arg("generate")
+            .arg(case[0])
+            .arg(&out_path)
+            .args(&case[1..])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(5), "{case:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{case:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
+        assert!(!out_path.exists(), "{case:?} wrote {}", out_path.display());
+    }
+}
+
+#[test]
 fn certify_audits_optimality() {
     let data = write_temp(
         "certify.csv",

@@ -34,6 +34,14 @@ META_REQUIRED = ["git_sha", "threads"]
 # mc-obs span tree (`other` is the remainder outside the named spans).
 SCALE_STAGES = ["path_cover", "ladder_sweep", "ladder_wire", "maxflow", "other"]
 
+# Stages every scale `sizes` row splits `load_ms` into: the MCC1 reads
+# and the rank compression under the `columnar_load` span, and `other`
+# for the rest (opening the file).
+SCALE_LOAD_STAGES = ["read", "rank", "other"]
+
+# How far a row's stage times may sum from its end-to-end figure.
+STAGES_TOLERANCE = 0.05
+
 SCALE_TELEMETRY = [
     "n",
     "reps",
@@ -48,6 +56,22 @@ SCALE_TELEMETRY = [
 def fail(msg):
     print(f"FAIL: {msg}")
     sys.exit(1)
+
+
+def check_stages(path, row, key, names, total_key):
+    """Row `key` must name exactly `names`, none negative, summing to
+    the row's `total_key` within STAGES_TOLERANCE."""
+    stages = row.get(key)
+    if not isinstance(stages, dict) or sorted(stages) != sorted(names):
+        fail(f"{path}: sizes row n={row.get('n')} needs {key} {names}")
+    if any(v < 0 for v in stages.values()):
+        fail(f"{path}: negative stage time in row n={row['n']}: {stages}")
+    total = sum(stages.values())
+    if abs(total - row[total_key]) > STAGES_TOLERANCE * row[total_key]:
+        fail(
+            f"{path}: {key} of row n={row['n']} sum to {total:.1f} ms, "
+            f"not {total_key} {row[total_key]} (±{STAGES_TOLERANCE:.0%})"
+        )
 
 
 def check_meta(path, doc):
@@ -108,17 +132,8 @@ def main():
                     "breaches the 2% budget"
                 )
             for row in doc["sizes"]:
-                stages = row.get("stages_ms")
-                if not isinstance(stages, dict) or sorted(stages) != sorted(SCALE_STAGES):
-                    fail(f"{path}: sizes row n={row.get('n')} needs stages_ms {SCALE_STAGES}")
-                if any(v < 0 for v in stages.values()):
-                    fail(f"{path}: negative stage time in row n={row['n']}: {stages}")
-                total = sum(stages.values())
-                if abs(total - row["solve_ms"]) > 0.05 * row["solve_ms"]:
-                    fail(
-                        f"{path}: stages of row n={row['n']} sum to {total:.1f} ms, "
-                        f"not solve_ms {row['solve_ms']} (±5%)"
-                    )
+                check_stages(path, row, "stages_ms", SCALE_STAGES, "solve_ms")
+                check_stages(path, row, "load_stages_ms", SCALE_LOAD_STAGES, "load_ms")
         if name == "serve":
             t = doc["throughput"]
             for key in ("frames", "errors", "points", "elapsed_s",
