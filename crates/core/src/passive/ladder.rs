@@ -50,15 +50,22 @@
 //!
 //! Both entry points share one zero sweep. It fans out over
 //! `parallel_chunks`, and a [`HeadQuery`] over the `w` chain heads finds
-//! the chains a zero hits before any binary search runs: `d` bucket
-//! lookups count `c_k`, the heads at or below the zero on dimension `k`;
-//! `d²` prefix minima reject a zero that no head lies below on some
-//! pair of dimensions; and for the rest one bitset over the smallest
-//! prefix is narrowed on the other dimensions. That is `O(d²)` work for
-//! most zeros and `O(d·c_min/64)` word operations for the few that
-//! reach the narrowing, instead of `w` head tests, and it is what
-//! carries the `n = 10⁷` scale solves of [`super::scale`], where almost
-//! every zero dominates no head.
+//! the chains a zero hits before any binary search runs. Each worker
+//! first screens its zeros in blocks of [`SWEEP_BLOCK`], one pass per
+//! rank column: a zero must be at or above the lowest head on every
+//! dimension, and its rank sum `Σ_k rank_k` must reach the least rank
+//! sum over the heads. The sum bound is sound because a head `h ⪯ z`
+//! has `rank_k(h) ≤ rank_k(z)` on every `k`, so `Σ_k rank_k(h) ≤
+//! Σ_k rank_k(z)`: a zero below every head's sum dominates no head.
+//! The zeros that pass both go to the head query: `d` bucket lookups
+//! count `c_k`, the heads at or below the zero on dimension `k`; `d²`
+//! prefix minima reject a zero that no head lies below on some pair of
+//! dimensions; and for the rest one bitset over the smallest prefix is
+//! narrowed on the other dimensions. That is `d` adds per zero, `O(d²)`
+//! work for the zeros the screen lets through and `O(d·c_min/64)` word
+//! operations for the few that reach the narrowing, instead of `w` head
+//! tests, and it is what carries the `n = 10⁷` scale solves of
+//! [`super::scale`], where almost every zero dominates no head.
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::sparse::ClassifierNetwork;
@@ -73,8 +80,11 @@ use mc_obs::{CancelToken, Cancelled, Checkpoint};
 ///
 /// For each dimension `k` the heads are kept sorted by their rank on
 /// `k`. A point `p` with rank `r_k` on `k` dominates, on that dimension,
-/// exactly the first `c_k` heads of the `k` order. If `r_k` is below the
-/// lowest head on some `k`, `p` dominates no head. Otherwise a bucket
+/// exactly the first `c_k` heads of the `k` order. First,
+/// [`HeadQuery::screen`] retires whole blocks of points column by
+/// column: a point below the lowest head on some `k` (`c_k = 0`)
+/// dominates no head, and neither does one whose rank sum is below
+/// `min_sum`, the least over the heads. For the rest a bucket
 /// table finds each `c_k` in `O(1)` expected: `4w` buckets of `2^s`
 /// ranks each, where `base[b]` counts the heads with rank `< b·2^s`, so
 /// `c_k` is `base[b]` plus a search inside bucket `b` of `r_k + 1`.
@@ -89,7 +99,8 @@ use mc_obs::{CancelToken, Cancelled, Checkpoint};
 /// `rank_j(head) ≤ r_j` becomes the kernel's `≥ u32::MAX − r_j`.
 ///
 /// Layout: `d·w` chain indices and sorted ranks, `d·(4w + 1)` bucket
-/// bases, and `d²·w` reversed ranks and `d²·w` prefix minima, all `u32`.
+/// bases, and `d²·w` reversed ranks and `d²·w` prefix minima, all `u32`,
+/// plus the `u64` `min_sum`.
 struct HeadQuery {
     dim: usize,
     width: usize,
@@ -110,15 +121,17 @@ struct HeadQuery {
     /// `i + 1` heads in `k` order. The `d` minima of one prefix share a
     /// cache line, so a reject test costs one miss per dimension.
     pmin: Vec<u32>,
+    /// The least rank sum `Σ_k rank_k(h)` over the heads `h`. It is a
+    /// `u64` because gathered subsets keep sparse parent ranks up to
+    /// `u32::MAX`, so `d` ranks overflow a `u32`.
+    min_sum: u64,
 }
 
 /// How far a point's head query got.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HeadHits {
-    /// Some dimension has no head at or below the point.
-    Below,
-    /// Every dimension has one, but the prefix minima show that no head
-    /// is at or below the point on some pair of dimensions.
+    /// The prefix minima show that no head is at or below the point on
+    /// some pair of dimensions.
     Rejected,
     /// The bitset narrowing ran; its hits (maybe none) are in `out`.
     Narrowed,
@@ -133,6 +146,14 @@ struct HeadScratch {
 
 /// Buckets per head in a [`HeadQuery`] bucket table.
 const BUCKETS_PER_HEAD: u64 = 4;
+
+/// Zeros per [`HeadQuery::screen`] block in [`sweep_zeros`].
+const SWEEP_BLOCK: usize = 1024;
+
+/// `Σ_k rank_k(p)` over the rank columns `cols`.
+fn rank_sum(cols: &[&[u32]], p: usize) -> u64 {
+    cols.iter().map(|col| u64::from(col[p])).sum()
+}
 
 impl HeadQuery {
     /// Indexes the heads `heads[c]` (point ids into `cols`) of chains
@@ -176,6 +197,11 @@ impl HeadQuery {
                 reversed.extend(by_rank.iter().map(|&c| u32::MAX - other[heads[c as usize]]));
             }
         }
+        let min_sum = heads
+            .iter()
+            .map(|&h| rank_sum(cols, h))
+            .min()
+            .expect("a head query needs at least one head");
         Self {
             dim,
             width,
@@ -185,6 +211,26 @@ impl HeadQuery {
             base,
             reversed,
             pmin,
+            min_sum,
+        }
+    }
+
+    /// Screens the points `block` one rank column at a time, with no
+    /// branch per point: `floor[i]` says whether `block[i]` is at or
+    /// above the lowest head on every dimension, and `sums[i]` is its
+    /// rank sum. Both slices must be `block.len()` long. A point fails
+    /// [`dominated_heads`](Self::dominated_heads) unless its floor flag
+    /// is set and its sum is at least `min_sum`.
+    fn screen(&self, cols: &[&[u32]], block: &[usize], floor: &mut [bool], sums: &mut [u64]) {
+        floor.fill(true);
+        sums.fill(0);
+        for (k, col) in cols.iter().enumerate() {
+            let lowest = self.sorted[k * self.width];
+            for ((f, s), &p) in floor.iter_mut().zip(sums.iter_mut()).zip(block) {
+                let r = col[p];
+                *s += u64::from(r);
+                *f &= r >= lowest;
+            }
         }
     }
 
@@ -216,7 +262,9 @@ impl HeadQuery {
 
     /// Appends to `out`, in ascending chain order, every chain whose head
     /// point `p` dominates, and says how far the query got: `out` is
-    /// touched only when the bitset narrowing ran.
+    /// touched only when the bitset narrowing ran. `p` must be at or
+    /// above the lowest head on every dimension, as the floor flag of
+    /// [`screen`](Self::screen) says, so that every `c_k ≥ 1`.
     fn dominated_heads(
         &self,
         cols: &[&[u32]],
@@ -225,15 +273,6 @@ impl HeadQuery {
         out: &mut Vec<u32>,
     ) -> HeadHits {
         let (w, d) = (self.width, self.dim);
-        // Most zeros lie below the lowest head on some dimension: one
-        // compare per dimension, before any bucket lookup.
-        if cols
-            .iter()
-            .enumerate()
-            .any(|(k, col)| col[p] < self.sorted[k * w])
-        {
-            return HeadHits::Below;
-        }
         scratch.counts.clear();
         let mut best = 0;
         for (k, col) in cols.iter().enumerate() {
@@ -281,17 +320,26 @@ impl HeadQuery {
 /// position in the swept list with its `(chain, dominated-prefix
 /// length)` hits in ascending chain order, plus the deepest prefix any
 /// zero reaches per chain.
+#[derive(Default)]
 struct Sweep {
     hits: Vec<(usize, Vec<(u32, u32)>)>,
     max_cnt: Vec<usize>,
+    /// How far the zeros got: at or above the lowest head on every
+    /// dimension (`candidates`), retired by the rank-sum bound among
+    /// those (`summed`), and through to the bitset narrowing
+    /// (`narrowed`). The reference sweep in the tests leaves them 0.
+    candidates: u64,
+    summed: u64,
+    narrowed: u64,
 }
 
 /// The zero sweep both ladder builders run: for every `zeros[zi]`, the
-/// chains whose head it dominates come from one [`HeadQuery`], and a
-/// binary search on each of those chains finds its dominated prefix.
-/// Chain entries are positions into `ones`; both `zeros` and `ones` hold
-/// point ids into the rank columns `cols`. Chunk results concatenate in
-/// index order, so the output equals a sequential sweep's.
+/// chains whose head it dominates come from one [`HeadQuery`] (after
+/// its block screen), and a binary search on each of those chains finds
+/// its dominated prefix. Chain entries are positions into `ones`; both
+/// `zeros` and `ones` hold point ids into the rank columns `cols`.
+/// Chunk results concatenate in index order, so the output equals a
+/// sequential sweep's.
 fn sweep_zeros(
     cols: &[&[u32]],
     zeros: &[usize],
@@ -304,68 +352,78 @@ fn sweep_zeros(
     let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
     let query = HeadQuery::new(cols, &heads);
     let width = chains.len();
-    /// Per-chunk sweep output: the chunk's [`Sweep`], how many of its
-    /// zeros had a head at or below them on every dimension, and how
-    /// many of those reached the bitset narrowing.
-    type SweepChunk = (Vec<(usize, Vec<(u32, u32)>)>, Vec<usize>, u64, u64);
-    let chunks: Vec<SweepChunk> = parallel_chunks(zeros.len(), |range| {
-        let mut hits_out: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
-        let mut local_max = vec![0usize; width];
-        let mut candidates = 0u64;
-        let mut narrowed = 0u64;
+    let chunks: Vec<Sweep> = parallel_chunks(zeros.len(), |range| {
+        let mut out = Sweep {
+            max_cnt: vec![0; width],
+            ..Sweep::default()
+        };
         let mut scratch = HeadScratch::default();
         let mut hit_chains = Vec::new();
+        let mut floor = [false; SWEEP_BLOCK];
+        let mut sums = [0u64; SWEEP_BLOCK];
         // Every worker passes the same global total (one unit per zero),
         // so `progress.ladder_sweep.frac` is exact for the sweep.
         let mut cp = Checkpoint::with_progress(token, "ladder_sweep", zeros.len() as u64);
-        for zi in range {
-            if cp.tick(1).is_err() {
+        let first = range.start;
+        for (b, block) in zeros[range].chunks(SWEEP_BLOCK).enumerate() {
+            if cp.tick(block.len() as u64).is_err() {
                 break; // partial chunk; the caller polls and bails
             }
-            let p = zeros[zi];
-            hit_chains.clear();
-            match query.dominated_heads(cols, p, &mut scratch, &mut hit_chains) {
-                HeadHits::Below => continue,
-                HeadHits::Rejected => candidates += 1,
-                HeadHits::Narrowed => {
-                    candidates += 1;
-                    narrowed += 1;
+            let (floor, sums) = (&mut floor[..block.len()], &mut sums[..block.len()]);
+            query.screen(cols, block, floor, sums);
+            for (i, &p) in block.iter().enumerate() {
+                if !floor[i] {
+                    continue;
                 }
+                out.candidates += 1;
+                if sums[i] < query.min_sum {
+                    out.summed += 1;
+                    continue;
+                }
+                hit_chains.clear();
+                if query.dominated_heads(cols, p, &mut scratch, &mut hit_chains)
+                    == HeadHits::Narrowed
+                {
+                    out.narrowed += 1;
+                }
+                if hit_chains.is_empty() {
+                    continue;
+                }
+                let hits: Vec<(u32, u32)> = hit_chains
+                    .iter()
+                    .map(|&c| {
+                        let chain = &chains[c as usize];
+                        // Ascending chain ⇒ "p dominates chain[i]" holds
+                        // on a prefix, and the head is already known
+                        // dominated.
+                        let cnt =
+                            1 + chain[1..].partition_point(|&local| dominates(p, ones[local]));
+                        out.max_cnt[c as usize] = out.max_cnt[c as usize].max(cnt);
+                        (c, cnt as u32)
+                    })
+                    .collect();
+                out.hits.push((first + b * SWEEP_BLOCK + i, hits));
             }
-            if hit_chains.is_empty() {
-                continue;
-            }
-            let hits: Vec<(u32, u32)> = hit_chains
-                .iter()
-                .map(|&c| {
-                    let chain = &chains[c as usize];
-                    // Ascending chain ⇒ "p dominates chain[i]" holds on
-                    // a prefix, and the head is already known dominated.
-                    let cnt = 1 + chain[1..].partition_point(|&local| dominates(p, ones[local]));
-                    local_max[c as usize] = local_max[c as usize].max(cnt);
-                    (c, cnt as u32)
-                })
-                .collect();
-            hits_out.push((zi, hits));
         }
-        (hits_out, local_max, candidates, narrowed)
+        out
     });
     token.poll()?;
     let mut sweep = Sweep {
-        hits: Vec::new(),
-        max_cnt: vec![0usize; width],
+        max_cnt: vec![0; width],
+        ..Sweep::default()
     };
-    let (mut candidates, mut narrowed) = (0u64, 0u64);
-    for (chunk_hits, local_max, chunk_candidates, chunk_narrowed) in chunks {
-        sweep.hits.extend(chunk_hits);
-        for (m, l) in sweep.max_cnt.iter_mut().zip(local_max) {
+    for chunk in chunks {
+        sweep.hits.extend(chunk.hits);
+        for (m, l) in sweep.max_cnt.iter_mut().zip(chunk.max_cnt) {
             *m = (*m).max(l);
         }
-        candidates += chunk_candidates;
-        narrowed += chunk_narrowed;
+        sweep.candidates += chunk.candidates;
+        sweep.summed += chunk.summed;
+        sweep.narrowed += chunk.narrowed;
     }
-    mc_obs::counter_add("passive.sweep_candidates", candidates);
-    mc_obs::counter_add("passive.sweep_narrowed", narrowed);
+    mc_obs::counter_add("passive.sweep_candidates", sweep.candidates);
+    mc_obs::counter_add("passive.sweep_summed", sweep.summed);
+    mc_obs::counter_add("passive.sweep_narrowed", sweep.narrowed);
     Ok(sweep)
 }
 
@@ -714,8 +772,8 @@ mod tests {
             }
         }
         let mut sweep = Sweep {
-            hits: Vec::new(),
             max_cnt: vec![0; chains.len()],
+            ..Sweep::default()
         };
         for (zi, &p) in zeros.iter().enumerate() {
             if cols
@@ -751,15 +809,17 @@ mod tests {
     }
 
     /// What a head query over `heads` must answer for `p`, by brute
-    /// force: the dominated heads, and how far the query gets.
-    fn naive_head_scan(cols: &[&[u32]], heads: &[usize], p: usize) -> (Vec<u32>, HeadHits) {
+    /// force: the dominated heads, and how far the query gets (`None`
+    /// when `p` is below every head on some dimension, so the screen's
+    /// floor flag must be clear).
+    fn naive_head_scan(cols: &[&[u32]], heads: &[usize], p: usize) -> (Vec<u32>, Option<HeadHits>) {
         let at_or_below = |k: usize, h: usize| cols[k][h] <= cols[k][p];
         let dim = cols.len();
         let hits = (0..heads.len() as u32)
             .filter(|&c| (0..dim).all(|k| at_or_below(k, heads[c as usize])))
             .collect();
         let outcome = if (0..dim).any(|k| !heads.iter().any(|&h| at_or_below(k, h))) {
-            HeadHits::Below
+            None
         } else if (0..dim).any(|k| {
             (0..dim).any(|j| {
                 j != k
@@ -768,9 +828,9 @@ mod tests {
                         .any(|&h| at_or_below(k, h) && at_or_below(j, h))
             })
         }) {
-            HeadHits::Rejected
+            Some(HeadHits::Rejected)
         } else {
-            HeadHits::Narrowed
+            Some(HeadHits::Narrowed)
         };
         (hits, outcome)
     }
@@ -815,16 +875,32 @@ mod tests {
                     let cols: Vec<&[u32]> = cols_owned.iter().map(Vec::as_slice).collect();
                     let heads: Vec<usize> = (0..w).collect();
                     let query = HeadQuery::new(&cols, &heads);
+                    assert_eq!(
+                        Some(query.min_sum),
+                        heads.iter().map(|&h| rank_sum(&cols, h)).min()
+                    );
                     let mut scratch = HeadScratch::default();
                     let mut got = Vec::new();
-                    for p in (0..w.min(100)).chain(w..n) {
-                        got.clear();
-                        let outcome = query.dominated_heads(&cols, p, &mut scratch, &mut got);
+                    let block: Vec<usize> = (0..w.min(100)).chain(w..n).collect();
+                    let mut floor = vec![false; block.len()];
+                    let mut sums = vec![0; block.len()];
+                    query.screen(&cols, &block, &mut floor, &mut sums);
+                    for (i, &p) in block.iter().enumerate() {
                         let (naive, expected) = naive_head_scan(&cols, &heads, p);
                         let what = format!("dim {dim} w {w} spread {spread} offset {offset} p {p}");
+                        assert_eq!(floor[i], expected.is_some(), "{what}");
+                        assert_eq!(sums[i], rank_sum(&cols, p), "{what}");
+                        // The screen may only retire points that hit nothing.
+                        assert!(naive.is_empty() || sums[i] >= query.min_sum, "{what}");
+                        let Some(expected) = expected else {
+                            seen[0] += 1;
+                            continue;
+                        };
+                        got.clear();
+                        let outcome = query.dominated_heads(&cols, p, &mut scratch, &mut got);
                         assert_eq!(outcome, expected, "{what}");
                         assert_eq!(got, naive, "{what}");
-                        seen[outcome as usize] += 1;
+                        seen[1 + outcome as usize] += 1;
                     }
                 }
             }
@@ -875,6 +951,130 @@ mod tests {
             let slow =
                 build_ladder_network_with(&ws, &con, &index, &never, reference_sweep).unwrap();
             assert_eq!(edge_list(&fast.net), edge_list(&slow.net), "dim {dim}");
+        }
+    }
+
+    /// Label 1 iff the coordinate sum is above `cut`, except within
+    /// `band` of it, where the label is a coin flip: zeros and ones
+    /// separate by rank sum, as on the scale inputs, so the sum bound
+    /// retires most zeros.
+    fn threshold_weighted(
+        n: usize,
+        dim: usize,
+        grid: f64,
+        band: f64,
+        rng: &mut StdRng,
+    ) -> WeightedSet {
+        let cut = dim as f64 * grid / 2.0;
+        let mut ws = WeightedSet::empty(dim);
+        for _ in 0..n {
+            let coords: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..grid).round()).collect();
+            let sum: f64 = coords.iter().sum();
+            let one = if (sum - cut).abs() <= band {
+                rng.gen_bool(0.5)
+            } else {
+                sum > cut
+            };
+            ws.push(&coords, Label::from_bool(one), rng.gen_range(1..10) as f64);
+        }
+        ws
+    }
+
+    /// The ids of the label-0 and label-1 points, ascending.
+    fn split_labels(labels: &[Label]) -> (Vec<usize>, Vec<usize>) {
+        (0..labels.len()).partition(|&i| labels[i] == Label::Zero)
+    }
+
+    #[test]
+    fn rank_sum_screen_matches_the_reference_sweep_at_its_boundary() {
+        let never = CancelToken::never();
+        let mut rng = StdRng::seed_from_u64(0x5C4E);
+        for dim in [3usize, 4, 5] {
+            let mut ws = threshold_weighted(3000, dim, 1000.0, 150.0, &mut rng);
+            let table = RankTable::build(ws.points());
+            let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
+            let (_, ones) = split_labels(ws.labels());
+            let oracle = RankOracle::try_from_table_subset(&table, &ones, &never).unwrap();
+            let dec = ChainDecomposition::compute_from_oracle_cancellable(&oracle, &never).unwrap();
+            assert!(
+                dec.width() > 64,
+                "dim {dim}: width {} fits one word",
+                dec.width()
+            );
+            let heads: Vec<usize> = dec.chains().iter().map(|c| ones[c[0]]).collect();
+            let head = *heads.iter().min_by_key(|&&h| rank_sum(&cols, h)).unwrap();
+            let min_sum = rank_sum(&cols, head);
+
+            // Plant two zeros at the bound: a copy of the least-sum head
+            // (sum = min_sum, and it dominates that head), and that copy
+            // one rank lower on a dimension where it stays at or above
+            // every head's floor (sum = min_sum − 1). Neither adds a
+            // distinct coordinate, so no rank moves and the ones' chains
+            // stay the same.
+            let floor = |k: usize| heads.iter().map(|&h| cols[k][h]).min().unwrap();
+            let k = (0..dim).max_by_key(|&k| cols[k][head] - floor(k)).unwrap();
+            assert!(
+                cols[k][head] > floor(k),
+                "dim {dim}: the least-sum head is every floor"
+            );
+            let lower = (0..ws.len())
+                .find(|&p| cols[k][p] == cols[k][head] - 1)
+                .unwrap();
+            let copy = ws.points().point(head).to_vec();
+            let mut below = copy.clone();
+            below[k] = ws.points().point(lower)[k];
+            let planted = ws.len();
+            ws.push(&copy, Label::Zero, 1.0);
+            ws.push(&below, Label::Zero, 1.0);
+
+            let table = RankTable::build(ws.points());
+            let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
+            assert_eq!(rank_sum(&cols, planted), min_sum, "dim {dim}");
+            assert_eq!(rank_sum(&cols, planted + 1), min_sum - 1, "dim {dim}");
+            let fast = discover_and_build_from_table_cancellable(
+                &table,
+                ws.labels(),
+                ws.weights(),
+                &never,
+            )
+            .unwrap();
+            let slow =
+                discover_with(&table, ws.labels(), ws.weights(), &never, reference_sweep).unwrap();
+            assert_eq!(fast.width, dec.width());
+            assert_eq!(
+                (&fast.con.zeros, &fast.con.ones),
+                (&slow.con.zeros, &slow.con.ones)
+            );
+            assert!(fast.con.zeros.contains(&planted), "dim {dim}");
+            let (fast_net, slow_net) = (fast.network.unwrap(), slow.network.unwrap());
+            assert_eq!(
+                edge_list(&fast_net.net),
+                edge_list(&slow_net.net),
+                "dim {dim}"
+            );
+
+            // The same sweep with every rank shifted up to just below
+            // `u32::MAX`, as sparse parent ranks of a gathered subset can
+            // be: no comparison changes, but `d` ranks overflow a `u32`.
+            let (zeros, ones) = split_labels(ws.labels());
+            let top = cols.iter().flat_map(|c| c.iter()).max().unwrap();
+            let shifted: Vec<Vec<u32>> = cols
+                .iter()
+                .map(|c| c.iter().map(|&r| r + (u32::MAX - top)).collect())
+                .collect();
+            let shifted: Vec<&[u32]> = shifted.iter().map(Vec::as_slice).collect();
+            let fast = sweep_zeros(&shifted, &zeros, &ones, dec.chains(), &never).unwrap();
+            let slow = reference_sweep(&shifted, &zeros, &ones, dec.chains(), &never).unwrap();
+            assert_eq!(fast.hits, slow.hits, "dim {dim}");
+            assert_eq!(fast.max_cnt, slow.max_cnt, "dim {dim}");
+            assert!(
+                fast.summed > 0 && fast.narrowed > 0,
+                "dim {dim}: the sum bound and the narrowing must both fire \
+                 ({} summed, {} narrowed)",
+                fast.summed,
+                fast.narrowed
+            );
+            assert!(fast.summed + fast.narrowed <= fast.candidates, "dim {dim}");
         }
     }
 

@@ -158,8 +158,14 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
     /// paper-literal [`NetworkStrategy::Dense`] path builds one; the
     /// default ladder pipeline is matrix-free at every `n`). Weights
     /// and lengths are already guaranteed by [`WeightedSet`]'s
-    /// constructors.
-    pub fn try_solve(&self, data: &WeightedSet) -> Result<PassiveSolution, crate::error::McError> {
+    /// constructors. The solve then runs under `token` as in
+    /// [`PassiveSolver::solve_cancellable`]; an expired deadline comes
+    /// back as [`crate::McError::Timeout`].
+    pub fn try_solve(
+        &self,
+        data: &WeightedSet,
+        token: &CancelToken,
+    ) -> Result<PassiveSolution, crate::error::McError> {
         for (index, p) in data.points().iter().enumerate() {
             for (axis, &value) in p.iter().enumerate() {
                 if !value.is_finite() {
@@ -176,7 +182,7 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
         if strategy == NetworkStrategy::Dense {
             mc_geom::check_matrix_budget(data.len())?;
         }
-        Ok(self.solve(data))
+        Ok(self.solve_cancellable(data, token)?)
     }
 
     /// Solves Problem 2 on `data`, returning an optimal monotone

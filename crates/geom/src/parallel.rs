@@ -13,12 +13,17 @@
 //! * `MC_THREADS` — cap on the number of worker threads (default: all
 //!   available cores).
 //!
-//! Both are read from the environment on every call — the cost is
-//! trivial next to the `O(n²)`-ish kernels they gate, and it keeps the
-//! knobs usable from tests and one-off experiment runs.
+//! Both are read from the environment on every call, which keeps the
+//! knobs usable from tests and one-off experiment runs. The machine's
+//! available parallelism is probed once per process instead: on Linux
+//! the probe reads cgroup files and takes tens of microseconds, as long
+//! as some dispatched kernels run (a Hopcroft–Karp BFS layer, a
+//! single-point classify frame), and a solve or a connection dispatches
+//! many of them.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Default sequential cutoff: below this many rows, thread startup
@@ -60,11 +65,15 @@ pub fn parallel_threshold() -> usize {
 }
 
 /// The number of worker threads the helpers may use: the machine's
-/// available parallelism, capped by `MC_THREADS`.
+/// available parallelism (probed once per process), capped by
+/// `MC_THREADS`.
 pub fn max_threads() -> usize {
-    let available = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    let available = *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     parse_env("MC_THREADS", std::env::var_os("MC_THREADS"), available)
         .clamp(1, available)
         .max(1)

@@ -24,9 +24,9 @@
 //! | 2 | usage | unknown command, unknown flag, missing argument |
 //! | 3 | I/O | unreadable input, unwritable output |
 //! | 4 | data | malformed CSV, non-finite feature, bad label |
-//! | 5 | parameter | `--epsilon 1.5`, `--folds 1`, rates outside [0, 1] |
+//! | 5 | parameter | `--epsilon 1.5`, `--folds 1`, rates outside [0, 1], `--time-limit -1` |
 //! | 6 | oracle | oracle/input size mismatch, unrecoverable oracle failure |
-//! | 7 | timeout | `--time-limit` exceeded with `--no-fallback`, solve cancelled |
+//! | 7 | timeout | `mcc passive --time-limit` exceeded (a portfolio race only with `--no-fallback`), solve cancelled |
 //! | 8 | budget | a dense dominator matrix would exceed `MC_MATRIX_BUDGET_BYTES` |
 //!
 //! ## Columnar datasets
@@ -481,6 +481,23 @@ fn cmd_passive(args: &[String]) -> Result<(), CliError> {
     cmd_passive_impl(&pos, &values, &flags, &obs_out).map_err(|e| obs_out.fail(e))
 }
 
+/// `--time-limit SECS`, when given: positive, finite seconds, else a
+/// parameter error on every `mcc passive` path.
+fn time_limit(values: &[(String, String)]) -> Result<Option<std::time::Duration>, CliError> {
+    let Some(v) = get_value(values, "time-limit") else {
+        return Ok(None);
+    };
+    v.parse()
+        .ok()
+        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+        .map(|secs| Some(std::time::Duration::from_secs_f64(secs)))
+        .ok_or_else(|| {
+            CliError::Param(format!(
+                "--time-limit: expected positive seconds, got {v:?}"
+            ))
+        })
+}
+
 fn cmd_passive_impl(
     pos: &[String],
     values: &[(String, String)],
@@ -523,17 +540,8 @@ fn cmd_passive_impl(
             None => PortfolioConfig::default().engines,
         };
         let mut config = PortfolioConfig::new(roster);
-        if let Some(v) = get_value(values, "time-limit") {
-            let secs: f64 = v
-                .parse()
-                .ok()
-                .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                .ok_or_else(|| {
-                    CliError::Param(format!(
-                        "--time-limit: expected positive seconds, got {v:?}"
-                    ))
-                })?;
-            config = config.with_time_limit(std::time::Duration::from_secs_f64(secs));
+        if let Some(limit) = time_limit(values)? {
+            config = config.with_time_limit(limit);
         }
         if flags.contains(&"no-fallback".to_string()) {
             config = config.without_fallback();
@@ -590,6 +598,10 @@ fn cmd_passive_impl(
                     .into(),
             ));
         }
+        let token = match time_limit(values)? {
+            Some(limit) => obs::CancelToken::with_deadline(limit),
+            None => obs::CancelToken::never(),
+        };
         obs_out.start_telemetry(
             None,
             &[
@@ -600,7 +612,7 @@ fn cmd_passive_impl(
         )?;
         let sol = PassiveSolver::new()
             .with_network(network)
-            .try_solve(&weighted)?;
+            .try_solve(&weighted, &token)?;
         obs_out.finish(
             &[
                 ("tool", Value::S("mcc passive".into())),
@@ -670,25 +682,12 @@ fn cmd_passive_columnar(
                 .into(),
         ));
     }
-    let token = match get_value(values, "time-limit") {
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .ok()
-                .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                .ok_or_else(|| {
-                    CliError::Param(format!(
-                        "--time-limit: expected positive seconds, got {v:?}"
-                    ))
-                })?;
-            monotone_classification::obs::CancelToken::with_deadline(
-                std::time::Duration::from_secs_f64(secs),
-            )
-        }
+    let token = match time_limit(values)? {
+        Some(limit) => obs::CancelToken::with_deadline(limit),
         // --watch-abort needs a token the watchdog can actually cancel;
         // never() has no shared state, so mint a live one.
-        None if obs_out.watch_abort() => monotone_classification::obs::CancelToken::new(),
-        None => monotone_classification::obs::CancelToken::never(),
+        None if obs_out.watch_abort() => obs::CancelToken::new(),
+        None => obs::CancelToken::never(),
     };
     let start = std::time::Instant::now();
     let mut ds = ColumnarDataset::open(path).map_err(columnar_err)?;

@@ -471,6 +471,58 @@ fn passive_portfolio_timeout_without_fallback_exits_7() {
 }
 
 #[test]
+fn passive_time_limit_holds_on_every_path() {
+    let csv = write_temp("time-limit.csv", "");
+    let mcc_file = write_temp("time-limit.mcc", "");
+    for (family, path, extra) in [
+        ("planted", &csv, ["--noise", "0.1"]),
+        ("scale", &mcc_file, ["--dim", "3"]),
+    ] {
+        let gen = mcc()
+            .args(["generate", family])
+            .arg(path)
+            .args(["--n", "6000", "--seed", "3"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            gen.status.success(),
+            "{}",
+            String::from_utf8_lossy(&gen.stderr)
+        );
+    }
+    let run = |path: &PathBuf, extra: &[&str]| {
+        let out = mcc().arg("passive").arg(path).args(extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
+        (out.status.code(), stderr)
+    };
+    // A bad limit is a parameter error on the plain, portfolio and
+    // columnar paths alike.
+    for bad in ["-1", "nan", "0", "inf", "soon"] {
+        for (path, extra) in [
+            (&csv, &[][..]),
+            (&csv, &["--portfolio"][..]),
+            (&mcc_file, &[][..]),
+        ] {
+            let args = [extra, &["--time-limit", bad]].concat();
+            let (code, stderr) = run(path, &args);
+            assert_eq!(code, Some(5), "--time-limit {bad} {extra:?}: {stderr}");
+            assert!(stderr.contains("--time-limit"), "{stderr}");
+        }
+    }
+    // An expired deadline cancels the plain solve, as it does the
+    // columnar one.
+    for path in [&csv, &mcc_file] {
+        let (code, stderr) = run(path, &["--time-limit", "0.000001"]);
+        assert_eq!(code, Some(7), "{path:?}: {stderr}");
+        assert!(stderr.contains("deadline"), "{stderr}");
+    }
+    let (code, stderr) = run(&csv, &["--time-limit", "60"]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
 fn passive_portfolio_timeout_with_fallback_still_answers() {
     let data = write_temp("portfolio-fallback.csv", DEMO);
     let out = mcc()
