@@ -1,97 +1,129 @@
-//! Rank-compressed anchor index: the query fast path.
+//! Anchor index: the query fast path over [`mc_geom::RankOracle`] rows.
 //!
 //! [`MonotoneClassifier::classify`] is a naive scan — every query walks
 //! all `a` anchors and compares `d` floats each, `O(a·d)` float work per
 //! point. That is fine for training-time evaluation but not for serving
 //! millions of queries per second. [`AnchorIndex`] preprocesses the
-//! anchor set once so that a single-point query costs
-//! `O(d log a + d·a/64)` *word* operations:
+//! anchor set once so that a single-point query costs `O(d log a)`
+//! binary-search steps plus one oracle row: `d·⌈a/64⌉` word ANDs and
+//! fewer than `d·B` bit clears, `B` the oracle's checkpoint stride.
 //!
-//! * **Rank compression** (per dimension): the anchors' coordinates on
+//! * **Values and counts** (per dimension): the anchors' coordinates on
 //!   dimension `k` are collapsed to dense ranks `0..m_k` via
 //!   [`mc_geom::compress_column_ranks_with_values`], keeping the sorted
-//!   distinct values alongside. A query coordinate `q` is translated
-//!   into rank space with one binary search:
-//!   `c_k = vals[k].partition_point(|v| *v <= q)` counts the anchor
-//!   values at or below `q` under the same IEEE `<=` the naive
+//!   distinct values and the cumulative count `above[k][c]` of anchors
+//!   whose rank is `≥ c`. A query coordinate `q` is bound with one
+//!   binary search: `c = vals[k].partition_point(|v| *v <= q)` counts
+//!   the values at or below `q` under the same IEEE `<=` the naive
 //!   `dominates` scan uses (so `NaN`, `±∞` and signed zeros agree
-//!   bit-for-bit with the scan by construction).
-//! * **Reversed-rank columns**: dimension `k` stores the *reversed*
-//!   rank `rr_a = m_k − 1 − r_a` per anchor. An anchor is satisfied on
-//!   dimension `k` iff `r_a < c_k` iff `rr_a ≥ m_k − c_k`, which is
-//!   exactly the `col[j] ≥ threshold` narrowing the u64×4 blocked
-//!   [`mc_geom::kernel`] already implements. A query is then: start
-//!   from the all-ones anchor bitset and intersect one
-//!   [`mc_geom::kernel::and_ge_mask`] pass per dimension, early-exiting
-//!   the moment the bitset empties.
-//! * **Selectivity ordering**: dimensions are processed in decreasing
-//!   threshold order (most selective first), and dimensions whose
-//!   threshold is 0 (every anchor passes) are skipped outright. A
-//!   dimension where *no* anchor value is `≤ q` (`c_k = 0` and the
-//!   column has anchors) short-circuits to [`Label::Zero`] before any
-//!   bitset work.
+//!   bit-for-bit with the scan by construction). `c = 0` means `q`
+//!   dominates no anchor on `k`, and the answer is [`Label::Zero`].
+//! * **One oracle over reversed ranks**: the [`RankOracle`] holds each
+//!   anchor's reversed rank `m_k − 1 − r`, so its sorted order on `k`
+//!   runs from the largest coordinate down, and the anchors `q` dominates
+//!   on `k` are exactly those at sorted position `≥ above[k][c]` — a tie
+//!   group start. [`RankOracle::suffix_row_into`] ANDs those suffixes
+//!   across dimensions; the answer is 1 iff the row is non-empty. When a
+//!   small `MC_MATRIX_BUDGET_BYTES` widens the oracle's stride, its
+//!   rank-compare fallback bounds a row at about `d` compare passes.
 //!
 //! The index answers exactly like the classifier it was built from —
-//! property-tested bit-identically against the naive scan in
-//! `crates/core/tests/anchor_index_props.rs` — and is immutable after
+//! tested bit-identically against the naive scan in
+//! `crates/core/tests/anchor_index_props.rs` and, at strides 64, 128
+//! and one checkpoint, in this module — and is immutable after
 //! construction, so it can be shared across threads behind an `Arc` and
 //! hot-swapped atomically (see `mcc serve`).
 
 use crate::classifier::MonotoneClassifier;
-use mc_geom::kernel::{and_ge_mask, ones_mask_into};
-use mc_geom::{compress_column_ranks_with_values, parallel_chunks, Label, PointSet};
+use mc_geom::{
+    compress_column_ranks_with_values, parallel_chunks, row_budget_bytes, Label, PointSet,
+    RankOracle,
+};
 
 /// Reusable per-thread query scratch: the anchor bitset row plus the
-/// per-dimension threshold list. Allocation-free across queries once
+/// per-dimension oracle positions. Allocation-free across queries once
 /// warm; one per worker thread, never shared.
 #[derive(Debug, Default, Clone)]
 pub struct QueryScratch {
     row: Vec<u64>,
-    thresholds: Vec<(u32, usize)>,
+    pos: Vec<u32>,
 }
 
-/// An immutable rank-compressed index over a [`MonotoneClassifier`]'s
-/// anchor set. See the module docs for the data layout; construction is
-/// `O(a·d·log a)`, memory is one `u32` per anchor per dimension plus the
-/// distinct coordinate values.
+/// An immutable index over a [`MonotoneClassifier`]'s anchor set. See
+/// the module docs for the data layout; construction is `O(a·d·log a)`
+/// plus the oracle's suffix-bitset table (`d·⌈a/B⌉·⌈a/64⌉` words,
+/// fitted to the row budget), and [`Self::payload_bytes`] reports what
+/// it holds.
 #[derive(Debug, Clone)]
 pub struct AnchorIndex {
     dim: usize,
     num_anchors: usize,
-    /// Words per bitset row: `num_anchors.div_ceil(64)`.
-    words: usize,
-    /// `cols[k][a]` = reversed rank of anchor `a` on dimension `k`.
-    cols: Vec<Vec<u32>>,
     /// `vals[k]` = sorted distinct canonical anchor values on dimension
     /// `k` (`vals[k][r]` is the coordinate shared by rank-`r` anchors).
     vals: Vec<Vec<f64>>,
+    /// `above[k][c]` = anchors whose rank on dimension `k` is `≥ c`
+    /// (`m_k + 1` entries): the oracle's first sorted position of the
+    /// anchors with rank `< c`.
+    above: Vec<Vec<u32>>,
+    /// Oracle over the anchors' reversed ranks.
+    oracle: RankOracle,
+}
+
+/// Column-major reversed ranks (`ranks[k * a + i] = m_k − 1 − r`) of
+/// `anchors`, plus each dimension's sorted distinct values. An oracle
+/// over them has anchor `j` in anchor `i`'s dominator row iff `i ⪰ j`.
+pub(crate) fn reversed_rank_columns(dim: usize, anchors: &[Vec<f64>]) -> (Vec<u32>, Vec<Vec<f64>>) {
+    let a = anchors.len();
+    let mut ranks = Vec::with_capacity(dim * a);
+    let mut vals = Vec::with_capacity(dim);
+    let mut column = vec![0.0f64; a];
+    for k in 0..dim {
+        for (slot, anchor) in column.iter_mut().zip(anchors) {
+            *slot = anchor[k];
+        }
+        let (col, distinct) = compress_column_ranks_with_values(&column);
+        let top = (distinct.len() as u32).saturating_sub(1);
+        ranks.extend(col.iter().map(|&r| top - r));
+        vals.push(distinct);
+    }
+    (ranks, vals)
 }
 
 impl AnchorIndex {
-    /// Builds the index from a classifier's (already minimal) anchors.
+    /// Builds the index from a classifier's (already minimal) anchors,
+    /// with the oracle table fitted to [`mc_geom::row_budget_bytes`].
     pub fn build(h: &MonotoneClassifier) -> Self {
+        Self::build_within(h, row_budget_bytes())
+    }
+
+    /// [`Self::build`] with the oracle table fitted to `budget_bytes`.
+    fn build_within(h: &MonotoneClassifier, budget_bytes: u64) -> Self {
         let dim = h.dim();
-        let anchors = h.anchors();
-        let num_anchors = anchors.len();
-        let mut cols = Vec::with_capacity(dim);
-        let mut vals = Vec::with_capacity(dim);
-        let mut column = vec![0.0f64; num_anchors];
-        for k in 0..dim {
-            for (slot, a) in column.iter_mut().zip(anchors) {
-                *slot = a[k];
-            }
-            let (ranks, distinct) = compress_column_ranks_with_values(&column);
-            let top = distinct.len() as u32;
-            let reversed: Vec<u32> = ranks.iter().map(|&r| top - 1 - r).collect();
-            cols.push(reversed);
-            vals.push(distinct);
-        }
+        let num_anchors = h.anchors().len();
+        let (ranks, vals) = reversed_rank_columns(dim, h.anchors());
+        let above = vals
+            .iter()
+            .enumerate()
+            .map(|(k, distinct)| {
+                // Reversed rank `rr` is rank `m_k − 1 − rr`.
+                let top = distinct.len().saturating_sub(1);
+                let mut counts = vec![0u32; distinct.len() + 1];
+                for &rr in &ranks[k * num_anchors..(k + 1) * num_anchors] {
+                    counts[top - rr as usize] += 1;
+                }
+                for c in (0..distinct.len()).rev() {
+                    counts[c] += counts[c + 1];
+                }
+                counts
+            })
+            .collect();
+        let oracle = RankOracle::from_rank_columns(num_anchors, dim, ranks, budget_bytes);
         Self {
             dim,
             num_anchors,
-            words: num_anchors.div_ceil(64),
-            cols,
             vals,
+            above,
+            oracle,
         }
     }
 
@@ -105,12 +137,13 @@ impl AnchorIndex {
         self.num_anchors
     }
 
-    /// Approximate resident size of the index payload in bytes (rank
-    /// columns + distinct values), for capacity planning and telemetry.
+    /// Resident size of the index payload in bytes: the oracle's table
+    /// and arrays ([`RankOracle::payload_bytes`]), the distinct values
+    /// and the cumulative counts. For capacity planning and telemetry.
     pub fn payload_bytes(&self) -> usize {
-        let ranks: usize = self.cols.iter().map(|c| c.len() * 4).sum();
         let distinct: usize = self.vals.iter().map(|v| v.len() * 8).sum();
-        ranks + distinct
+        let counts: usize = self.above.iter().map(|c| c.len() * 4).sum();
+        self.oracle.payload_bytes() + distinct + counts
     }
 
     /// Classifies one point, allocating fresh scratch. Convenience
@@ -132,38 +165,20 @@ impl AnchorIndex {
         if self.num_anchors == 0 {
             return Label::Zero;
         }
-        scratch.thresholds.clear();
-        for (k, &q) in p.iter().enumerate() {
-            let vals = &self.vals[k];
-            // Ranks at or below q under IEEE `<=`: NaN compares false
+        scratch.pos.clear();
+        for ((&q, vals), above) in p.iter().zip(&self.vals).zip(&self.above) {
+            // Values at or below q under IEEE `<=`: NaN compares false
             // against everything, so a NaN coordinate yields c = 0 —
             // the same "dominates nothing" answer the naive scan gives.
             let c = vals.partition_point(|v| *v <= q);
             if c == 0 {
                 return Label::Zero;
             }
-            let t = (vals.len() - c) as u32;
-            if t > 0 {
-                scratch.thresholds.push((t, k));
-            }
+            scratch.pos.push(above[c]);
         }
-        if scratch.thresholds.is_empty() {
-            // Every anchor passes every dimension.
-            return Label::One;
-        }
-        // Most selective dimension first: a large threshold kills more
-        // anchors per pass, making the early exit fire sooner.
-        scratch
-            .thresholds
-            .sort_unstable_by_key(|&(t, _)| std::cmp::Reverse(t));
-        scratch.row.resize(self.words, 0);
-        ones_mask_into(self.num_anchors, &mut scratch.row);
-        for &(t, k) in &scratch.thresholds {
-            if !and_ge_mask(&self.cols[k], t, &mut scratch.row) {
-                return Label::Zero;
-            }
-        }
-        Label::One
+        scratch.row.resize(self.oracle.words(), 0);
+        self.oracle.suffix_row_into(&scratch.pos, &mut scratch.row);
+        Label::from_bool(scratch.row.iter().any(|&w| w != 0))
     }
 
     /// Classifies a flat row-major batch (`data.len()` must be a
@@ -293,7 +308,8 @@ mod tests {
 
     #[test]
     fn batch_crosses_word_and_block_boundaries() {
-        // 300 anchors → bitset rows spanning multiple u64×4 blocks.
+        // 300 anchors → rows of 5 words and 5 oracle checkpoints per
+        // dimension, so queries leave checkpoint 0.
         let anchors: Vec<Vec<f64>> = (0..300).map(|i| vec![i as f64, (300 - i) as f64]).collect();
         let h = MonotoneClassifier::from_anchors(2, anchors);
         assert_eq!(h.anchors().len(), 300); // an antichain: nothing pruned
@@ -327,5 +343,138 @@ mod tests {
         );
         let idx = AnchorIndex::build(&h);
         assert_eq!(idx.classify_set(&points), h.classify_set(&points));
+    }
+
+    use mc_geom::dominates;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// Grid coordinate `x ∈ 0..g` as an anchor value: strictly
+    /// increasing, with `−∞` at 0, `+∞` at `g − 1`, and zero at `g / 2`
+    /// written as `-0.0` or `0.0` at random.
+    fn grid_value(x: usize, g: usize, rng: &mut StdRng) -> f64 {
+        match x {
+            0 => f64::NEG_INFINITY,
+            _ if x == g - 1 => f64::INFINITY,
+            _ if x == g / 2 && rng.gen_bool(0.5) => -0.0,
+            _ => x as f64 - (g / 2) as f64,
+        }
+    }
+
+    /// `a` distinct grid points of `[0, g)^d` with coordinate sum `sum`,
+    /// so an antichain, in random order.
+    fn grid_antichain(
+        a: usize,
+        d: usize,
+        g: usize,
+        sum: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<usize>> {
+        let mut level = Vec::new();
+        let mut x = vec![0usize; d];
+        loop {
+            if x.iter().sum::<usize>() == sum {
+                level.push(x.clone());
+            }
+            let Some(k) = (0..d).find(|&k| x[k] + 1 < g) else {
+                break;
+            };
+            x[k] += 1;
+            x[..k].iter_mut().for_each(|c| *c = 0);
+        }
+        assert!(
+            level.len() >= a,
+            "level of {} points, need {a}",
+            level.len()
+        );
+        level.shuffle(rng);
+        level.truncate(a);
+        level
+    }
+
+    /// Every index query must equal the raw scan at checkpoint strides
+    /// 64 and 128 and at one checkpoint per dimension, where a row's
+    /// clears exceed a compare pass and the oracle's fallback narrows it.
+    #[test]
+    fn matches_naive_scan_at_every_stride() {
+        let mut rng = StdRng::seed_from_u64(0xA7C4);
+        for (a, d, g, sum) in [
+            (63, 2, 80, 79),
+            (64, 3, 12, 16),
+            (65, 4, 8, 14),
+            (200, 3, 20, 28),
+            (1000, 4, 12, 22),
+            (1000, 5, 8, 17),
+        ] {
+            let grid = grid_antichain(a, d, g, sum, &mut rng);
+            let raw: Vec<Vec<f64>> = grid
+                .iter()
+                .map(|x| x.iter().map(|&c| grid_value(c, g, &mut rng)).collect())
+                .collect();
+            let h = MonotoneClassifier::from_anchors(d, raw.clone());
+            assert_eq!(h.anchors().len(), a);
+            // Queries at, just below and just above anchor coordinates,
+            // with a NaN or an infinity now and then.
+            let queries: Vec<Vec<f64>> = (0..600)
+                .map(|_| {
+                    let base = &grid[rng.gen_range(0..a)];
+                    base.iter()
+                        .map(|&c| match rng.gen_range(0..20) {
+                            0 => f64::NAN,
+                            1 => f64::INFINITY,
+                            2 => f64::NEG_INFINITY,
+                            r => {
+                                let c = (c + r % 3).saturating_sub(1).min(g - 1);
+                                grid_value(c, g, &mut rng)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let expected: Vec<Label> = queries
+                .iter()
+                .map(|p| Label::from_bool(raw.iter().any(|x| dominates(p, x))))
+                .collect();
+            let ones = expected.iter().filter(|l| l.is_one()).count();
+            assert!(ones > 50 && ones < 550, "a {a} d {d}: {ones} positives");
+
+            // The suffix-bitset table's bytes at stride 64.
+            let table = (d * a.div_ceil(64).pow(2) * 8) as u64;
+            for (budget, stride) in [
+                (256 << 20, 64),
+                (table - 1, 128),
+                (1, a.next_power_of_two().max(64)),
+            ] {
+                let idx = AnchorIndex::build_within(&h, budget);
+                if a > 64 {
+                    assert_eq!(idx.oracle.stride(), stride, "a {a} budget {budget}");
+                }
+                let mut scratch = QueryScratch::default();
+                for (p, &want) in queries.iter().zip(&expected) {
+                    assert_eq!(
+                        idx.classify_with(p, &mut scratch),
+                        want,
+                        "a {a} d {d} stride {} query {p:?}",
+                        idx.oracle.stride()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn payload_bytes_is_the_oracle_values_and_counts() {
+        let a = 300usize;
+        let anchors: Vec<Vec<f64>> = (0..a).map(|i| vec![i as f64, (a - i) as f64]).collect();
+        let idx = AnchorIndex::build(&MonotoneClassifier::from_anchors(2, anchors));
+        let words = a.div_ceil(64);
+        // Stride 64: 2 dimensions × 5 checkpoints × 5 words; ranks,
+        // orders and group starts; 300 singleton duplicate groups.
+        let oracle = 2 * words * words * 8 + 12 * 2 * a + 4 * (a + a + a + 1);
+        assert_eq!(idx.oracle.payload_bytes(), oracle);
+        let values = 2 * a * 8;
+        let counts = 2 * (a + 1) * 4;
+        assert_eq!(idx.payload_bytes(), oracle + values + counts);
     }
 }

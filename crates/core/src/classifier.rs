@@ -25,7 +25,8 @@
 //! assert_eq!(h.classify(&[0.6, 0.4]), Label::Zero);
 //! ```
 
-use mc_geom::{dominates, Label, LabeledSet, PointSet, WeightedSet};
+use crate::anchor_index::reversed_rank_columns;
+use mc_geom::{dominates, row_budget_bytes, Label, LabeledSet, PointSet, RankOracle, WeightedSet};
 
 /// A monotone classifier represented by the minimal points ("anchors") of
 /// its positive region.
@@ -72,10 +73,15 @@ impl MonotoneClassifier {
     /// anything as 1 and removing it is behavior-identical.
     ///
     /// The sweep sorts first (`O(a log a)` comparisons), then scans in
-    /// lexicographic order where an anchor can only be made redundant by
-    /// an already-kept one — so pruning is `O(a·m·d)` for `m` kept
-    /// anchors instead of the former all-pairs `O(a²·d)` with
-    /// input-order-dependent survivors among duplicates.
+    /// lexicographic order, where an anchor can only be made redundant
+    /// by an already-kept one. While the kept set has at most `⌈a/64⌉`
+    /// anchors, each candidate is compared with every kept anchor
+    /// (`O(m·d)` for `m` kept). Past that, a [`RankOracle`] over the
+    /// candidates' reversed ranks is built once, and each remaining
+    /// candidate costs one oracle row ANDed with the kept bitset: the
+    /// `d·⌈a/64⌉` word ANDs plus the row's bit clears. Either test gives
+    /// the same answer, so the output does not depend on the switch, and
+    /// callers whose kept set stays small never build the oracle.
     ///
     /// # Panics
     ///
@@ -110,14 +116,38 @@ impl MonotoneClassifier {
         canonical.dedup();
         // If `b ⪯ a` (so `a` is redundant) then `b` sorts before `a`
         // lexicographically; scanning in sorted order means every anchor
-        // that could prune `a` is already in `minimal`, and nothing kept
-        // is ever invalidated later.
-        let mut minimal: Vec<Vec<f64>> = Vec::new();
-        for a in canonical {
-            if !minimal.iter().any(|m| dominates(&a, m)) {
-                minimal.push(a);
+        // that could prune `a` is already kept, and nothing kept is ever
+        // invalidated later.
+        let mut kept: Vec<usize> = Vec::new();
+        let mut pruner: Option<Pruner> = None;
+        for i in 0..canonical.len() {
+            let redundant = match &mut pruner {
+                Some(p) => p.dominates_kept(i),
+                None => kept
+                    .iter()
+                    .any(|&j| dominates(&canonical[i], &canonical[j])),
+            };
+            if redundant {
+                continue;
+            }
+            kept.push(i);
+            match &mut pruner {
+                Some(p) => p.keep(i),
+                None if past_switch(kept.len(), canonical.len()) => {
+                    pruner = Some(Pruner::new(dim, &canonical, &kept));
+                }
+                None => {}
             }
         }
+        let mut is_kept = vec![false; canonical.len()];
+        for &i in &kept {
+            is_kept[i] = true;
+        }
+        let minimal = canonical
+            .into_iter()
+            .zip(is_kept)
+            .filter_map(|(a, keep)| keep.then_some(a))
+            .collect();
         Self {
             dim,
             anchors: minimal,
@@ -192,6 +222,53 @@ impl MonotoneClassifier {
     /// Evaluates the classifier on every point of a set.
     pub fn classify_set(&self, points: &PointSet) -> Vec<Label> {
         points.iter().map(|p| self.classify(p)).collect()
+    }
+}
+
+/// Whether [`MonotoneClassifier::from_anchors`]'s sweep over
+/// `candidates` anchors, with `kept` kept so far, tests the rest with
+/// oracle rows: once `kept` passes `⌈candidates/64⌉`, a row's
+/// `d·⌈candidates/64⌉` word ANDs cost less than `d` compares per kept
+/// anchor.
+fn past_switch(kept: usize, candidates: usize) -> bool {
+    kept > candidates.div_ceil(64)
+}
+
+/// The bitset side of [`MonotoneClassifier::from_anchors`]'s sweep: an
+/// oracle over the sorted candidates' reversed ranks, whose dominator
+/// row of candidate `i` holds every candidate `i` dominates, and the
+/// kept set as a bitset over candidate indices.
+struct Pruner {
+    oracle: RankOracle,
+    kept: Vec<u64>,
+    row: Vec<u64>,
+}
+
+impl Pruner {
+    fn new(dim: usize, candidates: &[Vec<f64>], kept: &[usize]) -> Self {
+        let (ranks, _) = reversed_rank_columns(dim, candidates);
+        let oracle =
+            RankOracle::from_rank_columns(candidates.len(), dim, ranks, row_budget_bytes());
+        let words = oracle.words();
+        let mut pruner = Self {
+            oracle,
+            kept: vec![0; words],
+            row: vec![0; words],
+        };
+        for &i in kept {
+            pruner.keep(i);
+        }
+        pruner
+    }
+
+    fn keep(&mut self, i: usize) {
+        self.kept[i >> 6] |= 1 << (i & 63);
+    }
+
+    /// `true` iff candidate `i` dominates a kept candidate.
+    fn dominates_kept(&mut self, i: usize) -> bool {
+        self.oracle.dominator_row_into(i, &mut self.row);
+        self.row.iter().zip(&self.kept).any(|(r, k)| r & k != 0)
     }
 }
 
@@ -352,6 +429,26 @@ mod tests {
         assert_eq!(h.error_on(&ls), 1); // point 3.0 predicted 1 but labeled 0
         let ws = WeightedSet::new(points, labels, vec![1.0, 1.0, 10.0]);
         assert_eq!(h.weighted_error_on(&ws), 10.0);
+    }
+
+    #[test]
+    fn pruning_switches_to_oracle_rows_past_a_64th_of_the_candidates() {
+        for (kept, candidates, past) in [
+            (1, 1, false),
+            (2, 2, true),
+            (1, 64, false),
+            (2, 64, true),
+            (2, 65, false),
+            (3, 65, true),
+            (16, 1000, false),
+            (17, 1000, true),
+        ] {
+            assert_eq!(
+                past_switch(kept, candidates),
+                past,
+                "{kept} of {candidates}"
+            );
+        }
     }
 
     #[test]

@@ -256,7 +256,8 @@ mod edges {
 
     #[test]
     fn many_anchors_cross_block_boundary() {
-        // > 256 anchors so the u64×4 kernel runs its blocked body.
+        // 520 anchors → rows of 9 words and 9 oracle checkpoints per
+        // dimension.
         let anchors: Vec<Vec<f64>> = (0..520).map(|i| vec![i as f64, (520 - i) as f64]).collect();
         let raw = anchors.clone();
         let h = MonotoneClassifier::from_anchors(2, anchors);
@@ -266,6 +267,172 @@ mod edges {
         for i in 0..200 {
             let p = vec![(i * 5) as f64 - 2.0, (i * 3) as f64 + 0.5];
             assert_eq!(idx.classify_with(&p, &mut scratch), naive_scan(&raw, &p));
+        }
+    }
+}
+
+/// Canonical pruning against a brute-force all-pairs reference, on
+/// candidate sets large enough that the kept set crosses the `⌈a/64⌉`
+/// switch where `from_anchors` moves from pairwise compares to oracle
+/// rows.
+mod pruning_reference {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// All-pairs minimality, kept independent of `from_anchors`: drop
+    /// `NaN` anchors, store `-0.0` as `0.0`, keep each distinct anchor
+    /// that dominates no other distinct one, in lexicographic
+    /// `total_cmp` order.
+    fn minimal_reference(raw: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        let canonical: Vec<Vec<f64>> = raw
+            .iter()
+            .filter(|x| x.iter().all(|c| !c.is_nan()))
+            .map(|x| x.iter().map(|&c| if c == 0.0 { 0.0 } else { c }).collect())
+            .collect();
+        let mut out: Vec<Vec<f64>> = Vec::new();
+        for x in &canonical {
+            let redundant = canonical.iter().any(|y| y != x && dominates(x, y));
+            if !redundant && !out.contains(x) {
+                out.push(x.clone());
+            }
+        }
+        out.sort_by(|a, b| {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        out
+    }
+
+    /// Distinct non-`NaN` candidates after canonicalization: the `a`
+    /// of the switch rule.
+    fn distinct_candidates(raw: &[Vec<f64>]) -> usize {
+        let mut bits: Vec<Vec<u64>> = raw
+            .iter()
+            .filter(|x| x.iter().all(|c| !c.is_nan()))
+            .map(|x| {
+                x.iter()
+                    .map(|&c| if c == 0.0 { 0 } else { c.to_bits() })
+                    .collect()
+            })
+            .collect();
+        bits.sort_unstable();
+        bits.dedup();
+        bits.len()
+    }
+
+    fn grid_value(x: usize, g: usize, rng: &mut StdRng) -> f64 {
+        match x {
+            0 => f64::NEG_INFINITY,
+            _ if x == g - 1 => f64::INFINITY,
+            _ if x == g / 2 && rng.gen_bool(0.5) => -0.0,
+            _ => x as f64 - (g / 2) as f64,
+        }
+    }
+
+    /// `m` antichain points on the level `sum` of the grid `[0, g)^d`,
+    /// `extra` distinct points each dominating one of them (so `m +
+    /// extra` distinct candidates), a few exact and
+    /// signed-zero duplicates and a few `NaN`-poisoned anchors, shuffled.
+    fn candidates(
+        m: usize,
+        extra: usize,
+        d: usize,
+        g: usize,
+        sum: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<f64>> {
+        let mut level: Vec<Vec<usize>> = Vec::new();
+        let mut x = vec![0usize; d];
+        loop {
+            if x.iter().sum::<usize>() == sum {
+                level.push(x.clone());
+            }
+            let Some(k) = (0..d).find(|&k| x[k] + 1 < g) else {
+                break;
+            };
+            x[k] += 1;
+            x[..k].iter_mut().for_each(|c| *c = 0);
+        }
+        assert!(
+            level.len() >= m,
+            "level of {} points, need {m}",
+            level.len()
+        );
+        level.shuffle(rng);
+        level.truncate(m);
+        let mut grid: Vec<Vec<usize>> = level.clone();
+        while grid.len() < m + extra {
+            // Above the level, so distinct from every antichain point.
+            let base = &level[rng.gen_range(0..m)];
+            let up: Vec<usize> = base
+                .iter()
+                .map(|&c| (c + rng.gen_range(0..6usize)).min(g - 1))
+                .collect();
+            if up.iter().sum::<usize>() > sum && !grid.contains(&up) {
+                grid.push(up);
+            }
+        }
+        for _ in 0..m.min(20) {
+            grid.push(level[rng.gen_range(0..m)].clone());
+        }
+        let mut raw: Vec<Vec<f64>> = grid
+            .iter()
+            .map(|x| x.iter().map(|&c| grid_value(c, g, rng)).collect())
+            .collect();
+        for _ in 0..5 {
+            let mut poisoned = raw[rng.gen_range(0..raw.len())].clone();
+            poisoned[rng.gen_range(0..d)] = f64::NAN;
+            raw.push(poisoned);
+        }
+        raw.shuffle(rng);
+        raw
+    }
+
+    #[test]
+    fn from_anchors_matches_the_all_pairs_reference_across_the_switch() {
+        let mut rng = StdRng::seed_from_u64(0x5_1C7);
+        // (antichain size m, dominated extras, d, g, level): the switch
+        // sits at ⌈(m + extra)/64⌉ kept anchors, and the kept set
+        // crosses it iff m exceeds that.
+        for (m, extra, d, g, sum) in [
+            (1, 62, 3, 12, 16),
+            (2, 62, 3, 12, 16),
+            (3, 62, 3, 12, 16),
+            (3, 149, 4, 8, 14),
+            (5, 195, 4, 8, 14),
+            (63, 0, 3, 20, 28),
+            (65, 0, 4, 8, 14),
+            (15, 985, 4, 12, 22),
+            (16, 984, 4, 12, 22),
+            (17, 983, 4, 12, 22),
+            (200, 800, 4, 12, 22),
+            (1000, 100, 4, 12, 22),
+        ] {
+            let raw = candidates(m, extra, d, g, sum, &mut rng);
+            assert_eq!(distinct_candidates(&raw), m + extra);
+            let h = MonotoneClassifier::from_anchors(d, raw.clone());
+            let want = minimal_reference(&raw);
+            assert_eq!(want.len(), m);
+            let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                v.iter()
+                    .map(|x| x.iter().map(|c| c.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(h.anchors()), bits(&want), "m {m} extra {extra} d {d}");
+            let queries: Vec<Vec<f64>> = (0..200)
+                .map(|_| {
+                    let base = &raw[rng.gen_range(0..raw.len())];
+                    base.iter()
+                        .map(|&c| if rng.gen_bool(0.2) { c - 1.0 } else { c })
+                        .collect()
+                })
+                .collect();
+            check_index_matches_naive(raw, &queries, d);
         }
     }
 }

@@ -6,12 +6,12 @@
 //!
 //! * the explicit `d ≥ 3` matrix fill of [`crate::DominanceIndex`]
 //!   (only when a caller still asks for the full matrix),
-//! * the chain-head query of the passive chain-ladder sweep,
-//! * the per-dimension narrowing of the serving `AnchorIndex`, and
-//! * the on-demand dominator rows of [`crate::RankOracle`], but only on
-//!   a dimension where a budget-widened checkpoint stride leaves more
-//!   bits to clear than a compare pass costs (rows otherwise AND
-//!   precomputed per-dimension suffix bitsets).
+//! * the chain-head query of the passive chain-ladder sweep, and
+//! * the rows of [`crate::RankOracle`] (dominator rows, and the suffix
+//!   rows the serving `AnchorIndex` and canonical anchor pruning ask
+//!   for), but only on a dimension where a budget-widened checkpoint
+//!   stride leaves more bits to clear than a compare pass costs (rows
+//!   otherwise AND precomputed per-dimension suffix bitsets).
 //!
 //! The inner loops are written for autovectorization rather than
 //! explicit intrinsics (safe code only, no target-specific flags): each

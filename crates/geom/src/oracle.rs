@@ -19,7 +19,11 @@
 //! ```
 //!
 //! That is `d·⌈n/64⌉` word ANDs plus fewer than `d·B` bit clears per
-//! row, where a rank-compare pass costs `d·n` compares. The stride `B`
+//! row, where a rank-compare pass costs `d·n` compares. The same
+//! formula answers any tuple of tie-group starts, not only a point's
+//! own: [`RankOracle::suffix_row_into`] takes the positions directly,
+//! which is how the serving `AnchorIndex` turns a query point's bound
+//! coordinates into the row of anchors it dominates. The stride `B`
 //! starts at 64 and doubles until the table (`d·⌈n/B⌉·⌈n/64⌉·8` bytes)
 //! fits [`crate::row_budget_bytes`], or until one checkpoint per
 //! dimension covers every point. A small budget can widen `B` until one
@@ -153,6 +157,21 @@ impl RankOracle {
         Self::with_stride(n, dim, ranks, stride, token)
     }
 
+    /// Builds the oracle over caller-ranked points: `ranks[k * n + i]`
+    /// is point `i`'s order-preserving rank on dimension `k`. The table
+    /// stride is fitted to `budget_bytes`, which callers resolve once
+    /// (normally [`row_budget_bytes`]), as
+    /// [`crate::check_matrix_budget_against`] takes an explicit budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks.len() != dim * n`.
+    pub fn from_rank_columns(n: usize, dim: usize, ranks: Vec<u32>, budget_bytes: u64) -> Self {
+        let stride = table_stride(n, dim, budget_bytes);
+        Self::with_stride(n, dim, ranks, stride, &CancelToken::never())
+            .expect("a never-token cannot cancel")
+    }
+
     /// Sorts every dimension and fills the suffix-bitset table at
     /// checkpoint stride `stride` (a power of two `≥ 64`). Polls once per
     /// dimension and ticks one unit per table word written.
@@ -254,6 +273,20 @@ impl RankOracle {
         self.words
     }
 
+    /// Checkpoint stride `B` of the suffix-bitset table.
+    pub fn stride(&self) -> usize {
+        1 << self.stride_shift
+    }
+
+    /// Bytes the oracle holds: the suffix-bitset table, the rank, order
+    /// and tie-group-start columns, and the duplicate-group arrays.
+    pub fn payload_bytes(&self) -> usize {
+        let words = self.suffix.len() * 8;
+        let columns = (self.ranks.len() + self.order.len() + self.group_start.len()) * 4;
+        let dups = (self.dup_group.len() + self.dup_members.len() + self.dup_offsets.len()) * 4;
+        words + columns + dups
+    }
+
     /// Rank of point `i` on dimension `k`.
     pub fn rank(&self, k: usize, i: usize) -> u32 {
         self.ranks[k * self.n + i]
@@ -287,18 +320,47 @@ impl RankOracle {
     /// Computes `i`'s *reflexive dominator row* into `out`: bit `j` is
     /// set iff `p_j ⪰ p_i` (so bit `i` is always set). Bit-identical to
     /// [`crate::DominanceIndex::dominator_row_words`] over the same
-    /// points. At most `d·⌈n/64⌉` word ANDs plus, per dimension, fewer
-    /// than `B` bit clears or one rank-compare pass, whichever is cheaper.
+    /// points. This is [`Self::suffix_row_into`] at the positions
+    /// `pos_k(i)`.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.words()`.
     pub fn dominator_row_into(&self, i: usize, out: &mut [u64]) {
+        let n = self.n;
+        self.row_at(|k| self.group_start[k * n + i] as usize, out);
+    }
+
+    /// Computes the *suffix row* at per-dimension sorted positions
+    /// `pos` into `out`: bit `j` is set iff, on every dimension `k`,
+    /// point `j` sits at sorted position `≥ pos[k]`. Each `pos[k]` must
+    /// start a rank tie group on dimension `k`, so the row is also
+    /// "rank ≥ the rank at `pos[k]`". At most `d·⌈n/64⌉` word ANDs
+    /// plus, per dimension, fewer than `B` bit clears or one
+    /// rank-compare pass, whichever is cheaper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos.len() != self.dim()`, `out.len() != self.words()`
+    /// or a position is not below `len()`.
+    pub fn suffix_row_into(&self, pos: &[u32], out: &mut [u64]) {
+        assert_eq!(pos.len(), self.dim, "one position per dimension");
+        assert!(
+            pos.iter().all(|&p| (p as usize) < self.n),
+            "position out of range"
+        );
+        self.row_at(|k| pos[k] as usize, out);
+    }
+
+    /// The row of the points at sorted position `≥ pos(k)` on every
+    /// dimension `k`; each `pos(k)` is a tie-group start below `n`.
+    #[inline]
+    fn row_at(&self, pos: impl Fn(usize) -> usize, out: &mut [u64]) {
         assert_eq!(out.len(), self.words, "row width mismatch");
         let n = self.n;
         let mut filled = false;
         for k in 0..self.dim {
-            let c = self.group_start[k * n + i] as usize >> self.stride_shift;
+            let c = pos(k) >> self.stride_shift;
             if c == 0 {
                 continue; // S_k[0] holds every point
             }
@@ -316,18 +378,21 @@ impl RankOracle {
         if !filled {
             kernel::ones_mask_into(n, out);
         }
-        // The points between each checkpoint and `pos_k(i)` are in
-        // `S_k[c]` but rank below `i` on dimension `k`. A stride widened
-        // by a small budget can leave more of them than one rank-compare
-        // pass over the column costs; narrow by that pass instead.
+        // The points between each checkpoint and `pos(k)` are in
+        // `S_k[c]` but rank below `pos(k)`'s group on dimension `k`. A
+        // stride widened by a small budget can leave more of them than
+        // one rank-compare pass over the column costs; narrow by that
+        // pass instead.
         for k in 0..self.dim {
-            let pos = self.group_start[k * n + i] as usize;
+            let pos = pos(k);
             let from = pos >> self.stride_shift << self.stride_shift;
+            let sorted = &self.order[k * n..(k + 1) * n];
             if pos - from > self.words * CLEARS_PER_COMPARE_WORD {
-                kernel::and_ge_mask(self.column(k), self.rank(k, i), out);
+                let threshold = self.rank(k, sorted[pos] as usize);
+                kernel::and_ge_mask(self.column(k), threshold, out);
                 continue;
             }
-            for &j in &self.order[k * n + from..k * n + pos] {
+            for &j in &sorted[from..pos] {
                 out[j as usize >> 6] &= !(1u64 << (j & 63));
             }
         }
@@ -541,6 +606,67 @@ mod tests {
                 "gathered",
             );
         }
+    }
+
+    #[test]
+    fn suffix_rows_match_a_rank_scan_at_every_stride() {
+        let mut rng = StdRng::seed_from_u64(0x5_0FF1);
+        for dim in 1..=5usize {
+            for n in [1usize, 63, 64, 65, 200, 333] {
+                let points = random_points(n, dim, 6.0, &mut rng);
+                let ranks = dense_ranks(&points);
+                for stride in [64, 128, n.next_power_of_two().max(MIN_STRIDE)] {
+                    let never = CancelToken::never();
+                    let oracle =
+                        RankOracle::with_stride(n, dim, ranks.clone(), stride, &never).unwrap();
+                    let mut row = vec![0u64; oracle.words()];
+                    for _ in 0..40 {
+                        // Each dimension's position is the group start of
+                        // an independently drawn point.
+                        let pos: Vec<u32> = (0..dim)
+                            .map(|k| oracle.group_start[k * n + rng.gen_range(0..n)])
+                            .collect();
+                        oracle.suffix_row_into(&pos, &mut row);
+                        let mut want = vec![0u64; oracle.words()];
+                        for j in 0..n {
+                            let inside = (0..dim).all(|k| {
+                                let p = pos[k] as usize;
+                                oracle.rank(k, j)
+                                    >= oracle.rank(k, oracle.order[k * n + p] as usize)
+                            });
+                            if inside {
+                                want[j >> 6] |= 1 << (j & 63);
+                            }
+                        }
+                        assert_eq!(row, want, "dim {dim} n {n} stride {stride} pos {pos:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn payload_bytes_counts_the_table_and_every_array() {
+        let mut rng = StdRng::seed_from_u64(0xB17E5);
+        let (n, dim) = (300, 3);
+        let points = random_points(n, dim, 5.0, &mut rng);
+        for stride in [64, 128, 512] {
+            let oracle = RankOracle::with_stride(
+                n,
+                dim,
+                dense_ranks(&points),
+                stride,
+                &CancelToken::never(),
+            )
+            .unwrap();
+            assert_eq!(oracle.stride(), stride);
+            let groups = oracle.dup_offsets.len() - 1;
+            let want =
+                table_bytes(n, dim, stride) as usize + 12 * dim * n + 4 * (2 * n + groups + 1);
+            assert_eq!(oracle.payload_bytes(), want, "stride {stride}");
+        }
+        let fitted = RankOracle::from_rank_columns(n, dim, dense_ranks(&points), 1);
+        assert_eq!(fitted.stride(), 512);
     }
 
     #[test]

@@ -321,7 +321,9 @@ fn handle_request(payload: &[u8], ctx: &ServerCtx) -> Outcome {
                     ))
                 };
             }
+            let t0 = Instant::now();
             let labels = snap.index.classify_batch(&data);
+            ctx.stats.note_classify(t0.elapsed().as_micros() as u64);
             Outcome {
                 batch_points: Some(n as u64),
                 ..Outcome::ok(encode_classify_response(snap.generation, &labels))

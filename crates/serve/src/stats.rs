@@ -17,6 +17,8 @@
 //! * `serve.swaps` — snapshot hot-swaps (counter)
 //! * `serve.batch_points` — classify batch sizes (histogram)
 //! * `serve.latency_us` — per-request service time, µs (histogram)
+//! * `serve.classify_us` — time inside the anchor index's
+//!   `classify_batch` per classify frame, µs (histogram)
 
 use mc_obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -39,6 +41,9 @@ pub struct ServeStats {
     /// Per-request service latency in microseconds (time from frame
     /// decode start to the flushed reply).
     pub latency_us: Histogram,
+    /// Per classify frame, the microseconds spent inside
+    /// `AnchorIndex::classify_batch`: the index's share of `latency_us`.
+    pub classify_us: Histogram,
 }
 
 impl ServeStats {
@@ -78,6 +83,12 @@ impl ServeStats {
         mc_obs::record("serve.latency_us", latency_us);
     }
 
+    /// Notes one classify frame's time inside the index.
+    pub fn note_classify(&self, classify_us: u64) {
+        self.classify_us.record(classify_us);
+        mc_obs::record("serve.classify_us", classify_us);
+    }
+
     /// Notes a snapshot swap.
     pub fn note_swap(&self) {
         self.swaps.fetch_add(1, Relaxed);
@@ -99,6 +110,10 @@ impl ServeStats {
             .u64("latency_us_p50", q(&self.latency_us, 0.50))
             .u64("latency_us_p99", q(&self.latency_us, 0.99))
             .u64("latency_us_max", self.latency_us.max().unwrap_or(0))
+            .u64("classify_us_count", self.classify_us.count())
+            .u64("classify_us_p50", q(&self.classify_us, 0.50))
+            .u64("classify_us_p99", q(&self.classify_us, 0.99))
+            .u64("classify_us_max", self.classify_us.max().unwrap_or(0))
             .finish()
     }
 }
@@ -118,6 +133,7 @@ mod tests {
         s.note_latency(250);
         s.note_request(None, true);
         s.note_latency(10);
+        s.note_classify(40);
         s.note_swap();
         assert_eq!(s.connections.load(Relaxed), 1);
         assert_eq!(s.requests.load(Relaxed), 2);
@@ -126,6 +142,7 @@ mod tests {
         assert_eq!(s.swaps.load(Relaxed), 1);
         assert_eq!(s.batch_points.count(), 1);
         assert_eq!(s.latency_us.count(), 2);
+        assert_eq!(s.classify_us.count(), 1);
     }
 
     #[test]
@@ -133,6 +150,7 @@ mod tests {
         let s = ServeStats::new();
         s.note_request(Some(7), false);
         s.note_latency(123);
+        s.note_classify(45);
         let json = s.to_json(3);
         let tree = json_in::parse(json.as_bytes()).expect("valid JSON");
         for key in [
@@ -147,10 +165,15 @@ mod tests {
             "latency_us_p50",
             "latency_us_p99",
             "latency_us_max",
+            "classify_us_count",
+            "classify_us_p50",
+            "classify_us_p99",
+            "classify_us_max",
         ] {
             assert!(tree.get(key).is_some(), "missing {key}");
         }
         assert_eq!(tree.get("points").unwrap().as_u64(), Some(7));
         assert_eq!(tree.get("generation").unwrap().as_u64(), Some(3));
+        assert_eq!(tree.get("classify_us_count").unwrap().as_u64(), Some(1));
     }
 }

@@ -76,6 +76,8 @@ fn concurrent_clients_are_all_served_and_metrics_reconcile() {
     assert_eq!(get("points"), (CLIENTS * REQUESTS * BATCH) as u64);
     assert_eq!(get("errors"), 0);
     assert_eq!(get("connections"), CLIENTS as u64 + 1);
+    // Every classify frame, and nothing else, is timed inside the index.
+    assert_eq!(get("classify_us_count"), (CLIENTS * REQUESTS) as u64);
     server.shutdown_and_join();
 }
 

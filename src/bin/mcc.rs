@@ -1408,6 +1408,10 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
                     .u64("requests", get("requests"))
                     .u64("points", get("points"))
                     .u64("swaps", get("swaps"))
+                    .u64("latency_us_p50", get("latency_us_p50"))
+                    .u64("latency_us_p99", get("latency_us_p99"))
+                    .u64("classify_us_p50", get("classify_us_p50"))
+                    .u64("classify_us_p99", get("classify_us_p99"))
                     .finish()
             }
             None => "null".into(),
