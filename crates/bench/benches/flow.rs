@@ -1,12 +1,13 @@
 //! Criterion benchmarks for the Theorem-4 passive flow pipeline: the
-//! paper-literal dense `O(n²)`-edge network vs the chain-ladder
-//! sparsification (`O(w·n)` edges), end-to-end through `PassiveSolver`,
+//! paper-literal dense `O(n²)`-edge reference (`solve_passive_dense`) vs
+//! the chain-ladder sparsification (`O(w·n)` edges) that `PassiveSolver`
+//! builds at `d ≥ 3`, end to end,
 //! recorded to `BENCH_flow.json` at the repo root (the ISSUE's ≥3×
 //! acceptance gate at n = 20 000, d = 4; override the size list with
 //! `MC_BENCH_FLOW_N` for smoke runs).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc_core::passive::{NetworkStrategy, PassiveSolver};
+use mc_core::passive::{solve_passive_dense, PassiveSolution, PassiveSolver};
 use mc_geom::{Label, WeightedSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -55,20 +56,10 @@ fn bench_strategies(c: &mut Criterion) {
     for n in [500usize, 2_000] {
         let ws = banded_weighted(n, 16, 0.25, 0xF1);
         group.bench_with_input(BenchmarkId::new("dense", n), &ws, |b, ws| {
-            b.iter(|| {
-                PassiveSolver::new()
-                    .with_network(NetworkStrategy::Dense)
-                    .solve(ws)
-                    .weighted_error
-            })
+            b.iter(|| solve_passive_dense(ws).weighted_error)
         });
         group.bench_with_input(BenchmarkId::new("sparse", n), &ws, |b, ws| {
-            b.iter(|| {
-                PassiveSolver::new()
-                    .with_network(NetworkStrategy::Sparse)
-                    .solve(ws)
-                    .weighted_error
-            })
+            b.iter(|| PassiveSolver::new().solve(ws).weighted_error)
         });
     }
     group.finish();
@@ -100,13 +91,13 @@ struct SizeResult {
 }
 
 /// Solves once at `Level::Info` and reads the network counters back.
-fn instrumented_solve(ws: &WeightedSet, strategy: NetworkStrategy) -> (f64, mc_obs::Snapshot) {
+fn instrumented_solve(
+    ws: &WeightedSet,
+    solve: fn(&WeightedSet) -> PassiveSolution,
+) -> (f64, mc_obs::Snapshot) {
     mc_obs::reset();
     mc_obs::set_level(mc_obs::Level::Info);
-    let err = PassiveSolver::new()
-        .with_network(strategy)
-        .solve(ws)
-        .weighted_error;
+    let err = solve(ws).weighted_error;
     let snap = mc_obs::snapshot();
     mc_obs::set_level(mc_obs::Level::Warn);
     mc_obs::reset();
@@ -117,22 +108,12 @@ fn measure(n: usize, width: usize, noise: f64, reps: usize) -> SizeResult {
     let ws = banded_weighted(n, width, noise, 0xF10 + n as u64);
     println!("flow/comparison: dense vs chain ladder at n = {n}, d = 4 ({reps} reps each)");
 
-    let dense = time_runs(reps, || {
-        PassiveSolver::new()
-            .with_network(NetworkStrategy::Dense)
-            .solve(&ws)
-            .weighted_error
-    });
-    let sparse = time_runs(reps, || {
-        PassiveSolver::new()
-            .with_network(NetworkStrategy::Sparse)
-            .solve(&ws)
-            .weighted_error
-    });
+    let dense = time_runs(reps, || solve_passive_dense(&ws).weighted_error);
+    let sparse = time_runs(reps, || PassiveSolver::new().solve(&ws).weighted_error);
 
-    // Equivalence + counters off one instrumented solve per strategy.
-    let (dense_err, dense_snap) = instrumented_solve(&ws, NetworkStrategy::Dense);
-    let (sparse_err, sparse_snap) = instrumented_solve(&ws, NetworkStrategy::Sparse);
+    // Equivalence + counters off one instrumented solve per network.
+    let (dense_err, dense_snap) = instrumented_solve(&ws, solve_passive_dense);
+    let (sparse_err, sparse_snap) = instrumented_solve(&ws, |ws| PassiveSolver::new().solve(ws));
 
     let result = SizeResult {
         n,

@@ -10,7 +10,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mc_chains::ChainDecomposition;
-use mc_core::passive::{solve_passive_scale, NetworkStrategy, PassiveSolver};
+use mc_core::passive::{solve_passive_dense, solve_passive_scale, PassiveSolver};
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
 use mc_geom::{kernel, PointSet};
 use std::fmt::Write as _;
@@ -112,9 +112,7 @@ fn parity_section() -> String {
 
     let scale = solve_passive_scale(&table, &labels, &weights);
     let ladder = PassiveSolver::new().solve(&ws);
-    let dense = PassiveSolver::new()
-        .with_network(NetworkStrategy::Dense)
-        .solve(&ws);
+    let dense = solve_passive_dense(&ws);
 
     // The matrix-built width: a chain decomposition over the label-1
     // points from a full dominator matrix (the pre-oracle code path).

@@ -45,5 +45,5 @@ pub use oracle::{
     InfallibleAdapter, LabelOracle, MeteredOracle, NoisyOracle, OracleError, OracleStats,
     RetryOracle, RetryPolicy, SubsetOracle,
 };
-pub use passive::{solve_passive, NetworkStrategy, PassiveSolution, PassiveSolver};
+pub use passive::{solve_passive, PassiveSolution, PassiveSolver};
 pub use report::SolveReport;

@@ -1,10 +1,20 @@
-//! Brute-force passive solver — the exponential baseline from Section 1.2
-//! ("examine every possible subset S ⊆ P"), kept as a correctness oracle
-//! for the flow-based solver and for the E6 experiment's timing contrast.
+//! The passive solver's slow references:
+//!
+//! * [`solve_passive_brute_force`] — the exponential baseline from
+//!   Section 1.2 ("examine every possible subset S ⊆ P"), a correctness
+//!   oracle for the flow-based solver and the E6 experiment's timing
+//!   contrast;
+//! * [`solve_passive_dense`] — the paper-literal Section-5.1 network,
+//!   one infinite type-3 edge per dominating pair, which the production
+//!   gadgets are diffed against.
 
 use crate::classifier::MonotoneClassifier;
-use crate::passive::solver::PassiveSolution;
-use mc_geom::{Label, WeightedSet};
+use crate::passive::contending::ContendingPoints;
+use crate::passive::solver::{solve_network, PassiveSolution};
+use crate::passive::sparse::ClassifierNetwork;
+use mc_flow::{Capacity, Dinic, FlowNetwork};
+use mc_geom::{bitmask_of, iter_ones, DominanceIndex, Label, WeightedSet};
+use mc_obs::CancelToken;
 
 /// Optimal passive solve by enumerating all `2^n` label assignments and
 /// keeping the best monotone one.
@@ -18,12 +28,7 @@ pub fn solve_passive_brute_force(data: &WeightedSet) -> PassiveSolution {
     let n = data.len();
     assert!(n <= 22, "brute force is exponential; n = {n} too large");
     if n == 0 {
-        return PassiveSolution {
-            classifier: MonotoneClassifier::all_zero(data.dim().max(1)),
-            weighted_error: 0.0,
-            assignment: Vec::new(),
-            contending: 0,
-        };
+        return PassiveSolution::empty(data.dim());
     }
     let points = data.points();
     // dominated_by[i] = bitmask of points j (j != i) that dominate i.
@@ -68,7 +73,73 @@ pub fn solve_passive_brute_force(data: &WeightedSet) -> PassiveSolution {
         classifier: MonotoneClassifier::from_positive_points(points, &positive),
         weighted_error: best_err,
         assignment,
-        contending: crate::passive::contending::ContendingPoints::compute(data).len(),
+        contending: ContendingPoints::compute(data).len(),
+    }
+}
+
+/// Optimal passive solve over the paper's literal Section-5.1 network:
+/// contending points from a full [`DominanceIndex`]
+/// ([`ContendingPoints::compute_indexed`]), one infinite type-3 edge per
+/// dominating `(zero, one)` pair, then Dinic and the same cut readout as
+/// [`crate::passive::PassiveSolver`]. `Θ(n²)` time, edges and matrix
+/// bits: the slow reference the production gadgets are tested and
+/// benchmarked against, not a production path.
+pub fn solve_passive_dense(data: &WeightedSet) -> PassiveSolution {
+    if data.is_empty() {
+        return PassiveSolution::empty(data.dim());
+    }
+    let index = DominanceIndex::build(data.points());
+    let con = ContendingPoints::compute_indexed(data, &index);
+    let network = (!con.is_empty()).then(|| build_dense_network(data, &con, &index));
+    solve_network(&Dinic, data, con, network, &CancelToken::never(), false)
+        .expect("a never-token cannot cancel")
+        .0
+}
+
+/// The Section-5.1 network over `con`: one infinite type-3 edge per
+/// dominating `(zero, one)` pair, enumerated as set bits of
+/// `row(q) AND zeros_mask` per contending label-1 point `q`. Each zero
+/// node's forward edges arrive in ascending one-index order and each one
+/// node's residual edges in ascending zero-index order.
+pub(crate) fn build_dense_network(
+    data: &WeightedSet,
+    con: &ContendingPoints,
+    index: &DominanceIndex,
+) -> ClassifierNetwork {
+    let n = data.len();
+    let source = 0;
+    let sink = 1;
+    let mut net = FlowNetwork::new(2 + con.len(), source, sink);
+    let zero_nodes: Vec<usize> = (0..con.zeros.len()).map(|i| 2 + i).collect();
+    let one_nodes: Vec<usize> = (0..con.ones.len())
+        .map(|i| 2 + con.zeros.len() + i)
+        .collect();
+    for (zi, &p) in con.zeros.iter().enumerate() {
+        net.add_edge(source, zero_nodes[zi], data.weight(p));
+    }
+    for (oi, &q) in con.ones.iter().enumerate() {
+        net.add_edge(one_nodes[oi], sink, data.weight(q));
+    }
+    // Global index → position in `con.zeros` (which is ascending, so bit
+    // order and zero-index order coincide).
+    let mut zero_pos = vec![u32::MAX; n];
+    for (zi, &p) in con.zeros.iter().enumerate() {
+        zero_pos[p] = zi as u32;
+    }
+    let zeros_mask = bitmask_of(n, con.zeros.iter().copied());
+    let mut row = Vec::with_capacity(index.words());
+    for (oi, &q) in con.ones.iter().enumerate() {
+        if index.dominators_and_into(q, &zeros_mask, &mut row) {
+            for p in iter_ones(&row) {
+                let zi = zero_pos[p] as usize;
+                net.add_edge(zero_nodes[zi], one_nodes[oi], Capacity::Infinite);
+            }
+        }
+    }
+    ClassifierNetwork {
+        net,
+        zero_nodes,
+        one_nodes,
     }
 }
 
@@ -95,13 +166,17 @@ mod tests {
                     ws.push(&coords, label, weight);
                 }
                 let flow = solve_passive(&ws);
+                let dense = solve_passive_dense(&ws);
                 let brute = solve_passive_brute_force(&ws);
-                assert!(
-                    (flow.weighted_error - brute.weighted_error).abs() < 1e-9,
-                    "dim {dim} trial {trial}: flow {} vs brute {} on {ws:?}",
-                    flow.weighted_error,
-                    brute.weighted_error
-                );
+                for (what, sol) in [("flow", &flow), ("dense", &dense)] {
+                    assert!(
+                        (sol.weighted_error - brute.weighted_error).abs() < 1e-9,
+                        "dim {dim} trial {trial}: {what} {} vs brute {} on {ws:?}",
+                        sol.weighted_error,
+                        brute.weighted_error
+                    );
+                }
+                assert_eq!(flow.contending, dense.contending, "dim {dim} trial {trial}");
             }
         }
     }

@@ -18,8 +18,12 @@
 //! Discovery strategies, fastest applicable first:
 //!
 //! * `d ≤ 2` — the `O(n log n)` sweep in `crate::passive::sparse`;
+//! * `d ≥ 3` in the solver — the chain ladder's binary searches
+//!   (`crate::passive::ladder`), which never build a matrix;
 //! * `d ≥ 3` with a [`DominanceIndex`] — one bitset row-`AND` per
-//!   label-1 point against the label-0 mask ([`ContendingPoints::compute_indexed`]);
+//!   label-1 point against the label-0 mask
+//!   ([`ContendingPoints::compute_indexed`]), used by the slow
+//!   references in `crate::passive::brute`;
 //! * the naive `O(d·n²)` pairwise scan, kept as the reference
 //!   implementation ([`ContendingPoints::compute_generic`]).
 

@@ -7,17 +7,17 @@
 //! divide-and-conquer ladder; this module removes it for **every**
 //! dimension using the paper's own Lemma-6 machinery:
 //!
-//! 1. Run a minimum chain decomposition on the contending label-1
-//!    points (bitset Hopcroft–Karp over the shared [`DominanceIndex`]).
+//! 1. Run a minimum chain decomposition on the label-1 points
+//!    (bitset Hopcroft–Karp over a [`RankOracle`]'s on-demand rows).
 //!    This yields `w` chains `o_{c,0} ⪯ o_{c,1} ⪯ …`, `w` the dominance
-//!    width of `P₁^con`.
+//!    width of `P₁`.
 //! 2. Per chain, build a rung ladder of auxiliary nodes: `a_i → o_{c,i}`
 //!    and `a_i → a_{i-1}`, all [`Capacity::Infinite`], so `a_i` reaches
 //!    exactly the chain prefix `o_{c,0..=i}`.
-//! 3. Per contending 0-point `p` and chain `c`, the set of chain
-//!    elements `p` dominates is a **prefix** (chains are ascending and
-//!    `⪰` is transitive), so one binary search over the chain order —
-//!    comparing `DominanceIndex` rank columns, `O(d log n)` — finds the
+//! 3. Per 0-point `p` and chain `c`, the set of chain elements `p`
+//!    dominates is a **prefix** (chains are ascending and `⪰` is
+//!    transitive), so one binary search over the chain order —
+//!    comparing [`RankTable`] rank columns, `O(d log n)` — finds the
 //!    deepest dominated element; a single edge `p → a_{deepest}` then
 //!    reproduces every dense edge `p → o` into that chain.
 //!
@@ -33,22 +33,17 @@
 //! the worst case, and at most `2·|P₁^con| + w·|P₀^con|` gadget edges
 //! versus up to `|P₀^con|·|P₁^con|` dense edges.
 //!
-//! Two entry points share the construction:
+//! The pipeline is **matrix-free**: only the `O(d·n log n)`
+//! [`RankTable`] over all points plus a [`RankOracle`] gathered from its
+//! label-1 rows, whose Lemma-6 split-graph rows are computed on demand
+//! (`O(d·|P₁|)` resident — no quadratic structure at any subset size).
+//! The same binary searches that place the zero→rung edges double as
+//! Lemma-15 contending discovery: a 0-point contends iff some chain
+//! search returns a non-empty prefix, and the contending 1-points of
+//! chain `c` are exactly its prefix up to the deepest rung any 0-point
+//! reaches.
 //!
-//! * [`build_ladder_network`] — off a prebuilt full-set
-//!   [`DominanceIndex`] (the `solve_with_index` path, where the matrix
-//!   is already paid for).
-//! * [`discover_and_build`] — **matrix-free**: only the `O(d·n log n)`
-//!   [`RankTable`] over all points plus a [`RankOracle`] gathered from
-//!   its label-1 rows, whose Lemma-6 split-graph rows are computed on
-//!   demand (`O(d·|P₁|)` resident — no quadratic structure at any
-//!   subset size). The same binary searches that place the zero→rung
-//!   edges double as Lemma-15 contending discovery: a 0-point contends
-//!   iff some chain search returns a non-empty prefix, and the
-//!   contending 1-points of chain `c` are exactly its prefix up to the
-//!   deepest rung any 0-point reaches.
-//!
-//! Both entry points share one zero sweep. It fans out over
+//! The zero sweep fans out over
 //! `parallel_chunks`, and a [`HeadQuery`] over the `w` chain heads finds
 //! the chains a zero hits before any binary search runs. Each worker
 //! first screens its zeros in blocks of [`SWEEP_BLOCK`], one pass per
@@ -72,7 +67,7 @@ use crate::passive::sparse::ClassifierNetwork;
 use mc_chains::ChainDecomposition;
 use mc_flow::{Capacity, FlowNetwork, NodeId};
 use mc_geom::kernel::{and_ge_mask, ones_mask_into};
-use mc_geom::{parallel_chunks, DominanceIndex, Label, RankOracle, RankTable, WeightedSet};
+use mc_geom::{parallel_chunks, Label, RankOracle, RankTable, WeightedSet};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
 
 /// The chain heads a point dominates, answered from per-dimension sorted
@@ -333,7 +328,7 @@ struct Sweep {
     narrowed: u64,
 }
 
-/// The zero sweep both ladder builders run: for every `zeros[zi]`, the
+/// The ladder's zero sweep: for every `zeros[zi]`, the
 /// chains whose head it dominates come from one [`HeadQuery`] (after
 /// its block screen), and a binary search on each of those chains finds
 /// its dominated prefix. Chain entries are positions into `ones`; both
@@ -427,55 +422,28 @@ fn sweep_zeros(
     Ok(sweep)
 }
 
-/// Builds the sparsified network for any dimension off a prebuilt
-/// [`DominanceIndex`] over `data.points()`. Production callers go
-/// through the cancellable twin; the equivalence tests keep this
-/// infallible spelling.
-#[cfg(test)]
-pub(crate) fn build_ladder_network(
-    data: &WeightedSet,
-    con: &ContendingPoints,
-    index: &DominanceIndex,
-) -> ClassifierNetwork {
-    build_ladder_network_cancellable(data, con, index, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// Cancellable twin of [`build_ladder_network`]: the token reaches the
-/// Hopcroft–Karp matching inside the chain decomposition, the zero
-/// sweep ticks a checkpoint per zero, and the wiring one per edge.
-pub(crate) fn build_ladder_network_cancellable(
-    data: &WeightedSet,
-    con: &ContendingPoints,
-    index: &DominanceIndex,
-    token: &CancelToken,
-) -> Result<ClassifierNetwork, Cancelled> {
-    build_ladder_network_with(data, con, index, token, sweep_zeros)
-}
-
-/// The zero sweep's signature; the builders take it as a parameter so
-/// the tests can run them over a reference sweep.
+/// The zero sweep's signature; the builder takes it as a parameter so
+/// the tests can run it over a reference sweep.
 type SweepFn =
     fn(&[&[u32]], &[usize], &[usize], &[Vec<usize>], &CancelToken) -> Result<Sweep, Cancelled>;
 
-/// Wires the gadget into `net`: per chain, a rung ladder over its first
-/// `len` elements (`rungs[c][i]` reaches elements `0..=i` of chain `c`),
-/// then one infinite `zero → rung` edge per sweep hit, into the rung of
-/// the deepest dominated element. `one_node(local)` names the node of
-/// chain entry `local`, and `zero_node(k, zi)` that of the `k`-th hitting
-/// zero, `zeros[zi]`.
+/// Wires the gadget into `net`: per chain `c`, a rung ladder over the
+/// first `sweep.max_cnt[c]` elements, the prefix some zero reaches
+/// (`rungs[c][i]` reaches elements `0..=i`), then one infinite `zero →
+/// rung` edge per sweep hit, into the rung of the deepest dominated
+/// element. `one_node(local)` names the node of chain entry `local`, and
+/// `zero_nodes[k]` that of the `k`-th hitting zero.
 fn wire_ladder(
     net: &mut FlowNetwork,
     chains: &[Vec<usize>],
-    lens: impl Iterator<Item = usize>,
     one_node: impl Fn(usize) -> NodeId,
     sweep: &Sweep,
-    zero_node: impl Fn(usize, usize) -> NodeId,
+    zero_nodes: &[NodeId],
     token: &CancelToken,
 ) -> Result<(), Cancelled> {
     let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(chains.len());
     let mut rung_edges = 0u64;
-    for (chain, len) in chains.iter().zip(lens) {
+    for (chain, &len) in chains.iter().zip(&sweep.max_cnt) {
         let mut ladder: Vec<NodeId> = Vec::with_capacity(len);
         for (i, &local) in chain[..len].iter().enumerate() {
             let a = net.add_node();
@@ -488,13 +456,14 @@ fn wire_ladder(
         rung_edges += (2 * ladder.len()).saturating_sub(1) as u64;
         rungs.push(ladder);
     }
+    debug_assert_eq!(zero_nodes.len(), sweep.hits.len());
     let total: u64 = sweep.hits.iter().map(|(_, h)| h.len() as u64).sum();
     let mut cp = Checkpoint::with_progress(token, "ladder_wire", total);
-    for (k, (zi, hits)) in sweep.hits.iter().enumerate() {
+    for (&zero, (_, hits)) in zero_nodes.iter().zip(&sweep.hits) {
         for &(c, cnt) in hits {
             cp.tick(1)?;
             net.add_edge(
-                zero_node(k, *zi),
+                zero,
                 rungs[c as usize][cnt as usize - 1],
                 Capacity::Infinite,
             );
@@ -505,71 +474,12 @@ fn wire_ladder(
     Ok(())
 }
 
-fn build_ladder_network_with(
-    data: &WeightedSet,
-    con: &ContendingPoints,
-    index: &DominanceIndex,
-    token: &CancelToken,
-    sweep: SweepFn,
-) -> Result<ClassifierNetwork, Cancelled> {
-    let _span = mc_obs::span("ladder");
-    token.poll()?; // small inputs may never reach a checkpoint
-    let source = 0;
-    let sink = 1;
-    let mut net = FlowNetwork::new(2 + con.len(), source, sink);
-    let zero_nodes: Vec<NodeId> = (0..con.zeros.len()).map(|i| 2 + i).collect();
-    let one_nodes: Vec<NodeId> = (0..con.ones.len())
-        .map(|i| 2 + con.zeros.len() + i)
-        .collect();
-    for (zi, &p) in con.zeros.iter().enumerate() {
-        net.add_edge(source, zero_nodes[zi], data.weight(p));
-    }
-    for (oi, &q) in con.ones.iter().enumerate() {
-        net.add_edge(one_nodes[oi], sink, data.weight(q));
-    }
-    if con.zeros.is_empty() || con.ones.is_empty() {
-        return Ok(ClassifierNetwork {
-            net,
-            zero_nodes,
-            one_nodes,
-        });
-    }
-
-    // Lemma 6 on the contending ones. `subset` preserves order, so chain
-    // entries are positions into `con.ones` (hence into `one_nodes`).
-    let ones_index = index.subset(&con.ones);
-    let dec = ChainDecomposition::compute_from_index_cancellable(&ones_index, token)?;
-
-    // Ranks are order-preserving per dimension, so `p ⪰ q` iff p's rank
-    // is ≥ q's on every dimension (reflexive, matching the dense
-    // builder's row-AND semantics on duplicates).
-    let cols: Vec<&[u32]> = (0..index.dim()).map(|k| index.rank_column(k)).collect();
-    let sweep = sweep(&cols, &con.zeros, &con.ones, dec.chains(), token)?;
-
-    let _wire = mc_obs::span("ladder_wire");
-    let chains = dec.chains();
-    wire_ladder(
-        &mut net,
-        chains,
-        chains.iter().map(Vec::len),
-        |local| one_nodes[local],
-        &sweep,
-        |_, zi| zero_nodes[zi],
-        token,
-    )?;
-    Ok(ClassifierNetwork {
-        net,
-        zero_nodes,
-        one_nodes,
-    })
-}
-
 /// Matrix-free ladder pipeline: contending discovery *and* network
 /// construction without ever building the `Θ(n²)` full-set
-/// [`DominanceIndex`]. Returns the Lemma-15 contending sets (both
+/// [`mc_geom::DominanceIndex`]. Returns the Lemma-15 contending sets (both
 /// ascending) and, when they are non-empty, the sparsified network over
-/// exactly those points — identical min cut to what
-/// [`build_ladder_network`] produces from a full index.
+/// exactly those points — identical min cut to the paper-literal dense
+/// network over the same contending sets.
 #[cfg(test)]
 pub(crate) fn discover_and_build(
     data: &WeightedSet,
@@ -708,10 +618,9 @@ fn discover_with(
     wire_ladder(
         &mut net,
         dec.chains(),
-        sweep.max_cnt.iter().copied(),
         |local| one_nodes[one_pos[ones[local]] as usize],
         &sweep,
-        |k, _| zero_nodes[k],
+        &zero_nodes,
         token,
     )?;
 
@@ -734,9 +643,9 @@ fn discover_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::passive::solver::build_dense_network;
+    use crate::passive::brute::build_dense_network;
     use mc_flow::{Dinic, MaxFlowAlgorithm};
-    use mc_geom::Label;
+    use mc_geom::{DominanceIndex, Label};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -941,16 +850,6 @@ mod tests {
                 edge_list(&slow_net.net),
                 "dim {dim}"
             );
-
-            let index = DominanceIndex::build(ws.points());
-            let con = ContendingPoints::compute_indexed(&ws, &index);
-            let ones_index = index.subset(&con.ones);
-            let w = ChainDecomposition::compute_from_index(&ones_index).width();
-            assert!(w > 64, "dim {dim}: contending width {w} fits one word");
-            let fast = build_ladder_network(&ws, &con, &index);
-            let slow =
-                build_ladder_network_with(&ws, &con, &index, &never, reference_sweep).unwrap();
-            assert_eq!(edge_list(&fast.net), edge_list(&slow.net), "dim {dim}");
         }
     }
 
@@ -1079,48 +978,29 @@ mod tests {
     }
 
     #[test]
-    fn ladder_min_cut_matches_dense() {
-        let mut rng = StdRng::seed_from_u64(0x1ADD);
-        for dim in [1usize, 2, 3, 4] {
-            for trial in 0..40 {
-                let n = rng.gen_range(1..50);
-                let ws = random_weighted(n, dim, 4.0, &mut rng);
-                let index = DominanceIndex::build(ws.points());
-                let con = ContendingPoints::compute_indexed(&ws, &index);
-                if con.is_empty() {
-                    continue;
-                }
-                let dense = build_dense_network(&ws, &con, &index);
-                let ladder = build_ladder_network(&ws, &con, &index);
-                let dv = Dinic.solve(&dense.net).value();
-                let lv = Dinic.solve(&ladder.net).value();
-                assert!(
-                    (dv - lv).abs() < 1e-9,
-                    "dim {dim} trial {trial}: dense {dv} vs ladder {lv}\n{ws:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn ladder_edge_count_is_bounded() {
         // ≤ 2·|ones| rung edges + w·|zeros| connector edges + the
         // finite source/sink edges — and never more than dense + rungs.
         let mut rng = StdRng::seed_from_u64(0x1ADE);
         let ws = random_weighted(600, 3, 6.0, &mut rng);
-        let index = DominanceIndex::build(ws.points());
-        let con = ContendingPoints::compute_indexed(&ws, &index);
-        assert!(!con.is_empty(), "grid data at n=600 must contend");
-        let ones_index = index.subset(&con.ones);
-        let w = ChainDecomposition::compute_from_index(&ones_index).width();
-        let ladder = build_ladder_network(&ws, &con, &index);
+        let table = RankTable::build(ws.points());
+        let out = discover_and_build_from_table_cancellable(
+            &table,
+            ws.labels(),
+            ws.weights(),
+            &CancelToken::never(),
+        )
+        .unwrap();
+        let (con, w) = (&out.con, out.width);
+        let ladder = out.network.expect("grid data at n=600 must contend");
         let bound = con.len() + 2 * con.ones.len() + w * con.zeros.len();
         assert!(
             ladder.net.num_edges() <= bound,
             "ladder edges {} exceed O(w·n) bound {bound} (w = {w})",
             ladder.net.num_edges()
         );
-        let dense = build_dense_network(&ws, &con, &index);
+        let index = DominanceIndex::build(ws.points());
+        let dense = build_dense_network(&ws, con, &index);
         assert!(
             ladder.net.num_edges() <= dense.net.num_edges() + 2 * con.ones.len(),
             "ladder ({}) must never exceed dense ({}) by more than the rungs",
@@ -1186,30 +1066,12 @@ mod tests {
         let mut ws = WeightedSet::empty(3);
         ws.push(&[2.0, 2.0, 2.0], Label::One, 7.0);
         ws.push(&[2.0, 2.0, 2.0], Label::Zero, 3.0);
-        let index = DominanceIndex::build(ws.points());
-        let con = ContendingPoints::compute_indexed(&ws, &index);
+        let (con, network) = discover_and_build(&ws);
         assert_eq!(
             (con.zeros.as_slice(), con.ones.as_slice()),
             (&[1][..], &[0][..])
         );
-        let ladder = build_ladder_network(&ws, &con, &index);
+        let ladder = network.expect("the duplicates contend");
         assert_eq!(Dinic.solve(&ladder.net).value(), 3.0);
-    }
-
-    #[test]
-    fn one_sided_contention_builds_no_gadget() {
-        // All-ones input: nothing contends, but even with a forced con
-        // set on one side only, the builder must not panic.
-        let mut ws = WeightedSet::empty(3);
-        ws.push(&[0.0, 0.0, 0.0], Label::One, 1.0);
-        ws.push(&[1.0, 1.0, 1.0], Label::One, 1.0);
-        let index = DominanceIndex::build(ws.points());
-        let con = ContendingPoints {
-            zeros: vec![],
-            ones: vec![0, 1],
-        };
-        let ladder = build_ladder_network(&ws, &con, &index);
-        assert_eq!(ladder.net.num_edges(), 2); // sink edges only
-        assert_eq!(Dinic.solve(&ladder.net).value(), 0.0);
     }
 }

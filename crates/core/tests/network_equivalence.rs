@@ -1,10 +1,10 @@
-//! Property tests: the three passive network strategies (paper-literal
-//! dense, `d ≤ 2` sweep gadget, dimension-generic chain ladder) are
-//! interchangeable — identical optimal weighted error, and every
-//! strategy's assignment is a valid monotone labeling achieving it.
+//! Property tests: the production passive solver (the `d ≤ 2` sweep
+//! gadget, the `d ≥ 3` chain ladder) against the paper-literal dense
+//! Section-5.1 reference — identical optimal weighted error, and both
+//! assignments are valid monotone labelings achieving it.
 
 use mc_core::find_monotonicity_violation;
-use mc_core::passive::{NetworkStrategy, PassiveSolver};
+use mc_core::passive::{solve_passive_dense, PassiveSolution, PassiveSolver};
 use mc_geom::{Label, WeightedSet};
 use proptest::prelude::*;
 
@@ -26,19 +26,18 @@ fn build(rows: &[(u8, u8, u8, u8, bool, u8)], dim: usize) -> WeightedSet {
     ws
 }
 
-/// Checks that `solver` reproduces the reference error on `ws` and that
-/// its assignment is monotone and actually achieves the error it claims.
-fn check_strategy(ws: &WeightedSet, strategy: NetworkStrategy, reference: f64) {
-    let sol = PassiveSolver::new().with_network(strategy).solve(ws);
+/// Checks that `sol` reproduces the reference error on `ws` and that its
+/// assignment is monotone and actually achieves the error it claims.
+fn check_solution(ws: &WeightedSet, what: &str, sol: &PassiveSolution, reference: f64) {
     assert!(
         (sol.weighted_error - reference).abs() < 1e-9,
-        "{strategy:?}: weighted error {} != reference {reference}\n{ws:?}",
+        "{what}: weighted error {} != reference {reference}\n{ws:?}",
         sol.weighted_error
     );
     assert_eq!(
         find_monotonicity_violation(ws.points(), &sol.assignment),
         None,
-        "{strategy:?}: assignment not monotone\n{ws:?}"
+        "{what}: assignment not monotone\n{ws:?}"
     );
     // The assignment's disagreement weight is the claimed error.
     let achieved: f64 = (0..ws.len())
@@ -47,59 +46,56 @@ fn check_strategy(ws: &WeightedSet, strategy: NetworkStrategy, reference: f64) {
         .sum();
     assert!(
         (achieved - sol.weighted_error).abs() < 1e-9,
-        "{strategy:?}: assignment cost {achieved} != reported {}",
+        "{what}: assignment cost {achieved} != reported {}",
         sol.weighted_error
     );
+}
+
+/// Diffs the production solver against the dense reference on `ws`,
+/// returning the reference's error.
+fn check_against_dense(ws: &WeightedSet) -> f64 {
+    let dense = solve_passive_dense(ws);
+    // The reference must satisfy its own invariants too.
+    check_solution(ws, "dense", &dense, dense.weighted_error);
+    let sol = PassiveSolver::new().solve(ws);
+    check_solution(ws, "solver", &sol, dense.weighted_error);
+    assert_eq!(sol.contending, dense.contending, "contending\n{ws:?}");
+    dense.weighted_error
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense vs chain ladder vs the dimension-dispatched default agree
-    /// at every dimension 1..=4 (d ≤ 2 under Auto exercises the sweep
-    /// gadget, so this also cross-checks it against the generic ladder).
+    /// The production solver agrees with the dense reference at every
+    /// dimension 1..=4: d ≤ 2 exercises the sweep gadget, d ≥ 3 the
+    /// chain ladder.
     #[test]
-    fn strategies_agree(rows in rows_strategy(60), dim in 1usize..5) {
-        let ws = build(&rows, dim);
-        let dense = PassiveSolver::new()
-            .with_network(NetworkStrategy::Dense)
-            .solve(&ws);
-        check_strategy(&ws, NetworkStrategy::Sparse, dense.weighted_error);
-        check_strategy(&ws, NetworkStrategy::Auto, dense.weighted_error);
-        // Dense itself must satisfy its own invariants too.
-        check_strategy(&ws, NetworkStrategy::Dense, dense.weighted_error);
+    fn solver_agrees_with_dense(rows in rows_strategy(60), dim in 1usize..5) {
+        check_against_dense(&build(&rows, dim));
     }
 
     /// Heavy duplicate pressure: coordinates from a 2-value grid force
     /// many equal points and cross-label duplicates.
     #[test]
-    fn strategies_agree_under_duplicates(rows in prop::collection::vec(
+    fn solver_agrees_with_dense_under_duplicates(rows in prop::collection::vec(
         (0u8..2, 0u8..2, 0u8..2, 0u8..2, prop::bool::ANY, 1u8..10), 0..40), dim in 1usize..5) {
-        let ws = build(&rows, dim);
-        let dense = PassiveSolver::new()
-            .with_network(NetworkStrategy::Dense)
-            .solve(&ws);
-        check_strategy(&ws, NetworkStrategy::Sparse, dense.weighted_error);
+        check_against_dense(&build(&rows, dim));
     }
 }
 
 #[test]
 fn signed_zeros_are_one_coordinate() {
-    // -0.0 and +0.0 must compare equal in every strategy (the index
-    // canonicalizes them; total_cmp alone would not).
+    // -0.0 and +0.0 must compare equal in the solver and the reference
+    // (the index canonicalizes them; total_cmp alone would not).
     for dim in [1usize, 2, 3] {
         let mut ws = WeightedSet::empty(dim);
         ws.push(&vec![0.0; dim], Label::One, 5.0);
         ws.push(&vec![-0.0; dim], Label::Zero, 2.0);
-        let dense = PassiveSolver::new()
-            .with_network(NetworkStrategy::Dense)
-            .solve(&ws);
         assert_eq!(
-            dense.weighted_error, 2.0,
+            check_against_dense(&ws),
+            2.0,
             "dim {dim}: duplicates must contend"
         );
-        check_strategy(&ws, NetworkStrategy::Sparse, dense.weighted_error);
-        check_strategy(&ws, NetworkStrategy::Auto, dense.weighted_error);
     }
 }
 
@@ -111,30 +107,13 @@ fn uniform_labels_cost_nothing() {
             for i in 0..20 {
                 ws.push(&vec![(i % 5) as f64; dim], label, 1.0 + i as f64);
             }
-            for strategy in [
-                NetworkStrategy::Auto,
-                NetworkStrategy::Dense,
-                NetworkStrategy::Sparse,
+            for (what, sol) in [
+                ("solver", PassiveSolver::new().solve(&ws)),
+                ("dense", solve_passive_dense(&ws)),
             ] {
-                let sol = PassiveSolver::new().with_network(strategy).solve(&ws);
-                assert_eq!(sol.weighted_error, 0.0, "{label:?}/{strategy:?}/d={dim}");
+                assert_eq!(sol.weighted_error, 0.0, "{label:?}/{what}/d={dim}");
                 assert_eq!(sol.contending, 0);
             }
         }
     }
-}
-
-#[test]
-fn strategy_parsing_round_trips() {
-    assert_eq!(NetworkStrategy::parse("auto"), Some(NetworkStrategy::Auto));
-    assert_eq!(
-        NetworkStrategy::parse("DENSE"),
-        Some(NetworkStrategy::Dense)
-    );
-    assert_eq!(
-        NetworkStrategy::parse("sparse"),
-        Some(NetworkStrategy::Sparse)
-    );
-    assert_eq!(NetworkStrategy::parse(""), Some(NetworkStrategy::Auto));
-    assert_eq!(NetworkStrategy::parse("ladder"), None);
 }

@@ -106,7 +106,7 @@ pub fn matrix_bytes(n: usize) -> u64 {
 /// of the matrix-free path ([`row_budget_bytes`]). Unset means unlimited
 /// for the builders (the row structures then keep their own default); a
 /// set-but-invalid value (non-numeric, zero) is ignored with a one-shot
-/// warning, like the `MC_FLOW_NET` knob.
+/// warning.
 pub fn matrix_budget_bytes() -> Option<u64> {
     let raw = std::env::var_os("MC_MATRIX_BUDGET_BYTES")?;
     match raw

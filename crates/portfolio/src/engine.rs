@@ -1,33 +1,27 @@
 //! The portfolio's engine roster.
 //!
 //! An [`EngineSpec`] names one complete passive pipeline — a max-flow
-//! algorithm crossed with a network-building strategy — plus two
+//! algorithm over the solver's one network per dimension class — plus two
 //! deliberately faulty injectors ([`Panic`](EngineSpec::Panic) and
 //! [`Hang`](EngineSpec::Hang)) used by tests and CI to prove the race
 //! coordinator isolates misbehaving engines. Every engine solves the
 //! *same* instance and must justify its answer with a dual certificate;
 //! they differ only in how fast they get there.
 
-use mc_core::passive::{Certificate, NetworkStrategy, PassiveSolution, PassiveSolver};
-use mc_flow::{Dinic, PushRelabel};
+use mc_core::passive::{Certificate, PassiveSolution, PassiveSolver};
+use mc_flow::PushRelabel;
 use mc_geom::WeightedSet;
 use mc_obs::{CancelToken, Cancelled};
 
 /// One runnable engine of the portfolio.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineSpec {
-    /// Dinic over the dimension-dispatched default network (`d ≤ 2`
-    /// sweep, `d ≥ 3` chain ladder). The certified reference engine the
-    /// coordinator falls back to on total timeout.
-    AutoDinic,
-    /// Dinic over the forced chain ladder at any dimension.
-    SparseDinic,
-    /// Dinic over the paper-literal dense `Θ(n²)`-edge network.
-    DenseDinic,
-    /// FIFO push-relabel over the forced chain ladder.
-    SparsePushRelabel,
-    /// FIFO push-relabel over the dense network.
-    DensePushRelabel,
+    /// Dinic over the solver's network (`d ≤ 2` sweep, `d ≥ 3` chain
+    /// ladder). The certified reference engine the coordinator falls
+    /// back to on total timeout.
+    Dinic,
+    /// FIFO push-relabel over the same network.
+    PushRelabel,
     /// Fault injector: panics immediately. The coordinator must isolate
     /// it and keep racing.
     Panic,
@@ -93,11 +87,8 @@ macro_rules! engine_names {
 }
 
 engine_names! {
-    AutoDinic => "auto-dinic",
-    SparseDinic => "sparse-dinic",
-    DenseDinic => "dense-dinic",
-    SparsePushRelabel => "sparse-pr",
-    DensePushRelabel => "dense-pr",
+    Dinic => "dinic",
+    PushRelabel => "push-relabel",
     Panic => "panic",
     Hang => "hang",
 }
@@ -105,12 +96,9 @@ engine_names! {
 impl EngineSpec {
     /// Every engine, in the roster's canonical order (real engines
     /// first, injectors last).
-    pub const ALL: [EngineSpec; 7] = [
-        EngineSpec::AutoDinic,
-        EngineSpec::SparseDinic,
-        EngineSpec::DenseDinic,
-        EngineSpec::SparsePushRelabel,
-        EngineSpec::DensePushRelabel,
+    pub const ALL: [EngineSpec; 4] = [
+        EngineSpec::Dinic,
+        EngineSpec::PushRelabel,
         EngineSpec::Panic,
         EngineSpec::Hang,
     ];
@@ -130,23 +118,16 @@ impl EngineSpec {
     }
 
     /// Parses one engine name (the spellings of [`name`](Self::name),
-    /// case-insensitive, plus the `auto`, `sparse-push-relabel` and
-    /// `dense-push-relabel` aliases).
+    /// case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         let s = s.trim();
         Self::ALL
             .into_iter()
             .find(|e| s.eq_ignore_ascii_case(e.name()))
-            .or(match s.to_ascii_lowercase().as_str() {
-                "auto" => Some(EngineSpec::AutoDinic),
-                "sparse-push-relabel" => Some(EngineSpec::SparsePushRelabel),
-                "dense-push-relabel" => Some(EngineSpec::DensePushRelabel),
-                _ => None,
-            })
     }
 
     /// Parses a comma-separated engine list, e.g.
-    /// `"sparse-dinic,dense-pr"`. Rejects unknown names and empty
+    /// `"dinic,push-relabel"`. Rejects unknown names and empty
     /// lists with a human-readable message.
     pub fn parse_list(s: &str) -> Result<Vec<Self>, String> {
         let engines: Vec<Self> = s
@@ -177,36 +158,17 @@ impl EngineSpec {
         data: &WeightedSet,
         token: &CancelToken,
     ) -> Result<(PassiveSolution, Certificate), Cancelled> {
-        let solver = |net| PassiveSolver::new().with_network(net);
         match self {
-            EngineSpec::AutoDinic => {
-                solver(NetworkStrategy::Auto).solve_certified_cancellable(data, token)
+            EngineSpec::Dinic => PassiveSolver::new().solve_certified_cancellable(data, token),
+            EngineSpec::PushRelabel => {
+                PassiveSolver::with_algorithm(PushRelabel).solve_certified_cancellable(data, token)
             }
-            EngineSpec::SparseDinic => {
-                solver(NetworkStrategy::Sparse).solve_certified_cancellable(data, token)
-            }
-            EngineSpec::DenseDinic => {
-                solver(NetworkStrategy::Dense).solve_certified_cancellable(data, token)
-            }
-            EngineSpec::SparsePushRelabel => PassiveSolver::with_algorithm(PushRelabel)
-                .with_network(NetworkStrategy::Sparse)
-                .solve_certified_cancellable(data, token),
-            EngineSpec::DensePushRelabel => PassiveSolver::with_algorithm(PushRelabel)
-                .with_network(NetworkStrategy::Dense)
-                .solve_certified_cancellable(data, token),
             EngineSpec::Panic => panic!("injected fault: the panic engine always dies"),
             EngineSpec::Hang => loop {
                 token.poll()?;
                 std::thread::sleep(std::time::Duration::from_millis(1));
             },
         }
-    }
-
-    // Avoid an unused warning for Dinic: the closure above names the
-    // default solver, which is Dinic-typed.
-    #[allow(dead_code)]
-    fn _assert_default_is_dinic(s: PassiveSolver<Dinic>) -> PassiveSolver<Dinic> {
-        s
     }
 }
 
@@ -220,17 +182,17 @@ mod tests {
             assert_eq!(EngineSpec::parse(e.name()), Some(e));
             assert_eq!(EngineSpec::parse(&e.name().to_uppercase()), Some(e));
         }
-        assert_eq!(EngineSpec::parse("auto"), Some(EngineSpec::AutoDinic));
+        assert_eq!(EngineSpec::parse(" dinic "), Some(EngineSpec::Dinic));
         assert_eq!(EngineSpec::parse("bogus"), None);
     }
 
     #[test]
     fn parse_list_handles_spaces_and_rejects_unknown() {
         assert_eq!(
-            EngineSpec::parse_list("sparse-dinic, dense-pr").unwrap(),
-            vec![EngineSpec::SparseDinic, EngineSpec::DensePushRelabel]
+            EngineSpec::parse_list("dinic, push-relabel").unwrap(),
+            vec![EngineSpec::Dinic, EngineSpec::PushRelabel]
         );
-        assert!(EngineSpec::parse_list("sparse-dinic,bogus")
+        assert!(EngineSpec::parse_list("dinic,bogus")
             .unwrap_err()
             .contains("bogus"));
         assert!(EngineSpec::parse_list("").is_err());

@@ -105,44 +105,44 @@ mod tests {
     fn unseen_engines_score_half_and_keep_roster_order() {
         let h = History::new();
         let mut roster = vec![
-            EngineSpec::DensePushRelabel,
-            EngineSpec::AutoDinic,
-            EngineSpec::SparseDinic,
+            EngineSpec::Panic,
+            EngineSpec::Dinic,
+            EngineSpec::PushRelabel,
         ];
         let original = roster.clone();
         h.rank(&mut roster);
         assert_eq!(roster, original, "ties must preserve the caller's order");
-        assert_eq!(h.score(EngineSpec::AutoDinic), 0.5);
+        assert_eq!(h.score(EngineSpec::Dinic), 0.5);
     }
 
     #[test]
     fn winners_rise_and_panickers_sink() {
         let h = History::new();
         for _ in 0..5 {
-            h.record(EngineSpec::DenseDinic, |t| t.wins += 1);
-            h.record(EngineSpec::SparseDinic, |t| t.losses += 1);
-            h.record(EngineSpec::DensePushRelabel, |t| t.panics += 1);
+            h.record(EngineSpec::Dinic, |t| t.wins += 1);
+            h.record(EngineSpec::PushRelabel, |t| t.losses += 1);
+            h.record(EngineSpec::Panic, |t| t.panics += 1);
         }
         // One win keeps the chronic loser strictly above the chronic
         // panicker (they otherwise tie at the same smoothed rate).
-        h.record(EngineSpec::SparseDinic, |t| t.wins += 1);
+        h.record(EngineSpec::PushRelabel, |t| t.wins += 1);
         let mut roster = vec![
-            EngineSpec::DensePushRelabel,
-            EngineSpec::SparseDinic,
-            EngineSpec::DenseDinic,
+            EngineSpec::Panic,
+            EngineSpec::PushRelabel,
+            EngineSpec::Dinic,
         ];
         h.rank(&mut roster);
         assert_eq!(
             roster,
             vec![
-                EngineSpec::DenseDinic,
-                EngineSpec::SparseDinic,
-                EngineSpec::DensePushRelabel,
+                EngineSpec::Dinic,
+                EngineSpec::PushRelabel,
+                EngineSpec::Panic,
             ]
         );
-        assert!(h.score(EngineSpec::DenseDinic) > 0.5);
-        assert!(h.score(EngineSpec::DensePushRelabel) < 0.5);
+        assert!(h.score(EngineSpec::Dinic) > 0.5);
+        assert!(h.score(EngineSpec::Panic) < 0.5);
         h.reset();
-        assert_eq!(h.tally(EngineSpec::DenseDinic), Tally::default());
+        assert_eq!(h.tally(EngineSpec::Dinic), Tally::default());
     }
 }

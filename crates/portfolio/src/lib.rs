@@ -1,12 +1,11 @@
 //! Fault-isolated engine racing for the passive solver.
 //!
-//! Theorem 4 admits several interchangeable engines — two max-flow
-//! algorithms (Dinic, FIFO push-relabel) crossed with three network
-//! gadgets (dense, sweep, chain ladder) — whose relative speed depends
-//! on the instance: dominance width, contention density, and dimension
-//! swing the winner by orders of magnitude. Rather than predict, this
-//! crate **races** a portfolio of engines on worker threads and returns
-//! the first answer that survives refereeing:
+//! Theorem 4's min cut can be found by more than one max-flow
+//! algorithm — Dinic and FIFO push-relabel, both over the solver's one
+//! network per dimension class (the `d ≤ 2` sweep gadget, the `d ≥ 3`
+//! chain ladder) — whose relative speed depends on the instance. Rather
+//! than predict, this crate **races** a portfolio of engines on worker
+//! threads and returns the first answer that survives refereeing:
 //!
 //! * every engine runs a cancellable solve over shared immutable
 //!   inputs, polling a [`CancelToken`](mc_obs::CancelToken) at least
@@ -45,7 +44,7 @@
 //! // certified optimum.
 //! let config = PortfolioConfig::new(vec![
 //!     EngineSpec::Panic,
-//!     EngineSpec::AutoDinic,
+//!     EngineSpec::Dinic,
 //! ]);
 //! let out = race(&data, &config).unwrap();
 //! assert_eq!(out.solution.weighted_error, 1.0);

@@ -15,7 +15,7 @@
 //! 4. if a deadline is set, every token carries it, so engines unwind
 //!    on their own; should *no* engine produce a verified answer, the
 //!    coordinator either falls back to the certified reference engine
-//!    ([`EngineSpec::AutoDinic`], run without a deadline) or surfaces
+//!    ([`EngineSpec::Dinic`], run without a deadline) or surfaces
 //!    [`McError::Timeout`] when fallback is disabled.
 //!
 //! Every outcome is double-booked: globally
@@ -94,15 +94,10 @@ impl PortfolioConfig {
 }
 
 impl Default for PortfolioConfig {
-    /// The default roster: the reference engine plus the two most
-    /// complementary specialists (sparse Dinic for wide instances,
-    /// dense push-relabel for small dense ones).
+    /// The default roster: both max-flow algorithms over the solver's
+    /// one network, Dinic (the reference engine) first.
     fn default() -> Self {
-        Self::new(vec![
-            EngineSpec::AutoDinic,
-            EngineSpec::SparseDinic,
-            EngineSpec::DensePushRelabel,
-        ])
+        Self::new(vec![EngineSpec::Dinic, EngineSpec::PushRelabel])
     }
 }
 
@@ -391,7 +386,7 @@ pub fn race(data: &WeightedSet, config: &PortfolioConfig) -> Result<PortfolioOut
     };
     if config.fallback_on_timeout {
         mc_obs::counter_add("portfolio.fallbacks", 1);
-        let (solution, certificate) = EngineSpec::AutoDinic
+        let (solution, certificate) = EngineSpec::Dinic
             .run(data, &CancelToken::never())
             .expect("a never-token cannot cancel");
         certificate

@@ -1,13 +1,13 @@
 //! S4: cancellation leaves no poisoned shared state.
 //!
 //! A solve cancelled at an arbitrary checkpoint abandons heaps of
-//! partially-filled scratch (dominance-index bit rows, flow levels,
+//! partially-filled scratch (rank tables, oracle rows, flow levels,
 //! ladder rungs) — all of which must be *local* to the cancelled solve.
 //! These properties cancel solves mid-flight at seed-derived delays over
 //! the same `Arc`'d inputs, then re-solve on those inputs with a live
 //! token and demand answers bit-identical to an undisturbed baseline.
 
-use mc_core::passive::{NetworkStrategy, PassiveSolution, PassiveSolver};
+use mc_core::passive::{PassiveSolution, PassiveSolver};
 use mc_geom::{Label, WeightedSet};
 use mc_obs::CancelToken;
 use proptest::prelude::*;
@@ -46,15 +46,9 @@ proptest! {
             50..200,
         ),
         delay_us in 0u64..400,
-        strategy_sparse in prop::bool::ANY,
     ) {
         let data = Arc::new(build(&rows));
-        let strategy = if strategy_sparse {
-            NetworkStrategy::Sparse
-        } else {
-            NetworkStrategy::Auto
-        };
-        let baseline = PassiveSolver::new().with_network(strategy).solve(&data);
+        let baseline = PassiveSolver::new().solve(&data);
 
         // Race a cancel against the solve at a seed-derived delay: the
         // token may trip before the solve starts, mid-build, mid-flow,
@@ -63,9 +57,7 @@ proptest! {
         let solver_data = Arc::clone(&data);
         let solver_token = token.clone();
         let handle = std::thread::spawn(move || {
-            PassiveSolver::new()
-                .with_network(strategy)
-                .solve_cancellable(&solver_data, &solver_token)
+            PassiveSolver::new().solve_cancellable(&solver_data, &solver_token)
         });
         std::thread::sleep(Duration::from_micros(delay_us));
         token.cancel();
@@ -79,12 +71,10 @@ proptest! {
         // The shared inputs are untouched: two fresh solves (one
         // uncertified, one certified) reproduce the baseline bit for bit.
         let after = PassiveSolver::new()
-            .with_network(strategy)
             .solve_cancellable(&data, &CancelToken::never())
             .expect("a never-token cannot cancel");
         assert_bit_identical(&after, &baseline);
         let (certified, cert) = PassiveSolver::new()
-            .with_network(strategy)
             .solve_certified_cancellable(&data, &CancelToken::never())
             .expect("a never-token cannot cancel");
         assert_bit_identical(&certified, &baseline);

@@ -2,7 +2,7 @@
 //! bit-identical answers versus solo solves, deadline fallback, counter
 //! reconciliation, and cancellation latency.
 
-use mc_core::passive::{NetworkStrategy, PassiveSolver};
+use mc_core::passive::PassiveSolver;
 use mc_core::McError;
 use mc_geom::{Label, WeightedSet};
 use mc_portfolio::{race, EngineOutcome, EngineSpec, PortfolioConfig};
@@ -53,20 +53,14 @@ fn outcome_of(report: &mc_portfolio::RaceReport, spec: EngineSpec) -> EngineOutc
 fn racing_with_injected_faults_is_bit_identical_to_solo() {
     let _l = obs_lock();
     let data = noisy_set(400, 3, 7);
-    let solo = PassiveSolver::new()
-        .with_network(NetworkStrategy::Sparse)
-        .solve(&data);
+    let solo = PassiveSolver::new().solve(&data);
 
-    let config = PortfolioConfig::new(vec![
-        EngineSpec::Panic,
-        EngineSpec::Hang,
-        EngineSpec::SparseDinic,
-    ]);
+    let config = PortfolioConfig::new(vec![EngineSpec::Panic, EngineSpec::Hang, EngineSpec::Dinic]);
     let out = race(&data, &config).expect("the real engine must win");
 
     // Bit-identical to the solo solve: same classifier, same per-point
     // assignment, same error down to the last bit.
-    assert_eq!(out.race.winner, Some(EngineSpec::SparseDinic));
+    assert_eq!(out.race.winner, Some(EngineSpec::Dinic));
     assert!(!out.race.fallback_used);
     assert_eq!(out.solution.assignment, solo.assignment);
     assert_eq!(out.solution.classifier, solo.classifier);
@@ -148,11 +142,7 @@ fn portfolio_counters_reconcile_with_race_report() {
     mc_obs::reset();
 
     let data = noisy_set(250, 2, 19);
-    let config = PortfolioConfig::new(vec![
-        EngineSpec::Panic,
-        EngineSpec::Hang,
-        EngineSpec::AutoDinic,
-    ]);
+    let config = PortfolioConfig::new(vec![EngineSpec::Panic, EngineSpec::Hang, EngineSpec::Dinic]);
     let out = race(&data, &config).expect("real engine wins");
 
     let s = mc_obs::snapshot();
@@ -167,7 +157,7 @@ fn portfolio_counters_reconcile_with_race_report() {
     assert_eq!(s.counter("portfolio.timeouts"), 0);
     assert_eq!(s.counter("portfolio.fallbacks"), 0);
     // Per-engine counters agree with the per-engine outcomes.
-    assert_eq!(s.counter("portfolio.engine.auto-dinic.wins"), 1);
+    assert_eq!(s.counter("portfolio.engine.dinic.wins"), 1);
     assert_eq!(s.counter("portfolio.engine.panic.panics"), 1);
     assert_eq!(s.counter("portfolio.engine.hang.cancelled"), 1);
     // The outcome tally covers the whole roster exactly once.
@@ -193,10 +183,10 @@ fn cancellation_latency_stays_under_50ms_at_n20k() {
     // engine wins, the injector (polling every 1 ms) must be observed
     // to exit well under the 50 ms budget.
     let data = noisy_set(20_000, 2, 23);
-    let config = PortfolioConfig::new(vec![EngineSpec::AutoDinic, EngineSpec::Hang]);
+    let config = PortfolioConfig::new(vec![EngineSpec::Dinic, EngineSpec::Hang]);
     let out = race(&data, &config).expect("real engine wins");
 
-    assert_eq!(out.race.winner, Some(EngineSpec::AutoDinic));
+    assert_eq!(out.race.winner, Some(EngineSpec::Dinic));
     let latency = out
         .race
         .cancel_latency
@@ -223,13 +213,38 @@ fn history_learns_across_races_in_one_process() {
     history.reset();
 
     let data = noisy_set(150, 2, 29);
-    let config = PortfolioConfig::new(vec![EngineSpec::Panic, EngineSpec::SparseDinic]);
+    let config = PortfolioConfig::new(vec![EngineSpec::Panic, EngineSpec::Dinic]);
     for _ in 0..3 {
         race(&data, &config).expect("real engine wins");
     }
-    assert!(history.score(EngineSpec::SparseDinic) > history.score(EngineSpec::Panic));
-    let mut roster = vec![EngineSpec::Panic, EngineSpec::SparseDinic];
+    assert!(history.score(EngineSpec::Dinic) > history.score(EngineSpec::Panic));
+    let mut roster = vec![EngineSpec::Panic, EngineSpec::Dinic];
     history.rank(&mut roster);
-    assert_eq!(roster[0], EngineSpec::SparseDinic);
+    assert_eq!(roster[0], EngineSpec::Dinic);
     history.reset();
+}
+
+#[test]
+fn default_roster_races_both_algorithms_to_the_solo_optimum() {
+    let _l = obs_lock();
+    let config = PortfolioConfig::default();
+    assert_eq!(
+        config.engines,
+        vec![EngineSpec::Dinic, EngineSpec::PushRelabel]
+    );
+    for (d, seed) in [(2, 31), (3, 37)] {
+        let data = noisy_set(300, d, seed);
+        let solo = PassiveSolver::new().solve(&data);
+        let out = race(&data, &config).expect("a real engine wins");
+        assert!(out.race.winner.is_some(), "d {d}: {:?}", out.race);
+        assert!(!out.race.fallback_used);
+        assert!(
+            (out.solution.weighted_error - solo.weighted_error).abs()
+                <= 1e-9 * (1.0 + data.total_weight()),
+            "d {d}: race {} vs solo {}",
+            out.solution.weighted_error,
+            solo.weighted_error
+        );
+        out.certificate.verify(&data).expect("referee-audited");
+    }
 }

@@ -1,7 +1,7 @@
 //! `mcc` — monotone classification on CSV files.
 //!
 //! ```text
-//! mcc passive <data.csv> [--weighted] [--net auto|dense|sparse] [--out classifier.csv]
+//! mcc passive <data.csv> [--weighted] [--out classifier.csv]
 //! mcc active  <data.csv> [--epsilon E] [--seed S] [--out classifier.csv]
 //! mcc eval    <data.csv> <classifier.csv>
 //! mcc stats   <data.csv>
@@ -27,7 +27,7 @@
 //! | 5 | parameter | `--epsilon 1.5`, `--folds 1`, rates outside [0, 1], `--time-limit -1` |
 //! | 6 | oracle | oracle/input size mismatch, unrecoverable oracle failure |
 //! | 7 | timeout | `mcc passive --time-limit` exceeded (a portfolio race only with `--no-fallback`), solve cancelled |
-//! | 8 | budget | a dense dominator matrix would exceed `MC_MATRIX_BUDGET_BYTES` |
+//! | 8 | budget | a dense dominator matrix would exceed `MC_MATRIX_BUDGET_BYTES` (reserved: no `mcc` command builds one) |
 //!
 //! ## Columnar datasets
 //!
@@ -42,9 +42,7 @@
 use monotone_classification::bench::serve_load;
 use monotone_classification::chains::{AntichainPartition, ChainDecomposition};
 use monotone_classification::core::metrics::ConfusionMatrix;
-use monotone_classification::core::passive::{
-    solve_passive, ContendingPoints, NetworkStrategy, PassiveSolver,
-};
+use monotone_classification::core::passive::{solve_passive, ContendingPoints, PassiveSolver};
 use monotone_classification::core::{ActiveParams, ActiveSolver, InMemoryOracle};
 use monotone_classification::data::csv;
 use monotone_classification::obs;
@@ -151,12 +149,11 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   mcc passive  <data.csv> [--weighted] [--out classifier.csv]
-               [--net auto|dense|sparse] [--trace] [--metrics-out metrics.jsonl]
+               [--trace] [--metrics-out metrics.jsonl]
                [--telemetry ts.jsonl] [--sample-ms MS] [--stall-window-ms MS]
                [--watch-abort]
                [--portfolio] [--engines e1,e2,...] [--time-limit SECS] [--no-fallback]
-               engines: auto-dinic | sparse-dinic | dense-dinic | sparse-pr
-                        | dense-pr | panic | hang   (MC_PORTFOLIO env also accepted)
+               engines: dinic | push-relabel | panic | hang
   mcc passive  <data.mcc> [--trace] [--metrics-out metrics.jsonl] [--time-limit SECS]
                [--telemetry ts.jsonl] [--sample-ms MS] [--stall-window-ms MS]
                [--watch-abort]
@@ -462,7 +459,6 @@ fn cmd_passive(args: &[String]) -> Result<(), CliError> {
         &[
             "out",
             "metrics-out",
-            "net",
             "engines",
             "time-limit",
             "telemetry",
@@ -507,15 +503,8 @@ fn cmd_passive_impl(
     let path = pos
         .first()
         .ok_or_else(|| CliError::Usage("passive: missing <data.csv>".into()))?;
-    // --net overrides the MC_FLOW_NET env toggle; unset defers to it.
-    let network = match get_value(values, "net") {
-        Some(v) => NetworkStrategy::parse(&v).ok_or_else(|| {
-            CliError::Param(format!("--net: expected auto, dense or sparse, got {v:?}"))
-        })?,
-        None => NetworkStrategy::Auto,
-    };
     if path.ends_with(".mcc") {
-        return cmd_passive_columnar(path, values, flags, obs_out, network);
+        return cmd_passive_columnar(path, values, flags, obs_out);
     }
     let text = read_file(path)?;
     let weighted = if flags.contains(&"weighted".to_string()) {
@@ -524,17 +513,11 @@ fn cmd_passive_impl(
         parse_data(&text)?.with_unit_weights()
     };
     // Portfolio mode: engine racing with cooperative cancellation (see
-    // mc-portfolio). Enabled by --portfolio / --engines on the CLI or
-    // the MC_PORTFOLIO env (a comma-separated engine list, the same
-    // spellings as --engines); --engines overrides the env.
-    let env_engines = std::env::var("MC_PORTFOLIO")
-        .ok()
-        .filter(|v| !v.trim().is_empty());
+    // mc-portfolio), enabled by --portfolio or --engines.
     let cli_engines = get_value(values, "engines");
-    let portfolio_mode =
-        flags.contains(&"portfolio".to_string()) || cli_engines.is_some() || env_engines.is_some();
+    let portfolio_mode = flags.contains(&"portfolio".to_string()) || cli_engines.is_some();
     let sol = if portfolio_mode {
-        let roster = match cli_engines.or(env_engines) {
+        let roster = match cli_engines {
             Some(list) => EngineSpec::parse_list(&list)
                 .map_err(|e| CliError::Param(format!("--engines: {e}")))?,
             None => PortfolioConfig::default().engines,
@@ -610,9 +593,7 @@ fn cmd_passive_impl(
                 ("d", Value::U(weighted.dim() as u64)),
             ],
         )?;
-        let sol = PassiveSolver::new()
-            .with_network(network)
-            .try_solve(&weighted, &token)?;
+        let sol = PassiveSolver::new().try_solve(&weighted, &token)?;
         obs_out.finish(
             &[
                 ("tool", Value::S("mcc passive".into())),
@@ -659,7 +640,6 @@ fn cmd_passive_columnar(
     values: &[(String, String)],
     flags: &[String],
     obs_out: &ObsOutput,
-    network: NetworkStrategy,
 ) -> Result<(), CliError> {
     use monotone_classification::core::passive::solve_passive_scale_cancellable;
     use monotone_classification::data::columnar::ColumnarDataset;
@@ -673,13 +653,6 @@ fn cmd_passive_columnar(
     if flags.contains(&"portfolio".to_string()) || get_value(values, "engines").is_some() {
         return Err(CliError::Usage(
             "--portfolio/--engines need row data; columnar files use the streaming solver".into(),
-        ));
-    }
-    if network == NetworkStrategy::Dense {
-        return Err(CliError::Usage(
-            "--net dense would build the Θ(n²) matrix; columnar files stream the \
-             matrix-free path (use auto)"
-                .into(),
         ));
     }
     let token = match time_limit(values)? {

@@ -414,7 +414,7 @@ fn passive_portfolio_races_faulty_engines_to_the_certified_answer() {
     let out = mcc()
         .args(["passive"])
         .arg(&data)
-        .args(["--portfolio", "--engines", "panic,hang,sparse-dinic"])
+        .args(["--portfolio", "--engines", "panic,hang,dinic"])
         .args(["--time-limit", "10", "--metrics-out"])
         .arg(&metrics)
         .output()
@@ -425,10 +425,7 @@ fn passive_portfolio_races_faulty_engines_to_the_certified_answer() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("portfolio winner = sparse-dinic"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("portfolio winner = dinic"), "{stdout}");
     assert!(stdout.contains("panic panicked"), "{stdout}");
     assert!(stdout.contains("hang cancelled"), "{stdout}");
     assert!(stdout.contains("optimal weighted error = 0"), "{stdout}");
@@ -542,35 +539,6 @@ fn passive_portfolio_timeout_with_fallback_still_answers() {
         "{stdout}"
     );
     assert!(stdout.contains("optimal weighted error = 0"), "{stdout}");
-}
-
-#[test]
-fn mc_portfolio_env_enables_racing_and_cli_overrides_it() {
-    let data = write_temp("portfolio-env.csv", DEMO);
-    let out = mcc()
-        .args(["passive"])
-        .arg(&data)
-        .env("MC_PORTFOLIO", "auto-dinic")
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("portfolio winner = auto-dinic"), "{stdout}");
-
-    // --engines beats the env roster.
-    let out = mcc()
-        .args(["passive"])
-        .arg(&data)
-        .env("MC_PORTFOLIO", "auto-dinic")
-        .args(["--engines", "sparse-dinic"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("portfolio winner = sparse-dinic"),
-        "{stdout}"
-    );
 }
 
 /// Extracts a bare numeric `"key":value` field from a JSONL line.

@@ -34,9 +34,12 @@ fn small_weighted_set(max_n: usize, dim: usize) -> impl Strategy<Value = Weighte
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Theorem 4: the flow solver always matches the exponential oracle.
+    /// Theorem 4: the flow solver always matches the exponential oracle,
+    /// through the sweep gadget (d = 2) and the chain ladder (d = 3, 4).
     #[test]
-    fn passive_flow_equals_brute_force(ws in small_weighted_set(12, 2)) {
+    fn passive_flow_equals_brute_force(
+        ws in (2usize..=4).prop_flat_map(|dim| small_weighted_set(12, dim)),
+    ) {
         let flow = solve_passive(&ws);
         let brute = solve_passive_brute_force(&ws);
         prop_assert!((flow.weighted_error - brute.weighted_error).abs() < 1e-9);
