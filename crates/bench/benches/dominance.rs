@@ -114,15 +114,8 @@ fn record_comparison(_c: &mut Criterion) {
     let con_naive = time_runs(reps, || {
         ContendingPoints::compute_generic_parallel(&ws).len()
     });
-    // Cold: build the index inside the call (what a standalone passive
-    // solve pays). Shared: the pipeline case — the index already exists
-    // (built once for DAG + contending + edge enumeration), so the
-    // discovery itself is just the row-ANDs.
-    let con_indexed_cold = time_runs(reps, || ContendingPoints::compute(&ws).len());
-    let index = DominanceIndex::build(&points);
-    let con_indexed_shared = time_runs(reps, || {
-        ContendingPoints::compute_indexed(&ws, &index).len()
-    });
+    // Rank-oracle row-ANDs, oracle build included: no matrix.
+    let con_oracle = time_runs(reps, || ContendingPoints::compute(&ws).len());
 
     // Behavioral equivalence at full scale: identical edges, identical
     // contending sets.
@@ -134,15 +127,13 @@ fn record_comparison(_c: &mut Criterion) {
         ContendingPoints::compute_generic_parallel(&ws) == ContendingPoints::compute(&ws);
 
     let dag_speedup = dag_naive.as_secs_f64() / dag_indexed.as_secs_f64();
-    let con_speedup_cold = con_naive.as_secs_f64() / con_indexed_cold.as_secs_f64();
-    let con_speedup_shared = con_naive.as_secs_f64() / con_indexed_shared.as_secs_f64();
+    let con_speedup = con_naive.as_secs_f64() / con_oracle.as_secs_f64();
     println!(
-        "dominance/comparison: dag {:?} -> {:?} ({dag_speedup:.1}x), contending {:?} -> {:?} cold ({con_speedup_cold:.1}x) / {:?} shared ({con_speedup_shared:.1}x), equivalent: {}",
+        "dominance/comparison: dag {:?} -> {:?} ({dag_speedup:.1}x), contending {:?} -> {:?} oracle ({con_speedup:.1}x), equivalent: {}",
         dag_naive,
         dag_indexed,
         con_naive,
-        con_indexed_cold,
-        con_indexed_shared,
+        con_oracle,
         dag_equal && con_equal
     );
 
@@ -157,13 +148,11 @@ fn record_comparison(_c: &mut Criterion) {
     "dag_build_naive": {:.3},
     "dag_build_indexed": {:.3},
     "contending_naive_parallel": {:.3},
-    "contending_indexed_cold": {:.3},
-    "contending_indexed_shared": {:.3}
+    "contending_oracle": {:.3}
   }},
   "speedup": {{
     "dag_build": {dag_speedup:.2},
-    "contending_cold": {con_speedup_cold:.2},
-    "contending_shared_index": {con_speedup_shared:.2}
+    "contending_oracle": {con_speedup:.2}
   }},
   "equivalence": {{
     "dag_edges_identical": {dag_equal},
@@ -175,8 +164,7 @@ fn record_comparison(_c: &mut Criterion) {
         dag_naive.as_secs_f64() * 1e3,
         dag_indexed.as_secs_f64() * 1e3,
         con_naive.as_secs_f64() * 1e3,
-        con_indexed_cold.as_secs_f64() * 1e3,
-        con_indexed_shared.as_secs_f64() * 1e3,
+        con_oracle.as_secs_f64() * 1e3,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dominance.json");
     std::fs::write(path, json).expect("write BENCH_dominance.json");

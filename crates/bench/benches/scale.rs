@@ -12,7 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mc_chains::ChainDecomposition;
 use mc_core::passive::{solve_passive_dense, solve_passive_scale, PassiveSolver};
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
-use mc_geom::{kernel, PointSet};
+use mc_geom::{kernel, DominanceIndex, PointSet};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -121,7 +121,8 @@ fn parity_section() -> String {
         .map(|i| ws.points().point(i).to_vec())
         .collect();
     let ones_points = PointSet::from_rows(ws.dim(), &one_rows);
-    let width_matrix = ChainDecomposition::compute(&ones_points).width();
+    let width_matrix =
+        ChainDecomposition::compute_from_index(&DominanceIndex::build(&ones_points)).width();
 
     let ladder_identical = scale.weighted_error == ladder.weighted_error;
     let dense_delta = (scale.weighted_error - dense.weighted_error).abs();

@@ -10,6 +10,12 @@
 //! `O(n²/64)` word operations for `d ≤ 2` and with a parallel blocked
 //! compare kernel otherwise.
 //!
+//! The DAG holds `Θ(n²)` edges, so no shipped path builds it: the chain
+//! decomposition and the Mirsky height read the same edges off
+//! `mc_geom::RankOracle` rows. It stays as the reference those paths
+//! are tested and benchmarked against ([`crate::ChainDecomposition::from_dag`],
+//! [`crate::AntichainPartition::from_dag`]).
+//!
 //! Duplicate coordinate vectors — which the paper's set semantics excludes
 //! but real data contains — are handled by breaking ties on index: equal
 //! points are considered comparable (they can share a chain, and can never
@@ -36,14 +42,6 @@ impl DominanceDag {
     /// to avoid rebuilding it.
     pub fn build(points: &PointSet) -> Self {
         Self::from_index(&DominanceIndex::build(points))
-    }
-
-    /// Alias of [`DominanceDag::build`], kept for callers of the old
-    /// dual sequential/parallel API: the index build parallelizes
-    /// internally (see `mc_geom::parallel` for the `MC_PAR_THRESHOLD` /
-    /// `MC_THREADS` tunables).
-    pub fn build_parallel(points: &PointSet) -> Self {
-        Self::build(points)
     }
 
     /// Reads the DAG off a prebuilt index: successors of `u` are the set

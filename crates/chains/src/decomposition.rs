@@ -17,14 +17,16 @@
 //! One matching engine implements step 3: `mc_matching::HopcroftKarpBitset`
 //! runs word-parallel phases straight over bitset rows, so no
 //! `DominanceDag` adjacency lists (Θ(n²) edges) are ever materialized.
-//! The index path borrows the dominator matrix's rows; the oracle path
-//! computes rows from the rank oracle's suffix bitsets and, when all
-//! `n` rows would fit the row budget, keeps the rows the Hopcroft–Karp
-//! phases ask for. The adjacency-list path
-//! ([`ChainDecomposition::from_dag`]) stays as the tested reference.
+//! [`ChainDecomposition::compute`] takes its rows from a `RankOracle`'s
+//! suffix bitsets and, when all `n` rows would fit the row budget, keeps
+//! the rows the Hopcroft–Karp phases ask for; no dominator matrix is
+//! built. Two references stay for diffing: the matrix path
+//! ([`ChainDecomposition::compute_from_index`]), which borrows a
+//! `DominanceIndex`'s rows, and the adjacency-list path
+//! ([`ChainDecomposition::from_dag`]).
 
 use crate::dag::DominanceDag;
-use mc_geom::{matrix_bytes, row_budget_bytes, DominanceIndex, GeomError, PointSet, RankOracle};
+use mc_geom::{matrix_bytes, row_budget_bytes, DominanceIndex, PointSet, RankOracle};
 use mc_matching::{
     minimum_vertex_cover, BipartiteAdjacency, BipartiteGraph, BitsetGraph, HopcroftKarp,
     HopcroftKarpBitset, Matching, MatchingAlgorithm, OracleGraph, RowSource,
@@ -49,25 +51,13 @@ pub struct ChainDecomposition {
 }
 
 impl ChainDecomposition {
-    /// Computes a minimum chain decomposition of `points`.
-    ///
-    /// Builds one [`DominanceIndex`] and hands it to
-    /// [`compute_from_index`](Self::compute_from_index); callers that
-    /// already hold an index should call that directly to avoid a second
-    /// dominance pass.
+    /// Computes a minimum chain decomposition of `points` matrix-free:
+    /// one [`RankOracle`] over the points, handed to
+    /// [`compute_from_oracle`](Self::compute_from_oracle). No `Θ(n²/64)`
+    /// dominator matrix is built; the row cache stays within
+    /// [`row_budget_bytes`].
     pub fn compute(points: &PointSet) -> Self {
-        Self::compute_from_index(&DominanceIndex::build(points))
-    }
-
-    /// Budget-guarded twin of [`compute`](Self::compute): refuses with a
-    /// typed [`GeomError::MatrixBudget`] — instead of attempting an
-    /// allocation that may OOM the process — when the dominator matrix
-    /// would exceed the `MC_MATRIX_BUDGET_BYTES` budget. Callers that
-    /// must stay matrix-free regardless of budget should build a
-    /// [`RankOracle`] and use [`compute_from_oracle`](Self::compute_from_oracle).
-    pub fn try_compute(points: &PointSet) -> Result<Self, GeomError> {
-        mc_geom::check_matrix_budget(points.len())?;
-        Ok(Self::compute_from_index(&DominanceIndex::build(points)))
+        Self::compute_from_oracle(&RankOracle::build(points))
     }
 
     /// Matrix-free decomposition over a [`RankOracle`]: the Lemma-6
@@ -109,27 +99,18 @@ impl ChainDecomposition {
         Ok(dec)
     }
 
-    /// Computes the decomposition from a prebuilt [`DominanceIndex`],
-    /// for callers that already hold one. Callers without an index
-    /// should use [`compute_from_oracle`](Self::compute_from_oracle),
-    /// which gives the same result without the `n²` matrix.
-    /// The split graph borrows the index's bitset rows (owned masked
-    /// copies only for duplicated points).
+    /// Computes the decomposition from a prebuilt [`DominanceIndex`]:
+    /// the split graph borrows the index's bitset rows (owned masked
+    /// copies only for duplicated points). The matrix-backed reference
+    /// the oracle path is diffed against; [`compute`](Self::compute)
+    /// gives the same result without the `n²` matrix.
     pub fn compute_from_index(index: &DominanceIndex) -> Self {
-        Self::compute_from_index_cancellable(index, &mc_obs::CancelToken::never())
-            .expect("a never-token cannot cancel")
-    }
-
-    /// Cancellable twin of [`compute_from_index`](Self::compute_from_index):
-    /// the token is threaded into the Hopcroft–Karp engine (polled per
-    /// round and checkpointed on greedy-seed word scans) so a portfolio
-    /// race can stop a losing chain decomposition mid-matching.
-    pub fn compute_from_index_cancellable(
-        index: &DominanceIndex,
-        token: &mc_obs::CancelToken,
-    ) -> Result<Self, mc_obs::Cancelled> {
         let _span = mc_obs::span("path_cover");
-        Self::from_rows(&BitsetGraph::from_index(index), token)
+        Self::from_rows(
+            &BitsetGraph::from_index(index),
+            &mc_obs::CancelToken::never(),
+        )
+        .expect("a never-token cannot cancel")
     }
 
     /// Matches the split graph `g` with the bitset engine and reads off
@@ -484,28 +465,6 @@ mod tests {
             assert_identical(&PointSet::from_rows(3, &chain), "chain");
         assert_eq!(rounds, 0);
         assert!(rows_cached <= unmatched, "{rows_cached} rows cached");
-    }
-
-    #[test]
-    fn try_compute_respects_matrix_budget() {
-        // 10 bytes cannot hold any dominator matrix with n >= 2; the
-        // guard must refuse with the typed error instead of building.
-        // The budget is passed explicitly: setting the env knob here
-        // would leak into tests running in parallel in this binary.
-        let points = PointSet::from_rows(2, &[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        match mc_geom::check_matrix_budget_against(points.len(), Some(10)).unwrap_err() {
-            GeomError::MatrixBudget {
-                points: n,
-                budget_bytes,
-                ..
-            } => {
-                assert_eq!(n, 2);
-                assert_eq!(budget_bytes, 10);
-            }
-            other => panic!("expected MatrixBudget, got {other:?}"),
-        }
-        // Without a budget the same input solves fine.
-        assert_eq!(ChainDecomposition::try_compute(&points).unwrap().width(), 2);
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! minimum path cover (= chains) + König antichain certificate.
 //!
 //! The "DAG" step is virtual: the split graph is read directly off
-//! bitset rows (a `mc_geom::DominanceIndex` or a `mc_geom::RankOracle`)
-//! and matched with the word-parallel `HopcroftKarpBitset` engine; the
-//! explicit [`DominanceDag`] path stays as the tested reference.
+//! `mc_geom::RankOracle` rows and matched with the word-parallel
+//! `HopcroftKarpBitset` engine, and the Mirsky height relaxes over the
+//! same rows, so neither builds a `Θ(n²/64)` dominator matrix. The
+//! matrix-fed (`mc_geom::DominanceIndex`) and explicit [`DominanceDag`]
+//! paths stay as the tested references.
 //!
 //! # Example
 //!

@@ -179,6 +179,7 @@ impl TwoDimDecomposition {
 mod tests {
     use super::*;
     use crate::decomposition::ChainDecomposition;
+    use mc_geom::DominanceIndex;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -204,7 +205,7 @@ mod tests {
             let fast = TwoDimDecomposition::compute(&points);
             fast.validate(&points)
                 .unwrap_or_else(|e| panic!("trial {trial}: {e}\n{points:?}"));
-            let generic = ChainDecomposition::compute(&points);
+            let generic = ChainDecomposition::compute_from_index(&DominanceIndex::build(&points));
             assert_eq!(
                 fast.width(),
                 generic.width(),

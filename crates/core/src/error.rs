@@ -30,19 +30,6 @@ pub enum McError {
         /// Human-readable description, e.g. `"ε must lie in (0, 1], got 2"`.
         message: String,
     },
-    /// A memory budget refusal: the requested path would materialize a
-    /// dominator matrix larger than `MC_MATRIX_BUDGET_BYTES`. Typed so
-    /// callers (and the CLI, exit code 8) can distinguish "refused up
-    /// front" from an OOM kill; the fix is the matrix-free rank-oracle
-    /// path, which never builds the matrix.
-    Budget {
-        /// Points the refused matrix would have covered.
-        points: usize,
-        /// Bytes the matrix would need.
-        required_bytes: u64,
-        /// The configured budget.
-        budget_bytes: u64,
-    },
     /// The solve exceeded its deadline and stopped at a cooperative
     /// cancellation checkpoint ([`mc_obs::CancelCause::Deadline`]).
     Timeout,
@@ -70,16 +57,6 @@ impl fmt::Display for McError {
                 "oracle must cover exactly the input points: oracle has {oracle}, input has {points}"
             ),
             McError::InvalidParameter { message } => f.write_str(message),
-            McError::Budget {
-                points,
-                required_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "refusing to build a {points}×{points} dominator matrix: it needs \
-                 {required_bytes} bytes but MC_MATRIX_BUDGET_BYTES is {budget_bytes} \
-                 (use the matrix-free rank-oracle path)"
-            ),
             McError::Timeout => f.write_str("solve deadline expired"),
             McError::Cancelled => f.write_str("solve cancelled"),
         }
@@ -98,21 +75,7 @@ impl std::error::Error for McError {
 
 impl From<GeomError> for McError {
     fn from(e: GeomError) -> Self {
-        match e {
-            // A budget refusal is an operational limit, not bad data:
-            // surface it as its own class so scripts don't confuse it
-            // with a malformed input.
-            GeomError::MatrixBudget {
-                points,
-                required_bytes,
-                budget_bytes,
-            } => McError::Budget {
-                points,
-                required_bytes,
-                budget_bytes,
-            },
-            other => McError::Geom(other),
-        }
+        McError::Geom(e)
     }
 }
 
@@ -150,34 +113,6 @@ mod tests {
         assert_eq!(e.to_string(), "oracle abstained on point 4");
         assert_eq!(McError::Timeout.to_string(), "solve deadline expired");
         assert_eq!(McError::Cancelled.to_string(), "solve cancelled");
-        let e = McError::Budget {
-            points: 10_000,
-            required_bytes: 12_520_000,
-            budget_bytes: 1_000_000,
-        };
-        assert!(e.to_string().contains("10000×10000"));
-        assert!(e.to_string().contains("MC_MATRIX_BUDGET_BYTES"));
-    }
-
-    #[test]
-    fn matrix_budget_geom_error_maps_to_budget_class() {
-        let e: McError = GeomError::MatrixBudget {
-            points: 7,
-            required_bytes: 100,
-            budget_bytes: 10,
-        }
-        .into();
-        assert_eq!(
-            e,
-            McError::Budget {
-                points: 7,
-                required_bytes: 100,
-                budget_bytes: 10,
-            }
-        );
-        // Other geom errors keep their class.
-        let e: McError = GeomError::ZeroDimension.into();
-        assert!(matches!(e, McError::Geom(_)));
     }
 
     #[test]

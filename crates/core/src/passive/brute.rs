@@ -78,9 +78,10 @@ pub fn solve_passive_brute_force(data: &WeightedSet) -> PassiveSolution {
 }
 
 /// Optimal passive solve over the paper's literal Section-5.1 network:
-/// contending points from a full [`DominanceIndex`]
-/// ([`ContendingPoints::compute_indexed`]), one infinite type-3 edge per
-/// dominating `(zero, one)` pair, then Dinic and the same cut readout as
+/// contending points from the independent pairwise scan
+/// ([`ContendingPoints::compute_generic_parallel`]), one infinite type-3
+/// edge per dominating `(zero, one)` pair read off a full
+/// [`DominanceIndex`], then Dinic and the same cut readout as
 /// [`crate::passive::PassiveSolver`]. `Θ(n²)` time, edges and matrix
 /// bits: the slow reference the production gadgets are tested and
 /// benchmarked against, not a production path.
@@ -88,9 +89,9 @@ pub fn solve_passive_dense(data: &WeightedSet) -> PassiveSolution {
     if data.is_empty() {
         return PassiveSolution::empty(data.dim());
     }
-    let index = DominanceIndex::build(data.points());
-    let con = ContendingPoints::compute_indexed(data, &index);
-    let network = (!con.is_empty()).then(|| build_dense_network(data, &con, &index));
+    let con = ContendingPoints::compute_generic_parallel(data);
+    let network = (!con.is_empty())
+        .then(|| build_dense_network(data, &con, &DominanceIndex::build(data.points())));
     solve_network(&Dinic, data, con, network, &CancelToken::never(), false)
         .expect("a never-token cannot cancel")
         .0

@@ -19,15 +19,16 @@
 //!
 //! * `d ≤ 2` — the `O(n log n)` sweep in `crate::passive::sparse`;
 //! * `d ≥ 3` in the solver — the chain ladder's binary searches
-//!   (`crate::passive::ladder`), which never build a matrix;
-//! * `d ≥ 3` with a [`DominanceIndex`] — one bitset row-`AND` per
-//!   label-1 point against the label-0 mask
-//!   ([`ContendingPoints::compute_indexed`]), used by the slow
-//!   references in `crate::passive::brute`;
+//!   (`crate::passive::ladder`);
+//! * `d ≥ 3` in [`ContendingPoints::compute`] — one dominator-row `AND`
+//!   per label-1 point against the label-0 mask, with the rows computed
+//!   on demand by a [`RankOracle`];
 //! * the naive `O(d·n²)` pairwise scan, kept as the reference
 //!   implementation ([`ContendingPoints::compute_generic`]).
+//!
+//! None of them builds a `Θ(n²/64)` dominator matrix.
 
-use mc_geom::{bitmask_of, iter_ones, parallel_chunks, DominanceIndex, WeightedSet};
+use mc_geom::{bitmask_of, iter_ones, parallel_chunks, RankOracle, WeightedSet};
 use std::ops::Range;
 
 /// The partition of contending points by label.
@@ -41,41 +42,35 @@ pub struct ContendingPoints {
 
 impl ContendingPoints {
     /// Computes the contending points of `data` — `O(n log n)` sweeps for
-    /// `d ≤ 2`, the bitset-index row-`AND` otherwise.
+    /// `d ≤ 2`, oracle row-`AND`s otherwise: a label-1 point `q` contends
+    /// iff `q`'s dominator row `AND` the label-0 mask is non-empty, and
+    /// the union of those intersections is exactly the contending
+    /// label-0 side. `O(d·n²/64)` word ops, parallel over the label-1
+    /// points, with one row buffer per worker.
     pub fn compute(data: &WeightedSet) -> Self {
         if data.dim() <= 2 {
-            crate::passive::sparse::contending_sweep(data)
-        } else {
-            Self::compute_indexed(data, &DominanceIndex::build(data.points()))
+            return crate::passive::sparse::contending_sweep(data);
         }
-    }
-
-    /// Index-backed discovery: a label-1 point `q` contends iff the
-    /// bitset `AND` of its dominator row with the label-0 mask is
-    /// non-empty, and the union of those intersections is exactly the
-    /// contending label-0 side. `O(n²/64)` word ops after the index is
-    /// built, parallel over the label-1 points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` was not built over exactly `data.points()`.
-    pub fn compute_indexed(data: &WeightedSet, index: &DominanceIndex) -> Self {
+        let oracle = RankOracle::build(data.points());
         let n = data.len();
-        assert_eq!(index.len(), n, "index/point-set size mismatch");
-        let words = index.words();
+        let words = oracle.words();
         let zeros_mask = bitmask_of(n, (0..n).filter(|&i| data.label(i).is_zero()));
         let ones_list: Vec<usize> = (0..n).filter(|&i| data.label(i).is_one()).collect();
 
         let chunks = parallel_chunks(ones_list.len(), |range: Range<usize>| {
             let mut local_ones = Vec::new();
             let mut zero_hits = vec![0u64; words];
-            let mut buf = Vec::with_capacity(words);
+            let mut row = vec![0u64; words];
             for &q in &ones_list[range] {
-                if index.dominators_and_into(q, &zeros_mask, &mut buf) {
+                oracle.dominator_row_into(q, &mut row);
+                let mut contends = false;
+                for ((hit, word), mask) in zero_hits.iter_mut().zip(&row).zip(&zeros_mask) {
+                    let both = word & mask;
+                    contends |= both != 0;
+                    *hit |= both;
+                }
+                if contends {
                     local_ones.push(q);
-                    for (hit, word) in zero_hits.iter_mut().zip(&buf) {
-                        *hit |= word;
-                    }
                 }
             }
             (local_ones, zero_hits)
@@ -94,8 +89,8 @@ impl ContendingPoints {
     }
 
     /// The generic `O(d·n²)` pairwise scan (any dimension); the
-    /// reference implementation the sweep and the index are tested
-    /// against.
+    /// reference implementation the sweep and the oracle row-`AND` are
+    /// tested against.
     pub fn compute_generic(data: &WeightedSet) -> Self {
         let (zeros, ones_mask) = generic_scan(data, 0..data.len());
         Self::assemble(zeros, ones_mask)
@@ -282,12 +277,11 @@ mod tests {
     }
 
     #[test]
-    fn indexed_matches_generic() {
+    fn compute_matches_generic() {
         for &(n, dim) in &[(0usize, 3usize), (40, 3), (75, 4), (60, 6), (3000, 3)] {
             let ws = random_wset(n, dim, 0xC1 + n as u64);
-            let index = DominanceIndex::build(ws.points());
             assert_eq!(
-                ContendingPoints::compute_indexed(&ws, &index),
+                ContendingPoints::compute(&ws),
                 ContendingPoints::compute_generic(&ws),
                 "n = {n}, d = {dim}"
             );
@@ -301,8 +295,7 @@ mod tests {
             for i in 0..10 {
                 ws.push(&[i as f64, 1.0, 1.0], label, 1.0);
             }
-            let index = DominanceIndex::build(ws.points());
-            assert!(ContendingPoints::compute_indexed(&ws, &index).is_empty());
+            assert!(ContendingPoints::compute(&ws).is_empty());
         }
     }
 }

@@ -1010,14 +1010,14 @@ mod tests {
     }
 
     #[test]
-    fn discover_matches_indexed_contending_and_dense_cut() {
+    fn discover_matches_generic_contending_and_dense_cut() {
         let mut rng = StdRng::seed_from_u64(0x1ADF);
         for dim in [1usize, 2, 3, 4] {
             for trial in 0..40 {
                 let n = rng.gen_range(1..50);
                 let ws = random_weighted(n, dim, 4.0, &mut rng);
                 let index = DominanceIndex::build(ws.points());
-                let reference = ContendingPoints::compute_indexed(&ws, &index);
+                let reference = ContendingPoints::compute_generic(&ws);
                 let (con, network) = discover_and_build(&ws);
                 assert_eq!(
                     (con.zeros, con.ones),

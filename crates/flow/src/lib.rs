@@ -12,7 +12,8 @@
 //!   passive solver;
 //! * three interchangeable solvers behind [`MaxFlowAlgorithm`]:
 //!   [`Dinic`] (the default), [`PushRelabel`] (Goldberg–Tarjan `O(V³)`,
-//!   reference \[14\] of the paper), and [`EdmondsKarp`] (slow reference);
+//!   reference \[14\] of the paper), and [`EdmondsKarp`] (the one slow
+//!   reference both are diffed against);
 //! * [`FlowSolution::min_cut`] — extraction of a minimum cut-edge set from
 //!   the residual graph, realizing the constructive proof of Lemma 8.
 //!
@@ -31,7 +32,6 @@
 //! assert_eq!(cut.weight, 2.0); // min cut == max flow (Lemma 7)
 //! ```
 
-pub mod capacity_scaling;
 pub mod csr;
 pub mod dinic;
 pub mod edmonds_karp;
@@ -39,7 +39,6 @@ pub mod network;
 pub mod push_relabel;
 pub mod solution;
 
-pub use capacity_scaling::CapacityScaling;
 pub use csr::{AdjTopology, CsrNetwork, DinicEngine, ResidualTopology};
 pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
@@ -66,9 +65,9 @@ pub trait MaxFlowAlgorithm {
     /// `token` so a portfolio race can stop a losing solver mid-flow.
     ///
     /// The default implementation polls once up front and then runs the
-    /// plain `solve` to completion — correct for reference algorithms
-    /// whose loops are not instrumented ([`EdmondsKarp`],
-    /// [`CapacityScaling`]), but with unbounded cancellation latency.
+    /// plain `solve` to completion — correct for the reference
+    /// [`EdmondsKarp`], whose loop is not instrumented, but with
+    /// unbounded cancellation latency.
     /// The production engines ([`Dinic`], [`PushRelabel`]) override it
     /// with bounded-latency checkpoint polling in their hot loops.
     fn solve_cancellable(

@@ -47,18 +47,6 @@ pub enum GeomError {
     },
     /// A point set cannot have dimensionality zero.
     ZeroDimension,
-    /// A builder refused to materialize an `n × n` bitset dominator
-    /// matrix because it would exceed the `MC_MATRIX_BUDGET_BYTES`
-    /// budget (see [`crate::index::check_matrix_budget`]); callers
-    /// should use the matrix-free [`crate::RankOracle`] path instead.
-    MatrixBudget {
-        /// The matrix's row/column count.
-        points: usize,
-        /// Bytes the matrix would occupy.
-        required_bytes: u64,
-        /// The configured budget in bytes.
-        budget_bytes: u64,
-    },
 }
 
 impl fmt::Display for GeomError {
@@ -82,16 +70,6 @@ impl fmt::Display for GeomError {
                 what,
             } => write!(f, "{points} points but {other} {what}"),
             GeomError::ZeroDimension => write!(f, "dimensionality must be at least 1"),
-            GeomError::MatrixBudget {
-                points,
-                required_bytes,
-                budget_bytes,
-            } => write!(
-                f,
-                "refusing to build a {points}×{points} dominator matrix: it needs \
-                 {required_bytes} bytes but MC_MATRIX_BUDGET_BYTES is {budget_bytes} \
-                 (use the matrix-free rank-oracle path)"
-            ),
         }
     }
 }

@@ -47,7 +47,6 @@
 
 use crate::dataset::PointSet;
 use crate::dominance::Dominance;
-use crate::error::GeomError;
 use crate::kernel;
 use crate::parallel::parallel_chunks_mut;
 use crate::rank::try_compress_ranks;
@@ -99,67 +98,34 @@ pub fn matrix_bytes(n: usize) -> u64 {
     n as u64 * n.div_ceil(64) as u64 * 8
 }
 
-/// The `MC_MATRIX_BUDGET_BYTES` budget, if one is configured: the most
-/// bytes a single bitset dominator matrix may occupy before builders
-/// refuse with [`GeomError::MatrixBudget`] instead of attempting an
-/// allocation that would OOM. The same budget caps the row structures
-/// of the matrix-free path ([`row_budget_bytes`]). Unset means unlimited
-/// for the builders (the row structures then keep their own default); a
-/// set-but-invalid value (non-numeric, zero) is ignored with a one-shot
-/// warning.
-pub fn matrix_budget_bytes() -> Option<u64> {
-    let raw = std::env::var_os("MC_MATRIX_BUDGET_BYTES")?;
+/// Byte budget of the matrix-free path's row structures when
+/// `MC_MATRIX_BUDGET_BYTES` is unset.
+const DEFAULT_ROW_BUDGET_BYTES: u64 = 256 << 20;
+
+/// The byte budget of the matrix-free path's row structures — the
+/// [`crate::RankOracle`] suffix-bitset table and the Lemma-6 row cache in
+/// `mc-chains`: `MC_MATRIX_BUDGET_BYTES` if set to a positive integer,
+/// else 256 MiB. A set-but-invalid value (non-numeric, zero) falls back
+/// to the default with a one-shot warning.
+pub fn row_budget_bytes() -> u64 {
+    let Some(raw) = std::env::var_os("MC_MATRIX_BUDGET_BYTES") else {
+        return DEFAULT_ROW_BUDGET_BYTES;
+    };
     match raw
         .into_string()
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
     {
-        Some(v) if v >= 1 => Some(v),
+        Some(v) if v >= 1 => v,
         _ => {
             mc_obs::warn_once(
                 "mc_matrix_budget_env",
-                "MC_MATRIX_BUDGET_BYTES must be a positive integer byte count; ignoring it (unlimited)",
+                "MC_MATRIX_BUDGET_BYTES must be a positive integer byte count; \
+                 using the default (256 MiB)",
             );
-            None
+            DEFAULT_ROW_BUDGET_BYTES
         }
     }
-}
-
-/// Row budget (bytes) of the matrix-free path when
-/// `MC_MATRIX_BUDGET_BYTES` is unset. That path runs where the dominator
-/// matrix may be out of reach, so unlike the index builders (unset =
-/// unlimited) it defaults to a bound.
-const DEFAULT_ROW_BUDGET_BYTES: u64 = 256 << 20;
-
-/// The byte budget of the matrix-free path's row structures — the
-/// [`crate::RankOracle`] suffix-bitset table and the Lemma-6 row cache in
-/// `mc-chains`: [`matrix_budget_bytes`] if configured, else 256 MiB.
-pub fn row_budget_bytes() -> u64 {
-    matrix_budget_bytes().unwrap_or(DEFAULT_ROW_BUDGET_BYTES)
-}
-
-/// Refuses with [`GeomError::MatrixBudget`] when an `n × n` bitset
-/// dominator matrix would exceed [`matrix_budget_bytes`]. A no-op when
-/// no budget is configured.
-pub fn check_matrix_budget(n: usize) -> Result<(), GeomError> {
-    check_matrix_budget_against(n, matrix_budget_bytes())
-}
-
-/// [`check_matrix_budget`] against an explicit budget (`None` =
-/// unlimited), for callers and tests that resolve the env knob once.
-pub fn check_matrix_budget_against(n: usize, budget: Option<u64>) -> Result<(), GeomError> {
-    let Some(budget) = budget else {
-        return Ok(());
-    };
-    let required = matrix_bytes(n);
-    if required > budget {
-        return Err(GeomError::MatrixBudget {
-            points: n,
-            required_bytes: required,
-            budget_bytes: budget,
-        });
-    }
-    Ok(())
 }
 
 /// The precomputed dominance relation of a [`PointSet`]. See the module
@@ -697,14 +663,22 @@ fn fill_row_generic(n: usize, dim: usize, ranks: &[u32], i: usize, row: &mut [u6
 /// Counts the ordered dominating pairs of `points` — the same quantity
 /// as [`DominanceIndex::num_dominating_pairs`] — without materializing
 /// the matrix: a binary-indexed-tree sweep in `O(n log n)` for `d ≤ 2`,
-/// falling back to an index build otherwise.
+/// else the popcounts of [`crate::RankOracle`] dominator rows, one row
+/// at a time.
 pub fn count_dominating_pairs(points: &PointSet) -> u64 {
     let n = points.len();
     if n == 0 {
         return 0;
     }
     if points.dim() > 2 {
-        return DominanceIndex::build(points).num_dominating_pairs();
+        let oracle = crate::RankOracle::build(points);
+        let mut row = vec![0u64; oracle.words()];
+        let mut total = 0u64;
+        for i in 0..n {
+            oracle.dominator_row_into(i, &mut row);
+            total += row.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        }
+        return total - n as u64;
     }
     let ranks =
         try_compress_ranks(points, &CancelToken::never()).expect("a never-token cannot cancel");
@@ -1095,26 +1069,10 @@ mod tests {
         assert_eq!(col, vec![2, 1, 1, 0]);
     }
 
-    /// The matrix budget refuses exactly when `n·⌈n/64⌉·8` exceeds the
-    /// configured limit, and is a no-op without one.
     #[test]
-    fn matrix_budget_refusal_is_typed_and_sized() {
+    fn matrix_bytes_counts_whole_row_words() {
         assert_eq!(matrix_bytes(0), 0);
         assert_eq!(matrix_bytes(64), 64 * 8);
         assert_eq!(matrix_bytes(65), 65 * 2 * 8);
-        assert!(check_matrix_budget_against(1 << 20, None).is_ok());
-        assert!(check_matrix_budget_against(1_000, Some(matrix_bytes(1_000))).is_ok());
-        match check_matrix_budget_against(1_001, Some(matrix_bytes(1_000))) {
-            Err(GeomError::MatrixBudget {
-                points,
-                required_bytes,
-                budget_bytes,
-            }) => {
-                assert_eq!(points, 1_001);
-                assert_eq!(required_bytes, matrix_bytes(1_001));
-                assert_eq!(budget_bytes, matrix_bytes(1_000));
-            }
-            other => panic!("expected a MatrixBudget refusal, got {other:?}"),
-        }
     }
 }

@@ -36,8 +36,8 @@ pub use dataset::{LabeledSet, PointSet, WeightedSet};
 pub use dominance::{dominates, incomparable, strictly_dominates, Dominance};
 pub use error::GeomError;
 pub use index::{
-    bitmask_of, check_matrix_budget, check_matrix_budget_against, count_dominating_pairs,
-    iter_ones, matrix_budget_bytes, matrix_bytes, row_budget_bytes, DominanceIndex, RankTable,
+    bitmask_of, count_dominating_pairs, iter_ones, matrix_bytes, row_budget_bytes, DominanceIndex,
+    RankTable,
 };
 pub use label::Label;
 pub use oracle::RankOracle;

@@ -160,8 +160,7 @@ impl RankOracle {
     /// Builds the oracle over caller-ranked points: `ranks[k * n + i]`
     /// is point `i`'s order-preserving rank on dimension `k`. The table
     /// stride is fitted to `budget_bytes`, which callers resolve once
-    /// (normally [`row_budget_bytes`]), as
-    /// [`crate::check_matrix_budget_against`] takes an explicit budget.
+    /// (normally [`row_budget_bytes`]).
     ///
     /// # Panics
     ///

@@ -27,7 +27,7 @@
 //! | 5 | parameter | `--epsilon 1.5`, `--folds 1`, rates outside [0, 1], `--time-limit -1` |
 //! | 6 | oracle | oracle/input size mismatch, unrecoverable oracle failure |
 //! | 7 | timeout | `mcc passive --time-limit` exceeded (a portfolio race only with `--no-fallback`), solve cancelled |
-//! | 8 | budget | a dense dominator matrix would exceed `MC_MATRIX_BUDGET_BYTES` (reserved: no `mcc` command builds one) |
+//! | 8 | — | retired (was `budget`, a dominator-matrix refusal; no `mcc` command builds one); not reused |
 //!
 //! ## Columnar datasets
 //!
@@ -71,11 +71,6 @@ enum CliError {
     /// The solve ran out of time (or was cancelled) and no fallback was
     /// allowed. Exit 7.
     Timeout(String),
-    /// A memory-budget refusal: the requested path would build a
-    /// dominator matrix over `MC_MATRIX_BUDGET_BYTES`. Exit 8 — distinct
-    /// from data errors so scripts can fall back to the matrix-free
-    /// path instead of rejecting the input.
-    Budget(String),
 }
 
 impl CliError {
@@ -87,7 +82,6 @@ impl CliError {
             CliError::Param(_) => 5,
             CliError::Oracle(_) => 6,
             CliError::Timeout(_) => 7,
-            CliError::Budget(_) => 8,
         }
     }
 
@@ -98,8 +92,7 @@ impl CliError {
             | CliError::Data(m)
             | CliError::Param(m)
             | CliError::Oracle(m)
-            | CliError::Timeout(m)
-            | CliError::Budget(m) => m,
+            | CliError::Timeout(m) => m,
         }
     }
 
@@ -113,7 +106,6 @@ impl CliError {
             CliError::Param(_) => "param",
             CliError::Oracle(_) => "oracle",
             CliError::Timeout(_) => "timeout",
-            CliError::Budget(_) => "budget",
         }
     }
 }
@@ -127,7 +119,6 @@ impl From<McError> for CliError {
                 CliError::Oracle(e.to_string())
             }
             McError::Timeout | McError::Cancelled => CliError::Timeout(e.to_string()),
-            McError::Budget { .. } => CliError::Budget(e.to_string()),
         }
     }
 }
@@ -292,7 +283,7 @@ struct TelemetryCli {
 /// The sinks flush on *every* exit: success through
 /// [`finish`](Self::finish), failures through [`fail`](Self::fail) —
 /// which also appends a flight-recorder dump to the telemetry stream,
-/// so a timeout or budget refusal leaves an autopsy record instead of
+/// so a timeout leaves an autopsy record instead of
 /// discarding the run's metrics.
 struct ObsOutput {
     trace: bool,
@@ -395,7 +386,7 @@ impl ObsOutput {
     /// Error-path flush: appends a flight-recorder dump (reason = the
     /// error class) to the telemetry stream, stops the sampler, and
     /// best-effort writes the sinks with the error stamped into the
-    /// meta line — so `--trace`/`--metrics-out` survive exits 2–8.
+    /// meta line — so `--trace`/`--metrics-out` survive exits 2–7.
     /// Returns the error unchanged for `map_err` chaining.
     fn fail(&self, e: CliError) -> CliError {
         if self.finished.replace(true) {
@@ -494,6 +485,21 @@ fn time_limit(values: &[(String, String)]) -> Result<Option<std::time::Duration>
         })
 }
 
+/// The token a solo `mcc passive` solve (plain CSV or columnar) polls:
+/// a deadline under `--time-limit`, else a live token under
+/// `--watch-abort` for the stall watchdog to cancel (`never()` has no
+/// shared state to cancel), else `never()`.
+fn solve_token(
+    values: &[(String, String)],
+    obs_out: &ObsOutput,
+) -> Result<obs::CancelToken, CliError> {
+    Ok(match time_limit(values)? {
+        Some(limit) => obs::CancelToken::with_deadline(limit),
+        None if obs_out.watch_abort() => obs::CancelToken::new(),
+        None => obs::CancelToken::never(),
+    })
+}
+
 fn cmd_passive_impl(
     pos: &[String],
     values: &[(String, String)],
@@ -574,19 +580,9 @@ fn cmd_passive_impl(
         )?;
         out.solution
     } else {
-        if obs_out.watch_abort() {
-            return Err(CliError::Usage(
-                "--watch-abort needs a cancellable solve: use --portfolio or a \
-                 columnar .mcc input"
-                    .into(),
-            ));
-        }
-        let token = match time_limit(values)? {
-            Some(limit) => obs::CancelToken::with_deadline(limit),
-            None => obs::CancelToken::never(),
-        };
+        let token = solve_token(values, obs_out)?;
         obs_out.start_telemetry(
-            None,
+            Some(token.clone()),
             &[
                 ("tool", Value::S("mcc passive".into())),
                 ("n", Value::U(weighted.len() as u64)),
@@ -655,13 +651,7 @@ fn cmd_passive_columnar(
             "--portfolio/--engines need row data; columnar files use the streaming solver".into(),
         ));
     }
-    let token = match time_limit(values)? {
-        Some(limit) => obs::CancelToken::with_deadline(limit),
-        // --watch-abort needs a token the watchdog can actually cancel;
-        // never() has no shared state, so mint a live one.
-        None if obs_out.watch_abort() => obs::CancelToken::new(),
-        None => obs::CancelToken::never(),
-    };
+    let token = solve_token(values, obs_out)?;
     let start = std::time::Instant::now();
     let mut ds = ColumnarDataset::open(path).map_err(columnar_err)?;
     let (n, d) = (ds.len(), ds.dim());
@@ -1449,7 +1439,6 @@ mod tests {
             CliError::Param(String::new()),
             CliError::Oracle(String::new()),
             CliError::Timeout(String::new()),
-            CliError::Budget(String::new()),
         ];
         let mut codes: Vec<u8> = errors.iter().map(|e| e.exit_code()).collect();
         codes.sort_unstable();
@@ -1472,13 +1461,5 @@ mod tests {
         assert_eq!(e.exit_code(), 7);
         let e: CliError = McError::Cancelled.into();
         assert_eq!(e.exit_code(), 7);
-        let e: CliError = McError::Budget {
-            points: 100_000,
-            required_bytes: 1_250_200_000,
-            budget_bytes: 1_000_000,
-        }
-        .into();
-        assert_eq!(e.exit_code(), 8);
-        assert!(e.message().contains("MC_MATRIX_BUDGET_BYTES"));
     }
 }

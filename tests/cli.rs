@@ -32,6 +32,82 @@ fn stats_reports_structure() {
     assert!(stdout.contains("k* = 0"));
 }
 
+/// `mcc stats` on a d=4 CSV with duplicate rows and `-0.0` cells must
+/// print exactly what the library references compute: the matrix-fed
+/// chain decomposition, the naive-DAG Mirsky height, the pairwise
+/// contending scan and the dense Section-5.1 solve.
+#[test]
+fn stats_matches_the_library_references_at_d4() {
+    use monotone_classification::chains::{AntichainPartition, ChainDecomposition, DominanceDag};
+    use monotone_classification::core::passive::{solve_passive_dense, ContendingPoints};
+    use monotone_classification::geom::DominanceIndex;
+
+    const PALETTE: [&str; 5] = ["-0.0", "0.0", "1", "2.5", "4"];
+    let mut state = 0x5EED_u64;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let mut rows: Vec<String> = Vec::new();
+    for _ in 0..90 {
+        let coords: Vec<&str> = (0..4).map(|_| PALETTE[next(5) as usize]).collect();
+        rows.push(format!("{},{}", coords.join(","), next(2)));
+    }
+    // Duplicate rows, with the same and with the opposite label.
+    for i in 0..20 {
+        let (coords, label) = rows[i * 3].rsplit_once(',').unwrap();
+        let label = if i % 2 == 0 {
+            label
+        } else if label == "0" {
+            "1"
+        } else {
+            "0"
+        };
+        rows.push(format!("{coords},{label}"));
+    }
+    let text = format!("a,b,c,d,label\n{}\n", rows.join("\n"));
+    let data = write_temp("stats-d4.csv", &text);
+    let out = mcc().arg("stats").arg(&data).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+
+    let set = monotone_classification::data::csv::parse_labeled(&text).unwrap();
+    let weighted = set.with_unit_weights();
+    let width =
+        ChainDecomposition::compute_from_index(&DominanceIndex::build(set.points())).width();
+    let height =
+        AntichainPartition::from_dag(&DominanceDag::build_naive(set.points())).longest_chain_len();
+    let con = ContendingPoints::compute_generic(&weighted);
+    let k_star = solve_passive_dense(&weighted).weighted_error;
+    assert!(
+        !con.is_empty() && width > 1 && height > 1,
+        "degenerate fixture"
+    );
+    for line in [
+        "n = 110, d = 4".to_string(),
+        format!("dominance width w = {width}"),
+        format!("longest chain (height) = {height}"),
+        format!(
+            "contending points = {} ({} label-0, {} label-1)",
+            con.len(),
+            con.zeros.len(),
+            con.ones.len()
+        ),
+        format!("optimal monotone error k* = {k_star}"),
+    ] {
+        assert!(
+            stdout.lines().any(|l| l == line),
+            "missing {line:?} in\n{stdout}"
+        );
+    }
+}
+
 #[test]
 fn passive_writes_classifier_and_eval_reads_it() {
     let data = write_temp("roundtrip.csv", DEMO);
@@ -712,7 +788,7 @@ fn stall_watchdog_aborts_hung_race_and_dumps_flight_recorder() {
 }
 
 #[test]
-fn watch_abort_requires_telemetry_and_a_cancellable_path() {
+fn watch_abort_requires_telemetry_and_arms_the_plain_csv_solve() {
     let data = write_temp("watch-misuse.csv", DEMO);
     // --watch-abort without --telemetry is a usage error.
     let out = mcc()
@@ -723,8 +799,8 @@ fn watch_abort_requires_telemetry_and_a_cancellable_path() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--watch-abort requires --telemetry"));
-    // ...and the plain CSV solve has no token to cancel.
-    let ts = write_temp("watch-misuse-ts.jsonl", "");
+    // ...and with it the plain CSV solve hands the watchdog its token.
+    let ts = write_temp("watch-plain-ts.jsonl", "");
     let out = mcc()
         .args(["passive"])
         .arg(&data)
@@ -733,8 +809,18 @@ fn watch_abort_requires_telemetry_and_a_cancellable_path() {
         .arg("--watch-abort")
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("cancellable"));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stream = std::fs::read_to_string(&ts).unwrap();
+    let meta = stream
+        .lines()
+        .next()
+        .expect("telemetry stream has a meta line");
+    assert!(meta.contains(r#""type":"meta""#), "{meta}");
+    assert!(meta.contains(r#""watch_abort":true"#), "{meta}");
 }
 
 #[test]
