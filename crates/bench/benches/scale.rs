@@ -271,7 +271,8 @@ fn load_stages_json(snap: &mc_obs::Snapshot, load_ms: f64) -> String {
 
 /// One streamed solve at `n`: generate → load (rank table + labels +
 /// weights) → solve, timing each leg, splitting the load and the solve
-/// into stages off the span tree, and recording the process peak RSS
+/// into stages off the span tree, reading the Lemma-6 matching's
+/// greedy-seed and round counters, and recording the process peak RSS
 /// after the solve (sizes run ascending, so each entry's RSS is set by
 /// its own run, not a later one).
 fn size_entry(n: usize) -> String {
@@ -299,7 +300,10 @@ fn size_entry(n: usize) -> String {
     let solve_start = Instant::now();
     let sol = solve_passive_scale(&table, &labels, &weights);
     let solve = solve_start.elapsed();
-    let stages = stages_json(&mc_obs::snapshot(), solve.as_secs_f64() * 1e3);
+    let snap = mc_obs::snapshot();
+    let stages = stages_json(&snap, solve.as_secs_f64() * 1e3);
+    let hk_rounds = snap.counter("matching.hk_rounds");
+    let greedy_matched = snap.counter("matching.greedy_matched");
     mc_obs::set_level(prev_level);
     println!(
         "scale/solve: n = {n} | ones {ones} | gen {generate:?}, load {load:?} {load_stages}, \
@@ -317,6 +321,8 @@ fn size_entry(n: usize) -> String {
       "contending": {},
       "width": {},
       "network_edges": {},
+      "hk_rounds": {hk_rounds},
+      "greedy_matched": {greedy_matched},
       "weighted_error": {},
       "generate_ms": {:.1},
       "load_ms": {:.1},

@@ -20,17 +20,32 @@
 //! [`ChainDecomposition::compute`] takes its rows from a `RankOracle`'s
 //! suffix bitsets and, when all `n` rows would fit the row budget, keeps
 //! the rows the Hopcroft–Karp phases ask for; no dominator matrix is
-//! built. Two references stay for diffing: the matrix path
-//! ([`ChainDecomposition::compute_from_index`]), which borrows a
-//! `DominanceIndex`'s rows, and the adjacency-list path
-//! ([`ChainDecomposition::from_dag`]).
+//! built.
+//!
+//! Every path matches in one labelling: a *linear extension* of the
+//! poset, ascending `(Σ_k rank_k, index)`. Each point then comes after
+//! everything it dominates, so the split graph's row `l` holds no bit
+//! below word `⌊l/64⌋`, and the engine's top-down greedy seed finds each
+//! point's successor a few words past the diagonal. The oracle is built
+//! over the relabelled points (one oracle per decomposition), and the
+//! chains and antichain are mapped back to the caller's indices, chains
+//! listed by ascending head and the antichain ascending.
+//!
+//! Two references stay for diffing: the matrix path
+//! ([`ChainDecomposition::compute_from_index`]), which permutes a
+//! `DominanceIndex`'s rows into the same labelling, and the
+//! adjacency-list path ([`ChainDecomposition::from_dag`]).
 
 use crate::dag::DominanceDag;
-use mc_geom::{matrix_bytes, row_budget_bytes, DominanceIndex, PointSet, RankOracle};
+use mc_geom::{
+    iter_ones, matrix_bytes, row_budget_bytes, sort_linear_extension, DominanceIndex, PointSet,
+    RankOracle,
+};
 use mc_matching::{
     minimum_vertex_cover, BipartiteAdjacency, BipartiteGraph, BitsetGraph, HopcroftKarp,
     HopcroftKarpBitset, Matching, MatchingAlgorithm, OracleGraph, RowSource,
 };
+use mc_obs::{CancelToken, Cancelled};
 
 /// `true` iff all of the `n`-point split graph's rows (`n·⌈n/64⌉·8`
 /// bytes) would fit [`row_budget_bytes`]: `MC_MATRIX_BUDGET_BYTES` if
@@ -52,73 +67,113 @@ pub struct ChainDecomposition {
 
 impl ChainDecomposition {
     /// Computes a minimum chain decomposition of `points` matrix-free:
-    /// one [`RankOracle`] over the points, handed to
-    /// [`compute_from_oracle`](Self::compute_from_oracle). No `Θ(n²/64)`
-    /// dominator matrix is built; the row cache stays within
+    /// one [`RankOracle`] over the points relabelled in a linear
+    /// extension ([`RankOracle::try_build_linear_extension`]). No
+    /// `Θ(n²/64)` dominator matrix is built; the row cache stays within
     /// [`row_budget_bytes`].
     pub fn compute(points: &PointSet) -> Self {
-        Self::compute_from_oracle(&RankOracle::build(points))
-    }
-
-    /// Matrix-free decomposition over a [`RankOracle`]: the Lemma-6
-    /// split graph's rows come from the oracle's suffix bitsets instead
-    /// of a resident `Θ(n²/64)` matrix, and the oracle rows are
-    /// bit-identical to the dominator-matrix rows, so the chains, width,
-    /// and antichain certificate match the matrix path exactly.
-    pub fn compute_from_oracle(oracle: &RankOracle) -> Self {
-        Self::compute_from_oracle_cancellable(oracle, &mc_obs::CancelToken::never())
+        let never = CancelToken::never();
+        RankOracle::try_build_linear_extension(points, &never)
+            .and_then(|(oracle, labels)| {
+                Self::compute_from_linear_extension_cancellable(&oracle, &labels, &never)
+            })
             .expect("a never-token cannot cancel")
     }
 
-    /// Cancellable twin of [`compute_from_oracle`](Self::compute_from_oracle).
-    /// Hopcroft–Karp phases revisit rows, so when all rows would fit the
-    /// row budget the graph keeps every row a phase asks for; otherwise
-    /// every visit recomputes its row. The rows are bit-identical either way,
-    /// so the result is too.
-    pub fn compute_from_oracle_cancellable(
+    /// Matrix-free decomposition over any [`RankOracle`]: the points are
+    /// relabelled in a linear extension and matched over a permuted copy
+    /// of the oracle (callers that can build the oracle in that order use
+    /// [`compute_from_linear_extension_cancellable`](Self::compute_from_linear_extension_cancellable)
+    /// and hold one). The oracle rows are bit-identical to the
+    /// dominator-matrix rows, so the chains, width, and antichain
+    /// certificate match [`compute_from_index`](Self::compute_from_index)
+    /// exactly.
+    pub fn compute_from_oracle(oracle: &RankOracle) -> Self {
+        let never = CancelToken::never();
+        let labels = oracle.linear_extension();
+        oracle
+            .try_permuted(&labels, &never)
+            .and_then(|sorted| {
+                Self::compute_from_linear_extension_cancellable(&sorted, &labels, &never)
+            })
+            .expect("a never-token cannot cancel")
+    }
+
+    /// Decomposes the points of `oracle`, which must be labelled in a
+    /// linear extension of dominance (ascending rank sum, as
+    /// [`RankOracle::is_linear_extension`] checks), where oracle point
+    /// `l` is caller index `labels[l]`; the chains and antichain come
+    /// back in caller indices. Hopcroft–Karp phases revisit rows, so
+    /// when all rows would fit the row budget the graph keeps every row
+    /// a phase asks for; otherwise every visit recomputes its row. The
+    /// rows are bit-identical either way, so the result is too.
+    pub fn compute_from_linear_extension_cancellable(
         oracle: &RankOracle,
-        token: &mc_obs::CancelToken,
-    ) -> Result<Self, mc_obs::Cancelled> {
+        labels: &[usize],
+        token: &CancelToken,
+    ) -> Result<Self, Cancelled> {
+        debug_assert!(
+            oracle.is_linear_extension(),
+            "labels are not a linear extension"
+        );
         let og = if rows_fit_cache(oracle.len()) {
             OracleGraph::with_row_cache(oracle)
         } else {
             OracleGraph::new(oracle)
         };
-        Self::from_oracle_graph(&og, token)
+        Self::from_oracle_graph(&og, labels, token)
     }
 
     /// Decomposes over `og` and reports the rows its phases cached as
     /// `matching.rows_cached`.
     fn from_oracle_graph(
         og: &OracleGraph<'_>,
-        token: &mc_obs::CancelToken,
-    ) -> Result<Self, mc_obs::Cancelled> {
+        labels: &[usize],
+        token: &CancelToken,
+    ) -> Result<Self, Cancelled> {
         let _span = mc_obs::span("path_cover");
-        let dec = Self::from_rows(og, token)?;
+        let dec = Self::from_rows(og, labels, token)?;
         mc_obs::counter_add("matching.rows_cached", og.rows_cached() as u64);
         Ok(dec)
     }
 
     /// Computes the decomposition from a prebuilt [`DominanceIndex`]:
-    /// the split graph borrows the index's bitset rows (owned masked
-    /// copies only for duplicated points). The matrix-backed reference
-    /// the oracle path is diffed against; [`compute`](Self::compute)
-    /// gives the same result without the `n²` matrix.
+    /// the matrix-backed reference the oracle paths are diffed against.
+    /// It matches in the same linear-extension labelling, over owned
+    /// copies of the index's strict-successor rows with their bits
+    /// permuted into label order, so its chains and antichain equal
+    /// [`compute`](Self::compute)'s.
     pub fn compute_from_index(index: &DominanceIndex) -> Self {
         let _span = mc_obs::span("path_cover");
-        Self::from_rows(
-            &BitsetGraph::from_index(index),
-            &mc_obs::CancelToken::never(),
-        )
-        .expect("a never-token cannot cancel")
+        let n = index.len();
+        let mut labels: Vec<usize> = (0..n).collect();
+        sort_linear_extension(&mut labels, index.dim(), |k, i| index.rank(k, i));
+        let mut label_of = vec![0usize; n];
+        for (l, &i) in labels.iter().enumerate() {
+            label_of[i] = l;
+        }
+        let mut g = BitsetGraph::new(n);
+        let mut row = vec![0u64; index.words()];
+        for &i in &labels {
+            index.strict_successor_row_into(i, &mut row);
+            let mut permuted = vec![0u64; index.words()].into_boxed_slice();
+            for j in iter_ones(&row) {
+                let m = label_of[j];
+                permuted[m >> 6] |= 1u64 << (m & 63);
+            }
+            g.push_owned_row(permuted);
+        }
+        Self::from_rows(&g, &labels, &CancelToken::never()).expect("a never-token cannot cancel")
     }
 
-    /// Matches the split graph `g` with the bitset engine and reads off
-    /// the chains and the König antichain.
+    /// Matches the split graph `g`, whose vertex `l` is caller index
+    /// `labels[l]`, with the bitset engine, reads off the chains and the
+    /// König antichain, and maps both back to caller indices.
     fn from_rows<G: RowSource + BipartiteAdjacency>(
         g: &G,
-        token: &mc_obs::CancelToken,
-    ) -> Result<Self, mc_obs::Cancelled> {
+        labels: &[usize],
+        token: &CancelToken,
+    ) -> Result<Self, Cancelled> {
         let n = RowSource::num_left(g);
         if n == 0 {
             return Ok(Self {
@@ -128,8 +183,13 @@ impl ChainDecomposition {
         }
         let (matching, _) = HopcroftKarpBitset.solve_with_stats_cancellable(g, token)?;
         token.poll()?;
-        let chains = Self::chains_from_matching(n, &matching);
-        let antichain = Self::antichain_from_cover(n, g, &matching);
+        let mut chains = Self::chains_from_matching(n, &matching);
+        let mut antichain = Self::antichain_from_cover(n, g, &matching);
+        for v in chains.iter_mut().flatten().chain(&mut antichain) {
+            *v = labels[*v];
+        }
+        chains.sort_unstable_by_key(|chain| chain[0]);
+        antichain.sort_unstable();
         Ok(Self::finish(chains, antichain))
     }
 
@@ -379,15 +439,17 @@ mod tests {
         assert_eq!(dec.width(), 0);
     }
 
-    /// Decomposes `oracle` with and without the phase row cache; returns
-    /// both results with the rows each cached (the count
-    /// `compute_from_oracle` reports as `matching.rows_cached`).
+    /// Decomposes `oracle` (labelled in a linear extension, point `l`
+    /// being caller index `labels[l]`) with and without the phase row
+    /// cache; returns both results with the rows each cached (the count
+    /// the decomposition reports as `matching.rows_cached`).
     fn decompose_cached_and_on_demand(
         oracle: &RankOracle,
+        labels: &[usize],
     ) -> ((ChainDecomposition, usize), (ChainDecomposition, usize)) {
-        let never = mc_obs::CancelToken::never();
+        let never = CancelToken::never();
         let run = |og: OracleGraph<'_>| {
-            let dec = ChainDecomposition::from_oracle_graph(&og, &never).unwrap();
+            let dec = ChainDecomposition::from_oracle_graph(&og, labels, &never).unwrap();
             (dec, og.rows_cached())
         };
         (
@@ -415,9 +477,10 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(0xCAC4E);
         let assert_identical = |points: &PointSet, what: &str| {
-            let oracle = RankOracle::build(points);
+            let (oracle, labels) =
+                RankOracle::try_build_linear_extension(points, &CancelToken::never()).unwrap();
             let ((cached, rows_cached), (on_demand, none_cached)) =
-                decompose_cached_and_on_demand(&oracle);
+                decompose_cached_and_on_demand(&oracle, &labels);
             assert_eq!(cached.chains(), on_demand.chains(), "{what}");
             assert_eq!(cached.antichain(), on_demand.antichain(), "{what}");
             let via_matrix = ChainDecomposition::compute_from_index(&DominanceIndex::build(points));

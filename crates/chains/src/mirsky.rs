@@ -40,18 +40,9 @@ impl AntichainPartition {
     /// `Θ(n²)` structure.
     pub fn compute(points: &PointSet) -> Self {
         let oracle = RankOracle::build(points);
-        let n = oracle.len();
-        let mut sums = vec![0u64; n];
-        for k in 0..oracle.dim() {
-            for (sum, &r) in sums.iter_mut().zip(oracle.column(k)) {
-                *sum += u64::from(r);
-            }
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&i| (sums[i], i));
-        let mut height = vec![0usize; n];
+        let mut height = vec![0usize; oracle.len()];
         let mut row = vec![0u64; oracle.words()];
-        for u in order {
+        for u in oracle.linear_extension() {
             oracle.strict_successor_row_into(u, &mut row);
             let above = height[u] + 1;
             for v in iter_ones(&row) {

@@ -8,11 +8,16 @@
 //! * `ChainDecomposition::compute_from_index` passes `validate()` and
 //!   has the same width and antichain size as the adjacency-list path
 //!   (`ChainDecomposition::from_dag`);
-//! * the two engines agree on the paper's Figure-1 fixture.
+//! * the two engines agree on the paper's Figure-1 fixture;
+//! * the production decompositions (`compute`, `compute_from_oracle`),
+//!   which match in a linear-extension labelling, return exactly the
+//!   matrix reference's chains and antichain, and the relabelled
+//!   oracle's rows hold no bit below their diagonal word.
 
 use mc_chains::{ChainDecomposition, DominanceDag};
-use mc_geom::{DominanceIndex, PointSet};
+use mc_geom::{DominanceIndex, PointSet, RankOracle};
 use mc_matching::{BipartiteGraph, BitsetGraph, HopcroftKarpBitset, Kuhn, MatchingAlgorithm};
+use mc_obs::CancelToken;
 use proptest::prelude::*;
 
 /// Small palette so duplicates, ties, and `-0.0`/`0.0` pairs actually
@@ -28,8 +33,8 @@ const PALETTE: [f64; 8] = [
     f64::INFINITY,
 ];
 
-fn point_sets(max_n: usize, dim: usize) -> impl Strategy<Value = PointSet> {
-    prop::collection::vec(prop::collection::vec(0usize..PALETTE.len(), dim), 0..max_n).prop_map(
+fn point_sets(sizes: std::ops::Range<usize>, dim: usize) -> impl Strategy<Value = PointSet> {
+    prop::collection::vec(prop::collection::vec(0usize..PALETTE.len(), dim), sizes).prop_map(
         move |rows| {
             let mut points = PointSet::new(dim);
             for row in rows {
@@ -77,21 +82,75 @@ fn check_engines_agree(points: &PointSet) {
     );
 }
 
+/// The production paths against the matrix reference in the same
+/// labelling, plus the diagonal property the engine's scans rely on.
+fn check_linear_extension_paths(points: &PointSet) {
+    let index = DominanceIndex::build(points);
+    let reference = ChainDecomposition::compute_from_index(&index);
+    let production = ChainDecomposition::compute(points);
+    let from_oracle = ChainDecomposition::compute_from_oracle(&RankOracle::build(points));
+    for (what, dec) in [
+        ("compute", &production),
+        ("compute_from_oracle", &from_oracle),
+    ] {
+        assert_eq!(dec.chains(), reference.chains(), "{what}: chains");
+        assert_eq!(dec.antichain(), reference.antichain(), "{what}: antichain");
+        dec.validate(points).unwrap();
+    }
+    let list = ChainDecomposition::from_dag(&DominanceDag::from_index(&index));
+    assert_eq!(
+        production.width(),
+        list.width(),
+        "width differs from the list path"
+    );
+
+    let (oracle, labels) =
+        RankOracle::try_build_linear_extension(points, &CancelToken::never()).unwrap();
+    assert!(oracle.is_linear_extension());
+    let mut sorted = labels.clone();
+    sorted.sort_unstable();
+    assert!(
+        sorted.iter().copied().eq(0..points.len()),
+        "labels are a permutation"
+    );
+    let mut row = vec![0u64; oracle.words()];
+    for l in 0..oracle.len() {
+        oracle.strict_successor_row_into(l, &mut row);
+        assert!(
+            row[..l / 64].iter().all(|&w| w == 0),
+            "row {l} has a bit below word {}",
+            l / 64
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// n on both sides of 64 and 128, so rows span one to three words.
+    #[test]
+    fn linear_extension_paths_equal_the_reference(
+        points in (3usize..=5).prop_flat_map(|dim| point_sets(40..170, dim))
+    ) {
+        check_linear_extension_paths(&points);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn engines_agree_d2(points in point_sets(28, 2)) {
+    fn engines_agree_d2(points in point_sets(0..28, 2)) {
         check_engines_agree(&points);
     }
 
     #[test]
-    fn engines_agree_d3(points in point_sets(24, 3)) {
+    fn engines_agree_d3(points in point_sets(0..24, 3)) {
         check_engines_agree(&points);
     }
 
     #[test]
-    fn engines_agree_d5(points in point_sets(18, 5)) {
+    fn engines_agree_d5(points in point_sets(0..18, 5)) {
         check_engines_agree(&points);
     }
 

@@ -7,7 +7,7 @@
 //! * `d = 2` — the patience-pile construction (`O(n log n)`);
 //! * `d ≥ 3` — the paper's Lemma 6: Hopcroft–Karp on the split graph
 //!   of the dominance order (`O(d·n² + n^2.5)` time), with rows computed
-//!   from a [`RankOracle`]'s `O(d·n)` rank columns instead of an `n²`
+//!   from a `RankOracle`'s `O(d·n)` rank columns instead of an `n²`
 //!   dominance matrix.
 //!
 //! All three return a *minimum* decomposition, so every probing/error
@@ -25,7 +25,7 @@
 //! ```
 
 use mc_chains::{ChainDecomposition, TwoDimDecomposition};
-use mc_geom::{PointSet, RankOracle};
+use mc_geom::PointSet;
 
 /// Computes a minimum chain decomposition (ascending dominance order
 /// within each chain), dispatching on dimensionality.
@@ -43,13 +43,11 @@ pub fn minimum_chains(points: &PointSet) -> Vec<Vec<usize>> {
             vec![order]
         }
         2 => TwoDimDecomposition::compute(points).chains().to_vec(),
-        // The Lemma-6 matching runs matrix-free off rank columns: rows
-        // are cached when they fit the row budget, computed on demand
-        // above it, and bit-identical to the dominator matrix's rows
-        // either way.
-        _ => ChainDecomposition::compute_from_oracle(&RankOracle::build(points))
-            .chains()
-            .to_vec(),
+        // The Lemma-6 matching runs matrix-free off one oracle over the
+        // points relabelled in a linear extension: rows are cached when
+        // they fit the row budget, computed on demand above it, and
+        // bit-identical to the dominator matrix's rows either way.
+        _ => ChainDecomposition::compute(points).chains().to_vec(),
     };
     mc_obs::gauge_set("chains.width", chains.len() as f64);
     chains

@@ -67,7 +67,7 @@ use crate::passive::sparse::ClassifierNetwork;
 use mc_chains::ChainDecomposition;
 use mc_flow::{Capacity, FlowNetwork, NodeId};
 use mc_geom::kernel::{and_ge_mask, ones_mask_into};
-use mc_geom::{parallel_chunks, Label, RankOracle, RankTable, WeightedSet};
+use mc_geom::{parallel_chunks, sort_linear_extension, Label, RankOracle, RankTable, WeightedSet};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
 
 /// The chain heads a point dominates, answered from per-dimension sorted
@@ -570,8 +570,15 @@ fn discover_with(
     // columns preserves per-dimension order (and equality), so the
     // oracle's on-demand rows — and with them the matching, chains, and
     // width — are bit-identical to a dominator matrix over the subset.
-    let oracle = RankOracle::try_from_table_subset(table, &ones, token)?;
-    let dec = ChainDecomposition::compute_from_oracle_cancellable(&oracle, token)?;
+    // The gather visits `ones` in a linear extension (label `l` is
+    // position `order[l]` of `ones`), so the one oracle is already in
+    // the matching's labelling and the chains come back as positions.
+    let mut order: Vec<usize> = (0..ones.len()).collect();
+    sort_linear_extension(&mut order, table.dim(), |k, p| table.column(k)[ones[p]]);
+    let gathered: Vec<usize> = order.iter().map(|&p| ones[p]).collect();
+    let oracle = RankOracle::try_from_table_subset(table, &gathered, token)?;
+    let dec =
+        ChainDecomposition::compute_from_linear_extension_cancellable(&oracle, &order, token)?;
 
     // The sweep's deepest dominated prefix per chain places each rung
     // edge *and* answers Lemma 15: a zero contends iff it hits some
@@ -894,7 +901,7 @@ mod tests {
             let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
             let (_, ones) = split_labels(ws.labels());
             let oracle = RankOracle::try_from_table_subset(&table, &ones, &never).unwrap();
-            let dec = ChainDecomposition::compute_from_oracle_cancellable(&oracle, &never).unwrap();
+            let dec = ChainDecomposition::compute_from_oracle(&oracle);
             assert!(
                 dec.width() > 64,
                 "dim {dim}: width {} fits one word",

@@ -40,7 +40,7 @@ pub use index::{
     RankTable,
 };
 pub use label::Label;
-pub use oracle::RankOracle;
+pub use oracle::{sort_linear_extension, RankOracle};
 pub use parallel::{max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold};
 pub use pareto::{maxima, minima, minima_2d};
 pub use point::Point;

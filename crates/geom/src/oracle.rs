@@ -117,6 +117,37 @@ impl RankOracle {
         Self::try_from_rank_columns(points.len(), points.dim(), ranks, token)
     }
 
+    /// Builds the oracle over `points` relabelled in a linear extension
+    /// of dominance: ascending `(Σ_k rank_k, index)`. Returns the oracle
+    /// and `labels`, where oracle point `l` is input point `labels[l]`.
+    /// Every point then comes after everything it dominates, so the
+    /// strict-successor row of label `l` has no bit below word `⌊l/64⌋`
+    /// (see [`is_linear_extension`](Self::is_linear_extension)). One
+    /// rank compression, one sort and one oracle: the columns are
+    /// permuted before the table is filled.
+    pub fn try_build_linear_extension(
+        points: &PointSet,
+        token: &CancelToken,
+    ) -> Result<(Self, Vec<usize>), Cancelled> {
+        let n = points.len();
+        let dim = points.dim();
+        let ranks = try_compress_ranks(points, token)?;
+        let mut labels: Vec<usize> = (0..n).collect();
+        sort_linear_extension(&mut labels, dim, |k, i| ranks[k * n + i]);
+        let permuted = gather_columns(dim, &labels, |k| &ranks[k * n..(k + 1) * n]);
+        drop(ranks);
+        let oracle = Self::try_from_rank_columns(n, dim, permuted, token)?;
+        Ok((oracle, labels))
+    }
+
+    /// Builds the oracle over this oracle's points in the order `order`:
+    /// new point `l` is point `order[l]`. Ranks are copied, not
+    /// recomputed, so dominance and equality are unchanged.
+    pub fn try_permuted(&self, order: &[usize], token: &CancelToken) -> Result<Self, Cancelled> {
+        let ranks = gather_columns(self.dim, order, |k| self.column(k));
+        Self::try_from_rank_columns(order.len(), self.dim, ranks, token)
+    }
+
     /// Builds the oracle over a subset of an existing [`RankTable`]'s
     /// points (`indices`, in the given order) by gathering their rank
     /// columns — the path the passive ladder uses to match over the
@@ -297,6 +328,29 @@ impl RankOracle {
         &self.ranks[k * self.n..(k + 1) * self.n]
     }
 
+    /// The points sorted into a linear extension of dominance:
+    /// ascending `(Σ_k rank_k, index)`.
+    pub fn linear_extension(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.n).collect();
+        sort_linear_extension(&mut order, self.dim, |k, i| self.rank(k, i));
+        order
+    }
+
+    /// `true` iff the points' own order is a linear extension of
+    /// dominance, i.e. rank sums never decrease with the index. Strict
+    /// dominance raises the rank sum and equal points are oriented by
+    /// index, so every strict successor of `i` then has a larger index
+    /// and `i`'s strict-successor row has no bit below word `⌊i/64⌋`.
+    pub fn is_linear_extension(&self) -> bool {
+        let n = self.n;
+        let sum = |i: usize| -> u64 {
+            (0..self.dim)
+                .map(|k| u64::from(self.ranks[k * n + i]))
+                .sum()
+        };
+        (1..n).all(|i| sum(i - 1) <= sum(i))
+    }
+
     /// Reflexive dominance `p_i ⪰ p_j` from `d` rank comparisons.
     pub fn dominates(&self, i: usize, j: usize) -> bool {
         (0..self.dim).all(|k| self.ranks[k * self.n + i] >= self.ranks[k * self.n + j])
@@ -327,7 +381,7 @@ impl RankOracle {
     /// Panics if `out.len() != self.words()`.
     pub fn dominator_row_into(&self, i: usize, out: &mut [u64]) {
         let n = self.n;
-        self.row_at(|k| self.group_start[k * n + i] as usize, out);
+        self.row_at(|k| self.group_start[k * n + i] as usize, 0, out);
     }
 
     /// Computes the *suffix row* at per-dimension sorted positions
@@ -348,15 +402,18 @@ impl RankOracle {
             pos.iter().all(|&p| (p as usize) < self.n),
             "position out of range"
         );
-        self.row_at(|k| pos[k] as usize, out);
+        self.row_at(|k| pos[k] as usize, 0, out);
     }
 
     /// The row of the points at sorted position `≥ pos(k)` on every
-    /// dimension `k`; each `pos(k)` is a tie-group start below `n`.
+    /// dimension `k`, over words `from_word..` only (the words below are
+    /// zeroed); each `pos(k)` is a tie-group start below `n`.
     #[inline]
-    fn row_at(&self, pos: impl Fn(usize) -> usize, out: &mut [u64]) {
+    fn row_at(&self, pos: impl Fn(usize) -> usize, from_word: usize, out: &mut [u64]) {
         assert_eq!(out.len(), self.words, "row width mismatch");
         let n = self.n;
+        let (below, tail) = out.split_at_mut(from_word);
+        below.fill(0);
         let mut filled = false;
         for k in 0..self.dim {
             let c = pos(k) >> self.stride_shift;
@@ -364,18 +421,19 @@ impl RankOracle {
                 continue; // S_k[0] holds every point
             }
             let base = (k * self.checkpoints + c) * self.words;
-            let set = &self.suffix[base..base + self.words];
+            let set = &self.suffix[base + from_word..base + self.words];
             if filled {
-                for (o, &w) in out.iter_mut().zip(set) {
+                for (o, &w) in tail.iter_mut().zip(set) {
                     *o &= w;
                 }
             } else {
-                out.copy_from_slice(set);
+                tail.copy_from_slice(set);
                 filled = true;
             }
         }
         if !filled {
             kernel::ones_mask_into(n, out);
+            out[..from_word].fill(0);
         }
         // The points between each checkpoint and `pos(k)` are in
         // `S_k[c]` but rank below `pos(k)`'s group on dimension `k`. A
@@ -397,6 +455,54 @@ impl RankOracle {
         }
     }
 
+    /// `true` iff bit `j` of `i`'s strict-successor row is set: `p_j ⪰
+    /// p_i`, and `j > i` if the points are equal.
+    #[inline]
+    fn is_strict_successor(&self, i: usize, j: usize) -> bool {
+        self.dominates(j, i) && (j > i || !self.equal_points(i, j))
+    }
+
+    /// The lowest strict successor of `i` (a bit of
+    /// [`strict_successor_row_into`](Self::strict_successor_row_into))
+    /// that is also set in `within`, looking only at words `from_word..`;
+    /// `None` if there is none there. No row is built: each word ANDs
+    /// `within` with the point's suffix-bitset words on the fly, and each
+    /// surviving bit costs at most `d` rank compares, so the scan stops
+    /// at the first survivor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `within.len() != self.words()` or `i >= len()`.
+    pub fn first_strict_successor(
+        &self,
+        i: usize,
+        within: &[u64],
+        from_word: usize,
+    ) -> Option<usize> {
+        assert_eq!(within.len(), self.words, "row width mismatch");
+        let n = self.n;
+        for (wi, &w) in within.iter().enumerate().skip(from_word) {
+            let mut cand = w;
+            for k in 0..self.dim {
+                if cand == 0 {
+                    break;
+                }
+                let c = self.group_start[k * n + i] as usize >> self.stride_shift;
+                if c > 0 {
+                    cand &= self.suffix[(k * self.checkpoints + c) * self.words + wi];
+                }
+            }
+            while cand != 0 {
+                let j = (wi << 6) | cand.trailing_zeros() as usize;
+                cand &= cand - 1;
+                if self.is_strict_successor(i, j) {
+                    return Some(j);
+                }
+            }
+        }
+        None
+    }
+
     /// Computes `i`'s *strict-successor row* into `out`: the dominator
     /// row with `i` itself and smaller-index duplicates masked out —
     /// the exact edge orientation `BitsetGraph::from_index` gives the
@@ -406,7 +512,24 @@ impl RankOracle {
     ///
     /// Panics if `out.len() != self.words()`.
     pub fn strict_successor_row_into(&self, i: usize, out: &mut [u64]) {
-        self.dominator_row_into(i, out);
+        self.strict_successor_row_from(i, 0, out);
+    }
+
+    /// [`strict_successor_row_into`](Self::strict_successor_row_into)
+    /// over words `from_word..` only, with the words below left zero: the
+    /// whole row whenever no strict successor of `i` sits below
+    /// `from_word`, as with `from_word = ⌊i/64⌋` when the points are
+    /// labelled in a linear extension
+    /// ([`is_linear_extension`](Self::is_linear_extension)). The suffix
+    /// ANDs then skip the words below the diagonal. Debug builds check
+    /// the skipped words against the full row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.words()` or `from_word > self.words()`.
+    pub fn strict_successor_row_from(&self, i: usize, from_word: usize, out: &mut [u64]) {
+        let n = self.n;
+        self.row_at(|k| self.group_start[k * n + i] as usize, from_word, out);
         for &v in self.dup_group_members(i) {
             let v = v as usize;
             if v > i {
@@ -414,7 +537,46 @@ impl RankOracle {
             }
             out[v >> 6] &= !(1u64 << (v & 63));
         }
+        #[cfg(debug_assertions)]
+        if from_word > 0 {
+            let mut full = vec![0u64; self.words];
+            self.strict_successor_row_from(i, 0, &mut full);
+            assert_eq!(
+                full, out,
+                "row {i} has a strict successor below word {from_word}"
+            );
+        }
     }
+}
+
+/// Sorts `items` into a linear extension of dominance: ascending
+/// `(Σ_k rank(k, item), item)`. Strict dominance raises one rank and
+/// lowers none, so it raises the sum; equal points keep index order.
+/// Ranks need only be order-preserving per dimension.
+pub fn sort_linear_extension(items: &mut [usize], dim: usize, rank: impl Fn(usize, usize) -> u32) {
+    let mut keys: Vec<(u64, usize)> = items
+        .iter()
+        .map(|&i| ((0..dim).map(|k| u64::from(rank(k, i))).sum(), i))
+        .collect();
+    keys.sort_unstable();
+    for (item, (_, i)) in items.iter_mut().zip(keys) {
+        *item = i;
+    }
+}
+
+/// Column-major ranks of the points `indices`, in that order:
+/// `out[k * m + l] = column(k)[indices[l]]`.
+fn gather_columns<'c>(
+    dim: usize,
+    indices: &[usize],
+    column: impl Fn(usize) -> &'c [u32],
+) -> Vec<u32> {
+    let mut out = Vec::with_capacity(dim * indices.len());
+    for k in 0..dim {
+        let col = column(k);
+        out.extend(indices.iter().map(|&i| col[i]));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -639,6 +801,72 @@ mod tests {
                         }
                         assert_eq!(row, want, "dim {dim} n {n} stride {stride} pos {pos:?}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_strict_successor_matches_the_row_scan() {
+        let mut rng = StdRng::seed_from_u64(0x1A2F);
+        for dim in [1usize, 3, 5] {
+            for n in [1usize, 63, 64, 65, 200] {
+                let points = random_points(n, dim, 4.0, &mut rng);
+                let ranks = dense_ranks(&points);
+                for stride in [64, n.next_power_of_two().max(MIN_STRIDE)] {
+                    let never = CancelToken::never();
+                    let oracle =
+                        RankOracle::with_stride(n, dim, ranks.clone(), stride, &never).unwrap();
+                    let mut row = vec![0u64; oracle.words()];
+                    for i in 0..n {
+                        oracle.strict_successor_row_into(i, &mut row);
+                        let within: Vec<u64> = (0..oracle.words())
+                            .map(|w| {
+                                let spill = n - 64 * w;
+                                let valid = if spill >= 64 { !0 } else { (1u64 << spill) - 1 };
+                                rng.gen::<u64>() & valid
+                            })
+                            .collect();
+                        let from = rng.gen_range(0..oracle.words());
+                        let want = (from..oracle.words()).find_map(|w| {
+                            let hit = row[w] & within[w];
+                            (hit != 0).then(|| (w << 6) | hit.trailing_zeros() as usize)
+                        });
+                        assert_eq!(
+                            oracle.first_strict_successor(i, &within, from),
+                            want,
+                            "dim {dim} n {n} stride {stride} i {i} from {from}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_extension_build_relabels_without_changing_the_poset() {
+        let mut rng = StdRng::seed_from_u64(0x11E7);
+        for dim in [1usize, 2, 4] {
+            let points = random_points(150, dim, 4.0, &mut rng);
+            let plain = RankOracle::build(&points);
+            let (sorted, labels) =
+                RankOracle::try_build_linear_extension(&points, &CancelToken::never()).unwrap();
+            assert_eq!(labels, plain.linear_extension());
+            assert!(sorted.is_linear_extension());
+            let mut full = vec![0u64; sorted.words()];
+            let mut tail = vec![!0u64; sorted.words()];
+            for l in 0..150 {
+                sorted.strict_successor_row_into(l, &mut full);
+                sorted.strict_successor_row_from(l, l / 64, &mut tail);
+                assert_eq!(tail, full, "dim {dim} label {l}");
+            }
+            let permuted = plain.try_permuted(&labels, &CancelToken::never()).unwrap();
+            for a in 0..150 {
+                for b in 0..150 {
+                    let (i, j) = (labels[a], labels[b]);
+                    assert_eq!(sorted.dominates(a, b), plain.dominates(i, j));
+                    assert_eq!(sorted.equal_points(a, b), plain.equal_points(i, j));
+                    assert_eq!(permuted.dominates(a, b), plain.dominates(i, j));
                 }
             }
         }

@@ -120,9 +120,9 @@ impl HopcroftKarp {
         // Greedy seed: for each left vertex (ascending), take its first
         // free neighbour. On chain-heavy Lemma-6 inputs this already
         // matches most vertices, cutting the BFS/DFS phases to the few
-        // vertices that genuinely need an augmenting path. Identical to
-        // the seeding in `HopcroftKarpBitset` so both engines start from
-        // the same matching on ascending-ordered graphs.
+        // vertices that genuinely need an augmenting path. (The bitset
+        // engine seeds top down instead, so the two engines may return
+        // different maximum matchings of the same size.)
         let mut greedy = 0u64;
         for l in 0..g.num_left() {
             for &r in g.neighbours(l) {

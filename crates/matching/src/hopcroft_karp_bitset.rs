@@ -13,12 +13,15 @@
 //!
 //! Three tricks keep the constant small:
 //!
-//! 1. **Greedy seeding** — a first pass matches each left vertex to
-//!    its lowest free neighbour (`row AND free` per word), visiting
-//!    sparse rows before dense ones (Karp–Sipser flavour) so scarce
-//!    vertices commit before flexible ones use their rights up. On
-//!    chain-heavy inputs this matches almost everything, leaving the
-//!    phased search only the stragglers.
+//! 1. **Greedy seeding, top down** — a first pass visits the left
+//!    vertices in descending index order and matches each to its lowest
+//!    free neighbour. On a Lemma-6 split graph labelled in a linear
+//!    extension that is the top of the poset first, and each point takes
+//!    the lowest free point above it: its immediate successor on a chain,
+//!    so chain-heavy inputs seed almost perfectly and leave the phased
+//!    search only the stragglers. The source answers each left's
+//!    question itself ([`RowSource::first_free_neighbour`]); an on-demand
+//!    source scans lazily from the diagonal word and builds no row.
 //! 2. **Frontier-bitset BFS** — each layer ORs the frontier's rows into
 //!    one `reached` bitset (fanned out via `mc_geom::parallel_chunks`
 //!    above the `MC_PAR_THRESHOLD` cut-over), then walks
@@ -40,14 +43,16 @@
 //! phases alike. The phases ask for rows through
 //! [`RowSource::phase_row`] and [`RowSource::or_row_into`], so a source
 //! with a row cache (an [`OracleGraph`] built `with_row_cache`) keeps
-//! the rows they ask for; the one-pass degree and greedy sweeps use
-//! [`RowSource::resolve_row`] and cache nothing.
+//! the rows they ask for; the greedy seed caches nothing.
 //!
 //! The layering is level-synchronous and rights are claimed lowest-index
-//! first, which makes the engine's tie-breaking line up with the list
-//! engine on graphs whose adjacency lists are ascending (as Lemma-6
-//! split graphs are); the decomposition-level equivalence tests in
-//! `mc-chains` lean on that.
+//! first, so the matching depends only on the row bits: every source of
+//! the same rows gives the same matching, which the decomposition-level
+//! equivalence tests in `mc-chains` lean on. Lemma-6 split graphs are
+//! labelled in a linear extension before they get here, so a left's
+//! successors all carry larger labels and every row starts at or after
+//! its diagonal word ([`RowSource::first_word`], checked by a debug
+//! assertion on every phase row).
 
 use crate::bitset::BitsetGraph;
 use crate::graph::Matching;
@@ -228,6 +233,10 @@ impl<G: RowSource> State<'_, '_, G> {
                     pool_owner[depth] = if resolved.cached { l } else { NO_OWNER };
                     (resolved.row, resolved.patch_word, resolved.patch_mask)
                 };
+                debug_assert!(
+                    row[..g.first_word(lu)].iter().all(|&w| w == 0),
+                    "row {lu} has a bit below its first word"
+                );
                 let (lvl_mask, lvl_nz) = &mut levels[d];
                 'scan: loop {
                     while word == 0 {
@@ -303,11 +312,10 @@ impl HopcroftKarpBitset {
     }
 
     /// Cancellable twin of [`solve_with_stats`](Self::solve_with_stats):
-    /// the token is checkpointed on the words scanned by the degree
-    /// pass and greedy seed, polled between Hopcroft–Karp rounds, and
-    /// checkpointed once per row the BFS/DFS phases resolve (on-demand
-    /// sources compute or cache rows there). On cancellation the
-    /// partial matching is discarded.
+    /// the token is checkpointed on the words the greedy seed scans,
+    /// polled between Hopcroft–Karp rounds, and checkpointed once per row
+    /// the BFS/DFS phases resolve (on-demand sources compute or cache
+    /// rows there). On cancellation the partial matching is discarded.
     pub fn solve_with_stats_cancellable<G: RowSource>(
         &self,
         g: &G,
@@ -318,9 +326,11 @@ impl HopcroftKarpBitset {
         let nl = g.num_left();
         let nr = g.num_right();
         let words = g.words();
-        // One full row sweep (the degree pass) is the work estimate;
-        // BFS/DFS rounds beyond it saturate `frac` at 1.
-        let mut cp = mc_obs::Checkpoint::with_progress(token, "matching", nl as u64 * words as u64);
+        // The greedy seed's worst case, every left scanning from its
+        // first word to the last, is the work estimate; the seed ticks
+        // the words it really scans, and BFS/DFS rounds tick nothing.
+        let worst: u64 = (0..nl).map(|l| (words - g.first_word(l)) as u64 + 1).sum();
+        let mut cp = Checkpoint::with_progress(token, "matching", worst);
         let mut st = State {
             g,
             token,
@@ -339,69 +349,24 @@ impl HopcroftKarpBitset {
         if words > 0 && nr & 63 != 0 {
             free[words - 1] = (1u64 << (nr & 63)) - 1;
         }
-        // Greedy seed: sparsest rows commit first (Karp–Sipser flavour —
-        // scarce lefts take a right before flexible ones use it up),
-        // each taking its lowest free right. Ties keep ascending index
-        // order, so chain-shaped inputs still seed perfectly and
-        // deterministically. The popcount pass fans out over row chunks
-        // (each worker with its own scratch); chunk results concatenate
-        // in index order, so the degrees — and everything downstream —
-        // are identical to the sequential sweep.
-        let mut order: Vec<u32> = (0..nl as u32).collect();
-        let deg_parts = parallel_chunks(nl, |range| {
-            let mut scratch = vec![0u64; words];
-            let mut local: Vec<u32> = Vec::with_capacity(range.len());
-            let mut scanned = 0u64;
-            // Workers contribute units to the same phase; a zero hint
-            // leaves the total set by the owning solve.
-            let mut cp_w = Checkpoint::with_progress(token, "matching", 0);
-            for l in range {
-                if cp_w.tick(words as u64).is_err() {
-                    return (local, scanned);
-                }
-                let resolved = g.resolve_row(l, &mut scratch);
-                scanned += words as u64;
-                let mut count = 0u32;
-                for (wi, &w) in resolved.row.iter().enumerate() {
-                    let w = if wi == resolved.patch_word {
-                        w & resolved.patch_mask
-                    } else {
-                        w
-                    };
-                    count += w.count_ones();
-                }
-                local.push(count);
-            }
-            (local, scanned)
-        });
-        let mut deg: Vec<u32> = Vec::with_capacity(nl);
-        for (part, scanned) in deg_parts {
-            deg.extend(part);
-            st.words_scanned += scanned;
-        }
-        token.poll()?;
-        order.sort_unstable_by_key(|&l| (deg[l as usize], l));
+        // Greedy seed, top down: each left in descending index order
+        // takes its lowest free neighbour. The source scans from the
+        // left's first word and stops at the first hit, so on a split
+        // graph labelled in a linear extension a chain's points each take
+        // their successor a few words past the diagonal.
         let mut greedy = 0u64;
         let mut scratch = vec![0u64; words];
-        for &l in &order {
-            let l = l as usize;
-            cp.tick(words as u64 + 1)?;
-            let resolved = g.resolve_row(l, &mut scratch);
-            let (row, pw, pmask) = (resolved.row, resolved.patch_word, resolved.patch_mask);
-            for (wi, fw) in free.iter_mut().enumerate() {
-                st.words_scanned += 1;
-                let mut cand = row[wi] & *fw;
-                if wi == pw {
-                    cand &= pmask;
-                }
-                if cand != 0 {
-                    let r = (wi << 6) | cand.trailing_zeros() as usize;
-                    st.left_match[l] = Some(r as u32);
-                    st.right_match[r] = Some(l as u32);
-                    *fw &= !(1u64 << (r & 63));
-                    greedy += 1;
-                    break;
-                }
+        for l in (0..nl).rev() {
+            let from = g.first_word(l);
+            let hit = g.first_free_neighbour(l, &free, &mut scratch);
+            let scanned = (hit.map_or(words, |r| (r >> 6) + 1) - from) as u64;
+            st.words_scanned += scanned;
+            cp.tick(scanned + 1)?;
+            if let Some(r) = hit {
+                st.left_match[l] = Some(r as u32);
+                st.right_match[r] = Some(l as u32);
+                free[r >> 6] &= !(1u64 << (r & 63));
+                greedy += 1;
             }
         }
         let mut rounds = 0u64;
@@ -499,10 +464,10 @@ mod tests {
 
     #[test]
     fn requires_augmentation() {
-        // Degree-ordered greedy seeds L2->R2 then L0->R0, stranding L1
-        // (both its rights taken); the phased search must undo L0->R0
-        // via the path L1, R0, L0, R1 to match all three.
-        let rows = Rows::from_edges(3, 3, &[(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)]);
+        // The top-down greedy seeds L2->R0 (its lowest free right), then
+        // finds L1's only right taken and seeds L0->R2; the phased search
+        // must undo L2->R0 via the path L1, R0, L2, R1 to match all three.
+        let rows = Rows::from_edges(3, 3, &[(0, 2), (1, 0), (2, 0), (2, 1)]);
         let g = rows.graph();
         let (m, stats) = HopcroftKarpBitset.solve_with_stats(&g);
         assert_eq!(m.size(), 3);
@@ -522,7 +487,8 @@ mod tests {
 
     #[test]
     fn ladder_needs_no_rounds_after_greedy() {
-        // L_i -> {R_i, R_{i+1}}: greedy already finds the perfect
+        // L_i -> {R_i, R_{i+1}}: the top-down greedy seeds L_{k-1} ->
+        // R_{k-1} first and every L_i -> R_i after it, the perfect
         // matching, so zero phases should run.
         let k = 700; // spans many words
         let mut edges = Vec::new();
@@ -541,12 +507,13 @@ mod tests {
 
     #[test]
     fn deep_augmenting_paths() {
-        // L_i -> {R_i, R_{i+1}} for i < k plus L_k -> {R_0, R_1}. Every
-        // row has two bits, so the degree-ordered greedy runs in index
-        // order, matches L_i -> R_i, and strands L_k; the only
-        // augmenting path is the full cascade L_k, R_0, L_0, R_1, ...,
-        // R_k — Θ(k) frames, exercising the resumable word scans on
-        // backtrack and a maximally deep flip.
+        // L_i -> {R_i, R_{i+1}} for i < k plus L_k -> {R_0, R_1}. The
+        // top-down greedy seeds L_k -> R_0, then L_i -> R_i for i = k-1
+        // down to 1, and strands L_0 (both its rights taken); R_k is the
+        // only free right, so every augmenting path is a full cascade
+        // such as L_0, R_1, L_1, R_2, ..., L_{k-1}, R_k — Θ(k) frames,
+        // exercising the resumable word scans on backtrack and a
+        // maximally deep flip.
         let k = 900;
         let mut edges = vec![(k, 0), (k, 1)];
         for i in 0..k {

@@ -10,11 +10,18 @@
 //! which is what lets Lemma-6 matching run at `n` far past the matrix
 //! wall.
 //!
+//! When the oracle's points are labelled in a linear extension of
+//! dominance ([`RankOracle::is_linear_extension`]), every strict successor
+//! of `l` has a larger label, so row `l` starts at word `⌊l/64⌋`: the
+//! greedy seed's lazy scan ([`RankOracle::first_strict_successor`]), the
+//! row computations ([`RankOracle::strict_successor_row_from`]) and the
+//! BFS row ORs all begin there, which halves a row's suffix ANDs on
+//! average. The seed builds no row at all.
+//!
 //! Built [`with_row_cache`](OracleGraph::with_row_cache), the graph also
 //! keeps every row a Hopcroft–Karp BFS or DFS asks for and serves it from
 //! the cache after that: each round ends in a BFS that revisits nearly
-//! all of them. One-pass sweeps (degree pass, greedy seed, König) never
-//! fill it.
+//! all of them. The greedy seed and König's reachability never fill it.
 //!
 //! Rows are bit-identical to the `BitsetGraph` rows over the same
 //! points (the oracle reproduces `DominanceIndex` rows exactly), and
@@ -32,6 +39,9 @@ use std::sync::OnceLock;
 #[derive(Debug)]
 pub struct OracleGraph<'a> {
     oracle: &'a RankOracle,
+    /// `true` iff the oracle's labels form a linear extension, so row `l`
+    /// has no bit below word `⌊l/64⌋`.
+    diagonal: bool,
     /// Per-row cache of the rows the phases asked for. `Sync`, so the
     /// parallel BFS can fill it from every worker.
     cache: Option<Vec<OnceLock<Box<[u64]>>>>,
@@ -43,6 +53,7 @@ impl<'a> OracleGraph<'a> {
     pub fn new(oracle: &'a RankOracle) -> Self {
         Self {
             oracle,
+            diagonal: oracle.is_linear_extension(),
             cache: None,
         }
     }
@@ -54,8 +65,8 @@ impl<'a> OracleGraph<'a> {
     pub fn with_row_cache(oracle: &'a RankOracle) -> Self {
         let n = oracle.len();
         Self {
-            oracle,
             cache: Some((0..n).map(|_| OnceLock::new()).collect()),
+            ..Self::new(oracle)
         }
     }
 
@@ -103,24 +114,33 @@ impl RowSource for OracleGraph<'_> {
         self.oracle.words()
     }
 
-    #[inline]
-    fn resolve_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s> {
-        self.oracle.strict_successor_row_into(l, scratch);
-        ResolvedRow {
-            row: scratch,
-            patch_word: 0,
-            patch_mask: !0u64,
-            cached: true,
+    fn first_word(&self, l: usize) -> usize {
+        if self.diagonal {
+            l >> 6
+        } else {
+            0
         }
     }
 
+    fn first_free_neighbour(&self, l: usize, free: &[u64], _scratch: &mut [u64]) -> Option<usize> {
+        self.oracle
+            .first_strict_successor(l, free, self.first_word(l))
+    }
+
     fn phase_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s> {
+        let from = self.first_word(l);
         let Some(cache) = &self.cache else {
-            return self.resolve_row(l, scratch);
+            self.oracle.strict_successor_row_from(l, from, scratch);
+            return ResolvedRow {
+                row: scratch,
+                patch_word: 0,
+                patch_mask: !0u64,
+                cached: true,
+            };
         };
         let row = cache[l].get_or_init(|| {
             let mut row = vec![0u64; self.oracle.words()].into_boxed_slice();
-            self.oracle.strict_successor_row_into(l, &mut row);
+            self.oracle.strict_successor_row_from(l, from, &mut row);
             row
         });
         ResolvedRow {
@@ -133,11 +153,12 @@ impl RowSource for OracleGraph<'_> {
 
     #[inline]
     fn or_row_into(&self, l: usize, acc: &mut [u64], scratch: &mut [u64]) -> u64 {
+        let from = self.first_word(l);
         let row = self.phase_row(l, scratch).row;
-        for (a, &w) in acc.iter_mut().zip(row) {
+        for (a, &w) in acc[from..].iter_mut().zip(&row[from..]) {
             *a |= w;
         }
-        self.oracle.words() as u64
+        (self.oracle.words() - from) as u64
     }
 }
 
@@ -162,7 +183,8 @@ impl BipartiteAdjacency for OracleGraph<'_> {
             Some(row) => mc_geom::iter_ones(row).for_each(f),
             None => {
                 let mut row = vec![0u64; self.oracle.words()];
-                self.oracle.strict_successor_row_into(l, &mut row);
+                self.oracle
+                    .strict_successor_row_from(l, self.first_word(l), &mut row);
                 mc_geom::iter_ones(&row).for_each(f);
             }
         }

@@ -17,10 +17,14 @@
 //! `BitsetGraph` representation uses), on-demand sources fill it and
 //! report `cached = true` so the engine can reuse the buffer without
 //! recomputing while the same left vertex stays resident at that DFS
-//! depth. The engine asks through [`RowSource::resolve_row`] in its
-//! one-pass sweeps (degree pass, greedy seed) and through
-//! [`RowSource::phase_row`] / [`RowSource::or_row_into`] in the BFS/DFS
-//! phases, which revisit rows.
+//! depth. The greedy seed asks only for each left's lowest free
+//! neighbour ([`RowSource::first_free_neighbour`]), which an on-demand
+//! source answers without building the row; the BFS/DFS phases, which
+//! revisit rows, ask through [`RowSource::phase_row`] /
+//! [`RowSource::or_row_into`]. A source whose vertices are labelled in a
+//! linear extension of the poset reports, per left, the first word its
+//! row can touch ([`RowSource::first_word`]), and every scan starts
+//! there.
 
 use crate::bitset::BitsetGraph;
 
@@ -53,19 +57,37 @@ pub trait RowSource: Sync {
     /// Words per row: `ceil(num_right / 64)`.
     fn words(&self) -> usize;
 
-    /// Resolves left vertex `l`'s row for a sweep that reads each row
-    /// once. `scratch` has exactly [`words`](Self::words) words; sources
-    /// that compute rows on demand fill it and return it
-    /// (`cached = true`), materialized sources return their own storage
-    /// untouched.
-    fn resolve_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s>;
-
-    /// Resolves left vertex `l`'s row for a Hopcroft–Karp phase. Same
-    /// contract as [`resolve_row`](Self::resolve_row), but a source with
-    /// a row cache may serve the row from it (or fill it) instead.
-    fn phase_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s> {
-        self.resolve_row(l, scratch)
+    /// The first word of left vertex `l`'s row that can hold a bit:
+    /// every word below it is zero. `0` unless the source knows better;
+    /// a Lemma-6 split graph labelled in a linear extension starts each
+    /// row at the diagonal word `⌊l/64⌋`.
+    fn first_word(&self, _l: usize) -> usize {
+        0
     }
+
+    /// The lowest right vertex adjacent to `l` whose bit is set in
+    /// `free`, scanning words from [`first_word`](Self::first_word); the
+    /// greedy seed's one question per left. The default resolves the row
+    /// through [`phase_row`](Self::phase_row); on-demand sources answer
+    /// without building it.
+    fn first_free_neighbour(&self, l: usize, free: &[u64], scratch: &mut [u64]) -> Option<usize> {
+        let from = self.first_word(l);
+        let resolved = self.phase_row(l, scratch);
+        (from..free.len()).find_map(|wi| {
+            let mut cand = resolved.row[wi] & free[wi];
+            if wi == resolved.patch_word {
+                cand &= resolved.patch_mask;
+            }
+            (cand != 0).then(|| (wi << 6) | cand.trailing_zeros() as usize)
+        })
+    }
+
+    /// Resolves left vertex `l`'s full row for a Hopcroft–Karp phase.
+    /// `scratch` has exactly [`words`](Self::words) words; sources that
+    /// compute rows on demand fill it and return it (`cached = true`),
+    /// materialized sources return their own storage untouched, and a
+    /// source with a row cache may serve the row from it (or fill it).
+    fn phase_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s>;
 
     /// ORs left vertex `l`'s row into `acc` for a BFS layer, using
     /// `scratch` as working space if the row must be computed first.
@@ -87,7 +109,7 @@ impl RowSource for BitsetGraph<'_> {
     }
 
     #[inline]
-    fn resolve_row<'s>(&'s self, l: usize, _scratch: &'s mut [u64]) -> ResolvedRow<'s> {
+    fn phase_row<'s>(&'s self, l: usize, _scratch: &'s mut [u64]) -> ResolvedRow<'s> {
         let (row, patch_word, patch_mask) = self.row_parts(l);
         ResolvedRow {
             row,

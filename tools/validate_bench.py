@@ -160,6 +160,14 @@ def main():
                         f"{path}: server acknowledged {server.get('points')} points "
                         f"but the generator recorded {t['points']}"
                     )
+        if name == "dominance":
+            # `contending_oracle` is the cold `ContendingPoints::compute`
+            # (matrix-free since it stopped building an index).
+            for section in ("timings_ms", "speedup"):
+                if "contending_oracle" not in doc[section]:
+                    fail(f"{path}: {section} missing 'contending_oracle'")
+            if not all(v is True for v in doc["equivalence"].values()):
+                fail(f"{path}: equivalence flags not all true: {doc['equivalence']}")
         if name == "matching":
             mf = doc["matrix_free"]
             if not isinstance(mf, dict):
