@@ -1,8 +1,9 @@
-//! Criterion micro-benchmarks: the three max-flow solvers on random
-//! graphs and on passive-classifier-shaped (3-layer) networks.
+//! Criterion micro-benchmarks: Dinic and the Edmonds–Karp reference on
+//! random graphs, and Dinic on passive-classifier-shaped (3-layer)
+//! networks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc_flow::{Dinic, EdmondsKarp, FlowNetwork, MaxFlowAlgorithm, PushRelabel};
+use mc_flow::{Dinic, EdmondsKarp, FlowNetwork, MaxFlowAlgorithm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,9 +49,6 @@ fn bench_random(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dinic", n), &net, |b, net| {
             b.iter(|| Dinic.solve(net).value())
         });
-        group.bench_with_input(BenchmarkId::new("push-relabel", n), &net, |b, net| {
-            b.iter(|| PushRelabel.solve(net).value())
-        });
         group.bench_with_input(BenchmarkId::new("edmonds-karp", n), &net, |b, net| {
             b.iter(|| EdmondsKarp.solve(net).value())
         });
@@ -64,9 +62,6 @@ fn bench_classifier_shape(c: &mut Criterion) {
         let net = classifier_network(half, 7);
         group.bench_with_input(BenchmarkId::new("dinic", half), &net, |b, net| {
             b.iter(|| Dinic.solve(net).value())
-        });
-        group.bench_with_input(BenchmarkId::new("push-relabel", half), &net, |b, net| {
-            b.iter(|| PushRelabel.solve(net).value())
         });
     }
     group.finish();

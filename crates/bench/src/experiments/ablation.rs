@@ -8,7 +8,7 @@
 //!   (`O(d·n² + n^2.5)`) vs the 2D patience specialization
 //!   (`O(n log n)`): identical widths, orders-of-magnitude time gap.
 //! * **A3 — max-flow algorithm inside the passive solver.** Dinic vs
-//!   push-relabel vs Edmonds–Karp on classifier-shaped networks.
+//!   the Edmonds–Karp reference on classifier-shaped networks.
 
 use crate::report::{fmt_duration, fmt_f64, Table};
 use mc_chains::{ChainDecomposition, TwoDimDecomposition};
@@ -16,7 +16,7 @@ use mc_core::passive::PassiveSolver;
 use mc_core::{ActiveParams, ActiveSolver, InMemoryOracle};
 use mc_data::controlled_width::{generate, ControlledWidthConfig};
 use mc_data::planted::{planted_sum_concept, PlantedConfig};
-use mc_flow::{Dinic, EdmondsKarp, PushRelabel};
+use mc_flow::{Dinic, EdmondsKarp};
 use std::time::Instant;
 
 /// Runs the ablations.
@@ -131,11 +131,6 @@ pub fn run(quick: bool) -> Vec<Table> {
             .solve(&ws)
             .weighted_error;
         run("dinic", e, t0.elapsed(), &mut a3, &mut reference);
-        let t0 = Instant::now();
-        let e = PassiveSolver::with_algorithm(PushRelabel)
-            .solve(&ws)
-            .weighted_error;
-        run("push-relabel", e, t0.elapsed(), &mut a3, &mut reference);
         let t0 = Instant::now();
         let e = PassiveSolver::with_algorithm(EdmondsKarp)
             .solve(&ws)

@@ -9,7 +9,6 @@ pub mod baselines;
 pub mod chains;
 pub mod flow;
 pub mod generalization;
-pub mod incremental;
 pub mod noise;
 pub mod one_dim;
 pub mod passive;
@@ -72,7 +71,6 @@ pub fn all_experiments() -> Vec<ExperimentEntry> {
         ("L9-one-dim", one_dim::run),
         ("A1-A4-ablation", ablation::run),
         ("E12-stress", stress::run),
-        ("E13-incremental", incremental::run),
         ("E14-noise", noise::run),
     ]
 }

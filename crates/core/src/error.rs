@@ -33,8 +33,8 @@ pub enum McError {
     /// The solve exceeded its deadline and stopped at a cooperative
     /// cancellation checkpoint ([`mc_obs::CancelCause::Deadline`]).
     Timeout,
-    /// The solve was cancelled explicitly — e.g. a portfolio race
-    /// stopping a losing engine ([`mc_obs::CancelCause::Explicit`]).
+    /// The solve was cancelled explicitly — e.g. by the stall watchdog
+    /// under `mcc --watch-abort` ([`mc_obs::CancelCause::Explicit`]).
     Cancelled,
 }
 

@@ -15,9 +15,8 @@
 //! gadget topologies and the dense reference), and returns the packing together with an
 //! independent [`Certificate::verify`] that checks every claim against
 //! the raw data — so a downstream user can audit optimality without
-//! trusting the solver (or this crate's flow code). The portfolio
-//! referee leans on the same property: any racing engine's answer is
-//! certifiable without a dense re-solve.
+//! trusting the solver (or this crate's flow code), and without a dense
+//! re-solve.
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::solver::PassiveSolution;

@@ -11,7 +11,6 @@
 pub mod brute;
 pub mod certificate;
 pub mod contending;
-pub mod incremental;
 pub(crate) mod ladder;
 pub mod one_dim;
 pub mod scale;
@@ -21,7 +20,6 @@ pub(crate) mod sparse;
 pub use brute::{solve_passive_brute_force, solve_passive_dense};
 pub use certificate::{certify_passive, Certificate, InversionCharge};
 pub use contending::ContendingPoints;
-pub use incremental::IncrementalPassive;
 pub use one_dim::{solve_passive_1d, OneDimOptimum};
 pub use scale::{solve_passive_scale, solve_passive_scale_cancellable, ScaleSolution};
 pub use solver::{solve_passive, PassiveSolution, PassiveSolver};

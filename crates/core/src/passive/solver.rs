@@ -128,7 +128,7 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
     /// phases — each of which polls it at least every ~64k units of
     /// work. On cancellation the partially-built state is dropped
     /// wholesale; the inputs are never mutated, so a fresh solve on the
-    /// same data is unaffected (the portfolio property tests assert
+    /// same data is unaffected (`tests/cancel_safety.rs` asserts
     /// bit-identical re-solves).
     pub fn solve_cancellable(
         &self,
@@ -142,9 +142,9 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
     /// the max flow into a verifiable dual [`Certificate`] — the packing
     /// of inversions proving the returned error optimal. The
     /// decomposition walks flow paths `source → zero → gadget… → one →
-    /// sink`, a shape both gadgets (and the dense reference) share, so a
-    /// portfolio referee can audit any engine's answer without
-    /// re-solving.
+    /// sink`, a shape both gadgets (and the dense reference) share, so
+    /// [`Certificate::verify`] can audit the answer against the raw data
+    /// without re-solving.
     pub fn solve_certified_cancellable(
         &self,
         data: &WeightedSet,
@@ -317,6 +317,20 @@ mod tests {
             ws.push(coords, *label, *weight);
         }
         ws
+    }
+
+    #[test]
+    fn try_solve_types_a_stopped_token() {
+        use crate::McError;
+        let ws = wset(&[(vec![0.0], Label::One, 10.0), (vec![1.0], Label::Zero, 2.0)]);
+        let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let err = PassiveSolver::new().try_solve(&ws, &expired).unwrap_err();
+        assert_eq!(err, McError::Timeout);
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let err = PassiveSolver::new().try_solve(&ws, &cancelled).unwrap_err();
+        assert_eq!(err, McError::Cancelled);
     }
 
     #[test]

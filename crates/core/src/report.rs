@@ -34,11 +34,6 @@ pub struct SolveReport {
     /// `true` iff the result was fit on a sample degraded by permanent
     /// failures.
     pub degraded: bool,
-    /// Portfolio engines that panicked and were isolated during this
-    /// solve (0 outside portfolio runs). A panic never corrupts the
-    /// answer — the worker's state is dropped wholesale — but it is not
-    /// clean either: the run leaned on the surviving engines.
-    pub engine_panics: usize,
     /// Process peak RSS in bytes when the report was finalized (`VmHWM`
     /// on Linux, 0 elsewhere — see `mc_obs::peak_rss_bytes`). A
     /// process-wide high-water mark, not a per-solve delta, so it upper
@@ -50,11 +45,7 @@ pub struct SolveReport {
 impl SolveReport {
     /// `true` iff the run saw no failures at all (retries included).
     pub fn is_clean(&self) -> bool {
-        self.retries == 0
-            && self.abstentions == 0
-            && !self.breaker_tripped
-            && !self.degraded
-            && self.engine_panics == 0
+        self.retries == 0 && self.abstentions == 0 && !self.breaker_tripped && !self.degraded
     }
 
     /// Folds in the oracle-layer counter movement across the solve
@@ -86,7 +77,6 @@ impl SolveReport {
             .u64("abstentions", self.abstentions as u64)
             .bool("breaker_tripped", self.breaker_tripped)
             .bool("degraded", self.degraded)
-            .u64("engine_panics", self.engine_panics as u64)
             .u64("peak_rss_bytes", self.peak_rss_bytes)
             .finish()
     }
@@ -134,23 +124,12 @@ mod tests {
             abstentions: 1,
             breaker_tripped: false,
             degraded: true,
-            engine_panics: 1,
             peak_rss_bytes: 4096,
         };
         assert_eq!(
             r.to_json(),
-            r#"{"type":"solve_report","attempts":12,"retries":3,"abstentions":1,"breaker_tripped":false,"degraded":true,"engine_panics":1,"peak_rss_bytes":4096}"#
+            r#"{"type":"solve_report","attempts":12,"retries":3,"abstentions":1,"breaker_tripped":false,"degraded":true,"peak_rss_bytes":4096}"#
         );
-    }
-
-    #[test]
-    fn engine_panics_taint_cleanliness() {
-        let r = SolveReport {
-            engine_panics: 1,
-            ..SolveReport::default()
-        };
-        assert!(!r.is_clean());
-        assert!(!r.degraded, "an isolated panic does not degrade the answer");
     }
 
     #[test]

@@ -14,28 +14,10 @@
 //!
 //! [`DinicEngine`] factors the blocking-flow algorithm out of the
 //! [`Dinic`](crate::Dinic) front-end so its level/arc/queue/path buffers
-//! can be reused across phases and across *solves* — the incremental
-//! passive solver in `mc-core` keeps one engine alive for its whole
-//! insertion stream. It is generic over [`ResidualTopology`], which both
-//! [`CsrNetwork`] and the adjacency-list view [`AdjTopology`] implement
-//! (the latter for callers whose graph is still growing and cannot be
-//! frozen).
+//! can be reused across phases and across solves on a [`CsrNetwork`].
 
 use crate::EPS;
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
-
-/// Read-only view of a residual graph's topology: who is adjacent to
-/// whom, and where each residual edge points. Capacities live in the
-/// caller's `residual` array, indexed by the same edge ids, with the
-/// `e ^ 1` pairing convention.
-pub trait ResidualTopology {
-    /// Number of nodes.
-    fn num_nodes(&self) -> usize;
-    /// Residual edge ids (forward and backward) leaving node `u`.
-    fn adjacent(&self, u: usize) -> &[u32];
-    /// Head (target) node of residual edge `e`.
-    fn head(&self, e: usize) -> usize;
-}
 
 /// Contiguous (CSR) snapshot of a flow network's adjacency, produced by
 /// [`FlowNetwork::freeze`](crate::FlowNetwork::freeze).
@@ -83,43 +65,19 @@ impl CsrNetwork {
     pub fn sink(&self) -> usize {
         self.sink
     }
-}
 
-impl ResidualTopology for CsrNetwork {
-    fn num_nodes(&self) -> usize {
+    /// Number of nodes.
+    pub(crate) fn num_nodes(&self) -> usize {
         self.start.len() - 1
     }
 
-    fn adjacent(&self, u: usize) -> &[u32] {
+    /// Residual edge ids (forward and backward) leaving node `u`.
+    pub(crate) fn adjacent(&self, u: usize) -> &[u32] {
         &self.edge_ids[self.start[u] as usize..self.start[u + 1] as usize]
     }
 
-    fn head(&self, e: usize) -> usize {
-        self.head[e] as usize
-    }
-}
-
-/// Adjacency-list view for residual graphs that are still growing (the
-/// incremental passive solver adds a node and its edges per insertion).
-/// Same edge-id conventions as [`CsrNetwork`], no freeze step.
-#[derive(Debug, Clone, Copy)]
-pub struct AdjTopology<'a> {
-    /// Residual edge ids leaving each node.
-    pub adj: &'a [Vec<u32>],
-    /// Head of each residual edge.
-    pub head: &'a [u32],
-}
-
-impl ResidualTopology for AdjTopology<'_> {
-    fn num_nodes(&self) -> usize {
-        self.adj.len()
-    }
-
-    fn adjacent(&self, u: usize) -> &[u32] {
-        &self.adj[u]
-    }
-
-    fn head(&self, e: usize) -> usize {
+    /// Head (target) node of residual edge `e`.
+    pub(crate) fn head(&self, e: usize) -> usize {
         self.head[e] as usize
     }
 }
@@ -130,10 +88,10 @@ impl ResidualTopology for AdjTopology<'_> {
 /// One engine can serve many `max_flow` calls (even on graphs of
 /// different sizes — buffers grow monotonically and are reinitialized,
 /// not reallocated, per call). Each call *augments* the flow already
-/// present in `residual` and returns only the amount it added, which is
-/// what makes the warm-started incremental solve work: the previous flow
-/// stays feasible after capacity-only additions, so re-running the
-/// engine pushes exactly the delta.
+/// present in `residual` and returns only the amount it added, so a
+/// caller can warm-start it: any feasible flow already in `residual`
+/// (a previous solve's, kept after capacity-only additions, or a greedy
+/// seed) stays put, and the engine pushes exactly the delta.
 #[derive(Debug, Clone, Default)]
 pub struct DinicEngine {
     level: Vec<i32>,
@@ -156,39 +114,28 @@ impl DinicEngine {
         Self::default()
     }
 
-    /// Runs Dinic phases over `g` until the sink is unreachable, mutating
-    /// `residual` in place; returns the flow **added** by this call.
+    /// Runs Dinic phases over `g` from its source to its sink until the
+    /// sink is unreachable, mutating `residual` in place; returns the
+    /// flow **added** by this call.
     ///
-    /// `residual.len()` must cover every edge id reachable in `g`, with
-    /// the `e ^ 1` pairing (pushing on `e` credits `e ^ 1`).
-    pub fn max_flow<G: ResidualTopology>(
+    /// `residual.len()` must cover every edge id of `g`, with the
+    /// `e ^ 1` pairing (pushing on `e` credits `e ^ 1`).
+    ///
+    /// Polls `token` every [`mc_obs::cancel::CHECK_INTERVAL`] units of
+    /// work (edges scanned by the BFS, DFS advances/augment steps), so
+    /// cancellation latency is bounded by a constant amount of work
+    /// rather than a phase. On `Err(Cancelled)` the residual array is
+    /// left mid-solve — partially augmented but internally consistent
+    /// (`e ^ 1` pairing preserved); callers that might resume must
+    /// re-run on a fresh residual array.
+    pub fn max_flow(
         &mut self,
-        g: &G,
-        source: usize,
-        sink: usize,
-        residual: &mut [f64],
-    ) -> f64 {
-        self.max_flow_cancellable(g, source, sink, residual, &CancelToken::never())
-            .expect("a never-token cannot cancel")
-    }
-
-    /// Cancellable twin of [`max_flow`](Self::max_flow): polls `token`
-    /// every [`mc_obs::cancel::CHECK_INTERVAL`] units of work (edges
-    /// scanned by the BFS, DFS advances/augment steps), so cancellation
-    /// latency is bounded by a constant amount of work rather than a
-    /// phase. On `Err(Cancelled)` the residual array is left mid-solve
-    /// — partially augmented but internally consistent (`e ^ 1` pairing
-    /// preserved); callers that might resume must re-run on a fresh
-    /// residual array.
-    pub fn max_flow_cancellable<G: ResidualTopology>(
-        &mut self,
-        g: &G,
-        source: usize,
-        sink: usize,
+        g: &CsrNetwork,
         residual: &mut [f64],
         token: &CancelToken,
     ) -> Result<f64, Cancelled> {
         token.poll()?; // small graphs may never reach a checkpoint
+        let (source, sink) = (g.source(), g.sink());
         let n = g.num_nodes();
         self.level.clear();
         self.level.resize(n, -1);
@@ -216,9 +163,9 @@ impl DinicEngine {
 
     /// BFS from the source over positive-residual edges; returns `true`
     /// iff the sink is reachable.
-    fn build_levels<G: ResidualTopology>(
+    fn build_levels(
         &mut self,
-        g: &G,
+        g: &CsrNetwork,
         source: usize,
         sink: usize,
         residual: &[f64],
@@ -255,9 +202,9 @@ impl DinicEngine {
     /// `Θ(V)` long (e.g. through the ladder gadgets of the sparsified
     /// classifier networks), which would overflow the call stack in a
     /// recursive formulation.
-    fn push_one_path<G: ResidualTopology>(
+    fn push_one_path(
         &mut self,
-        g: &G,
+        g: &CsrNetwork,
         source: usize,
         sink: usize,
         residual: &mut [f64],
@@ -313,8 +260,7 @@ impl DinicEngine {
 
     /// Publishes and zeroes the accumulated `flow.{bfs_rounds,
     /// augmenting_paths, bfs_visits}` counters. Callers flush once per
-    /// solve (or per insertion batch) so hot loops never touch the
-    /// registry.
+    /// solve so hot loops never touch the registry.
     pub fn flush_stats(&mut self) {
         mc_obs::counter_add("flow.bfs_rounds", self.bfs_rounds);
         mc_obs::counter_add("flow.augmenting_paths", self.augmenting_paths);
@@ -362,18 +308,19 @@ mod tests {
 
     #[test]
     fn engine_reuse_across_different_graphs() {
+        let never = CancelToken::never();
         let mut engine = DinicEngine::new();
         let net = clrs();
         let (mut residual, _) = net.initial_residuals();
         let csr = net.freeze();
-        assert_eq!(engine.max_flow(&csr, 0, 5, &mut residual), 23.0);
+        assert_eq!(engine.max_flow(&csr, &mut residual, &never), Ok(23.0));
 
         // Smaller graph afterwards: buffers shrink logically, not physically.
         let mut small = FlowNetwork::new(2, 0, 1);
         small.add_edge(0, 1, 4.0);
         let (mut residual, _) = small.initial_residuals();
         let csr = small.freeze();
-        assert_eq!(engine.max_flow(&csr, 0, 1, &mut residual), 4.0);
+        assert_eq!(engine.max_flow(&csr, &mut residual, &never), Ok(4.0));
     }
 
     #[test]
@@ -385,15 +332,19 @@ mod tests {
         net.add_edge(0, 1, 3.0);
         net.add_edge(1, 2, 3.0);
         let (mut residual, _) = net.initial_residuals();
+        let never = CancelToken::never();
         let mut engine = DinicEngine::new();
-        assert_eq!(engine.max_flow(&net.freeze(), 0, 2, &mut residual), 3.0);
+        assert_eq!(
+            engine.max_flow(&net.freeze(), &mut residual, &never),
+            Ok(3.0)
+        );
 
         net.add_edge(1, 2, 2.0);
         net.add_edge(0, 1, Capacity::Infinite);
         let (fresh, _) = net.initial_residuals();
         residual.extend_from_slice(&fresh[residual.len()..]);
-        let delta = engine.max_flow(&net.freeze(), 0, 2, &mut residual);
-        assert_eq!(delta, 2.0);
+        let delta = engine.max_flow(&net.freeze(), &mut residual, &never);
+        assert_eq!(delta, Ok(2.0));
     }
 
     #[test]
@@ -407,7 +358,7 @@ mod tests {
         token.cancel();
         let (mut residual, _) = net.initial_residuals();
         let err = DinicEngine::new()
-            .max_flow_cancellable(&csr, 0, 5, &mut residual, &token)
+            .max_flow(&csr, &mut residual, &token)
             .unwrap_err();
         assert_eq!(err.cause, CancelCause::Explicit);
 
@@ -416,9 +367,11 @@ mod tests {
         // uncancelled one (no poisoned engine or topology state).
         let (mut r1, _) = net.initial_residuals();
         let (mut r2, _) = net.initial_residuals();
-        let v1 = DinicEngine::new().max_flow(&csr, 0, 5, &mut r1);
+        let v1 = DinicEngine::new()
+            .max_flow(&csr, &mut r1, &CancelToken::never())
+            .unwrap();
         let v2 = DinicEngine::new()
-            .max_flow_cancellable(&csr, 0, 5, &mut r2, &CancelToken::new())
+            .max_flow(&csr, &mut r2, &CancelToken::new())
             .unwrap();
         assert_eq!(v1, 23.0);
         assert_eq!(v1, v2);
@@ -434,27 +387,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let (mut residual, _) = net.initial_residuals();
         let err = DinicEngine::new()
-            .max_flow_cancellable(&csr, 0, 5, &mut residual, &token)
+            .max_flow(&csr, &mut residual, &token)
             .unwrap_err();
         assert_eq!(err.cause, CancelCause::Deadline);
-    }
-
-    #[test]
-    fn adj_topology_matches_csr() {
-        let net = clrs();
-        let (mut r1, _) = net.initial_residuals();
-        let mut r2 = r1.clone();
-        let csr = net.freeze();
-        let v1 = DinicEngine::new().max_flow(&csr, 0, 5, &mut r1);
-        // Rebuild the nested-Vec adjacency from the CSR view.
-        let adj: Vec<Vec<u32>> = (0..6).map(|u| csr.adjacent(u).to_vec()).collect();
-        let head: Vec<u32> = (0..r2.len()).map(|e| csr.head(e) as u32).collect();
-        let g = AdjTopology {
-            adj: &adj,
-            head: &head,
-        };
-        let v2 = DinicEngine::new().max_flow(&g, 0, 5, &mut r2);
-        assert_eq!(v1, v2);
-        assert_eq!(r1, r2, "identical edge order must give identical residuals");
     }
 }

@@ -39,8 +39,7 @@ impl MaxFlowAlgorithm for Dinic {
         let (mut residual, surrogate) = net.initial_residuals();
         let csr = net.freeze();
         let mut engine = DinicEngine::new();
-        let value =
-            engine.max_flow_cancellable(&csr, csr.source(), csr.sink(), &mut residual, token);
+        let value = engine.max_flow(&csr, &mut residual, token);
         engine.flush_stats();
         Ok(FlowSolution::new(value?, residual, surrogate))
     }

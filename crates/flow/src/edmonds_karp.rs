@@ -1,9 +1,8 @@
 //! Edmonds–Karp (BFS augmenting paths), `O(V·E²)`.
 //!
 //! Kept as a slow, obviously-correct reference implementation used in
-//! property tests to cross-validate [`Dinic`](crate::Dinic) and
-//! [`PushRelabel`](crate::PushRelabel), and as a baseline in the flow
-//! micro-benchmarks (experiment E9).
+//! property tests to cross-validate [`Dinic`](crate::Dinic), and as a
+//! baseline in the flow micro-benchmarks (experiment E9).
 
 use crate::network::FlowNetwork;
 use crate::solution::FlowSolution;

@@ -8,12 +8,10 @@
 //!   capacities (for the paper's type-3 edges);
 //! * [`CsrNetwork`] / [`DinicEngine`] — a frozen contiguous (CSR) view of
 //!   the adjacency and a reusable blocking-flow engine running on its
-//!   slices, shared by the batch solvers and `mc-core`'s incremental
-//!   passive solver;
-//! * three interchangeable solvers behind [`MaxFlowAlgorithm`]:
-//!   [`Dinic`] (the default), [`PushRelabel`] (Goldberg–Tarjan `O(V³)`,
-//!   reference \[14\] of the paper), and [`EdmondsKarp`] (the one slow
-//!   reference both are diffed against);
+//!   slices;
+//! * two interchangeable solvers behind [`MaxFlowAlgorithm`]: [`Dinic`]
+//!   (the one production engine) and [`EdmondsKarp`] (the one slow
+//!   reference it is diffed against);
 //! * [`FlowSolution::min_cut`] — extraction of a minimum cut-edge set from
 //!   the residual graph, realizing the constructive proof of Lemma 8.
 //!
@@ -36,14 +34,12 @@ pub mod csr;
 pub mod dinic;
 pub mod edmonds_karp;
 pub mod network;
-pub mod push_relabel;
 pub mod solution;
 
-pub use csr::{AdjTopology, CsrNetwork, DinicEngine, ResidualTopology};
+pub use csr::{CsrNetwork, DinicEngine};
 pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
-pub use network::{surrogate_for, Capacity, EdgeId, FlowNetwork, NodeId};
-pub use push_relabel::PushRelabel;
+pub use network::{Capacity, EdgeId, FlowNetwork, NodeId};
 pub use solution::{FlowSolution, MinCut};
 
 /// Tolerance for "positive residual" tests. Inputs with integer-valued
@@ -62,14 +58,15 @@ pub trait MaxFlowAlgorithm {
     fn solve(&self, net: &FlowNetwork) -> FlowSolution;
 
     /// Cancellable variant of [`solve`](Self::solve), polled through
-    /// `token` so a portfolio race can stop a losing solver mid-flow.
+    /// `token` so a deadline or an explicit cancel can stop the solver
+    /// mid-flow.
     ///
     /// The default implementation polls once up front and then runs the
     /// plain `solve` to completion — correct for the reference
     /// [`EdmondsKarp`], whose loop is not instrumented, but with
-    /// unbounded cancellation latency.
-    /// The production engines ([`Dinic`], [`PushRelabel`]) override it
-    /// with bounded-latency checkpoint polling in their hot loops.
+    /// unbounded cancellation latency. The production engine
+    /// ([`Dinic`]) overrides it with bounded-latency checkpoint polling
+    /// in its hot loops.
     fn solve_cancellable(
         &self,
         net: &FlowNetwork,
@@ -82,19 +79,15 @@ pub trait MaxFlowAlgorithm {
 
 /// All bundled solvers, for cross-validation sweeps.
 pub fn all_algorithms() -> Vec<Box<dyn MaxFlowAlgorithm>> {
-    vec![
-        Box::new(Dinic),
-        Box::new(PushRelabel),
-        Box::new(EdmondsKarp),
-    ]
+    vec![Box::new(Dinic), Box::new(EdmondsKarp)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Build deterministic pseudo-random networks and check all three
-    /// solvers agree and produce valid flows with matching min cuts.
+    /// Build deterministic pseudo-random networks and check both solvers
+    /// agree and produce valid flows with matching min cuts.
     #[test]
     fn algorithms_agree_on_random_networks() {
         use rand::rngs::StdRng;

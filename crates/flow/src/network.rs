@@ -18,16 +18,6 @@ use std::fmt;
 /// Node identifier.
 pub type NodeId = usize;
 
-/// The finite surrogate standing in for `+∞` over a network whose finite
-/// capacities sum to `finite_cap_sum`: strictly larger than any finite
-/// cut, so a surrogate edge is never the bottleneck of one. Shared by the
-/// batch solvers (via [`FlowNetwork`]) and the incremental passive solver
-/// in `mc-core`, so unboundedness detection and flow values agree between
-/// the two pipelines.
-pub fn surrogate_for(finite_cap_sum: f64) -> f64 {
-    finite_cap_sum + 1.0
-}
-
 /// Edge identifier. Even ids are forward edges in insertion order;
 /// `id ^ 1` is the paired residual (backward) edge.
 pub type EdgeId = usize;
@@ -151,11 +141,12 @@ impl FlowNetwork {
     }
 
     /// Replaces every infinite capacity by the surrogate
-    /// `B = finite_cap_sum + 1` (see [`surrogate_for`]), returning the
+    /// `B = finite_cap_sum + 1` — strictly larger than any finite cut, so
+    /// a surrogate edge is never the bottleneck of one — returning the
     /// per-edge initial residual capacities solvers work on. Solvers call
     /// this once at the start.
     pub(crate) fn initial_residuals(&self) -> (Vec<f64>, f64) {
-        let surrogate = surrogate_for(self.finite_cap_sum);
+        let surrogate = self.finite_cap_sum + 1.0;
         let mut residual = self.cap.clone();
         for (i, r) in residual.iter_mut().enumerate() {
             if self.infinite[i] && i % 2 == 0 {

@@ -165,7 +165,8 @@ impl DominanceIndex {
 
     /// Cancellable twin of [`build`](Self::build): the matrix fill is
     /// the workspace's single largest memory/CPU commitment, so a
-    /// portfolio race must be able to abandon it mid-build. The `d ≥ 3`
+    /// deadline or an explicit cancel must be able to abandon it
+    /// mid-build. The `d ≥ 3`
     /// generic kernel checkpoints the token per row chunk inside
     /// [`parallel_chunks_mut`] (workers cooperatively stop filling and
     /// the partial matrix is dropped); the `O(n²/64)` `d ≤ 2` sweeps

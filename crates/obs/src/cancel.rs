@@ -1,11 +1,11 @@
 //! Cooperative cancellation: a shared flag + optional deadline that hot
 //! loops poll at bounded intervals.
 //!
-//! The portfolio runtime races several engines on the same immutable
-//! inputs and cancels the losers the moment a winner is certified. That
-//! only works if every engine's hot loops — Dinic BFS/DFS phases,
-//! push-relabel discharge, Hopcroft–Karp rounds, dominance-index build
-//! chunks — periodically ask "should I still be running?". This module
+//! A solve stops early when its deadline (`mcc --time-limit`) passes or
+//! when someone cancels it (the stall watchdog under `mcc
+//! --watch-abort`). That only works if every hot loop — Dinic BFS/DFS
+//! phases, Hopcroft–Karp rounds, ladder sweeps, dominance-index build
+//! chunks — periodically asks "should I still be running?". This module
 //! provides the shared primitive they poll. It lives in `mc-obs` for the
 //! same reason the counters do: it is cross-cutting runtime substrate,
 //! and `mc-obs` is the one crate every other workspace crate already
@@ -60,8 +60,8 @@ const EXPIRED: u8 = 2;
 /// Why a [`CancelToken`] stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelCause {
-    /// Someone called [`CancelToken::cancel`] (e.g. the race coordinator
-    /// after another engine won).
+    /// Someone called [`CancelToken::cancel`] (e.g. the stall watchdog
+    /// under `mcc --watch-abort`).
     Explicit,
     /// The token's deadline passed.
     Deadline,
@@ -112,12 +112,14 @@ impl CancelToken {
         }
     }
 
-    /// A live token that additionally expires `limit` from now.
+    /// A live token that additionally expires `limit` from now. A
+    /// deadline too far out for [`Instant`] to represent is no deadline:
+    /// the token then stops only via [`cancel`](Self::cancel).
     pub fn with_deadline(limit: Duration) -> Self {
         Self {
             inner: Some(Arc::new(Inner {
                 state: AtomicU8::new(LIVE),
-                deadline: Some(Instant::now() + limit),
+                deadline: Instant::now().checked_add(limit),
             })),
         }
     }
@@ -330,6 +332,19 @@ mod tests {
         // Expiry is sticky: a later cancel() does not rewrite the cause.
         t.cancel();
         assert_eq!(t.cause(), Some(CancelCause::Deadline));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_is_no_deadline() {
+        // Far past what `Instant` can hold: no panic, and the token
+        // stays live until an explicit cancel.
+        for limit in [Duration::MAX, Duration::from_secs(u64::MAX / 2)] {
+            let t = CancelToken::with_deadline(limit);
+            assert!(t.poll().is_ok());
+            assert_eq!(t.cause(), None);
+            t.cancel();
+            assert_eq!(t.cause(), Some(CancelCause::Explicit));
+        }
     }
 
     #[test]

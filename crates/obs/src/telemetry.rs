@@ -14,9 +14,9 @@
 //!
 //! Every emitted line is also kept in a fixed-size ring. When a solve
 //! ends abnormally, [`dump`] appends a single `dump` line carrying the
-//! ring (the last N samples/events), the active span stack of every
-//! thread, and a registry snapshot — the autopsy record a timeout or
-//! panic would otherwise discard.
+//! ring (the last N `sample`/`stall` lines), the active span stack of
+//! every thread, and a registry snapshot — the autopsy record a timeout
+//! would otherwise discard.
 //!
 //! The watchdog rides inside the sampler thread: when
 //! [`SamplerConfig::stall_window`] is set and the sum of all
@@ -28,11 +28,10 @@
 //! # Cost discipline
 //!
 //! Nothing here touches the hot path. When the sampler is not running
-//! (the default), no thread exists and [`flight_event`] is a single
-//! relaxed load. Progress publication happens on the checkpoint slow
-//! path only (once per `CHECK_INTERVAL` units). The sampler itself
-//! takes the registry lock once per tick — at a 100 ms cadence that is
-//! noise next to any solve worth watching.
+//! (the default), no thread exists. Progress publication happens on the
+//! checkpoint slow path only (once per `CHECK_INTERVAL` units). The
+//! sampler itself takes the registry lock once per tick — at a 100 ms
+//! cadence that is noise next to any solve worth watching.
 //!
 //! The stream schema is documented in `docs/OBSERVABILITY.md`.
 
@@ -125,10 +124,6 @@ struct Handle {
     join: JoinHandle<()>,
 }
 
-/// Fast "is a sampler running" gate so [`flight_event`] costs one
-/// relaxed load when telemetry is off.
-static RUNNING: AtomicBool = AtomicBool::new(false);
-
 fn state() -> &'static Mutex<Option<Handle>> {
     static STATE: OnceLock<Mutex<Option<Handle>>> = OnceLock::new();
     STATE.get_or_init(|| Mutex::new(None))
@@ -183,13 +178,12 @@ pub fn start(config: SamplerConfig) -> io::Result<bool> {
         .name("mc-obs-sampler".into())
         .spawn(move || run(&thread_shared, &config))?;
     *guard = Some(Handle { shared, join });
-    RUNNING.store(true, Relaxed);
     Ok(true)
 }
 
-/// Whether a sampler is currently running (one relaxed load).
+/// Whether a sampler is currently running.
 pub fn is_running() -> bool {
-    RUNNING.load(Relaxed)
+    shared().is_some()
 }
 
 /// Stops the sampler: the thread takes one final sample, the stream is
@@ -200,39 +194,18 @@ pub fn stop() -> bool {
     let Some(h) = handle else {
         return false;
     };
-    RUNNING.store(false, Relaxed);
     h.shared.stop.store(true, Relaxed);
     let _ = h.join.join();
     let _ = h.shared.lock_file().flush();
     true
 }
 
-/// Records a structured event into the telemetry stream and the flight
-/// ring (e.g. a portfolio worker panic). No-op (one relaxed load) when
-/// no sampler is running.
-pub fn flight_event(name: &str, fields: &[(&str, Value)]) {
-    if !RUNNING.load(Relaxed) {
-        return;
-    }
-    let Some(sh) = shared() else {
-        return;
-    };
-    let mut obj = Obj::new()
-        .str("type", "event")
-        .str("name", name)
-        .u64("t_ms", sh.t_ms());
-    for (k, v) in fields {
-        obj = obj.value(k, v);
-    }
-    sh.emit(obj.finish());
-}
-
 /// Appends a flight-recorder `dump` line — the ring of recent
-/// samples/events, every thread's active span stack, current RSS, and
-/// a registry counter/gauge snapshot — to the telemetry stream. Call
-/// when a solve ends abnormally (timeout, cancellation, budget, panic,
-/// stall), *before* [`stop`]. Returns whether a dump was written (false
-/// when no sampler is running — there is no ring to dump).
+/// `sample`/`stall` lines, every thread's active span stack, current
+/// RSS, and a registry counter/gauge snapshot — to the telemetry stream.
+/// Call when a solve ends abnormally (timeout, cancellation, stall),
+/// *before* [`stop`]. Returns whether a dump was written (false when no
+/// sampler is running — there is no ring to dump).
 pub fn dump(reason: &str) -> bool {
     let Some(sh) = shared() else {
         return false;
@@ -462,7 +435,6 @@ mod tests {
             "second start must be a no-op"
         );
         assert!(is_running());
-        flight_event("test.telemetry.mark", &[("k", Value::U(1))]);
         assert!(dump("test-reason"));
         assert!(stop());
         assert!(!is_running());
@@ -478,10 +450,6 @@ mod tests {
             .count();
         assert!(samples >= 2, "{text}");
         assert!(
-            text.contains(r#""type":"event","name":"test.telemetry.mark""#),
-            "{text}"
-        );
-        assert!(
             text.contains(r#""type":"dump","reason":"test-reason""#),
             "{text}"
         );
@@ -489,9 +457,8 @@ mod tests {
     }
 
     #[test]
-    fn flight_event_and_dump_are_noops_without_a_sampler() {
+    fn dump_is_a_noop_without_a_sampler() {
         let _l = crate::registry::test_lock();
-        flight_event("test.telemetry.orphan", &[]);
         assert!(!dump("no-sampler"));
     }
 
@@ -537,6 +504,68 @@ mod tests {
             }
         }
         assert_eq!(last, 1.0, "{text}");
+        let _ = std::fs::remove_file(&path);
+        crate::set_level(prev);
+        crate::reset();
+    }
+
+    #[test]
+    fn stall_watchdog_cancels_the_abort_token_and_dump_keeps_the_ring() {
+        use crate::cancel::CancelCause;
+        let _l = crate::registry::test_lock();
+        let prev = crate::level();
+        crate::set_level(crate::Level::Info);
+        crate::reset();
+        let path = temp_path("stall");
+        let token = CancelToken::new();
+        let mut config = SamplerConfig::new(&path);
+        config.interval = Duration::from_millis(10);
+        config.stall_window = Some(Duration::from_millis(100));
+        config.abort = Some(token.clone());
+        assert!(start(config).unwrap());
+        {
+            let _span = crate::span("test_stalled_phase");
+            let mut cp = Checkpoint::with_progress(&token, "test_stall", 4 * CHECK_INTERVAL);
+            // Some progress, then none: the "solve" hangs inside its span
+            // until the watchdog cancels the token.
+            assert!(cp.tick(CHECK_INTERVAL).is_ok());
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !token.is_stopped() && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            // The hung loop's next poll unwinds it cooperatively.
+            assert!(cp.tick(CHECK_INTERVAL).is_err());
+        }
+        assert_eq!(token.cause(), Some(CancelCause::Explicit));
+        assert!(dump("timeout"));
+        stop();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.lines()
+                .next()
+                .unwrap()
+                .contains(r#""watch_abort":true"#),
+            "{text}"
+        );
+        let stall = text
+            .lines()
+            .find(|l| l.contains(r#""type":"stall""#))
+            .expect("stall line present");
+        assert!(stall.contains(r#""aborted":true"#), "{stall}");
+        assert!(stall.contains(r#""window_ms":100"#), "{stall}");
+        // The stall names the span that was live when progress stopped.
+        assert!(stall.contains(r#""span":"test_stalled_phase""#), "{stall}");
+        // The dump runs after the span closed, so the span can only
+        // appear in it through the ring's pre-abort samples.
+        let dump = text
+            .lines()
+            .find(|l| l.contains(r#""type":"dump""#))
+            .expect("dump line present");
+        assert!(dump.contains(r#""reason":"timeout""#), "{dump}");
+        let ring = &dump[dump.find(r#""samples":[{"#).expect("ring is non-empty")..];
+        assert!(ring.contains(r#""type":"sample""#), "{dump}");
+        assert!(ring.contains(r#""type":"stall""#), "{dump}");
+        assert!(ring.contains(r#""span":"test_stalled_phase""#), "{dump}");
         let _ = std::fs::remove_file(&path);
         crate::set_level(prev);
         crate::reset();

@@ -26,7 +26,7 @@
 //! | 4 | data | malformed CSV, non-finite feature, bad label |
 //! | 5 | parameter | `--epsilon 1.5`, `--folds 1`, rates outside [0, 1], `--time-limit -1` |
 //! | 6 | oracle | oracle/input size mismatch, unrecoverable oracle failure |
-//! | 7 | timeout | `mcc passive --time-limit` exceeded (a portfolio race only with `--no-fallback`), solve cancelled |
+//! | 7 | timeout | `mcc passive --time-limit` exceeded, or a `--watch-abort` stall cancelled the solve |
 //! | 8 | — | retired (was `budget`, a dominator-matrix refusal; no `mcc` command builds one); not reused |
 //!
 //! ## Columnar datasets
@@ -47,13 +47,13 @@ use monotone_classification::core::{ActiveParams, ActiveSolver, InMemoryOracle};
 use monotone_classification::data::csv;
 use monotone_classification::obs;
 use monotone_classification::obs::json::Value;
-use monotone_classification::portfolio::{race, EngineOutcome, EngineSpec, PortfolioConfig};
 use monotone_classification::serve::{self, ServeConfig};
 use monotone_classification::{
     AbstainingOracle, AnchorIndex, FallibleOracle, FlakyOracle, InfallibleAdapter, Label, McError,
     MonotoneClassifier, OracleError, RetryOracle, RetryPolicy,
 };
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 /// A CLI failure, classified for its exit code.
 #[derive(Debug)]
@@ -68,8 +68,7 @@ enum CliError {
     Param(String),
     /// The oracle could not serve the solve. Exit 6.
     Oracle(String),
-    /// The solve ran out of time (or was cancelled) and no fallback was
-    /// allowed. Exit 7.
+    /// The solve ran out of time or was cancelled. Exit 7.
     Timeout(String),
 }
 
@@ -142,9 +141,7 @@ const USAGE: &str = "usage:
   mcc passive  <data.csv> [--weighted] [--out classifier.csv]
                [--trace] [--metrics-out metrics.jsonl]
                [--telemetry ts.jsonl] [--sample-ms MS] [--stall-window-ms MS]
-               [--watch-abort]
-               [--portfolio] [--engines e1,e2,...] [--time-limit SECS] [--no-fallback]
-               engines: dinic | push-relabel | panic | hang
+               [--watch-abort] [--time-limit SECS]
   mcc passive  <data.mcc> [--trace] [--metrics-out metrics.jsonl] [--time-limit SECS]
                [--telemetry ts.jsonl] [--sample-ms MS] [--stall-window-ms MS]
                [--watch-abort]
@@ -359,8 +356,8 @@ impl ObsOutput {
             return Ok(());
         };
         let mut config = obs::telemetry::SamplerConfig::new(&t.path);
-        config.interval = std::time::Duration::from_millis(t.sample_ms);
-        config.stall_window = Some(std::time::Duration::from_millis(t.stall_window_ms));
+        config.interval = Duration::from_millis(t.sample_ms);
+        config.stall_window = Some(Duration::from_millis(t.stall_window_ms));
         if t.watch_abort {
             config.abort = abort;
         }
@@ -450,39 +447,32 @@ fn cmd_passive(args: &[String]) -> Result<(), CliError> {
         &[
             "out",
             "metrics-out",
-            "engines",
             "time-limit",
             "telemetry",
             "sample-ms",
             "stall-window-ms",
         ],
-        &[
-            "weighted",
-            "trace",
-            "portfolio",
-            "no-fallback",
-            "watch-abort",
-        ],
+        &["weighted", "trace", "watch-abort"],
     )?;
     let obs_out = ObsOutput::from_cli(&values, &flags)?;
     cmd_passive_impl(&pos, &values, &flags, &obs_out).map_err(|e| obs_out.fail(e))
 }
 
-/// `--time-limit SECS`, when given: positive, finite seconds, else a
-/// parameter error on every `mcc passive` path.
-fn time_limit(values: &[(String, String)]) -> Result<Option<std::time::Duration>, CliError> {
-    let Some(v) = get_value(values, "time-limit") else {
+/// Parses `--name SECS` as a positive span of seconds whose end, counted
+/// from now, the clock can represent; anything else (negative, NaN,
+/// infinite, unparsable, or too far out) is a parameter error naming the
+/// flag.
+fn parse_secs(values: &[(String, String)], name: &str) -> Result<Option<Duration>, CliError> {
+    let Some(v) = get_value(values, name) else {
         return Ok(None);
     };
     v.parse()
         .ok()
-        .filter(|s: &f64| s.is_finite() && *s > 0.0)
-        .map(|secs| Some(std::time::Duration::from_secs_f64(secs)))
-        .ok_or_else(|| {
-            CliError::Param(format!(
-                "--time-limit: expected positive seconds, got {v:?}"
-            ))
-        })
+        .filter(|s: &f64| *s > 0.0)
+        .and_then(|s| Duration::try_from_secs_f64(s).ok())
+        .filter(|d| Instant::now().checked_add(*d).is_some())
+        .map(Some)
+        .ok_or_else(|| CliError::Param(format!("--{name}: expected positive seconds, got {v:?}")))
 }
 
 /// The token a solo `mcc passive` solve (plain CSV or columnar) polls:
@@ -493,7 +483,7 @@ fn solve_token(
     values: &[(String, String)],
     obs_out: &ObsOutput,
 ) -> Result<obs::CancelToken, CliError> {
-    Ok(match time_limit(values)? {
+    Ok(match parse_secs(values, "time-limit")? {
         Some(limit) => obs::CancelToken::with_deadline(limit),
         None if obs_out.watch_abort() => obs::CancelToken::new(),
         None => obs::CancelToken::never(),
@@ -510,7 +500,7 @@ fn cmd_passive_impl(
         .first()
         .ok_or_else(|| CliError::Usage("passive: missing <data.csv>".into()))?;
     if path.ends_with(".mcc") {
-        return cmd_passive_columnar(path, values, flags, obs_out);
+        return cmd_passive_columnar(path, values, obs_out);
     }
     let text = read_file(path)?;
     let weighted = if flags.contains(&"weighted".to_string()) {
@@ -518,88 +508,15 @@ fn cmd_passive_impl(
     } else {
         parse_data(&text)?.with_unit_weights()
     };
-    // Portfolio mode: engine racing with cooperative cancellation (see
-    // mc-portfolio), enabled by --portfolio or --engines.
-    let cli_engines = get_value(values, "engines");
-    let portfolio_mode = flags.contains(&"portfolio".to_string()) || cli_engines.is_some();
-    let sol = if portfolio_mode {
-        let roster = match cli_engines {
-            Some(list) => EngineSpec::parse_list(&list)
-                .map_err(|e| CliError::Param(format!("--engines: {e}")))?,
-            None => PortfolioConfig::default().engines,
-        };
-        let mut config = PortfolioConfig::new(roster);
-        if let Some(limit) = time_limit(values)? {
-            config = config.with_time_limit(limit);
-        }
-        if flags.contains(&"no-fallback".to_string()) {
-            config = config.without_fallback();
-        }
-        let engine_list: Vec<&str> = config.engines.iter().map(|e| e.name()).collect();
-        // Stall watchdog: under --watch-abort the sampler cancels this
-        // token, the coordinator force-cancels every engine, and the
-        // race unwinds as Cancelled (exit 7 with --no-fallback).
-        let watchdog = obs::CancelToken::new();
-        if obs_out.watch_abort() {
-            config = config.with_watchdog(watchdog.clone());
-        }
-        obs_out.start_telemetry(
-            Some(watchdog),
-            &[
-                ("tool", Value::S("mcc passive".into())),
-                ("n", Value::U(weighted.len() as u64)),
-                ("d", Value::U(weighted.dim() as u64)),
-                ("engines", Value::S(engine_list.join(","))),
-            ],
-        )?;
-        let out = race(&weighted, &config)?;
-        match (out.race.winner, out.race.fallback_used) {
-            (Some(w), _) => println!("portfolio winner = {}", w.name()),
-            (None, true) => println!("portfolio winner = none (reference fallback)"),
-            (None, false) => unreachable!("no winner and no fallback is an error"),
-        }
-        for (engine, outcome) in &out.race.outcomes {
-            let verdict = match outcome {
-                EngineOutcome::Won => "won".into(),
-                EngineOutcome::Lost => "lost".into(),
-                EngineOutcome::Disqualified { reason } => format!("disqualified ({reason})"),
-                EngineOutcome::Cancelled => "cancelled".into(),
-                EngineOutcome::TimedOut => "timed out".into(),
-                EngineOutcome::Panicked { message } => format!("panicked ({message})"),
-            };
-            println!("  {} {verdict}", engine.name());
-        }
-        obs_out.finish(
-            &[
-                ("tool", Value::S("mcc passive".into())),
-                ("n", Value::U(weighted.len() as u64)),
-                ("d", Value::U(weighted.dim() as u64)),
-                ("engines", Value::S(engine_list.join(","))),
-            ],
-            &[out.report.to_json()],
-        )?;
-        out.solution
-    } else {
-        let token = solve_token(values, obs_out)?;
-        obs_out.start_telemetry(
-            Some(token.clone()),
-            &[
-                ("tool", Value::S("mcc passive".into())),
-                ("n", Value::U(weighted.len() as u64)),
-                ("d", Value::U(weighted.dim() as u64)),
-            ],
-        )?;
-        let sol = PassiveSolver::new().try_solve(&weighted, &token)?;
-        obs_out.finish(
-            &[
-                ("tool", Value::S("mcc passive".into())),
-                ("n", Value::U(weighted.len() as u64)),
-                ("d", Value::U(weighted.dim() as u64)),
-            ],
-            &[],
-        )?;
-        sol
-    };
+    let token = solve_token(values, obs_out)?;
+    let meta = [
+        ("tool", Value::S("mcc passive".into())),
+        ("n", Value::U(weighted.len() as u64)),
+        ("d", Value::U(weighted.dim() as u64)),
+    ];
+    obs_out.start_telemetry(Some(token.clone()), &meta)?;
+    let sol = PassiveSolver::new().try_solve(&weighted, &token)?;
+    obs_out.finish(&meta, &[])?;
     println!(
         "n = {}, d = {}, contending = {}",
         weighted.len(),
@@ -634,7 +551,6 @@ fn columnar_err(e: monotone_classification::data::columnar::ColumnarError) -> Cl
 fn cmd_passive_columnar(
     path: &str,
     values: &[(String, String)],
-    flags: &[String],
     obs_out: &ObsOutput,
 ) -> Result<(), CliError> {
     use monotone_classification::core::passive::solve_passive_scale_cancellable;
@@ -646,13 +562,8 @@ fn cmd_passive_columnar(
                 .into(),
         ));
     }
-    if flags.contains(&"portfolio".to_string()) || get_value(values, "engines").is_some() {
-        return Err(CliError::Usage(
-            "--portfolio/--engines need row data; columnar files use the streaming solver".into(),
-        ));
-    }
     let token = solve_token(values, obs_out)?;
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mut ds = ColumnarDataset::open(path).map_err(columnar_err)?;
     let (n, d) = (ds.len(), ds.dim());
     obs_out.start_telemetry(
@@ -1215,10 +1126,8 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
             pos[0]
         )));
     }
-    let duration_s: f64 = parse_num(&values, "duration", 5.0)?;
-    if !(duration_s > 0.0 && duration_s.is_finite()) {
-        return Err(CliError::Param("--duration must be positive".into()));
-    }
+    let duration = parse_secs(&values, "duration")?.unwrap_or(Duration::from_secs(5));
+    let duration_s = duration.as_secs_f64();
     let connections: usize = parse_num(&values, "connections", 2)?;
     let pipeline: usize = parse_num(&values, "pipeline", 32)?;
     if connections == 0 || pipeline == 0 {
@@ -1289,7 +1198,7 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
     );
     let load = serve_load::LoadConfig {
         addr: addr.clone(),
-        duration: std::time::Duration::from_secs_f64(duration_s),
+        duration,
         connections,
         pipeline_depth: pipeline,
         batch_mix: batch_mix.clone(),

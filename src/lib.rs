@@ -46,7 +46,6 @@ pub use mc_flow as flow;
 pub use mc_geom as geom;
 pub use mc_matching as matching;
 pub use mc_obs as obs;
-pub use mc_portfolio as portfolio;
 pub use mc_serve as serve;
 
 pub use mc_core::passive::solve_passive;
@@ -65,8 +64,3 @@ pub use mc_core::{
     OracleError, OracleStats, RetryOracle, RetryPolicy, SolveReport,
 };
 pub use mc_geom::GeomError;
-
-// Engine racing: fault-isolated portfolio solves with cooperative
-// cancellation, deadlines, and certificate refereeing (see
-// `mc_portfolio` and docs/ALGORITHMS.md §11).
-pub use mc_portfolio::{EngineSpec, PortfolioConfig, PortfolioOutcome};

@@ -305,6 +305,17 @@ fn exit_codes_distinguish_failure_classes() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(5));
+    // A load duration too long for the clock is a parameter error, not
+    // a panic, and is caught before any server starts.
+    for bad in ["1e300", "1e19", "0"] {
+        let out = mcc()
+            .args(["bench-serve", "--duration", bad])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(5), "--duration {bad}: {stderr}");
+        assert!(stderr.contains("--duration"), "{stderr}");
+    }
 }
 
 #[test]
@@ -484,66 +495,6 @@ fn active_rejects_bad_epsilon_cleanly() {
 }
 
 #[test]
-fn passive_portfolio_races_faulty_engines_to_the_certified_answer() {
-    let data = write_temp("portfolio.csv", DEMO);
-    let metrics = write_temp("portfolio-metrics.jsonl", "");
-    let out = mcc()
-        .args(["passive"])
-        .arg(&data)
-        .args(["--portfolio", "--engines", "panic,hang,dinic"])
-        .args(["--time-limit", "10", "--metrics-out"])
-        .arg(&metrics)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("portfolio winner = dinic"), "{stdout}");
-    assert!(stdout.contains("panic panicked"), "{stdout}");
-    assert!(stdout.contains("hang cancelled"), "{stdout}");
-    assert!(stdout.contains("optimal weighted error = 0"), "{stdout}");
-
-    // The JSONL stream records exactly one panic and one cancellation,
-    // both in the counters and in the solve report line.
-    let jsonl = std::fs::read_to_string(&metrics).unwrap();
-    assert!(
-        jsonl.contains(r#""name":"portfolio.panics","value":1"#),
-        "{jsonl}"
-    );
-    assert!(
-        jsonl.contains(r#""name":"portfolio.cancelled","value":1"#),
-        "{jsonl}"
-    );
-    assert!(
-        jsonl.contains(r#""name":"portfolio.wins","value":1"#),
-        "{jsonl}"
-    );
-    let report = jsonl
-        .lines()
-        .find(|l| l.contains(r#""type":"solve_report""#))
-        .expect("solve_report line present");
-    assert!(report.contains(r#""engine_panics":1"#), "{report}");
-}
-
-#[test]
-fn passive_portfolio_timeout_without_fallback_exits_7() {
-    let data = write_temp("portfolio-timeout.csv", DEMO);
-    let out = mcc()
-        .args(["passive"])
-        .arg(&data)
-        .args(["--engines", "hang", "--time-limit", "0.05", "--no-fallback"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(7));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("deadline"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
-}
-
-#[test]
 fn passive_time_limit_holds_on_every_path() {
     let csv = write_temp("time-limit.csv", "");
     let mcc_file = write_temp("time-limit.mcc", "");
@@ -570,17 +521,13 @@ fn passive_time_limit_holds_on_every_path() {
         assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
         (out.status.code(), stderr)
     };
-    // A bad limit is a parameter error on the plain, portfolio and
-    // columnar paths alike.
-    for bad in ["-1", "nan", "0", "inf", "soon"] {
-        for (path, extra) in [
-            (&csv, &[][..]),
-            (&csv, &["--portfolio"][..]),
-            (&mcc_file, &[][..]),
-        ] {
-            let args = [extra, &["--time-limit", bad]].concat();
-            let (code, stderr) = run(path, &args);
-            assert_eq!(code, Some(5), "--time-limit {bad} {extra:?}: {stderr}");
+    // A bad limit is a parameter error on the plain and columnar paths
+    // alike, including limits too large for a duration (1e300) or for a
+    // deadline on the clock (1e19).
+    for bad in ["-1", "nan", "0", "inf", "soon", "1e300", "1e19"] {
+        for path in [&csv, &mcc_file] {
+            let (code, stderr) = run(path, &["--time-limit", bad]);
+            assert_eq!(code, Some(5), "--time-limit {bad} {path:?}: {stderr}");
             assert!(stderr.contains("--time-limit"), "{stderr}");
         }
     }
@@ -593,28 +540,6 @@ fn passive_time_limit_holds_on_every_path() {
     }
     let (code, stderr) = run(&csv, &["--time-limit", "60"]);
     assert_eq!(code, Some(0), "{stderr}");
-}
-
-#[test]
-fn passive_portfolio_timeout_with_fallback_still_answers() {
-    let data = write_temp("portfolio-fallback.csv", DEMO);
-    let out = mcc()
-        .args(["passive"])
-        .arg(&data)
-        .args(["--engines", "hang", "--time-limit", "0.05"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("portfolio winner = none (reference fallback)"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("optimal weighted error = 0"), "{stdout}");
 }
 
 /// Extracts a bare numeric `"key":value` field from a JSONL line.
@@ -630,12 +555,15 @@ fn json_f64(line: &str, key: &str) -> Option<f64> {
 fn metrics_out_flushes_on_timeout_exit() {
     let data = write_temp("timeout-flush.csv", DEMO);
     let metrics = write_temp("timeout-flush.jsonl", "");
+    let ts = write_temp("timeout-flush-ts.jsonl", "");
     let out = mcc()
         .args(["passive"])
         .arg(&data)
-        .args(["--engines", "hang", "--time-limit", "0.05", "--no-fallback"])
+        .args(["--time-limit", "0.000001"])
         .args(["--trace", "--metrics-out"])
         .arg(&metrics)
+        .arg("--telemetry")
+        .arg(&ts)
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(7));
@@ -654,6 +582,13 @@ fn metrics_out_flushes_on_timeout_exit() {
             "malformed JSONL line on error path: {line}"
         );
     }
+    // The telemetry stream ends the run with a flight-recorder dump.
+    let stream = std::fs::read_to_string(&ts).unwrap();
+    let dump = stream
+        .lines()
+        .find(|l| l.contains(r#""type":"dump""#))
+        .expect("dump line present");
+    assert!(dump.contains(r#""reason":"timeout""#), "{dump}");
 }
 
 #[test]
@@ -738,56 +673,6 @@ fn telemetry_streams_live_samples_with_monotone_progress() {
 }
 
 #[test]
-fn stall_watchdog_aborts_hung_race_and_dumps_flight_recorder() {
-    let data = write_temp("stall.csv", DEMO);
-    let ts = write_temp("stall-ts.jsonl", "");
-    // No --time-limit: only the stall watchdog can end this race.
-    let out = mcc()
-        .args(["passive"])
-        .arg(&data)
-        .args(["--engines", "hang", "--no-fallback", "--telemetry"])
-        .arg(&ts)
-        .args([
-            "--sample-ms",
-            "20",
-            "--stall-window-ms",
-            "200",
-            "--watch-abort",
-        ])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(7), "{stderr}");
-    assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
-
-    let text = std::fs::read_to_string(&ts).unwrap();
-    assert!(
-        text.lines()
-            .next()
-            .unwrap()
-            .contains(r#""watch_abort":true"#),
-        "{text}"
-    );
-    // The watchdog fired and cancelled the race...
-    let stall = text
-        .lines()
-        .find(|l| l.contains(r#""type":"stall""#))
-        .expect("stall line present");
-    assert!(stall.contains(r#""aborted":true"#), "{stall}");
-    // ...while the hang worker's span was still live on some thread.
-    assert!(stall.contains(r#""span":"hang""#), "{stall}");
-    // The error path appended a flight-recorder dump whose embedded
-    // ring retains the pre-abort samples (hang span included).
-    let dump = text
-        .lines()
-        .find(|l| l.contains(r#""type":"dump""#))
-        .expect("dump line present");
-    assert!(dump.contains(r#""reason":"timeout""#), "{dump}");
-    assert!(dump.contains(r#""samples":[{"#), "{dump}");
-    assert!(dump.contains(r#""span":"hang""#), "{dump}");
-}
-
-#[test]
 fn watch_abort_requires_telemetry_and_arms_the_plain_csv_solve() {
     let data = write_temp("watch-misuse.csv", DEMO);
     // --watch-abort without --telemetry is a usage error.
@@ -824,19 +709,24 @@ fn watch_abort_requires_telemetry_and_arms_the_plain_csv_solve() {
 }
 
 #[test]
-fn passive_portfolio_rejects_unknown_engines_cleanly() {
-    let data = write_temp("portfolio-bad.csv", DEMO);
-    let out = mcc()
-        .args(["passive"])
-        .arg(&data)
-        .args(["--engines", "warp-drive"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(5));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("warp-drive"), "{stderr}");
-    assert!(stderr.contains("expected one of"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
+fn passive_rejects_the_retired_race_flags() {
+    let data = write_temp("race-flags.csv", DEMO);
+    for args in [
+        &["--portfolio"][..],
+        &["--engines", "dinic"][..],
+        &["--no-fallback"][..],
+    ] {
+        let out = mcc()
+            .args(["passive"])
+            .arg(&data)
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
+    }
 }
 
 #[test]

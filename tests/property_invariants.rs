@@ -87,7 +87,8 @@ proptest! {
         prop_assert_eq!(dec.width(), brute_force_width(&points));
     }
 
-    /// Max-flow = min-cut, across all three solvers.
+    /// Max-flow = min-cut, for Dinic and the Edmonds–Karp reference,
+    /// which must agree.
     #[test]
     fn max_flow_min_cut_duality(
         edges in prop::collection::vec((0usize..8, 0usize..8, 0u32..30), 0..24)
@@ -106,8 +107,8 @@ proptest! {
             prop_assert!((cut.weight - sol.value()).abs() < 1e-6);
             values.push(sol.value());
         }
+        prop_assert_eq!(values.len(), 2);
         prop_assert!((values[0] - values[1]).abs() < 1e-6);
-        prop_assert!((values[0] - values[2]).abs() < 1e-6);
     }
 
     /// Anchor classifiers are monotone on arbitrary point pairs.
