@@ -29,7 +29,7 @@ fn run_probe_all(member: &LabeledSet, oracle: &mut InMemoryOracle) -> (MonotoneC
     // Probe everything, then run the exact 1D sweep.
     let mut ws = mc_geom::WeightedSet::empty(1);
     for i in 0..member.len() {
-        let label = oracle.probe(i);
+        let label = oracle.probe(i).expect("in-memory oracles always answer");
         ws.push(member.points().point(i), label, 1.0);
     }
     (solve_passive_1d(&ws).classifier, oracle.probes_used())

@@ -24,7 +24,7 @@
 use crate::classifier::MonotoneClassifier;
 use crate::decompose::minimum_chains;
 use crate::error::McError;
-use crate::oracle::{FallibleOracle, InfallibleAdapter, LabelOracle};
+use crate::oracle::LabelOracle;
 use crate::passive::solver::solve_passive;
 use crate::report::SolveReport;
 use mc_geom::{PointSet, WeightedSet};
@@ -40,8 +40,8 @@ pub struct BudgetedSolution {
     pub probes_used: usize,
     /// The importance-weighted sample the classifier was fit on.
     pub sigma: WeightedSet,
-    /// How the solve fared against the oracle (all-clean for the
-    /// infallible entry point).
+    /// How the solve fared against the oracle (all-clean for an oracle
+    /// that always answers).
     pub report: SolveReport,
 }
 
@@ -56,30 +56,28 @@ pub fn solve_with_budget(
     budget: usize,
     seed: u64,
 ) -> BudgetedSolution {
-    let mut adapter = InfallibleAdapter::new(oracle);
-    try_solve_with_budget(points, &mut adapter, budget, seed).unwrap_or_else(|e| panic!("{e}"))
+    try_solve_with_budget(points, oracle, budget, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Failure-tolerant variant of [`solve_with_budget`]: probes go through
-/// a [`FallibleOracle`], failed probes are dropped from the sample (the
-/// survivors' weights are rescaled), and the budget is still respected —
-/// failed probes are never billed. `Err` is reserved for invalid inputs;
-/// oracle failures degrade the result instead (see
-/// [`BudgetedSolution::report`]).
+/// [`solve_with_budget`] returning invalid inputs as errors. Failed
+/// probes are dropped from the sample (the survivors' weights are
+/// rescaled), and the budget is still respected — failed probes are
+/// never billed. Oracle failures degrade the result instead of aborting
+/// it (see [`BudgetedSolution::report`]).
 pub fn try_solve_with_budget(
     points: &PointSet,
-    oracle: &mut dyn FallibleOracle,
+    oracle: &mut dyn LabelOracle,
     budget: usize,
     seed: u64,
 ) -> Result<BudgetedSolution, McError> {
-    if points.len() != oracle.size() {
+    if points.len() != oracle.len() {
         return Err(McError::OracleSizeMismatch {
-            oracle: oracle.size(),
+            oracle: oracle.len(),
             points: points.len(),
         });
     }
     let n = points.len();
-    let before = oracle.probes_charged();
+    let before = oracle.probes_used();
     let stats_before = oracle.stats();
     if n == 0 || budget == 0 {
         return Ok(BudgetedSolution {
@@ -136,7 +134,7 @@ pub fn try_solve_with_budget(
         if t >= m {
             for &i in chain {
                 report.attempts += 1;
-                match oracle.try_probe(i) {
+                match oracle.probe(i) {
                     Ok(label) => {
                         sigma.push(points.point(i), label, 1.0);
                     }
@@ -158,7 +156,7 @@ pub fn try_solve_with_budget(
         for &pos in &positions[..t] {
             let i = chain[pos];
             report.attempts += 1;
-            match oracle.try_probe(i) {
+            match oracle.probe(i) {
                 Ok(label) => answered.push((i, label)),
                 Err(_) => report.abstentions += 1,
             }
@@ -175,7 +173,7 @@ pub fn try_solve_with_budget(
     let sol = solve_passive(&sigma);
     Ok(BudgetedSolution {
         classifier: sol.classifier,
-        probes_used: oracle.probes_charged() - before,
+        probes_used: oracle.probes_used() - before,
         sigma,
         report,
     })
@@ -299,8 +297,7 @@ mod tests {
         use crate::oracle::InMemoryOracle;
         let ls = staircase_2d(10);
         let mut oracle = InMemoryOracle::new(vec![mc_geom::Label::One; 4]);
-        let mut adapter = crate::oracle::InfallibleAdapter::new(&mut oracle);
-        assert!(try_solve_with_budget(ls.points(), &mut adapter, 5, 0).is_err());
+        assert!(try_solve_with_budget(ls.points(), &mut oracle, 5, 0).is_err());
     }
 
     #[test]

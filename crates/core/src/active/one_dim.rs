@@ -47,7 +47,7 @@
 //! ```
 
 use crate::error::McError;
-use crate::oracle::{FallibleOracle, InfallibleAdapter, LabelOracle};
+use crate::oracle::LabelOracle;
 use crate::report::SolveReport;
 use crate::sampling::lemma5_sample_size;
 use mc_geom::Label;
@@ -90,8 +90,7 @@ impl OneDimParams {
     }
 
     /// Checks the parameters, reporting the first violation as a typed
-    /// error. The panicking entry points funnel through this so both
-    /// flavours agree on the messages.
+    /// error.
     pub fn try_validate(&self) -> Result<(), McError> {
         if !(self.epsilon > 0.0 && self.epsilon <= 1.0) {
             return Err(McError::invalid_parameter(format!(
@@ -115,12 +114,6 @@ impl OneDimParams {
             return Err(McError::invalid_parameter("cutoff must be ≥ 1"));
         }
         Ok(())
-    }
-
-    fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
     }
 
     fn phi(&self) -> f64 {
@@ -152,36 +145,38 @@ pub struct OneDimSample {
 }
 
 /// Runs the Section-3 recursion over `oracle.len()` items sorted
-/// ascending; positions `0..len` are the 1D coordinates.
+/// ascending; positions `0..len` are the 1D coordinates. Failed probes
+/// are dropped as in [`try_weighted_sample_1d`].
+///
+/// # Panics
+///
+/// Panics if the parameters are invalid.
 pub fn weighted_sample_1d(
     oracle: &mut dyn LabelOracle,
     params: &OneDimParams,
     rng: &mut StdRng,
 ) -> OneDimSample {
-    params.validate();
-    let mut adapter = InfallibleAdapter::new(oracle);
-    let mut report = SolveReport::default();
-    try_weighted_sample_1d(&mut adapter, params, rng, &mut report)
-        .expect("parameters validated and the oracle cannot fail")
+    try_weighted_sample_1d(oracle, params, rng, &mut SolveReport::default())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Failure-tolerant variant of [`weighted_sample_1d`]: probes go through
-/// a [`FallibleOracle`], and draws whose probe permanently fails are
+/// [`weighted_sample_1d`] with a report: draws whose probe fails are
 /// *dropped* from Σ (counted in `report.abstentions`) while every
-/// level's weight is rescaled to the draws that did answer. With a
-/// fault-free oracle the output — including RNG consumption — is
-/// identical to [`weighted_sample_1d`].
+/// level's weight is rescaled to the draws that did answer. A failed
+/// draw consumes the same randomness as an answered one, so a run whose
+/// transient failures a retry layer absorbs matches a fault-free run
+/// exactly.
 ///
 /// Only parameter validation produces an `Err`; oracle failures degrade
 /// the sample instead of aborting the run.
 pub fn try_weighted_sample_1d(
-    oracle: &mut dyn FallibleOracle,
+    oracle: &mut dyn LabelOracle,
     params: &OneDimParams,
     rng: &mut StdRng,
     report: &mut SolveReport,
 ) -> Result<OneDimSample, McError> {
     params.try_validate()?;
-    let m = oracle.size();
+    let m = oracle.len();
     let mut out = OneDimSample {
         sigma: Vec::new(),
         levels: 0,
@@ -203,14 +198,14 @@ pub fn try_weighted_sample_1d(
 /// Probes `pos`, pushing a Σ entry on success and recording an
 /// abstention (point dropped) on permanent failure.
 fn probe_into(
-    oracle: &mut dyn FallibleOracle,
+    oracle: &mut dyn LabelOracle,
     pos: usize,
     weight: f64,
     out: &mut OneDimSample,
     report: &mut SolveReport,
 ) -> Option<Label> {
     report.attempts += 1;
-    match oracle.try_probe(pos) {
+    match oracle.probe(pos) {
         Ok(label) => {
             out.sigma.push(SigmaEntry {
                 position: pos,
@@ -228,7 +223,7 @@ fn probe_into(
 
 #[allow(clippy::too_many_arguments)]
 fn recurse(
-    oracle: &mut dyn FallibleOracle,
+    oracle: &mut dyn LabelOracle,
     params: &OneDimParams,
     rng: &mut StdRng,
     lo: usize,
@@ -259,16 +254,16 @@ fn recurse(
 
     // --- g1: sample S1 with replacement from [lo, hi). ---
     // counts[rel] = (label-1 draws, label-0 draws) at relative position rel.
-    // Failed draws still consume RNG state (so fault-free runs match the
-    // infallible path exactly) but contribute nothing; the level weight
-    // rescales to the successful draws.
+    // Failed draws still consume RNG state (so a faulty run that answers
+    // every draw matches a clean one exactly) but contribute nothing; the
+    // level weight rescales to the successful draws.
     let mut ones = vec![0u32; m];
     let mut zeros = vec![0u32; m];
     let mut s1: Vec<(usize, Label)> = Vec::with_capacity(t);
     for _ in 0..t {
         let pos = rng.gen_range(lo..hi);
         report.attempts += 1;
-        match oracle.try_probe(pos) {
+        match oracle.probe(pos) {
             Ok(label) => {
                 s1.push((pos, label));
                 if label.is_one() {
@@ -355,7 +350,7 @@ fn recurse(
                     end + (r - left_len)
                 };
                 report.attempts += 1;
-                match oracle.try_probe(pos) {
+                match oracle.probe(pos) {
                     Ok(label) => s2.push((pos, label)),
                     Err(_) => report.abstentions += 1,
                 }
@@ -605,8 +600,8 @@ mod tests {
         let baseline = weighted_sample_1d(&mut plain, &params, &mut rng);
 
         // A FlakyOracle with rate 0 is fault-free; the try path must
-        // reproduce the infallible run bit-for-bit.
-        let mut zero_fault = FlakyOracle::new(labels, 0.0, 99);
+        // reproduce the in-memory run bit-for-bit.
+        let mut zero_fault = FlakyOracle::new(InMemoryOracle::new(labels), 0.0, 99);
         let mut rng = StdRng::seed_from_u64(5);
         let mut report = SolveReport::default();
         let faultless =
@@ -622,7 +617,7 @@ mod tests {
         use crate::oracle::AbstainingOracle;
         let m = 20_000;
         let labels = labels_from_boundary(m, 7_000);
-        let mut oracle = AbstainingOracle::new(labels, 0.1, 21);
+        let mut oracle = AbstainingOracle::new(InMemoryOracle::new(labels), 0.1, 21);
         let mut rng = StdRng::seed_from_u64(5);
         let mut report = SolveReport::default();
         let params = OneDimParams::new(1.0, 0.1);
@@ -645,7 +640,8 @@ mod tests {
         use crate::oracle::AbstainingOracle;
         let labels = labels_from_boundary(5_000, 100);
         let n = labels.len();
-        let mut oracle = AbstainingOracle::with_unanswerable(labels, &(0..n).collect::<Vec<_>>());
+        let all: Vec<usize> = (0..n).collect();
+        let mut oracle = AbstainingOracle::with_unanswerable(InMemoryOracle::new(labels), &all);
         let mut rng = StdRng::seed_from_u64(1);
         let mut report = SolveReport::default();
         let params = OneDimParams::new(1.0, 0.1);

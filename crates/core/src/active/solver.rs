@@ -37,7 +37,7 @@
 use crate::active::one_dim::{try_weighted_sample_1d, OneDimParams};
 use crate::classifier::MonotoneClassifier;
 use crate::error::McError;
-use crate::oracle::{FallibleOracle, FallibleSubsetOracle, InfallibleAdapter, LabelOracle};
+use crate::oracle::{LabelOracle, SubsetOracle};
 use crate::passive::solver::{PassiveSolution, PassiveSolver};
 use crate::report::SolveReport;
 use mc_geom::{PointSet, WeightedSet};
@@ -116,8 +116,8 @@ pub struct ActiveSolution {
     pub sampling_time: Duration,
     /// Wall-clock time of the passive solve on Σ.
     pub passive_time: Duration,
-    /// How the solve fared against the oracle (all-clean for the
-    /// infallible entry points).
+    /// How the solve fared against the oracle (all-clean for an oracle
+    /// that always answers).
     pub report: SolveReport,
 }
 
@@ -152,25 +152,23 @@ impl ActiveSolver {
     ///
     /// Panics if `oracle.len() != points.len()` or ε ∉ (0, 1].
     pub fn solve(&self, points: &PointSet, oracle: &mut dyn LabelOracle) -> ActiveSolution {
-        let mut adapter = InfallibleAdapter::new(oracle);
-        self.try_solve(points, &mut adapter)
+        self.try_solve(points, oracle)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Failure-tolerant variant of [`ActiveSolver::solve`]: probes go
-    /// through a [`FallibleOracle`]; transient failures are the wrapped
-    /// oracle's business (e.g. a [`RetryOracle`](crate::oracle::RetryOracle)
-    /// absorbs them), while permanently unanswerable points are dropped
-    /// from the sample Σ and the solve continues. The returned
-    /// [`ActiveSolution::report`] says whether and how the result
-    /// degraded.
+    /// [`ActiveSolver::solve`] returning invalid inputs as errors.
+    /// Transient probe failures are the oracle's business (e.g. a
+    /// [`RetryOracle`](crate::oracle::RetryOracle) absorbs them), while
+    /// points whose probe fails are dropped from the sample Σ and the
+    /// solve continues. The returned [`ActiveSolution::report`] says
+    /// whether and how the result degraded.
     ///
     /// `Err` is reserved for invalid inputs (oracle/points size
     /// mismatch, ε ∉ (0, 1], …); oracle failures never abort the solve.
     pub fn try_solve(
         &self,
         points: &PointSet,
-        oracle: &mut dyn FallibleOracle,
+        oracle: &mut dyn LabelOracle,
     ) -> Result<ActiveSolution, McError> {
         if points.is_empty() {
             return self.try_solve_with_chains(points, &[], oracle);
@@ -200,9 +198,8 @@ impl ActiveSolver {
         chains: &[Vec<usize>],
         oracle: &mut dyn LabelOracle,
     ) -> (WeightedSet, usize) {
-        let mut adapter = InfallibleAdapter::new(oracle);
         let partial = self
-            .try_sampling_phase(points, chains, &mut adapter)
+            .try_sampling_phase(points, chains, oracle)
             .unwrap_or_else(|e| panic!("{e}"));
         (partial.sigma, partial.probes_used)
     }
@@ -224,13 +221,12 @@ impl ActiveSolver {
         chains: &[Vec<usize>],
         oracle: &mut dyn LabelOracle,
     ) -> ActiveSolution {
-        let mut adapter = InfallibleAdapter::new(oracle);
-        self.try_solve_with_chains(points, chains, &mut adapter)
+        self.try_solve_with_chains(points, chains, oracle)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Failure-tolerant variant of [`ActiveSolver::solve_with_chains`];
-    /// see [`ActiveSolver::try_solve`] for the failure semantics.
+    /// [`ActiveSolver::solve_with_chains`] returning invalid inputs as
+    /// errors; see [`ActiveSolver::try_solve`] for the failure semantics.
     ///
     /// # Panics
     ///
@@ -240,7 +236,7 @@ impl ActiveSolver {
         &self,
         points: &PointSet,
         chains: &[Vec<usize>],
-        oracle: &mut dyn FallibleOracle,
+        oracle: &mut dyn LabelOracle,
     ) -> Result<ActiveSolution, McError> {
         let _span = mc_obs::span("active");
         self.solve_with_chains_inner(points, chains, oracle)
@@ -250,7 +246,7 @@ impl ActiveSolver {
         &self,
         points: &PointSet,
         chains: &[Vec<usize>],
-        oracle: &mut dyn FallibleOracle,
+        oracle: &mut dyn LabelOracle,
     ) -> Result<ActiveSolution, McError> {
         let partial = self.try_sampling_phase(points, chains, oracle)?;
 
@@ -285,16 +281,16 @@ impl ActiveSolver {
         &self,
         points: &PointSet,
         chains: &[Vec<usize>],
-        oracle: &mut dyn FallibleOracle,
+        oracle: &mut dyn LabelOracle,
     ) -> Result<SamplingPhase, McError> {
-        if points.len() != oracle.size() {
+        if points.len() != oracle.len() {
             return Err(McError::OracleSizeMismatch {
-                oracle: oracle.size(),
+                oracle: oracle.len(),
                 points: points.len(),
             });
         }
         let n = points.len();
-        let probes_before = oracle.probes_charged();
+        let probes_before = oracle.probes_used();
         let stats_before = oracle.stats();
         if n == 0 {
             return Ok(SamplingPhase {
@@ -345,7 +341,7 @@ impl ActiveSolver {
         let mut total_draws = 0u64;
         for (c, chain) in chains.iter().enumerate() {
             let attempts_before = report.attempts;
-            let mut chain_oracle = FallibleSubsetOracle::new(oracle, chain);
+            let mut chain_oracle = SubsetOracle::new(oracle, chain);
             let sample =
                 try_weighted_sample_1d(&mut chain_oracle, &one_dim_params, &mut rng, &mut report)?;
             let chain_probes = (report.attempts - attempts_before) as u64;
@@ -405,7 +401,7 @@ impl ActiveSolver {
 
         Ok(SamplingPhase {
             sigma,
-            probes_used: oracle.probes_charged() - probes_before,
+            probes_used: oracle.probes_used() - probes_before,
             width: w,
             sampling_time,
             report,

@@ -13,6 +13,10 @@
 //!   probes), which is probe-frugal but only weakly error-controlled —
 //!   exactly the gap Theorem 2 closes.
 //!
+//! The baselines are experiment comparators over oracles that always
+//! answer (`InMemoryOracle`, `NoisyOracle`): each panics on a failed
+//! probe.
+//!
 //! # Example
 //!
 //! ```
@@ -46,13 +50,24 @@ pub struct BaselineSolution {
     pub probes_used: usize,
 }
 
+/// Reveals point `i`; the baselines have no degraded mode.
+fn answer(oracle: &mut dyn LabelOracle, i: usize) -> Label {
+    oracle
+        .probe(i)
+        .expect("baselines need an oracle that answers every probe")
+}
+
 /// Probes every label and solves Problem 2 exactly. Always returns an
 /// optimal classifier at probing cost `n`.
+///
+/// # Panics
+///
+/// Panics if a probe fails.
 pub fn probe_all(points: &PointSet, oracle: &mut dyn LabelOracle) -> BaselineSolution {
     let before = oracle.probes_used();
     let mut data = WeightedSet::empty(points.dim().max(1));
     for i in 0..points.len() {
-        let label = oracle.probe(i);
+        let label = answer(oracle, i);
         data.push(points.point(i), label, 1.0);
     }
     let sol = solve_passive(&data);
@@ -65,6 +80,10 @@ pub fn probe_all(points: &PointSet, oracle: &mut dyn LabelOracle) -> BaselineSol
 /// Probes `budget` uniform draws (with replacement; distinct points
 /// billed once), weights each draw by `n/budget`, and solves Problem 2 on
 /// the weighted sample.
+///
+/// # Panics
+///
+/// Panics if a probe fails.
 pub fn uniform_sample(
     points: &PointSet,
     oracle: &mut dyn LabelOracle,
@@ -84,7 +103,7 @@ pub fn uniform_sample(
     let mut sample = WeightedSet::empty(points.dim());
     for _ in 0..budget {
         let i = rng.gen_range(0..n);
-        let label = oracle.probe(i);
+        let label = answer(oracle, i);
         sample.push(points.point(i), label, weight);
     }
     let sol = solve_passive(&sample);
@@ -103,6 +122,10 @@ pub fn uniform_sample(
 /// the exact boundary with `⌈log₂ m⌉` probes; under label noise it lands
 /// near *a* boundary, with no `(1+ε)` guarantee — matching the weaker,
 /// expectation-only error behaviour of the prior work it stands in for.
+///
+/// # Panics
+///
+/// Panics if a probe fails.
 pub fn chain_binary_search(points: &PointSet, oracle: &mut dyn LabelOracle) -> BaselineSolution {
     let before = oracle.probes_used();
     if points.is_empty() {
@@ -120,7 +143,7 @@ pub fn chain_binary_search(points: &PointSet, oracle: &mut dyn LabelOracle) -> B
         let mut hi = chain.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match oracle.probe(chain[mid]) {
+            match answer(oracle, chain[mid]) {
                 Label::One => hi = mid,
                 Label::Zero => lo = mid + 1,
             }
@@ -157,6 +180,10 @@ pub fn chain_binary_search(points: &PointSet, oracle: &mut dyn LabelOracle) -> B
 /// passive solve on everything probed so far. This brittleness is
 /// precisely why the agnostic A² needs its machinery, and why the
 /// paper's `Õ(w/ε²)` algorithm improves on `A²`'s `Ω(w²/ε²)`.
+///
+/// # Panics
+///
+/// Panics if a probe fails.
 pub fn cal_disagreement(
     points: &PointSet,
     oracle: &mut dyn LabelOracle,
@@ -182,7 +209,7 @@ pub fn cal_disagreement(
     while !disagreement.is_empty() && oracle.probes_used() - before < max_probes {
         let pick = rng.gen_range(0..disagreement.len());
         let i = disagreement[pick];
-        let label = oracle.probe(i);
+        let label = answer(oracle, i);
         probed[i] = Some(label);
         // Propagate forcing from the new label.
         #[allow(clippy::needless_range_loop)] // j indexes `forced` and `points`

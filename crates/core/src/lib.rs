@@ -14,9 +14,9 @@
 //!   `O((w/ε²)·log(n/w)·log n)` probes (Theorems 2 and 3), built on the
 //!   Section-3 recursive 1D sampler and the Section-4 chain reduction.
 //! * [`sampling`] — Lemma 5 sample-size machinery.
-//! * [`oracle`] — probe-counting label oracles, both infallible
-//!   ([`LabelOracle`]) and fallible ([`FallibleOracle`]) with retry,
-//!   circuit-breaking and fault-injection adapters.
+//! * [`oracle`] — probe-counting label oracles ([`LabelOracle`]), whose
+//!   probes return `Result<Label, OracleError>`, with a retry/circuit
+//!   breaker wrapper and fault-injection wrappers.
 //! * [`error`] / [`report`] — typed errors ([`McError`]) and resilience
 //!   reporting ([`SolveReport`]) for the `try_*` solver paths.
 //! * [`baselines`] — ProbeAll, UniformSample and chain-binary-search
@@ -41,9 +41,8 @@ pub use decompose::minimum_chains;
 pub use error::McError;
 pub use metrics::{cross_validate_passive, train_test_split, ConfusionMatrix};
 pub use oracle::{
-    AbstainingOracle, FallibleOracle, FallibleSubsetOracle, FlakyOracle, InMemoryOracle,
-    InfallibleAdapter, LabelOracle, MeteredOracle, NoisyOracle, OracleError, OracleStats,
-    RetryOracle, RetryPolicy, SubsetOracle,
+    AbstainingOracle, FlakyOracle, InMemoryOracle, LabelOracle, MeteredOracle, NoisyOracle,
+    OracleError, OracleStats, RetryOracle, RetryPolicy, SubsetOracle,
 };
 pub use passive::{solve_passive, PassiveSolution, PassiveSolver};
 pub use report::SolveReport;

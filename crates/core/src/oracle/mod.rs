@@ -6,6 +6,13 @@
 //! already-revealed point is free — every oracle here counts **distinct**
 //! probes, which also means sampling with replacement is billed correctly.
 //!
+//! The paper's oracle always answers; a real labeling backend — crowd
+//! workers, a flaky RPC service, a rate-limited API — does not. A probe
+//! therefore returns `Result<Label, OracleError>`: the in-memory oracles
+//! always answer `Ok`, the [`inject`] wrappers fail on purpose, and
+//! [`RetryOracle`] absorbs the failures worth retrying. Failed probes
+//! are never billed.
+//!
 //! # Example
 //!
 //! ```
@@ -13,28 +20,115 @@
 //! use mc_geom::Label;
 //!
 //! let mut oracle = InMemoryOracle::new(vec![Label::Zero, Label::One]);
-//! assert_eq!(oracle.probe(1), Label::One);
-//! assert_eq!(oracle.probe(1), Label::One); // re-probing is free
+//! assert_eq!(oracle.probe(1), Ok(Label::One));
+//! assert_eq!(oracle.probe(1), Ok(Label::One)); // re-probing is free
 //! assert_eq!(oracle.probes_used(), 1);
 //! ```
 
-pub mod fallible;
 pub mod inject;
 pub mod retry;
 
-pub use fallible::{
-    FallibleOracle, FallibleSubsetOracle, InfallibleAdapter, OracleError, OracleStats,
-};
 pub use inject::{AbstainingOracle, FlakyOracle, MeteredOracle};
 pub use retry::{RetryOracle, RetryPolicy};
 
 use mc_geom::{Label, LabeledSet};
+use std::fmt;
+
+/// Why a probe failed.
+///
+/// The split matters to callers: [`Transient`](OracleError::Transient)
+/// and [`Timeout`](OracleError::Timeout) are worth retrying;
+/// [`Abstain`](OracleError::Abstain) and
+/// [`BudgetExhausted`](OracleError::BudgetExhausted) are permanent — the
+/// solvers drop the point from the sample Σ and continue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OracleError {
+    /// A momentary failure (dropped connection, worker unavailable);
+    /// retrying the same probe may succeed.
+    Transient {
+        /// The probe that failed.
+        probe: usize,
+    },
+    /// The backend did not answer in time; retrying may succeed.
+    Timeout {
+        /// The probe that timed out.
+        probe: usize,
+    },
+    /// The backend permanently declines to label this point
+    /// (e.g. an annotator cannot decide). Retrying never helps.
+    Abstain {
+        /// The probe that was declined.
+        probe: usize,
+    },
+    /// The probe budget is spent; no *new* point can be labeled.
+    /// Re-probing already-revealed points stays free.
+    BudgetExhausted {
+        /// The budget that was exhausted.
+        budget: usize,
+    },
+}
+
+impl OracleError {
+    /// `true` iff retrying the same probe can possibly succeed.
+    pub fn is_retryable(&self) -> bool {
+        matches!(
+            self,
+            OracleError::Transient { .. } | OracleError::Timeout { .. }
+        )
+    }
+
+    /// The probe index the failure refers to, if any.
+    pub fn probe(&self) -> Option<usize> {
+        match *self {
+            OracleError::Transient { probe }
+            | OracleError::Timeout { probe }
+            | OracleError::Abstain { probe } => Some(probe),
+            OracleError::BudgetExhausted { .. } => None,
+        }
+    }
+}
+
+impl fmt::Display for OracleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OracleError::Transient { probe } => {
+                write!(f, "transient failure probing point {probe}")
+            }
+            OracleError::Timeout { probe } => write!(f, "timeout probing point {probe}"),
+            OracleError::Abstain { probe } => {
+                write!(f, "oracle abstained on point {probe}")
+            }
+            OracleError::BudgetExhausted { budget } => {
+                write!(f, "probe budget of {budget} exhausted")
+            }
+        }
+    }
+}
+
+impl std::error::Error for OracleError {}
+
+/// Cumulative counters kept by [`RetryOracle`]. Other oracles report
+/// the default (all zeros), and wrappers forward their inner oracle's.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OracleStats {
+    /// Total probe attempts issued against the underlying backend
+    /// (first tries plus retries).
+    pub attempts: usize,
+    /// Attempts beyond the first per probe request.
+    pub retries: usize,
+    /// `true` once a circuit breaker opened.
+    pub breaker_tripped: bool,
+}
 
 /// A source of hidden labels with probe accounting.
+///
+/// Cost is counted per *distinct successfully probed point*: a failed
+/// probe is free (the backend never answered), and so is re-probing a
+/// revealed point.
 pub trait LabelOracle {
     /// Reveals the label of point `idx`, billing a probe if this point was
-    /// never probed before.
-    fn probe(&mut self, idx: usize) -> Label;
+    /// never revealed before.
+    fn probe(&mut self, idx: usize) -> Result<Label, OracleError>;
 
     /// Number of points behind the oracle.
     fn len(&self) -> usize;
@@ -44,9 +138,15 @@ pub trait LabelOracle {
         self.len() == 0
     }
 
-    /// Number of *distinct* points probed so far — the paper's probing
+    /// Number of *distinct* points revealed so far — the paper's probing
     /// cost.
     fn probes_used(&self) -> usize;
+
+    /// Resilience counters; all zeros unless a [`RetryOracle`] is in the
+    /// stack.
+    fn stats(&self) -> OracleStats {
+        OracleStats::default()
+    }
 }
 
 /// An oracle over an in-memory ground-truth label vector.
@@ -86,12 +186,12 @@ impl InMemoryOracle {
 }
 
 impl LabelOracle for InMemoryOracle {
-    fn probe(&mut self, idx: usize) -> Label {
+    fn probe(&mut self, idx: usize) -> Result<Label, OracleError> {
         if !self.probed[idx] {
             self.probed[idx] = true;
             self.distinct += 1;
         }
-        self.labels[idx]
+        Ok(self.labels[idx])
     }
 
     fn len(&self) -> usize {
@@ -105,7 +205,8 @@ impl LabelOracle for InMemoryOracle {
 
 /// A wrapper that restricts an oracle to a subset of points, exposing
 /// positions `0..items.len()` — used by the per-chain 1D sampler, which
-/// works in chain-position space.
+/// works in chain-position space. Failure payloads keep the *global*
+/// probe index, which is what reports and logs want.
 pub struct SubsetOracle<'a> {
     inner: &'a mut dyn LabelOracle,
     items: &'a [usize],
@@ -120,7 +221,7 @@ impl<'a> SubsetOracle<'a> {
 }
 
 impl LabelOracle for SubsetOracle<'_> {
-    fn probe(&mut self, idx: usize) -> Label {
+    fn probe(&mut self, idx: usize) -> Result<Label, OracleError> {
         self.inner.probe(self.items[idx])
     }
 
@@ -130,6 +231,10 @@ impl LabelOracle for SubsetOracle<'_> {
 
     fn probes_used(&self) -> usize {
         self.inner.probes_used()
+    }
+
+    fn stats(&self) -> OracleStats {
+        self.inner.stats()
     }
 }
 
@@ -181,14 +286,13 @@ impl NoisyOracle {
 }
 
 impl LabelOracle for NoisyOracle {
-    fn probe(&mut self, idx: usize) -> Label {
+    fn probe(&mut self, idx: usize) -> Result<Label, OracleError> {
         use rand::Rng;
+        // Bills through the inner oracle for distinct counting.
+        let truth = self.inner.probe(idx)?;
         if let Some(answer) = self.answered[idx] {
-            // Still bill through the inner oracle for distinct counting.
-            self.inner.probe(idx);
-            return answer;
+            return Ok(answer);
         }
-        let truth = self.inner.probe(idx);
         let answer = if self.flip_probability > 0.0 && self.rng.gen_bool(self.flip_probability) {
             self.flips += 1;
             truth.flipped()
@@ -196,7 +300,7 @@ impl LabelOracle for NoisyOracle {
             truth
         };
         self.answered[idx] = Some(answer);
-        answer
+        Ok(answer)
     }
 
     fn len(&self) -> usize {
@@ -211,24 +315,26 @@ impl LabelOracle for NoisyOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::inject::AbstainingOracle;
 
     #[test]
     fn distinct_probe_accounting() {
         let mut o = InMemoryOracle::new(vec![Label::One, Label::Zero, Label::One]);
         assert_eq!(o.probes_used(), 0);
-        assert_eq!(o.probe(0), Label::One);
-        assert_eq!(o.probe(0), Label::One);
+        assert_eq!(o.probe(0), Ok(Label::One));
+        assert_eq!(o.probe(0), Ok(Label::One));
         assert_eq!(o.probes_used(), 1, "re-probing is free");
-        o.probe(2);
+        o.probe(2).unwrap();
         assert_eq!(o.probes_used(), 2);
         assert!(o.was_probed(0));
         assert!(!o.was_probed(1));
+        assert_eq!(o.stats(), OracleStats::default());
     }
 
     #[test]
     fn reset_clears_accounting() {
         let mut o = InMemoryOracle::new(vec![Label::Zero; 4]);
-        o.probe(1);
+        o.probe(1).unwrap();
         o.reset();
         assert_eq!(o.probes_used(), 0);
         assert!(!o.was_probed(1));
@@ -240,12 +346,23 @@ mod tests {
         let items = [3usize, 1];
         let mut sub = SubsetOracle::new(&mut o, &items);
         assert_eq!(sub.len(), 2);
-        assert_eq!(sub.probe(0), Label::One); // global 3
-        assert_eq!(sub.probe(1), Label::One); // global 1
+        assert_eq!(sub.probe(0), Ok(Label::One)); // global 3
+        assert_eq!(sub.probe(1), Ok(Label::One)); // global 1
         assert_eq!(sub.probes_used(), 2);
         assert!(o.was_probed(3));
         assert!(o.was_probed(1));
         assert!(!o.was_probed(0));
+    }
+
+    #[test]
+    fn subset_oracle_errors_keep_the_global_index() {
+        let labels = vec![Label::Zero, Label::One, Label::Zero];
+        let mut o = AbstainingOracle::with_unanswerable(InMemoryOracle::new(labels), &[2]);
+        let items = [2usize, 1];
+        let mut sub = SubsetOracle::new(&mut o, &items);
+        assert_eq!(sub.probe(0), Err(OracleError::Abstain { probe: 2 }));
+        assert_eq!(sub.probe(1), Ok(Label::One));
+        assert_eq!(sub.probes_used(), 1);
     }
 
     #[test]
@@ -258,8 +375,8 @@ mod tests {
     #[test]
     fn noisy_oracle_is_consistent() {
         let mut o = NoisyOracle::new(vec![Label::One; 50], 0.5, 7);
-        let first: Vec<Label> = (0..50).map(|i| o.probe(i)).collect();
-        let second: Vec<Label> = (0..50).map(|i| o.probe(i)).collect();
+        let first: Vec<Label> = (0..50).map(|i| o.probe(i).unwrap()).collect();
+        let second: Vec<Label> = (0..50).map(|i| o.probe(i).unwrap()).collect();
         assert_eq!(first, second, "answers must be stable across re-probes");
         assert!(o.flips() > 0, "with p = 0.5 some answers should flip");
         assert_eq!(o.probes_used(), 50);
@@ -270,7 +387,7 @@ mod tests {
         let labels = vec![Label::One, Label::Zero, Label::One];
         let mut o = NoisyOracle::new(labels.clone(), 0.0, 1);
         for (i, &l) in labels.iter().enumerate() {
-            assert_eq!(o.probe(i), l);
+            assert_eq!(o.probe(i), Ok(l));
         }
         assert_eq!(o.flips(), 0);
     }
@@ -279,5 +396,27 @@ mod tests {
     #[should_panic(expected = "flip probability")]
     fn noisy_oracle_rejects_bad_probability() {
         NoisyOracle::new(vec![Label::One], 1.5, 0);
+    }
+
+    #[test]
+    fn retryability_split() {
+        assert!(OracleError::Transient { probe: 0 }.is_retryable());
+        assert!(OracleError::Timeout { probe: 0 }.is_retryable());
+        assert!(!OracleError::Abstain { probe: 0 }.is_retryable());
+        assert!(!OracleError::BudgetExhausted { budget: 5 }.is_retryable());
+        assert_eq!(OracleError::Abstain { probe: 3 }.probe(), Some(3));
+        assert_eq!(OracleError::BudgetExhausted { budget: 5 }.probe(), None);
+    }
+
+    #[test]
+    fn errors_display() {
+        assert_eq!(
+            OracleError::Timeout { probe: 7 }.to_string(),
+            "timeout probing point 7"
+        );
+        assert_eq!(
+            OracleError::BudgetExhausted { budget: 9 }.to_string(),
+            "probe budget of 9 exhausted"
+        );
     }
 }

@@ -1,65 +1,39 @@
-//! Retrying oracle adapter: bounded attempts, seeded exponential backoff
-//! with jitter, and a circuit breaker.
+//! Retrying oracle wrapper: bounded attempts and a circuit breaker.
 //!
-//! [`RetryOracle`] wraps any [`FallibleOracle`] and absorbs *retryable*
+//! [`RetryOracle`] wraps any [`LabelOracle`] and absorbs *retryable*
 //! failures ([`OracleError::is_retryable`]): each probe request is
-//! attempted up to [`RetryPolicy::max_attempts`] times with an
-//! exponentially growing, jittered delay between attempts. Permanent
+//! attempted up to [`RetryPolicy::max_attempts`] times. Permanent
 //! failures (abstentions, budget exhaustion) pass straight through.
 //!
 //! The circuit breaker guards against a *down* backend: after
-//! [`RetryPolicy::breaker_threshold`] consecutive failed attempts the
+//! [`RetryPolicy::breaker_threshold`] consecutive retryable failures the
 //! breaker opens and every subsequent request fails fast with the error
-//! that tripped it, without touching the backend. This bounds the time a
+//! that tripped it, without touching the backend. This bounds the work a
 //! solve can waste on a dead oracle; the solver then degrades gracefully
-//! (see [`SolveReport`](crate::report::SolveReport)).
-//!
-//! All randomness (the jitter) is seeded, so runs are reproducible. By
-//! default delays are *recorded, not slept* — tests and simulations stay
-//! fast — and [`RetryPolicy::sleep`] opts into real waiting.
+//! (see [`SolveReport`](crate::report::SolveReport)). A permanent
+//! failure is an answer from a live backend, so it resets the streak as
+//! a success does: a run of abstentions or a spent budget never opens
+//! the breaker.
 
-use crate::oracle::fallible::{FallibleOracle, OracleError, OracleStats};
+use crate::oracle::{LabelOracle, OracleError, OracleStats};
 use mc_geom::Label;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
-/// Retry/backoff/breaker configuration for [`RetryOracle`].
+/// Retry and breaker configuration for [`RetryOracle`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Maximum attempts per probe request (≥ 1; 1 disables retrying).
     pub max_attempts: u32,
-    /// Delay before the first retry.
-    pub base_delay: Duration,
-    /// Cap on the per-retry delay.
-    pub max_delay: Duration,
-    /// Multiplier applied to the delay after each failed attempt (≥ 1).
-    pub multiplier: f64,
-    /// Jitter fraction in `[0, 1]`: each delay is drawn uniformly from
-    /// `[d·(1 − jitter), d]`, de-synchronizing concurrent clients.
-    pub jitter: f64,
-    /// Consecutive failed attempts (across probe requests) that open the
-    /// circuit breaker; `0` disables the breaker. Any success resets the
-    /// count.
+    /// Consecutive retryable failures (across probe requests) that open
+    /// the circuit breaker; `0` disables the breaker. Any answer or
+    /// permanent failure resets the count.
     pub breaker_threshold: u32,
-    /// Seed for the jitter RNG (runs are reproducible).
-    pub seed: u64,
-    /// `true` to actually `thread::sleep` the backoff delays; `false`
-    /// (default) only records them in [`OracleStats::total_backoff`].
-    pub sleep: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 4,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(100),
-            multiplier: 2.0,
-            jitter: 0.5,
             breaker_threshold: 16,
-            seed: 0x5EED,
-            sleep: false,
         }
     }
 }
@@ -76,127 +50,48 @@ impl RetryPolicy {
         self.breaker_threshold = threshold;
         self
     }
-
-    /// Replaces the jitter RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the backoff schedule.
-    pub fn with_backoff(mut self, base: Duration, max: Duration, multiplier: f64) -> Self {
-        self.base_delay = base;
-        self.max_delay = max;
-        self.multiplier = multiplier;
-        self
-    }
-
-    /// Replaces the jitter fraction.
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// Opts into real sleeping between attempts.
-    pub fn with_sleep(mut self, sleep: bool) -> Self {
-        self.sleep = sleep;
-        self
-    }
-
-    fn validate(&self) {
-        assert!(self.max_attempts >= 1, "max_attempts must be at least 1");
-        assert!(
-            (0.0..=1.0).contains(&self.jitter),
-            "jitter must lie in [0, 1], got {}",
-            self.jitter
-        );
-        assert!(
-            self.multiplier >= 1.0,
-            "multiplier must be at least 1, got {}",
-            self.multiplier
-        );
-    }
 }
 
-/// A [`FallibleOracle`] adapter adding retries, backoff and a circuit
-/// breaker around an inner oracle.
+/// A [`LabelOracle`] wrapper adding retries and a circuit breaker around
+/// an inner oracle.
 #[derive(Debug, Clone)]
 pub struct RetryOracle<O> {
     inner: O,
     policy: RetryPolicy,
-    rng: StdRng,
     consecutive_failures: u32,
     /// `Some(err)` once the breaker opened; `err` is what tripped it and
     /// is what every fail-fast request returns from then on.
     open: Option<OracleError>,
     attempts: usize,
     retries: usize,
-    total_backoff: Duration,
 }
 
-impl<O: FallibleOracle> RetryOracle<O> {
+impl<O: LabelOracle> RetryOracle<O> {
     /// Wraps `inner` under the given policy.
     ///
     /// # Panics
     ///
-    /// Panics if the policy is malformed (`max_attempts == 0`, jitter
-    /// outside `[0, 1]`, multiplier below 1).
+    /// Panics if `policy.max_attempts == 0`.
     pub fn new(inner: O, policy: RetryPolicy) -> Self {
-        policy.validate();
-        let rng = StdRng::seed_from_u64(policy.seed);
+        assert!(policy.max_attempts >= 1, "max_attempts must be at least 1");
         Self {
             inner,
             policy,
-            rng,
             consecutive_failures: 0,
             open: None,
             attempts: 0,
             retries: 0,
-            total_backoff: Duration::ZERO,
         }
-    }
-
-    /// Wraps `inner` under [`RetryPolicy::default`].
-    pub fn with_defaults(inner: O) -> Self {
-        Self::new(inner, RetryPolicy::default())
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwraps, returning the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
     }
 
     /// `true` iff the circuit breaker has opened.
     pub fn breaker_open(&self) -> bool {
         self.open.is_some()
     }
-
-    /// Total backoff delay accumulated (slept or simulated).
-    pub fn total_backoff(&self) -> Duration {
-        self.total_backoff
-    }
-
-    /// Jittered exponential delay before retry number `retry_no` (1-based).
-    fn backoff_delay(&mut self, retry_no: u32) -> Duration {
-        let exp = self.policy.base_delay.as_secs_f64().max(0.0)
-            * self
-                .policy
-                .multiplier
-                .powi(retry_no.saturating_sub(1) as i32);
-        let capped = exp.min(self.policy.max_delay.as_secs_f64());
-        // Uniform in [capped·(1 − jitter), capped].
-        let fraction = 1.0 - self.policy.jitter * self.rng.gen_range(0.0..1.0);
-        Duration::from_secs_f64(capped * fraction)
-    }
 }
 
-impl<O: FallibleOracle> FallibleOracle for RetryOracle<O> {
-    fn try_probe(&mut self, idx: usize) -> Result<Label, OracleError> {
+impl<O: LabelOracle> LabelOracle for RetryOracle<O> {
+    fn probe(&mut self, idx: usize) -> Result<Label, OracleError> {
         if let Some(err) = self.open {
             // Breaker open: fail fast without touching the backend.
             return Err(err);
@@ -206,12 +101,8 @@ impl<O: FallibleOracle> FallibleOracle for RetryOracle<O> {
             if attempt > 1 {
                 self.retries += 1;
             }
-            match self.inner.try_probe(idx) {
-                Ok(label) => {
-                    self.consecutive_failures = 0;
-                    return Ok(label);
-                }
-                Err(err) => {
+            match self.inner.probe(idx) {
+                Err(err) if err.is_retryable() => {
                     self.consecutive_failures += 1;
                     if self.policy.breaker_threshold > 0
                         && self.consecutive_failures >= self.policy.breaker_threshold
@@ -219,26 +110,25 @@ impl<O: FallibleOracle> FallibleOracle for RetryOracle<O> {
                         self.open = Some(err);
                         return Err(err);
                     }
-                    if !err.is_retryable() || attempt == self.policy.max_attempts {
+                    if attempt == self.policy.max_attempts {
                         return Err(err);
                     }
-                    let delay = self.backoff_delay(attempt);
-                    self.total_backoff += delay;
-                    if self.policy.sleep {
-                        std::thread::sleep(delay);
-                    }
+                }
+                answer => {
+                    self.consecutive_failures = 0;
+                    return answer;
                 }
             }
         }
         unreachable!("the loop returns on the last attempt")
     }
 
-    fn size(&self) -> usize {
-        self.inner.size()
+    fn len(&self) -> usize {
+        self.inner.len()
     }
 
-    fn probes_charged(&self) -> usize {
-        self.inner.probes_charged()
+    fn probes_used(&self) -> usize {
+        self.inner.probes_used()
     }
 
     fn stats(&self) -> OracleStats {
@@ -246,7 +136,6 @@ impl<O: FallibleOracle> FallibleOracle for RetryOracle<O> {
             attempts: self.attempts,
             retries: self.retries,
             breaker_tripped: self.open.is_some(),
-            total_backoff: self.total_backoff,
         }
     }
 }
@@ -265,8 +154,8 @@ mod tests {
         err: OracleError,
     }
 
-    impl FallibleOracle for NthTimeLucky {
-        fn try_probe(&mut self, _idx: usize) -> Result<Label, OracleError> {
+    impl LabelOracle for NthTimeLucky {
+        fn probe(&mut self, _idx: usize) -> Result<Label, OracleError> {
             if self.seen < self.fail_first {
                 self.seen += 1;
                 Err(self.err)
@@ -276,11 +165,11 @@ mod tests {
             }
         }
 
-        fn size(&self) -> usize {
+        fn len(&self) -> usize {
             64
         }
 
-        fn probes_charged(&self) -> usize {
+        fn probes_used(&self) -> usize {
             0
         }
     }
@@ -293,12 +182,11 @@ mod tests {
             err: OracleError::Transient { probe: 0 },
         };
         let mut o = RetryOracle::new(inner, RetryPolicy::default().with_max_attempts(3));
-        assert_eq!(o.try_probe(0), Ok(Label::One));
+        assert_eq!(o.probe(0), Ok(Label::One));
         let stats = o.stats();
         assert_eq!(stats.attempts, 3);
         assert_eq!(stats.retries, 2);
         assert!(!stats.breaker_tripped);
-        assert!(stats.total_backoff > Duration::ZERO);
     }
 
     #[test]
@@ -312,7 +200,7 @@ mod tests {
             .with_max_attempts(3)
             .with_breaker_threshold(0);
         let mut o = RetryOracle::new(inner, policy);
-        assert_eq!(o.try_probe(3), Err(OracleError::Timeout { probe: 3 }));
+        assert_eq!(o.probe(3), Err(OracleError::Timeout { probe: 3 }));
         assert_eq!(o.stats().attempts, 3);
     }
 
@@ -324,7 +212,7 @@ mod tests {
             err: OracleError::Abstain { probe: 5 },
         };
         let mut o = RetryOracle::new(inner, RetryPolicy::default().with_max_attempts(10));
-        assert_eq!(o.try_probe(5), Err(OracleError::Abstain { probe: 5 }));
+        assert_eq!(o.probe(5), Err(OracleError::Abstain { probe: 5 }));
         assert_eq!(o.stats().attempts, 1, "abstentions must not be retried");
     }
 
@@ -340,15 +228,15 @@ mod tests {
             .with_breaker_threshold(6);
         let mut o = RetryOracle::new(inner, policy);
         // Request 1: 4 attempts, all fail (consecutive = 4).
-        assert!(o.try_probe(1).is_err());
+        assert!(o.probe(1).is_err());
         assert!(!o.breaker_open());
         // Request 2: trips at the 6th consecutive failed attempt.
-        assert!(o.try_probe(1).is_err());
+        assert!(o.probe(1).is_err());
         assert!(o.breaker_open());
         let attempts_at_trip = o.stats().attempts;
         assert_eq!(attempts_at_trip, 6);
         // Fail-fast: the backend is no longer touched.
-        assert_eq!(o.try_probe(2), Err(OracleError::Transient { probe: 1 }));
+        assert_eq!(o.probe(2), Err(OracleError::Transient { probe: 1 }));
         assert_eq!(o.stats().attempts, attempts_at_trip);
         assert!(o.stats().breaker_tripped);
     }
@@ -367,69 +255,83 @@ mod tests {
             .with_breaker_threshold(2);
         let mut o = RetryOracle::new(inner, policy);
         for _ in 0..20 {
-            assert_eq!(o.try_probe(0), Ok(Label::One));
+            assert_eq!(o.probe(0), Ok(Label::One));
         }
         assert!(!o.breaker_open());
     }
 
     #[test]
-    fn backoff_grows_and_caps() {
-        let policy = RetryPolicy {
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(25),
-            multiplier: 2.0,
-            jitter: 0.0,
-            ..RetryPolicy::default()
+    fn abstain_streak_leaves_breaker_closed() {
+        // Abstentions are answers from a live backend: a streak far
+        // longer than the threshold must not open the breaker.
+        let inner = NthTimeLucky {
+            fail_first: u32::MAX,
+            seen: 0,
+            err: OracleError::Abstain { probe: 4 },
         };
-        let inner = InMemoryOracle::new(vec![Label::One]);
+        let policy = RetryPolicy::default().with_breaker_threshold(3);
         let mut o = RetryOracle::new(inner, policy);
-        assert_eq!(o.backoff_delay(1), Duration::from_millis(10));
-        assert_eq!(o.backoff_delay(2), Duration::from_millis(20));
-        assert_eq!(o.backoff_delay(3), Duration::from_millis(25), "capped");
+        for _ in 0..20 {
+            assert_eq!(o.probe(4), Err(OracleError::Abstain { probe: 4 }));
+        }
+        assert!(!o.breaker_open());
+        assert_eq!(o.stats().attempts, 20, "every request reached the backend");
     }
 
     #[test]
-    fn jitter_is_seeded_and_bounded() {
-        let make = |seed| {
-            let policy = RetryPolicy {
-                base_delay: Duration::from_millis(100),
-                max_delay: Duration::from_millis(100),
-                jitter: 0.5,
-                seed,
-                ..RetryPolicy::default()
-            };
-            let mut o = RetryOracle::new(InMemoryOracle::new(vec![Label::One]), policy);
-            (0..16).map(|i| o.backoff_delay(1 + i)).collect::<Vec<_>>()
-        };
-        let a = make(7);
-        let b = make(7);
-        assert_eq!(a, b, "same seed, same jitter");
-        for d in &a {
-            assert!(*d >= Duration::from_millis(50) && *d <= Duration::from_millis(100));
+    fn permanent_failure_resets_the_transient_streak() {
+        use crate::oracle::inject::AbstainingOracle;
+        // Two transient failures, an abstention, two more: never three
+        // retryable failures in a row, so a threshold of 3 stays closed.
+        let flaky = FlakyOracle::new(InMemoryOracle::new(vec![Label::One; 4]), 1.0, 0);
+        let inner = AbstainingOracle::with_unanswerable(flaky, &[3]);
+        let policy = RetryPolicy::default()
+            .with_max_attempts(2)
+            .with_breaker_threshold(3);
+        let mut o = RetryOracle::new(inner, policy);
+        assert!(o.probe(0).unwrap_err().is_retryable());
+        assert_eq!(o.probe(3), Err(OracleError::Abstain { probe: 3 }));
+        assert!(o.probe(1).unwrap_err().is_retryable());
+        assert!(!o.breaker_open());
+    }
+
+    #[test]
+    fn spent_budget_leaves_revealed_points_reachable() {
+        use crate::oracle::inject::MeteredOracle;
+        let metered = MeteredOracle::new(InMemoryOracle::new(vec![Label::One; 40]), 2);
+        let policy = RetryPolicy::default().with_breaker_threshold(4);
+        let mut o = RetryOracle::new(metered, policy);
+        assert_eq!(o.probe(0), Ok(Label::One));
+        assert_eq!(o.probe(1), Ok(Label::One));
+        for i in 2..40 {
+            assert_eq!(o.probe(i), Err(OracleError::BudgetExhausted { budget: 2 }));
         }
-        assert!(a.iter().any(|d| *d < Duration::from_millis(100)));
+        assert!(!o.breaker_open());
+        // Re-probing a revealed point is free and still answered.
+        assert_eq!(o.probe(0), Ok(Label::One));
+        assert_eq!(o.probes_used(), 2);
     }
 
     #[test]
     fn passthrough_on_healthy_oracle() {
         let inner = InMemoryOracle::new(vec![Label::Zero, Label::One]);
-        let mut o = RetryOracle::with_defaults(inner);
-        assert_eq!(o.try_probe(0), Ok(Label::Zero));
-        assert_eq!(o.try_probe(0), Ok(Label::Zero));
-        assert_eq!(o.probes_charged(), 1, "re-probing stays free");
-        assert_eq!(o.size(), 2);
+        let mut o = RetryOracle::new(inner, RetryPolicy::default());
+        assert_eq!(o.probe(0), Ok(Label::Zero));
+        assert_eq!(o.probe(0), Ok(Label::Zero));
+        assert_eq!(o.probes_used(), 1, "re-probing stays free");
+        assert_eq!(o.len(), 2);
         assert_eq!(o.stats().retries, 0);
     }
 
     #[test]
     fn flaky_backend_eventually_answers_everything() {
         let labels: Vec<Label> = (0..200).map(|i| Label::from_bool(i % 3 == 0)).collect();
-        let flaky = FlakyOracle::new(labels.clone(), 0.3, 11);
+        let flaky = FlakyOracle::new(InMemoryOracle::new(labels.clone()), 0.3, 11);
         let mut o = RetryOracle::new(flaky, RetryPolicy::default().with_max_attempts(16));
         for (i, &expect) in labels.iter().enumerate() {
-            assert_eq!(o.try_probe(i), Ok(expect));
+            assert_eq!(o.probe(i), Ok(expect));
         }
-        assert_eq!(o.probes_charged(), 200);
+        assert_eq!(o.probes_used(), 200);
         assert!(o.stats().retries > 0, "30% failure rate must cause retries");
     }
 

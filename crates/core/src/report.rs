@@ -1,33 +1,34 @@
 //! Solve-level resilience reporting.
 //!
-//! Every `try_*` solver path produces a [`SolveReport`] describing how
-//! the run interacted with a fallible oracle: how many probe requests it
-//! issued, how many it permanently gave up on, whether a circuit breaker
-//! opened, and — the headline bit — whether the result is *degraded*
-//! (fit on a sample missing points the fault-free run would have had).
+//! Every active solve produces a [`SolveReport`] describing how the run
+//! interacted with its oracle: how many probe requests it issued, how
+//! many failed and were given up on, whether a circuit breaker opened,
+//! and — the headline bit — whether the result is *degraded* (fit on a
+//! sample missing points the fault-free run would have had).
 
 use crate::oracle::OracleStats;
 
-/// How a solve fared against a fallible oracle.
+/// How a solve fared against its oracle.
 ///
 /// A fault-free run reports all-zero counters except `attempts` and
 /// `degraded == false`. `degraded == true` means at least one probe
-/// request was permanently unanswerable (or the breaker opened), so the
-/// classifier was fit on a sample Σ missing those points; the result is
-/// still monotone and still minimizes `w-err_Σ` on what *was* answered,
-/// but the paper's `(1+ε)` guarantee no longer covers the dropped
-/// points.
+/// request failed for good (an abstention, a spent budget, retries run
+/// out, or an open breaker), so the classifier was fit on a sample Σ
+/// missing those points; the result is still monotone and still
+/// minimizes `w-err_Σ` on what *was* answered, but the paper's `(1+ε)`
+/// guarantee no longer covers the dropped points.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolveReport {
     /// Probe requests issued by the solver (with-replacement draws plus
     /// exhaustive probes; a retry layer may multiply these into more
     /// backend attempts — see `retries`).
     pub attempts: usize,
-    /// Extra backend attempts spent by a retry layer beyond the first
-    /// per request (0 for oracles without one).
+    /// Extra backend attempts spent by a
+    /// [`RetryOracle`](crate::oracle::RetryOracle) beyond the first per
+    /// request (0 for oracles without one).
     pub retries: usize,
-    /// Probe requests permanently given up on; the corresponding draws
-    /// or points were dropped from the sample Σ.
+    /// Probe requests that failed for good; the corresponding draws or
+    /// points were dropped from the sample Σ.
     pub abstentions: usize,
     /// `true` iff a circuit breaker opened during the solve.
     pub breaker_tripped: bool,

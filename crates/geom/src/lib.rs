@@ -27,7 +27,6 @@ pub mod kernel;
 pub mod label;
 pub mod oracle;
 pub mod parallel;
-pub mod pareto;
 pub mod point;
 pub mod rank;
 pub mod transform;
@@ -42,7 +41,6 @@ pub use index::{
 pub use label::Label;
 pub use oracle::{sort_linear_extension, RankOracle};
 pub use parallel::{max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold};
-pub use pareto::{maxima, minima, minima_2d};
 pub use point::Point;
 pub use rank::{
     compress_column_ranks, compress_column_ranks_with_values, rank_record, rank_records_into,

@@ -5,13 +5,15 @@
 //! ```
 //!
 //! The paper's oracle always answers; real annotators time out, flake,
-//! and abstain. This demo runs the Theorem-2 active solver through the
-//! fault-tolerant oracle stack three ways:
+//! and abstain. Every oracle here implements the one `LabelOracle`
+//! trait, whose probes return a `Result`, and the fault wrappers stack
+//! on any inner oracle. This demo runs the Theorem-2 active solver three
+//! ways:
 //!
 //! 1. a clean in-memory oracle (the baseline);
-//! 2. a 30%-flaky oracle behind a retrying circuit-breaker wrapper —
-//!    the retries absorb every transient, so the run is *bit-for-bit
-//!    identical* to the baseline;
+//! 2. a 30%-flaky oracle behind a retrying wrapper (bounded attempts
+//!    plus a circuit breaker) — the retries absorb every transient, so
+//!    the run is *bit-for-bit identical* to the baseline;
 //! 3. an oracle that permanently abstains on 10% of points — those
 //!    points are dropped from the sample and the solve degrades
 //!    gracefully, reporting exactly how.
@@ -57,8 +59,7 @@ fn main() {
     let flaky = FlakyOracle::from_labeled(&ds.data, 0.3, 7);
     let policy = RetryPolicy::default()
         .with_max_attempts(25)
-        .with_breaker_threshold(50)
-        .with_seed(3);
+        .with_breaker_threshold(50);
     let mut retrying = RetryOracle::new(flaky, policy);
     let faulty = solver
         .try_solve(ds.data.points(), &mut retrying)
@@ -70,6 +71,7 @@ fn main() {
     );
     describe("flaky", &faulty.report);
     assert_eq!(faulty.classifier, clean.classifier);
+    assert_eq!(faulty.probes_used, clean.probes_used);
     println!("  -> identical classifier and probe bill: retries made the flakiness invisible");
 
     // 3. Permanent faults: 10% of points are unanswerable.

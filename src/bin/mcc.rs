@@ -37,7 +37,8 @@
 //! structure — which is what carries the `n = 10⁷` solves; the output
 //! is the optimal weighted error and flip counts rather than a
 //! classifier file (the coordinates are never all resident, so there is
-//! nothing to anchor one on).
+//! nothing to anchor one on). `--out` and `--weighted` (MCC1 files carry
+//! their own weights) are usage errors there.
 
 use monotone_classification::bench::serve_load;
 use monotone_classification::chains::{AntichainPartition, ChainDecomposition};
@@ -49,8 +50,8 @@ use monotone_classification::obs;
 use monotone_classification::obs::json::Value;
 use monotone_classification::serve::{self, ServeConfig};
 use monotone_classification::{
-    AbstainingOracle, AnchorIndex, FallibleOracle, FlakyOracle, InfallibleAdapter, Label, McError,
-    MonotoneClassifier, OracleError, RetryOracle, RetryPolicy,
+    AbstainingOracle, AnchorIndex, FlakyOracle, McError, MonotoneClassifier, RetryOracle,
+    RetryPolicy,
 };
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -500,7 +501,7 @@ fn cmd_passive_impl(
         .first()
         .ok_or_else(|| CliError::Usage("passive: missing <data.csv>".into()))?;
     if path.ends_with(".mcc") {
-        return cmd_passive_columnar(path, values, obs_out);
+        return cmd_passive_columnar(path, values, flags, obs_out);
     }
     let text = read_file(path)?;
     let weighted = if flags.contains(&"weighted".to_string()) {
@@ -551,6 +552,7 @@ fn columnar_err(e: monotone_classification::data::columnar::ColumnarError) -> Cl
 fn cmd_passive_columnar(
     path: &str,
     values: &[(String, String)],
+    flags: &[String],
     obs_out: &ObsOutput,
 ) -> Result<(), CliError> {
     use monotone_classification::core::passive::solve_passive_scale_cancellable;
@@ -560,6 +562,11 @@ fn cmd_passive_columnar(
             "--out: columnar solves report counts, not a classifier \
              (the coordinates are never all resident)"
                 .into(),
+        ));
+    }
+    if flags.iter().any(|f| f == "weighted") {
+        return Err(CliError::Usage(
+            "--weighted: MCC1 files carry their own weights".into(),
         ));
     }
     let token = solve_token(values, obs_out)?;
@@ -611,31 +618,6 @@ fn cmd_passive_columnar(
         &[sol.report.to_json()],
     )?;
     Ok(())
-}
-
-/// Injects the `--flaky-rate` / `--abstain-rate` faults into a
-/// ground-truth oracle: a fixed subset permanently abstains, every other
-/// call fails transiently at the flaky rate.
-struct InjectedOracle {
-    flaky: FlakyOracle,
-    abstain_mask: AbstainingOracle,
-}
-
-impl FallibleOracle for InjectedOracle {
-    fn try_probe(&mut self, idx: usize) -> Result<Label, OracleError> {
-        if self.abstain_mask.is_unanswerable(idx) {
-            return Err(OracleError::Abstain { probe: idx });
-        }
-        self.flaky.try_probe(idx)
-    }
-
-    fn size(&self) -> usize {
-        self.flaky.size()
-    }
-
-    fn probes_charged(&self) -> usize {
-        self.flaky.probes_charged()
-    }
 }
 
 fn cmd_active(args: &[String]) -> Result<(), CliError> {
@@ -693,19 +675,16 @@ fn cmd_active_impl(
     let solver = ActiveSolver::new(ActiveParams::new(epsilon).with_seed(seed));
     let inject_faults = flaky_rate > 0.0 || abstain_rate > 0.0;
     let sol = if inject_faults {
-        let injected = InjectedOracle {
-            flaky: FlakyOracle::from_labeled(&data, flaky_rate, fault_seed),
-            abstain_mask: AbstainingOracle::from_labeled(&data, abstain_rate, fault_seed ^ 0xA5),
-        };
-        let policy = RetryPolicy::default()
-            .with_max_attempts(retry_attempts)
-            .with_seed(fault_seed ^ 0x5A);
+        // A fixed subset permanently abstains; every other call fails
+        // transiently at the flaky rate. Abstaining sits outside flaky,
+        // so an unanswerable point draws no flaky fault.
+        let flaky = FlakyOracle::from_labeled(&data, flaky_rate, fault_seed);
+        let injected = AbstainingOracle::new(flaky, abstain_rate, fault_seed ^ 0xA5);
+        let policy = RetryPolicy::default().with_max_attempts(retry_attempts);
         let mut oracle = RetryOracle::new(injected, policy);
         solver.try_solve(data.points(), &mut oracle)?
     } else {
-        let mut oracle = InMemoryOracle::from_labeled(&data);
-        let mut adapter = InfallibleAdapter::new(&mut oracle);
-        solver.try_solve(data.points(), &mut adapter)?
+        solver.try_solve(data.points(), &mut InMemoryOracle::from_labeled(&data))?
     };
     obs_out.finish(
         &[

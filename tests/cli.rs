@@ -460,6 +460,103 @@ fn active_reports_degradation_under_abstentions() {
     assert!(stdout.contains("DEGRADED"), "{stdout}");
 }
 
+/// Writes `generate entity-matching --n 2000 --noise 0.3 --seed 7` to a
+/// temp file of the given name.
+fn entity_matching_2k(name: &str) -> PathBuf {
+    let path = write_temp(name, "");
+    let gen = mcc()
+        .args(["generate", "entity-matching"])
+        .arg(&path)
+        .args(["--n", "2000", "--noise", "0.3", "--seed", "7"])
+        .output()
+        .unwrap();
+    assert!(
+        gen.status.success(),
+        "{}",
+        String::from_utf8_lossy(&gen.stderr)
+    );
+    path
+}
+
+fn active_stdout(data: &PathBuf, extra: &[&str]) -> String {
+    let out = mcc()
+        .args(["active"])
+        .arg(data)
+        .args(extra)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The injected faults draw their random values in a fixed order: an
+/// unanswerable point draws no flaky fault. These lines change if that
+/// order does.
+#[test]
+fn active_fault_injection_output_is_pinned() {
+    let data = entity_matching_2k("pinned-faults.csv");
+    let combined = active_stdout(
+        &data,
+        &[
+            "--flaky-rate",
+            "0.3",
+            "--abstain-rate",
+            "0.1",
+            "--fault-seed",
+            "7",
+        ],
+    );
+    for line in [
+        "probed 1780 / 2000 labels (89.0%)",
+        "oracle report: 2000 attempts, 786 retries, 220 abstentions\n",
+        "classifier error on probed-truth data = 271\n",
+    ] {
+        assert!(combined.contains(line), "{line:?} missing from {combined}");
+    }
+    let flaky = active_stdout(
+        &data,
+        &[
+            "--flaky-rate",
+            "0.3",
+            "--retry-attempts",
+            "20",
+            "--fault-seed",
+            "7",
+        ],
+    );
+    for line in [
+        "probed 2000 / 2000",
+        "oracle report: 2000 attempts, 910 retries, 0 abstentions\n",
+        "classifier error on probed-truth data = 263\n",
+    ] {
+        assert!(flaky.contains(line), "{line:?} missing from {flaky}");
+    }
+    let clean = active_stdout(&data, &[]);
+    assert!(clean.contains("probed 2000 / 2000"), "{clean}");
+    assert!(
+        clean.contains("classifier error on probed-truth data = 263\n"),
+        "{clean}"
+    );
+}
+
+/// Abstentions are answers from a live oracle, so a long run of them
+/// must not open the circuit breaker: every answerable point is asked.
+#[test]
+fn active_abstentions_leave_the_breaker_closed() {
+    let data = entity_matching_2k("abstain-breaker.csv");
+    let out = active_stdout(&data, &["--abstain-rate", "0.7", "--fault-seed", "7"]);
+    assert!(out.contains("probed 632 / 2000"), "{out}");
+    assert!(
+        out.contains("oracle report: 2000 attempts, 0 retries, 1368 abstentions\n"),
+        "{out}"
+    );
+    assert!(!out.contains("circuit breaker tripped"), "{out}");
+}
+
 #[test]
 fn active_rejects_bad_fault_rates_cleanly() {
     let data = write_temp("rates.csv", DEMO);
@@ -727,6 +824,41 @@ fn passive_rejects_the_retired_race_flags() {
         assert!(stderr.contains("unknown flag"), "{stderr}");
         assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
     }
+}
+
+#[test]
+fn passive_columnar_refuses_out_and_weighted() {
+    let data = write_temp("refusals.mcc", "");
+    let gen = mcc()
+        .args(["generate", "scale"])
+        .arg(&data)
+        .args(["--n", "2000", "--dim", "3", "--seed", "7"])
+        .output()
+        .unwrap();
+    assert!(
+        gen.status.success(),
+        "{}",
+        String::from_utf8_lossy(&gen.stderr)
+    );
+    let model = write_temp("refusals-model.csv", "");
+    std::fs::remove_file(&model).unwrap();
+    for (args, flag) in [
+        (vec!["--out".as_ref(), model.as_os_str()], "--out"),
+        (vec!["--weighted".as_ref()], "--weighted"),
+    ] {
+        let out = mcc()
+            .args(["passive"])
+            .arg(&data)
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}: no solve may run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{stderr}");
+        assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
+    }
+    assert!(!model.exists(), "a refused --out must write nothing");
 }
 
 #[test]
