@@ -138,7 +138,7 @@ pub fn try_solve_with_budget(
                     Ok(label) => {
                         sigma.push(points.point(i), label, 1.0);
                     }
-                    Err(_) => report.abstentions += 1,
+                    Err(_) => report.dropped += 1,
                 }
             }
             continue;
@@ -158,7 +158,7 @@ pub fn try_solve_with_budget(
             report.attempts += 1;
             match oracle.probe(i) {
                 Ok(label) => answered.push((i, label)),
-                Err(_) => report.abstentions += 1,
+                Err(_) => report.dropped += 1,
             }
         }
         if !answered.is_empty() {
@@ -283,7 +283,7 @@ mod tests {
         let mut oracle = AbstainingOracle::from_labeled(&ls, 0.15, 8);
         let sol = try_solve_with_budget(ls.points(), &mut oracle, 500, 2).unwrap();
         assert!(sol.report.degraded);
-        assert!(sol.report.abstentions > 0);
+        assert!(sol.report.dropped > 0);
         assert!(find_monotonicity_violation(
             ls.points(),
             &sol.classifier.classify_set(ls.points())

@@ -161,7 +161,7 @@ pub fn weighted_sample_1d(
 }
 
 /// [`weighted_sample_1d`] with a report: draws whose probe fails are
-/// *dropped* from Σ (counted in `report.abstentions`) while every
+/// *dropped* from Σ (counted in `report.dropped`) while every
 /// level's weight is rescaled to the draws that did answer. A failed
 /// draw consumes the same randomness as an answered one, so a run whose
 /// transient failures a retry layer absorbs matches a fault-free run
@@ -195,8 +195,8 @@ pub fn try_weighted_sample_1d(
     Ok(out)
 }
 
-/// Probes `pos`, pushing a Σ entry on success and recording an
-/// abstention (point dropped) on permanent failure.
+/// Probes `pos`, pushing a Σ entry on success and counting the point
+/// as dropped on permanent failure.
 fn probe_into(
     oracle: &mut dyn LabelOracle,
     pos: usize,
@@ -215,7 +215,7 @@ fn probe_into(
             Some(label)
         }
         Err(_) => {
-            report.abstentions += 1;
+            report.dropped += 1;
             None
         }
     }
@@ -272,7 +272,7 @@ fn recurse(
                     zeros[pos - lo] += 1;
                 }
             }
-            Err(_) => report.abstentions += 1,
+            Err(_) => report.dropped += 1,
         }
     }
     out.draws += t;
@@ -352,7 +352,7 @@ fn recurse(
                 report.attempts += 1;
                 match oracle.probe(pos) {
                     Ok(label) => s2.push((pos, label)),
-                    Err(_) => report.abstentions += 1,
+                    Err(_) => report.dropped += 1,
                 }
             }
             out.draws += t2;
@@ -608,7 +608,7 @@ mod tests {
             try_weighted_sample_1d(&mut zero_fault, &params, &mut rng, &mut report).unwrap();
         assert_eq!(baseline.sigma, faultless.sigma);
         assert_eq!(baseline.draws, faultless.draws);
-        assert_eq!(report.abstentions, 0);
+        assert_eq!(report.dropped, 0);
         assert!(report.attempts > 0);
     }
 
@@ -622,7 +622,7 @@ mod tests {
         let mut report = SolveReport::default();
         let params = OneDimParams::new(1.0, 0.1);
         let res = try_weighted_sample_1d(&mut oracle, &params, &mut rng, &mut report).unwrap();
-        assert!(report.abstentions > 0, "10% abstention must drop draws");
+        assert!(report.dropped > 0, "10% abstention must drop draws");
         // Σ never contains an unanswerable point.
         for e in &res.sigma {
             assert!(!oracle.is_unanswerable(e.position));
@@ -647,7 +647,7 @@ mod tests {
         let params = OneDimParams::new(1.0, 0.1);
         let res = try_weighted_sample_1d(&mut oracle, &params, &mut rng, &mut report).unwrap();
         assert!(res.sigma.is_empty(), "no answers → no Σ, but no panic");
-        assert!(report.abstentions > 0);
+        assert!(report.dropped > 0);
     }
 
     #[test]

@@ -391,7 +391,7 @@ impl ActiveSolver {
         mc_obs::counter_add("sampling.sigma_points", sigma.len() as u64);
         mc_obs::counter_add("oracle.attempts", report.attempts as u64);
         mc_obs::counter_add("oracle.retries", report.retries as u64);
-        mc_obs::counter_add("oracle.abstentions", report.abstentions as u64);
+        mc_obs::counter_add("oracle.dropped", report.dropped as u64);
         if report.breaker_tripped {
             mc_obs::event("oracle.breaker_tripped", &[]);
         }
@@ -542,7 +542,7 @@ mod tests {
         assert_eq!(clean.classifier, faulty.classifier);
         assert_eq!(clean.probes_used, faulty.probes_used);
         assert!(faulty.report.retries > 0, "30% failures must cause retries");
-        assert_eq!(faulty.report.abstentions, 0);
+        assert_eq!(faulty.report.dropped, 0);
         assert!(!faulty.report.degraded);
         assert!(clean.report.is_clean());
     }
@@ -557,7 +557,7 @@ mod tests {
         let solver = ActiveSolver::with_epsilon(0.5);
         let sol = solver.try_solve(ls.points(), &mut oracle).unwrap();
         assert!(sol.report.degraded);
-        assert!(sol.report.abstentions > 0);
+        assert!(sol.report.dropped > 0);
         // The degraded classifier is still monotone and Σ contains no
         // unanswerable point.
         assert!(find_monotonicity_violation(

@@ -6,7 +6,7 @@
 //! [`MonotoneClassifier`](crate::classifier::MonotoneClassifier) built
 //! from those coordinates. At `n = 10⁷` the coordinates themselves are
 //! the wall: a columnar reader can stream them through
-//! [`mc_geom::rank_records_into`] one dimension at a time, after
+//! [`mc_geom::rank_keys_into`] one dimension at a time, after
 //! which only the `O(d·n)` u32 [`RankTable`] — not the f64s — needs to
 //! exist. Dominance is a rank comparison, so the *solve* never misses
 //! them; only the anchor-representation classifier would, and at this

@@ -27,9 +27,10 @@ pub struct SolveReport {
     /// [`RetryOracle`](crate::oracle::RetryOracle) beyond the first per
     /// request (0 for oracles without one).
     pub retries: usize,
-    /// Probe requests that failed for good; the corresponding draws or
-    /// points were dropped from the sample Σ.
-    pub abstentions: usize,
+    /// Probe requests that failed for good, whatever the cause: an
+    /// abstention, a spent budget, retries run out or an open breaker.
+    /// The corresponding draws or points were dropped from the sample Σ.
+    pub dropped: usize,
     /// `true` iff a circuit breaker opened during the solve.
     pub breaker_tripped: bool,
     /// `true` iff the result was fit on a sample degraded by permanent
@@ -46,7 +47,7 @@ pub struct SolveReport {
 impl SolveReport {
     /// `true` iff the run saw no failures at all (retries included).
     pub fn is_clean(&self) -> bool {
-        self.retries == 0 && self.abstentions == 0 && !self.breaker_tripped && !self.degraded
+        self.retries == 0 && self.dropped == 0 && !self.breaker_tripped && !self.degraded
     }
 
     /// Folds in the oracle-layer counter movement across the solve
@@ -54,7 +55,7 @@ impl SolveReport {
     pub(crate) fn finalize(&mut self, before: &OracleStats, after: &OracleStats) {
         self.retries += after.retries.saturating_sub(before.retries);
         self.breaker_tripped |= after.breaker_tripped;
-        self.degraded = self.abstentions > 0 || self.breaker_tripped;
+        self.degraded = self.dropped > 0 || self.breaker_tripped;
         self.stamp_peak_rss();
     }
 
@@ -75,7 +76,7 @@ impl SolveReport {
             .str("type", "solve_report")
             .u64("attempts", self.attempts as u64)
             .u64("retries", self.retries as u64)
-            .u64("abstentions", self.abstentions as u64)
+            .u64("dropped", self.dropped as u64)
             .bool("breaker_tripped", self.breaker_tripped)
             .bool("degraded", self.degraded)
             .u64("peak_rss_bytes", self.peak_rss_bytes)
@@ -98,7 +99,7 @@ mod tests {
     fn finalize_folds_stats_delta() {
         let mut r = SolveReport {
             attempts: 10,
-            abstentions: 2,
+            dropped: 2,
             ..SolveReport::default()
         };
         let before = OracleStats {
@@ -122,14 +123,14 @@ mod tests {
         let r = SolveReport {
             attempts: 12,
             retries: 3,
-            abstentions: 1,
+            dropped: 1,
             breaker_tripped: false,
             degraded: true,
             peak_rss_bytes: 4096,
         };
         assert_eq!(
             r.to_json(),
-            r#"{"type":"solve_report","attempts":12,"retries":3,"abstentions":1,"breaker_tripped":false,"degraded":true,"peak_rss_bytes":4096}"#
+            r#"{"type":"solve_report","attempts":12,"retries":3,"dropped":1,"breaker_tripped":false,"degraded":true,"peak_rss_bytes":4096}"#
         );
     }
 

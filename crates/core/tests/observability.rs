@@ -53,10 +53,7 @@ fn spans_nest_across_active_passive_boundary() {
     // this (single, post-reset) solve.
     assert_eq!(s.counter("oracle.attempts"), sol.report.attempts as u64);
     assert_eq!(s.counter("oracle.retries"), sol.report.retries as u64);
-    assert_eq!(
-        s.counter("oracle.abstentions"),
-        sol.report.abstentions as u64
-    );
+    assert_eq!(s.counter("oracle.dropped"), sol.report.dropped as u64);
     assert_eq!(
         s.counter("passive.points"),
         s.counter("sampling.sigma_points")

@@ -4,8 +4,8 @@
 //! is exactly the wall the streaming solve of `mc_core::passive::scale`
 //! exists to avoid. This module defines a minimal binary format, `MCC1`,
 //! laid out **column-major** so a reader can feed the rank kernel
-//! ([`mc_geom::rank_records_into`]) one dimension at a time and never
-//! hold more than one column's sort records plus the `u32` rank table:
+//! ([`mc_geom::rank_keys_into`]) one dimension at a time and never
+//! hold more than one column's sort scratch plus the `u32` rank table:
 //!
 //! ```text
 //! magic   4 bytes  b"MCC1"
@@ -24,7 +24,7 @@
 //! the banded minority-positive scale workload from a counter-based
 //! generator, `O(1)` resident no matter the `n`.
 
-use mc_geom::{rank_record, rank_records_into, Label, RankTable, WeightedSet};
+use mc_geom::{rank_key, rank_keys_into, Label, RankTable, WeightedSet};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -258,9 +258,9 @@ impl ColumnarDataset {
 
     /// Builds the `O(d·n)` [`RankTable`] by streaming one column at a
     /// time into the rank kernel: each value is decoded straight into its
-    /// [`rank_record`], and [`rank_records_into`] writes the column's
-    /// ranks into the table. Peak residency beyond the returned table is
-    /// the kernel's `16·n`-byte record buffer, reused across columns. The
+    /// [`rank_key`] in the kernel's scratch, and [`rank_keys_into`] writes
+    /// the column's ranks into the table. Peak residency beyond the
+    /// returned table is that `16·n`-byte scratch, reused across columns. The
     /// coordinates are gone when this returns; dominance queries live on
     /// as rank comparisons. The reads and the ranking run under the
     /// `columnar_load/read` and `columnar_load/rank` spans.
@@ -268,7 +268,7 @@ impl ColumnarDataset {
         let _span = mc_obs::span("columnar_load");
         let n = self.n;
         let mut ranks = vec![0u32; self.dim * n];
-        let mut records: Vec<u128> = Vec::with_capacity(n);
+        let mut scratch = vec![0u64; 2 * n];
         // Progress only — loading is not cancellable, so the checkpoint
         // rides a never-token and just publishes one unit per value
         // streamed into `progress.columnar_load.*`.
@@ -276,13 +276,12 @@ impl ColumnarDataset {
         let mut cp =
             mc_obs::Checkpoint::with_progress(&token, "columnar_load", self.dim as u64 * n as u64);
         for (k, out) in ranks.chunks_exact_mut(n.max(1)).enumerate() {
-            records.clear();
             {
                 let _read = mc_obs::span("read");
-                self.read_column_with(k, |i, v| records.push(rank_record(i, v)))?;
+                self.read_column_with(k, |i, v| scratch[i] = rank_key(v))?;
             }
             let _rank = mc_obs::span("rank");
-            rank_records_into(&mut records, out);
+            rank_keys_into(&mut scratch, out);
             let _ = cp.tick(n as u64);
         }
         Ok(RankTable::from_rank_columns(n, self.dim, ranks))

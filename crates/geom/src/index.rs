@@ -468,9 +468,9 @@ impl RankTable {
     /// (`ranks[k * n + i]`), the streaming entry point: callers that
     /// cannot hold all coordinates resident (e.g. a columnar file at
     /// `n = 10⁷`) rank one dimension at a time with
-    /// [`crate::rank::rank_records_into`] straight into the column slices
+    /// [`crate::rank::rank_keys_into`] straight into the column slices
     /// and hand the columns here, so peak residency stays one column's
-    /// sort records plus the `u32` ranks.
+    /// sort scratch plus the `u32` ranks.
     ///
     /// # Panics
     ///

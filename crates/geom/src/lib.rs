@@ -43,7 +43,7 @@ pub use oracle::{sort_linear_extension, RankOracle};
 pub use parallel::{max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold};
 pub use point::Point;
 pub use rank::{
-    compress_column_ranks, compress_column_ranks_with_values, rank_record, rank_records_into,
+    compress_column_ranks, compress_column_ranks_with_values, rank_key, rank_keys_into,
 };
 pub use transform::{transform_pointset, AxisTransform};
 

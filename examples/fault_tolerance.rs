@@ -27,12 +27,8 @@ use monotone_classification::{
 
 fn describe(name: &str, report: &SolveReport) {
     println!(
-        "  [{name}] attempts {}, retries {}, abstentions {}, breaker {}, degraded {}",
-        report.attempts,
-        report.retries,
-        report.abstentions,
-        report.breaker_tripped,
-        report.degraded
+        "  [{name}] attempts {}, retries {}, dropped {}, breaker {}, degraded {}",
+        report.attempts, report.retries, report.dropped, report.breaker_tripped, report.degraded
     );
 }
 

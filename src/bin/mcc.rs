@@ -148,6 +148,8 @@ const USAGE: &str = "usage:
                [--watch-abort]
                columnar MCC1 input: streams the matrix-free solve, prints
                error and flip counts (no classifier output at scale)
+               on both inputs --time-limit, --telemetry and --watch-abort
+               cover the solve, which starts once the input is loaded
   mcc active   <data.csv> [--epsilon E] [--seed S] [--out classifier.csv]
                [--flaky-rate P] [--abstain-rate P] [--retry-attempts N]
                [--fault-seed S] [--trace] [--metrics-out metrics.jsonl]
@@ -476,19 +478,17 @@ fn parse_secs(values: &[(String, String)], name: &str) -> Result<Option<Duration
         .ok_or_else(|| CliError::Param(format!("--{name}: expected positive seconds, got {v:?}")))
 }
 
-/// The token a solo `mcc passive` solve (plain CSV or columnar) polls:
-/// a deadline under `--time-limit`, else a live token under
+/// The token a solo `mcc passive` solve (plain CSV or columnar) polls,
+/// made once the input is loaded so that `--time-limit` bounds the
+/// solve alone: a deadline under the limit, else a live token under
 /// `--watch-abort` for the stall watchdog to cancel (`never()` has no
 /// shared state to cancel), else `never()`.
-fn solve_token(
-    values: &[(String, String)],
-    obs_out: &ObsOutput,
-) -> Result<obs::CancelToken, CliError> {
-    Ok(match parse_secs(values, "time-limit")? {
+fn solve_token(limit: Option<Duration>, obs_out: &ObsOutput) -> obs::CancelToken {
+    match limit {
         Some(limit) => obs::CancelToken::with_deadline(limit),
         None if obs_out.watch_abort() => obs::CancelToken::new(),
         None => obs::CancelToken::never(),
-    })
+    }
 }
 
 fn cmd_passive_impl(
@@ -500,8 +500,9 @@ fn cmd_passive_impl(
     let path = pos
         .first()
         .ok_or_else(|| CliError::Usage("passive: missing <data.csv>".into()))?;
+    let limit = parse_secs(values, "time-limit")?;
     if path.ends_with(".mcc") {
-        return cmd_passive_columnar(path, values, flags, obs_out);
+        return cmd_passive_columnar(path, values, flags, limit, obs_out);
     }
     let text = read_file(path)?;
     let weighted = if flags.contains(&"weighted".to_string()) {
@@ -509,7 +510,7 @@ fn cmd_passive_impl(
     } else {
         parse_data(&text)?.with_unit_weights()
     };
-    let token = solve_token(values, obs_out)?;
+    let token = solve_token(limit, obs_out);
     let meta = [
         ("tool", Value::S("mcc passive".into())),
         ("n", Value::U(weighted.len() as u64)),
@@ -553,6 +554,7 @@ fn cmd_passive_columnar(
     path: &str,
     values: &[(String, String)],
     flags: &[String],
+    limit: Option<Duration>,
     obs_out: &ObsOutput,
 ) -> Result<(), CliError> {
     use monotone_classification::core::passive::solve_passive_scale_cancellable;
@@ -569,10 +571,15 @@ fn cmd_passive_columnar(
             "--weighted: MCC1 files carry their own weights".into(),
         ));
     }
-    let token = solve_token(values, obs_out)?;
     let start = Instant::now();
     let mut ds = ColumnarDataset::open(path).map_err(columnar_err)?;
     let (n, d) = (ds.len(), ds.dim());
+    let table = ds.rank_table().map_err(columnar_err)?;
+    let labels = ds.read_labels().map_err(columnar_err)?;
+    let weights = ds.read_weights().map_err(columnar_err)?;
+    drop(ds);
+    let load_secs = start.elapsed().as_secs_f64();
+    let token = solve_token(limit, obs_out);
     obs_out.start_telemetry(
         Some(token.clone()),
         &[
@@ -582,11 +589,6 @@ fn cmd_passive_columnar(
             ("d", Value::U(d as u64)),
         ],
     )?;
-    let table = ds.rank_table().map_err(columnar_err)?;
-    let labels = ds.read_labels().map_err(columnar_err)?;
-    let weights = ds.read_weights().map_err(columnar_err)?;
-    drop(ds);
-    let load_secs = start.elapsed().as_secs_f64();
     let sol = solve_passive_scale_cancellable(&table, &labels, &weights, &token)?;
     let total_secs = start.elapsed().as_secs_f64();
     println!(
@@ -711,10 +713,10 @@ fn cmd_active_impl(
     if inject_faults {
         let r = &sol.report;
         println!(
-            "oracle report: {} attempts, {} retries, {} abstentions{}",
+            "oracle report: {} attempts, {} retries, {} dropped{}",
             r.attempts,
             r.retries,
-            r.abstentions,
+            r.dropped,
             if r.breaker_tripped {
                 ", circuit breaker tripped"
             } else {

@@ -512,7 +512,7 @@ fn active_fault_injection_output_is_pinned() {
     );
     for line in [
         "probed 1780 / 2000 labels (89.0%)",
-        "oracle report: 2000 attempts, 786 retries, 220 abstentions\n",
+        "oracle report: 2000 attempts, 786 retries, 220 dropped\n",
         "classifier error on probed-truth data = 271\n",
     ] {
         assert!(combined.contains(line), "{line:?} missing from {combined}");
@@ -530,7 +530,7 @@ fn active_fault_injection_output_is_pinned() {
     );
     for line in [
         "probed 2000 / 2000",
-        "oracle report: 2000 attempts, 910 retries, 0 abstentions\n",
+        "oracle report: 2000 attempts, 910 retries, 0 dropped\n",
         "classifier error on probed-truth data = 263\n",
     ] {
         assert!(flaky.contains(line), "{line:?} missing from {flaky}");
@@ -551,7 +551,7 @@ fn active_abstentions_leave_the_breaker_closed() {
     let out = active_stdout(&data, &["--abstain-rate", "0.7", "--fault-seed", "7"]);
     assert!(out.contains("probed 632 / 2000"), "{out}");
     assert!(
-        out.contains("oracle report: 2000 attempts, 0 retries, 1368 abstentions\n"),
+        out.contains("oracle report: 2000 attempts, 0 retries, 1368 dropped\n"),
         "{out}"
     );
     assert!(!out.contains("circuit breaker tripped"), "{out}");

@@ -231,7 +231,7 @@ mod fault_tolerance {
                 ),
                 None
             );
-            prop_assert_eq!(sol.report.degraded, sol.report.abstentions > 0);
+            prop_assert_eq!(sol.report.degraded, sol.report.dropped > 0);
         }
     }
 }

@@ -145,7 +145,7 @@ fn permanent_abstentions_degrade_gracefully() {
     let solver = ActiveSolver::new(ActiveParams::new(0.5).with_seed(2));
     let sol = solver.try_solve(ds.data.points(), &mut oracle).unwrap();
     assert!(sol.report.degraded);
-    assert!(sol.report.abstentions > 0);
+    assert!(sol.report.dropped > 0);
     assert!(find_monotonicity_violation(
         ds.data.points(),
         &sol.classifier.classify_set(ds.data.points())
