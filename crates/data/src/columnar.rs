@@ -260,10 +260,10 @@ impl ColumnarDataset {
     /// time into the rank kernel: each value is decoded straight into its
     /// [`rank_key`] in the kernel's scratch, and [`rank_keys_into`] writes
     /// the column's ranks into the table. Peak residency beyond the
-    /// returned table is that `16·n`-byte scratch, reused across columns. The
-    /// coordinates are gone when this returns; dominance queries live on
-    /// as rank comparisons. The reads and the ranking run under the
-    /// `columnar_load/read` and `columnar_load/rank` spans.
+    /// returned table is that `16·n`-byte scratch, reused across
+    /// columns. The coordinates are gone when this returns; dominance
+    /// queries live on as rank comparisons. The reads and the ranking
+    /// run under the `columnar_load/read` and `columnar_load/rank` spans.
     pub fn rank_table(&mut self) -> Result<RankTable, ColumnarError> {
         let _span = mc_obs::span("columnar_load");
         let n = self.n;

@@ -19,9 +19,9 @@
 //!    digits of the packed bits in the same pass.
 //! 3. Sorts the records by LSD radix, ping-ponging between the two
 //!    halves of the scratch and skipping every pass whose digit is the
-//!    same for the whole column. Columns shorter than [`RADIX_CUTOFF`]
-//!    use `sort_unstable` instead: three 2048-bucket histograms cost
-//!    more than they save there.
+//!    same for the whole column. Columns shorter than 1,024 points use
+//!    `sort_unstable` instead: three 2048-bucket histograms cost more
+//!    than they save there.
 //! 4. Walks the sorted records handing out dense ranks. Records that tie
 //!    on the packed bits but may differ below them are sorted by their
 //!    parked low bits (in the free half of the scratch) before the walk
