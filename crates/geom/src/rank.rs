@@ -324,8 +324,9 @@ mod tests {
     }
 
     /// A column of `n` values, each drawn from one of the families in
-    /// `mask`: uniform, heavy duplicates, a constant, special values,
-    /// the long shared prefix of [1, 2), and `1.0 + k·ε`, which agrees
+    /// `mask`: uniform in [-1000, 1000) and in [0, 1), heavy duplicates,
+    /// a constant, special values, the long shared prefix of [1, 2),
+    /// and `1.0 + k·ε`, which agrees
     /// with 1.0 on every bit but the lowest few. Mixed with a family
     /// that varies in the high bits, the last ties on the packed key
     /// bits and is ordered by the parked low bits.
