@@ -1,10 +1,9 @@
 //! Criterion benchmarks for the Theorem-4 passive flow pipeline: the
 //! paper-literal dense `O(n²)`-edge reference (`solve_passive_dense`) vs
 //! the chain-ladder sparsification (`O(w·n)` edges) that `PassiveSolver`
-//! builds at `d ≥ 3`, end to end,
-//! recorded to `BENCH_flow.json` at the repo root (the ISSUE's ≥3×
-//! acceptance gate at n = 20 000, d = 4; override the size list with
-//! `MC_BENCH_FLOW_N` for smoke runs).
+//! builds at `d ≥ 3`, end to end, recorded to `BENCH_flow.json` at the
+//! repo root under the keys `dense` and `ladder` (n = 2 000 and 20 000,
+//! d = 4; override the size list with `MC_BENCH_FLOW_N` for smoke runs).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mc_core::passive::{solve_passive_dense, PassiveSolution, PassiveSolver};
@@ -58,7 +57,7 @@ fn bench_strategies(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dense", n), &ws, |b, ws| {
             b.iter(|| solve_passive_dense(ws).weighted_error)
         });
-        group.bench_with_input(BenchmarkId::new("sparse", n), &ws, |b, ws| {
+        group.bench_with_input(BenchmarkId::new("ladder", n), &ws, |b, ws| {
             b.iter(|| PassiveSolver::new().solve(ws).weighted_error)
         });
     }
@@ -81,9 +80,9 @@ fn time_runs<O>(reps: usize, mut f: impl FnMut() -> O) -> Duration {
 struct SizeResult {
     n: usize,
     dense: Duration,
-    sparse: Duration,
+    ladder: Duration,
     dense_edges: u64,
-    sparse_edges: u64,
+    ladder_edges: u64,
     width: u64,
     contending: u64,
     error_identical: bool,
@@ -109,30 +108,30 @@ fn measure(n: usize, width: usize, noise: f64, reps: usize) -> SizeResult {
     println!("flow/comparison: dense vs chain ladder at n = {n}, d = 4 ({reps} reps each)");
 
     let dense = time_runs(reps, || solve_passive_dense(&ws).weighted_error);
-    let sparse = time_runs(reps, || PassiveSolver::new().solve(&ws).weighted_error);
+    let ladder = time_runs(reps, || PassiveSolver::new().solve(&ws).weighted_error);
 
     // Equivalence + counters off one instrumented solve per network.
     let (dense_err, dense_snap) = instrumented_solve(&ws, solve_passive_dense);
-    let (sparse_err, sparse_snap) = instrumented_solve(&ws, |ws| PassiveSolver::new().solve(ws));
+    let (ladder_err, ladder_snap) = instrumented_solve(&ws, |ws| PassiveSolver::new().solve(ws));
 
     let result = SizeResult {
         n,
         dense,
-        sparse,
+        ladder,
         dense_edges: dense_snap.counter("passive.network_edges"),
-        sparse_edges: sparse_snap.counter("passive.network_edges"),
-        width: sparse_snap.counter("passive.ladder_chains"),
-        contending: sparse_snap.counter("passive.contending"),
-        error_identical: (dense_err - sparse_err).abs() < 1e-9,
-        weighted_error: sparse_err,
+        ladder_edges: ladder_snap.counter("passive.network_edges"),
+        width: ladder_snap.counter("passive.ladder_chains"),
+        contending: ladder_snap.counter("passive.contending"),
+        error_identical: (dense_err - ladder_err).abs() < 1e-9,
+        weighted_error: ladder_err,
     };
     println!(
-        "flow/comparison: n = {n} | dense {dense:?} ({} edges) -> sparse {sparse:?} \
+        "flow/comparison: n = {n} | dense {dense:?} ({} edges) -> ladder {ladder:?} \
          ({} edges, width {}) = {:.1}x, errors identical: {}",
         result.dense_edges,
-        result.sparse_edges,
+        result.ladder_edges,
         result.width,
-        dense.as_secs_f64() / sparse.as_secs_f64(),
+        dense.as_secs_f64() / ladder.as_secs_f64(),
         result.error_identical,
     );
     result
@@ -153,7 +152,7 @@ fn record_comparison(_c: &mut Criterion) {
         .map(|&n| measure(n, width, noise, reps))
         .collect();
     let last = results.last().expect("at least one size");
-    let speedup = last.dense.as_secs_f64() / last.sparse.as_secs_f64();
+    let speedup = last.dense.as_secs_f64() / last.ladder.as_secs_f64();
     let error_identical = results.iter().all(|r| r.error_identical);
 
     let size_entries: Vec<String> = results
@@ -162,21 +161,21 @@ fn record_comparison(_c: &mut Criterion) {
             format!(
                 r#"    {{
       "n": {},
-      "timings_ms": {{ "dense_solve": {:.3}, "sparse_solve": {:.3} }},
-      "edges": {{ "dense": {}, "sparse": {} }},
+      "timings_ms": {{ "dense_solve": {:.3}, "ladder_solve": {:.3} }},
+      "edges": {{ "dense": {}, "ladder": {} }},
       "stats": {{ "width": {}, "contending": {}, "weighted_error": {:.3} }},
       "speedup": {:.2},
       "error_identical": {}
     }}"#,
                 r.n,
                 r.dense.as_secs_f64() * 1e3,
-                r.sparse.as_secs_f64() * 1e3,
+                r.ladder.as_secs_f64() * 1e3,
                 r.dense_edges,
-                r.sparse_edges,
+                r.ladder_edges,
                 r.width,
                 r.contending,
                 r.weighted_error,
-                r.dense.as_secs_f64() / r.sparse.as_secs_f64(),
+                r.dense.as_secs_f64() / r.ladder.as_secs_f64(),
                 r.error_identical,
             )
         })
@@ -191,17 +190,17 @@ fn record_comparison(_c: &mut Criterion) {
   "sizes": [
 {}
   ],
-  "timings_ms": {{ "dense_solve": {:.3}, "sparse_solve": {:.3} }},
-  "edges": {{ "dense": {}, "sparse": {} }},
+  "timings_ms": {{ "dense_solve": {:.3}, "ladder_solve": {:.3} }},
+  "edges": {{ "dense": {}, "ladder": {} }},
   "speedup": {{ "end_to_end": {speedup:.2} }},
   "equivalence": {{ "error_identical": {error_identical} }}
 }}
 "#,
         size_entries.join(",\n"),
         last.dense.as_secs_f64() * 1e3,
-        last.sparse.as_secs_f64() * 1e3,
+        last.ladder.as_secs_f64() * 1e3,
         last.dense_edges,
-        last.sparse_edges,
+        last.ladder_edges,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flow.json");
     std::fs::write(path, json).expect("write BENCH_flow.json");

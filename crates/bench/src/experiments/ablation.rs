@@ -1,4 +1,4 @@
-//! **A1–A3 (ablations).** Design choices called out in DESIGN.md:
+//! **A1, A2, A4 (ablations).** Design choices called out in DESIGN.md:
 //!
 //! * **A1 — estimation granularity `φ = ε/divisor`.** The paper proves
 //!   its bounds with divisor 256; we default to 8. The ablation shows the
@@ -7,16 +7,14 @@
 //! * **A2 — chain decomposition algorithm.** Generic Lemma-6 pipeline
 //!   (`O(d·n² + n^2.5)`) vs the 2D patience specialization
 //!   (`O(n log n)`): identical widths, orders-of-magnitude time gap.
-//! * **A3 — max-flow algorithm inside the passive solver.** Dinic vs
-//!   the Edmonds–Karp reference on classifier-shaped networks.
+//! * **A4 — decomposition minimality.** Probing cost as a minimum
+//!   decomposition is fragmented into more chains.
 
 use crate::report::{fmt_duration, fmt_f64, Table};
 use mc_chains::{ChainDecomposition, TwoDimDecomposition};
-use mc_core::passive::PassiveSolver;
 use mc_core::{ActiveParams, ActiveSolver, InMemoryOracle};
 use mc_data::controlled_width::{generate, ControlledWidthConfig};
 use mc_data::planted::{planted_sum_concept, PlantedConfig};
-use mc_flow::{Dinic, EdmondsKarp};
 use std::time::Instant;
 
 /// Runs the ablations.
@@ -100,46 +98,6 @@ pub fn run(quick: bool) -> Vec<Table> {
     println!("{a2}");
     tables.push(a2);
 
-    // --- A3: flow algorithm inside the passive solver. ---
-    let mut a3 = Table::new(
-        "A3 (ablation): max-flow algorithm inside the passive solver",
-        &["n", "algorithm", "w-err", "time"],
-    );
-    let sizes: &[usize] = if quick {
-        &[500, 1500]
-    } else {
-        &[500, 1500, 4000]
-    };
-    for &n in sizes {
-        let ds = planted_sum_concept(&PlantedConfig::new(n, 2, 0.15, 0xA3));
-        let ws = ds.data.with_unit_weights();
-        let mut reference = None;
-        let run = |name: &str, err: f64, t, a3: &mut Table, reference: &mut Option<f64>| {
-            match reference {
-                None => *reference = Some(err),
-                Some(r) => assert!((*r - err).abs() < 1e-9, "{name} disagrees"),
-            }
-            a3.add_row(vec![
-                n.to_string(),
-                name.into(),
-                fmt_f64(err),
-                fmt_duration(t),
-            ]);
-        };
-        let t0 = Instant::now();
-        let e = PassiveSolver::with_algorithm(Dinic)
-            .solve(&ws)
-            .weighted_error;
-        run("dinic", e, t0.elapsed(), &mut a3, &mut reference);
-        let t0 = Instant::now();
-        let e = PassiveSolver::with_algorithm(EdmondsKarp)
-            .solve(&ws)
-            .weighted_error;
-        run("edmonds-karp", e, t0.elapsed(), &mut a3, &mut reference);
-    }
-    println!("{a3}");
-    tables.push(a3);
-
     // --- A4: decomposition minimality. ---
     // Theorem 2's probing bound is per-chain, which is why the paper
     // insists on a *minimum* decomposition (Lemma 6). We isolate the
@@ -200,8 +158,8 @@ pub fn run(quick: bool) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn quick_run_produces_four_tables() {
+    fn quick_run_produces_three_tables() {
         let tables = super::run(true);
-        assert_eq!(tables.len(), 4);
+        assert_eq!(tables.len(), 3);
     }
 }

@@ -10,9 +10,9 @@
 
 use crate::classifier::MonotoneClassifier;
 use crate::passive::contending::ContendingPoints;
-use crate::passive::solver::{solve_network, PassiveSolution};
-use crate::passive::sparse::ClassifierNetwork;
-use mc_flow::{Capacity, Dinic, FlowNetwork};
+use crate::passive::pipeline::{read_cut, ClassifierNetwork};
+use crate::passive::solver::PassiveSolution;
+use mc_flow::{Capacity, FlowNetwork};
 use mc_geom::{bitmask_of, iter_ones, DominanceIndex, Label, WeightedSet};
 use mc_obs::CancelToken;
 
@@ -92,9 +92,9 @@ pub fn solve_passive_dense(data: &WeightedSet) -> PassiveSolution {
     let con = ContendingPoints::compute_generic_parallel(data);
     let network = (!con.is_empty())
         .then(|| build_dense_network(data, &con, &DominanceIndex::build(data.points())));
-    solve_network(&Dinic, data, con, network, &CancelToken::never(), false)
-        .expect("a never-token cannot cancel")
-        .0
+    let cut = read_cut(con, network, data.len(), &CancelToken::never(), false)
+        .expect("a never-token cannot cancel");
+    PassiveSolution::from_cut(data, cut)
 }
 
 /// The Section-5.1 network over `con`: one infinite type-3 edge per

@@ -123,7 +123,7 @@ pub fn certify_passive(data: &WeightedSet) -> (PassiveSolution, Certificate) {
 /// pointers never move backwards.
 pub(crate) fn decompose_flow(
     con: &ContendingPoints,
-    network: &crate::passive::sparse::ClassifierNetwork,
+    network: &crate::passive::pipeline::ClassifierNetwork,
     flow: &mc_flow::FlowSolution,
 ) -> Vec<InversionCharge> {
     const EPS: f64 = 1e-9;

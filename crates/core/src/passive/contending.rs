@@ -17,7 +17,7 @@
 //!
 //! Discovery strategies, fastest applicable first:
 //!
-//! * `d ≤ 2` — the `O(n log n)` sweep in `crate::passive::sparse`;
+//! * `d ≤ 2` — the `O(n log n)` rank sweep in `crate::passive::sparse`;
 //! * `d ≥ 3` in the solver — the chain ladder's binary searches
 //!   (`crate::passive::ladder`);
 //! * `d ≥ 3` in [`ContendingPoints::compute`] — one dominator-row `AND`
@@ -28,7 +28,7 @@
 //!
 //! None of them builds a `Θ(n²/64)` dominator matrix.
 
-use mc_geom::{bitmask_of, iter_ones, parallel_chunks, RankOracle, WeightedSet};
+use mc_geom::{bitmask_of, iter_ones, parallel_chunks, RankOracle, RankTable, WeightedSet};
 use std::ops::Range;
 
 /// The partition of contending points by label.
@@ -49,7 +49,8 @@ impl ContendingPoints {
     /// points, with one row buffer per worker.
     pub fn compute(data: &WeightedSet) -> Self {
         if data.dim() <= 2 {
-            return crate::passive::sparse::contending_sweep(data);
+            let table = RankTable::build(data.points());
+            return crate::passive::sparse::contending_sweep(&table, data.labels());
         }
         let oracle = RankOracle::build(data.points());
         let n = data.len();

@@ -5,7 +5,8 @@
 //! per dominating pair in `P₀^con × P₁^con` — `Θ(n²)` edges at any
 //! dimension. `sparse.rs` removes the wall for `d ≤ 2` with a
 //! divide-and-conquer ladder; this module removes it for **every**
-//! dimension using the paper's own Lemma-6 machinery:
+//! dimension using the paper's own Lemma-6 machinery, and
+//! [`super::pipeline::solve_ranked`] runs it at `d ≥ 3`:
 //!
 //! 1. Run a minimum chain decomposition on the label-1 points
 //!    (bitset Hopcroft–Karp over a [`RankOracle`]'s on-demand rows).
@@ -63,11 +64,11 @@
 //! [`super::scale`], where almost every zero dominates no head.
 
 use crate::passive::contending::ContendingPoints;
-use crate::passive::sparse::ClassifierNetwork;
+use crate::passive::pipeline::ClassifierNetwork;
 use mc_chains::ChainDecomposition;
 use mc_flow::{Capacity, FlowNetwork, NodeId};
 use mc_geom::kernel::{and_ge_mask, ones_mask_into};
-use mc_geom::{parallel_chunks, sort_linear_extension, Label, RankOracle, RankTable, WeightedSet};
+use mc_geom::{parallel_chunks, sort_linear_extension, Label, RankOracle, RankTable};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
 
 /// The chain heads a point dominates, answered from per-dimension sorted
@@ -474,32 +475,6 @@ fn wire_ladder(
     Ok(())
 }
 
-/// Matrix-free ladder pipeline: contending discovery *and* network
-/// construction without ever building the `Θ(n²)` full-set
-/// [`mc_geom::DominanceIndex`]. Returns the Lemma-15 contending sets (both
-/// ascending) and, when they are non-empty, the sparsified network over
-/// exactly those points — identical min cut to the paper-literal dense
-/// network over the same contending sets.
-#[cfg(test)]
-pub(crate) fn discover_and_build(
-    data: &WeightedSet,
-) -> (ContendingPoints, Option<ClassifierNetwork>) {
-    discover_and_build_cancellable(data, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// Cancellable twin of [`discover_and_build`]: builds the `O(d·n)`
-/// [`RankTable`] and delegates to the table-based pipeline.
-pub(crate) fn discover_and_build_cancellable(
-    data: &WeightedSet,
-    token: &CancelToken,
-) -> Result<(ContendingPoints, Option<ClassifierNetwork>), Cancelled> {
-    let table = RankTable::try_build(data.points(), token)?;
-    let out =
-        discover_and_build_from_table_cancellable(&table, data.labels(), data.weights(), token)?;
-    Ok((out.con, out.network))
-}
-
 /// Everything the matrix-free discovery learns in one pass: the
 /// Lemma-15 contending sets, the ladder network over them (when any
 /// contention exists), and the dominance width of the label-1 points
@@ -511,10 +486,12 @@ pub(crate) struct LadderOutcome {
     pub width: usize,
 }
 
-/// The matrix-free ladder pipeline off prebuilt rank columns. This is
-/// the only spelling the streaming scale path can use (coordinates may
-/// never have been resident all at once — see [`super::scale`]), and
-/// the [`WeightedSet`] entry points delegate here.
+/// The matrix-free ladder pipeline off prebuilt rank columns: Lemma-15
+/// contending discovery *and* network construction, the `d ≥ 3` arm of
+/// [`super::pipeline::solve_ranked`]. Returns the contending sets (both
+/// ascending) and, when they are non-empty, the sparsified network over
+/// exactly those points — identical min cut to the paper-literal dense
+/// network over the same contending sets.
 ///
 /// No `Θ(n²/64)` structure exists anywhere in this path: the Lemma-6
 /// matching runs over a [`RankOracle`] gathered from the table's
@@ -652,7 +629,7 @@ mod tests {
     use super::*;
     use crate::passive::brute::build_dense_network;
     use mc_flow::{Dinic, MaxFlowAlgorithm};
-    use mc_geom::{DominanceIndex, Label};
+    use mc_geom::{DominanceIndex, Label, WeightedSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -667,6 +644,16 @@ mod tests {
             );
         }
         ws
+    }
+
+    /// The ladder's contending sets and network over `ws`.
+    fn ladder_of(ws: &WeightedSet) -> (ContendingPoints, Option<ClassifierNetwork>) {
+        let table = RankTable::build(ws.points());
+        let never = CancelToken::never();
+        let out =
+            discover_and_build_from_table_cancellable(&table, ws.labels(), ws.weights(), &never)
+                .unwrap();
+        (out.con, out.network)
     }
 
     /// Reference sweep without [`HeadQuery`]: a per-dimension floor over
@@ -1025,7 +1012,7 @@ mod tests {
                 let ws = random_weighted(n, dim, 4.0, &mut rng);
                 let index = DominanceIndex::build(ws.points());
                 let reference = ContendingPoints::compute_generic(&ws);
-                let (con, network) = discover_and_build(&ws);
+                let (con, network) = ladder_of(&ws);
                 assert_eq!(
                     (con.zeros, con.ones),
                     (reference.zeros.clone(), reference.ones.clone()),
@@ -1052,17 +1039,17 @@ mod tests {
         let mut all_ones = WeightedSet::empty(3);
         all_ones.push(&[0.0, 0.0, 0.0], Label::One, 1.0);
         all_ones.push(&[1.0, 1.0, 1.0], Label::One, 1.0);
-        let (con, network) = discover_and_build(&all_ones);
+        let (con, network) = ladder_of(&all_ones);
         assert!(con.is_empty() && network.is_none());
 
         // Zeros and ones present but no dominating pair.
         let mut incomparable = WeightedSet::empty(2);
         incomparable.push(&[0.0, 1.0], Label::One, 1.0);
         incomparable.push(&[1.0, 0.0], Label::Zero, 1.0);
-        let (con, network) = discover_and_build(&incomparable);
+        let (con, network) = ladder_of(&incomparable);
         assert!(con.is_empty() && network.is_none());
 
-        let (con, network) = discover_and_build(&WeightedSet::empty(2));
+        let (con, network) = ladder_of(&WeightedSet::empty(2));
         assert!(con.is_empty() && network.is_none());
     }
 
@@ -1073,7 +1060,7 @@ mod tests {
         let mut ws = WeightedSet::empty(3);
         ws.push(&[2.0, 2.0, 2.0], Label::One, 7.0);
         ws.push(&[2.0, 2.0, 2.0], Label::Zero, 3.0);
-        let (con, network) = discover_and_build(&ws);
+        let (con, network) = ladder_of(&ws);
         assert_eq!(
             (con.zeros.as_slice(), con.ones.as_slice()),
             (&[1][..], &[0][..])

@@ -3,7 +3,9 @@
 //! Given a fully-labeled weighted set, find the monotone classifier with
 //! the smallest weighted error. The paper settles this in
 //! `O(d·n²) + T_maxflow(n)` by a reduction to minimum cut (Section 5):
-//! see [`solver`] for the pipeline, [`contending`] for the Lemma-15
+//! see [`solver`] for the classifier entry, [`scale`] for the
+//! rank-column entry (both run one private rank-space pipeline, which
+//! picks the type-3 gadget by dimension), [`contending`] for the Lemma-15
 //! restriction, [`brute`] for the slow references (the exponential
 //! baseline of Section 1.2 and the paper-literal dense network), and
 //! [`one_dim`] for the `O(n log n)` 1D special case.
@@ -13,6 +15,7 @@ pub mod certificate;
 pub mod contending;
 pub(crate) mod ladder;
 pub mod one_dim;
+mod pipeline;
 pub mod scale;
 pub mod solver;
 pub(crate) mod sparse;

@@ -13,17 +13,17 @@
 //! scale nobody asks for one.
 //!
 //! This module is that entry point: Problem 2 off `(RankTable, labels,
-//! weights)` alone. The pipeline is exactly the matrix-free ladder path
-//! of [`PassiveSolver`](super::PassiveSolver) — same ladder discovery,
-//! same [`Dinic`] min cut, identical weighted error and flip decisions — it
-//! just stops after reading the cut, returning counts and the error
-//! instead of materializing a classifier. The answer structures are
+//! weights)` alone. It runs the one rank-space pipeline of
+//! [`PassiveSolver`](super::PassiveSolver) — the same gadget for the
+//! dimension (the sweep ladder at `d ≤ 2`, the Lemma-6 chain ladder at
+//! `d ≥ 3`), the same [`Dinic`](mc_flow::Dinic) min cut, identical
+//! weighted error and flip decisions — and counts the flips instead of
+//! anchoring a classifier on them. The answer structures are
 //! `O(con + w·n)`; no `Θ(n²)` object exists at any stage.
 
 use crate::error::McError;
-use crate::passive::ladder;
+use crate::passive::pipeline::solve_ranked;
 use crate::report::SolveReport;
-use mc_flow::{Dinic, MaxFlowAlgorithm};
 use mc_geom::{Label, RankTable};
 use mc_obs::CancelToken;
 
@@ -43,12 +43,13 @@ pub struct ScaleSolution {
     pub flips_to_one: usize,
     /// Label-1 points the optimal classifier relabels to 0.
     pub flips_to_zero: usize,
-    /// Dominance width of the label-1 points (Lemma-6 chain count); 0
-    /// when either label class is empty and the decomposition never ran.
+    /// Dominance width of the label-1 points (Lemma-6 chain count). 0
+    /// means no Lemma-6 decomposition ran: `d ≤ 2`, where the sweep
+    /// gadget needs none, or one label class is empty.
     pub width: usize,
-    /// Nodes in the ladder flow network (0 when nothing contends).
+    /// Nodes in the flow network (0 when nothing contends).
     pub network_nodes: usize,
-    /// Edges in the ladder flow network (0 when nothing contends).
+    /// Edges in the flow network (0 when nothing contends).
     pub network_edges: usize,
     /// Resilience/residency report; `peak_rss_bytes` is stamped at the
     /// end of the solve, so it upper-bounds the pipeline's residency.
@@ -73,9 +74,9 @@ pub fn solve_passive_scale(table: &RankTable, labels: &[Label], weights: &[f64])
 /// Cancellable streaming passive solve: Theorem 4 on `(RankTable,
 /// labels, weights)` with `O(d·n + w·n)` residency end to end.
 ///
-/// The token reaches every super-linear stage — rank-column gathering,
-/// the Hopcroft–Karp matching behind the chain decomposition, the
-/// parallel zero sweep, and the max-flow phases. Errors are
+/// The token reaches the max-flow phases and, at `d ≥ 3`, the ladder's
+/// super-linear stages — rank-column gathering, the Hopcroft–Karp
+/// matching behind the chain decomposition and the parallel zero sweep. Errors are
 /// [`McError::InvalidParameter`] on length mismatches and
 /// [`McError::Timeout`]/[`McError::Cancelled`] on cancellation.
 pub fn solve_passive_scale_cancellable(
@@ -95,50 +96,18 @@ pub fn solve_passive_scale_cancellable(
         )));
     }
 
-    let out = ladder::discover_and_build_from_table_cancellable(table, labels, weights, token)?;
-    mc_obs::counter_add("passive.points", table.len() as u64);
-    mc_obs::counter_add("passive.contending", out.con.len() as u64);
-
+    let cut = solve_ranked(table, labels, weights, token, false)?;
     let mut solution = ScaleSolution {
-        weighted_error: 0.0,
-        contending_zeros: out.con.zeros.len(),
-        contending_ones: out.con.ones.len(),
-        flips_to_one: 0,
-        flips_to_zero: 0,
-        width: out.width,
-        network_nodes: 0,
-        network_edges: 0,
+        weighted_error: cut.weighted_error,
+        contending_zeros: cut.con.zeros.len(),
+        contending_ones: cut.con.ones.len(),
+        flips_to_one: cut.to_one.len(),
+        flips_to_zero: cut.to_zero.len(),
+        width: cut.width,
+        network_nodes: cut.network_nodes,
+        network_edges: cut.network_edges,
         report: SolveReport::default(),
     };
-    if let Some(network) = out.network {
-        solution.network_nodes = network.net.num_nodes();
-        solution.network_edges = network.net.num_edges();
-        mc_obs::counter_add("passive.network_nodes", network.net.num_nodes() as u64);
-        mc_obs::counter_add("passive.network_edges", network.net.num_edges() as u64);
-
-        let flow = Dinic.solve_cancellable(&network.net, token)?;
-        let cut = flow.min_cut(&network.net);
-        mc_obs::gauge_set("passive.cut_weight", cut.weight);
-        debug_assert!(
-            !cut.crosses_infinite,
-            "every label-1 contender has a finite sink edge, so a finite cut exists"
-        );
-        solution.weighted_error = cut.weight;
-
-        // Same Lemma-16/17 readout as the classifier path, reduced to
-        // counts: a zero flips iff its source edge is cut, a one iff its
-        // sink edge is cut.
-        for zi in 0..out.con.zeros.len() {
-            if !cut.on_source_side(network.zero_nodes[zi]) {
-                solution.flips_to_one += 1;
-            }
-        }
-        for oi in 0..out.con.ones.len() {
-            if cut.on_source_side(network.one_nodes[oi]) {
-                solution.flips_to_zero += 1;
-            }
-        }
-    }
     solution.report.stamp_peak_rss();
     Ok(solution)
 }
@@ -185,26 +154,23 @@ mod tests {
                     reference.contending,
                     "dim {dim} trial {trial}: contending sets disagree"
                 );
-                // Flip counts match the full solver's assignment diff
-                // exactly for d ≥ 3, where both run the identical
-                // ladder pipeline (for d ≤ 2 the sweep gadget may pick
-                // a different optimal cut with the same weight).
-                if dim >= 3 {
-                    let mut to_one = 0;
-                    let mut to_zero = 0;
-                    for (i, &l) in ws.labels().iter().enumerate() {
-                        match (l, reference.assignment[i]) {
-                            (Label::Zero, Label::One) => to_one += 1,
-                            (Label::One, Label::Zero) => to_zero += 1,
-                            _ => {}
-                        }
+                // Both entries run the same gadget, so they read the
+                // same cut: the flip counts match the full solver's
+                // assignment diff exactly.
+                let mut to_one = 0;
+                let mut to_zero = 0;
+                for (i, &l) in ws.labels().iter().enumerate() {
+                    match (l, reference.assignment[i]) {
+                        (Label::Zero, Label::One) => to_one += 1,
+                        (Label::One, Label::Zero) => to_zero += 1,
+                        _ => {}
                     }
-                    assert_eq!(
-                        (scale.flips_to_one, scale.flips_to_zero),
-                        (to_one, to_zero),
-                        "dim {dim} trial {trial}: flip decisions disagree\n{ws:?}"
-                    );
                 }
+                assert_eq!(
+                    (scale.flips_to_one, scale.flips_to_zero),
+                    (to_one, to_zero),
+                    "dim {dim} trial {trial}: flip decisions disagree\n{ws:?}"
+                );
             }
         }
     }
@@ -240,11 +206,11 @@ mod tests {
     #[test]
     fn scale_solve_reports_width_and_rss() {
         // A 2-antichain of ones, each inverted below a zero: width 2.
-        let mut ws = WeightedSet::empty(2);
-        ws.push(&[0.0, 3.0], Label::One, 2.0);
-        ws.push(&[3.0, 0.0], Label::One, 2.0);
-        ws.push(&[1.0, 4.0], Label::Zero, 1.0);
-        ws.push(&[4.0, 1.0], Label::Zero, 1.0);
+        let mut ws = WeightedSet::empty(3);
+        ws.push(&[0.0, 3.0, 0.0], Label::One, 2.0);
+        ws.push(&[3.0, 0.0, 0.0], Label::One, 2.0);
+        ws.push(&[1.0, 4.0, 1.0], Label::Zero, 1.0);
+        ws.push(&[4.0, 1.0, 1.0], Label::Zero, 1.0);
         let table = RankTable::build(ws.points());
         let s = solve_passive_scale(&table, ws.labels(), ws.weights());
         assert_eq!(s.width, 2);

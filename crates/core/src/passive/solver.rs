@@ -16,12 +16,14 @@
 //!    iff its sink edge is cut; non-contending points keep their labels
 //!    (Lemmas 16/17 prove this is monotone and optimal).
 //!
-//! Total cost `O(d·n²) + T_maxflow(n)`. The type-3 edge set is built by
-//! one gadget per dimension class, each with the min cut of the
-//! paper-literal network: the divide-and-conquer sweep ladder
-//! (`O(n log n)` edges) at `d ≤ 2`, and the matrix-free Lemma-6 chain
-//! ladder (`O(w·n)` edges) at `d ≥ 3`. The paper-literal network itself
-//! is the test reference [`super::brute::solve_passive_dense`].
+//! Total cost `O(d·n²) + T_maxflow(n)`. The solver ranks the points
+//! into a [`RankTable`] and runs the one rank-space pipeline
+//! [`super::pipeline::solve_ranked`], which picks the type-3 gadget by
+//! dimension: the divide-and-conquer sweep ladder (`O(n log n)` edges)
+//! at `d ≤ 2`, and the matrix-free Lemma-6 chain ladder (`O(w·n)`
+//! edges) at `d ≥ 3`. Each has the min cut of the paper-literal network,
+//! which is itself the test reference [`super::brute::solve_passive_dense`].
+//! The solver then anchors a classifier on the flips the cut reads.
 //!
 //! # Example
 //!
@@ -38,10 +40,8 @@
 
 use crate::classifier::MonotoneClassifier;
 use crate::passive::certificate::Certificate;
-use crate::passive::contending::ContendingPoints;
-use crate::passive::sparse::ClassifierNetwork;
-use mc_flow::{Dinic, MaxFlowAlgorithm};
-use mc_geom::{DominanceIndex, Label, WeightedSet};
+use crate::passive::pipeline::{solve_ranked, CutReadout};
+use mc_geom::{DominanceIndex, Label, RankTable, WeightedSet};
 use mc_obs::{CancelToken, Cancelled};
 
 /// Result of a passive solve.
@@ -68,26 +68,61 @@ impl PassiveSolution {
             contending: 0,
         }
     }
-}
 
-/// Solver for Problem 2 (passive weighted monotone classification),
-/// parameterized by the max-flow algorithm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassiveSolver<A: MaxFlowAlgorithm = Dinic> {
-    algorithm: A,
-}
+    /// Applies the cut's flips to `data`'s labels (non-contending points
+    /// keep theirs, Lemma 15) and anchors the classifier on the result.
+    pub(crate) fn from_cut(data: &WeightedSet, cut: CutReadout) -> Self {
+        let mut assignment: Vec<Label> = data.labels().to_vec();
+        for &p in &cut.to_one {
+            assignment[p] = Label::One;
+        }
+        for &q in &cut.to_zero {
+            assignment[q] = Label::Zero;
+        }
+        let weighted_error = cut.weighted_error;
 
-impl PassiveSolver<Dinic> {
-    /// Solver using the default max-flow algorithm (Dinic).
-    pub fn new() -> Self {
-        Self { algorithm: Dinic }
+        // Verify the Lemma-16/17 invariants in debug builds. Both checks
+        // are quadratic-ish, so they are capped to small inputs — the
+        // property-test suites cover the same invariants exhaustively at
+        // those sizes.
+        #[cfg(debug_assertions)]
+        if data.len() <= 2_000 {
+            debug_assert_eq!(
+                crate::classifier::find_monotonicity_violation(data.points(), &assignment),
+                None,
+                "Lemma 16: the cut classifier must be monotone on P"
+            );
+        }
+        let positive: Vec<bool> = assignment.iter().map(|l| l.is_one()).collect();
+        let classifier = MonotoneClassifier::from_positive_points(data.points(), &positive);
+        #[cfg(debug_assertions)]
+        if data.len() <= 2_000 {
+            debug_assert!(
+                (classifier.weighted_error_on(data) - weighted_error).abs()
+                    <= 1e-9 * (1.0 + data.total_weight()),
+                "cut weight {} must equal the classifier's weighted error {}",
+                weighted_error,
+                classifier.weighted_error_on(data)
+            );
+        }
+
+        Self {
+            classifier,
+            weighted_error,
+            assignment,
+            contending: cut.con.len(),
+        }
     }
 }
 
-impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
-    /// Solver using a specific max-flow algorithm.
-    pub fn with_algorithm(algorithm: A) -> Self {
-        Self { algorithm }
+/// Solver for Problem 2 (passive weighted monotone classification).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PassiveSolver;
+
+impl PassiveSolver {
+    /// The solver; it has no options.
+    pub fn new() -> Self {
+        Self
     }
 
     /// Validating variant of [`PassiveSolver::solve`] for user-supplied
@@ -183,121 +218,11 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
         if data.is_empty() {
             return Ok((PassiveSolution::empty(data.dim()), None));
         }
-
-        // Both gadgets have the dense network's min cut; see
-        // `super::sparse` and `super::ladder`. Each tags itself with a
-        // child span so `--trace` shows which one ran. Neither reads a
-        // `Θ(n²)` dominator matrix.
-        let (con, network) = if data.dim() <= 2 {
-            let con = {
-                let _span = mc_obs::span("contending");
-                crate::passive::sparse::contending_sweep(data)
-            };
-            token.poll()?;
-            let network = (!con.is_empty()).then(|| {
-                let _span = mc_obs::span("build_network");
-                crate::passive::sparse::build_sparse_network(data, &con)
-            });
-            token.poll()?;
-            (con, network)
-        } else {
-            // Matrix-free ladder: the chain binary searches double as
-            // Lemma-15 contending discovery.
-            let _span = mc_obs::span("build_network");
-            crate::passive::ladder::discover_and_build_cancellable(data, token)?
-        };
-        solve_network(&self.algorithm, data, con, network, token, certify)
+        let table = RankTable::try_build(data.points(), token)?;
+        let mut cut = solve_ranked(&table, data.labels(), data.weights(), token, certify)?;
+        let certificate = cut.certificate.take();
+        Ok((PassiveSolution::from_cut(data, cut), certificate))
     }
-}
-
-/// Max flow, min cut and classifier readout over a built network — the
-/// second half of every passive solve, shared by [`PassiveSolver`] and
-/// the dense reference [`super::brute::solve_passive_dense`]. `network`
-/// is `None` exactly when nothing contends.
-pub(crate) fn solve_network<A: MaxFlowAlgorithm>(
-    algorithm: &A,
-    data: &WeightedSet,
-    con: ContendingPoints,
-    network: Option<ClassifierNetwork>,
-    token: &CancelToken,
-    certify: bool,
-) -> Result<(PassiveSolution, Option<Certificate>), Cancelled> {
-    let n = data.len();
-    mc_obs::counter_add("passive.points", n as u64);
-    mc_obs::counter_add("passive.contending", con.len() as u64);
-    // Start from the labels themselves; only contending points can flip.
-    let mut assignment: Vec<Label> = data.labels().to_vec();
-
-    let mut weighted_error = 0.0;
-    let mut certificate = None;
-    if let Some(network) = network {
-        mc_obs::counter_add("passive.network_nodes", network.net.num_nodes() as u64);
-        mc_obs::counter_add("passive.network_edges", network.net.num_edges() as u64);
-
-        let flow = algorithm.solve_cancellable(&network.net, token)?;
-        let cut = flow.min_cut(&network.net);
-        mc_obs::gauge_set("passive.cut_weight", cut.weight);
-        debug_assert!(
-            !cut.crosses_infinite,
-            "every label-1 contender has a finite sink edge, so a finite cut exists"
-        );
-        weighted_error = cut.weight;
-
-        // Edge (source, p) is cut ⟺ p left the source side.
-        for (zi, &p) in con.zeros.iter().enumerate() {
-            if !cut.on_source_side(network.zero_nodes[zi]) {
-                assignment[p] = Label::One;
-            }
-        }
-        // Edge (q, sink) is cut ⟺ q stayed on the source side.
-        for (oi, &q) in con.ones.iter().enumerate() {
-            if cut.on_source_side(network.one_nodes[oi]) {
-                assignment[q] = Label::Zero;
-            }
-        }
-        if certify {
-            token.poll()?;
-            certificate = Some(Certificate {
-                optimal_error: weighted_error,
-                charges: crate::passive::certificate::decompose_flow(&con, &network, &flow),
-            });
-        }
-    }
-
-    // Verify the Lemma-16/17 invariants in debug builds. Both checks
-    // are quadratic-ish, so they are capped to small inputs — the
-    // property-test suites cover the same invariants exhaustively at
-    // those sizes.
-    #[cfg(debug_assertions)]
-    if n <= 2_000 {
-        debug_assert_eq!(
-            crate::classifier::find_monotonicity_violation(data.points(), &assignment),
-            None,
-            "Lemma 16: the cut classifier must be monotone on P"
-        );
-    }
-    let positive: Vec<bool> = assignment.iter().map(|l| l.is_one()).collect();
-    let classifier = MonotoneClassifier::from_positive_points(data.points(), &positive);
-    #[cfg(debug_assertions)]
-    if n <= 2_000 {
-        debug_assert!(
-            (classifier.weighted_error_on(data) - weighted_error).abs()
-                <= 1e-9 * (1.0 + data.total_weight()),
-            "cut weight {} must equal the classifier's weighted error {}",
-            weighted_error,
-            classifier.weighted_error_on(data)
-        );
-    }
-
-    Ok((
-        PassiveSolution {
-            classifier,
-            weighted_error,
-            assignment,
-            contending: con.len(),
-        },
-        certificate,
-    ))
 }
 
 /// Solves Problem 2 with the default solver.

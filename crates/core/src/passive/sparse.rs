@@ -17,48 +17,37 @@
 //! edges are infinite, so no new finite cuts are introduced, and a zero
 //! reaches a one through the gadget iff it dominates it.
 //!
-//! 1D inputs embed as `(v, v)` and reuse the same builder.
+//! The gadget reads rank columns, so it sees what the chain ladder
+//! sees: ranks merge `-0.0` and `+0.0`, and equal coordinates share a
+//! rank. 1D inputs embed as `(r, r)` and reuse the same builder.
 //!
-//! Similarly, [`contending_sweep_2d`] finds the contending points with a
+//! Similarly, [`contending_sweep`] finds the contending points with a
 //! single `O(n log n)` sweep instead of the generic `O(d·n²)` scan.
 
 use crate::passive::contending::ContendingPoints;
+use crate::passive::pipeline::ClassifierNetwork;
 use mc_flow::{Capacity, FlowNetwork, NodeId};
-use mc_geom::WeightedSet;
+use mc_geom::{Label, RankTable};
 
-/// A flow network for Problem 2 with sparse (gadget-based) type-3
-/// connectivity, plus the node ids of the contending points.
-pub(crate) struct ClassifierNetwork {
-    pub net: FlowNetwork,
-    /// Node of `con.zeros[i]`.
-    pub zero_nodes: Vec<NodeId>,
-    /// Node of `con.ones[i]`.
-    pub one_nodes: Vec<NodeId>,
-}
-
-/// Extracts the `(x, y)` view of point `i`: its two coordinates for
-/// `d = 2`, or `(v, v)` for `d = 1`. Zeroes are canonicalized to `+0.0`
-/// (`v + 0.0` maps `-0.0` there): dominance is IEEE `>=`, under which
-/// `-0.0` and `+0.0` are one value, but the sweep *orders* by
-/// `total_cmp`, which would otherwise put `-0.0` strictly first and let
-/// an equal-up-to-zero-sign cross-label pair dodge the ones-first
-/// tie-break (the bitset index canonicalizes the same way).
-fn xy(data: &WeightedSet, i: usize) -> (f64, f64) {
-    let p = data.points().point(i);
-    match p.len() {
-        1 => (p[0] + 0.0, p[0] + 0.0),
-        2 => (p[0] + 0.0, p[1] + 0.0),
-        d => unreachable!("sparse network requires d ≤ 2, got {d}"),
+/// The `(x, y)` rank columns of a `d ≤ 2` table: its two columns, or
+/// its one column twice for `d = 1`.
+fn xy_columns(table: &RankTable) -> (&[u32], &[u32]) {
+    match table.dim() {
+        1 => (table.column(0), table.column(0)),
+        2 => (table.column(0), table.column(1)),
+        d => unreachable!("the sweep gadget requires 1 ≤ d ≤ 2, got {d}"),
     }
 }
 
-/// Builds the sparsified network for `d ≤ 2`.
+/// Builds the sparsified network for `d ≤ 2` over the contending points
+/// `con` of `table`.
 pub(crate) fn build_sparse_network(
-    data: &WeightedSet,
+    table: &RankTable,
+    weights: &[f64],
     con: &ContendingPoints,
 ) -> ClassifierNetwork {
     let _span = mc_obs::span("sweep");
-    debug_assert!(data.dim() <= 2);
+    let (x, y) = xy_columns(table);
     let source = 0;
     let sink = 1;
     let mut net = FlowNetwork::new(2 + con.len(), source, sink);
@@ -67,30 +56,24 @@ pub(crate) fn build_sparse_network(
         .map(|i| 2 + con.zeros.len() + i)
         .collect();
     for (zi, &p) in con.zeros.iter().enumerate() {
-        net.add_edge(source, zero_nodes[zi], data.weight(p));
+        net.add_edge(source, zero_nodes[zi], weights[p]);
     }
     for (oi, &q) in con.ones.iter().enumerate() {
-        net.add_edge(one_nodes[oi], sink, data.weight(q));
+        net.add_edge(one_nodes[oi], sink, weights[q]);
     }
 
-    // Items: (x, y, is_one, node). Sorted by (x, y, ones-first) so that on
-    // full coordinate ties a zero lands on the *right* side of the split
-    // that separates it from an equal one (reflexive dominance counts).
-    let mut items: Vec<(f64, f64, bool, NodeId)> = Vec::with_capacity(con.len());
+    // Items: (x, y, is_one, node). Sorted stably by (x, y, ones-first) so
+    // that on full rank ties a zero lands on the *right* side of the
+    // split that separates it from an equal one (reflexive dominance
+    // counts).
+    let mut items: Vec<SweepItem> = Vec::with_capacity(con.len());
     for (zi, &p) in con.zeros.iter().enumerate() {
-        let (x, y) = xy(data, p);
-        items.push((x, y, false, zero_nodes[zi]));
+        items.push((x[p], y[p], false, zero_nodes[zi]));
     }
     for (oi, &q) in con.ones.iter().enumerate() {
-        let (x, y) = xy(data, q);
-        items.push((x, y, true, one_nodes[oi]));
+        items.push((x[q], y[q], true, one_nodes[oi]));
     }
-    items.sort_by(|a, b| {
-        a.0.total_cmp(&b.0)
-            .then(a.1.total_cmp(&b.1))
-            // ones (true) first on full ties
-            .then(b.2.cmp(&a.2))
-    });
+    items.sort_by_key(|&(x, y, is_one, _)| (x, y, !is_one));
 
     build_recursive(&mut net, &items);
 
@@ -101,8 +84,11 @@ pub(crate) fn build_sparse_network(
     }
 }
 
+/// `(x rank, y rank, is_one, node)` of one contending point.
+type SweepItem = (u32, u32, bool, NodeId);
+
 /// Recursively wires zeros on the right half to ones on the left half.
-fn build_recursive(net: &mut FlowNetwork, items: &[(f64, f64, bool, NodeId)]) {
+fn build_recursive(net: &mut FlowNetwork, items: &[SweepItem]) {
     if items.len() <= 1 {
         return;
     }
@@ -111,12 +97,12 @@ fn build_recursive(net: &mut FlowNetwork, items: &[(f64, f64, bool, NodeId)]) {
 
     // Left ones sorted by y ascending (stable: already sorted by (x, y),
     // so re-sort by y only).
-    let mut ones_left: Vec<(f64, NodeId)> = left
+    let mut ones_left: Vec<(u32, NodeId)> = left
         .iter()
         .filter(|it| it.2)
         .map(|it| (it.1, it.3))
         .collect();
-    ones_left.sort_by(|a, b| a.0.total_cmp(&b.0));
+    ones_left.sort_by_key(|&(y, _)| y);
     if !ones_left.is_empty() {
         // Ladder: aux[i] reaches ones_left[0..=i].
         let mut aux: Vec<NodeId> = Vec::with_capacity(ones_left.len());
@@ -147,28 +133,22 @@ fn build_recursive(net: &mut FlowNetwork, items: &[(f64, f64, bool, NodeId)]) {
 /// `≤` it: sweeping in `(x, y, ones-first)` order, that is equivalent to
 /// "the minimum `y` among ones seen so far is `≤` its `y`". The label-1
 /// side is symmetric with the reversed sweep.
-pub(crate) fn contending_sweep(data: &WeightedSet) -> ContendingPoints {
-    debug_assert!(data.dim() <= 2);
-    let n = data.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let (xa, ya) = xy(data, a);
-        let (xb, yb) = xy(data, b);
-        xa.total_cmp(&xb)
-            .then(ya.total_cmp(&yb))
-            // ones first on full ties (a one at identical coordinates is
-            // "≤" for the forward sweep and "≥" for the backward sweep).
-            .then(data.label(b).cmp(&data.label(a)))
-    });
+pub(crate) fn contending_sweep(table: &RankTable, labels: &[Label]) -> ContendingPoints {
+    let (x, y) = xy_columns(table);
+    let mut order: Vec<usize> = (0..table.len()).collect();
+    // Ones first on full ties (a one at identical coordinates is "≤" for
+    // the forward sweep and "≥" for the backward sweep).
+    order.sort_by_key(|&i| (x[i], y[i], labels[i].is_zero()));
 
     // Forward: zeros contending against ones below-left.
     let mut zeros = Vec::new();
-    let mut min_one_y = f64::INFINITY;
+    let mut min_one_y = u32::MAX;
+    let mut seen_one = false;
     for &i in &order {
-        let (_, y) = xy(data, i);
-        if data.label(i).is_one() {
-            min_one_y = min_one_y.min(y);
-        } else if min_one_y <= y {
+        if labels[i].is_one() {
+            min_one_y = min_one_y.min(y[i]);
+            seen_one = true;
+        } else if seen_one && min_one_y <= y[i] {
             zeros.push(i);
         }
     }
@@ -176,12 +156,11 @@ pub(crate) fn contending_sweep(data: &WeightedSet) -> ContendingPoints {
     // before zeros on ties, so in reverse order zeros at identical
     // coordinates are seen before the one — as required.
     let mut ones = Vec::new();
-    let mut max_zero_y = f64::NEG_INFINITY;
+    let mut max_zero_y = None;
     for &i in order.iter().rev() {
-        let (_, y) = xy(data, i);
-        if data.label(i).is_zero() {
-            max_zero_y = max_zero_y.max(y);
-        } else if max_zero_y >= y {
+        if labels[i].is_zero() {
+            max_zero_y = max_zero_y.max(Some(y[i]));
+        } else if max_zero_y >= Some(y[i]) {
             ones.push(i);
         }
     }
@@ -194,7 +173,7 @@ pub(crate) fn contending_sweep(data: &WeightedSet) -> ContendingPoints {
 mod tests {
     use super::*;
     use mc_flow::{Dinic, MaxFlowAlgorithm};
-    use mc_geom::Label;
+    use mc_geom::WeightedSet;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -211,6 +190,14 @@ mod tests {
         ws
     }
 
+    fn sweep(ws: &WeightedSet) -> ContendingPoints {
+        contending_sweep(&RankTable::build(ws.points()), ws.labels())
+    }
+
+    fn network(ws: &WeightedSet, con: &ContendingPoints) -> ClassifierNetwork {
+        build_sparse_network(&RankTable::build(ws.points()), ws.weights(), con)
+    }
+
     #[test]
     fn sweep_matches_generic_contending() {
         let mut rng = StdRng::seed_from_u64(0x5EEE);
@@ -218,9 +205,9 @@ mod tests {
             for trial in 0..60 {
                 let n = rng.gen_range(0..60);
                 let ws = random_weighted(n, dim, 5.0, &mut rng);
-                let sweep = contending_sweep(&ws);
+                let got = sweep(&ws);
                 let generic = ContendingPoints::compute_generic(&ws);
-                assert_eq!(sweep, generic, "dim {dim} trial {trial}: {ws:?}");
+                assert_eq!(got, generic, "dim {dim} trial {trial}: {ws:?}");
             }
         }
     }
@@ -252,7 +239,7 @@ mod tests {
                     }
                 }
                 let dense_value = Dinic.solve(&dense).value();
-                let sparse = build_sparse_network(&ws, &con);
+                let sparse = network(&ws, &con);
                 let sparse_value = Dinic.solve(&sparse.net).value();
                 assert!(
                     (dense_value - sparse_value).abs() < 1e-9,
@@ -266,8 +253,8 @@ mod tests {
     fn sparse_edge_count_is_near_linear() {
         let mut rng = StdRng::seed_from_u64(0x5EF0);
         let ws = random_weighted(4000, 2, 1e6, &mut rng);
-        let con = contending_sweep(&ws);
-        let sparse = build_sparse_network(&ws, &con);
+        let con = sweep(&ws);
+        let sparse = network(&ws, &con);
         let n = con.len();
         let bound = 20 * n * ((n as f64).log2().ceil() as usize + 1) + 2 * n + 16;
         assert!(
@@ -280,15 +267,15 @@ mod tests {
     #[test]
     fn signed_zero_duplicates_contend() {
         // -0.0 and +0.0 are the same coordinate under IEEE dominance;
-        // the sweep's total_cmp ordering must not separate them.
+        // their ranks must not separate them.
         let mut ws = WeightedSet::empty(2);
         ws.push(&[0.0, -0.0], Label::One, 5.0);
         ws.push(&[-0.0, 0.0], Label::Zero, 2.0);
-        let con = contending_sweep(&ws);
+        let con = sweep(&ws);
         assert_eq!(con.zeros, vec![1]);
         assert_eq!(con.ones, vec![0]);
         assert_eq!(con, ContendingPoints::compute_generic(&ws));
-        let sparse = build_sparse_network(&ws, &con);
+        let sparse = network(&ws, &con);
         assert_eq!(Dinic.solve(&sparse.net).value(), 2.0);
     }
 
@@ -299,10 +286,10 @@ mod tests {
         let mut ws = WeightedSet::empty(2);
         ws.push(&[3.0, 3.0], Label::One, 7.0);
         ws.push(&[3.0, 3.0], Label::Zero, 2.0);
-        let con = contending_sweep(&ws);
+        let con = sweep(&ws);
         assert_eq!(con.zeros, vec![1]);
         assert_eq!(con.ones, vec![0]);
-        let sparse = build_sparse_network(&ws, &con);
+        let sparse = network(&ws, &con);
         assert_eq!(Dinic.solve(&sparse.net).value(), 2.0);
     }
 }

@@ -32,13 +32,16 @@
 //! ## Columnar datasets
 //!
 //! `mcc passive` also accepts `MCC1` columnar files (extension `.mcc`,
-//! written by `mcc generate scale`). These stream through the
-//! matrix-free rank-oracle pipeline — `O(d·n)` resident, no `Θ(n²)`
-//! structure — which is what carries the `n = 10⁷` solves; the output
-//! is the optimal weighted error and flip counts rather than a
-//! classifier file (the coordinates are never all resident, so there is
-//! nothing to anchor one on). `--out` and `--weighted` (MCC1 files carry
-//! their own weights) are usage errors there.
+//! written by `mcc generate scale`). These are ranked one column at a
+//! time and solved off the rank columns alone — `O(d·n)` resident, no
+//! `Θ(n²)` structure — which is what carries the `n = 10⁷` solves. The
+//! solve is the same pipeline a CSV takes, with the same gadget for the
+//! dimension (the sweep at `d ≤ 2`, the chain ladder at `d ≥ 3`), so the
+//! same points give the same contending count, error and flips either
+//! way. The output is the optimal weighted error and flip counts rather
+//! than a classifier file (the coordinates are never all resident, so
+//! there is nothing to anchor one on). `--out` and `--weighted` (MCC1
+//! files carry their own weights) are usage errors there.
 
 use monotone_classification::bench::serve_load;
 use monotone_classification::chains::{AntichainPartition, ChainDecomposition};
@@ -545,8 +548,8 @@ fn columnar_err(e: monotone_classification::data::columnar::ColumnarError) -> Cl
     }
 }
 
-/// The `n = 10⁷` path: streams an `MCC1` file through the matrix-free
-/// rank-oracle pipeline. Residency is `O(d·n)` (the rank table, labels,
+/// The `n = 10⁷` path: ranks an `MCC1` file column by column and solves
+/// off the rank table. Residency is `O(d·n)` (the rank table, labels,
 /// weights, and one column buffer during the build) — no dominator
 /// matrix, no row-major coordinate set — so the only outputs are the
 /// optimal error and the solve's shape, not a classifier file.

@@ -903,6 +903,83 @@ fn passive_columnar_answer_is_identical_across_thread_counts() {
     assert_eq!(one, run("4"));
 }
 
+/// The same unit-weight points as CSV and as MCC1 take the same gadget
+/// and give the same answer: the sweep at d ≤ 2, the chain ladder at
+/// d = 3.
+#[test]
+fn passive_csv_and_columnar_inputs_share_one_pipeline() {
+    use monotone_classification::data::columnar::write_weighted_set;
+    use monotone_classification::geom::{Label, WeightedSet};
+
+    let mut state = 0xC5F1_u64;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    for dim in 1..=3usize {
+        // A small grid, so points tie and labels invert often.
+        let mut ws = WeightedSet::empty(dim);
+        let mut text = String::new();
+        for k in 0..dim {
+            text.push_str(&format!("x{k},"));
+        }
+        text.push_str("label\n");
+        for _ in 0..400 {
+            let coords: Vec<f64> = (0..dim).map(|_| next(12) as f64).collect();
+            let label = next(2);
+            ws.push(&coords, Label::from_bool(label == 1), 1.0);
+            for c in &coords {
+                text.push_str(&format!("{c},"));
+            }
+            text.push_str(&format!("{label}\n"));
+        }
+        let csv = write_temp(&format!("parity-d{dim}.csv"), &text);
+        let columnar = write_temp(&format!("parity-d{dim}.mcc"), "");
+        write_weighted_set(&columnar, &ws).unwrap();
+        let metrics = write_temp(&format!("parity-d{dim}.jsonl"), "");
+
+        let solve = |path: &PathBuf, extra: &[&std::ffi::OsStr]| {
+            let out = mcc().arg("passive").arg(path).args(extra).output().unwrap();
+            assert!(
+                out.status.success(),
+                "d = {dim}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            let field = |prefix: &str| {
+                let at = stdout.find(prefix).unwrap_or_else(|| panic!("{stdout}")) + prefix.len();
+                stdout[at..]
+                    .split(|c: char| c.is_whitespace())
+                    .next()
+                    .unwrap()
+                    .to_owned()
+            };
+            (field("contending = "), field("optimal weighted error = "))
+        };
+        let from_csv = solve(&csv, &[]);
+        let from_columnar = solve(&columnar, &["--metrics-out".as_ref(), metrics.as_os_str()]);
+        assert_eq!(from_csv, from_columnar, "d = {dim}");
+        assert_ne!(from_csv.0, "0", "d = {dim}: nothing contends");
+
+        let spans: Vec<String> = std::fs::read_to_string(&metrics)
+            .unwrap()
+            .lines()
+            .filter(|l| l.contains(r#""type":"span""#))
+            .map(str::to_owned)
+            .collect();
+        let has = |path: &str| spans.iter().any(|l| l.contains(path));
+        if dim <= 2 {
+            assert!(has(r#""path":"passive/sweep""#), "d = {dim}: {spans:?}");
+            assert!(!has("ladder"), "d = {dim}: {spans:?}");
+        } else {
+            assert!(has(r#""path":"passive/ladder""#), "d = {dim}: {spans:?}");
+            assert!(!has(r#""path":"passive/sweep""#), "d = {dim}: {spans:?}");
+        }
+    }
+}
+
 #[test]
 fn classify_labels_points_through_the_index() {
     // Train on DEMO (k* = 0, so the model reproduces the labels), then
