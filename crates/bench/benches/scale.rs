@@ -162,7 +162,9 @@ fn telemetry_section() -> String {
     // An n = 10⁶ solve takes well under a second, so drift in the
     // host's load between a block of plain runs and a block of sampled
     // runs can exceed the 2% budget. The runs therefore alternate, one
-    // plain and one sampled per rep, and each side takes its median.
+    // plain and one sampled per rep, and the overhead is the median of
+    // the per-rep ratios: each sampled run against the plain run next to
+    // it, so drift between reps cancels.
     let reps = 9;
     let config = ScaleConfig::new(n, 4, 0x5CA1E);
     let path = temp_path("telemetry");
@@ -209,15 +211,21 @@ fn telemetry_section() -> String {
             .unwrap_or(0);
     }
     std::fs::remove_file(&ts_path).ok();
+    let mut ratios: Vec<f64> = plain_runs
+        .iter()
+        .zip(&sampled_runs)
+        .map(|(plain, sampled)| sampled.as_secs_f64() / plain.as_secs_f64() - 1.0)
+        .collect();
+    ratios.sort_unstable_by(f64::total_cmp);
+    let overhead = ratios[reps / 2];
     plain_runs.sort_unstable();
     sampled_runs.sort_unstable();
     let plain = plain_runs[reps / 2];
     let sampled = sampled_runs[reps / 2];
 
-    let overhead = sampled.as_secs_f64() / plain.as_secs_f64() - 1.0;
     println!(
         "scale/telemetry: n = {n} | plain {plain:?} -> sampled {sampled:?} \
-         ({:+.2}% overhead, {samples} samples at 100 ms)",
+         (median paired overhead {:+.2}%, {samples} samples at 100 ms)",
         overhead * 1e2
     );
     format!(

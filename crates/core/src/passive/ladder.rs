@@ -18,7 +18,8 @@
 //! 3. Per 0-point `p` and chain `c`, the set of chain elements `p`
 //!    dominates is a **prefix** (chains are ascending and `⪰` is
 //!    transitive), so one binary search over the chain order —
-//!    comparing [`RankTable`] rank columns, `O(d log n)` — finds the
+//!    comparing `p`'s [`RankTable`] ranks with the chain's ranks in the
+//!    gathered [`RankOracle`], `O(d log n)` — finds the
 //!    deepest dominated element; a single edge `p → a_{deepest}` then
 //!    reproduces every dense edge `p → o` into that chain.
 //!
@@ -44,24 +45,33 @@
 //! chain `c` are exactly its prefix up to the deepest rung any 0-point
 //! reaches.
 //!
-//! The zero sweep fans out over
-//! `parallel_chunks`, and a [`HeadQuery`] over the `w` chain heads finds
-//! the chains a zero hits before any binary search runs. Each worker
-//! first screens its zeros in blocks of [`SWEEP_BLOCK`], one pass per
-//! rank column: a zero must be at or above the lowest head on every
-//! dimension, and its rank sum `Σ_k rank_k` must reach the least rank
-//! sum over the heads. The sum bound is sound because a head `h ⪯ z`
-//! has `rank_k(h) ≤ rank_k(z)` on every `k`, so `Σ_k rank_k(h) ≤
-//! Σ_k rank_k(z)`: a zero below every head's sum dominates no head.
-//! The zeros that pass both go to the head query: `d` bucket lookups
-//! count `c_k`, the heads at or below the zero on dimension `k`; `d²`
-//! prefix minima reject a zero that no head lies below on some pair of
-//! dimensions; and for the rest one bitset over the smallest prefix is
-//! narrowed on the other dimensions. That is `d` adds per zero, `O(d²)`
+//! The zero sweep fans out over point ranges with `parallel_chunks`,
+//! and a [`HeadQuery`] over the `w` chain heads finds the chains a zero
+//! hits before any binary search runs. Each worker streams its range of
+//! the rank columns and the labels in blocks of [`SWEEP_BLOCK`] points,
+//! one contiguous pass per column, with no branch per point. A zero must
+//! be at or above the lowest head on every dimension (the floor), and its
+//! clamped sum `Σ_k f_k(z)`, with `f_k(x) = min(x − lowest_k, cap)` and
+//! `cap = ⌊u32::MAX/d⌋`, must reach the least clamped sum over the heads.
+//! The `d` terms fit one `u32` together, and the bound is sound because
+//! `f_k` is monotone: a head `h ⪯ z` has `rank_k(h) ≤ rank_k(z)` on every
+//! `k`, so `Σ_k f_k(h) ≤ Σ_k f_k(z)`, and a zero below every head's sum
+//! dominates no head. While no point's rank exceeds the lowest head rank
+//! by `cap` or more (dense ranks of fewer than `cap` points), no term
+//! clamps and the test is the plain rank-sum bound shifted by
+//! `Σ_k lowest_k`. The block's zeros that pass both tests are compacted
+//! into a block buffer, and only they reach the head query: `d` bucket
+//! lookups count `c_k`, the heads at or below the zero on dimension `k`;
+//! `d²` prefix minima reject a zero that no head lies below on some pair
+//! of dimensions; and for the rest one bitset over the smallest prefix is
+//! narrowed on the other dimensions. That is `d` adds per point, `O(d²)`
 //! work for the zeros the screen lets through and `O(d·c_min/64)` word
 //! operations for the few that reach the narrowing, instead of `w` head
 //! tests, and it is what carries the `n = 10⁷` scale solves of
-//! [`super::scale`], where almost every zero dominates no head.
+//! [`super::scale`], where almost every zero dominates no head. The heads
+//! and the chain searches read the ones' ranks from the [`RankOracle`]
+//! the decomposition has just gathered (`O(d·|P₁|)`, cache-resident),
+//! not from the `n`-length table columns.
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::pipeline::ClassifierNetwork;
@@ -70,6 +80,7 @@ use mc_flow::{Capacity, FlowNetwork, NodeId};
 use mc_geom::kernel::{and_ge_mask, ones_mask_into};
 use mc_geom::{parallel_chunks, sort_linear_extension, Label, RankOracle, RankTable};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
+use std::ops::Range;
 
 /// The chain heads a point dominates, answered from per-dimension sorted
 /// head ranks, a prefix-min reject and one bitset narrowing.
@@ -79,8 +90,9 @@ use mc_obs::{CancelToken, Cancelled, Checkpoint};
 /// exactly the first `c_k` heads of the `k` order. First,
 /// [`HeadQuery::screen`] retires whole blocks of points column by
 /// column: a point below the lowest head on some `k` (`c_k = 0`)
-/// dominates no head, and neither does one whose rank sum is below
-/// `min_sum`, the least over the heads. For the rest a bucket
+/// dominates no head, and neither does one whose clamped sum
+/// `Σ_k min(r_k − lowest_k, cap)` is below `min_sum`, the least over the
+/// heads. For the rest a bucket
 /// table finds each `c_k` in `O(1)` expected: `4w` buckets of `2^s`
 /// ranks each, where `base[b]` counts the heads with rank `< b·2^s`, so
 /// `c_k` is `base[b]` plus a search inside bucket `b` of `r_k + 1`.
@@ -96,13 +108,14 @@ use mc_obs::{CancelToken, Cancelled, Checkpoint};
 ///
 /// Layout: `d·w` chain indices and sorted ranks, `d·(4w + 1)` bucket
 /// bases, and `d²·w` reversed ranks and `d²·w` prefix minima, all `u32`,
-/// plus the `u64` `min_sum`.
+/// plus the `u32` `cap` and `min_sum`.
 struct HeadQuery {
     dim: usize,
     width: usize,
     /// `order[k·w + i]`: chain of the `i`-th head in ascending `k` rank.
     order: Vec<u32>,
-    /// `sorted[k·w + i]`: that head's rank on `k` (ascending in `i`).
+    /// `sorted[k·w + i]`: that head's rank on `k` (ascending in `i`), so
+    /// `sorted[k·w]` is `lowest_k`, the floor on `k`.
     sorted: Vec<u32>,
     /// `shift[k]`: the bucket width on `k` is `2^shift[k]` ranks.
     shift: Vec<u32>,
@@ -117,10 +130,12 @@ struct HeadQuery {
     /// `i + 1` heads in `k` order. The `d` minima of one prefix share a
     /// cache line, so a reject test costs one miss per dimension.
     pmin: Vec<u32>,
-    /// The least rank sum `Σ_k rank_k(h)` over the heads `h`. It is a
-    /// `u64` because gathered subsets keep sparse parent ranks up to
-    /// `u32::MAX`, so `d` ranks overflow a `u32`.
-    min_sum: u64,
+    /// `⌊u32::MAX/d⌋`, the most one dimension adds to a clamped sum, so
+    /// that `d` terms never overflow a `u32`.
+    cap: u32,
+    /// The least clamped sum `Σ_k min(rank_k(h) − lowest_k, cap)` over
+    /// the heads `h`.
+    min_sum: u32,
 }
 
 /// How far a point's head query got.
@@ -140,16 +155,28 @@ struct HeadScratch {
     row: Vec<u64>,
 }
 
+/// Per-worker buffers of one [`HeadQuery::screen`] block.
+struct BlockScreen {
+    sums: [u32; SWEEP_BLOCK],
+    pass: [bool; SWEEP_BLOCK],
+    keep: [usize; SWEEP_BLOCK],
+}
+
+impl BlockScreen {
+    fn new() -> Self {
+        Self {
+            sums: [0; SWEEP_BLOCK],
+            pass: [false; SWEEP_BLOCK],
+            keep: [0; SWEEP_BLOCK],
+        }
+    }
+}
+
 /// Buckets per head in a [`HeadQuery`] bucket table.
 const BUCKETS_PER_HEAD: u64 = 4;
 
-/// Zeros per [`HeadQuery::screen`] block in [`sweep_zeros`].
-const SWEEP_BLOCK: usize = 1024;
-
-/// `Σ_k rank_k(p)` over the rank columns `cols`.
-fn rank_sum(cols: &[&[u32]], p: usize) -> u64 {
-    cols.iter().map(|col| u64::from(col[p])).sum()
-}
+/// Points per [`HeadQuery::screen`] block in [`sweep_range`].
+const SWEEP_BLOCK: usize = 128;
 
 impl HeadQuery {
     /// Indexes the heads `heads[c]` (point ids into `cols`) of chains
@@ -157,47 +184,64 @@ impl HeadQuery {
     fn new(cols: &[&[u32]], heads: &[usize]) -> Self {
         let dim = cols.len();
         let width = heads.len();
+        assert!(width > 0, "a head query needs at least one head");
+        // `ranks[k·w + c]`: head `c`'s rank on `k`, read once.
+        let ranks: Vec<u32> = cols
+            .iter()
+            .flat_map(|col| heads.iter().map(|&h| col[h]))
+            .collect();
         let mut order = Vec::with_capacity(dim * width);
         let mut sorted = Vec::with_capacity(dim * width);
-        let mut shift = Vec::with_capacity(dim);
+        // `(rank << 32) | chain`, so one plain sort orders the heads by
+        // rank and breaks ties by chain.
+        let mut keys: Vec<u64> = Vec::with_capacity(width);
+        for on_k in ranks.chunks_exact(width) {
+            keys.clear();
+            keys.extend((0..).zip(on_k).map(|(c, &r)| (u64::from(r) << 32) | c));
+            keys.sort_unstable();
+            order.extend(keys.iter().map(|&key| key as u32));
+            sorted.extend(keys.iter().map(|&key| (key >> 32) as u32));
+        }
         let buckets = BUCKETS_PER_HEAD * width as u64;
-        let mut base = Vec::with_capacity(dim * (buckets as usize + 1));
+        let mut shift = Vec::with_capacity(dim);
+        let mut base = vec![0u32; dim * (buckets as usize + 1)];
         let mut reversed = Vec::with_capacity(dim * dim * width);
-        let mut pmin = Vec::with_capacity(dim * dim * width);
-        let mut by_rank: Vec<u32> = (0..width as u32).collect();
-        for col in cols {
-            by_rank.sort_by_key(|&c| col[heads[c as usize]]);
-            order.extend_from_slice(&by_rank);
-            let ranks: Vec<u32> = by_rank.iter().map(|&c| col[heads[c as usize]]).collect();
+        let mut pmin = vec![0u32; dim * dim * width];
+        let k_orders = order.chunks_exact(width).zip(sorted.chunks_exact(width));
+        let k_tables = base
+            .chunks_exact_mut(buckets as usize + 1)
+            .zip(pmin.chunks_exact_mut(dim * width));
+        for ((by_rank, on_k), (counts, prefix)) in k_orders.zip(k_tables) {
             // The narrowest buckets of `2^s` ranks of which `4w` cover
-            // ranks 0..=max.
-            let max = u64::from(ranks[width - 1]);
+            // ranks 0..=max; a head of rank `r` counts in every base
+            // after its bucket `r >> s`.
+            let max = u64::from(on_k[width - 1]);
             let s = (0..32).find(|&s| max >> s < buckets).unwrap_or(32);
-            let mut i = 0;
-            for b in 0..=buckets {
-                while i < width && u64::from(ranks[i]) < b << s {
-                    i += 1;
-                }
-                base.push(i as u32);
+            for &r in on_k {
+                counts[(u64::from(r) >> s) as usize + 1] += 1;
+            }
+            for b in 1..counts.len() {
+                counts[b] += counts[b - 1];
             }
             shift.push(s);
-            sorted.extend_from_slice(&ranks);
-            let mut least = vec![u32::MAX; dim];
-            for &c in &by_rank {
-                for (m, other) in least.iter_mut().zip(cols) {
-                    *m = (*m).min(other[heads[c as usize]]);
+            for (j, on_j) in ranks.chunks_exact(width).enumerate() {
+                let mut least = u32::MAX;
+                for (row, &c) in prefix.chunks_exact_mut(dim).zip(by_rank) {
+                    least = least.min(on_j[c as usize]);
+                    row[j] = least;
                 }
-                pmin.extend_from_slice(&least);
-            }
-            for other in cols {
-                reversed.extend(by_rank.iter().map(|&c| u32::MAX - other[heads[c as usize]]));
+                reversed.extend(by_rank.iter().map(|&c| u32::MAX - on_j[c as usize]));
             }
         }
-        let min_sum = heads
-            .iter()
-            .map(|&h| rank_sum(cols, h))
+        let cap = u32::MAX / dim.max(1) as u32;
+        let min_sum = (0..width)
+            .map(|c| {
+                (0..dim)
+                    .map(|k| (ranks[k * width + c] - sorted[k * width]).min(cap))
+                    .sum::<u32>()
+            })
             .min()
-            .expect("a head query needs at least one head");
+            .expect("at least one head");
         Self {
             dim,
             width,
@@ -207,27 +251,50 @@ impl HeadQuery {
             base,
             reversed,
             pmin,
+            cap,
             min_sum,
         }
     }
 
-    /// Screens the points `block` one rank column at a time, with no
-    /// branch per point: `floor[i]` says whether `block[i]` is at or
-    /// above the lowest head on every dimension, and `sums[i]` is its
-    /// rank sum. Both slices must be `block.len()` long. A point fails
-    /// [`dominated_heads`](Self::dominated_heads) unless its floor flag
-    /// is set and its sum is at least `min_sum`.
-    fn screen(&self, cols: &[&[u32]], block: &[usize], floor: &mut [bool], sums: &mut [u64]) {
-        floor.fill(true);
+    /// Screens the points `range`, at most [`SWEEP_BLOCK`] of them, with
+    /// one contiguous pass per rank column and no branch per point, and
+    /// returns the label-0 points among them that
+    /// [`dominated_heads`](Self::dominated_heads) must see, ascending,
+    /// plus the candidates: the label-0 points at or above the lowest
+    /// head on every dimension. A survivor is a candidate whose clamped
+    /// sum reaches `min_sum`; the others dominate no head.
+    fn screen<'b>(
+        &self,
+        cols: &[&[u32]],
+        labels: &[Label],
+        range: Range<usize>,
+        buf: &'b mut BlockScreen,
+    ) -> (&'b [usize], u64) {
+        let BlockScreen { sums, pass, keep } = buf;
+        let (sums, pass) = (&mut sums[..range.len()], &mut pass[..range.len()]);
+        for (f, &label) in pass.iter_mut().zip(&labels[range.clone()]) {
+            *f = label == Label::Zero;
+        }
         sums.fill(0);
         for (k, col) in cols.iter().enumerate() {
             let lowest = self.sorted[k * self.width];
-            for ((f, s), &p) in floor.iter_mut().zip(sums.iter_mut()).zip(block) {
-                let r = col[p];
-                *s += u64::from(r);
+            for ((s, f), &r) in sums
+                .iter_mut()
+                .zip(pass.iter_mut())
+                .zip(&col[range.clone()])
+            {
                 *f &= r >= lowest;
+                // Wraps below the floor, where the flag is clear anyway.
+                *s += r.wrapping_sub(lowest).min(self.cap);
             }
         }
+        let (mut candidates, mut m) = (0, 0);
+        for (i, (&s, &f)) in sums.iter().zip(pass.iter()).enumerate() {
+            candidates += u64::from(f);
+            keep[m] = range.start + i;
+            m += usize::from(f & (s >= self.min_sum));
+        }
+        (&keep[..m], candidates)
     }
 
     /// `c_k`: how many heads rank at or below `r` on dimension `k`.
@@ -259,8 +326,8 @@ impl HeadQuery {
     /// Appends to `out`, in ascending chain order, every chain whose head
     /// point `p` dominates, and says how far the query got: `out` is
     /// touched only when the bitset narrowing ran. `p` must be at or
-    /// above the lowest head on every dimension, as the floor flag of
-    /// [`screen`](Self::screen) says, so that every `c_k ≥ 1`.
+    /// above the lowest head on every dimension, as every survivor of
+    /// [`screen`](Self::screen) is, so that every `c_k ≥ 1`.
     fn dominated_heads(
         &self,
         cols: &[&[u32]],
@@ -312,16 +379,44 @@ impl HeadQuery {
     }
 }
 
+/// What the zero sweep reads: the table's rank columns and the labels
+/// over all points, and the label-1 side. The chains hold positions into
+/// the label-1 points, whose ranks come from the gathered oracle's
+/// columns: chain entry `local` is oracle point `one_label[local]`.
+struct SweepInput<'a> {
+    cols: Vec<&'a [u32]>,
+    labels: &'a [Label],
+    one_cols: Vec<&'a [u32]>,
+    one_label: Vec<u32>,
+    chains: &'a [Vec<usize>],
+}
+
+impl SweepInput<'_> {
+    /// The oracle point of chain `c`'s head.
+    fn head(&self, c: &[usize]) -> usize {
+        self.one_label[c[0]] as usize
+    }
+
+    /// Whether point `p` dominates chain entry `local`.
+    fn dominates(&self, p: usize, local: usize) -> bool {
+        let q = self.one_label[local] as usize;
+        self.cols
+            .iter()
+            .zip(&self.one_cols)
+            .all(|(c, o)| c[p] >= o[q])
+    }
+}
+
 /// What the zero sweep learns: each zero that hits some chain, as its
-/// position in the swept list with its `(chain, dominated-prefix
-/// length)` hits in ascending chain order, plus the deepest prefix any
-/// zero reaches per chain.
+/// point id with its `(chain, dominated-prefix length)` hits in
+/// ascending chain order, plus the deepest prefix any zero reaches per
+/// chain.
 #[derive(Default)]
 struct Sweep {
     hits: Vec<(usize, Vec<(u32, u32)>)>,
     max_cnt: Vec<usize>,
     /// How far the zeros got: at or above the lowest head on every
-    /// dimension (`candidates`), retired by the rank-sum bound among
+    /// dimension (`candidates`), retired by the clamped-sum bound among
     /// those (`summed`), and through to the bitset narrowing
     /// (`narrowed`). The reference sweep in the tests leaves them 0.
     candidates: u64,
@@ -329,93 +424,42 @@ struct Sweep {
     narrowed: u64,
 }
 
-/// The ladder's zero sweep: for every `zeros[zi]`, the
-/// chains whose head it dominates come from one [`HeadQuery`] (after
-/// its block screen), and a binary search on each of those chains finds
-/// its dominated prefix. Chain entries are positions into `ones`; both
-/// `zeros` and `ones` hold point ids into the rank columns `cols`.
-/// Chunk results concatenate in index order, so the output equals a
-/// sequential sweep's.
-fn sweep_zeros(
-    cols: &[&[u32]],
-    zeros: &[usize],
-    ones: &[usize],
-    chains: &[Vec<usize>],
-    token: &CancelToken,
-) -> Result<Sweep, Cancelled> {
-    let _span = mc_obs::span("ladder_sweep");
-    let dominates = |p: usize, q: usize| cols.iter().all(|c| c[p] >= c[q]);
-    let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
-    let query = HeadQuery::new(cols, &heads);
-    let width = chains.len();
-    let chunks: Vec<Sweep> = parallel_chunks(zeros.len(), |range| {
-        let mut out = Sweep {
+impl Sweep {
+    fn empty(width: usize) -> Self {
+        Self {
             max_cnt: vec![0; width],
-            ..Sweep::default()
-        };
-        let mut scratch = HeadScratch::default();
-        let mut hit_chains = Vec::new();
-        let mut floor = [false; SWEEP_BLOCK];
-        let mut sums = [0u64; SWEEP_BLOCK];
-        // Every worker passes the same global total (one unit per zero),
-        // so `progress.ladder_sweep.frac` is exact for the sweep.
-        let mut cp = Checkpoint::with_progress(token, "ladder_sweep", zeros.len() as u64);
-        let first = range.start;
-        for (b, block) in zeros[range].chunks(SWEEP_BLOCK).enumerate() {
-            if cp.tick(block.len() as u64).is_err() {
-                break; // partial chunk; the caller polls and bails
-            }
-            let (floor, sums) = (&mut floor[..block.len()], &mut sums[..block.len()]);
-            query.screen(cols, block, floor, sums);
-            for (i, &p) in block.iter().enumerate() {
-                if !floor[i] {
-                    continue;
-                }
-                out.candidates += 1;
-                if sums[i] < query.min_sum {
-                    out.summed += 1;
-                    continue;
-                }
-                hit_chains.clear();
-                if query.dominated_heads(cols, p, &mut scratch, &mut hit_chains)
-                    == HeadHits::Narrowed
-                {
-                    out.narrowed += 1;
-                }
-                if hit_chains.is_empty() {
-                    continue;
-                }
-                let hits: Vec<(u32, u32)> = hit_chains
-                    .iter()
-                    .map(|&c| {
-                        let chain = &chains[c as usize];
-                        // Ascending chain ⇒ "p dominates chain[i]" holds
-                        // on a prefix, and the head is already known
-                        // dominated.
-                        let cnt =
-                            1 + chain[1..].partition_point(|&local| dominates(p, ones[local]));
-                        out.max_cnt[c as usize] = out.max_cnt[c as usize].max(cnt);
-                        (c, cnt as u32)
-                    })
-                    .collect();
-                out.hits.push((first + b * SWEEP_BLOCK + i, hits));
-            }
+            ..Self::default()
         }
-        out
-    });
-    token.poll()?;
-    let mut sweep = Sweep {
-        max_cnt: vec![0; width],
-        ..Sweep::default()
-    };
-    for chunk in chunks {
-        sweep.hits.extend(chunk.hits);
-        for (m, l) in sweep.max_cnt.iter_mut().zip(chunk.max_cnt) {
+    }
+
+    /// Appends `chunk`, the sweep of the points after this one's.
+    fn extend(&mut self, chunk: Sweep) {
+        self.hits.extend(chunk.hits);
+        for (m, l) in self.max_cnt.iter_mut().zip(chunk.max_cnt) {
             *m = (*m).max(l);
         }
-        sweep.candidates += chunk.candidates;
-        sweep.summed += chunk.summed;
-        sweep.narrowed += chunk.narrowed;
+        self.candidates += chunk.candidates;
+        self.summed += chunk.summed;
+        self.narrowed += chunk.narrowed;
+    }
+}
+
+/// The ladder's zero sweep: every label-0 point's hit chains come from
+/// one [`HeadQuery`] (after its block screen), and a binary search on
+/// each of those chains finds its dominated prefix. The points are split
+/// into ranges over `parallel_chunks`, and the chunk results concatenate
+/// in range order, so the output equals a sequential sweep's.
+fn sweep_zeros(input: &SweepInput, token: &CancelToken) -> Result<Sweep, Cancelled> {
+    let _span = mc_obs::span("ladder_sweep");
+    let heads: Vec<usize> = input.chains.iter().map(|c| input.head(c)).collect();
+    let query = HeadQuery::new(&input.one_cols, &heads);
+    let chunks: Vec<Sweep> = parallel_chunks(input.labels.len(), |range| {
+        sweep_range(input, &query, range, token)
+    });
+    token.poll()?;
+    let mut sweep = Sweep::empty(input.chains.len());
+    for chunk in chunks {
+        sweep.extend(chunk);
     }
     mc_obs::counter_add("passive.sweep_candidates", sweep.candidates);
     mc_obs::counter_add("passive.sweep_summed", sweep.summed);
@@ -423,10 +467,60 @@ fn sweep_zeros(
     Ok(sweep)
 }
 
+/// One worker's part of [`sweep_zeros`]: the points `range`, screened in
+/// blocks of [`SWEEP_BLOCK`] from `range.start`. Stops early, with a
+/// partial result, once `token` is cancelled; the caller polls.
+fn sweep_range(
+    input: &SweepInput,
+    query: &HeadQuery,
+    range: Range<usize>,
+    token: &CancelToken,
+) -> Sweep {
+    let mut out = Sweep::empty(input.chains.len());
+    let mut scratch = HeadScratch::default();
+    let mut hit_chains = Vec::new();
+    let mut buf = BlockScreen::new();
+    // Every worker passes the same global total (one unit per point), so
+    // `progress.ladder_sweep.frac` is exact for the sweep.
+    let mut cp = Checkpoint::with_progress(token, "ladder_sweep", input.labels.len() as u64);
+    for lo in range.clone().step_by(SWEEP_BLOCK) {
+        let hi = (lo + SWEEP_BLOCK).min(range.end);
+        if cp.tick((hi - lo) as u64).is_err() {
+            break;
+        }
+        let (kept, candidates) = query.screen(&input.cols, input.labels, lo..hi, &mut buf);
+        out.candidates += candidates;
+        out.summed += candidates - kept.len() as u64;
+        for &p in kept {
+            hit_chains.clear();
+            if query.dominated_heads(&input.cols, p, &mut scratch, &mut hit_chains)
+                == HeadHits::Narrowed
+            {
+                out.narrowed += 1;
+            }
+            if hit_chains.is_empty() {
+                continue;
+            }
+            let hits: Vec<(u32, u32)> = hit_chains
+                .iter()
+                .map(|&c| {
+                    let chain = &input.chains[c as usize];
+                    // Ascending chain ⇒ "p dominates chain[i]" holds on a
+                    // prefix, and the head is already known dominated.
+                    let cnt = 1 + chain[1..].partition_point(|&local| input.dominates(p, local));
+                    out.max_cnt[c as usize] = out.max_cnt[c as usize].max(cnt);
+                    (c, cnt as u32)
+                })
+                .collect();
+            out.hits.push((p, hits));
+        }
+    }
+    out
+}
+
 /// The zero sweep's signature; the builder takes it as a parameter so
 /// the tests can run it over a reference sweep.
-type SweepFn =
-    fn(&[&[u32]], &[usize], &[usize], &[Vec<usize>], &CancelToken) -> Result<Sweep, Cancelled>;
+type SweepFn = fn(&SweepInput, &CancelToken) -> Result<Sweep, Cancelled>;
 
 /// Wires the gadget into `net`: per chain `c`, a rung ladder over the
 /// first `sweep.max_cnt[c]` elements, the prefix some zero reaches
@@ -496,11 +590,13 @@ pub(crate) struct LadderOutcome {
 /// No `Θ(n²/64)` structure exists anywhere in this path: the Lemma-6
 /// matching runs over a [`RankOracle`] gathered from the table's
 /// label-1 rows (`O(d·|P₁|)` resident, rows computed on demand and
-/// bit-identical to the dominator matrix's), and the zero sweep is one
-/// [`HeadQuery`] per zero plus binary searches on the chains it hits.
-/// The sweep fans out over `parallel_chunks`; chunk results concatenate
-/// in index order, so the contending sets, the network, and hence the
-/// min cut are identical to the sequential pipeline.
+/// bit-identical to the dominator matrix's), and the zero sweep streams
+/// the rank columns and labels through one block screen, then runs one
+/// [`HeadQuery`] per zero it lets through plus binary searches on the
+/// chains that zero hits. The sweep fans out over point ranges with
+/// `parallel_chunks`; chunk results concatenate in range order, so the
+/// contending sets, the network, and hence the min cut are identical to
+/// the sequential pipeline.
 pub(crate) fn discover_and_build_from_table_cancellable(
     table: &RankTable,
     labels: &[Label],
@@ -521,19 +617,14 @@ fn discover_with(
     token.poll()?; // small inputs may never reach a checkpoint
     debug_assert_eq!(table.len(), labels.len());
     debug_assert_eq!(labels.len(), weights.len());
-    let mut zeros = Vec::new();
-    let mut ones = Vec::new();
-    for (i, &label) in labels.iter().enumerate() {
-        match label {
-            Label::Zero => zeros.push(i),
-            Label::One => ones.push(i),
-        }
-    }
+    let ones: Vec<usize> = (0..labels.len())
+        .filter(|&i| labels[i] == Label::One)
+        .collect();
     let empty = ContendingPoints {
         zeros: Vec::new(),
         ones: Vec::new(),
     };
-    if zeros.is_empty() || ones.is_empty() {
+    if ones.is_empty() || ones.len() == labels.len() {
         // Width 0 here means "the decomposition never ran" — with no
         // contention possible, nothing downstream reads it.
         return Ok(LadderOutcome {
@@ -560,13 +651,24 @@ fn discover_with(
     // The sweep's deepest dominated prefix per chain places each rung
     // edge *and* answers Lemma 15: a zero contends iff it hits some
     // chain, and chain `c`'s contending 1-points are its prefix up to
-    // the deepest rung any zero reaches.
-    let cols: Vec<&[u32]> = (0..table.dim()).map(|k| table.column(k)).collect();
-    let sweep = sweep(&cols, &zeros, &ones, dec.chains(), token)?;
+    // the deepest rung any zero reaches. The sweep reads the ones' ranks
+    // off the oracle's gathered columns, through the inverse of `order`.
+    let mut one_label = vec![0u32; ones.len()];
+    for (l, &local) in order.iter().enumerate() {
+        one_label[local] = l as u32;
+    }
+    let input = SweepInput {
+        cols: (0..table.dim()).map(|k| table.column(k)).collect(),
+        labels,
+        one_cols: (0..oracle.dim()).map(|k| oracle.column(k)).collect(),
+        one_label,
+        chains: dec.chains(),
+    };
+    let sweep = sweep(&input, token)?;
     let width = dec.width();
 
     let _wire = mc_obs::span("ladder_wire");
-    let con_zeros: Vec<usize> = sweep.hits.iter().map(|&(zi, _)| zeros[zi]).collect();
+    let con_zeros: Vec<usize> = sweep.hits.iter().map(|&(p, _)| p).collect();
     let mut con_ones: Vec<usize> = dec
         .chains()
         .iter()
@@ -656,50 +758,79 @@ mod tests {
         (out.con, out.network)
     }
 
-    /// Reference sweep without [`HeadQuery`]: a per-dimension floor over
-    /// the head ranks, then a dominance test against every head. The
-    /// builders are diffed against it.
-    fn reference_sweep(
-        cols: &[&[u32]],
-        zeros: &[usize],
-        ones: &[usize],
-        chains: &[Vec<usize>],
-        _token: &CancelToken,
-    ) -> Result<Sweep, Cancelled> {
-        let dominates = |p: usize, q: usize| cols.iter().all(|c| c[p] >= c[q]);
-        let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
-        let mut head_floor = vec![u32::MAX; cols.len()];
-        for &h in &heads {
-            for (k, col) in cols.iter().enumerate() {
-                head_floor[k] = head_floor[k].min(col[h]);
-            }
-        }
-        let mut sweep = Sweep {
-            max_cnt: vec![0; chains.len()],
-            ..Sweep::default()
-        };
-        for (zi, &p) in zeros.iter().enumerate() {
-            if cols
-                .iter()
-                .zip(&head_floor)
-                .any(|(col, &floor)| col[p] < floor)
-            {
+    /// Reference sweep without [`HeadQuery`]: every label-0 point, a
+    /// per-dimension floor over the head ranks, then a dominance test
+    /// against every head. The builders are diffed against it.
+    fn reference_sweep(input: &SweepInput, _token: &CancelToken) -> Result<Sweep, Cancelled> {
+        let heads: Vec<usize> = input.chains.iter().map(|chain| chain[0]).collect();
+        let rank = |k: usize, local: usize| input.one_cols[k][input.one_label[local] as usize];
+        let floor: Vec<u32> = (0..input.cols.len())
+            .map(|k| heads.iter().map(|&h| rank(k, h)).min().unwrap())
+            .collect();
+        let mut sweep = Sweep::empty(input.chains.len());
+        for p in (0..input.labels.len()).filter(|&p| input.labels[p] == Label::Zero) {
+            if input.cols.iter().zip(&floor).any(|(col, &f)| col[p] < f) {
                 continue;
             }
             let mut hits = Vec::new();
-            for (c, chain) in chains.iter().enumerate() {
-                if !dominates(p, heads[c]) {
+            for (c, chain) in input.chains.iter().enumerate() {
+                if !input.dominates(p, chain[0]) {
                     continue;
                 }
-                let cnt = 1 + chain[1..].partition_point(|&local| dominates(p, ones[local]));
+                let cnt = 1 + chain[1..].partition_point(|&local| input.dominates(p, local));
                 hits.push((c as u32, cnt as u32));
                 sweep.max_cnt[c] = sweep.max_cnt[c].max(cnt);
             }
             if !hits.is_empty() {
-                sweep.hits.push((zi, hits));
+                sweep.hits.push((p, hits));
             }
         }
         Ok(sweep)
+    }
+
+    /// `Σ_k rank_k(p)`, unclamped.
+    fn rank_sum(cols: &[&[u32]], p: usize) -> u64 {
+        cols.iter().map(|col| u64::from(col[p])).sum()
+    }
+
+    /// The label-1 side of a sweep over `table`: the label-1 ids, an
+    /// oracle gathered over them in id order, and its minimum chain
+    /// decomposition, whose entries are positions into the ids.
+    struct OneSide {
+        ones: Vec<usize>,
+        oracle: RankOracle,
+        dec: ChainDecomposition,
+    }
+
+    fn one_side(table: &RankTable, labels: &[Label]) -> OneSide {
+        let ones: Vec<usize> = (0..labels.len())
+            .filter(|&i| labels[i] == Label::One)
+            .collect();
+        let oracle =
+            RankOracle::try_from_table_subset(table, &ones, &CancelToken::never()).unwrap();
+        let dec = ChainDecomposition::compute_from_oracle(&oracle);
+        OneSide { ones, oracle, dec }
+    }
+
+    /// The sweep input over `table` and `side`, with the identity map
+    /// from chain entries to oracle points.
+    fn input_of<'a>(
+        table: &'a RankTable,
+        labels: &'a [Label],
+        side: &'a OneSide,
+    ) -> SweepInput<'a> {
+        SweepInput {
+            cols: (0..table.dim()).map(|k| table.column(k)).collect(),
+            labels,
+            one_cols: (0..table.dim()).map(|k| side.oracle.column(k)).collect(),
+            one_label: (0..side.ones.len() as u32).collect(),
+            chains: side.dec.chains(),
+        }
+    }
+
+    /// A table over the rank columns `cols`, which need not be dense.
+    fn table_of(cols: &[Vec<u32>]) -> RankTable {
+        RankTable::from_rank_columns(cols[0].len(), cols.len(), cols.concat())
     }
 
     fn edge_list(net: &FlowNetwork) -> Vec<(NodeId, NodeId, Capacity)> {
@@ -738,6 +869,16 @@ mod tests {
         (hits, outcome)
     }
 
+    /// `Σ_k min(rank_k(p) − lowest_k, ⌊u32::MAX/d⌋)` in `u64`, for `p`
+    /// at or above every `lowest_k`.
+    fn clamped_sum(cols: &[&[u32]], lowest: &[u32], p: usize) -> u64 {
+        let cap = u64::from(u32::MAX) / cols.len() as u64;
+        cols.iter()
+            .zip(lowest)
+            .map(|(col, &l)| u64::from(col[p] - l).min(cap))
+            .sum()
+    }
+
     #[test]
     fn head_query_matches_naive_head_scan() {
         let mut rng = StdRng::seed_from_u64(0x4EAD);
@@ -773,38 +914,62 @@ mod tests {
                         col[w] = col[0]; // a query equal to a head
                         col[w + 1] = 0; // a query below every head
                         col[w + 2] = offset + spread + 1; // above every head
-                        col[w + 3] = u32::MAX - 1;
+                        col[w + 3] = u32::MAX - 1; // clamped on every dimension
                     }
                     let cols: Vec<&[u32]> = cols_owned.iter().map(Vec::as_slice).collect();
                     let heads: Vec<usize> = (0..w).collect();
                     let query = HeadQuery::new(&cols, &heads);
-                    assert_eq!(
-                        Some(query.min_sum),
-                        heads.iter().map(|&h| rank_sum(&cols, h)).min()
-                    );
+                    let lowest: Vec<u32> = cols
+                        .iter()
+                        .map(|col| heads.iter().map(|&h| col[h]).min().unwrap())
+                        .collect();
+                    let min_sum = heads
+                        .iter()
+                        .map(|&h| clamped_sum(&cols, &lowest, h))
+                        .min()
+                        .unwrap();
+                    assert_eq!(u64::from(query.min_sum), min_sum);
+                    // The queries, and up to 100 of the heads, are label 0;
+                    // the screen must skip the other heads.
+                    let labels: Vec<Label> = (0..n)
+                        .map(|i| Label::from_bool(i < w && i >= 100))
+                        .collect();
+                    let mut buf = BlockScreen::new();
+                    let mut kept = Vec::new();
+                    let mut candidates = 0;
+                    for lo in (0..n).step_by(SWEEP_BLOCK) {
+                        let (block, c) =
+                            query.screen(&cols, &labels, lo..(lo + SWEEP_BLOCK).min(n), &mut buf);
+                        kept.extend_from_slice(block);
+                        candidates += c;
+                    }
+                    let mut want = Vec::new();
+                    let mut want_candidates = 0;
                     let mut scratch = HeadScratch::default();
                     let mut got = Vec::new();
-                    let block: Vec<usize> = (0..w.min(100)).chain(w..n).collect();
-                    let mut floor = vec![false; block.len()];
-                    let mut sums = vec![0; block.len()];
-                    query.screen(&cols, &block, &mut floor, &mut sums);
-                    for (i, &p) in block.iter().enumerate() {
+                    for p in (0..n).filter(|&p| labels[p] == Label::Zero) {
                         let (naive, expected) = naive_head_scan(&cols, &heads, p);
                         let what = format!("dim {dim} w {w} spread {spread} offset {offset} p {p}");
-                        assert_eq!(floor[i], expected.is_some(), "{what}");
-                        assert_eq!(sums[i], rank_sum(&cols, p), "{what}");
-                        // The screen may only retire points that hit nothing.
-                        assert!(naive.is_empty() || sums[i] >= query.min_sum, "{what}");
                         let Some(expected) = expected else {
                             seen[0] += 1;
                             continue;
                         };
+                        want_candidates += 1;
+                        let passes = clamped_sum(&cols, &lowest, p) >= min_sum;
+                        if passes {
+                            want.push(p);
+                        }
+                        // The screen may only retire points that hit nothing.
+                        assert!(naive.is_empty() || passes, "{what}");
                         got.clear();
                         let outcome = query.dominated_heads(&cols, p, &mut scratch, &mut got);
                         assert_eq!(outcome, expected, "{what}");
                         assert_eq!(got, naive, "{what}");
                         seen[1 + outcome as usize] += 1;
                     }
+                    let what = format!("dim {dim} w {w} spread {spread} offset {offset}");
+                    assert_eq!(kept, want, "{what}");
+                    assert_eq!(candidates, want_candidates, "{what}");
                 }
             }
         }
@@ -873,9 +1038,11 @@ mod tests {
         ws
     }
 
-    /// The ids of the label-0 and label-1 points, ascending.
-    fn split_labels(labels: &[Label]) -> (Vec<usize>, Vec<usize>) {
-        (0..labels.len()).partition(|&i| labels[i] == Label::Zero)
+    /// Asserts that `sweep` found what the reference finds on `input`.
+    fn assert_sweeps_agree(sweep: &Sweep, input: &SweepInput, what: &str) {
+        let slow = reference_sweep(input, &CancelToken::never()).unwrap();
+        assert_eq!(sweep.hits, slow.hits, "{what}");
+        assert_eq!(sweep.max_cnt, slow.max_cnt, "{what}");
     }
 
     #[test]
@@ -886,15 +1053,13 @@ mod tests {
             let mut ws = threshold_weighted(3000, dim, 1000.0, 150.0, &mut rng);
             let table = RankTable::build(ws.points());
             let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
-            let (_, ones) = split_labels(ws.labels());
-            let oracle = RankOracle::try_from_table_subset(&table, &ones, &never).unwrap();
-            let dec = ChainDecomposition::compute_from_oracle(&oracle);
+            let side = one_side(&table, ws.labels());
             assert!(
-                dec.width() > 64,
+                side.dec.width() > 64,
                 "dim {dim}: width {} fits one word",
-                dec.width()
+                side.dec.width()
             );
-            let heads: Vec<usize> = dec.chains().iter().map(|c| ones[c[0]]).collect();
+            let heads: Vec<usize> = side.dec.chains().iter().map(|c| side.ones[c[0]]).collect();
             let head = *heads.iter().min_by_key(|&&h| rank_sum(&cols, h)).unwrap();
             let min_sum = rank_sum(&cols, head);
 
@@ -903,7 +1068,8 @@ mod tests {
             // one rank lower on a dimension where it stays at or above
             // every head's floor (sum = min_sum − 1). Neither adds a
             // distinct coordinate, so no rank moves and the ones' chains
-            // stay the same.
+            // stay the same. Dense ranks never clamp, so the clamped
+            // sums sit at the bound too, shifted by the floors' sum.
             let floor = |k: usize| heads.iter().map(|&h| cols[k][h]).min().unwrap();
             let k = (0..dim).max_by_key(|&k| cols[k][head] - floor(k)).unwrap();
             assert!(
@@ -933,7 +1099,7 @@ mod tests {
             .unwrap();
             let slow =
                 discover_with(&table, ws.labels(), ws.weights(), &never, reference_sweep).unwrap();
-            assert_eq!(fast.width, dec.width());
+            assert_eq!(fast.width, side.dec.width());
             assert_eq!(
                 (&fast.con.zeros, &fast.con.ones),
                 (&slow.con.zeros, &slow.con.ones)
@@ -949,17 +1115,16 @@ mod tests {
             // The same sweep with every rank shifted up to just below
             // `u32::MAX`, as sparse parent ranks of a gathered subset can
             // be: no comparison changes, but `d` ranks overflow a `u32`.
-            let (zeros, ones) = split_labels(ws.labels());
             let top = cols.iter().flat_map(|c| c.iter()).max().unwrap();
             let shifted: Vec<Vec<u32>> = cols
                 .iter()
                 .map(|c| c.iter().map(|&r| r + (u32::MAX - top)).collect())
                 .collect();
-            let shifted: Vec<&[u32]> = shifted.iter().map(Vec::as_slice).collect();
-            let fast = sweep_zeros(&shifted, &zeros, &ones, dec.chains(), &never).unwrap();
-            let slow = reference_sweep(&shifted, &zeros, &ones, dec.chains(), &never).unwrap();
-            assert_eq!(fast.hits, slow.hits, "dim {dim}");
-            assert_eq!(fast.max_cnt, slow.max_cnt, "dim {dim}");
+            let table = table_of(&shifted);
+            let side = one_side(&table, ws.labels());
+            let input = input_of(&table, ws.labels(), &side);
+            let fast = sweep_zeros(&input, &never).unwrap();
+            assert_sweeps_agree(&fast, &input, &format!("dim {dim}"));
             assert!(
                 fast.summed > 0 && fast.narrowed > 0,
                 "dim {dim}: the sum bound and the narrowing must both fire \
@@ -968,6 +1133,157 @@ mod tests {
                 fast.narrowed
             );
             assert!(fast.summed + fast.narrowed <= fast.candidates, "dim {dim}");
+        }
+    }
+
+    #[test]
+    fn sweep_matches_the_reference_across_block_and_chunk_edges() {
+        let never = CancelToken::never();
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        let b = SWEEP_BLOCK;
+        for (n, dim) in [(b - 1, 3usize), (b, 4), (b + 1, 3), (9 * b + 7, 4)] {
+            let ws = threshold_weighted(n, dim, 100.0, 40.0, &mut rng);
+            // On the multi-block input, block 0 is all zeros and block 1
+            // all ones; the blocks after keep the threshold labels.
+            let labels: Vec<Label> = (0..n)
+                .map(|i| match i / b {
+                    0 if n > 2 * b => Label::Zero,
+                    1 if n > 2 * b => Label::One,
+                    _ => ws.labels()[i],
+                })
+                .collect();
+            let table = RankTable::build(ws.points());
+            let side = one_side(&table, &labels);
+            let input = input_of(&table, &labels, &side);
+            let what = format!("n {n} dim {dim}");
+            let whole = sweep_zeros(&input, &never).unwrap();
+            assert!(!whole.hits.is_empty(), "{what}: no zero hits a chain");
+            assert!(whole.summed > 0, "{what}: the sum bound never fired");
+            assert_sweeps_agree(&whole, &input, &what);
+
+            // Workers start their blocks at their own range start, so a
+            // chunk edge off a block multiple shifts every later block.
+            let heads: Vec<usize> = input.chains.iter().map(|c| input.head(c)).collect();
+            let query = HeadQuery::new(&input.one_cols, &heads);
+            for split in [1, b / 2 + 3, 2 * b + 5, n - 1]
+                .into_iter()
+                .filter(|&s| s < n)
+            {
+                let mut split_sweep = sweep_range(&input, &query, 0..split, &never);
+                split_sweep.extend(sweep_range(&input, &query, split..n, &never));
+                let what = format!("{what} split {split}");
+                assert_sweeps_agree(&split_sweep, &input, &what);
+                assert_eq!(
+                    (
+                        split_sweep.candidates,
+                        split_sweep.summed,
+                        split_sweep.narrowed
+                    ),
+                    (whole.candidates, whole.summed, whole.narrowed),
+                    "{what}"
+                );
+            }
+
+            let fast =
+                discover_and_build_from_table_cancellable(&table, &labels, ws.weights(), &never)
+                    .unwrap();
+            let slow =
+                discover_with(&table, &labels, ws.weights(), &never, reference_sweep).unwrap();
+            assert_eq!(
+                (&fast.con.zeros, &fast.con.ones),
+                (&slow.con.zeros, &slow.con.ones),
+                "{what}"
+            );
+            let (fast_net, slow_net) = (fast.network.unwrap(), slow.network.unwrap());
+            assert_eq!(edge_list(&fast_net.net), edge_list(&slow_net.net), "{what}");
+        }
+    }
+
+    #[test]
+    fn clamped_sums_match_the_reference_sweep_near_u32_max() {
+        // Every rank lies within 2,000 of 0 or of `u32::MAX`, so the
+        // spread of a high rank over a low floor is far above
+        // `⌊u32::MAX/d⌋` and its term clamps, while points low on every
+        // dimension keep their plain sums and meet the sum bound.
+        let never = CancelToken::never();
+        let mut rng = StdRng::seed_from_u64(0xC1A4);
+        for dim in [5usize, 6] {
+            let n = 3000;
+            let cols: Vec<Vec<u32>> = (0..dim)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| {
+                            let r = rng.gen_range(0..2000);
+                            if rng.gen_bool(0.5) {
+                                r
+                            } else {
+                                u32::MAX - r
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut cols = cols;
+            let mut labels: Vec<Label> = (0..n)
+                .map(|_| Label::from_bool(rng.gen_bool(0.5)))
+                .collect();
+
+            // Plant zeros at the clamped sum bound: a copy of the head of
+            // least clamped sum (it dominates that head), and copies one
+            // rank lower on each dimension where the head is above the
+            // floor (one below the bound unless that term clamps). Zeros
+            // leave the ones' chains as they are.
+            let side = one_side(&table_of(&cols), &labels);
+            let heads: Vec<usize> = side.dec.chains().iter().map(|c| side.ones[c[0]]).collect();
+            let all: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+            let lowest: Vec<u32> = all
+                .iter()
+                .map(|col| heads.iter().map(|&h| col[h]).min().unwrap())
+                .collect();
+            let head = *heads
+                .iter()
+                .min_by_key(|&&h| clamped_sum(&all, &lowest, h))
+                .unwrap();
+            let copy: Vec<u32> = all.iter().map(|col| col[head]).collect();
+            let mut planted = vec![copy.clone()];
+            for k in (0..dim).filter(|&k| copy[k] > lowest[k]) {
+                let mut below = copy.clone();
+                below[k] -= 1;
+                planted.push(below);
+            }
+            for point in &planted {
+                for (col, &r) in cols.iter_mut().zip(point) {
+                    col.push(r);
+                }
+                labels.push(Label::Zero);
+            }
+
+            let table = table_of(&cols);
+            let side = one_side(&table, &labels);
+            let input = input_of(&table, &labels, &side);
+            let what = format!("dim {dim}");
+            let fast = sweep_zeros(&input, &never).unwrap();
+            assert_sweeps_agree(&fast, &input, &what);
+            assert!(
+                fast.hits.iter().any(|&(p, _)| p == n),
+                "{what}: the copy misses"
+            );
+
+            let heads: Vec<usize> = input.chains.iter().map(|c| input.head(c)).collect();
+            let query = HeadQuery::new(&input.one_cols, &heads);
+            let lowest: Vec<u32> = (0..dim).map(|k| query.sorted[k * query.width]).collect();
+            let clamps = |p: usize| (0..dim).any(|k| input.cols[k][p] - lowest[k] >= query.cap);
+            assert!(
+                fast.hits.iter().any(|&(p, _)| clamps(p)),
+                "{what}: no hitting zero has a clamped term"
+            );
+            assert!(
+                fast.hits
+                    .iter()
+                    .any(|&(p, _)| (0..dim).all(|k| input.cols[k][p] > u32::MAX / 2)),
+                "{what}: no hitting zero is high on every dimension"
+            );
+            assert!(fast.summed > 0, "{what}: the sum bound never fired");
         }
     }
 

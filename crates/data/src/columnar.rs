@@ -25,6 +25,7 @@
 //! generator, `O(1)` resident no matter the `n`.
 
 use mc_geom::{rank_key, rank_keys_into, Label, RankTable, WeightedSet};
+use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -38,6 +39,10 @@ pub const MAGIC: [u8; 4] = *b"MCC1";
 pub const MAX_DIM: u32 = 64;
 
 const HEADER_BYTES: u64 = 4 + 4 + 8;
+
+/// Values per staging chunk: the reader decodes and the writer encodes
+/// columns `CHUNK` values (64 KiB) at a time.
+const CHUNK: usize = 1 << 13;
 
 /// Errors from reading or writing a columnar dataset.
 #[derive(Debug)]
@@ -84,8 +89,8 @@ pub enum ColumnarError {
     },
 }
 
-impl std::fmt::Display for ColumnarError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for ColumnarError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ColumnarError::Io(e) => write!(f, "columnar I/O: {e}"),
             ColumnarError::BadMagic { found } => {
@@ -132,13 +137,25 @@ impl From<io::Error> for ColumnarError {
     }
 }
 
-/// A columnar dataset opened for streaming reads. Holds the file handle
-/// and header; nothing else is resident until a read method asks for it.
-#[derive(Debug)]
+/// A columnar dataset opened for streaming reads. Holds the file handle,
+/// the header and one 64 KiB staging buffer; nothing else is resident
+/// until a read method asks for it.
 pub struct ColumnarDataset {
     file: BufReader<File>,
     dim: usize,
     n: usize,
+    /// The one byte staging buffer of every column, label and weight
+    /// read, [`CHUNK`] values long and reused across the load.
+    stage: Vec<u8>,
+}
+
+impl fmt::Debug for ColumnarDataset {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ColumnarDataset")
+            .field("dim", &self.dim)
+            .field("n", &self.n)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ColumnarDataset {
@@ -169,6 +186,7 @@ impl ColumnarDataset {
             file,
             dim: dim as usize,
             n: n as usize,
+            stage: vec![0; CHUNK * 8],
         })
     }
 
@@ -209,7 +227,7 @@ impl ColumnarDataset {
     ) -> Result<(), ColumnarError> {
         assert!(k < self.dim, "dimension {k} out of range ({})", self.dim);
         self.seek_to(HEADER_BYTES + (k as u64) * (self.n as u64) * 8)?;
-        read_f64s(&mut self.file, self.n, |index, v| {
+        read_f64s(&mut self.file, &mut self.stage, self.n, |index, v| {
             if !v.is_finite() {
                 return Err(ColumnarError::NonFinite { dim: k, index });
             }
@@ -224,14 +242,20 @@ impl ColumnarDataset {
         let _span = mc_obs::span("columnar_load");
         let _read = mc_obs::span("read");
         self.seek_to(HEADER_BYTES + (self.dim as u64) * (self.n as u64) * 8)?;
-        let mut bytes = vec![0u8; self.n];
-        self.file.read_exact(&mut bytes)?;
         let mut labels = Vec::with_capacity(self.n);
-        for (index, &value) in bytes.iter().enumerate() {
-            match value {
-                0 => labels.push(Label::Zero),
-                1 => labels.push(Label::One),
-                _ => return Err(ColumnarError::BadLabel { index, value }),
+        while labels.len() < self.n {
+            let take = (self.n - labels.len()).min(self.stage.len());
+            let bytes = &mut self.stage[..take];
+            self.file.read_exact(bytes)?;
+            for &value in bytes.iter() {
+                match value {
+                    0 => labels.push(Label::Zero),
+                    1 => labels.push(Label::One),
+                    _ => {
+                        let index = labels.len();
+                        return Err(ColumnarError::BadLabel { index, value });
+                    }
+                }
             }
         }
         Ok(labels)
@@ -244,7 +268,7 @@ impl ColumnarDataset {
         let _read = mc_obs::span("read");
         self.seek_to(HEADER_BYTES + (self.dim as u64) * (self.n as u64) * 8 + self.n as u64)?;
         let mut weights = Vec::with_capacity(self.n);
-        read_f64s(&mut self.file, self.n, |_, v| {
+        read_f64s(&mut self.file, &mut self.stage, self.n, |_, v| {
             weights.push(v);
             Ok(())
         })?;
@@ -313,20 +337,20 @@ impl ColumnarDataset {
 }
 
 /// Decodes `n` little-endian `f64`s from `r` into `sink` as
-/// `(index, value)`, stopping at the first error either returns.
+/// `(index, value)`, staged through `stage` (a multiple of 8 bytes long)
+/// so the bytes in flight stay bounded whatever `n` (the decoded values
+/// are the sink's to budget), and stops at the first error either
+/// returns.
 fn read_f64s(
     r: &mut impl Read,
+    stage: &mut [u8],
     n: usize,
     mut sink: impl FnMut(usize, f64) -> Result<(), ColumnarError>,
 ) -> Result<(), ColumnarError> {
-    // Chunked converts keep the byte staging buffer bounded regardless
-    // of n (the decoded values are the sink's to budget).
-    const CHUNK: usize = 1 << 16;
-    let mut bytes = vec![0u8; CHUNK * 8];
     let mut done = 0;
     while done < n {
-        let take = (n - done).min(CHUNK);
-        let buf = &mut bytes[..take * 8];
+        let take = (n - done).min(stage.len() / 8);
+        let buf = &mut stage[..take * 8];
         r.read_exact(buf)?;
         for chunk in buf.chunks_exact(8) {
             sink(
@@ -428,7 +452,6 @@ impl ColumnarWriter {
 }
 
 fn write_f64s(w: &mut impl Write, values: &[f64]) -> Result<(), ColumnarError> {
-    const CHUNK: usize = 1 << 16;
     let mut bytes = Vec::with_capacity(CHUNK.min(values.len()) * 8);
     for chunk in values.chunks(CHUNK) {
         bytes.clear();
