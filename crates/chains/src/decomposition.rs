@@ -38,7 +38,7 @@
 
 use crate::dag::DominanceDag;
 use mc_geom::{
-    iter_ones, matrix_bytes, row_budget_bytes, sort_linear_extension, DominanceIndex, PointSet,
+    iter_ones, linear_extension_order, matrix_bytes, row_budget_bytes, DominanceIndex, PointSet,
     RankOracle,
 };
 use mc_matching::{
@@ -146,8 +146,7 @@ impl ChainDecomposition {
     pub fn compute_from_index(index: &DominanceIndex) -> Self {
         let _span = mc_obs::span("path_cover");
         let n = index.len();
-        let mut labels: Vec<usize> = (0..n).collect();
-        sort_linear_extension(&mut labels, index.dim(), |k, i| index.rank(k, i));
+        let labels = linear_extension_order(n, index.dim(), |k, i| index.rank(k, i));
         let mut label_of = vec![0usize; n];
         for (l, &i) in labels.iter().enumerate() {
             label_of[i] = l;
@@ -168,8 +167,11 @@ impl ChainDecomposition {
 
     /// Matches the split graph `g`, whose vertex `l` is caller index
     /// `labels[l]`, with the bitset engine, reads off the chains and the
-    /// König antichain, and maps both back to caller indices.
-    fn from_rows<G: RowSource + BipartiteAdjacency>(
+    /// König antichain, and maps both back to caller indices. The
+    /// antichain is read off the engine's last layering: a point whose
+    /// left copy is alternating-reachable and whose right copy is not
+    /// has neither copy in König's cover.
+    fn from_rows<G: RowSource>(
         g: &G,
         labels: &[usize],
         token: &CancelToken,
@@ -181,10 +183,12 @@ impl ChainDecomposition {
                 antichain: Vec::new(),
             });
         }
-        let (matching, _) = HopcroftKarpBitset.solve_with_stats_cancellable(g, token)?;
+        let (matching, _, reach) = HopcroftKarpBitset.solve_with_stats_cancellable(g, token)?;
         token.poll()?;
         let mut chains = Self::chains_from_matching(n, &matching);
-        let mut antichain = Self::antichain_from_cover(n, g, &matching);
+        let mut antichain: Vec<usize> = (0..n)
+            .filter(|&v| reach.left[v] && !reach.right_contains(v))
+            .collect();
         for v in chains.iter_mut().flatten().chain(&mut antichain) {
             *v = labels[*v];
         }
@@ -250,7 +254,10 @@ impl ChainDecomposition {
     }
 
     /// Maximum antichain: vertices neither of whose split copies lies in
-    /// König's minimum vertex cover.
+    /// König's minimum vertex cover, computed by a second traversal. Only
+    /// the adjacency-list reference ([`from_dag`](Self::from_dag)) uses
+    /// it; the bitset paths read the same set off the matching's last
+    /// layering.
     fn antichain_from_cover<G: BipartiteAdjacency>(
         n: usize,
         g: &G,
@@ -487,6 +494,17 @@ mod tests {
             assert_eq!(cached.chains(), via_matrix.chains(), "{what}");
             assert_eq!(cached.antichain(), via_matrix.antichain(), "{what}");
             cached.validate(points).unwrap();
+            // The antichain off the last layering is the one König's
+            // second traversal finds over the same matching.
+            let og = OracleGraph::new(&oracle);
+            let (matching, _) = HopcroftKarpBitset.solve_with_stats(&og);
+            let mut koenig: Vec<usize> =
+                ChainDecomposition::antichain_from_cover(labels.len(), &og, &matching)
+                    .into_iter()
+                    .map(|v| labels[v])
+                    .collect();
+            koenig.sort_unstable();
+            assert_eq!(cached.antichain(), &koenig[..], "{what}");
             assert_eq!(none_cached, 0, "{what}");
             let rounds = HopcroftKarpBitset
                 .solve_with_stats(&OracleGraph::new(&oracle))

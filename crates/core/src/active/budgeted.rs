@@ -21,11 +21,12 @@
 //! is monotone, and as `B → n` the result converges to the exact
 //! optimum.
 
+use crate::active::solver::sigma_cover;
 use crate::classifier::MonotoneClassifier;
 use crate::decompose::minimum_chains;
 use crate::error::McError;
 use crate::oracle::LabelOracle;
-use crate::passive::solver::solve_passive;
+use crate::passive::PassiveSolver;
 use crate::report::SolveReport;
 use mc_geom::{PointSet, WeightedSet};
 use rand::rngs::StdRng;
@@ -125,6 +126,7 @@ pub fn try_solve_with_budget(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut report = SolveReport::default();
     let mut sigma = WeightedSet::empty(points.dim());
+    let mut sigma_of = vec![u32::MAX; n];
     for (c, chain) in chains.iter().enumerate() {
         let m = chain.len();
         let t = allocation[c];
@@ -136,6 +138,7 @@ pub fn try_solve_with_budget(
                 report.attempts += 1;
                 match oracle.probe(i) {
                     Ok(label) => {
+                        sigma_of[i] = sigma.len() as u32;
                         sigma.push(points.point(i), label, 1.0);
                     }
                     Err(_) => report.dropped += 1,
@@ -164,13 +167,17 @@ pub fn try_solve_with_budget(
         if !answered.is_empty() {
             let weight = m as f64 / answered.len() as f64;
             for (i, label) in answered {
+                sigma_of[i] = sigma.len() as u32;
                 sigma.push(points.point(i), label, weight);
             }
         }
     }
     report.finalize(&stats_before, &oracle.stats());
 
-    let sol = solve_passive(&sigma);
+    // Σ lists each chain's probes in random order; the cover lists them
+    // in chain order, which is ascending.
+    let cover = sigma_cover(&chains, &sigma_of, sigma.labels());
+    let sol = PassiveSolver::new().solve_with_cover(&sigma, &cover);
     Ok(BudgetedSolution {
         classifier: sol.classifier,
         probes_used: oracle.probes_used() - before,

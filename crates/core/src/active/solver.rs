@@ -40,7 +40,7 @@ use crate::error::McError;
 use crate::oracle::{LabelOracle, SubsetOracle};
 use crate::passive::solver::{PassiveSolution, PassiveSolver};
 use crate::report::SolveReport;
-use mc_geom::{PointSet, WeightedSet};
+use mc_geom::{Label, PointSet, WeightedSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -255,13 +255,15 @@ impl ActiveSolver {
         // degradation Σ is missing the unanswerable points, but it is
         // still a fully-labeled weighted set — the reduction is
         // unaffected and the result stays monotone. At d ≥ 3 the solve
-        // is the matrix-free chain ladder over Σ's own rank columns.
+        // is the matrix-free chain ladder over Σ's own rank columns,
+        // wired on the active chains restricted to Σ's label-1 points
+        // when their heads certify that cover minimum.
         let t2 = Instant::now();
         let PassiveSolution {
             classifier,
             weighted_error,
             ..
-        } = PassiveSolver::new().solve(&partial.sigma);
+        } = PassiveSolver::new().solve_with_cover(&partial.sigma, &partial.cover);
         let passive_time = t2.elapsed();
 
         Ok(ActiveSolution {
@@ -295,6 +297,7 @@ impl ActiveSolver {
         if n == 0 {
             return Ok(SamplingPhase {
                 sigma: WeightedSet::empty(points.dim().max(1)),
+                cover: Vec::new(),
                 probes_used: 0,
                 width: 0,
                 sampling_time: Duration::ZERO,
@@ -374,11 +377,14 @@ impl ActiveSolver {
             }
         }
         let mut sigma = WeightedSet::empty(points.dim());
+        let mut sigma_of = vec![u32::MAX; n];
         for (global, slot) in merged.iter().enumerate() {
             if let Some((label, weight)) = slot {
+                sigma_of[global] = sigma.len() as u32;
                 sigma.push(points.point(global), *label, *weight);
             }
         }
+        let cover = sigma_cover(chains, &sigma_of, sigma.labels());
         let sampling_time = t1.elapsed();
         report.finalize(&stats_before, &oracle.stats());
         drop(span);
@@ -401,6 +407,7 @@ impl ActiveSolver {
 
         Ok(SamplingPhase {
             sigma,
+            cover,
             probes_used: oracle.probes_used() - probes_before,
             width: w,
             sampling_time,
@@ -409,9 +416,34 @@ impl ActiveSolver {
     }
 }
 
+/// The chains of P restricted to Σ's label-1 points, as Σ point ids:
+/// `sigma_of[p]` is point `p`'s id in Σ (`u32::MAX` if unsampled) and
+/// `labels` are Σ's labels. A subsequence of an ascending chain is
+/// ascending, so this is a cover of Σ's label-1 points by ascending
+/// chains; chains left empty are dropped.
+pub(crate) fn sigma_cover(
+    chains: &[Vec<usize>],
+    sigma_of: &[u32],
+    labels: &[Label],
+) -> Vec<Vec<usize>> {
+    chains
+        .iter()
+        .map(|chain| {
+            chain
+                .iter()
+                .map(|&p| sigma_of[p] as usize)
+                .filter(|&s| s < labels.len() && labels[s] == Label::One)
+                .collect::<Vec<usize>>()
+        })
+        .filter(|chain| !chain.is_empty())
+        .collect()
+}
+
 /// Intermediate result of the probing phases (before the passive solve).
 struct SamplingPhase {
     sigma: WeightedSet,
+    /// [`sigma_cover`] of the chains the sampler walked.
+    cover: Vec<Vec<usize>>,
     probes_used: usize,
     width: usize,
     sampling_time: Duration,

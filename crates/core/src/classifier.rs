@@ -26,7 +26,10 @@
 //! ```
 
 use crate::anchor_index::reversed_rank_columns;
-use mc_geom::{dominates, row_budget_bytes, Label, LabeledSet, PointSet, RankOracle, WeightedSet};
+use mc_geom::{
+    dominates, linear_extension_order, row_budget_bytes, Label, LabeledSet, PointSet, RankOracle,
+    RankTable, WeightedSet,
+};
 
 /// A monotone classifier represented by the minimal points ("anchors") of
 /// its positive region.
@@ -118,27 +121,12 @@ impl MonotoneClassifier {
         // lexicographically; scanning in sorted order means every anchor
         // that could prune `a` is already kept, and nothing kept is ever
         // invalidated later.
-        let mut kept: Vec<usize> = Vec::new();
-        let mut pruner: Option<Pruner> = None;
-        for i in 0..canonical.len() {
-            let redundant = match &mut pruner {
-                Some(p) => p.dominates_kept(i),
-                None => kept
-                    .iter()
-                    .any(|&j| dominates(&canonical[i], &canonical[j])),
-            };
-            if redundant {
-                continue;
-            }
-            kept.push(i);
-            match &mut pruner {
-                Some(p) => p.keep(i),
-                None if past_switch(kept.len(), canonical.len()) => {
-                    pruner = Some(Pruner::new(dim, &canonical, &kept));
-                }
-                None => {}
-            }
-        }
+        let kept = keep_minimal(
+            canonical.len(),
+            dim,
+            |i, j| dominates(&canonical[i], &canonical[j]),
+            || reversed_rank_columns(dim, &canonical).0,
+        );
         let mut is_kept = vec![false; canonical.len()];
         for &i in &kept {
             is_kept[i] = true;
@@ -188,6 +176,46 @@ impl MonotoneClassifier {
         Self::from_anchors(points.dim(), anchors)
     }
 
+    /// [`from_positive_points`](Self::from_positive_points) off the
+    /// points' rank columns: the minimal positive points are found by
+    /// rank compares in a linear extension of the positives
+    /// ([`linear_extension_order`]), where a point can only be made
+    /// redundant by one already kept (an equal point is kept once), and
+    /// only the kept points are copied out as anchors. [`from_anchors`](Self::from_anchors)
+    /// then canonicalises them, so the result is `==` to
+    /// `from_positive_points(points, positive)`.
+    pub(crate) fn from_ranked_positives(
+        points: &PointSet,
+        table: &RankTable,
+        positive: &[bool],
+    ) -> Self {
+        assert_eq!(points.len(), positive.len(), "assignment length mismatch");
+        debug_assert_eq!(table.len(), points.len(), "table/point-set size mismatch");
+        let dim = points.dim();
+        let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
+        let candidates: Vec<usize> = (0..points.len()).filter(|&i| positive[i]).collect();
+        let order = linear_extension_order(candidates.len(), dim, |k, l| cols[k][candidates[l]]);
+        let point = |l: usize| candidates[order[l]];
+        let kept = keep_minimal(
+            order.len(),
+            dim,
+            |a, b| {
+                let (p, q) = (point(a), point(b));
+                cols.iter().all(|col| col[p] >= col[q])
+            },
+            || {
+                cols.iter()
+                    .flat_map(|col| (0..order.len()).map(move |l| u32::MAX - col[point(l)]))
+                    .collect()
+            },
+        );
+        let anchors = kept
+            .into_iter()
+            .map(|l| points.point(point(l)).to_vec())
+            .collect();
+        Self::from_anchors(dim, anchors)
+    }
+
     /// Dimensionality `d`.
     pub fn dim(&self) -> usize {
         self.dim
@@ -225,6 +253,46 @@ impl MonotoneClassifier {
     }
 }
 
+/// The minimal candidates among `0..count`, ascending: the sweep of
+/// [`MonotoneClassifier::from_anchors`]. The candidates must be numbered
+/// so that each comes after every candidate it dominates, except equal
+/// ones, of which the first is kept. `dominates(i, j)` is reflexive
+/// dominance of candidate `i` over `j`; `reversed_ranks` gives
+/// column-major order-reversing ranks of the candidates (`count` per
+/// dimension), read only if the kept set grows past the switch. While
+/// the kept set is small each candidate is compared with every kept one;
+/// past [`past_switch`], each costs one [`Pruner`] row. Either test gives
+/// the same answer.
+fn keep_minimal(
+    count: usize,
+    dim: usize,
+    dominates: impl Fn(usize, usize) -> bool,
+    reversed_ranks: impl FnOnce() -> Vec<u32>,
+) -> Vec<usize> {
+    let mut kept: Vec<usize> = Vec::new();
+    let mut pruner: Option<Pruner> = None;
+    let mut reversed_ranks = Some(reversed_ranks);
+    for i in 0..count {
+        let redundant = match &mut pruner {
+            Some(p) => p.dominates_kept(i),
+            None => kept.iter().any(|&j| dominates(i, j)),
+        };
+        if redundant {
+            continue;
+        }
+        kept.push(i);
+        match &mut pruner {
+            Some(p) => p.keep(i),
+            None if past_switch(kept.len(), count) => {
+                let ranks = reversed_ranks.take().expect("the pruner is built once")();
+                pruner = Some(Pruner::new(count, dim, ranks, &kept));
+            }
+            None => {}
+        }
+    }
+    kept
+}
+
 /// Whether [`MonotoneClassifier::from_anchors`]'s sweep over
 /// `candidates` anchors, with `kept` kept so far, tests the rest with
 /// oracle rows: once `kept` passes `⌈candidates/64⌉`, a row's
@@ -234,10 +302,10 @@ fn past_switch(kept: usize, candidates: usize) -> bool {
     kept > candidates.div_ceil(64)
 }
 
-/// The bitset side of [`MonotoneClassifier::from_anchors`]'s sweep: an
-/// oracle over the sorted candidates' reversed ranks, whose dominator
-/// row of candidate `i` holds every candidate `i` dominates, and the
-/// kept set as a bitset over candidate indices.
+/// The bitset side of [`keep_minimal`]'s sweep: an oracle over the
+/// candidates' reversed ranks, whose dominator row of candidate `i`
+/// holds every candidate `i` dominates, and the kept set as a bitset
+/// over candidate indices.
 struct Pruner {
     oracle: RankOracle,
     kept: Vec<u64>,
@@ -245,10 +313,8 @@ struct Pruner {
 }
 
 impl Pruner {
-    fn new(dim: usize, candidates: &[Vec<f64>], kept: &[usize]) -> Self {
-        let (ranks, _) = reversed_rank_columns(dim, candidates);
-        let oracle =
-            RankOracle::from_rank_columns(candidates.len(), dim, ranks, row_budget_bytes());
+    fn new(count: usize, dim: usize, reversed_ranks: Vec<u32>, kept: &[usize]) -> Self {
+        let oracle = RankOracle::from_rank_columns(count, dim, reversed_ranks, row_budget_bytes());
         let words = oracle.words();
         let mut pruner = Self {
             oracle,
@@ -459,5 +525,41 @@ mod tests {
         assert_eq!(next_up(f64::INFINITY), f64::INFINITY);
         let x = 123.456;
         assert_eq!(next_up(x), f64::from_bits(x.to_bits() + 1));
+    }
+
+    #[test]
+    fn ranked_positives_anchor_like_every_positive_point() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Duplicates, signed zeros and infinities on a small palette;
+        // antichain-heavy layouts push the kept set past the switch.
+        const PALETTE: [f64; 7] = [f64::NEG_INFINITY, -0.0, 0.0, 1.0, 2.5, 4.0, f64::INFINITY];
+        let mut rng = StdRng::seed_from_u64(0xA2C4);
+        for trial in 0..120 {
+            let dim = 1 + trial % 4;
+            let n = rng.gen_range(0..300);
+            let mut points = PointSet::new(dim);
+            for i in 0..n {
+                let row: Vec<f64> = if trial % 3 == 0 {
+                    // On the plane x + y = n: pairwise incomparable.
+                    let mut row = vec![i as f64, (n - i) as f64];
+                    row.extend((2..dim).map(|_| PALETTE[rng.gen_range(0..PALETTE.len())]));
+                    row.truncate(dim);
+                    row
+                } else {
+                    (0..dim)
+                        .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())])
+                        .collect()
+                };
+                points.push(&row);
+            }
+            let positive: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
+            let table = RankTable::build(&points);
+            assert_eq!(
+                MonotoneClassifier::from_ranked_positives(&points, &table, &positive),
+                MonotoneClassifier::from_positive_points(&points, &positive),
+                "trial {trial}: d {dim}, n {n}"
+            );
+        }
     }
 }

@@ -94,7 +94,7 @@ pub fn solve_passive_dense(data: &WeightedSet) -> PassiveSolution {
         .then(|| build_dense_network(data, &con, &DominanceIndex::build(data.points())));
     let cut = read_cut(con, network, data.len(), &CancelToken::never(), false)
         .expect("a never-token cannot cancel");
-    PassiveSolution::from_cut(data, cut)
+    PassiveSolution::from_cut(data, None, cut)
 }
 
 /// The Section-5.1 network over `con`: one infinite type-3 edge per

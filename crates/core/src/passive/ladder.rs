@@ -78,7 +78,7 @@ use crate::passive::pipeline::ClassifierNetwork;
 use mc_chains::ChainDecomposition;
 use mc_flow::{Capacity, FlowNetwork, NodeId};
 use mc_geom::kernel::{and_ge_mask, ones_mask_into};
-use mc_geom::{parallel_chunks, sort_linear_extension, Label, RankOracle, RankTable};
+use mc_geom::{linear_extension_order, parallel_chunks, Label, RankOracle, RankTable};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
 use std::ops::Range;
 
@@ -597,19 +597,76 @@ pub(crate) struct LadderOutcome {
 /// `parallel_chunks`; chunk results concatenate in range order, so the
 /// contending sets, the network, and hence the min cut are identical to
 /// the sequential pipeline.
+///
+/// `cover`, when given, is a cover of the label-1 points by ascending
+/// chains (point ids, each label-1 point in exactly one chain). The
+/// ladder uses it instead of running Lemma 6 when it is certified
+/// minimum ([`certified_cover`]); otherwise it is ignored.
 pub(crate) fn discover_and_build_from_table_cancellable(
     table: &RankTable,
     labels: &[Label],
     weights: &[f64],
+    cover: Option<&[Vec<usize>]>,
     token: &CancelToken,
 ) -> Result<LadderOutcome, Cancelled> {
-    discover_with(table, labels, weights, token, sweep_zeros)
+    discover_with(table, labels, weights, cover, token, sweep_zeros)
+}
+
+/// `cover` in positions of `ones`, if it is a cover of the label-1
+/// points by ascending chains whose heads (lowest points) are pairwise
+/// incomparable. Those heads are then an antichain as large as the
+/// cover, so by Dilworth no cover has fewer chains: the cover is
+/// minimum, like the Lemma-6 decomposition it replaces. The cut does not
+/// depend on which ascending cover wires the ladder (ALGORITHMS.md §10),
+/// so a certified cover changes only the rung nodes, never the answer.
+/// The cover's shape costs `O(d·|P₁|)` to check; the heads then cost at
+/// most `d` rank compares per pair, and the test stops at the first
+/// comparable pair.
+fn certified_cover(
+    table: &RankTable,
+    ones: &[usize],
+    cover: &[Vec<usize>],
+) -> Option<Vec<Vec<usize>>> {
+    let cols: Vec<&[u32]> = (0..table.dim()).map(|k| table.column(k)).collect();
+    let dominates = |p: usize, q: usize| cols.iter().all(|col| col[p] >= col[q]);
+    let mut local = vec![u32::MAX; table.len()];
+    for (l, &p) in ones.iter().enumerate() {
+        local[p] = l as u32;
+    }
+    let mut covered = vec![false; ones.len()];
+    let mut chains = Vec::with_capacity(cover.len());
+    for chain in cover.iter().filter(|c| !c.is_empty()) {
+        let mut positions = Vec::with_capacity(chain.len());
+        for (i, &p) in chain.iter().enumerate() {
+            let l = *local.get(p)? as usize;
+            if l >= ones.len() || covered[l] || (i > 0 && !dominates(p, chain[i - 1])) {
+                return None;
+            }
+            covered[l] = true;
+            positions.push(l);
+        }
+        chains.push(positions);
+    }
+    if !covered.iter().all(|&c| c) {
+        return None;
+    }
+    let heads: Vec<usize> = chains.iter().map(|c| ones[c[0]]).collect();
+    for (a, &p) in heads.iter().enumerate() {
+        if heads[a + 1..]
+            .iter()
+            .any(|&q| dominates(p, q) || dominates(q, p))
+        {
+            return None;
+        }
+    }
+    Some(chains)
 }
 
 fn discover_with(
     table: &RankTable,
     labels: &[Label],
     weights: &[f64],
+    cover: Option<&[Vec<usize>]>,
     token: &CancelToken,
     sweep: SweepFn,
 ) -> Result<LadderOutcome, Cancelled> {
@@ -634,43 +691,62 @@ fn discover_with(
         });
     }
 
-    // Lemma 6 on the label-1 points, matrix-free: gathering rank
-    // columns preserves per-dimension order (and equality), so the
-    // oracle's on-demand rows — and with them the matching, chains, and
-    // width — are bit-identical to a dominator matrix over the subset.
-    // The gather visits `ones` in a linear extension (label `l` is
-    // position `order[l]` of `ones`), so the one oracle is already in
-    // the matching's labelling and the chains come back as positions.
-    let mut order: Vec<usize> = (0..ones.len()).collect();
-    sort_linear_extension(&mut order, table.dim(), |k, p| table.column(k)[ones[p]]);
-    let gathered: Vec<usize> = order.iter().map(|&p| ones[p]).collect();
-    let oracle = RankOracle::try_from_table_subset(table, &gathered, token)?;
-    let dec =
-        ChainDecomposition::compute_from_linear_extension_cancellable(&oracle, &order, token)?;
+    // The chains hold positions in `ones`, and the sweep reads chain
+    // entry `local` at index `one_label[local]` of `one_cols`.
+    let certified = cover.and_then(|cover| certified_cover(table, &ones, cover));
+    let (oracle, dec);
+    let (chains, one_cols, one_label): (&[Vec<usize>], Vec<&[u32]>, Vec<u32>) = match &certified {
+        Some(chains) => {
+            // A certified cover reads the ones' ranks off the table.
+            mc_obs::counter_add("passive.cover_reused", 1);
+            let one_cols = (0..table.dim()).map(|k| table.column(k)).collect();
+            (chains, one_cols, ones.iter().map(|&p| p as u32).collect())
+        }
+        None => {
+            // Lemma 6 on the label-1 points, matrix-free: gathering
+            // rank columns preserves per-dimension order (and
+            // equality), so the oracle's on-demand rows — and with
+            // them the matching, chains, and width — are
+            // bit-identical to a dominator matrix over the subset.
+            // The gather visits `ones` in a linear extension (label
+            // `l` is position `order[l]` of `ones`), so the one
+            // oracle is already in the matching's labelling and the
+            // chains come back as positions. The sweep reads the
+            // ones' ranks off the oracle's gathered columns, through
+            // the inverse of `order`.
+            let order =
+                linear_extension_order(ones.len(), table.dim(), |k, p| table.column(k)[ones[p]]);
+            let gathered: Vec<usize> = order.iter().map(|&p| ones[p]).collect();
+            oracle = RankOracle::try_from_table_subset(table, &gathered, token)?;
+            dec = ChainDecomposition::compute_from_linear_extension_cancellable(
+                &oracle, &order, token,
+            )?;
+            let mut one_label = vec![0u32; ones.len()];
+            for (l, &local) in order.iter().enumerate() {
+                one_label[local] = l as u32;
+            }
+            let one_cols = (0..oracle.dim()).map(|k| oracle.column(k)).collect();
+            (dec.chains(), one_cols, one_label)
+        }
+    };
 
     // The sweep's deepest dominated prefix per chain places each rung
     // edge *and* answers Lemma 15: a zero contends iff it hits some
     // chain, and chain `c`'s contending 1-points are its prefix up to
-    // the deepest rung any zero reaches. The sweep reads the ones' ranks
-    // off the oracle's gathered columns, through the inverse of `order`.
-    let mut one_label = vec![0u32; ones.len()];
-    for (l, &local) in order.iter().enumerate() {
-        one_label[local] = l as u32;
-    }
+    // the deepest rung any zero reaches.
     let input = SweepInput {
         cols: (0..table.dim()).map(|k| table.column(k)).collect(),
         labels,
-        one_cols: (0..oracle.dim()).map(|k| oracle.column(k)).collect(),
+        one_cols,
         one_label,
-        chains: dec.chains(),
+        chains,
     };
     let sweep = sweep(&input, token)?;
-    let width = dec.width();
+    let width = chains.len();
 
     let _wire = mc_obs::span("ladder_wire");
     let con_zeros: Vec<usize> = sweep.hits.iter().map(|&(p, _)| p).collect();
-    let mut con_ones: Vec<usize> = dec
-        .chains()
+    let mut con_ones: Vec<usize> = chains
         .iter()
         .zip(&sweep.max_cnt)
         .flat_map(|(chain, &cnt)| chain[..cnt].iter().map(|&local| ones[local]))
@@ -703,7 +779,7 @@ fn discover_with(
     // Rung ladders truncated to the reached prefix of each chain.
     wire_ladder(
         &mut net,
-        dec.chains(),
+        chains,
         |local| one_nodes[one_pos[ones[local]] as usize],
         &sweep,
         &zero_nodes,
@@ -752,9 +828,14 @@ mod tests {
     fn ladder_of(ws: &WeightedSet) -> (ContendingPoints, Option<ClassifierNetwork>) {
         let table = RankTable::build(ws.points());
         let never = CancelToken::never();
-        let out =
-            discover_and_build_from_table_cancellable(&table, ws.labels(), ws.weights(), &never)
-                .unwrap();
+        let out = discover_and_build_from_table_cancellable(
+            &table,
+            ws.labels(),
+            ws.weights(),
+            None,
+            &never,
+        )
+        .unwrap();
         (out.con, out.network)
     }
 
@@ -988,11 +1069,19 @@ mod tests {
                 &table,
                 ws.labels(),
                 ws.weights(),
+                None,
                 &never,
             )
             .unwrap();
-            let slow =
-                discover_with(&table, ws.labels(), ws.weights(), &never, reference_sweep).unwrap();
+            let slow = discover_with(
+                &table,
+                ws.labels(),
+                ws.weights(),
+                None,
+                &never,
+                reference_sweep,
+            )
+            .unwrap();
             assert!(
                 fast.width > 64,
                 "dim {dim}: width {} fits one word",
@@ -1094,11 +1183,19 @@ mod tests {
                 &table,
                 ws.labels(),
                 ws.weights(),
+                None,
                 &never,
             )
             .unwrap();
-            let slow =
-                discover_with(&table, ws.labels(), ws.weights(), &never, reference_sweep).unwrap();
+            let slow = discover_with(
+                &table,
+                ws.labels(),
+                ws.weights(),
+                None,
+                &never,
+                reference_sweep,
+            )
+            .unwrap();
             assert_eq!(fast.width, side.dec.width());
             assert_eq!(
                 (&fast.con.zeros, &fast.con.ones),
@@ -1184,11 +1281,16 @@ mod tests {
                 );
             }
 
-            let fast =
-                discover_and_build_from_table_cancellable(&table, &labels, ws.weights(), &never)
-                    .unwrap();
-            let slow =
-                discover_with(&table, &labels, ws.weights(), &never, reference_sweep).unwrap();
+            let fast = discover_and_build_from_table_cancellable(
+                &table,
+                &labels,
+                ws.weights(),
+                None,
+                &never,
+            )
+            .unwrap();
+            let slow = discover_with(&table, &labels, ws.weights(), None, &never, reference_sweep)
+                .unwrap();
             assert_eq!(
                 (&fast.con.zeros, &fast.con.ones),
                 (&slow.con.zeros, &slow.con.ones),
@@ -1298,6 +1400,7 @@ mod tests {
             &table,
             ws.labels(),
             ws.weights(),
+            None,
             &CancelToken::never(),
         )
         .unwrap();
@@ -1383,5 +1486,190 @@ mod tests {
         );
         let ladder = network.expect("the duplicates contend");
         assert_eq!(Dinic.solve(&ladder.net).value(), 3.0);
+    }
+
+    /// `k` chains of `len` points each in `dim ∈ {3, 4}` dimensions:
+    /// chain `c` climbs from `(c·spread + t₀, (k−1−c)·spread + t₀, t₀, …)`
+    /// along the diagonal, one step of 0–2 per point (a 0 step repeats
+    /// the point). Chains are ascending; heads of chains whose start
+    /// offsets `t₀` differ by `spread` or more are comparable. Labels
+    /// follow a per-chain threshold with 20% noise; weights vary. Points
+    /// are listed chain by chain, then shuffled, and the chains come back
+    /// as point ids.
+    fn chain_layout(
+        k: usize,
+        len: usize,
+        spread: usize,
+        dim: usize,
+        rng: &mut StdRng,
+    ) -> (WeightedSet, Vec<Vec<usize>>) {
+        let mut rows: Vec<(Vec<f64>, Label, f64, usize)> = Vec::new();
+        for c in 0..k {
+            let mut t = rng.gen_range(0..2 * spread);
+            let cut = rng.gen_range(0..2 * len);
+            for i in 0..len {
+                t += rng.gen_range(0..=2usize);
+                let mut coords = vec![(c * spread + t) as f64, ((k - 1 - c) * spread + t) as f64];
+                coords.extend((2..dim).map(|j| (t * (j - 1)) as f64));
+                let label = Label::from_bool((i * 2 >= cut) != rng.gen_bool(0.2));
+                rows.push((coords, label, [1.0, 1.5, 2.0][rng.gen_range(0..3usize)], c));
+            }
+        }
+        let mut ids: Vec<usize> = (0..rows.len()).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.gen_range(0..=i));
+        }
+        // `ids[j]` is the row that becomes point `j`; each chain keeps its
+        // rows' order, which is ascending.
+        let mut point_of = vec![0; rows.len()];
+        let mut ws = WeightedSet::empty(dim);
+        for (j, &r) in ids.iter().enumerate() {
+            point_of[r] = j;
+            ws.push(&rows[r].0, rows[r].1, rows[r].2);
+        }
+        let mut chains = vec![Vec::new(); k];
+        for (r, row) in rows.iter().enumerate() {
+            chains[row.3].push(point_of[r]);
+        }
+        (ws, chains)
+    }
+
+    /// Σ as the active solver builds it: the points kept with
+    /// probability `keep`, in index order, and the layout's chains
+    /// restricted to Σ's label-1 points.
+    fn sample_with_cover(
+        ws: &WeightedSet,
+        chains: &[Vec<usize>],
+        keep: f64,
+        rng: &mut StdRng,
+    ) -> (WeightedSet, Vec<Vec<usize>>) {
+        let mut sigma = WeightedSet::empty(ws.dim());
+        let mut sigma_of = vec![u32::MAX; ws.len()];
+        for (p, slot) in sigma_of.iter_mut().enumerate() {
+            if rng.gen_bool(keep) {
+                *slot = sigma.len() as u32;
+                sigma.push(ws.points().point(p), ws.label(p), ws.weight(p));
+            }
+        }
+        let cover = crate::active::solver::sigma_cover(chains, &sigma_of, sigma.labels());
+        (sigma, cover)
+    }
+
+    #[test]
+    fn certified_cover_gives_the_lemma6_answer_and_a_comparable_head_falls_back() {
+        use crate::passive::pipeline::read_cut;
+        use crate::passive::PassiveSolver;
+        let mut rng = StdRng::seed_from_u64(0xC0FE);
+        let never = CancelToken::never();
+        let (mut certified, mut fallbacks) = (0, 0);
+        for trial in 0..80 {
+            let dim = 3 + trial % 2;
+            let k = rng.gen_range(1..7);
+            let len = rng.gen_range(1..40);
+            // A wide spread keeps the heads incomparable; a narrow one
+            // lets start offsets make some heads comparable.
+            let spread = if trial % 3 == 0 { 4 } else { 200 };
+            let (ws, chains) = chain_layout(k, len, spread, dim, &mut rng);
+            let keep = [1.0, 0.8, 0.5][trial % 3];
+            let (sigma, cover) = sample_with_cover(&ws, &chains, keep, &mut rng);
+            let what = format!("trial {trial}: d {dim}, k {k}, len {len}, keep {keep}");
+            let table = RankTable::build(sigma.points());
+            let ones: Vec<usize> = (0..sigma.len())
+                .filter(|&i| sigma.label(i) == Label::One)
+                .collect();
+            let heads: Vec<usize> = cover.iter().map(|c| c[0]).collect();
+            let pts = sigma.points();
+            let antichain = heads.iter().enumerate().all(|(a, &p)| {
+                heads[a + 1..]
+                    .iter()
+                    .all(|&q| !pts.dominates(p, q) && !pts.dominates(q, p))
+            });
+            assert_eq!(
+                certified_cover(&table, &ones, &cover).is_some(),
+                antichain,
+                "{what}"
+            );
+            let with = discover_and_build_from_table_cancellable(
+                &table,
+                sigma.labels(),
+                sigma.weights(),
+                Some(&cover),
+                &never,
+            )
+            .unwrap();
+            let without = discover_and_build_from_table_cancellable(
+                &table,
+                sigma.labels(),
+                sigma.weights(),
+                None,
+                &never,
+            )
+            .unwrap();
+            assert_eq!(with.con.zeros, without.con.zeros, "{what}");
+            assert_eq!(with.con.ones, without.con.ones, "{what}");
+            if antichain {
+                certified += 1;
+                // Dilworth: a certified cover is as small as Lemma 6's.
+                if !ones.is_empty() && ones.len() < sigma.len() {
+                    assert_eq!(with.width, without.width, "{what}");
+                }
+            } else {
+                fallbacks += 1;
+                let nets = (with.network.as_ref(), without.network.as_ref());
+                assert_eq!(
+                    nets.0.map(|n| edge_list(&n.net)),
+                    nets.1.map(|n| edge_list(&n.net)),
+                    "{what}: the fallback must build the Lemma-6 network"
+                );
+            }
+            let n = sigma.len();
+            let a = read_cut(with.con, with.network, n, &never, false).unwrap();
+            let b = read_cut(without.con, without.network, n, &never, false).unwrap();
+            assert_eq!(
+                a.weighted_error.to_bits(),
+                b.weighted_error.to_bits(),
+                "{what}"
+            );
+            assert_eq!((a.to_one, a.to_zero), (b.to_one, b.to_zero), "{what}");
+
+            let reused = PassiveSolver::new().solve_with_cover(&sigma, &cover);
+            let plain = PassiveSolver::new().solve(&sigma);
+            assert_eq!(
+                reused.weighted_error.to_bits(),
+                plain.weighted_error.to_bits(),
+                "{what}"
+            );
+            assert_eq!(reused.assignment, plain.assignment, "{what}");
+            assert_eq!(reused.classifier, plain.classifier, "{what}");
+        }
+        assert!(
+            certified > 20 && fallbacks > 5,
+            "{certified} certified, {fallbacks} fell back"
+        );
+    }
+
+    #[test]
+    fn a_cover_that_is_not_an_ascending_partition_is_not_certified() {
+        let mut ws = WeightedSet::empty(3);
+        for (coords, label) in [
+            ([0.0, 5.0, 0.0], Label::One),
+            ([1.0, 6.0, 1.0], Label::One),
+            ([5.0, 0.0, 0.0], Label::One),
+            ([9.0, 9.0, 9.0], Label::Zero),
+        ] {
+            ws.push(&coords, label, 1.0);
+        }
+        let table = RankTable::build(ws.points());
+        let ones = [0, 1, 2];
+        assert!(certified_cover(&table, &ones, &[vec![0, 1], vec![2]]).is_some());
+        for bad in [
+            vec![vec![1, 0], vec![2]],       // descending
+            vec![vec![0], vec![2]],          // point 1 uncovered
+            vec![vec![0, 1], vec![2, 1]],    // point 1 twice
+            vec![vec![0, 3], vec![2]],       // a label-0 point
+            vec![vec![0], vec![1], vec![2]], // heads 0 ⪯ 1 comparable
+        ] {
+            assert!(certified_cover(&table, &ones, &bad).is_none(), "{bad:?}");
+        }
     }
 }

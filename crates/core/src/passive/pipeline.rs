@@ -68,10 +68,14 @@ pub(crate) struct CutReadout {
 /// Dinic and the cut readout. `labels` and `weights` must both have
 /// `table.len()` entries. The token reaches the ladder's stages and the
 /// max flow; the `d ≤ 2` sweeps are `O(n log n)` and poll it once.
+/// `cover`, a chain cover of the label-1 points the caller already
+/// holds, goes to the `d ≥ 3` ladder, which uses it only when it is
+/// certified minimum; the answer is the same either way.
 pub(crate) fn solve_ranked(
     table: &RankTable,
     labels: &[Label],
     weights: &[f64],
+    cover: Option<&[Vec<usize>]>,
     token: &CancelToken,
     certify: bool,
 ) -> Result<CutReadout, Cancelled> {
@@ -86,7 +90,9 @@ pub(crate) fn solve_ranked(
         let network = (!con.is_empty()).then(|| sparse::build_sparse_network(table, weights, &con));
         (con, network, 0)
     } else {
-        let out = ladder::discover_and_build_from_table_cancellable(table, labels, weights, token)?;
+        let out = ladder::discover_and_build_from_table_cancellable(
+            table, labels, weights, cover, token,
+        )?;
         (out.con, out.network, out.width)
     };
     let readout = read_cut(con, network, labels.len(), token, certify)?;

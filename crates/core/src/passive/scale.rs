@@ -96,7 +96,7 @@ pub fn solve_passive_scale_cancellable(
         )));
     }
 
-    let cut = solve_ranked(table, labels, weights, token, false)?;
+    let cut = solve_ranked(table, labels, weights, None, token, false)?;
     let mut solution = ScaleSolution {
         weighted_error: cut.weighted_error,
         contending_zeros: cut.con.zeros.len(),

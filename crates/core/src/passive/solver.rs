@@ -71,7 +71,11 @@ impl PassiveSolution {
 
     /// Applies the cut's flips to `data`'s labels (non-contending points
     /// keep theirs, Lemma 15) and anchors the classifier on the result.
-    pub(crate) fn from_cut(data: &WeightedSet, cut: CutReadout) -> Self {
+    /// With `data`'s rank table the minimal positives are found on its
+    /// columns ([`MonotoneClassifier::from_ranked_positives`]); the dense
+    /// reference passes `None` and anchors every positive point. The
+    /// classifiers are `==`.
+    pub(crate) fn from_cut(data: &WeightedSet, table: Option<&RankTable>, cut: CutReadout) -> Self {
         let mut assignment: Vec<Label> = data.labels().to_vec();
         for &p in &cut.to_one {
             assignment[p] = Label::One;
@@ -94,7 +98,12 @@ impl PassiveSolution {
             );
         }
         let positive: Vec<bool> = assignment.iter().map(|l| l.is_one()).collect();
-        let classifier = MonotoneClassifier::from_positive_points(data.points(), &positive);
+        let classifier = match table {
+            Some(table) => {
+                MonotoneClassifier::from_ranked_positives(data.points(), table, &positive)
+            }
+            None => MonotoneClassifier::from_positive_points(data.points(), &positive),
+        };
         #[cfg(debug_assertions)]
         if data.len() <= 2_000 {
             debug_assert!(
@@ -170,7 +179,23 @@ impl PassiveSolver {
         data: &WeightedSet,
         token: &CancelToken,
     ) -> Result<PassiveSolution, Cancelled> {
-        Ok(self.solve_inner_cancellable(data, token, false)?.0)
+        Ok(self.solve_inner_cancellable(data, None, token, false)?.0)
+    }
+
+    /// [`PassiveSolver::solve`] for the active solvers, which hold a
+    /// chain cover of `data`'s label-1 points: `cover` lists point ids of
+    /// `data` in ascending chains, each label-1 point in one chain. The
+    /// `d ≥ 3` ladder wires its rungs on the cover instead of running
+    /// Lemma 6 when the cover is certified minimum, and runs Lemma 6
+    /// otherwise; the solution is the same either way.
+    pub(crate) fn solve_with_cover(
+        &self,
+        data: &WeightedSet,
+        cover: &[Vec<usize>],
+    ) -> PassiveSolution {
+        self.solve_inner_cancellable(data, Some(cover), &CancelToken::never(), false)
+            .expect("a never-token cannot cancel")
+            .0
     }
 
     /// Like [`PassiveSolver::solve_cancellable`], but also decomposes
@@ -185,7 +210,7 @@ impl PassiveSolver {
         data: &WeightedSet,
         token: &CancelToken,
     ) -> Result<(PassiveSolution, Certificate), Cancelled> {
-        let (solution, certificate) = self.solve_inner_cancellable(data, token, true)?;
+        let (solution, certificate) = self.solve_inner_cancellable(data, None, token, true)?;
         let certificate = certificate.unwrap_or(Certificate {
             optimal_error: solution.weighted_error,
             charges: Vec::new(),
@@ -210,6 +235,7 @@ impl PassiveSolver {
     fn solve_inner_cancellable(
         &self,
         data: &WeightedSet,
+        cover: Option<&[Vec<usize>]>,
         token: &CancelToken,
         certify: bool,
     ) -> Result<(PassiveSolution, Option<Certificate>), Cancelled> {
@@ -219,9 +245,12 @@ impl PassiveSolver {
             return Ok((PassiveSolution::empty(data.dim()), None));
         }
         let table = RankTable::try_build(data.points(), token)?;
-        let mut cut = solve_ranked(&table, data.labels(), data.weights(), token, certify)?;
+        let mut cut = solve_ranked(&table, data.labels(), data.weights(), cover, token, certify)?;
         let certificate = cut.certificate.take();
-        Ok((PassiveSolution::from_cut(data, cut), certificate))
+        Ok((
+            PassiveSolution::from_cut(data, Some(&table), cut),
+            certificate,
+        ))
     }
 }
 

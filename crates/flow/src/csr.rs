@@ -1,11 +1,10 @@
 //! Frozen CSR flow topology and a reusable Dinic engine.
 //!
-//! [`FlowNetwork`](crate::FlowNetwork) grows by `add_edge` into nested
-//! `Vec<Vec<u32>>` adjacency — convenient to build, but the max-flow hot
-//! loops (BFS level construction, current-arc DFS) then chase a pointer
-//! per visited node. Freezing the finished network into a [`CsrNetwork`]
-//! packs the adjacency into two contiguous arrays (`start` offsets +
-//! flattened residual-edge ids) so the phases stream over slices.
+//! [`FlowNetwork`](crate::FlowNetwork) grows by `add_edge` into paired
+//! edge arrays and keeps no adjacency. Freezing the finished network
+//! into a [`CsrNetwork`] builds it in two contiguous arrays (`start`
+//! offsets + residual-edge ids grouped by tail) with one counting pass,
+//! so the max-flow phases and the cut readout stream over slices.
 //!
 //! Edge **ids are preserved** by the freeze: `e ^ 1` still addresses the
 //! paired residual edge, and any per-edge array built against the
@@ -34,18 +33,24 @@ pub struct CsrNetwork {
 }
 
 impl CsrNetwork {
-    pub(crate) fn from_adjacency(
-        source: usize,
-        sink: usize,
-        adj: &[Vec<u32>],
-        head: Vec<u32>,
-    ) -> Self {
-        let mut start = Vec::with_capacity(adj.len() + 1);
-        let mut edge_ids = Vec::with_capacity(head.len());
-        start.push(0u32);
-        for row in adj {
-            edge_ids.extend_from_slice(row);
-            start.push(edge_ids.len() as u32);
+    /// Builds the adjacency of `n` nodes from paired residual heads
+    /// (`head[e]` is the head of residual edge `e`, so `head[e ^ 1]` is
+    /// its tail): a counting pass over the tails, a prefix sum, and a
+    /// placement pass in ascending edge id.
+    pub(crate) fn from_pairs(source: usize, sink: usize, n: usize, head: Vec<u32>) -> Self {
+        let mut start = vec![0u32; n + 1];
+        for e in 0..head.len() {
+            start[head[e ^ 1] as usize + 1] += 1;
+        }
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut next = start[..n].to_vec();
+        let mut edge_ids = vec![0u32; head.len()];
+        for e in 0..head.len() {
+            let slot = &mut next[head[e ^ 1] as usize];
+            edge_ids[*slot as usize] = e as u32;
+            *slot += 1;
         }
         Self {
             source,
@@ -116,7 +121,8 @@ impl DinicEngine {
 
     /// Runs Dinic phases over `g` from its source to its sink until the
     /// sink is unreachable, mutating `residual` in place; returns the
-    /// flow **added** by this call.
+    /// flow **added** by this call. Each phase is layered from the sink
+    /// (see `build_levels`).
     ///
     /// `residual.len()` must cover every edge id of `g`, with the
     /// `e ^ 1` pairing (pushing on `e` credits `e ^ 1`).
@@ -149,6 +155,7 @@ impl DinicEngine {
         while self.build_levels(g, source, sink, residual, &mut cp)? {
             self.bfs_rounds += 1;
             self.arc.iter_mut().for_each(|a| *a = 0);
+            let paths_before = self.augmenting_paths;
             loop {
                 let pushed = self.push_one_path(g, source, sink, residual, &mut cp)?;
                 if pushed <= EPS {
@@ -157,12 +164,30 @@ impl DinicEngine {
                 self.augmenting_paths += 1;
                 added += pushed;
             }
+            // A layered source lies on a shortest path of positive
+            // residual arcs, so every phase augments at least once.
+            debug_assert!(
+                self.augmenting_paths > paths_before,
+                "a layered phase found no augmenting path"
+            );
         }
         Ok(added)
     }
 
-    /// BFS from the source over positive-residual edges; returns `true`
-    /// iff the sink is reachable.
+    /// Layers the phase from the sink: a BFS backwards over
+    /// positive-residual arcs gives every node its residual distance to
+    /// the sink, and stops as soon as the source is layered. Returns
+    /// `true` iff the source reaches the sink.
+    ///
+    /// A walk from the source that lowers the level by one per arc
+    /// stays on shortest source–sink paths, and its arcs are exactly the
+    /// arcs a source layering admits on those paths, in the same
+    /// adjacency order. So the DFS finds the same augmenting paths in the
+    /// same order as under source layering; it only never enters the
+    /// dead ends (nodes one level further from the source that cannot
+    /// reach the sink in the level graph) that source layering admits.
+    /// Nodes at or beyond the source's distance are never admissible, so
+    /// the BFS need not layer them.
     fn build_levels(
         &mut self,
         g: &CsrNetwork,
@@ -173,31 +198,36 @@ impl DinicEngine {
     ) -> Result<bool, Cancelled> {
         self.level.iter_mut().for_each(|l| *l = -1);
         self.queue.clear();
-        self.level[source] = 0;
-        self.queue.push(source as u32);
+        self.level[sink] = 0;
+        self.queue.push(sink as u32);
         let mut qhead = 0usize;
-        while qhead < self.queue.len() {
-            let u = self.queue[qhead] as usize;
+        'bfs: while qhead < self.queue.len() {
+            let v = self.queue[qhead] as usize;
             qhead += 1;
-            let adj = g.adjacent(u);
+            let adj = g.adjacent(v);
             cp.tick(adj.len() as u64 + 1)?;
             for &e in adj {
+                // `e` leaves `v`; its twin `e ^ 1` is the arc `u → v`.
                 let e = e as usize;
-                if residual[e] > EPS {
-                    let v = g.head(e);
-                    if self.level[v] < 0 {
-                        self.level[v] = self.level[u] + 1;
-                        self.queue.push(v as u32);
+                if residual[e ^ 1] > EPS {
+                    let u = g.head(e);
+                    if self.level[u] < 0 {
+                        self.level[u] = self.level[v] + 1;
+                        self.queue.push(u as u32);
+                        if u == source {
+                            break 'bfs;
+                        }
                     }
                 }
             }
         }
         self.bfs_visits += self.queue.len() as u64;
-        Ok(self.level[sink] >= 0)
+        Ok(self.level[source] >= 0)
     }
 
-    /// Iterative DFS pushing one augmenting path along the level graph;
-    /// returns the amount pushed (0 when the blocking flow is complete).
+    /// Iterative DFS pushing one augmenting path along the level graph,
+    /// each arc one level closer to the sink; returns the amount pushed
+    /// (0 when the blocking flow is complete).
     /// Iterative on an explicit path stack — augmenting paths can be
     /// `Θ(V)` long (e.g. through the ladder gadgets of the sparsified
     /// classifier networks), which would overflow the call stack in a
@@ -236,7 +266,7 @@ impl DinicEngine {
             while (self.arc[u] as usize) < adj.len() {
                 let e = adj[self.arc[u] as usize] as usize;
                 let v = g.head(e);
-                if residual[e] > EPS && self.level[v] == self.level[u] + 1 {
+                if residual[e] > EPS && self.level[v] == self.level[u] - 1 {
                     self.path.push(e as u32);
                     advanced = true;
                     break;
@@ -304,6 +334,143 @@ mod tests {
         assert_eq!(csr.head(1), 0);
         // Node 2 sees the backward twin of 0→2, then its own forwards.
         assert_eq!(csr.adjacent(2)[0], 3);
+    }
+
+    /// Dinic layered from the source, as the engine ran before sink
+    /// layering: the reference the sink-layered engine must match path
+    /// for path. Returns `(value, rounds, augmenting paths)`.
+    fn source_layered_reference(g: &CsrNetwork, residual: &mut [f64]) -> (f64, u64, u64) {
+        let (source, sink) = (g.source(), g.sink());
+        let n = g.num_nodes();
+        let (mut value, mut rounds, mut paths) = (0.0, 0, 0);
+        loop {
+            let mut level = vec![-1i32; n];
+            level[source] = 0;
+            let mut queue = vec![source];
+            let mut qhead = 0;
+            while qhead < queue.len() {
+                let u = queue[qhead];
+                qhead += 1;
+                for &e in g.adjacent(u) {
+                    let v = g.head(e as usize);
+                    if residual[e as usize] > EPS && level[v] < 0 {
+                        level[v] = level[u] + 1;
+                        queue.push(v);
+                    }
+                }
+            }
+            if level[sink] < 0 {
+                return (value, rounds, paths);
+            }
+            rounds += 1;
+            let mut arc = vec![0usize; n];
+            loop {
+                let mut path: Vec<usize> = Vec::new();
+                let pushed = loop {
+                    let u = path.last().map_or(source, |&e| g.head(e));
+                    if u == sink {
+                        let b = path
+                            .iter()
+                            .map(|&e| residual[e])
+                            .fold(f64::INFINITY, f64::min);
+                        for &e in &path {
+                            residual[e] -= b;
+                            residual[e ^ 1] += b;
+                        }
+                        break b;
+                    }
+                    let adj = g.adjacent(u);
+                    let next = adj[arc[u]..]
+                        .iter()
+                        .map(|&e| e as usize)
+                        .find(|&e| residual[e] > EPS && level[g.head(e)] == level[u] + 1);
+                    match next {
+                        Some(e) => {
+                            arc[u] = adj.iter().position(|&x| x as usize == e).unwrap();
+                            path.push(e);
+                        }
+                        None => {
+                            arc[u] = adj.len();
+                            match path.pop() {
+                                Some(e) => arc[g.head(e ^ 1)] += 1,
+                                None => break 0.0,
+                            }
+                        }
+                    }
+                };
+                if pushed <= EPS {
+                    break;
+                }
+                paths += 1;
+                value += pushed;
+            }
+        }
+    }
+
+    /// A random network whose inner edges are mostly infinite, like the
+    /// classifier gadgets, with parallel and antiparallel edges.
+    fn random_network(rng: &mut rand::rngs::StdRng) -> FlowNetwork {
+        use rand::Rng;
+        let n = rng.gen_range(3..30);
+        let mut net = FlowNetwork::new(n, 0, n - 1);
+        for _ in 0..rng.gen_range(0..5 * n) {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u == v {
+                continue;
+            }
+            if rng.gen_bool(0.4) {
+                net.add_edge(u, v, Capacity::Infinite);
+            } else {
+                net.add_edge(u, v, rng.gen_range(0..9) as f64);
+            }
+        }
+        net
+    }
+
+    #[test]
+    fn sink_layering_augments_the_same_paths_as_source_layering() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x51AC);
+        let never = CancelToken::never();
+        for trial in 0..400 {
+            let net = random_network(&mut rng);
+            let csr = net.freeze();
+            let (mut expected, _) = net.initial_residuals();
+            let (value, rounds, paths) = source_layered_reference(&csr, &mut expected);
+            let (mut residual, _) = net.initial_residuals();
+            let mut engine = DinicEngine::new();
+            let got = engine.max_flow(&csr, &mut residual, &never).unwrap();
+            // Same paths in the same order leave bit-identical residuals.
+            assert_eq!(got, value, "trial {trial}");
+            assert_eq!(residual, expected, "trial {trial}");
+            assert_eq!(
+                (engine.bfs_rounds, engine.augmenting_paths),
+                (rounds, paths),
+                "trial {trial}"
+            );
+        }
+    }
+
+    #[test]
+    fn freeze_lists_each_nodes_edges_in_insertion_order() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC5A);
+        for _ in 0..50 {
+            let net = random_network(&mut rng);
+            let csr = net.freeze();
+            let mut nested = vec![Vec::new(); net.num_nodes()];
+            for e in (0..2 * net.num_edges()).step_by(2) {
+                let (u, v) = net.endpoints(e);
+                nested[u].push(e as u32);
+                nested[v].push(e as u32 + 1);
+            }
+            for (u, edges) in nested.iter().enumerate() {
+                assert_eq!(csr.adjacent(u), &edges[..], "node {u}");
+                for &e in edges {
+                    assert_eq!(csr.head(e as usize ^ 1), u);
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl MaxFlowAlgorithm for Dinic {
         let mut engine = DinicEngine::new();
         let value = engine.max_flow(&csr, &mut residual, token);
         engine.flush_stats();
-        Ok(FlowSolution::new(value?, residual, surrogate))
+        Ok(FlowSolution::new(value?, residual, surrogate, csr))
     }
 }
 

@@ -20,6 +20,7 @@ impl MaxFlowAlgorithm for EdmondsKarp {
 
     fn solve(&self, net: &FlowNetwork) -> FlowSolution {
         let (mut residual, surrogate) = net.initial_residuals();
+        let csr = net.freeze();
         let n = net.num_nodes();
         let (s, t) = (net.source(), net.sink());
         let mut value = 0.0;
@@ -32,9 +33,9 @@ impl MaxFlowAlgorithm for EdmondsKarp {
             queue.push_back(s);
             let mut reached = false;
             'bfs: while let Some(u) = queue.pop_front() {
-                for &e in net.adjacent(u) {
+                for &e in csr.adjacent(u) {
                     let e = e as usize;
-                    let v = net.edge_head(e);
+                    let v = csr.head(e);
                     if residual[e] > EPS && v != s && parent_edge[v] == usize::MAX {
                         parent_edge[v] = e;
                         if v == t {
@@ -54,7 +55,7 @@ impl MaxFlowAlgorithm for EdmondsKarp {
             while v != s {
                 let e = parent_edge[v];
                 bottleneck = bottleneck.min(residual[e]);
-                v = net.edge_head(e ^ 1);
+                v = csr.head(e ^ 1);
             }
             // Augment.
             let mut v = t;
@@ -62,12 +63,12 @@ impl MaxFlowAlgorithm for EdmondsKarp {
                 let e = parent_edge[v];
                 residual[e] -= bottleneck;
                 residual[e ^ 1] += bottleneck;
-                v = net.edge_head(e ^ 1);
+                v = csr.head(e ^ 1);
             }
             value += bottleneck;
         }
 
-        FlowSolution::new(value, residual, surrogate)
+        FlowSolution::new(value, residual, surrogate, csr)
     }
 }
 

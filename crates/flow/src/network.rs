@@ -68,8 +68,6 @@ pub struct FlowNetwork {
     cap: Vec<f64>,
     /// Whether the *forward* edge of the pair was declared infinite.
     infinite: Vec<bool>,
-    /// Adjacency: edge ids leaving each node.
-    adj: Vec<Vec<u32>>,
     /// Sum of all finite declared capacities (used to build the surrogate).
     finite_cap_sum: f64,
 }
@@ -91,7 +89,6 @@ impl FlowNetwork {
             head: Vec::new(),
             cap: Vec::new(),
             infinite: Vec::new(),
-            adj: vec![Vec::new(); n],
             finite_cap_sum: 0.0,
         }
     }
@@ -101,7 +98,6 @@ impl FlowNetwork {
     /// networks of the passive solver) whose auxiliary node count is not
     /// known upfront.
     pub fn add_node(&mut self) -> NodeId {
-        self.adj.push(Vec::new());
         self.n += 1;
         self.n - 1
     }
@@ -132,11 +128,9 @@ impl FlowNetwork {
         self.head.push(v as u32);
         self.cap.push(c);
         self.infinite.push(inf);
-        self.adj[u].push(id as u32);
         self.head.push(u as u32);
         self.cap.push(0.0);
         self.infinite.push(inf);
-        self.adj[v].push(id as u32 + 1);
         id
     }
 
@@ -192,30 +186,20 @@ impl FlowNetwork {
         (self.head[e ^ 1] as usize, self.head[e] as usize)
     }
 
-    /// Edge ids (forward and backward) leaving node `u`.
-    pub(crate) fn adjacent(&self, u: NodeId) -> &[u32] {
-        &self.adj[u]
-    }
-
-    /// Head of residual edge `e`.
-    pub(crate) fn edge_head(&self, e: EdgeId) -> NodeId {
-        self.head[e] as usize
-    }
-
     /// Sum of all finite declared capacities.
     pub fn finite_capacity_sum(&self) -> f64 {
         self.finite_cap_sum
     }
 
-    /// Freezes the adjacency into a contiguous CSR layout for the solver
-    /// hot loops. Edge ids (and therefore the `e ^ 1` residual pairing
-    /// and every per-edge array such as the residuals from
-    /// `initial_residuals`) are unchanged; only the `Vec<Vec<u32>>`
-    /// adjacency is flattened, in identical per-node order, so a solver
-    /// running on the frozen view visits edges in exactly the same order
-    /// as one walking the nested Vecs.
+    /// Freezes the edge pairs into the contiguous CSR adjacency the
+    /// solvers and the cut readout walk. One counting pass over the
+    /// residual edges' tails (`head[e ^ 1]`) sizes each node's slice, and
+    /// a second places the ids in ascending order, so each node lists
+    /// its edges in insertion order. Edge ids (and therefore the `e ^ 1`
+    /// residual pairing and every per-edge array such as the residuals
+    /// from `initial_residuals`) are unchanged.
     pub fn freeze(&self) -> CsrNetwork {
-        CsrNetwork::from_adjacency(self.source, self.sink, &self.adj, self.head.clone())
+        CsrNetwork::from_pairs(self.source, self.sink, self.n, self.head.clone())
     }
 
     /// `true` iff a computed max-flow `value` can only be explained by

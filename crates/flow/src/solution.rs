@@ -1,5 +1,6 @@
 //! Solver-independent solution object: flow values, validation, min cut.
 
+use crate::csr::CsrNetwork;
 use crate::network::{EdgeId, FlowNetwork, NodeId};
 use crate::EPS;
 
@@ -13,14 +14,18 @@ pub struct FlowSolution {
     residual: Vec<f64>,
     /// Surrogate used for infinite capacities during the solve.
     surrogate: f64,
+    /// The frozen adjacency the solver ran on, which the cut readout
+    /// walks again.
+    csr: CsrNetwork,
 }
 
 impl FlowSolution {
-    pub(crate) fn new(value: f64, residual: Vec<f64>, surrogate: f64) -> Self {
+    pub(crate) fn new(value: f64, residual: Vec<f64>, surrogate: f64, csr: CsrNetwork) -> Self {
         Self {
             value,
             residual,
             surrogate,
+            csr,
         }
     }
 
@@ -91,17 +96,24 @@ impl FlowSolution {
     /// everything reachable from the source along positive-residual edges,
     /// and the cut-edge set is the saturated forward edges crossing it.
     /// This realizes the construction in the paper's proof of Lemma 8.
+    /// The search walks the solver's frozen adjacency; `net` must be the
+    /// network that was solved.
     pub fn min_cut(&self, net: &FlowNetwork) -> MinCut {
+        debug_assert_eq!(
+            self.csr.num_nodes(),
+            net.num_nodes(),
+            "not the solved network"
+        );
         let n = net.num_nodes();
         let mut source_side = vec![false; n];
         let mut queue = std::collections::VecDeque::with_capacity(n);
         source_side[net.source()] = true;
         queue.push_back(net.source());
         while let Some(u) = queue.pop_front() {
-            for &e in net.adjacent(u) {
+            for &e in self.csr.adjacent(u) {
                 let e = e as usize;
                 if self.residual[e] > EPS {
-                    let v = net.edge_head(e);
+                    let v = self.csr.head(e);
                     if !source_side[v] {
                         source_side[v] = true;
                         queue.push_back(v);

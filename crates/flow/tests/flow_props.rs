@@ -1,7 +1,7 @@
 //! Property tests for the max-flow substrate, including infinite
 //! capacities and gadget-like deep networks.
 
-use mc_flow::{all_algorithms, Capacity, Dinic, FlowNetwork, MaxFlowAlgorithm};
+use mc_flow::{all_algorithms, Capacity, Dinic, EdmondsKarp, FlowNetwork, MaxFlowAlgorithm};
 use proptest::prelude::*;
 
 fn arbitrary_network(
@@ -54,6 +54,22 @@ proptest! {
                 prop_assert!(cut.crosses_infinite);
             }
         }
+    }
+
+    /// Dinic and Edmonds–Karp read the same cut: the residual-reachable
+    /// source side is the same for every maximum flow, so the cut edges
+    /// and their weight must match exactly, infinite edges included.
+    #[test]
+    fn dinic_and_edmonds_karp_read_the_same_cut((n, edges) in arbitrary_network(14, 50)) {
+        let net = build(n, &edges);
+        let dinic = Dinic.solve(&net);
+        let ek = EdmondsKarp.solve(&net);
+        prop_assert!((dinic.value() - ek.value()).abs() < 1e-6);
+        let (a, b) = (dinic.min_cut(&net), ek.min_cut(&net));
+        prop_assert_eq!(&a.source_side, &b.source_side);
+        prop_assert_eq!(&a.cut_edges, &b.cut_edges);
+        prop_assert_eq!(a.weight, b.weight);
+        prop_assert_eq!(a.crosses_infinite, b.crosses_infinite);
     }
 
     /// Monotonicity: adding an edge never decreases the max flow, and a

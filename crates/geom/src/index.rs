@@ -49,6 +49,7 @@ use crate::dataset::PointSet;
 use crate::dominance::Dominance;
 use crate::kernel;
 use crate::parallel::parallel_chunks_mut;
+use crate::radix::radix_sort_by_key;
 use crate::rank::try_compress_ranks;
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
 
@@ -493,10 +494,14 @@ pub(crate) struct DupGroups {
     pub(crate) offsets: Vec<u32>,
 }
 
-/// Canonical group ids: equal rank tuples ⇔ equal group. The member
-/// lists let consumers mask out a point's duplicates in `O(|group|)`
-/// instead of rescanning rows.
-pub(crate) fn duplicate_groups(n: usize, dim: usize, ranks: &[u32]) -> DupGroups {
+/// Canonical group ids: equal rank tuples ⇔ equal group, numbered in
+/// lexicographic tuple order. `keys` holds column-major per-dimension
+/// keys that order and tie like the ranks (the ranks themselves, or the
+/// oracle's dense tie-group starts). Stable radix passes from the last
+/// dimension to the first put the points in lexicographic order. The
+/// member lists let consumers mask out a point's duplicates in
+/// `O(|group|)` instead of rescanning rows.
+pub(crate) fn duplicate_groups(n: usize, dim: usize, keys: &[u32]) -> DupGroups {
     let mut group = vec![0u32; n];
     if n == 0 {
         return DupGroups {
@@ -506,19 +511,15 @@ pub(crate) fn duplicate_groups(n: usize, dim: usize, ranks: &[u32]) -> DupGroups
         };
     }
     let mut order: Vec<u32> = (0..n as u32).collect();
-    let tuple_cmp = |&a: &u32, &b: &u32| {
-        for k in 0..dim {
-            let ord = ranks[k * n + a as usize].cmp(&ranks[k * n + b as usize]);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    };
-    order.sort_unstable_by(tuple_cmp);
+    let mut spare = Vec::new();
+    for k in (0..dim).rev() {
+        radix_sort_by_key(&mut order, &keys[k * n..(k + 1) * n], &mut spare);
+    }
+    let same =
+        |a: u32, b: u32| (0..dim).all(|k| keys[k * n + a as usize] == keys[k * n + b as usize]);
     let mut g = 0u32;
     for pos in 0..n {
-        if pos > 0 && tuple_cmp(&order[pos - 1], &order[pos]) != std::cmp::Ordering::Equal {
+        if pos > 0 && !same(order[pos - 1], order[pos]) {
             g += 1;
         }
         group[order[pos] as usize] = g;

@@ -28,6 +28,7 @@ pub mod label;
 pub mod oracle;
 pub mod parallel;
 pub mod point;
+mod radix;
 pub mod rank;
 pub mod transform;
 
@@ -39,7 +40,7 @@ pub use index::{
     RankTable,
 };
 pub use label::Label;
-pub use oracle::{sort_linear_extension, RankOracle};
+pub use oracle::{linear_extension_order, RankOracle};
 pub use parallel::{max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold};
 pub use point::Point;
 pub use rank::{

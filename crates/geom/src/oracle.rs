@@ -42,6 +42,7 @@
 use crate::dataset::PointSet;
 use crate::index::{duplicate_groups, row_budget_bytes, RankTable};
 use crate::kernel;
+use crate::radix::radix_sort_by_key;
 use crate::rank::try_compress_ranks;
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
 
@@ -132,8 +133,7 @@ impl RankOracle {
         let n = points.len();
         let dim = points.dim();
         let ranks = try_compress_ranks(points, token)?;
-        let mut labels: Vec<usize> = (0..n).collect();
-        sort_linear_extension(&mut labels, dim, |k, i| ranks[k * n + i]);
+        let labels = linear_extension_order(n, dim, |k, i| ranks[k * n + i]);
         let permuted = gather_columns(dim, &labels, |k| &ranks[k * n..(k + 1) * n]);
         drop(ranks);
         let oracle = Self::try_from_rank_columns(n, dim, permuted, token)?;
@@ -228,28 +228,26 @@ impl RankOracle {
         let mut group_start = vec![0u32; dim * n];
         let mut suffix = vec![0u64; dim * checkpoints * words];
         let mut cp = Checkpoint::new(token);
-        // (rank, index) in one integer, so a plain sort gives a
-        // deterministic order; only the rank part matters for rows.
-        let mut keys: Vec<u64> = Vec::with_capacity(n);
+        // Ascending (rank, index) per dimension: a stable radix pass over
+        // the indices in order, whether the ranks are dense or a
+        // gathered subset's sparse ones.
+        let mut spare = Vec::new();
         for k in 0..dim {
             token.poll()?;
-            keys.clear();
-            keys.extend(
-                ranks[k * n..(k + 1) * n]
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &r)| u64::from(r) << 32 | i as u64),
-            );
-            keys.sort_unstable();
+            let col = &ranks[k * n..(k + 1) * n];
             let ord = &mut order[k * n..(k + 1) * n];
+            for (p, slot) in ord.iter_mut().enumerate() {
+                *slot = p as u32;
+            }
+            radix_sort_by_key(ord, col, &mut spare);
             let starts = &mut group_start[k * n..(k + 1) * n];
             let mut start = 0u32;
-            for (p, &key) in keys.iter().enumerate() {
-                if p > 0 && key >> 32 != keys[p - 1] >> 32 {
+            for p in 0..n {
+                let i = ord[p] as usize;
+                if p > 0 && col[i] != col[ord[p - 1] as usize] {
                     start = p as u32;
                 }
-                ord[p] = key as u32;
-                starts[key as u32 as usize] = start;
+                starts[i] = start;
             }
             // S_k[c] = S_k[c + 1] ∪ {sorted positions c·B .. (c + 1)·B},
             // filled from the last checkpoint down.
@@ -266,7 +264,9 @@ impl RankOracle {
                 }
             }
         }
-        let dups = duplicate_groups(n, dim, &ranks);
+        // Tie-group starts order and tie exactly like the ranks, and are
+        // dense, so the lexicographic passes cost fewer digits.
+        let dups = duplicate_groups(n, dim, &group_start);
         Ok(Self {
             n,
             dim,
@@ -331,9 +331,7 @@ impl RankOracle {
     /// The points sorted into a linear extension of dominance:
     /// ascending `(Σ_k rank_k, index)`.
     pub fn linear_extension(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.n).collect();
-        sort_linear_extension(&mut order, self.dim, |k, i| self.rank(k, i));
-        order
+        linear_extension_order(self.n, self.dim, |k, i| self.rank(k, i))
     }
 
     /// `true` iff the points' own order is a linear extension of
@@ -549,19 +547,26 @@ impl RankOracle {
     }
 }
 
-/// Sorts `items` into a linear extension of dominance: ascending
-/// `(Σ_k rank(k, item), item)`. Strict dominance raises one rank and
-/// lowers none, so it raises the sum; equal points keep index order.
-/// Ranks need only be order-preserving per dimension.
-pub fn sort_linear_extension(items: &mut [usize], dim: usize, rank: impl Fn(usize, usize) -> u32) {
-    let mut keys: Vec<(u64, usize)> = items
-        .iter()
-        .map(|&i| ((0..dim).map(|k| u64::from(rank(k, i))).sum(), i))
-        .collect();
-    keys.sort_unstable();
-    for (item, (_, i)) in items.iter_mut().zip(keys) {
-        *item = i;
+/// The points `0..n` in a linear extension of dominance: ascending
+/// `(Σ_k column(k)[i], i)`. Strict dominance raises one rank and lowers
+/// none, so it raises the sum; equal points keep index order. Ranks need
+/// only be order-preserving per dimension. The sums accumulate column by
+/// column in `u64` (they can pass `u32::MAX`) and one stable radix pass
+/// orders them.
+pub fn linear_extension_order(
+    n: usize,
+    dim: usize,
+    rank: impl Fn(usize, usize) -> u32,
+) -> Vec<usize> {
+    let mut sums = vec![0u64; n];
+    for k in 0..dim {
+        for (i, sum) in sums.iter_mut().enumerate() {
+            *sum += u64::from(rank(k, i));
+        }
     }
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    radix_sort_by_key(&mut order, &sums, &mut Vec::new());
+    order.into_iter().map(|i| i as usize).collect()
 }
 
 /// Column-major ranks of the points `indices`, in that order:
@@ -905,5 +910,122 @@ mod tests {
         // A budget nothing fits stops at one checkpoint per dimension.
         assert_eq!(table_stride(5_000, 3, 1), 8192);
         assert_eq!(table_stride(0, 3, 1), 64);
+    }
+
+    /// The build as it was with comparison sorts, for the construction
+    /// properties below: per-dimension orders and tie-group starts from
+    /// sorted `(rank, index)` keys, duplicate groups numbered along a
+    /// tuple comparison sort, and the linear extension from sorted
+    /// `(sum, index)` pairs.
+    struct SortedReference {
+        order: Vec<u32>,
+        group_start: Vec<u32>,
+        dup_group: Vec<u32>,
+        linear_extension: Vec<usize>,
+    }
+
+    fn sorted_reference(n: usize, dim: usize, ranks: &[u32]) -> SortedReference {
+        let mut order = vec![0u32; dim * n];
+        let mut group_start = vec![0u32; dim * n];
+        for k in 0..dim {
+            let mut keys: Vec<u64> = (0..n)
+                .map(|i| u64::from(ranks[k * n + i]) << 32 | i as u64)
+                .collect();
+            keys.sort_unstable();
+            let mut start = 0u32;
+            for (p, &key) in keys.iter().enumerate() {
+                if p > 0 && key >> 32 != keys[p - 1] >> 32 {
+                    start = p as u32;
+                }
+                order[k * n + p] = key as u32;
+                group_start[k * n + key as u32 as usize] = start;
+            }
+        }
+        let tuple = |i: usize| -> Vec<u32> { (0..dim).map(|k| ranks[k * n + i]).collect() };
+        let mut by_tuple: Vec<usize> = (0..n).collect();
+        by_tuple.sort_unstable_by_key(|&i| tuple(i));
+        let mut dup_group = vec![0u32; n];
+        let mut g = 0;
+        for p in 0..n {
+            if p > 0 && tuple(by_tuple[p]) != tuple(by_tuple[p - 1]) {
+                g += 1;
+            }
+            dup_group[by_tuple[p]] = g;
+        }
+        let mut pairs: Vec<(u64, usize)> = (0..n)
+            .map(|i| ((0..dim).map(|k| u64::from(ranks[k * n + i])).sum(), i))
+            .collect();
+        pairs.sort_unstable();
+        SortedReference {
+            order,
+            group_start,
+            dup_group,
+            linear_extension: pairs.into_iter().map(|(_, i)| i).collect(),
+        }
+    }
+
+    fn assert_built_like_the_sorted_reference(oracle: &RankOracle, what: &str) {
+        let (n, dim) = (oracle.len(), oracle.dim());
+        let want = sorted_reference(n, dim, &oracle.ranks);
+        assert_eq!(oracle.order, want.order, "{what}: orders");
+        assert_eq!(
+            oracle.group_start, want.group_start,
+            "{what}: tie-group starts"
+        );
+        assert_eq!(
+            oracle.dup_group, want.dup_group,
+            "{what}: duplicate-group ids"
+        );
+        for i in 0..n {
+            let members: Vec<u32> = (0..n as u32)
+                .filter(|&j| want.dup_group[j as usize] == want.dup_group[i])
+                .collect();
+            assert_eq!(
+                oracle.dup_group_members(i),
+                &members[..],
+                "{what}: members of {i}"
+            );
+        }
+        assert_eq!(
+            oracle.linear_extension(),
+            want.linear_extension,
+            "{what}: extension"
+        );
+    }
+
+    #[test]
+    fn radix_build_matches_the_comparison_sort_reference() {
+        let mut rng = StdRng::seed_from_u64(0x50B7);
+        let never = CancelToken::never();
+        for dim in [1usize, 2, 3, 5] {
+            for (n, grid) in [(0, 2.0), (1, 2.0), (90, 2.0), (300, 4.0), (1_500, 40.0)] {
+                // Dense ranks with heavy duplicates.
+                let points = random_points(n, dim, grid, &mut rng);
+                let oracle = RankOracle::build(&points);
+                assert_built_like_the_sorted_reference(&oracle, &format!("dense d {dim} n {n}"));
+                // Sparse ranks: a gathered subset of a table, in a
+                // shuffled order, keeps the table's ranks.
+                let table = RankTable::build(&points);
+                let mut subset: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
+                for i in (1..subset.len()).rev() {
+                    subset.swap(i, rng.gen_range(0..=i));
+                }
+                let gathered = RankOracle::try_from_table_subset(&table, &subset, &never).unwrap();
+                assert_built_like_the_sorted_reference(
+                    &gathered,
+                    &format!("gathered d {dim} n {n}"),
+                );
+            }
+            // Ranks near u32::MAX: every rank sum of d ≥ 2 passes u32::MAX.
+            let n = 400;
+            let ranks: Vec<u32> = (0..dim * n)
+                .map(|_| {
+                    let below = if rng.gen_bool(0.5) { 3u32 } else { 1 << 20 };
+                    u32::MAX - rng.gen_range(0..below)
+                })
+                .collect();
+            let oracle = RankOracle::from_rank_columns(n, dim, ranks, 1 << 20);
+            assert_built_like_the_sorted_reference(&oracle, &format!("high d {dim}"));
+        }
     }
 }

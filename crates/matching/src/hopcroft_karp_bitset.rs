@@ -68,6 +68,29 @@ use mc_obs::{CancelToken, Cancelled};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HopcroftKarpBitset;
 
+/// König's `Z` for the maximum matching: the vertices reachable from the
+/// unmatched lefts by alternating paths (non-matching edges left →
+/// right, matching edges right → left). The last, failing BFS layers
+/// exactly this set — it layers everything reachable and finds no free
+/// right — so it comes with the matching at no extra traversal.
+/// `(L \ Z) ∪ (R ∩ Z)` is a minimum vertex cover, the set
+/// [`minimum_vertex_cover`](crate::minimum_vertex_cover) builds with a
+/// second traversal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AlternatingReach {
+    /// `left[l]`: left `l` is in `Z`.
+    pub left: Vec<bool>,
+    /// Bit `r` (word `r / 64`): right `r` is in `Z`.
+    pub right: Vec<u64>,
+}
+
+impl AlternatingReach {
+    /// `true` iff right `r` is in `Z`.
+    pub fn right_contains(&self, r: usize) -> bool {
+        self.right[r >> 6] >> (r & 63) & 1 == 1
+    }
+}
+
 const INF: u32 = u32::MAX;
 
 /// Sentinel for a DFS row-cache slot nobody owns.
@@ -307,20 +330,24 @@ impl HopcroftKarpBitset {
     /// Generic over the row source: materialized [`BitsetGraph`] rows
     /// and on-demand [`OracleGraph`] rows produce identical matchings.
     pub fn solve_with_stats<G: RowSource>(&self, g: &G) -> (Matching, MatchingStats) {
-        self.solve_with_stats_cancellable(g, &mc_obs::CancelToken::never())
-            .expect("a never-token cannot cancel")
+        let (matching, stats, _) = self
+            .solve_with_stats_cancellable(g, &mc_obs::CancelToken::never())
+            .expect("a never-token cannot cancel");
+        (matching, stats)
     }
 
-    /// Cancellable twin of [`solve_with_stats`](Self::solve_with_stats):
-    /// the token is checkpointed on the words the greedy seed scans,
-    /// polled between Hopcroft–Karp rounds, and checkpointed once per row
-    /// the BFS/DFS phases resolve (on-demand sources compute or cache
-    /// rows there). On cancellation the partial matching is discarded.
+    /// Cancellable twin of [`solve_with_stats`](Self::solve_with_stats),
+    /// which also returns König's `Z` off the last layering
+    /// ([`AlternatingReach`]): the token is checkpointed on the words the
+    /// greedy seed scans, polled between Hopcroft–Karp rounds, and
+    /// checkpointed once per row the BFS/DFS phases resolve (on-demand
+    /// sources compute or cache rows there). On cancellation the partial
+    /// matching is discarded.
     pub fn solve_with_stats_cancellable<G: RowSource>(
         &self,
         g: &G,
         token: &CancelToken,
-    ) -> Result<(Matching, MatchingStats), Cancelled> {
+    ) -> Result<(Matching, MatchingStats, AlternatingReach), Cancelled> {
         let _span = mc_obs::span("hopcroft_karp_bitset");
         token.poll()?;
         let nl = g.num_left();
@@ -390,12 +417,19 @@ impl HopcroftKarpBitset {
             words_scanned: st.words_scanned,
         };
         flush_stats(&stats);
+        // The loop ends on a BFS that layered every alternating-reachable
+        // vertex and found no free right.
+        let reach = AlternatingReach {
+            left: st.dist.iter().map(|&d| d != INF).collect(),
+            right: st.seen,
+        };
         Ok((
             Matching {
                 left_match: st.left_match,
                 right_match: st.right_match,
             },
             stats,
+            reach,
         ))
     }
 }
@@ -548,10 +582,19 @@ mod tests {
             }
             let rows = Rows::from_edges(nl, nr, &edges);
             let g = rows.graph();
-            let m = HopcroftKarpBitset.solve(&g);
+            let (m, _, reach) = HopcroftKarpBitset
+                .solve_with_stats_cancellable(&g, &CancelToken::never())
+                .unwrap();
             m.validate(&g).unwrap();
             let k = Kuhn.solve(&list);
             assert_eq!(m.size(), k.size(), "trial {trial}: sizes differ");
+            // The last layering is König's Z: the reference traversal
+            // over the same matching finds the same cover.
+            let cover = crate::minimum_vertex_cover(&g, &m);
+            let z_left: Vec<bool> = cover.left_in_cover.iter().map(|&c| !c).collect();
+            assert_eq!(reach.left, z_left, "trial {trial}");
+            let z_right: Vec<bool> = (0..nr).map(|r| reach.right_contains(r)).collect();
+            assert_eq!(z_right, cover.right_in_cover, "trial {trial}");
         }
     }
 

@@ -45,7 +45,7 @@ pub mod row_source;
 pub use bitset::BitsetGraph;
 pub use graph::{BipartiteGraph, Matching};
 pub use hopcroft_karp::HopcroftKarp;
-pub use hopcroft_karp_bitset::HopcroftKarpBitset;
+pub use hopcroft_karp_bitset::{AlternatingReach, HopcroftKarpBitset};
 pub use koenig::{minimum_vertex_cover, VertexCover};
 pub use kuhn::Kuhn;
 pub use oracle_graph::OracleGraph;

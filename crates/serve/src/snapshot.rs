@@ -3,7 +3,8 @@
 //! The serving layer never mutates a model in place. A loaded model —
 //! classifier plus its [`AnchorIndex`] — is frozen into an immutable
 //! [`ModelSnapshot`] behind an `Arc`, and [`SnapshotStore`] swaps the
-//! current `Arc` under a short write lock. A classify request clones
+//! current `Arc` under a short write lock: the index is built before
+//! the lock is taken, so a reload never stalls the requests' `load()`. A classify request clones
 //! the `Arc` **once** and serves the whole batch from that clone, so a
 //! concurrent reload can never produce a torn read: every response is
 //! computed entirely against one generation, and the response says
@@ -62,10 +63,18 @@ impl SnapshotStore {
 
     /// Atomically replaces the model, returning the new snapshot.
     /// In-flight requests keep the `Arc` they already cloned; new
-    /// requests see the new generation.
+    /// requests see the new generation. The [`AnchorIndex`] is built
+    /// first, outside the lock; the write lock is held only to stamp the
+    /// next generation and swap the `Arc`, so concurrent swaps still get
+    /// strictly increasing generations.
     pub fn swap(&self, classifier: MonotoneClassifier) -> Arc<ModelSnapshot> {
+        let index = AnchorIndex::build(&classifier);
         let mut slot = self.current.write().unwrap_or_else(|e| e.into_inner());
-        let next = Arc::new(ModelSnapshot::new(slot.generation + 1, classifier));
+        let next = Arc::new(ModelSnapshot {
+            generation: slot.generation + 1,
+            classifier,
+            index,
+        });
         *slot = next.clone();
         next
     }
@@ -95,6 +104,54 @@ mod tests {
         assert_eq!(held.generation, 1);
         assert_eq!(held.index.classify(&[0.0]), Label::Zero);
         assert_eq!(store.load().index.classify(&[0.0]), Label::One);
+    }
+
+    #[test]
+    fn concurrent_swaps_get_strictly_increasing_generations() {
+        // Four writers swap at once while a reader watches: every swap
+        // gets its own generation, the store ends on the last, and no
+        // load ever sees the generation go down.
+        const WRITERS: u64 = 4;
+        const SWAPS: u64 = 50;
+        let store = SnapshotStore::new(MonotoneClassifier::all_zero(2));
+        let mut got: Vec<u64> = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut last = 0;
+                for _ in 0..2_000 {
+                    let g = store.load().generation;
+                    assert!(g >= last, "generation went from {last} to {g}");
+                    last = g;
+                }
+            });
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let store = &store;
+                    s.spawn(move || {
+                        let mut mine = Vec::new();
+                        let mut last = 0;
+                        for i in 0..SWAPS {
+                            let anchors = vec![vec![w as f64, i as f64], vec![i as f64, w as f64]];
+                            let g = store
+                                .swap(MonotoneClassifier::from_anchors(2, anchors))
+                                .generation;
+                            assert!(g > last, "one writer's generations must rise");
+                            last = g;
+                            mine.push(g);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            reader.join().unwrap();
+            writers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        got.sort_unstable();
+        let expected: Vec<u64> = (2..2 + WRITERS * SWAPS).collect();
+        assert_eq!(got, expected, "each swap gets its own generation");
+        assert_eq!(store.load().generation, 1 + WRITERS * SWAPS);
     }
 
     #[test]
