@@ -39,7 +39,7 @@
 use crate::dag::DominanceDag;
 use mc_geom::{
     iter_ones, linear_extension_order, matrix_bytes, row_budget_bytes, DominanceIndex, PointSet,
-    RankOracle,
+    RankOracle, RankTable,
 };
 use mc_matching::{
     minimum_vertex_cover, BipartiteAdjacency, BipartiteGraph, BitsetGraph, HopcroftKarp,
@@ -67,17 +67,29 @@ pub struct ChainDecomposition {
 
 impl ChainDecomposition {
     /// Computes a minimum chain decomposition of `points` matrix-free:
-    /// one [`RankOracle`] over the points relabelled in a linear
-    /// extension ([`RankOracle::try_build_linear_extension`]). No
-    /// `Θ(n²/64)` dominator matrix is built; the row cache stays within
-    /// [`row_budget_bytes`].
+    /// the points are ranked once and decomposed off the ranks
+    /// ([`compute_from_table_cancellable`](Self::compute_from_table_cancellable)).
+    /// No `Θ(n²/64)` dominator matrix is built; the row cache stays
+    /// within [`row_budget_bytes`].
     pub fn compute(points: &PointSet) -> Self {
-        let never = CancelToken::never();
-        RankOracle::try_build_linear_extension(points, &never)
-            .and_then(|(oracle, labels)| {
-                Self::compute_from_linear_extension_cancellable(&oracle, &labels, &never)
-            })
+        Self::compute_from_table_cancellable(&RankTable::build(points), &CancelToken::never())
             .expect("a never-token cannot cancel")
+    }
+
+    /// Decomposes the points of `table` off their ranks: they are
+    /// ordered in a linear extension ([`linear_extension_order`]), one
+    /// [`RankOracle`] gathers their rank columns in that order
+    /// ([`RankOracle::try_from_table_subset`]), and the matching runs on
+    /// it ([`compute_from_linear_extension_cancellable`](Self::compute_from_linear_extension_cancellable)).
+    /// Callers that keep the table, such as the active solver, rank
+    /// their points once for Lemma 6 and for later restrictions.
+    pub fn compute_from_table_cancellable(
+        table: &RankTable,
+        token: &CancelToken,
+    ) -> Result<Self, Cancelled> {
+        let labels = linear_extension_order(table.len(), table.dim(), |k, i| table.column(k)[i]);
+        let oracle = RankOracle::try_from_table_subset(table, &labels, token)?;
+        Self::compute_from_linear_extension_cancellable(&oracle, &labels, token)
     }
 
     /// Matrix-free decomposition over any [`RankOracle`]: the points are
@@ -484,8 +496,11 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(0xCAC4E);
         let assert_identical = |points: &PointSet, what: &str| {
-            let (oracle, labels) =
-                RankOracle::try_build_linear_extension(points, &CancelToken::never()).unwrap();
+            let table = RankTable::build(points);
+            let labels =
+                linear_extension_order(points.len(), points.dim(), |k, i| table.column(k)[i]);
+            let oracle =
+                RankOracle::try_from_table_subset(&table, &labels, &CancelToken::never()).unwrap();
             let ((cached, rows_cached), (on_demand, none_cached)) =
                 decompose_cached_and_on_demand(&oracle, &labels);
             assert_eq!(cached.chains(), on_demand.chains(), "{what}");

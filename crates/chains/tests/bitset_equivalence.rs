@@ -15,8 +15,10 @@
 //!   oracle's rows hold no bit below their diagonal word.
 
 use mc_chains::{ChainDecomposition, DominanceDag};
-use mc_geom::{DominanceIndex, PointSet, RankOracle};
-use mc_matching::{BipartiteGraph, BitsetGraph, HopcroftKarpBitset, Kuhn, MatchingAlgorithm};
+use mc_geom::{linear_extension_order, DominanceIndex, PointSet, RankOracle, RankTable};
+use mc_matching::{
+    BipartiteGraph, BitsetGraph, HopcroftKarpBitset, Kuhn, MatchingAlgorithm, OracleGraph,
+};
 use mc_obs::CancelToken;
 use proptest::prelude::*;
 
@@ -104,8 +106,9 @@ fn check_linear_extension_paths(points: &PointSet) {
         "width differs from the list path"
     );
 
-    let (oracle, labels) =
-        RankOracle::try_build_linear_extension(points, &CancelToken::never()).unwrap();
+    let table = RankTable::build(points);
+    let labels = linear_extension_order(points.len(), points.dim(), |k, i| table.column(k)[i]);
+    let oracle = RankOracle::try_from_table_subset(&table, &labels, &CancelToken::never()).unwrap();
     assert!(oracle.is_linear_extension());
     let mut sorted = labels.clone();
     sorted.sort_unstable();
@@ -114,6 +117,7 @@ fn check_linear_extension_paths(points: &PointSet) {
         "labels are a permutation"
     );
     let mut row = vec![0u64; oracle.words()];
+    let mut rows = BitsetGraph::new(oracle.len());
     for l in 0..oracle.len() {
         oracle.strict_successor_row_into(l, &mut row);
         assert!(
@@ -121,7 +125,20 @@ fn check_linear_extension_paths(points: &PointSet) {
             "row {l} has a bit below word {}",
             l / 64
         );
+        rows.push_owned_row(row.clone().into_boxed_slice());
     }
+
+    // The oracle graph's greedy seed starts each scan past the diagonal
+    // bit; the materialized rows are scanned whole. Same seed, same
+    // matching.
+    let (masked, masked_stats) = HopcroftKarpBitset.solve_with_stats(&OracleGraph::new(&oracle));
+    let (scanned, scanned_stats) = HopcroftKarpBitset.solve_with_stats(&rows);
+    assert_eq!(
+        masked_stats.greedy_matched, scanned_stats.greedy_matched,
+        "greedy seed differs"
+    );
+    assert_eq!(masked_stats.rounds, scanned_stats.rounds, "rounds differ");
+    assert_eq!(masked, scanned, "matchings differ");
 }
 
 proptest! {

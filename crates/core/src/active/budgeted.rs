@@ -23,7 +23,7 @@
 
 use crate::active::solver::sigma_cover;
 use crate::classifier::MonotoneClassifier;
-use crate::decompose::minimum_chains;
+use crate::decompose::ranked_minimum_chains;
 use crate::error::McError;
 use crate::oracle::LabelOracle;
 use crate::passive::PassiveSolver;
@@ -88,7 +88,7 @@ pub fn try_solve_with_budget(
             report: SolveReport::default(),
         });
     }
-    let chains = minimum_chains(points);
+    let (chains, table) = ranked_minimum_chains(points);
     let budget = budget.min(n);
 
     // Proportional allocation by log(1 + m), then redistribute the slack
@@ -126,6 +126,7 @@ pub fn try_solve_with_budget(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut report = SolveReport::default();
     let mut sigma = WeightedSet::empty(points.dim());
+    let mut sigma_points = Vec::new();
     let mut sigma_of = vec![u32::MAX; n];
     for (c, chain) in chains.iter().enumerate() {
         let m = chain.len();
@@ -139,6 +140,7 @@ pub fn try_solve_with_budget(
                 match oracle.probe(i) {
                     Ok(label) => {
                         sigma_of[i] = sigma.len() as u32;
+                        sigma_points.push(i);
                         sigma.push(points.point(i), label, 1.0);
                     }
                     Err(_) => report.dropped += 1,
@@ -168,6 +170,7 @@ pub fn try_solve_with_budget(
             let weight = m as f64 / answered.len() as f64;
             for (i, label) in answered {
                 sigma_of[i] = sigma.len() as u32;
+                sigma_points.push(i);
                 sigma.push(points.point(i), label, weight);
             }
         }
@@ -177,7 +180,9 @@ pub fn try_solve_with_budget(
     // Σ lists each chain's probes in random order; the cover lists them
     // in chain order, which is ascending.
     let cover = sigma_cover(&chains, &sigma_of, sigma.labels());
-    let sol = PassiveSolver::new().solve_with_cover(&sigma, &cover);
+    // At d ≥ 3 Σ's ranks are a gather of P's.
+    let sigma_table = table.map(|t| t.subset(&sigma_points));
+    let sol = PassiveSolver::new().solve_with_cover(&sigma, sigma_table, &cover);
     Ok(BudgetedSolution {
         classifier: sol.classifier,
         probes_used: oracle.probes_used() - before,

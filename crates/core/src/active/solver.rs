@@ -40,7 +40,7 @@ use crate::error::McError;
 use crate::oracle::{LabelOracle, SubsetOracle};
 use crate::passive::solver::{PassiveSolution, PassiveSolver};
 use crate::report::SolveReport;
-use mc_geom::{Label, PointSet, WeightedSet};
+use mc_geom::{Label, PointSet, RankTable, WeightedSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -179,9 +179,9 @@ impl ActiveSolver {
         // d ≥ 3 it matches off rank columns; no dominance matrix over P
         // is built.
         let t0 = Instant::now();
-        let chains = crate::decompose::minimum_chains(points);
+        let (chains, table) = crate::decompose::ranked_minimum_chains(points);
         let decomposition_time = t0.elapsed();
-        let mut sol = self.solve_with_chains_inner(points, &chains, oracle)?;
+        let mut sol = self.solve_with_chains_inner(points, &chains, table.as_ref(), oracle)?;
         sol.decomposition_time = decomposition_time;
         Ok(sol)
     }
@@ -239,13 +239,17 @@ impl ActiveSolver {
         oracle: &mut dyn LabelOracle,
     ) -> Result<ActiveSolution, McError> {
         let _span = mc_obs::span("active");
-        self.solve_with_chains_inner(points, chains, oracle)
+        self.solve_with_chains_inner(points, chains, None, oracle)
     }
 
+    /// The sampling and Σ phases over `chains`. `table`, the points'
+    /// rank table when the decomposition built one, ranks Σ by a gather
+    /// of its rows.
     fn solve_with_chains_inner(
         &self,
         points: &PointSet,
         chains: &[Vec<usize>],
+        table: Option<&RankTable>,
         oracle: &mut dyn LabelOracle,
     ) -> Result<ActiveSolution, McError> {
         let partial = self.try_sampling_phase(points, chains, oracle)?;
@@ -257,13 +261,15 @@ impl ActiveSolver {
         // unaffected and the result stays monotone. At d ≥ 3 the solve
         // is the matrix-free chain ladder over Σ's own rank columns,
         // wired on the active chains restricted to Σ's label-1 points
-        // when their heads certify that cover minimum.
+        // when their heads certify that cover minimum, and Σ's ranks are
+        // P's, gathered rather than sorted again.
         let t2 = Instant::now();
+        let sigma_table = table.map(|t| t.subset(&partial.sigma_points));
         let PassiveSolution {
             classifier,
             weighted_error,
             ..
-        } = PassiveSolver::new().solve_with_cover(&partial.sigma, &partial.cover);
+        } = PassiveSolver::new().solve_with_cover(&partial.sigma, sigma_table, &partial.cover);
         let passive_time = t2.elapsed();
 
         Ok(ActiveSolution {
@@ -297,6 +303,7 @@ impl ActiveSolver {
         if n == 0 {
             return Ok(SamplingPhase {
                 sigma: WeightedSet::empty(points.dim().max(1)),
+                sigma_points: Vec::new(),
                 cover: Vec::new(),
                 probes_used: 0,
                 width: 0,
@@ -377,10 +384,12 @@ impl ActiveSolver {
             }
         }
         let mut sigma = WeightedSet::empty(points.dim());
+        let mut sigma_points = Vec::new();
         let mut sigma_of = vec![u32::MAX; n];
         for (global, slot) in merged.iter().enumerate() {
             if let Some((label, weight)) = slot {
                 sigma_of[global] = sigma.len() as u32;
+                sigma_points.push(global);
                 sigma.push(points.point(global), *label, *weight);
             }
         }
@@ -407,6 +416,7 @@ impl ActiveSolver {
 
         Ok(SamplingPhase {
             sigma,
+            sigma_points,
             cover,
             probes_used: oracle.probes_used() - probes_before,
             width: w,
@@ -442,6 +452,8 @@ pub(crate) fn sigma_cover(
 /// Intermediate result of the probing phases (before the passive solve).
 struct SamplingPhase {
     sigma: WeightedSet,
+    /// The point of P behind each Σ entry, ascending.
+    sigma_points: Vec<usize>,
     /// [`sigma_cover`] of the chains the sampler walked.
     cover: Vec<Vec<usize>>,
     probes_used: usize,

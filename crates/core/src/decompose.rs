@@ -25,32 +25,48 @@
 //! ```
 
 use mc_chains::{ChainDecomposition, TwoDimDecomposition};
-use mc_geom::PointSet;
+use mc_geom::{PointSet, RankTable};
+use mc_obs::CancelToken;
 
 /// Computes a minimum chain decomposition (ascending dominance order
 /// within each chain), dispatching on dimensionality.
 pub fn minimum_chains(points: &PointSet) -> Vec<Vec<usize>> {
+    ranked_minimum_chains(points).0
+}
+
+/// [`minimum_chains`], plus the points' [`RankTable`] when the dispatch
+/// ranked them (`d ≥ 3`), so that callers restricting the points later
+/// (the active solvers' sample Σ) gather its rows instead of ranking
+/// again.
+pub(crate) fn ranked_minimum_chains(points: &PointSet) -> (Vec<Vec<usize>>, Option<RankTable>) {
     if points.is_empty() {
-        return Vec::new();
+        return (Vec::new(), None);
     }
     // Spanned here (not in mc-chains) so the d ≤ 2 sort/sweep dispatch
     // arms are timed under the same name as the Lemma-6 pipeline.
     let _span = mc_obs::span("chain_decomposition");
-    let chains = match points.dim() {
+    let (chains, table) = match points.dim() {
         1 => {
             let mut order: Vec<usize> = (0..points.len()).collect();
             order.sort_by(|&a, &b| points.point(a)[0].total_cmp(&points.point(b)[0]));
-            vec![order]
+            (vec![order], None)
         }
-        2 => TwoDimDecomposition::compute(points).chains().to_vec(),
-        // The Lemma-6 matching runs matrix-free off one oracle over the
-        // points relabelled in a linear extension: rows are cached when
-        // they fit the row budget, computed on demand above it, and
-        // bit-identical to the dominator matrix's rows either way.
-        _ => ChainDecomposition::compute(points).chains().to_vec(),
+        2 => (TwoDimDecomposition::compute(points).chains().to_vec(), None),
+        // The Lemma-6 matching runs matrix-free off one oracle that
+        // gathers the table's columns in a linear extension: rows are
+        // cached when they fit the row budget, computed on demand above
+        // it, and bit-identical to the dominator matrix's rows either
+        // way.
+        _ => {
+            let table = RankTable::build(points);
+            let dec =
+                ChainDecomposition::compute_from_table_cancellable(&table, &CancelToken::never())
+                    .expect("a never-token cannot cancel");
+            (dec.chains().to_vec(), Some(table))
+        }
     };
     mc_obs::gauge_set("chains.width", chains.len() as f64);
-    chains
+    (chains, table)
 }
 
 #[cfg(test)]

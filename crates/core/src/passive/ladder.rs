@@ -72,6 +72,11 @@
 //! and the chain searches read the ones' ranks from the [`RankOracle`]
 //! the decomposition has just gathered (`O(d·|P₁|)`, cache-resident),
 //! not from the `n`-length table columns.
+//!
+//! Before the network goes to Dinic, [`seed_ladder`] routes a greedy
+//! feasible flow over it in `O(hits + rungs)` (ALGORITHMS.md §10), which
+//! the network carries as its initial flow; Dinic only adds what the
+//! seed missed, and the cut is the same for every maximum flow.
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::pipeline::ClassifierNetwork;
@@ -522,6 +527,152 @@ fn sweep_range(
 /// the tests can run it over a reference sweep.
 type SweepFn = fn(&SweepInput, &CancelToken) -> Result<Sweep, Cancelled>;
 
+/// A feasible flow on the ladder network, routed greedily before
+/// Dinic's first BFS. Every gadget edge is infinite, so the max flow is
+/// a transportation problem: each hitting zero ships its weight to the
+/// ones of the chain prefixes it reaches. The seed visits the zeros in
+/// ascending total reach (`Σ cnt` over their hits, ties by point id), so
+/// the zeros with the fewest choices ship first, and each pushes into the
+/// lowest unsaturated one of every prefix it reaches, tracked by one
+/// pointer per chain: below the pointer every one is saturated, so the
+/// pointer only advances and the seed costs `O(hits + rungs)`. The rung
+/// flows follow from conservation as per-chain suffix sums, with no path
+/// walked per push.
+#[derive(Debug, Default)]
+struct LadderSeed {
+    /// Flow on each hitting zero's source edge, in sweep order.
+    zeros: Vec<f64>,
+    /// Flow on each `zero → rung` edge: the sweep's hits, flattened in
+    /// order.
+    hits: Vec<f64>,
+    /// `ones[c][i]`: flow into chain `c`'s `i`-th one, on its `rung →
+    /// one` edge and its sink edge alike.
+    ones: Vec<Vec<f64>>,
+    /// `rungs[c][i]`: flow down the rung edge `a_i → a_{i−1}` of chain
+    /// `c` (`rungs[c][0]` is 0; that rung has no edge below it).
+    rungs: Vec<Vec<f64>>,
+}
+
+/// Routes the [`LadderSeed`] over the ladder `wire_ladder` builds from
+/// `chains` and `sweep`. `zero_weight(p)` is the weight of zero `p` (a
+/// point id) and `one_weight(local)` that of chain entry `local`. Source
+/// and sink flows are `w − remaining`, so a saturated edge's residual
+/// reads exactly 0.
+fn seed_ladder(
+    chains: &[Vec<usize>],
+    sweep: &Sweep,
+    zero_weight: impl Fn(usize) -> f64,
+    one_weight: impl Fn(usize) -> f64,
+) -> LadderSeed {
+    let _span = mc_obs::span("ladder_seed");
+    let mut left: Vec<Vec<f64>> = chains
+        .iter()
+        .zip(&sweep.max_cnt)
+        .map(|(chain, &len)| chain[..len].iter().map(|&l| one_weight(l)).collect())
+        .collect();
+    // Flow the zeros put into each rung.
+    let mut inflow: Vec<Vec<f64>> = sweep.max_cnt.iter().map(|&len| vec![0.0; len]).collect();
+    let mut first_hit = Vec::with_capacity(sweep.hits.len());
+    let mut total = 0;
+    for (_, hits) in &sweep.hits {
+        first_hit.push(total);
+        total += hits.len();
+    }
+    let reach: Vec<u64> = sweep
+        .hits
+        .iter()
+        .map(|(_, hits)| hits.iter().map(|&(_, cnt)| u64::from(cnt)).sum())
+        .collect();
+    // Stable: equal reaches keep the sweep's ascending point order.
+    let mut order: Vec<usize> = (0..sweep.hits.len()).collect();
+    order.sort_by_key(|&k| reach[k]);
+
+    let mut seed = LadderSeed {
+        zeros: vec![0.0; sweep.hits.len()],
+        hits: vec![0.0; total],
+        ..LadderSeed::default()
+    };
+    let mut lowest = vec![0usize; chains.len()];
+    let mut pushes = 0u64;
+    for k in order {
+        let (p, hits) = &sweep.hits[k];
+        let weight = zero_weight(*p);
+        let mut remaining = weight;
+        for (h, &(c, cnt)) in hits.iter().enumerate() {
+            let (c, cnt) = (c as usize, cnt as usize);
+            let mut sent = 0.0;
+            while remaining > 0.0 && lowest[c] < cnt {
+                let slot = &mut left[c][lowest[c]];
+                let push = remaining.min(*slot);
+                *slot -= push;
+                remaining -= push;
+                sent += push;
+                pushes += u64::from(push > 0.0);
+                if *slot == 0.0 {
+                    lowest[c] += 1;
+                }
+            }
+            seed.hits[first_hit[k] + h] = sent;
+            inflow[c][cnt - 1] += sent;
+            if remaining == 0.0 {
+                break;
+            }
+        }
+        seed.zeros[k] = weight - remaining;
+    }
+    // Rung `i` passes down what enters it at or above `i` and is not
+    // taken by the ones there.
+    for ((chain, &len), (left, inflow)) in chains
+        .iter()
+        .zip(&sweep.max_cnt)
+        .zip(left.iter().zip(&inflow))
+    {
+        let ones: Vec<f64> = chain[..len]
+            .iter()
+            .zip(left)
+            .map(|(&l, &rest)| one_weight(l) - rest)
+            .collect();
+        let mut rungs = vec![0.0; len];
+        let mut down = 0.0f64;
+        for i in (1..len).rev() {
+            down += inflow[i] - ones[i];
+            rungs[i] = down.max(0.0);
+        }
+        seed.ones.push(ones);
+        seed.rungs.push(rungs);
+    }
+    mc_obs::counter_add("passive.seed_pushes", pushes);
+    seed
+}
+
+impl LadderSeed {
+    /// The seed's flow on every edge of the ladder network, in the order
+    /// the edges are added: the source edges (sweep order), the sink
+    /// edges (`sink`, in the network's order of the ones), then
+    /// [`wire_ladder`]'s, chain by chain each rung's `rung → one` edge
+    /// and the rung edge below it, and last the `zero → rung` edges.
+    fn edge_flows(&self, sink: &[f64]) -> Vec<f64> {
+        let ladder: usize = self
+            .ones
+            .iter()
+            .map(|o| (2 * o.len()).saturating_sub(1))
+            .sum();
+        let mut flow = Vec::with_capacity(self.zeros.len() + sink.len() + ladder + self.hits.len());
+        flow.extend_from_slice(&self.zeros);
+        flow.extend_from_slice(sink);
+        for (ones, rungs) in self.ones.iter().zip(&self.rungs) {
+            for (i, (&one, &rung)) in ones.iter().zip(rungs).enumerate() {
+                flow.push(one);
+                if i > 0 {
+                    flow.push(rung);
+                }
+            }
+        }
+        flow.extend_from_slice(&self.hits);
+        flow
+    }
+}
+
 /// Wires the gadget into `net`: per chain `c`, a rung ladder over the
 /// first `sweep.max_cnt[c]` elements, the prefix some zero reaches
 /// (`rungs[c][i]` reaches elements `0..=i`), then one infinite `zero →
@@ -743,6 +894,7 @@ fn discover_with(
     };
     let sweep = sweep(&input, token)?;
     let width = chains.len();
+    let seed = seed_ladder(chains, &sweep, |p| weights[p], |local| weights[ones[local]]);
 
     let _wire = mc_obs::span("ladder_wire");
     let con_zeros: Vec<usize> = sweep.hits.iter().map(|&(p, _)| p).collect();
@@ -785,6 +937,13 @@ fn discover_with(
         &zero_nodes,
         token,
     )?;
+    let mut sink_flow = vec![0.0; con_ones.len()];
+    for (chain, into) in chains.iter().zip(&seed.ones) {
+        for (&local, &f) in chain.iter().zip(into) {
+            sink_flow[one_pos[ones[local]] as usize] = f;
+        }
+    }
+    net.set_initial_flow(seed.edge_flows(&sink_flow));
 
     let con = ContendingPoints {
         zeros: con_zeros,
@@ -806,7 +965,7 @@ fn discover_with(
 mod tests {
     use super::*;
     use crate::passive::brute::build_dense_network;
-    use mc_flow::{Dinic, MaxFlowAlgorithm};
+    use mc_flow::{Dinic, EdmondsKarp, FlowSolution, MaxFlowAlgorithm};
     use mc_geom::{DominanceIndex, Label, WeightedSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1488,6 +1647,154 @@ mod tests {
         assert_eq!(Dinic.solve(&ladder.net).value(), 3.0);
     }
 
+    /// Checks that the seed is a blocking greedy flow: every zero with
+    /// weight left reaches, through the gadget, only ones whose sink
+    /// edges it saturated. Returns how many zeros hit more than one chain.
+    fn assert_seed_blocks(network: &ClassifierNetwork, seed: &FlowSolution, what: &str) -> usize {
+        let net = &network.net;
+        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); net.num_nodes()];
+        let mut sink_edge = vec![None; net.num_nodes()];
+        let mut source_edge = vec![None; net.num_nodes()];
+        for e in (0..2 * net.num_edges()).step_by(2) {
+            let (u, v) = net.endpoints(e);
+            if u == net.source() {
+                source_edge[v] = Some(e);
+            } else if v == net.sink() {
+                sink_edge[u] = Some(e);
+            } else {
+                out[u].push(v);
+            }
+        }
+        let cap = |e: usize| net.capacity(e).as_finite().expect("finite end edge");
+        let mut multi = 0;
+        for &zero in &network.zero_nodes {
+            multi += usize::from(out[zero].len() > 1);
+            let e = source_edge[zero].expect("every zero has a source edge");
+            if seed.flow_on(net, e) >= cap(e) {
+                continue;
+            }
+            let mut seen = vec![false; net.num_nodes()];
+            let mut stack = vec![zero];
+            while let Some(u) = stack.pop() {
+                if let Some(e) = sink_edge[u] {
+                    assert_eq!(
+                        seed.flow_on(net, e),
+                        cap(e),
+                        "{what}: zero node {zero} has weight left and reaches an unsaturated one"
+                    );
+                }
+                for &v in &out[u] {
+                    if !std::mem::replace(&mut seen[v], true) {
+                        stack.push(v);
+                    }
+                }
+            }
+        }
+        multi
+    }
+
+    #[test]
+    fn seeded_flow_matches_the_cold_solve_cut_for_cut() {
+        use crate::passive::pipeline::read_cut;
+        let mut rng = StdRng::seed_from_u64(0x5EED_F100);
+        let never = CancelToken::never();
+        let (mut multi_hit, mut dup_pairs, mut networks) = (0, 0, 0);
+        for trial in 0..160 {
+            let dim = 3 + trial % 2;
+            let n = rng.gen_range(2..90);
+            // A coarse grid: duplicate points across labels, and zeros
+            // above several chains.
+            let mut ws = random_weighted(n, dim, 3.0 + (trial % 3) as f64, &mut rng);
+            if trial % 2 == 1 {
+                let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.25..4.0)).collect();
+                ws = WeightedSet::new(ws.points().clone(), ws.labels().to_vec(), weights);
+            }
+            let what = format!("trial {trial}: d {dim}, n {n}");
+            let table = RankTable::build(ws.points());
+            let out = discover_and_build_from_table_cancellable(
+                &table,
+                ws.labels(),
+                ws.weights(),
+                None,
+                &never,
+            )
+            .unwrap();
+            let Some(seeded) = out.network else {
+                continue;
+            };
+            networks += 1;
+            for &z in &out.con.zeros {
+                dup_pairs += out
+                    .con
+                    .ones
+                    .iter()
+                    .filter(|&&o| ws.points().point(o) == ws.points().point(z))
+                    .count();
+            }
+            let net = &seeded.net;
+            let seed = FlowSolution::initial(net);
+            seed.validate(net)
+                .unwrap_or_else(|e| panic!("{what}: seed: {e}"));
+            multi_hit += assert_seed_blocks(&seeded, &seed, &what);
+
+            let mut cold_net = net.clone();
+            cold_net.set_initial_flow(vec![0.0; net.num_edges()]);
+            let warm = Dinic.solve(net);
+            let reference = EdmondsKarp.solve(net);
+            let cold = Dinic.solve(&cold_net);
+            let tolerance = 1e-9 * (1.0 + net.finite_capacity_sum());
+            for (sol, engine) in [(&warm, "dinic"), (&reference, "edmonds-karp")] {
+                sol.validate(net)
+                    .unwrap_or_else(|e| panic!("{what}: {engine}: {e}"));
+                assert!(
+                    (sol.value() - cold.value()).abs() <= tolerance,
+                    "{what}: {engine} {} vs cold {}",
+                    sol.value(),
+                    cold.value()
+                );
+                assert!(sol.value() >= seed.value() - tolerance, "{what}: {engine}");
+            }
+            // The source side is the same for every maximum flow, so the
+            // cuts, and their weights summed in edge order, are identical.
+            let cold_cut = cold.min_cut(&cold_net);
+            for (sol, engine) in [(&warm, "dinic"), (&reference, "edmonds-karp")] {
+                let cut = sol.min_cut(net);
+                assert_eq!(cut.source_side, cold_cut.source_side, "{what}: {engine}");
+                assert_eq!(cut.cut_edges, cold_cut.cut_edges, "{what}: {engine}");
+                assert_eq!(
+                    cut.weight.to_bits(),
+                    cold_cut.weight.to_bits(),
+                    "{what}: {engine}"
+                );
+            }
+
+            // Through the readout: same flips and error bits, and each
+            // flow's certificate audits against the data.
+            let cold_network = ClassifierNetwork {
+                net: cold_net,
+                zero_nodes: seeded.zero_nodes.clone(),
+                one_nodes: seeded.one_nodes.clone(),
+            };
+            let a = read_cut(out.con.clone(), Some(seeded), n, &never, true).unwrap();
+            let b = read_cut(out.con, Some(cold_network), n, &never, true).unwrap();
+            assert_eq!(
+                a.weighted_error.to_bits(),
+                b.weighted_error.to_bits(),
+                "{what}"
+            );
+            assert_eq!((&a.to_one, &a.to_zero), (&b.to_one, &b.to_zero), "{what}");
+            for cert in [a.certificate, b.certificate] {
+                cert.expect("asked for")
+                    .verify(&ws)
+                    .unwrap_or_else(|e| panic!("{what}: certificate: {e}"));
+            }
+        }
+        assert!(
+            networks > 100 && multi_hit > 50 && dup_pairs > 20,
+            "{networks} networks, {multi_hit} multi-chain zeros, {dup_pairs} duplicate pairs"
+        );
+    }
+
     /// `k` chains of `len` points each in `dim ∈ {3, 4}` dimensions:
     /// chain `c` climbs from `(c·spread + t₀, (k−1−c)·spread + t₀, t₀, …)`
     /// along the diagonal, one step of 0–2 per point (a 0 step repeats
@@ -1535,24 +1842,26 @@ mod tests {
     }
 
     /// Σ as the active solver builds it: the points kept with
-    /// probability `keep`, in index order, and the layout's chains
-    /// restricted to Σ's label-1 points.
+    /// probability `keep`, in index order, the layout's chains
+    /// restricted to Σ's label-1 points, and the kept points' ids.
     fn sample_with_cover(
         ws: &WeightedSet,
         chains: &[Vec<usize>],
         keep: f64,
         rng: &mut StdRng,
-    ) -> (WeightedSet, Vec<Vec<usize>>) {
+    ) -> (WeightedSet, Vec<Vec<usize>>, Vec<usize>) {
         let mut sigma = WeightedSet::empty(ws.dim());
+        let mut kept = Vec::new();
         let mut sigma_of = vec![u32::MAX; ws.len()];
         for (p, slot) in sigma_of.iter_mut().enumerate() {
             if rng.gen_bool(keep) {
                 *slot = sigma.len() as u32;
+                kept.push(p);
                 sigma.push(ws.points().point(p), ws.label(p), ws.weight(p));
             }
         }
         let cover = crate::active::solver::sigma_cover(chains, &sigma_of, sigma.labels());
-        (sigma, cover)
+        (sigma, cover, kept)
     }
 
     #[test]
@@ -1571,7 +1880,7 @@ mod tests {
             let spread = if trial % 3 == 0 { 4 } else { 200 };
             let (ws, chains) = chain_layout(k, len, spread, dim, &mut rng);
             let keep = [1.0, 0.8, 0.5][trial % 3];
-            let (sigma, cover) = sample_with_cover(&ws, &chains, keep, &mut rng);
+            let (sigma, cover, kept) = sample_with_cover(&ws, &chains, keep, &mut rng);
             let what = format!("trial {trial}: d {dim}, k {k}, len {len}, keep {keep}");
             let table = RankTable::build(sigma.points());
             let ones: Vec<usize> = (0..sigma.len())
@@ -1632,15 +1941,20 @@ mod tests {
             );
             assert_eq!((a.to_one, a.to_zero), (b.to_one, b.to_zero), "{what}");
 
-            let reused = PassiveSolver::new().solve_with_cover(&sigma, &cover);
+            // The active solver ranks Σ by gathering P's table; the
+            // gathered ranks are sparse but order like Σ's own.
+            let gathered = RankTable::build(ws.points()).subset(&kept);
             let plain = PassiveSolver::new().solve(&sigma);
-            assert_eq!(
-                reused.weighted_error.to_bits(),
-                plain.weighted_error.to_bits(),
-                "{what}"
-            );
-            assert_eq!(reused.assignment, plain.assignment, "{what}");
-            assert_eq!(reused.classifier, plain.classifier, "{what}");
+            for (table, name) in [(None, "reused"), (Some(gathered), "gathered")] {
+                let reused = PassiveSolver::new().solve_with_cover(&sigma, table, &cover);
+                assert_eq!(
+                    reused.weighted_error.to_bits(),
+                    plain.weighted_error.to_bits(),
+                    "{what}: {name}"
+                );
+                assert_eq!(reused.assignment, plain.assignment, "{what}: {name}");
+                assert_eq!(reused.classifier, plain.classifier, "{what}: {name}");
+            }
         }
         assert!(
             certified > 20 && fallbacks > 5,

@@ -3,9 +3,12 @@
 //! In one dimension every monotone classifier is a threshold `h^τ`
 //! (equation (6)), and only `|P| + 1` *effective* thresholds matter
 //! (equation (7)): `τ ∈ P ∪ {−∞}`. A single sorted sweep with prefix
-//! sums finds the optimum. Used as an independent cross-check of the
-//! flow-based solver and as the per-chain subroutine of the active
-//! algorithm (minimizing `w-err_Σ` over a chain).
+//! sums finds the optimum. It is an independent cross-check of the
+//! flow-based solver (the property tests diff the two on 1D inputs) and
+//! the exact 1D baseline of the experiments and benches. The active
+//! algorithm does not call it: its per-chain subroutine is the Section-3
+//! sampler ([`crate::active::one_dim`]), and it minimizes `w-err_Σ` with
+//! the flow-based solver on the whole sample Σ.
 //!
 //! # Example
 //!

@@ -179,21 +179,27 @@ impl PassiveSolver {
         data: &WeightedSet,
         token: &CancelToken,
     ) -> Result<PassiveSolution, Cancelled> {
-        Ok(self.solve_inner_cancellable(data, None, token, false)?.0)
+        Ok(self
+            .solve_inner_cancellable(data, None, None, token, false)?
+            .0)
     }
 
     /// [`PassiveSolver::solve`] for the active solvers, which hold a
-    /// chain cover of `data`'s label-1 points: `cover` lists point ids of
-    /// `data` in ascending chains, each label-1 point in one chain. The
-    /// `d ≥ 3` ladder wires its rungs on the cover instead of running
-    /// Lemma 6 when the cover is certified minimum, and runs Lemma 6
-    /// otherwise; the solution is the same either way.
+    /// chain cover of `data`'s label-1 points and, at `d ≥ 3`, its rank
+    /// table. `cover` lists point ids of `data` in ascending chains, each
+    /// label-1 point in one chain. The `d ≥ 3` ladder wires its rungs on
+    /// the cover instead of running Lemma 6 when the cover is certified
+    /// minimum, and runs Lemma 6 otherwise. `table`, when given, ranks
+    /// `data`'s points (a gather of the input's table, order-preserving
+    /// but not dense); otherwise the points are ranked here. The solution
+    /// is the same either way.
     pub(crate) fn solve_with_cover(
         &self,
         data: &WeightedSet,
+        table: Option<RankTable>,
         cover: &[Vec<usize>],
     ) -> PassiveSolution {
-        self.solve_inner_cancellable(data, Some(cover), &CancelToken::never(), false)
+        self.solve_inner_cancellable(data, table, Some(cover), &CancelToken::never(), false)
             .expect("a never-token cannot cancel")
             .0
     }
@@ -210,7 +216,8 @@ impl PassiveSolver {
         data: &WeightedSet,
         token: &CancelToken,
     ) -> Result<(PassiveSolution, Certificate), Cancelled> {
-        let (solution, certificate) = self.solve_inner_cancellable(data, None, token, true)?;
+        let (solution, certificate) =
+            self.solve_inner_cancellable(data, None, None, token, true)?;
         let certificate = certificate.unwrap_or(Certificate {
             optimal_error: solution.weighted_error,
             charges: Vec::new(),
@@ -222,7 +229,7 @@ impl PassiveSolver {
     /// [`DominanceIndex`] over `data.points()`. The index is unused: the
     /// solve is matrix-free at every dimension. This spelling remains
     /// only for mcbench's traced active replay, and goes when ROADMAP
-    /// item 3 retires that replay.
+    /// item 9 retires that replay.
     ///
     /// # Panics
     ///
@@ -235,6 +242,7 @@ impl PassiveSolver {
     fn solve_inner_cancellable(
         &self,
         data: &WeightedSet,
+        table: Option<RankTable>,
         cover: Option<&[Vec<usize>]>,
         token: &CancelToken,
         certify: bool,
@@ -244,7 +252,13 @@ impl PassiveSolver {
         if data.is_empty() {
             return Ok((PassiveSolution::empty(data.dim()), None));
         }
-        let table = RankTable::try_build(data.points(), token)?;
+        let table = match table {
+            Some(table) => {
+                debug_assert_eq!(table.len(), data.len(), "table/point-set size mismatch");
+                table
+            }
+            None => RankTable::try_build(data.points(), token)?,
+        };
         let mut cut = solve_ranked(&table, data.labels(), data.weights(), cover, token, certify)?;
         let certificate = cut.certificate.take();
         Ok((

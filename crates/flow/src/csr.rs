@@ -111,6 +111,9 @@ pub struct DinicEngine {
     bfs_rounds: u64,
     augmenting_paths: u64,
     bfs_visits: u64,
+    /// DFS arcs walked: each arc pushed onto a path plus each retreat
+    /// off one.
+    dfs_steps: u64,
 }
 
 impl DinicEngine {
@@ -268,6 +271,7 @@ impl DinicEngine {
                 let v = g.head(e);
                 if residual[e] > EPS && self.level[v] == self.level[u] - 1 {
                     self.path.push(e as u32);
+                    self.dfs_steps += 1;
                     advanced = true;
                     break;
                 }
@@ -280,6 +284,7 @@ impl DinicEngine {
             // Dead end: retreat (and retire the edge that led here).
             match self.path.pop() {
                 Some(e) => {
+                    self.dfs_steps += 1;
                     let parent = g.head(e as usize ^ 1);
                     self.arc[parent] += 1;
                 }
@@ -289,15 +294,17 @@ impl DinicEngine {
     }
 
     /// Publishes and zeroes the accumulated `flow.{bfs_rounds,
-    /// augmenting_paths, bfs_visits}` counters. Callers flush once per
-    /// solve so hot loops never touch the registry.
+    /// augmenting_paths, bfs_visits, dfs_steps}` counters. Callers flush
+    /// once per solve so hot loops never touch the registry.
     pub fn flush_stats(&mut self) {
         mc_obs::counter_add("flow.bfs_rounds", self.bfs_rounds);
         mc_obs::counter_add("flow.augmenting_paths", self.augmenting_paths);
         mc_obs::counter_add("flow.bfs_visits", self.bfs_visits);
+        mc_obs::counter_add("flow.dfs_steps", self.dfs_steps);
         self.bfs_rounds = 0;
         self.augmenting_paths = 0;
         self.bfs_visits = 0;
+        self.dfs_steps = 0;
     }
 }
 

@@ -8,7 +8,8 @@
 //!
 //! The front-end here is thin: it freezes the network into the CSR
 //! layout and runs the reusable [`DinicEngine`], which owns the BFS/DFS
-//! phases and their scratch buffers (see [`crate::csr`]).
+//! phases and their scratch buffers (see [`crate::csr`]), from the
+//! network's initial flow ([`FlowNetwork::set_initial_flow`]).
 
 use crate::csr::DinicEngine;
 use crate::network::FlowNetwork;
@@ -39,9 +40,12 @@ impl MaxFlowAlgorithm for Dinic {
         let (mut residual, surrogate) = net.initial_residuals();
         let csr = net.freeze();
         let mut engine = DinicEngine::new();
-        let value = engine.max_flow(&csr, &mut residual, token);
+        // The engine augments the network's initial flow, if any, and
+        // returns only what it added.
+        let added = engine.max_flow(&csr, &mut residual, token);
         engine.flush_stats();
-        Ok(FlowSolution::new(value?, residual, surrogate, csr))
+        let value = net.initial_flow_value() + added?;
+        Ok(FlowSolution::new(value, residual, surrogate, csr))
     }
 }
 
@@ -142,6 +146,24 @@ mod tests {
         let cut = sol.min_cut(&net);
         assert!((cut.weight - sol.value()).abs() < 1e-9);
         sol.validate(&net).unwrap();
+    }
+
+    #[test]
+    fn initial_flow_is_augmented_and_counted() {
+        // Route 1 of the diamond's 5 units up front, through a path the
+        // maximum flow does not keep as is: the solvers add the other 4.
+        let mut net = FlowNetwork::new(4, 0, 3);
+        net.add_edge(0, 1, 3.0);
+        net.add_edge(1, 3, 5.0);
+        net.add_edge(0, 2, 2.0);
+        net.add_edge(2, 3, 2.0);
+        net.add_edge(1, 2, Capacity::Infinite);
+        net.set_initial_flow(vec![1.0, 0.0, 0.0, 1.0, 1.0]);
+        for sol in [Dinic.solve(&net), crate::EdmondsKarp.solve(&net)] {
+            assert_eq!(sol.value(), 5.0);
+            sol.validate(&net).unwrap();
+            assert_eq!(sol.min_cut(&net).weight, 5.0);
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@ impl MaxFlowAlgorithm for EdmondsKarp {
         let csr = net.freeze();
         let n = net.num_nodes();
         let (s, t) = (net.source(), net.sink());
-        let mut value = 0.0;
+        // Augments from the network's initial flow, like Dinic.
+        let mut value = net.initial_flow_value();
         // parent_edge[v] = residual edge used to reach v in the BFS.
         let mut parent_edge = vec![usize::MAX; n];
 

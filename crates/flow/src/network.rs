@@ -70,6 +70,9 @@ pub struct FlowNetwork {
     infinite: Vec<bool>,
     /// Sum of all finite declared capacities (used to build the surrogate).
     finite_cap_sum: f64,
+    /// Initial flow on each forward edge (`flow[e / 2]`), which the
+    /// solvers start from; empty for the zero flow.
+    flow: Vec<f64>,
 }
 
 impl FlowNetwork {
@@ -90,6 +93,7 @@ impl FlowNetwork {
             cap: Vec::new(),
             infinite: Vec::new(),
             finite_cap_sum: 0.0,
+            flow: Vec::new(),
         }
     }
 
@@ -131,13 +135,81 @@ impl FlowNetwork {
         self.head.push(u as u32);
         self.cap.push(0.0);
         self.infinite.push(inf);
+        if !self.flow.is_empty() {
+            self.flow.push(0.0);
+        }
         id
+    }
+
+    /// Sets the flow the solvers start from: `flow[k]` units on forward
+    /// edge `2k`, one entry per declared edge. It must be a feasible
+    /// flow — within every capacity and conserved at every node but the
+    /// source and sink — and the solvers augment it to a maximum flow,
+    /// so [`FlowSolution::value`](crate::FlowSolution::value) counts it.
+    /// A greedy seed that routes most of the flow in one linear pass
+    /// leaves the solver only the remainder to find. Edges added later
+    /// start at zero flow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flow` has not one entry per edge, or an entry is
+    /// negative, not finite, or above a finite capacity. Debug builds
+    /// also check conservation.
+    pub fn set_initial_flow(&mut self, flow: Vec<f64>) {
+        assert_eq!(flow.len(), self.num_edges(), "one flow per edge");
+        for (k, &f) in flow.iter().enumerate() {
+            let cap = if self.infinite[2 * k] {
+                f64::INFINITY
+            } else {
+                self.cap[2 * k]
+            };
+            assert!(
+                f >= 0.0 && f.is_finite() && f <= cap,
+                "edge {}: initial flow {f} outside [0, {cap}]",
+                2 * k
+            );
+        }
+        self.flow = flow;
+        #[cfg(debug_assertions)]
+        {
+            let mut net_out = vec![0.0f64; self.n];
+            for (k, &f) in self.flow.iter().enumerate() {
+                let (u, v) = self.endpoints(2 * k);
+                net_out[u] += f;
+                net_out[v] -= f;
+            }
+            let tolerance = crate::EPS * (1.0 + self.finite_cap_sum);
+            for (u, &excess) in net_out.iter().enumerate() {
+                debug_assert!(
+                    u == self.source || u == self.sink || excess.abs() <= tolerance,
+                    "initial flow not conserved at node {u}: {excess}"
+                );
+            }
+        }
+    }
+
+    /// Value of the initial flow: its net outflow from the source (0
+    /// without one).
+    pub fn initial_flow_value(&self) -> f64 {
+        let mut value = 0.0;
+        for (k, &f) in self.flow.iter().enumerate() {
+            let (u, v) = self.endpoints(2 * k);
+            if u == self.source {
+                value += f;
+            } else if v == self.source {
+                value -= f;
+            }
+        }
+        value
     }
 
     /// Replaces every infinite capacity by the surrogate
     /// `B = finite_cap_sum + 1` — strictly larger than any finite cut, so
-    /// a surrogate edge is never the bottleneck of one — returning the
-    /// per-edge initial residual capacities solvers work on. Solvers call
+    /// a surrogate edge is never the bottleneck of one — and applies the
+    /// initial flow ([`set_initial_flow`](Self::set_initial_flow)),
+    /// returning the per-edge residual capacities solvers work on and the
+    /// surrogate. An edge carrying flow `f` keeps `cap − f` forward and
+    /// `f` on its twin, so a saturated edge reads exactly 0. Solvers call
     /// this once at the start.
     pub(crate) fn initial_residuals(&self) -> (Vec<f64>, f64) {
         let surrogate = self.finite_cap_sum + 1.0;
@@ -146,6 +218,10 @@ impl FlowNetwork {
             if self.infinite[i] && i % 2 == 0 {
                 *r = surrogate;
             }
+        }
+        for (k, &f) in self.flow.iter().enumerate() {
+            residual[2 * k] -= f;
+            residual[2 * k + 1] = f;
         }
         (residual, surrogate)
     }
@@ -258,6 +334,33 @@ mod tests {
         assert_eq!(residual[1], 0.0); // backward
         assert_eq!(residual[2], 6.0); // forward infinite -> surrogate
         assert_eq!(residual[3], 0.0);
+    }
+
+    #[test]
+    fn initial_flow_sets_both_residuals_and_the_value() {
+        let mut net = FlowNetwork::new(4, 0, 3);
+        net.add_edge(0, 1, 5.0);
+        net.add_edge(1, 2, Capacity::Infinite);
+        net.add_edge(2, 3, 3.0);
+        net.add_edge(2, 0, 2.0);
+        // 3 units leave the source, 1 of them loops back.
+        net.set_initial_flow(vec![4.0, 4.0, 3.0, 1.0]);
+        assert_eq!(net.initial_flow_value(), 3.0);
+        let (residual, surrogate) = net.initial_residuals();
+        assert_eq!(surrogate, 11.0);
+        assert_eq!(residual, vec![1.0, 4.0, 7.0, 4.0, 0.0, 3.0, 1.0, 1.0]);
+        // An edge added afterwards starts empty.
+        net.add_edge(1, 3, 1.0);
+        let (residual, _) = net.initial_residuals();
+        assert_eq!(&residual[8..], &[1.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 5]")]
+    fn initial_flow_above_capacity_rejected() {
+        let mut net = FlowNetwork::new(2, 0, 1);
+        net.add_edge(0, 1, 5.0);
+        net.set_initial_flow(vec![6.0]);
     }
 
     #[test]

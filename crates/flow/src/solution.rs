@@ -29,6 +29,16 @@ impl FlowSolution {
         }
     }
 
+    /// The network's initial flow
+    /// ([`FlowNetwork::set_initial_flow`]) as a solution, before any
+    /// augmentation, so a seed can be audited with
+    /// [`validate`](Self::validate) and [`flow_on`](Self::flow_on). It is
+    /// a maximum flow only if the seed is one.
+    pub fn initial(net: &FlowNetwork) -> Self {
+        let (residual, surrogate) = net.initial_residuals();
+        Self::new(net.initial_flow_value(), residual, surrogate, net.freeze())
+    }
+
     /// The max-flow value (equivalently, by Lemmas 7 and 8 of the paper,
     /// the minimum weight of all cut-edge sets).
     pub fn value(&self) -> f64 {

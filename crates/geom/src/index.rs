@@ -465,6 +465,24 @@ impl RankTable {
         (0..self.dim).all(|k| self.ranks[k * self.n + i] >= self.ranks[k * self.n + j])
     }
 
+    /// The table of the points `indices`, in that order, with this
+    /// table's ranks: `subset.column(k)[l] == column(k)[indices[l]]`.
+    /// The gathered ranks order, tie and so dominate exactly like the
+    /// points' coordinates, but they are not dense. This is how a sample
+    /// of ranked points is ranked without sorting again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn subset(&self, indices: &[usize]) -> Self {
+        let mut ranks = Vec::with_capacity(self.dim * indices.len());
+        for k in 0..self.dim {
+            let col = self.column(k);
+            ranks.extend(indices.iter().map(|&i| col[i]));
+        }
+        Self::from_rank_columns(indices.len(), self.dim, ranks)
+    }
+
     /// Assembles a table from prepared column-major rank columns
     /// (`ranks[k * n + i]`), the streaming entry point: callers that
     /// cannot hold all coordinates resident (e.g. a columnar file at
@@ -497,19 +515,31 @@ pub(crate) struct DupGroups {
 /// Canonical group ids: equal rank tuples ⇔ equal group, numbered in
 /// lexicographic tuple order. `keys` holds column-major per-dimension
 /// keys that order and tie like the ranks (the ranks themselves, or the
-/// oracle's dense tie-group starts). Stable radix passes from the last
-/// dimension to the first put the points in lexicographic order. The
-/// member lists let consumers mask out a point's duplicates in
-/// `O(|group|)` instead of rescanning rows.
+/// oracle's dense tie-group starts). When dimension 0's keys are a
+/// permutation of `0..n` (dense and all distinct, as the tie-group
+/// starts are when no two points tie on dimension 0), that permutation
+/// already is the lexicographic order and every point is its own group:
+/// one pass over the column finds out and inverts it. Otherwise stable
+/// radix passes from the last dimension to the first put the points in
+/// lexicographic order. The member lists let consumers mask out a
+/// point's duplicates in `O(|group|)` instead of rescanning rows.
 pub(crate) fn duplicate_groups(n: usize, dim: usize, keys: &[u32]) -> DupGroups {
-    let mut group = vec![0u32; n];
-    if n == 0 {
+    debug_assert_eq!(keys.len(), dim * n, "one key per point and dimension");
+    if let Some(order) = distinct_order(&keys[..n]) {
+        // Group `g` is the point at position `g`, and lists only it.
         return DupGroups {
-            group,
-            members: Vec::new(),
-            offsets: vec![0],
+            group: keys[..n].to_vec(),
+            members: order,
+            offsets: (0..=n as u32).collect(),
         };
     }
+    lexicographic_groups(n, dim, keys)
+}
+
+/// [`duplicate_groups`] by radix passes over every dimension, whatever
+/// dimension 0 holds.
+fn lexicographic_groups(n: usize, dim: usize, keys: &[u32]) -> DupGroups {
+    let mut group = vec![0u32; n];
     let mut order: Vec<u32> = (0..n as u32).collect();
     let mut spare = Vec::new();
     for k in (0..dim).rev() {
@@ -526,7 +556,7 @@ pub(crate) fn duplicate_groups(n: usize, dim: usize, keys: &[u32]) -> DupGroups 
     }
     // Bucket members by group with a counting pass; scanning points in
     // ascending index order keeps each group's members sorted.
-    let num_groups = g as usize + 1;
+    let num_groups = if n == 0 { 0 } else { g as usize + 1 };
     let mut offsets = vec![0u32; num_groups + 1];
     for &gid in &group {
         offsets[gid as usize + 1] += 1;
@@ -546,6 +576,22 @@ pub(crate) fn duplicate_groups(n: usize, dim: usize, keys: &[u32]) -> DupGroups 
         members,
         offsets,
     }
+}
+
+/// The inverse of `column` if it is a permutation of `0..column.len()`
+/// (`order[column[i]] = i`), else `None`. Stops at the first key out of
+/// range or repeated.
+fn distinct_order(column: &[u32]) -> Option<Vec<u32>> {
+    let n = column.len();
+    let mut order = vec![u32::MAX; n];
+    for (i, &key) in column.iter().enumerate() {
+        let slot = order.get_mut(key as usize)?;
+        if *slot != u32::MAX {
+            return None;
+        }
+        *slot = i as u32;
+    }
+    Some(order)
 }
 
 /// `d = 1` sweep: row `i` is the suffix mask `{j : rank(j) ≥ rank(i)}`,
@@ -1038,6 +1084,55 @@ mod tests {
         let sub = index.subset(&[0, 2, 3, 5]);
         assert_eq!(sub.dup_group_members(0), &[0, 1]);
         assert_eq!(sub.dup_group_members(2), &[2, 3]);
+    }
+
+    #[test]
+    fn duplicate_groups_shortcut_equals_the_full_passes() {
+        let mut rng = StdRng::seed_from_u64(0xD06);
+        for dim in 1..=4usize {
+            for n in [0usize, 1, 2, 50, 700] {
+                for ties in [false, true] {
+                    // Dimension 0 is a permutation of 0..n, or n/3
+                    // repeated values; the rest are drawn from a small
+                    // range so tuples repeat.
+                    let mut keys: Vec<u32> = (0..n as u32).collect();
+                    for i in (1..n).rev() {
+                        keys.swap(i, rng.gen_range(0..=i));
+                    }
+                    if ties {
+                        keys.iter_mut().for_each(|k| *k /= 3);
+                    }
+                    keys.extend((n..dim * n).map(|_| rng.gen_range(0..3u32)));
+                    let fast = duplicate_groups(n, dim, &keys);
+                    let full = lexicographic_groups(n, dim, &keys);
+                    let what = format!("dim {dim} n {n} ties {ties}");
+                    assert_eq!(fast.group, full.group, "{what}: ids");
+                    assert_eq!(fast.members, full.members, "{what}: members");
+                    assert_eq!(fast.offsets, full.offsets, "{what}: offsets");
+                }
+            }
+        }
+        // Distinct but not dense keys take the full passes.
+        assert!(distinct_order(&[0, 2]).is_none());
+        assert_eq!(distinct_order(&[2, 0, 1]), Some(vec![1, 2, 0]));
+    }
+
+    #[test]
+    fn subset_table_keeps_the_ranks_of_its_points() {
+        let mut rng = StdRng::seed_from_u64(0x7AB);
+        let points = random_points(120, 3, 5.0, &mut rng);
+        let table = RankTable::build(&points);
+        let picks: Vec<usize> = (0..120).filter(|_| rng.gen_bool(0.3)).rev().collect();
+        let sub = table.subset(&picks);
+        assert_eq!((sub.len(), sub.dim()), (picks.len(), 3));
+        for (l, &i) in picks.iter().enumerate() {
+            for k in 0..3 {
+                assert_eq!(sub.column(k)[l], table.column(k)[i]);
+            }
+            for (m, &j) in picks.iter().enumerate() {
+                assert_eq!(sub.dominates(l, m), points.dominates(i, j));
+            }
+        }
     }
 
     #[test]

@@ -118,28 +118,6 @@ impl RankOracle {
         Self::try_from_rank_columns(points.len(), points.dim(), ranks, token)
     }
 
-    /// Builds the oracle over `points` relabelled in a linear extension
-    /// of dominance: ascending `(Σ_k rank_k, index)`. Returns the oracle
-    /// and `labels`, where oracle point `l` is input point `labels[l]`.
-    /// Every point then comes after everything it dominates, so the
-    /// strict-successor row of label `l` has no bit below word `⌊l/64⌋`
-    /// (see [`is_linear_extension`](Self::is_linear_extension)). One
-    /// rank compression, one sort and one oracle: the columns are
-    /// permuted before the table is filled.
-    pub fn try_build_linear_extension(
-        points: &PointSet,
-        token: &CancelToken,
-    ) -> Result<(Self, Vec<usize>), Cancelled> {
-        let n = points.len();
-        let dim = points.dim();
-        let ranks = try_compress_ranks(points, token)?;
-        let labels = linear_extension_order(n, dim, |k, i| ranks[k * n + i]);
-        let permuted = gather_columns(dim, &labels, |k| &ranks[k * n..(k + 1) * n]);
-        drop(ranks);
-        let oracle = Self::try_from_rank_columns(n, dim, permuted, token)?;
-        Ok((oracle, labels))
-    }
-
     /// Builds the oracle over this oracle's points in the order `order`:
     /// new point `l` is point `order[l]`. Ranks are copied, not
     /// recomputed, so dominance and equality are unchanged.
@@ -462,11 +440,16 @@ impl RankOracle {
 
     /// The lowest strict successor of `i` (a bit of
     /// [`strict_successor_row_into`](Self::strict_successor_row_into))
-    /// that is also set in `within`, looking only at words `from_word..`;
+    /// that is also set in `within`, looking only at bits `from_bit..`;
     /// `None` if there is none there. No row is built: each word ANDs
     /// `within` with the point's suffix-bitset words on the fly, and each
     /// surviving bit costs at most `d` rank compares, so the scan stops
-    /// at the first survivor.
+    /// at the first survivor. When the points are labelled in a linear
+    /// extension ([`is_linear_extension`](Self::is_linear_extension)),
+    /// every strict successor of `i` is above `i`, so callers pass
+    /// `from_bit = i + 1`: the bits at or below `i` in the diagonal word
+    /// pass the suffix filter (`i` and the points it dominates on every
+    /// checkpointed dimension) but would each cost `d` compares to reject.
     ///
     /// # Panics
     ///
@@ -475,12 +458,17 @@ impl RankOracle {
         &self,
         i: usize,
         within: &[u64],
-        from_word: usize,
+        from_bit: usize,
     ) -> Option<usize> {
         assert_eq!(within.len(), self.words, "row width mismatch");
         let n = self.n;
+        let from_word = from_bit >> 6;
         for (wi, &w) in within.iter().enumerate().skip(from_word) {
-            let mut cand = w;
+            let mut cand = if wi == from_word {
+                w & (!0u64 << (from_bit & 63))
+            } else {
+                w
+            };
             for k in 0..self.dim {
                 if cand == 0 {
                     break;
@@ -816,32 +804,51 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x1A2F);
         for dim in [1usize, 3, 5] {
             for n in [1usize, 63, 64, 65, 200] {
+                // Grid 4 leaves many duplicate points.
                 let points = random_points(n, dim, 4.0, &mut rng);
                 let ranks = dense_ranks(&points);
-                for stride in [64, n.next_power_of_two().max(MIN_STRIDE)] {
-                    let never = CancelToken::never();
-                    let oracle =
-                        RankOracle::with_stride(n, dim, ranks.clone(), stride, &never).unwrap();
-                    let mut row = vec![0u64; oracle.words()];
-                    for i in 0..n {
-                        oracle.strict_successor_row_into(i, &mut row);
-                        let within: Vec<u64> = (0..oracle.words())
-                            .map(|w| {
-                                let spill = n - 64 * w;
-                                let valid = if spill >= 64 { !0 } else { (1u64 << spill) - 1 };
-                                rng.gen::<u64>() & valid
-                            })
-                            .collect();
-                        let from = rng.gen_range(0..oracle.words());
-                        let want = (from..oracle.words()).find_map(|w| {
-                            let hit = row[w] & within[w];
-                            (hit != 0).then(|| (w << 6) | hit.trailing_zeros() as usize)
-                        });
-                        assert_eq!(
-                            oracle.first_strict_successor(i, &within, from),
-                            want,
-                            "dim {dim} n {n} stride {stride} i {i} from {from}"
-                        );
+                // The same points relabelled in a linear extension, where
+                // the scan starts just past the diagonal bit.
+                let labels = linear_extension_order(n, dim, |k, i| ranks[k * n + i]);
+                let relabelled = gather_columns(dim, &labels, |k| &ranks[k * n..(k + 1) * n]);
+                for (ranks, linear) in [(ranks.clone(), false), (relabelled, true)] {
+                    for stride in [64, n.next_power_of_two().max(MIN_STRIDE)] {
+                        let never = CancelToken::never();
+                        let oracle =
+                            RankOracle::with_stride(n, dim, ranks.clone(), stride, &never).unwrap();
+                        assert_eq!(oracle.is_linear_extension(), linear || n < 2);
+                        let mut row = vec![0u64; oracle.words()];
+                        for i in 0..n {
+                            oracle.strict_successor_row_into(i, &mut row);
+                            let within: Vec<u64> = (0..oracle.words())
+                                .map(|w| {
+                                    let spill = n - 64 * w;
+                                    let valid = if spill >= 64 { !0 } else { (1u64 << spill) - 1 };
+                                    rng.gen::<u64>() & valid
+                                })
+                                .collect();
+                            let scan = |from: usize| {
+                                (0..n).find(|&j| {
+                                    j >= from
+                                        && row[j >> 6] >> (j & 63) & 1 == 1
+                                        && within[j >> 6] >> (j & 63) & 1 == 1
+                                })
+                            };
+                            let from = rng.gen_range(0..=n);
+                            assert_eq!(
+                                oracle.first_strict_successor(i, &within, from),
+                                scan(from),
+                                "dim {dim} n {n} stride {stride} i {i} from {from}"
+                            );
+                            if linear {
+                                // Nothing at or below the diagonal is lost.
+                                assert_eq!(
+                                    oracle.first_strict_successor(i, &within, i + 1),
+                                    scan(0),
+                                    "linear: dim {dim} n {n} stride {stride} i {i}"
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -849,14 +856,16 @@ mod tests {
     }
 
     #[test]
-    fn linear_extension_build_relabels_without_changing_the_poset() {
+    fn linear_extension_gather_relabels_without_changing_the_poset() {
         let mut rng = StdRng::seed_from_u64(0x11E7);
         for dim in [1usize, 2, 4] {
             let points = random_points(150, dim, 4.0, &mut rng);
             let plain = RankOracle::build(&points);
-            let (sorted, labels) =
-                RankOracle::try_build_linear_extension(&points, &CancelToken::never()).unwrap();
+            let table = RankTable::build(&points);
+            let labels = linear_extension_order(150, dim, |k, i| table.column(k)[i]);
             assert_eq!(labels, plain.linear_extension());
+            let sorted =
+                RankOracle::try_from_table_subset(&table, &labels, &CancelToken::never()).unwrap();
             assert!(sorted.is_linear_extension());
             let mut full = vec![0u64; sorted.words()];
             let mut tail = vec![!0u64; sorted.words()];

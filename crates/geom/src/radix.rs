@@ -17,8 +17,11 @@ const MAX_DIGIT_BITS: u32 = 11;
 /// order. LSD radix over `key − min_key`: its significant bits are split
 /// into equal digits of at most [`MAX_DIGIT_BITS`], each digit one
 /// histogram and one scatter pass, and a digit that is the same for every
-/// key costs no scatter. `spare` is scratch of any length; it is resized
-/// to `items.len()`.
+/// key costs no scatter. Keys whose span fits the bit length of `n`
+/// (below `2n`, as dense ranks and tie-group starts do) take one
+/// counting pass over `2^bits ≤ 2n` buckets instead: a bucket table no
+/// larger than the items, and one scatter instead of two or more.
+/// `spare` is scratch of any length; it is resized to `items.len()`.
 ///
 /// # Panics
 ///
@@ -41,7 +44,12 @@ pub(crate) fn radix_sort_by_key<K: Copy + Into<u64>>(
     if bits == 0 {
         return;
     }
-    let passes = bits.div_ceil(MAX_DIGIT_BITS);
+    let one_pass = MAX_DIGIT_BITS.max(usize::BITS - n.leading_zeros());
+    let passes = if bits <= one_pass {
+        1
+    } else {
+        bits.div_ceil(MAX_DIGIT_BITS)
+    };
     let digit_bits = bits.div_ceil(passes);
     let mask = (1u64 << digit_bits) - 1;
     let digit =
@@ -119,6 +127,32 @@ mod tests {
             let expected = reference(&items, &keys);
             radix_sort_by_key(&mut items, &keys, &mut spare);
             assert_eq!(items, expected, "trial {trial}, n {n}, span {span}");
+        }
+    }
+
+    #[test]
+    fn counting_pass_matches_the_reference_on_both_sides_of_its_span_rule() {
+        let mut rng = StdRng::seed_from_u64(0x5B4A);
+        let mut spare = Vec::new();
+        for n in [1usize, 2_047, 2_048, 2_049, 5_000, 40_000] {
+            // Bit length of n: spans below 2^len take one pass.
+            let len = usize::BITS - n.leading_zeros();
+            for bits in [len.max(MAX_DIGIT_BITS), len.max(MAX_DIGIT_BITS) + 1] {
+                let base: u64 = rng.gen_range(0..1u64 << 35);
+                // The least and greatest keys pin the span at `bits` bits.
+                let mut keys: Vec<u64> = (0..n)
+                    .map(|_| base + rng.gen_range(0..1u64 << bits))
+                    .collect();
+                keys[0] = base;
+                keys[n - 1] = base + (1u64 << bits) - 1;
+                let mut items: Vec<u32> = (0..n as u32).collect();
+                for i in (1..n).rev() {
+                    items.swap(i, rng.gen_range(0..=i));
+                }
+                let expected = reference(&items, &keys);
+                radix_sort_by_key(&mut items, &keys, &mut spare);
+                assert_eq!(items, expected, "n {n}, span bits {bits}");
+            }
         }
     }
 

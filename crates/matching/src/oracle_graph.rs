@@ -16,7 +16,9 @@
 //! greedy seed's lazy scan ([`RankOracle::first_strict_successor`]), the
 //! row computations ([`RankOracle::strict_successor_row_from`]) and the
 //! BFS row ORs all begin there, which halves a row's suffix ANDs on
-//! average. The seed builds no row at all.
+//! average. The seed builds no row at all, and its scan starts at bit
+//! `l + 1`: the diagonal word's bits up to `l` pass the suffix filter
+//! but are never successors, and each would cost `d` rank compares.
 //!
 //! Built [`with_row_cache`](OracleGraph::with_row_cache), the graph also
 //! keeps every row a Hopcroft–Karp BFS or DFS asks for and serves it from
@@ -123,8 +125,10 @@ impl RowSource for OracleGraph<'_> {
     }
 
     fn first_free_neighbour(&self, l: usize, free: &[u64], _scratch: &mut [u64]) -> Option<usize> {
-        self.oracle
-            .first_strict_successor(l, free, self.first_word(l))
+        // In a linear extension every strict successor of `l` is above
+        // it, so the scan skips the diagonal word's bits up to `l`.
+        let from_bit = if self.diagonal { l + 1 } else { 0 };
+        self.oracle.first_strict_successor(l, free, from_bit)
     }
 
     fn phase_row<'s>(&'s self, l: usize, scratch: &'s mut [u64]) -> ResolvedRow<'s> {

@@ -601,9 +601,15 @@ fn cmd_passive_columnar(
         sol.contending_ones
     );
     println!("optimal weighted error = {}", sol.weighted_error);
+    // Width 0 means the ladder never decomposed the label-1 points: the
+    // d ≤ 2 sweep ran instead, or one label class is empty.
+    let width = match sol.width {
+        0 => "no dominance decomposition ran".to_string(),
+        w => format!("dominance width = {w}"),
+    };
     println!(
-        "flips: {} zeros -> 1, {} ones -> 0; dominance width = {}",
-        sol.flips_to_one, sol.flips_to_zero, sol.width
+        "flips: {} zeros -> 1, {} ones -> 0; {width}",
+        sol.flips_to_one, sol.flips_to_zero
     );
     println!(
         "network: {} nodes, {} edges",

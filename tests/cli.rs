@@ -956,12 +956,30 @@ fn passive_csv_and_columnar_inputs_share_one_pipeline() {
                     .unwrap()
                     .to_owned()
             };
-            (field("contending = "), field("optimal weighted error = "))
+            (
+                (field("contending = "), field("optimal weighted error = ")),
+                stdout,
+            )
         };
-        let from_csv = solve(&csv, &[]);
-        let from_columnar = solve(&columnar, &["--metrics-out".as_ref(), metrics.as_os_str()]);
+        let (from_csv, _) = solve(&csv, &[]);
+        let (from_columnar, stdout) =
+            solve(&columnar, &["--metrics-out".as_ref(), metrics.as_os_str()]);
         assert_eq!(from_csv, from_columnar, "d = {dim}");
         assert_ne!(from_csv.0, "0", "d = {dim}: nothing contends");
+        // Only the d ≥ 3 ladder decomposes the label-1 points; below it
+        // the MCC1 flips line says so instead of printing a width of 0.
+        if dim <= 2 {
+            assert!(
+                stdout.contains("; no dominance decomposition ran"),
+                "d = {dim}: {stdout}"
+            );
+            assert!(!stdout.contains("dominance width"), "d = {dim}: {stdout}");
+        } else {
+            assert!(
+                stdout.contains("; dominance width = "),
+                "d = {dim}: {stdout}"
+            );
+        }
 
         let spans: Vec<String> = std::fs::read_to_string(&metrics)
             .unwrap()
