@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks: dominance DAG construction and minimum
-//! chain decomposition (the `O(d·n² + n^2.5)` Lemma-6 pipeline).
+//! Criterion micro-benchmarks: minimum chain decomposition (the
+//! `O(d·n² + n^2.5)` Lemma-6 pipeline).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc_chains::{ChainDecomposition, DominanceDag};
+use mc_chains::ChainDecomposition;
 use mc_geom::PointSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,21 +13,6 @@ fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
         .map(|_| (0..dim).map(|_| rng.gen_range(0.0..100.0)).collect())
         .collect();
     PointSet::from_rows(dim, &rows)
-}
-
-fn bench_dag(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chains/dag-build");
-    for n in [200usize, 400, 800] {
-        for dim in [2usize, 8] {
-            let points = random_points(n, dim, 1);
-            group.bench_with_input(
-                BenchmarkId::new(format!("d{dim}"), n),
-                &points,
-                |b, points| b.iter(|| DominanceDag::build(points).num_edges()),
-            );
-        }
-    }
-    group.finish();
 }
 
 fn bench_decomposition(c: &mut Criterion) {
@@ -42,5 +27,5 @@ fn bench_decomposition(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dag, bench_decomposition);
+criterion_group!(benches, bench_decomposition);
 criterion_main!(benches);

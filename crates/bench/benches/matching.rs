@@ -1,56 +1,59 @@
-//! Criterion micro-benchmarks: bipartite matching (Hopcroft–Karp vs
-//! Kuhn) on random graphs and on dominance split graphs, plus the
-//! list-vs-bitset end-to-end `ChainDecomposition` comparison recorded
-//! to `BENCH_matching.json` at the repo root (n = 20 000, d = 4;
-//! override the size with `MC_BENCH_MATCHING_N` for smoke runs), and the
+//! Criterion micro-benchmarks: bipartite matching (bitset Hopcroft–Karp
+//! vs the Kuhn reference) on random graphs and on dominance split
+//! graphs, plus the end-to-end `ChainDecomposition` record written to
+//! `BENCH_matching.json` at the repo root (n = 20 000, d = 4; override
+//! the size with `MC_BENCH_MATCHING_N` for smoke runs), and the
 //! matrix-free `compute_from_oracle` timings on the scale workload's
 //! Lemma-6 instances at n ∈ {10⁵, 10⁶}.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc_chains::{ChainDecomposition, DominanceDag};
+use mc_chains::ChainDecomposition;
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
 use mc_geom::{DominanceIndex, PointSet, RankOracle};
-use mc_matching::{
-    BipartiteGraph, BitsetGraph, HopcroftKarp, HopcroftKarpBitset, Kuhn, MatchingAlgorithm,
-};
+use mc_matching::{BitsetGraph, HopcroftKarpBitset, Kuhn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
-fn random_bipartite(n: usize, avg_degree: usize, seed: u64) -> BipartiteGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = BipartiteGraph::new(n, n);
+/// An `n × n` graph as owned rows, with right `r` adjacent to left `l`
+/// iff `edge(l, r)`.
+fn rows_graph(n: usize, mut edge: impl FnMut(usize, usize) -> bool) -> BitsetGraph {
+    let mut g = BitsetGraph::new(n);
     for l in 0..n {
-        for _ in 0..avg_degree {
-            g.add_edge(l, rng.gen_range(0..n));
+        let mut row = vec![0u64; n.div_ceil(64)].into_boxed_slice();
+        for r in 0..n {
+            if edge(l, r) {
+                row[r >> 6] |= 1u64 << (r & 63);
+            }
         }
+        g.push(row);
     }
     g
 }
 
+fn random_bipartite(n: usize, avg_degree: usize, seed: u64) -> BitsetGraph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    rows_graph(n, |_, _| rng.gen_range(0..n) < avg_degree)
+}
+
 /// The split graph of a random 2D dominance DAG — the Lemma-6 workload.
-fn dominance_split_graph(n: usize, seed: u64) -> BipartiteGraph {
+fn dominance_split_graph(n: usize, seed: u64) -> BitsetGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let points: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
         .collect();
-    let mut g = BipartiteGraph::new(n, n);
-    for (u, &(xu, yu)) in points.iter().enumerate() {
-        for (v, &(xv, yv)) in points.iter().enumerate() {
-            if u != v && xv >= xu && yv >= yu && (xv, yv) != (xu, yu) {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    g
+    rows_graph(n, |u, v| {
+        let ((xu, yu), (xv, yv)) = (points[u], points[v]);
+        u != v && xv >= xu && yv >= yu && (xv, yv) != (xu, yu)
+    })
 }
 
 fn bench_random(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching/random");
     for n in [200usize, 500, 1000] {
         let g = random_bipartite(n, 5, 1);
-        group.bench_with_input(BenchmarkId::new("hopcroft-karp", n), &g, |b, g| {
-            b.iter(|| HopcroftKarp.solve(g).size())
+        group.bench_with_input(BenchmarkId::new("hopcroft-karp-bitset", n), &g, |b, g| {
+            b.iter(|| HopcroftKarpBitset.solve_with_stats(g).0.size())
         });
         group.bench_with_input(BenchmarkId::new("kuhn", n), &g, |b, g| {
             b.iter(|| Kuhn.solve(g).size())
@@ -64,8 +67,8 @@ fn bench_dominance(c: &mut Criterion) {
     group.sample_size(20);
     for n in [200usize, 400] {
         let g = dominance_split_graph(n, 2);
-        group.bench_with_input(BenchmarkId::new("hopcroft-karp", n), &g, |b, g| {
-            b.iter(|| HopcroftKarp.solve(g).size())
+        group.bench_with_input(BenchmarkId::new("hopcroft-karp-bitset", n), &g, |b, g| {
+            b.iter(|| HopcroftKarpBitset.solve_with_stats(g).0.size())
         });
         group.bench_with_input(BenchmarkId::new("kuhn", n), &g, |b, g| {
             b.iter(|| Kuhn.solve(g).size())
@@ -82,16 +85,14 @@ fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
     PointSet::from_rows(dim, &rows)
 }
 
-/// Engine face-off on the real Lemma-6 workload at criterion scale.
+/// The matrix-backed decomposition on the real Lemma-6 workload at
+/// criterion scale.
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching/engine");
     group.sample_size(10);
     for n in [1_000usize, 4_000] {
         let points = random_points(n, 4, 0xE0);
         let index = DominanceIndex::build(&points);
-        group.bench_with_input(BenchmarkId::new("list", n), &index, |b, index| {
-            b.iter(|| ChainDecomposition::from_dag(&DominanceDag::from_index(index)).width())
-        });
         group.bench_with_input(BenchmarkId::new("bitset", n), &index, |b, index| {
             b.iter(|| ChainDecomposition::compute_from_index(index).width())
         });
@@ -178,9 +179,9 @@ fn matrix_free_section() -> String {
     )
 }
 
-/// The acceptance-gate comparison: adjacency-list vs bitset engine for
-/// the end-to-end `ChainDecomposition` off a shared index, with
-/// equivalence checks, saved as JSON for the record.
+/// The end-to-end record: the matrix-backed `ChainDecomposition` off a
+/// shared index, certified by `validate()`, with the matching's phase
+/// counters, saved as JSON.
 fn record_comparison(_c: &mut Criterion) {
     let n: usize = std::env::var("MC_BENCH_MATCHING_N")
         .ok()
@@ -190,46 +191,37 @@ fn record_comparison(_c: &mut Criterion) {
     let reps = 3;
     let points = random_points(n, dim, 0xE4);
 
-    println!("matching/comparison: list vs bitset at n = {n}, d = {dim} ({reps} reps each)");
+    println!("matching/comparison: n = {n}, d = {dim} ({reps} reps each)");
     let index_build = time_runs(reps, || DominanceIndex::build(&points).len());
     let index = DominanceIndex::build(&points);
-
-    let list = time_runs(reps, || {
-        ChainDecomposition::from_dag(&DominanceDag::from_index(&index)).width()
-    });
     let bitset = time_runs(reps, || {
         ChainDecomposition::compute_from_index(&index).width()
     });
 
-    // Behavioral equivalence at full scale: both decompositions are
-    // structurally valid, with identical width and antichain size.
-    let list_dec = ChainDecomposition::from_dag(&DominanceDag::from_index(&index));
+    // One more run with the counters on, for the phase statistics of
+    // the decomposition just timed, and its Dilworth certificate.
+    let level = mc_obs::level();
+    mc_obs::set_level(mc_obs::Level::Info);
+    mc_obs::reset();
     let bitset_dec = ChainDecomposition::compute_from_index(&index);
-    list_dec.validate(&points).expect("list path invalid");
-    bitset_dec.validate(&points).expect("bitset path invalid");
-    let width_identical = list_dec.width() == bitset_dec.width();
-    let antichain_identical = list_dec.antichain().len() == bitset_dec.antichain().len();
-
-    // Phase statistics of the bitset engine for the record.
-    let g = BitsetGraph::from_index(&index);
-    let (_, stats) = HopcroftKarpBitset.solve_with_stats(&g);
-    let matched = stats.greedy_matched + stats.augmented;
+    let snap = mc_obs::snapshot();
+    mc_obs::set_level(level);
+    let certified = bitset_dec.validate(&points).is_ok();
+    let greedy_matched = snap.counter("matching.greedy_matched");
+    let hk_rounds = snap.counter("matching.hk_rounds");
+    let hk_augmented = snap.counter("matching.hk_augmented");
+    let words_scanned = snap.counter("matching.bitset_words_scanned");
+    let matched = greedy_matched + hk_augmented;
     let greedy_hit_rate = if matched > 0 {
-        stats.greedy_matched as f64 / matched as f64
+        greedy_matched as f64 / matched as f64
     } else {
         0.0
     };
-
-    let speedup = list.as_secs_f64() / bitset.as_secs_f64();
     println!(
-        "matching/comparison: width {} | list {:?} -> bitset {:?} ({speedup:.1}x), \
-         greedy hit rate {greedy_hit_rate:.3}, rounds {}, words scanned {}, equivalent: {}",
+        "matching/comparison: width {} | bitset {bitset:?}, greedy hit rate \
+         {greedy_hit_rate:.3}, rounds {hk_rounds}, words scanned {words_scanned}, \
+         certified: {certified}",
         bitset_dec.width(),
-        list,
-        bitset,
-        stats.rounds,
-        stats.words_scanned,
-        width_identical && antichain_identical
     );
 
     let matrix_free = matrix_free_section();
@@ -241,35 +233,25 @@ fn record_comparison(_c: &mut Criterion) {
   "config": {{ "n": {n}, "dim": {dim}, "reps": {reps}, "profile": "bench" }},
   "timings_ms": {{
     "index_build": {:.3},
-    "chain_decomposition_list": {:.3},
     "chain_decomposition_bitset": {:.3}
-  }},
-  "speedup": {{
-    "chain_decomposition": {speedup:.2}
   }},
   "stats": {{
     "width": {},
-    "greedy_matched": {},
+    "greedy_matched": {greedy_matched},
     "greedy_hit_rate": {greedy_hit_rate:.4},
-    "hk_rounds": {},
-    "hk_augmented": {},
-    "bitset_words_scanned": {}
+    "hk_rounds": {hk_rounds},
+    "hk_augmented": {hk_augmented},
+    "bitset_words_scanned": {words_scanned}
   }},
   "equivalence": {{
-    "width_identical": {width_identical},
-    "antichain_size_identical": {antichain_identical}
+    "certified": {certified}
   }},
   "matrix_free": {matrix_free}
 }}
 "#,
         index_build.as_secs_f64() * 1e3,
-        list.as_secs_f64() * 1e3,
         bitset.as_secs_f64() * 1e3,
         bitset_dec.width(),
-        stats.greedy_matched,
-        stats.rounds,
-        stats.augmented,
-        stats.words_scanned,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matching.json");
     std::fs::write(path, json).expect("write BENCH_matching.json");

@@ -4,7 +4,7 @@
 //! Every decomposition is validated (partition into valid chains, chain
 //! count = antichain-certificate size) and, for tiny inputs, checked
 //! against the exponential maximum-antichain search. Timing across `n`
-//! shows the near-quadratic growth of the DAG construction + matching.
+//! shows the near-quadratic growth of the split-graph rows + matching.
 
 use crate::report::{fmt_duration, Table};
 use mc_chains::{brute::brute_force_width, ChainDecomposition};

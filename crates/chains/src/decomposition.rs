@@ -14,9 +14,12 @@
 //!
 //! Total: `O(d·n² + n^2.5)`, matching Lemma 6.
 //!
-//! One matching engine implements step 3: `mc_matching::HopcroftKarpBitset`
-//! runs word-parallel phases straight over bitset rows, so no
-//! `DominanceDag` adjacency lists (Θ(n²) edges) are ever materialized.
+//! One matching engine implements steps 3 and 4:
+//! `mc_matching::HopcroftKarpBitset` runs word-parallel phases straight
+//! over bitset rows, so no DAG adjacency lists (Θ(n²) edges) are ever
+//! materialized, and its last, failing BFS layering is König's
+//! alternating-reachable set, so the antichain needs no second
+//! traversal.
 //! [`ChainDecomposition::compute`] takes its rows from a `RankOracle`'s
 //! suffix bitsets and, when all `n` rows would fit the row budget, keeps
 //! the rows the Hopcroft–Karp phases ask for; no dominator matrix is
@@ -31,20 +34,16 @@
 //! chains and antichain are mapped back to the caller's indices, chains
 //! listed by ascending head and the antichain ascending.
 //!
-//! Two references stay for diffing: the matrix path
-//! ([`ChainDecomposition::compute_from_index`]), which permutes a
-//! `DominanceIndex`'s rows into the same labelling, and the
-//! adjacency-list path ([`ChainDecomposition::from_dag`]).
+//! The matrix path ([`ChainDecomposition::compute_from_index`]), which
+//! permutes a `DominanceIndex`'s rows into the same labelling, stays as
+//! the reference the oracle paths are diffed against; every result is
+//! certified by [`ChainDecomposition::validate`].
 
-use crate::dag::DominanceDag;
 use mc_geom::{
     iter_ones, linear_extension_order, matrix_bytes, row_budget_bytes, DominanceIndex, PointSet,
     RankOracle, RankTable,
 };
-use mc_matching::{
-    minimum_vertex_cover, BipartiteAdjacency, BipartiteGraph, BitsetGraph, HopcroftKarp,
-    HopcroftKarpBitset, Matching, MatchingAlgorithm, OracleGraph, RowSource,
-};
+use mc_matching::{BitsetGraph, HopcroftKarpBitset, Matching, OracleGraph, RowSource};
 use mc_obs::{CancelToken, Cancelled};
 
 /// `true` iff all of the `n`-point split graph's rows (`n·⌈n/64⌉·8`
@@ -172,7 +171,7 @@ impl ChainDecomposition {
                 let m = label_of[j];
                 permuted[m >> 6] |= 1u64 << (m & 63);
             }
-            g.push_owned_row(permuted);
+            g.push(permuted);
         }
         Self::from_rows(&g, &labels, &CancelToken::never()).expect("a never-token cannot cancel")
     }
@@ -182,13 +181,14 @@ impl ChainDecomposition {
     /// König antichain, and maps both back to caller indices. The
     /// antichain is read off the engine's last layering: a point whose
     /// left copy is alternating-reachable and whose right copy is not
-    /// has neither copy in König's cover.
+    /// has neither copy in König's cover. Records `chains.count` and
+    /// the `chains.chain_len` histogram.
     fn from_rows<G: RowSource>(
         g: &G,
         labels: &[usize],
         token: &CancelToken,
     ) -> Result<Self, Cancelled> {
-        let n = RowSource::num_left(g);
+        let n = g.num_left();
         if n == 0 {
             return Ok(Self {
                 chains: Vec::new(),
@@ -206,35 +206,6 @@ impl ChainDecomposition {
         }
         chains.sort_unstable_by_key(|chain| chain[0]);
         antichain.sort_unstable();
-        Ok(Self::finish(chains, antichain))
-    }
-
-    /// Computes the decomposition from a pre-built dominance DAG.
-    pub fn from_dag(dag: &DominanceDag) -> Self {
-        let _span = mc_obs::span("path_cover");
-        let n = dag.num_nodes();
-        if n == 0 {
-            return Self {
-                chains: Vec::new(),
-                antichain: Vec::new(),
-            };
-        }
-        // Split bipartite graph: left copy = "tail" role, right = "head".
-        let mut g = BipartiteGraph::new(n, n);
-        for u in 0..n {
-            for &v in dag.successors(u) {
-                g.add_edge(u, v as usize);
-            }
-        }
-        let matching = HopcroftKarp.solve(&g);
-        let chains = Self::chains_from_matching(n, &matching);
-        let antichain = Self::antichain_from_cover(n, &g, &matching);
-        Self::finish(chains, antichain)
-    }
-
-    /// Shared tail of every construction path: Dilworth duality check
-    /// plus the `chains.*` metrics.
-    fn finish(chains: Vec<Vec<usize>>, antichain: Vec<usize>) -> Self {
         debug_assert_eq!(chains.len(), antichain.len(), "Dilworth duality violated");
         mc_obs::counter_add("chains.count", chains.len() as u64);
         if mc_obs::enabled() {
@@ -243,7 +214,7 @@ impl ChainDecomposition {
                 h.record(c.len() as u64);
             }
         }
-        Self { chains, antichain }
+        Ok(Self { chains, antichain })
     }
 
     /// Follows matched successors from every chain head (a vertex whose
@@ -263,22 +234,6 @@ impl ChainDecomposition {
             chains.push(chain);
         }
         chains
-    }
-
-    /// Maximum antichain: vertices neither of whose split copies lies in
-    /// König's minimum vertex cover, computed by a second traversal. Only
-    /// the adjacency-list reference ([`from_dag`](Self::from_dag)) uses
-    /// it; the bitset paths read the same set off the matching's last
-    /// layering.
-    fn antichain_from_cover<G: BipartiteAdjacency>(
-        n: usize,
-        g: &G,
-        matching: &Matching,
-    ) -> Vec<usize> {
-        let cover = minimum_vertex_cover(g, matching);
-        (0..n)
-            .filter(|&v| !cover.left_in_cover[v] && !cover.right_in_cover[v])
-            .collect()
     }
 
     /// The chains (ascending dominance order within each chain).
@@ -509,17 +464,6 @@ mod tests {
             assert_eq!(cached.chains(), via_matrix.chains(), "{what}");
             assert_eq!(cached.antichain(), via_matrix.antichain(), "{what}");
             cached.validate(points).unwrap();
-            // The antichain off the last layering is the one König's
-            // second traversal finds over the same matching.
-            let og = OracleGraph::new(&oracle);
-            let (matching, _) = HopcroftKarpBitset.solve_with_stats(&og);
-            let mut koenig: Vec<usize> =
-                ChainDecomposition::antichain_from_cover(labels.len(), &og, &matching)
-                    .into_iter()
-                    .map(|v| labels[v])
-                    .collect();
-            koenig.sort_unstable();
-            assert_eq!(cached.antichain(), &koenig[..], "{what}");
             assert_eq!(none_cached, 0, "{what}");
             let rounds = HopcroftKarpBitset
                 .solve_with_stats(&OracleGraph::new(&oracle))

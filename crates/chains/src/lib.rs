@@ -14,8 +14,9 @@
 //! `mc_geom::RankOracle` rows and matched with the word-parallel
 //! `HopcroftKarpBitset` engine, and the Mirsky height relaxes over the
 //! same rows, so neither builds a `Θ(n²/64)` dominator matrix. The
-//! matrix-fed (`mc_geom::DominanceIndex`) and explicit [`DominanceDag`]
-//! paths stay as the tested references.
+//! matrix-fed path (`mc_geom::DominanceIndex`) stays as the tested
+//! reference, and [`ChainDecomposition::validate`] checks every
+//! decomposition's Dilworth certificate directly.
 //!
 //! # Example
 //!
@@ -36,14 +37,12 @@
 //! ```
 
 pub mod brute;
-pub mod dag;
 pub mod decomposition;
 pub mod greedy;
 pub mod mirsky;
 pub mod test_support;
 pub mod two_dim;
 
-pub use dag::DominanceDag;
 pub use decomposition::{dominance_width, ChainDecomposition};
 pub use greedy::GreedyDecomposition;
 pub use mirsky::{longest_chain_len, AntichainPartition};

@@ -4,10 +4,9 @@
 //! antichain), Mirsky partitions it into `ℓ` *antichains* where `ℓ` is the
 //! length of the longest chain. The workspace uses this for workload
 //! diagnostics (e.g. `mcc stats` reports the height of a dataset). The
-//! production path ([`AntichainPartition::compute`]) reads dominance off
-//! `RankOracle` rows and builds no matrix or DAG; the explicit
-//! [`DominanceDag`] path ([`AntichainPartition::from_dag`]) is its
-//! reference.
+//! only path ([`AntichainPartition::compute`]) reads dominance off
+//! `RankOracle` rows and builds no matrix or DAG; its tests diff it
+//! against a pairwise longest-chain scan.
 //!
 //! # Example
 //!
@@ -19,7 +18,6 @@
 //! assert_eq!(longest_chain_len(&points), 3); // a 1D set is one chain
 //! ```
 
-use crate::dag::DominanceDag;
 use mc_geom::{iter_ones, PointSet, RankOracle};
 
 /// A partition of point indices into antichains by "height": level `k`
@@ -49,36 +47,6 @@ impl AntichainPartition {
                 height[v] = height[v].max(above);
             }
         }
-        Self::from_heights(&height)
-    }
-
-    /// Computes the partition from a pre-built DAG: the reference that
-    /// [`compute`](Self::compute) is tested against.
-    pub fn from_dag(dag: &DominanceDag) -> Self {
-        let n = dag.num_nodes();
-        // The DAG is transitively closed, so height[u] = 1 + max height of
-        // predecessors. Process in topological order via in-degrees.
-        let mut indeg = vec![0usize; n];
-        for u in 0..n {
-            for &v in dag.successors(u) {
-                indeg[v as usize] += 1;
-            }
-        }
-        let mut height = vec![0usize; n];
-        let mut stack: Vec<usize> = (0..n).filter(|&u| indeg[u] == 0).collect();
-        let mut processed = 0;
-        while let Some(u) = stack.pop() {
-            processed += 1;
-            for &v in dag.successors(u) {
-                let v = v as usize;
-                height[v] = height[v].max(height[u] + 1);
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    stack.push(v);
-                }
-            }
-        }
-        assert_eq!(processed, n, "dominance DAG contains a cycle");
         Self::from_heights(&height)
     }
 
@@ -180,6 +148,33 @@ mod tests {
         part.validate(&points).unwrap();
     }
 
+    /// Heights by the `O(n²)` longest-chain recursion over pairwise
+    /// `compare`: `u` sits below `v` iff `v` dominates `u`, with equal
+    /// points oriented by index.
+    fn naive_heights(points: &PointSet) -> Vec<usize> {
+        use mc_geom::Dominance;
+        fn height(points: &PointSet, v: usize, memo: &mut [Option<usize>]) -> usize {
+            if let Some(h) = memo[v] {
+                return h;
+            }
+            let h = (0..points.len())
+                .filter(|&u| match points.compare(u, v) {
+                    Dominance::DominatedBy => true,
+                    Dominance::Equal => u < v,
+                    _ => false,
+                })
+                .map(|u| height(points, u, memo) + 1)
+                .max()
+                .unwrap_or(0);
+            memo[v] = Some(h);
+            h
+        }
+        let mut memo = vec![None; points.len()];
+        (0..points.len())
+            .map(|v| height(points, v, &mut memo))
+            .collect()
+    }
+
     #[test]
     fn oracle_levels_match_the_naive_dag_reference() {
         use rand::rngs::StdRng;
@@ -208,7 +203,7 @@ mod tests {
                     points.push(&row);
                 }
                 let part = AntichainPartition::compute(&points);
-                let reference = AntichainPartition::from_dag(&DominanceDag::build_naive(&points));
+                let reference = AntichainPartition::from_heights(&naive_heights(&points));
                 assert_eq!(part.levels(), reference.levels(), "dim {dim} n {n}");
                 part.validate(&points).unwrap();
             }

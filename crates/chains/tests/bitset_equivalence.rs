@@ -1,24 +1,24 @@
 //! Equivalence of the bitset matching engine with the reference paths.
 //!
-//! Three layers of agreement on random point sets (with duplicates,
-//! signed zeros, and infinite sentinels):
+//! Agreement on random point sets (with duplicates, signed zeros, and
+//! infinite sentinels):
 //!
-//! * `HopcroftKarpBitset` finds a matching of the same *size* as the
-//!   `O(V·E)` reference `Kuhn` on the Lemma-6 split graph;
-//! * `ChainDecomposition::compute_from_index` passes `validate()` and
-//!   has the same width and antichain size as the adjacency-list path
-//!   (`ChainDecomposition::from_dag`);
-//! * the two engines agree on the paper's Figure-1 fixture;
+//! * `HopcroftKarpBitset` over the oracle's split graph finds a matching
+//!   of the same *size* as the `O(V·E)` reference `Kuhn` over a pairwise
+//!   `compare` scan of the same points, and every matched pair is an
+//!   edge of that scan;
+//! * `ChainDecomposition::compute_from_index` passes `validate()` (the
+//!   chains partition the points and an antichain of the same size
+//!   certifies them) and has `n − |M|` chains, the minimum path cover;
+//! * both hold on the paper's Figure-1 fixture;
 //! * the production decompositions (`compute`, `compute_from_oracle`),
 //!   which match in a linear-extension labelling, return exactly the
 //!   matrix reference's chains and antichain, and the relabelled
 //!   oracle's rows hold no bit below their diagonal word.
 
-use mc_chains::{ChainDecomposition, DominanceDag};
-use mc_geom::{linear_extension_order, DominanceIndex, PointSet, RankOracle, RankTable};
-use mc_matching::{
-    BipartiteGraph, BitsetGraph, HopcroftKarpBitset, Kuhn, MatchingAlgorithm, OracleGraph,
-};
+use mc_chains::ChainDecomposition;
+use mc_geom::{linear_extension_order, Dominance, DominanceIndex, PointSet, RankOracle, RankTable};
+use mc_matching::{BitsetGraph, HopcroftKarpBitset, Kuhn, OracleGraph};
 use mc_obs::CancelToken;
 use proptest::prelude::*;
 
@@ -48,22 +48,39 @@ fn point_sets(sizes: std::ops::Range<usize>, dim: usize) -> impl Strategy<Value 
     )
 }
 
-/// Both engines, checked structurally and against each other.
+/// The Lemma-6 split graph by a pairwise scan: right `v` is adjacent to
+/// left `u` iff `v` dominates `u`, with equal points oriented by index.
+fn pairwise_split_graph(points: &PointSet) -> BitsetGraph {
+    let n = points.len();
+    let mut g = BitsetGraph::new(n);
+    for u in 0..n {
+        let mut row = vec![0u64; n.div_ceil(64)].into_boxed_slice();
+        for v in 0..n {
+            let above = match points.compare(u, v) {
+                Dominance::DominatedBy => true,
+                Dominance::Equal => u < v,
+                _ => false,
+            };
+            if above {
+                row[v >> 6] |= 1u64 << (v & 63);
+            }
+        }
+        g.push(row);
+    }
+    g
+}
+
+/// The bitset engine against Kuhn, and the matrix path's decomposition
+/// against its own certificate and the path-cover count.
 fn check_engines_agree(points: &PointSet) {
-    let index = DominanceIndex::build(points);
+    let scan = pairwise_split_graph(points);
+    let kuhn = Kuhn.solve(&scan);
+    kuhn.validate(&scan).unwrap();
 
     // Matching size parity with the O(V·E) reference on the split graph.
-    let bitset_graph = BitsetGraph::from_index(&index);
-    let (m, stats) = HopcroftKarpBitset.solve_with_stats(&bitset_graph);
-    m.validate(&bitset_graph).unwrap();
-    let dag = DominanceDag::from_index(&index);
-    let mut list_graph = BipartiteGraph::new(points.len(), points.len());
-    for u in 0..points.len() {
-        for &v in dag.successors(u) {
-            list_graph.add_edge(u, v as usize);
-        }
-    }
-    let kuhn = Kuhn.solve(&list_graph);
+    let oracle = RankOracle::build(points);
+    let (m, stats) = HopcroftKarpBitset.solve_with_stats(&OracleGraph::new(&oracle));
+    m.validate(&scan).unwrap();
     assert_eq!(m.size(), kuhn.size(), "matching size differs from Kuhn");
     assert_eq!(
         stats.greedy_matched + stats.augmented,
@@ -71,16 +88,13 @@ fn check_engines_agree(points: &PointSet) {
         "stats do not add up to the matching size"
     );
 
-    // Decomposition-level parity: width and antichain size.
-    let bitset_dec = ChainDecomposition::compute_from_index(&index);
-    bitset_dec.validate(points).unwrap();
-    let list_dec = ChainDecomposition::from_dag(&dag);
-    list_dec.validate(points).unwrap();
-    assert_eq!(bitset_dec.width(), list_dec.width(), "width differs");
+    // Decomposition level: a certified minimum path cover.
+    let dec = ChainDecomposition::compute_from_index(&DominanceIndex::build(points));
+    dec.validate(points).unwrap();
     assert_eq!(
-        bitset_dec.antichain().len(),
-        list_dec.antichain().len(),
-        "antichain size differs"
+        dec.width(),
+        points.len() - kuhn.size(),
+        "width is not n - |M|"
     );
 }
 
@@ -99,13 +113,6 @@ fn check_linear_extension_paths(points: &PointSet) {
         assert_eq!(dec.antichain(), reference.antichain(), "{what}: antichain");
         dec.validate(points).unwrap();
     }
-    let list = ChainDecomposition::from_dag(&DominanceDag::from_index(&index));
-    assert_eq!(
-        production.width(),
-        list.width(),
-        "width differs from the list path"
-    );
-
     let table = RankTable::build(points);
     let labels = linear_extension_order(points.len(), points.dim(), |k, i| table.column(k)[i]);
     let oracle = RankOracle::try_from_table_subset(&table, &labels, &CancelToken::never()).unwrap();
@@ -125,7 +132,7 @@ fn check_linear_extension_paths(points: &PointSet) {
             "row {l} has a bit below word {}",
             l / 64
         );
-        rows.push_owned_row(row.clone().into_boxed_slice());
+        rows.push(row.clone().into_boxed_slice());
     }
 
     // The oracle graph's greedy seed starts each scan past the diagonal
@@ -172,7 +179,8 @@ proptest! {
     }
 
     /// Heavy duplication: few distinct coordinates over many points, so
-    /// nontrivial dup groups (owned masked rows) dominate the graph.
+    /// nontrivial dup groups (index-oriented equal points) dominate the
+    /// graph.
     #[test]
     fn engines_agree_with_heavy_duplicates(rows in prop::collection::vec(0usize..4, 0..30)) {
         let mut points = PointSet::new(2);

@@ -18,7 +18,7 @@
 //!
 //! Total cost `O(d·n²) + T_maxflow(n)`. The solver ranks the points
 //! into a [`RankTable`] and runs the one rank-space pipeline
-//! [`super::pipeline::solve_ranked`], which picks the type-3 gadget by
+//! `pipeline::solve_ranked`, which picks the type-3 gadget by
 //! dimension: the divide-and-conquer sweep ladder (`O(n log n)` edges)
 //! at `d ≤ 2`, and the matrix-free Lemma-6 chain ladder (`O(w·n)`
 //! edges) at `d ≥ 3`. Each has the min cut of the paper-literal network,

@@ -491,8 +491,8 @@ impl RankOracle {
 
     /// Computes `i`'s *strict-successor row* into `out`: the dominator
     /// row with `i` itself and smaller-index duplicates masked out —
-    /// the exact edge orientation `BitsetGraph::from_index` gives the
-    /// Lemma-6 matching (duplicates chain by ascending index).
+    /// the exact edge orientation of the Lemma-6 matching (duplicates
+    /// chain by ascending index).
     ///
     /// # Panics
     ///

@@ -1,261 +1,76 @@
-//! Dense bipartite graph over borrowed `u64` bitset rows.
+//! Bipartite graph over owned `u64` bitset rows.
 //!
-//! [`BitsetGraph`] is the zero-copy counterpart of [`BipartiteGraph`]:
-//! instead of adjacency lists it views each left vertex's neighbourhood
-//! as a `⌈nr/64⌉`-word bitset row, typically borrowed straight from a
-//! [`mc_geom::DominanceIndex`] dominator matrix. Building it from an
-//! index with n points is O(n) — no Θ(n²) edge materialization — because
-//! the only per-row work is deciding how to mask out the dup-group
-//! self-edges that distinguish the strict-successor relation from the
-//! reflexive dominator rows the index stores:
-//!
-//! * singleton dup groups only need the vertex's own bit cleared, which
-//!   is a single-word patch applied lazily during scans;
-//! * members of non-trivial dup groups (equal points, where the edge
-//!   orientation rule is "smaller index → larger index") get an owned
-//!   masked copy of their row, paid only for the duplicated points.
-//!
-//! [`BipartiteGraph`]: crate::BipartiteGraph
+//! [`BitsetGraph`] stores each left vertex's neighbourhood as a
+//! `⌈nr/64⌉`-word bitset row, built up front: the materialized
+//! [`RowSource`]. The matrix-backed Lemma-6 reference
+//! (`ChainDecomposition::compute_from_index`) fills one from a
+//! dominator matrix, and tests fill them from edge lists or pairwise
+//! dominance scans.
 
-use crate::BipartiteAdjacency;
-use mc_geom::DominanceIndex;
+use crate::row_source::{ResolvedRow, RowSource};
 
-/// One left vertex's neighbourhood row.
-#[derive(Debug, Clone)]
-enum RowRef<'a> {
-    /// A borrowed row with at most one word patched (bits ANDed out).
-    Borrowed {
-        row: &'a [u64],
-        patch_word: u32,
-        /// Bits to KEEP in `row[patch_word]` (all-ones elsewhere).
-        patch_mask: u64,
-    },
-    /// An owned masked copy (used when clears span several words).
-    Owned(Box<[u64]>),
-}
-
-/// A bipartite graph whose left-side neighbourhoods are `u64` bitset
-/// rows, borrowed where possible.
+/// A bipartite graph whose left-side neighbourhoods are owned `u64`
+/// bitset rows.
 ///
 /// Right vertex `r` is a neighbour of left vertex `l` iff bit `r` of
 /// row `l` is set. Rows all have the same width `⌈nr/64⌉`; bits at
-/// positions `>= nr` must be zero (guaranteed by the constructors).
+/// positions `>= nr` must be zero.
 #[derive(Debug, Clone)]
-pub struct BitsetGraph<'a> {
-    nl: usize,
+pub struct BitsetGraph {
     nr: usize,
     words: usize,
-    rows: Vec<RowRef<'a>>,
+    rows: Vec<Box<[u64]>>,
 }
 
-impl<'a> BitsetGraph<'a> {
-    /// Creates a graph with no left vertices yet; rows are appended with
-    /// [`push_row`](Self::push_row) / [`push_owned_row`](Self::push_owned_row).
+impl BitsetGraph {
+    /// Creates a graph with `nr` right vertices and no left vertices
+    /// yet; rows are appended with [`push`](Self::push).
     pub fn new(nr: usize) -> Self {
         Self {
-            nl: 0,
             nr,
             words: nr.div_ceil(64),
             rows: Vec::new(),
         }
     }
 
-    /// Appends a left vertex whose neighbourhood is `row` minus the bits
-    /// in `cleared`. Borrows `row` when the clears fit in one word;
-    /// copies otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` has the wrong width or a cleared index is out of
-    /// range.
-    pub fn push_row(&mut self, row: &'a [u64], cleared: &[usize]) {
-        assert_eq!(row.len(), self.words, "row width mismatch");
-        let mut first_word = usize::MAX;
-        let mut one_word = true;
-        for &r in cleared {
-            assert!(r < self.nr, "cleared index {r} out of range");
-            let w = r >> 6;
-            if first_word == usize::MAX {
-                first_word = w;
-            } else if w != first_word {
-                one_word = false;
-            }
-        }
-        if one_word {
-            let mut patch_mask = !0u64;
-            for &r in cleared {
-                patch_mask &= !(1u64 << (r & 63));
-            }
-            self.rows.push(RowRef::Borrowed {
-                row,
-                patch_word: if first_word == usize::MAX {
-                    0
-                } else {
-                    first_word as u32
-                },
-                patch_mask: if first_word == usize::MAX {
-                    !0
-                } else {
-                    patch_mask
-                },
-            });
-        } else {
-            let mut owned: Box<[u64]> = row.into();
-            for &r in cleared {
-                owned[r >> 6] &= !(1u64 << (r & 63));
-            }
-            self.rows.push(RowRef::Owned(owned));
-        }
-        self.nl += 1;
-    }
-
-    /// Appends a left vertex that owns its row outright.
+    /// Appends a left vertex with neighbourhood row `row`.
     ///
     /// # Panics
     ///
     /// Panics if `row` has the wrong width.
-    pub fn push_owned_row(&mut self, row: Box<[u64]>) {
+    pub fn push(&mut self, row: Box<[u64]>) {
         assert_eq!(row.len(), self.words, "row width mismatch");
-        self.rows.push(RowRef::Owned(row));
-        self.nl += 1;
-    }
-
-    /// Builds the Lemma-6 split graph for `index`'s strict-dominance
-    /// relation: left copy of point `u` is adjacent to right copy of `v`
-    /// iff `v` strictly succeeds `u` (dominates it and is not an earlier
-    /// or identical duplicate).
-    ///
-    /// Rows are borrowed from the index; only members of non-trivial
-    /// duplicate groups pay for an owned masked copy.
-    pub fn from_index(index: &'a DominanceIndex) -> Self {
-        let n = index.len();
-        let mut g = Self::new(n);
-        for u in 0..n {
-            let members = index.dup_group_members(u);
-            if members.len() == 1 {
-                g.push_row(index.dominator_row_words(u), &[u]);
-            } else {
-                // Clear every group member v <= u (members are sorted).
-                let upto = members.partition_point(|&v| (v as usize) <= u);
-                let mut row: Box<[u64]> = index.dominator_row_words(u).into();
-                for &v in &members[..upto] {
-                    let v = v as usize;
-                    row[v >> 6] &= !(1u64 << (v & 63));
-                }
-                g.push_owned_row(row);
-            }
-        }
-        g
-    }
-
-    /// Number of words per row.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Word `w` of left vertex `l`'s neighbourhood row.
-    #[inline]
-    pub fn row_word(&self, l: usize, w: usize) -> u64 {
-        match &self.rows[l] {
-            RowRef::Borrowed {
-                row,
-                patch_word,
-                patch_mask,
-            } => {
-                let word = row[w];
-                if w == *patch_word as usize {
-                    word & patch_mask
-                } else {
-                    word
-                }
-            }
-            RowRef::Owned(row) => row[w],
-        }
-    }
-
-    /// Left vertex `l`'s row as raw parts: the word slice plus a
-    /// single-word patch `(word index, keep mask)` to AND in. Owned
-    /// rows need no patch and report the identity patch `(0, !0)`.
-    ///
-    /// This is the hot-loop access path: resolving the row enum once
-    /// per scan (instead of per word, as [`row_word`](Self::row_word)
-    /// does) keeps the inner word loop branch-predictable.
-    #[inline]
-    pub fn row_parts(&self, l: usize) -> (&[u64], usize, u64) {
-        match &self.rows[l] {
-            RowRef::Borrowed {
-                row,
-                patch_word,
-                patch_mask,
-            } => (row, *patch_word as usize, *patch_mask),
-            RowRef::Owned(row) => (row, 0, !0u64),
-        }
-    }
-
-    /// ORs left vertex `l`'s row into `acc`. Returns the number of words
-    /// scanned (always `self.words()`); used by the BFS frontier kernels.
-    #[inline]
-    pub fn or_row_into(&self, l: usize, acc: &mut [u64]) -> u64 {
-        match &self.rows[l] {
-            RowRef::Borrowed {
-                row,
-                patch_word,
-                patch_mask,
-            } => {
-                // Raw OR with the patched word fixed up afterwards keeps
-                // the loop branch-free; `prev` already holds every bit
-                // earlier rows contributed to that word.
-                let pw = *patch_word as usize;
-                let prev = acc[pw];
-                for (a, &w) in acc.iter_mut().zip(row.iter()) {
-                    *a |= w;
-                }
-                acc[pw] = prev | (row[pw] & patch_mask);
-            }
-            RowRef::Owned(row) => {
-                for (a, &w) in acc.iter_mut().zip(row.iter()) {
-                    *a |= w;
-                }
-            }
-        }
-        self.words as u64
-    }
-
-    /// Total number of edges (popcount over all rows). O(nl·words).
-    pub fn count_edges(&self) -> u64 {
-        let mut total = 0u64;
-        for l in 0..self.nl {
-            for w in 0..self.words {
-                total += u64::from(self.row_word(l, w).count_ones());
-            }
-        }
-        total
+        self.rows.push(row);
     }
 }
 
-impl BipartiteAdjacency for BitsetGraph<'_> {
+impl RowSource for BitsetGraph {
     fn num_left(&self) -> usize {
-        self.nl
+        self.rows.len()
     }
 
     fn num_right(&self) -> usize {
         self.nr
     }
 
-    #[inline]
-    fn has_edge(&self, l: usize, r: usize) -> bool {
-        self.row_word(l, r >> 6) >> (r & 63) & 1 == 1
+    fn words(&self) -> usize {
+        self.words
     }
 
-    fn for_each_neighbour<F: FnMut(usize)>(&self, l: usize, mut f: F) {
-        for w in 0..self.words {
-            let mut word = self.row_word(l, w);
-            while word != 0 {
-                let b = word.trailing_zeros() as usize;
-                f((w << 6) | b);
-                word &= word - 1;
-            }
+    #[inline]
+    fn phase_row<'s>(&'s self, l: usize, _scratch: &'s mut [u64]) -> ResolvedRow<'s> {
+        ResolvedRow {
+            row: &self.rows[l],
+            cached: false,
         }
+    }
+
+    #[inline]
+    fn or_row_into(&self, l: usize, acc: &mut [u64], _scratch: &mut [u64]) -> u64 {
+        for (a, &w) in acc.iter_mut().zip(self.rows[l].iter()) {
+            *a |= w;
+        }
+        self.words as u64
     }
 }
 
@@ -263,77 +78,22 @@ impl BipartiteAdjacency for BitsetGraph<'_> {
 mod tests {
     use super::*;
 
-    fn collect(g: &BitsetGraph<'_>, l: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        g.for_each_neighbour(l, |r| out.push(r));
-        out
-    }
-
     #[test]
-    fn borrowed_row_with_patch() {
-        let row = vec![0b1011u64, 0b1];
+    fn rows_are_served_verbatim() {
         let mut g = BitsetGraph::new(65);
-        g.push_row(&row, &[1]);
-        assert_eq!(collect(&g, 0), vec![0, 3, 64]);
-        assert!(g.has_edge(0, 0));
-        assert!(!g.has_edge(0, 1));
-        assert!(g.has_edge(0, 64));
-        assert_eq!(g.count_edges(), 3);
+        g.push(Box::new([0b1011, 0b1]));
+        assert_eq!(g.num_left(), 1);
+        assert_eq!(g.num_right(), 65);
+        assert_eq!(g.phase_row(0, &mut [0; 2]).row, &[0b1011, 0b1]);
+        // An OR keeps the bits earlier rows contributed.
+        let mut acc = vec![0b0100u64, 0];
+        assert_eq!(g.or_row_into(0, &mut acc, &mut [0; 2]), 2);
+        assert_eq!(acc, [0b1111, 0b1]);
     }
 
     #[test]
-    fn multi_word_clears_fall_back_to_owned() {
-        let row = vec![!0u64, !0u64];
-        let mut g = BitsetGraph::new(128);
-        g.push_row(&row, &[0, 64]);
-        assert!(!g.has_edge(0, 0));
-        assert!(!g.has_edge(0, 64));
-        assert_eq!(g.count_edges(), 126);
-    }
-
-    #[test]
-    fn no_clears_borrow_verbatim() {
-        let row = vec![0b110u64];
-        let mut g = BitsetGraph::new(3);
-        g.push_row(&row, &[]);
-        assert_eq!(collect(&g, 0), vec![1, 2]);
-    }
-
-    #[test]
-    fn or_row_into_respects_patch_and_prior_bits() {
-        let row = vec![0b111u64];
-        let mut g = BitsetGraph::new(3);
-        g.push_row(&row, &[1]);
-        // Patched-out bit must not leak into a fresh accumulator...
-        let mut acc = vec![0u64];
-        g.or_row_into(0, &mut acc);
-        assert_eq!(acc[0], 0b101);
-        // ...but a bit an earlier row contributed must survive.
-        let mut acc = vec![0b010u64];
-        g.or_row_into(0, &mut acc);
-        assert_eq!(acc[0], 0b111);
-    }
-
-    #[test]
-    fn from_index_matches_strict_successors() {
-        use mc_geom::{DominanceIndex, PointSet};
-        let pts = PointSet::from_rows(
-            2,
-            &[
-                vec![0.0, 0.0],
-                vec![1.0, 1.0],
-                vec![0.0, 0.0],
-                vec![2.0, 0.5],
-                vec![-0.0, 0.0],
-            ],
-        );
-        let index = DominanceIndex::build(&pts);
-        let g = BitsetGraph::from_index(&index);
-        assert_eq!(g.num_left(), 5);
-        assert_eq!(g.num_right(), 5);
-        for u in 0..5 {
-            let expect: Vec<usize> = index.strict_successors(u).collect();
-            assert_eq!(collect(&g, u), expect, "row {u}");
-        }
+    #[should_panic(expected = "row width mismatch")]
+    fn wrong_width_is_rejected() {
+        BitsetGraph::new(65).push(Box::new([0]));
     }
 }

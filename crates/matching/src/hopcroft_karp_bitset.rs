@@ -1,15 +1,14 @@
 //! Hopcroft–Karp over bitset rows: word-parallel BFS/DFS.
 //!
-//! Same algorithm and `O(E·sqrt(V))` bound as the list engine in
-//! [`hopcroft_karp`](crate::hopcroft_karp), but every neighbourhood scan
-//! is a `u64` word operation over a bitset row instead of a pointer walk
-//! over an adjacency list. The engine is generic over [`RowSource`]:
-//! rows can be materialized up front ([`BitsetGraph`], zero-copy borrows
-//! from a `mc_geom::DominanceIndex`) or computed on demand from rank
-//! columns ([`OracleGraph`]) — the matrix-free path
-//! that removes the `Θ(n²/64)` residency wall. Both produce the same
-//! row bits, so the matching (and everything downstream: König cover,
-//! width, antichain) is identical either way.
+//! Hopcroft–Karp's `O(E·sqrt(V))` phases, with every neighbourhood
+//! scan a `u64` word operation over a bitset row instead of a pointer
+//! walk over an adjacency list. The engine is generic over
+//! [`RowSource`]: rows can be owned up front
+//! ([`BitsetGraph`](crate::BitsetGraph)) or computed on demand from rank
+//! columns ([`OracleGraph`](crate::OracleGraph)) — the matrix-free path
+//! that removes the `Θ(n²/64)` residency wall. Both produce the same row
+//! bits, so the matching (and everything downstream: König set, width,
+//! antichain) is identical either way.
 //!
 //! Three tricks keep the constant small:
 //!
@@ -42,8 +41,9 @@
 //! per-thread scratch is reused across BFS layers, DFS descents, and
 //! phases alike. The phases ask for rows through
 //! [`RowSource::phase_row`] and [`RowSource::or_row_into`], so a source
-//! with a row cache (an [`OracleGraph`] built `with_row_cache`) keeps
-//! the rows they ask for; the greedy seed caches nothing.
+//! with a row cache (an [`OracleGraph`](crate::OracleGraph) built
+//! `with_row_cache`) keeps the rows they ask for; the greedy seed
+//! caches nothing.
 //!
 //! The layering is level-synchronous and rights are claimed lowest-index
 //! first, so the matching depends only on the row bits: every source of
@@ -54,12 +54,8 @@
 //! its diagonal word ([`RowSource::first_word`], checked by a debug
 //! assertion on every phase row).
 
-use crate::bitset::BitsetGraph;
-use crate::graph::Matching;
-use crate::hopcroft_karp::flush_stats;
-use crate::oracle_graph::OracleGraph;
 use crate::row_source::RowSource;
-use crate::{MatchingAlgorithm, MatchingStats};
+use crate::{Matching, MatchingStats};
 use mc_geom::parallel_chunks;
 use mc_obs::cancel::Checkpoint;
 use mc_obs::{CancelToken, Cancelled};
@@ -73,9 +69,9 @@ pub struct HopcroftKarpBitset;
 /// right, matching edges right → left). The last, failing BFS layers
 /// exactly this set — it layers everything reachable and finds no free
 /// right — so it comes with the matching at no extra traversal.
-/// `(L \ Z) ∪ (R ∩ Z)` is a minimum vertex cover, the set
-/// [`minimum_vertex_cover`](crate::minimum_vertex_cover) builds with a
-/// second traversal.
+/// `(L \ Z) ∪ (R ∩ Z)` is a minimum vertex cover (König), so a point
+/// whose left copy is in `Z` and whose right copy is not lies in a
+/// maximum antichain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlternatingReach {
     /// `left[l]`: left `l` is in `Z`.
@@ -124,12 +120,12 @@ struct State<'g, 't, G: RowSource> {
 
 impl<G: RowSource> State<'_, '_, G> {
     /// Level-synchronous layered BFS from all unmatched left vertices.
-    /// Returns `true` iff an augmenting path exists. Like the list
-    /// engine, the whole reachable graph is layered every phase (no
-    /// truncation at the first free right): free rights then sit in the
-    /// level masks at every depth they occur, letting the DFS sweep
-    /// augment along paths of several lengths per phase, which cuts the
-    /// phase count enough to beat the classic truncated variant here.
+    /// Returns `true` iff an augmenting path exists. The whole reachable
+    /// graph is layered every phase (no truncation at the first free
+    /// right): free rights then sit in the level masks at every depth
+    /// they occur, letting the DFS sweep augment along paths of several
+    /// lengths per phase, which cuts the phase count enough to beat the
+    /// classic truncated variant here.
     /// Workers tick one unit per row word they OR in.
     fn bfs(&mut self) -> Result<bool, Cancelled> {
         let words = self.g.words();
@@ -206,10 +202,10 @@ impl<G: RowSource> State<'_, '_, G> {
     }
 
     /// DFS along the layered graph, flipping an augmenting path if
-    /// found. Iterative, like the list engine, but a frame for a left
-    /// at layer `d` scans `row AND levels[d]` over only that level's
-    /// nonzero words — every surviving bit is a free right (augment) or
-    /// a next-layer left (descend), so no edge is examined in vain.
+    /// found. Iterative: a frame for a left at layer `d` scans `row AND
+    /// levels[d]` over only that level's nonzero words — every surviving
+    /// bit is a free right (augment) or a next-layer left (descend), so
+    /// no edge is examined in vain.
     fn dfs(&mut self, root: usize) -> Result<bool, Cancelled> {
         let words = self.g.words();
         let State {
@@ -248,13 +244,13 @@ impl<G: RowSource> State<'_, '_, G> {
                 // cached copy when this left still owns it (on-demand
                 // sources would otherwise recompute on every resume).
                 let slot = &mut row_pool[depth];
-                let (row, pw, pmask): (&[u64], usize, u64) = if pool_owner[depth] == l {
-                    (&slot[..], 0, !0u64)
+                let row: &[u64] = if pool_owner[depth] == l {
+                    slot
                 } else {
                     cp.tick(words as u64)?;
                     let resolved = g.phase_row(lu, slot);
                     pool_owner[depth] = if resolved.cached { l } else { NO_OWNER };
-                    (resolved.row, resolved.patch_word, resolved.patch_mask)
+                    resolved.row
                 };
                 debug_assert!(
                     row[..g.first_word(lu)].iter().all(|&w| w == 0),
@@ -269,11 +265,7 @@ impl<G: RowSource> State<'_, '_, G> {
                         let wi = lvl_nz[pos as usize] as usize;
                         pos += 1;
                         *words_scanned += 1;
-                        let mut w = row[wi] & lvl_mask[wi];
-                        if wi == pw {
-                            w &= pmask;
-                        }
-                        word = w;
+                        word = row[wi] & lvl_mask[wi];
                     }
                     let wi = lvl_nz[(pos - 1) as usize] as usize;
                     let r = (wi << 6) | word.trailing_zeros() as usize;
@@ -325,10 +317,11 @@ impl<G: RowSource> State<'_, '_, G> {
 }
 
 impl HopcroftKarpBitset {
-    /// Like [`MatchingAlgorithm::solve`] but also returns the phase
-    /// statistics (greedy hits, rounds, augmentations, words scanned).
-    /// Generic over the row source: materialized [`BitsetGraph`] rows
-    /// and on-demand [`OracleGraph`] rows produce identical matchings.
+    /// Computes a maximum matching of `g` and the phase statistics
+    /// (greedy hits, rounds, augmentations, words scanned). Generic over
+    /// the row source: owned [`BitsetGraph`](crate::BitsetGraph) rows and
+    /// on-demand [`OracleGraph`](crate::OracleGraph) rows produce
+    /// identical matchings.
     pub fn solve_with_stats<G: RowSource>(&self, g: &G) -> (Matching, MatchingStats) {
         let (matching, stats, _) = self
             .solve_with_stats_cancellable(g, &mc_obs::CancelToken::never())
@@ -434,64 +427,53 @@ impl HopcroftKarpBitset {
     }
 }
 
-impl<'a> MatchingAlgorithm<BitsetGraph<'a>> for HopcroftKarpBitset {
-    fn name(&self) -> &'static str {
-        "hopcroft-karp-bitset"
+/// Publishes one solve's statistics as the `matching.*` counters and
+/// the `matching.greedy_hit_rate` gauge.
+fn flush_stats(stats: &MatchingStats) {
+    mc_obs::counter_add("matching.greedy_matched", stats.greedy_matched);
+    mc_obs::counter_add("matching.hk_rounds", stats.rounds);
+    mc_obs::counter_add("matching.hk_augmented", stats.augmented);
+    if stats.words_scanned > 0 {
+        mc_obs::counter_add("matching.bitset_words_scanned", stats.words_scanned);
     }
-
-    fn solve(&self, g: &BitsetGraph<'a>) -> Matching {
-        self.solve_with_stats(g).0
-    }
-}
-
-impl<'a> MatchingAlgorithm<OracleGraph<'a>> for HopcroftKarpBitset {
-    fn name(&self) -> &'static str {
-        "hopcroft-karp-oracle"
-    }
-
-    fn solve(&self, g: &OracleGraph<'a>) -> Matching {
-        self.solve_with_stats(g).0
+    let size = stats.greedy_matched + stats.augmented;
+    if size > 0 {
+        mc_obs::gauge_set(
+            "matching.greedy_hit_rate",
+            stats.greedy_matched as f64 / size as f64,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BipartiteGraph, Kuhn};
+    use crate::{BitsetGraph, Kuhn};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Owns row storage so tests can build a [`BitsetGraph`] from edges.
-    struct Rows {
-        rows: Vec<Vec<u64>>,
-        nr: usize,
+    /// The graph on `nl + nr` vertices with the given edges, as owned rows.
+    fn graph(nl: usize, nr: usize, edges: &[(usize, usize)]) -> BitsetGraph {
+        let mut rows = vec![vec![0u64; nr.div_ceil(64)]; nl];
+        for &(l, r) in edges {
+            rows[l][r >> 6] |= 1u64 << (r & 63);
+        }
+        let mut g = BitsetGraph::new(nr);
+        for row in rows {
+            g.push(row.into_boxed_slice());
+        }
+        g
     }
 
-    impl Rows {
-        fn from_edges(nl: usize, nr: usize, edges: &[(usize, usize)]) -> Self {
-            let words = nr.div_ceil(64).max(1);
-            let mut rows = vec![vec![0u64; words]; nl];
-            for &(l, r) in edges {
-                rows[l][r >> 6] |= 1u64 << (r & 63);
-            }
-            Self { rows, nr }
-        }
-
-        fn graph(&self) -> BitsetGraph<'_> {
-            let mut g = BitsetGraph::new(self.nr);
-            for row in &self.rows {
-                g.push_row(row, &[]);
-            }
-            g
-        }
+    fn solve(g: &BitsetGraph) -> Matching {
+        HopcroftKarpBitset.solve_with_stats(g).0
     }
 
     #[test]
     fn perfect_matching_on_complete_graph() {
         let edges: Vec<_> = (0..4).flat_map(|l| (0..4).map(move |r| (l, r))).collect();
-        let rows = Rows::from_edges(4, 4, &edges);
-        let g = rows.graph();
-        let m = HopcroftKarpBitset.solve(&g);
+        let g = graph(4, 4, &edges);
+        let m = solve(&g);
         assert_eq!(m.size(), 4);
         m.validate(&g).unwrap();
     }
@@ -501,8 +483,7 @@ mod tests {
         // The top-down greedy seeds L2->R0 (its lowest free right), then
         // finds L1's only right taken and seeds L0->R2; the phased search
         // must undo L2->R0 via the path L1, R0, L2, R1 to match all three.
-        let rows = Rows::from_edges(3, 3, &[(0, 2), (1, 0), (2, 0), (2, 1)]);
-        let g = rows.graph();
+        let g = graph(3, 3, &[(0, 2), (1, 0), (2, 0), (2, 1)]);
         let (m, stats) = HopcroftKarpBitset.solve_with_stats(&g);
         assert_eq!(m.size(), 3);
         m.validate(&g).unwrap();
@@ -513,10 +494,9 @@ mod tests {
 
     #[test]
     fn no_edges_and_empty_sides() {
-        let rows = Rows::from_edges(5, 5, &[]);
-        assert_eq!(HopcroftKarpBitset.solve(&rows.graph()).size(), 0);
-        let rows = Rows::from_edges(0, 3, &[]);
-        assert_eq!(HopcroftKarpBitset.solve(&rows.graph()).size(), 0);
+        assert_eq!(solve(&graph(5, 5, &[])).size(), 0);
+        assert_eq!(solve(&graph(0, 3, &[])).size(), 0);
+        assert_eq!(solve(&graph(3, 0, &[])).size(), 0);
     }
 
     #[test]
@@ -532,8 +512,7 @@ mod tests {
                 edges.push((i, i + 1));
             }
         }
-        let rows = Rows::from_edges(k, k, &edges);
-        let (m, stats) = HopcroftKarpBitset.solve_with_stats(&rows.graph());
+        let (m, stats) = HopcroftKarpBitset.solve_with_stats(&graph(k, k, &edges));
         assert_eq!(m.size(), k);
         assert_eq!(stats.greedy_matched, k as u64);
         assert_eq!(stats.rounds, 0);
@@ -554,13 +533,53 @@ mod tests {
             edges.push((i, i));
             edges.push((i, i + 1));
         }
-        let rows = Rows::from_edges(k + 1, k + 1, &edges);
-        let g = rows.graph();
+        let g = graph(k + 1, k + 1, &edges);
         let (m, stats) = HopcroftKarpBitset.solve_with_stats(&g);
         assert_eq!(m.size(), k + 1);
         m.validate(&g).unwrap();
         assert_eq!(stats.greedy_matched, k as u64);
         assert_eq!(stats.augmented, 1);
+    }
+
+    /// König's certificate, checked directly: `(L \ Z) ∪ (R ∩ Z)`
+    /// covers every edge of `g` and has exactly `|M|` vertices.
+    fn assert_koenig_cover<G: RowSource>(
+        g: &G,
+        m: &Matching,
+        reach: &AlternatingReach,
+        what: &str,
+    ) {
+        let mut scratch = vec![0u64; g.words()];
+        for l in (0..g.num_left()).filter(|&l| reach.left[l]) {
+            for r in mc_geom::iter_ones(g.phase_row(l, &mut scratch).row) {
+                assert!(reach.right_contains(r), "{what}: edge ({l}, {r}) uncovered");
+            }
+        }
+        let left = reach.left.iter().filter(|&&z| !z).count();
+        let right = (0..g.num_right())
+            .filter(|&r| reach.right_contains(r))
+            .count();
+        assert_eq!(left + right, m.size(), "{what}: cover size");
+    }
+
+    #[test]
+    fn koenig_set_is_a_minimum_cover_on_small_graphs() {
+        let complete: Vec<_> = (0..4).flat_map(|l| (0..4).map(move |r| (l, r))).collect();
+        let star: Vec<_> = (0..10).map(|r| (0, r)).collect();
+        for (what, nl, nr, edges, size) in [
+            ("path", 3, 2, vec![(0, 0), (1, 0), (1, 1), (2, 1)], 2),
+            ("complete", 4, 4, complete, 4),
+            ("one left, ten rights", 1, 10, star, 1),
+            ("empty", 3, 3, vec![], 0),
+        ] {
+            let g = graph(nl, nr, &edges);
+            let (m, _, reach) = HopcroftKarpBitset
+                .solve_with_stats_cancellable(&g, &CancelToken::never())
+                .unwrap();
+            m.validate(&g).unwrap();
+            assert_eq!(m.size(), size, "{what}");
+            assert_koenig_cover(&g, &m, &reach, what);
+        }
     }
 
     #[test]
@@ -569,42 +588,31 @@ mod tests {
         for trial in 0..60 {
             let nl = rng.gen_range(1..40);
             let nr = rng.gen_range(1..90);
-            let mut edges = Vec::new();
-            let mut list = BipartiteGraph::new(nl, nr);
-            let mut seen = std::collections::HashSet::new();
-            for _ in 0..rng.gen_range(0..2 * nl * nr) {
-                let l = rng.gen_range(0..nl);
-                let r = rng.gen_range(0..nr);
-                if seen.insert((l, r)) {
-                    edges.push((l, r));
-                    list.add_edge(l, r);
-                }
-            }
-            let rows = Rows::from_edges(nl, nr, &edges);
-            let g = rows.graph();
+            let edges: Vec<(usize, usize)> = (0..rng.gen_range(0..2 * nl * nr))
+                .map(|_| (rng.gen_range(0..nl), rng.gen_range(0..nr)))
+                .collect();
+            let g = graph(nl, nr, &edges);
             let (m, _, reach) = HopcroftKarpBitset
                 .solve_with_stats_cancellable(&g, &CancelToken::never())
                 .unwrap();
             m.validate(&g).unwrap();
-            let k = Kuhn.solve(&list);
-            assert_eq!(m.size(), k.size(), "trial {trial}: sizes differ");
-            // The last layering is König's Z: the reference traversal
-            // over the same matching finds the same cover.
-            let cover = crate::minimum_vertex_cover(&g, &m);
-            let z_left: Vec<bool> = cover.left_in_cover.iter().map(|&c| !c).collect();
-            assert_eq!(reach.left, z_left, "trial {trial}");
-            let z_right: Vec<bool> = (0..nr).map(|r| reach.right_contains(r)).collect();
-            assert_eq!(z_right, cover.right_in_cover, "trial {trial}");
+            assert_eq!(
+                m.size(),
+                Kuhn.solve(&g).size(),
+                "trial {trial}: sizes differ"
+            );
+            // The last layering is König's Z.
+            assert_koenig_cover(&g, &m, &reach, &format!("trial {trial}"));
         }
     }
 
     /// The on-demand oracle source, with and without its phase row
-    /// cache, must reproduce the materialized matching vertex for vertex
-    /// — not just the same size — across dimensions and duplicate-heavy
-    /// grids.
+    /// cache, must reproduce the matching over owned copies of the
+    /// index's strict-successor rows vertex for vertex — not just the
+    /// same size — across dimensions and duplicate-heavy grids.
     #[test]
     fn oracle_source_matches_bitset_source_exactly() {
-        use crate::{BitsetGraph, OracleGraph};
+        use crate::OracleGraph;
         use mc_geom::{DominanceIndex, PointSet, RankOracle};
         let mut rng = StdRng::seed_from_u64(0x0DD);
         for dim in [1usize, 2, 3, 4] {
@@ -620,16 +628,29 @@ mod tests {
                 let points = PointSet::from_rows(dim, &rows);
                 let index = DominanceIndex::build(&points);
                 let oracle = RankOracle::build(&points);
-                let bg = BitsetGraph::from_index(&index);
-                let og = OracleGraph::new(&oracle);
-                let (mb, sb) = HopcroftKarpBitset.solve_with_stats(&bg);
-                for og in [og, OracleGraph::with_row_cache(&oracle)] {
-                    let (mo, so) = HopcroftKarpBitset.solve_with_stats(&og);
-                    assert_eq!(mb.left_match, mo.left_match, "dim {dim} n {n}");
-                    assert_eq!(mb.right_match, mo.right_match, "dim {dim} n {n}");
+                let mut bg = BitsetGraph::new(n);
+                for u in 0..n {
+                    let mut row = vec![0u64; index.words()].into_boxed_slice();
+                    index.strict_successor_row_into(u, &mut row);
+                    bg.push(row);
+                }
+                let (mb, sb, zb) = HopcroftKarpBitset
+                    .solve_with_stats_cancellable(&bg, &CancelToken::never())
+                    .unwrap();
+                mb.validate(&bg).unwrap();
+                assert_koenig_cover(&bg, &mb, &zb, &format!("dim {dim} n {n}"));
+                for og in [
+                    OracleGraph::new(&oracle),
+                    OracleGraph::with_row_cache(&oracle),
+                ] {
+                    let (mo, so, zo) = HopcroftKarpBitset
+                        .solve_with_stats_cancellable(&og, &CancelToken::never())
+                        .unwrap();
+                    assert_eq!(mb, mo, "dim {dim} n {n}");
                     assert_eq!(sb.greedy_matched, so.greedy_matched);
                     assert_eq!(sb.rounds, so.rounds);
                     assert_eq!(sb.augmented, so.augmented);
+                    assert_eq!(zb, zo, "dim {dim} n {n}");
                     mo.validate(&og).unwrap();
                 }
             }

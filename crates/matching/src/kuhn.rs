@@ -1,29 +1,28 @@
 //! Kuhn's augmenting-path algorithm, `O(V·E)` — the simple reference
 //! implementation used to cross-validate Hopcroft–Karp in tests.
 
-use crate::graph::{BipartiteGraph, Matching};
-use crate::MatchingAlgorithm;
+use crate::row_source::RowSource;
+use crate::Matching;
 
 /// Kuhn's algorithm (repeated DFS augmentation).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Kuhn;
 
 fn try_augment(
-    g: &BipartiteGraph,
+    adj: &[Vec<usize>],
     l: usize,
     visited: &mut [bool],
     left_match: &mut [Option<u32>],
     right_match: &mut [Option<u32>],
 ) -> bool {
-    for &r in g.neighbours(l) {
-        let r = r as usize;
+    for &r in &adj[l] {
         if visited[r] {
             continue;
         }
         visited[r] = true;
         let free = match right_match[r] {
             None => true,
-            Some(l2) => try_augment(g, l2 as usize, visited, left_match, right_match),
+            Some(l2) => try_augment(adj, l2 as usize, visited, left_match, right_match),
         };
         if free {
             left_match[l] = Some(r as u32);
@@ -34,18 +33,20 @@ fn try_augment(
     false
 }
 
-impl MatchingAlgorithm for Kuhn {
-    fn name(&self) -> &'static str {
-        "kuhn"
-    }
-
-    fn solve(&self, g: &BipartiteGraph) -> Matching {
+impl Kuhn {
+    /// Computes a maximum matching of `g`, reading each left's row once
+    /// into a neighbour list.
+    pub fn solve<G: RowSource>(&self, g: &G) -> Matching {
+        let mut scratch = vec![0u64; g.words()];
+        let adj: Vec<Vec<usize>> = (0..g.num_left())
+            .map(|l| mc_geom::iter_ones(g.phase_row(l, &mut scratch).row).collect())
+            .collect();
         let mut left_match = vec![None; g.num_left()];
         let mut right_match = vec![None; g.num_right()];
         let mut visited = vec![false; g.num_right()];
         for l in 0..g.num_left() {
             visited.iter_mut().for_each(|v| *v = false);
-            try_augment(g, l, &mut visited, &mut left_match, &mut right_match);
+            try_augment(&adj, l, &mut visited, &mut left_match, &mut right_match);
         }
         Matching {
             left_match,
@@ -57,13 +58,13 @@ impl MatchingAlgorithm for Kuhn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BitsetGraph;
 
     #[test]
     fn matches_simple_cases() {
-        let mut g = BipartiteGraph::new(2, 2);
-        g.add_edge(0, 0);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
+        let mut g = BitsetGraph::new(2);
+        g.push(Box::new([0b11]));
+        g.push(Box::new([0b01]));
         let m = Kuhn.solve(&g);
         assert_eq!(m.size(), 2);
         m.validate(&g).unwrap();
@@ -71,9 +72,9 @@ mod tests {
 
     #[test]
     fn star_graph() {
-        let mut g = BipartiteGraph::new(5, 1);
-        for l in 0..5 {
-            g.add_edge(l, 0);
+        let mut g = BitsetGraph::new(1);
+        for _ in 0..5 {
+            g.push(Box::new([0b1]));
         }
         let m = Kuhn.solve(&g);
         assert_eq!(m.size(), 1);

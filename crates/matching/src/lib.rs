@@ -5,73 +5,42 @@
 //! bipartite matching and running Hopcroft–Karp \[16\] in `O(E·sqrt(V))`.
 //! This crate supplies:
 //!
-//! * [`BipartiteGraph`] / [`Matching`];
-//! * [`BitsetGraph`] — a dense bipartite graph over borrowed `u64`
-//!   bitset rows (e.g. straight off a `mc_geom::DominanceIndex`), with
-//!   no adjacency-list materialization at all;
-//! * [`HopcroftKarp`] — the `O(E·sqrt(V))` algorithm used by Lemma 6;
-//! * [`HopcroftKarpBitset`] — the same algorithm with word-parallel
-//!   BFS/DFS over bitset rows: each phase is `O(n²/64)` word
-//!   operations instead of an `O(E)` pointer walk; generic over
-//!   [`RowSource`], so rows can be materialized ([`BitsetGraph`]) or
+//! * [`HopcroftKarpBitset`] — that algorithm with word-parallel BFS/DFS
+//!   over `u64` bitset rows: each phase is `O(n²/64)` word operations
+//!   instead of an `O(E)` pointer walk. It is generic over
+//!   [`RowSource`], so rows can be owned up front ([`BitsetGraph`]) or
 //!   computed on demand ([`OracleGraph`] over `mc_geom::RankOracle` —
-//!   the matrix-free path with `O(d·n)` residency);
-//! * [`Kuhn`] — an `O(V·E)` reference implementation for cross-validation;
-//! * [`minimum_vertex_cover`] — König's construction, used to certify
-//!   maximum antichains; generic over either graph representation via
-//!   [`BipartiteAdjacency`].
+//!   the matrix-free path with `O(d·n)` residency). Its last, failing
+//!   BFS layering is König's alternating-reachable set
+//!   ([`AlternatingReach`]), which certifies a maximum antichain;
+//! * [`Matching`] and [`MatchingStats`];
+//! * [`Kuhn`] — an `O(V·E)` reference implementation for tests.
 //!
 //! # Example
 //!
 //! ```
-//! use mc_matching::{BipartiteGraph, HopcroftKarp, MatchingAlgorithm};
+//! use mc_matching::{BitsetGraph, HopcroftKarpBitset};
 //!
-//! let mut g = BipartiteGraph::new(2, 2);
-//! g.add_edge(0, 0);
-//! g.add_edge(0, 1);
-//! g.add_edge(1, 0);
-//! assert_eq!(HopcroftKarp.solve(&g).size(), 2);
+//! // Left 0 is adjacent to rights 0 and 1, left 1 to right 0 only.
+//! let mut g = BitsetGraph::new(2);
+//! g.push(Box::new([0b11]));
+//! g.push(Box::new([0b01]));
+//! let (matching, _stats) = HopcroftKarpBitset.solve_with_stats(&g);
+//! assert_eq!(matching.size(), 2);
+//! matching.validate(&g).unwrap();
 //! ```
 
 pub mod bitset;
-pub mod graph;
-pub mod hopcroft_karp;
 pub mod hopcroft_karp_bitset;
-pub mod koenig;
 pub mod kuhn;
 pub mod oracle_graph;
 pub mod row_source;
 
 pub use bitset::BitsetGraph;
-pub use graph::{BipartiteGraph, Matching};
-pub use hopcroft_karp::HopcroftKarp;
 pub use hopcroft_karp_bitset::{AlternatingReach, HopcroftKarpBitset};
-pub use koenig::{minimum_vertex_cover, VertexCover};
 pub use kuhn::Kuhn;
 pub use oracle_graph::OracleGraph;
 pub use row_source::{ResolvedRow, RowSource};
-
-/// Read access to a bipartite graph, abstracting over the adjacency-list
-/// ([`BipartiteGraph`]) and bitset-row ([`BitsetGraph`]) representations.
-///
-/// Neighbour enumeration is callback-based so bitset implementations can
-/// word-scan without boxing an iterator. [`BitsetGraph`] visits right
-/// vertices in ascending order; [`BipartiteGraph`] in insertion order
-/// (ascending when the graph was read off a dominance index, which is
-/// what makes the two engines' tie-breaking line up on Lemma-6 inputs).
-pub trait BipartiteAdjacency {
-    /// Number of left vertices.
-    fn num_left(&self) -> usize;
-
-    /// Number of right vertices.
-    fn num_right(&self) -> usize;
-
-    /// `true` iff `(l, r)` is an edge.
-    fn has_edge(&self, l: usize, r: usize) -> bool;
-
-    /// Calls `f` for every right neighbour of `l`, ascending.
-    fn for_each_neighbour<F: FnMut(usize)>(&self, l: usize, f: F);
-}
 
 /// Augmentation statistics of one matching solve, for observability and
 /// regression tests (see the `matching.*` counters in
@@ -84,45 +53,91 @@ pub struct MatchingStats {
     pub rounds: u64,
     /// Augmenting paths applied after seeding.
     pub augmented: u64,
-    /// `u64` words examined by the bitset kernels (0 for list engines).
+    /// `u64` words examined by the bitset kernels.
     pub words_scanned: u64,
 }
 
-/// A maximum bipartite matching algorithm over graph representation `G`.
-pub trait MatchingAlgorithm<G: BipartiteAdjacency = BipartiteGraph> {
-    /// Short machine-readable name for reports.
-    fn name(&self) -> &'static str;
+/// A matching in a bipartite graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Matching {
+    /// For each left vertex, its matched right vertex (if any).
+    pub left_match: Vec<Option<u32>>,
+    /// For each right vertex, its matched left vertex (if any).
+    pub right_match: Vec<Option<u32>>,
+}
 
-    /// Computes a maximum matching of `g`.
-    fn solve(&self, g: &G) -> Matching;
+impl Matching {
+    /// Cardinality of the matching.
+    pub fn size(&self) -> usize {
+        self.left_match.iter().filter(|m| m.is_some()).count()
+    }
+
+    /// Checks internal consistency and that every matched pair is an edge
+    /// of `g`. Used by property tests.
+    pub fn validate<G: RowSource>(&self, g: &G) -> Result<(), String> {
+        if self.left_match.len() != g.num_left() || self.right_match.len() != g.num_right() {
+            return Err("matching size vectors do not match the graph".into());
+        }
+        let mut scratch = vec![0u64; g.words()];
+        for (l, &m) in self.left_match.iter().enumerate() {
+            if let Some(r) = m {
+                let r = r as usize;
+                if self.right_match[r] != Some(l as u32) {
+                    return Err(format!("asymmetric match at left {l} / right {r}"));
+                }
+                if g.phase_row(l, &mut scratch).row[r >> 6] >> (r & 63) & 1 == 0 {
+                    return Err(format!("matched pair ({l}, {r}) is not an edge"));
+                }
+            }
+        }
+        for (r, &m) in self.right_match.iter().enumerate() {
+            if let Some(l) = m {
+                if self.left_match[l as usize] != Some(r as u32) {
+                    return Err(format!("asymmetric match at right {r} / left {l}"));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+
+    fn two_by_two() -> BitsetGraph {
+        let mut g = BitsetGraph::new(2);
+        g.push(Box::new([0b01]));
+        g.push(Box::new([0b01]));
+        g
+    }
 
     #[test]
-    fn hopcroft_karp_agrees_with_kuhn() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for trial in 0..40 {
-            let nl = rng.gen_range(1..15);
-            let nr = rng.gen_range(1..15);
-            let mut g = BipartiteGraph::new(nl, nr);
-            let mut seen = std::collections::HashSet::new();
-            for _ in 0..rng.gen_range(0..2 * nl * nr) {
-                let l = rng.gen_range(0..nl);
-                let r = rng.gen_range(0..nr);
-                if seen.insert((l, r)) {
-                    g.add_edge(l, r);
-                }
-            }
-            let hk = HopcroftKarp.solve(&g);
-            let k = Kuhn.solve(&g);
-            hk.validate(&g).unwrap();
-            k.validate(&g).unwrap();
-            assert_eq!(hk.size(), k.size(), "trial {trial}: sizes differ");
-        }
+    fn validate_rejects_non_edges() {
+        let g = two_by_two();
+        let m = Matching {
+            left_match: vec![Some(1), None],
+            right_match: vec![None, Some(0)],
+        };
+        assert!(m.validate(&g).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_asymmetry() {
+        let g = two_by_two();
+        let m = Matching {
+            left_match: vec![Some(0), None],
+            right_match: vec![Some(1), None],
+        };
+        assert!(m.validate(&g).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_wrong_sizes() {
+        let m = Matching {
+            left_match: vec![None],
+            right_match: vec![None, None],
+        };
+        assert!(m.validate(&two_by_two()).is_err());
     }
 }

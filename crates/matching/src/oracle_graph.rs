@@ -1,14 +1,12 @@
 //! Matrix-free Lemma-6 split graph over a [`RankOracle`].
 //!
-//! [`OracleGraph`] is the on-demand counterpart of
-//! [`BitsetGraph::from_index`](crate::BitsetGraph::from_index): the same
-//! strict-successor bipartite graph (left copy of point `u` adjacent to
-//! right copy of `v` iff `v` strictly dominates `u`, or equals it with
-//! `v > u`), but rows are computed from the oracle's suffix bitsets when
-//! the engine asks, into the scratch buffer the engine supplies.
-//! Residency drops from `Θ(n²/64)` words to the oracle's budgeted table,
-//! which is what lets Lemma-6 matching run at `n` far past the matrix
-//! wall.
+//! [`OracleGraph`] is the strict-successor bipartite graph of the
+//! oracle's points (left copy of point `u` adjacent to right copy of `v`
+//! iff `v` strictly dominates `u`, or equals it with `v > u`), with rows
+//! computed from the oracle's suffix bitsets when the engine asks, into
+//! the scratch buffer the engine supplies. Residency is the oracle's
+//! budgeted table instead of `Θ(n²/64)` matrix words, which is what lets
+//! Lemma-6 matching run at `n` far past the matrix wall.
 //!
 //! When the oracle's points are labelled in a linear extension of
 //! dominance ([`RankOracle::is_linear_extension`]), every strict successor
@@ -23,16 +21,13 @@
 //! Built [`with_row_cache`](OracleGraph::with_row_cache), the graph also
 //! keeps every row a Hopcroft–Karp BFS or DFS asks for and serves it from
 //! the cache after that: each round ends in a BFS that revisits nearly
-//! all of them. The greedy seed and König's reachability never fill it.
+//! all of them. The greedy seed never fills it.
 //!
-//! Rows are bit-identical to the `BitsetGraph` rows over the same
-//! points (the oracle reproduces `DominanceIndex` rows exactly), and
-//! the graph implements [`BipartiteAdjacency`], so the Hopcroft–Karp
-//! engine, the König vertex cover, and the width certification all run
-//! unchanged — same tie-breaks, same matching, same antichain.
+//! Rows are bit-identical to `mc_geom::DominanceIndex`'s
+//! strict-successor rows over the same points, so the engine returns the
+//! same matching and König set over either substrate.
 
 use crate::row_source::{ResolvedRow, RowSource};
-use crate::BipartiteAdjacency;
 use mc_geom::RankOracle;
 use std::sync::OnceLock;
 
@@ -72,34 +67,11 @@ impl<'a> OracleGraph<'a> {
         }
     }
 
-    /// The underlying oracle.
-    pub fn oracle(&self) -> &'a RankOracle {
-        self.oracle
-    }
-
     /// Number of rows the cache holds (0 without a cache).
     pub fn rows_cached(&self) -> usize {
         self.cache
             .as_ref()
             .map_or(0, |c| c.iter().filter(|r| r.get().is_some()).count())
-    }
-
-    /// The cached row of `l`, if one is stored.
-    fn cached_row(&self, l: usize) -> Option<&[u64]> {
-        self.cache.as_ref()?[l].get().map(|r| &r[..])
-    }
-
-    /// Counts edges by materializing each row once. `O(n)` row
-    /// computations — diagnostic use only.
-    pub fn count_edges(&self) -> u64 {
-        let words = RowSource::words(self);
-        let mut row = vec![0u64; words];
-        let mut total = 0u64;
-        for l in 0..self.oracle.len() {
-            self.oracle.strict_successor_row_into(l, &mut row);
-            total += row.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-        }
-        total
     }
 }
 
@@ -137,8 +109,6 @@ impl RowSource for OracleGraph<'_> {
             self.oracle.strict_successor_row_from(l, from, scratch);
             return ResolvedRow {
                 row: scratch,
-                patch_word: 0,
-                patch_mask: !0u64,
                 cached: true,
             };
         };
@@ -147,12 +117,7 @@ impl RowSource for OracleGraph<'_> {
             self.oracle.strict_successor_row_from(l, from, &mut row);
             row
         });
-        ResolvedRow {
-            row,
-            patch_word: 0,
-            patch_mask: !0u64,
-            cached: false,
-        }
+        ResolvedRow { row, cached: false }
     }
 
     #[inline]
@@ -166,39 +131,9 @@ impl RowSource for OracleGraph<'_> {
     }
 }
 
-impl BipartiteAdjacency for OracleGraph<'_> {
-    fn num_left(&self) -> usize {
-        self.oracle.len()
-    }
-
-    fn num_right(&self) -> usize {
-        self.oracle.len()
-    }
-
-    fn has_edge(&self, l: usize, r: usize) -> bool {
-        r != l && self.oracle.dominates(r, l) && (!self.oracle.equal_points(r, l) || r > l)
-    }
-
-    fn for_each_neighbour<F: FnMut(usize)>(&self, l: usize, f: F) {
-        // König's alternating reachability visits each left at most once
-        // per call site: read a cached row, else compute one without
-        // caching it.
-        match self.cached_row(l) {
-            Some(row) => mc_geom::iter_ones(row).for_each(f),
-            None => {
-                let mut row = vec![0u64; self.oracle.words()];
-                self.oracle
-                    .strict_successor_row_from(l, self.first_word(l), &mut row);
-                mc_geom::iter_ones(&row).for_each(f);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitsetGraph;
     use mc_geom::{DominanceIndex, PointSet, RankOracle};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -215,47 +150,39 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_matches_bitset_graph() {
+    fn rows_match_the_index_strict_successor_rows() {
         let mut rng = StdRng::seed_from_u64(0x06A);
         for dim in [1usize, 2, 3] {
             let n = rng.gen_range(1..80);
             let points = random_points(n, dim, 3.0, &mut rng);
-            let index = DominanceIndex::build(&points);
-            let oracle = RankOracle::build(&points);
-            let bits = BitsetGraph::from_index(&index);
-            let og = OracleGraph::new(&oracle);
-            assert_eq!(og.count_edges(), bits.count_edges(), "dim {dim} n {n}");
-            // Visit every row twice through the phases: the first visit
-            // fills the cache, the second and König's neighbour walks
-            // read the cached rows.
-            let cached = OracleGraph::with_row_cache(&oracle);
-            let mut scratch = vec![0u64; RowSource::words(&cached)];
-            for _ in 0..2 {
-                for l in 0..n {
-                    let row = cached.phase_row(l, &mut scratch).row.to_vec();
-                    let (want, pw, pmask) = bits.row_parts(l);
-                    let mut want = want.to_vec();
-                    want[pw] &= pmask;
-                    assert_eq!(row, want, "dim {dim} n {n} l {l}");
+            // Once in the caller's order, once relabelled in a linear
+            // extension so rows start at the diagonal word.
+            let order = RankOracle::build(&points).linear_extension();
+            let rows: Vec<Vec<f64>> = order.iter().map(|&i| points.point(i).to_vec()).collect();
+            let sorted = PointSet::from_rows(dim, &rows);
+            for points in [&points, &sorted] {
+                let index = DominanceIndex::build(points);
+                let oracle = RankOracle::build(points);
+                let mut want = vec![0u64; index.words()];
+                let on_demand = OracleGraph::new(&oracle);
+                let cached = OracleGraph::with_row_cache(&oracle);
+                // Visit every row twice through the phases: the first
+                // visit fills the cache, the second reads it.
+                for og in [&on_demand, &cached] {
+                    let mut scratch = vec![0u64; og.words()];
+                    for _ in 0..2 {
+                        for l in 0..n {
+                            index.strict_successor_row_into(l, &mut want);
+                            let row = og.phase_row(l, &mut scratch).row;
+                            assert_eq!(row, &want[..], "dim {dim} n {n} l {l}");
+                            let mut acc = vec![0u64; og.words()];
+                            og.or_row_into(l, &mut acc, &mut scratch);
+                            assert_eq!(acc, want, "or, dim {dim} n {n} l {l}");
+                        }
+                    }
                 }
-            }
-            assert_eq!(cached.rows_cached(), n);
-            for l in 0..n {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                let mut c = Vec::new();
-                bits.for_each_neighbour(l, |r| a.push(r));
-                og.for_each_neighbour(l, |r| b.push(r));
-                cached.for_each_neighbour(l, |r| c.push(r));
-                assert_eq!(a, b, "dim {dim} n {n} l {l}");
-                assert_eq!(a, c, "cached, dim {dim} n {n} l {l}");
-                for r in 0..n {
-                    assert_eq!(
-                        BipartiteAdjacency::has_edge(&og, l, r),
-                        bits.has_edge(l, r),
-                        "dim {dim} n {n} edge {l}->{r}"
-                    );
-                }
+                assert_eq!(on_demand.rows_cached(), 0);
+                assert_eq!(cached.rows_cached(), n);
             }
         }
     }

@@ -5,17 +5,16 @@
 //! from is the difference between the Θ(n²/64) memory wall and the
 //! matrix-free path:
 //!
-//! * [`BitsetGraph`] stores (mostly borrows) every
-//!   row up front — O(n²/64) words resident;
+//! * [`BitsetGraph`](crate::BitsetGraph) owns every row up front —
+//!   O(n²/64) words resident;
 //! * [`OracleGraph`](crate::OracleGraph) computes each row on demand
 //!   from a `mc_geom::RankOracle`, optionally keeping the rows the
 //!   Hopcroft–Karp phases ask for.
 //!
 //! [`RowSource`] is the seam between them. The engine always offers a
 //! scratch buffer when it asks for a row; materialized sources ignore
-//! it and hand back a borrow (with the single-word dup patch the
-//! `BitsetGraph` representation uses), on-demand sources fill it and
-//! report `cached = true` so the engine can reuse the buffer without
+//! it and hand back a borrow, on-demand sources fill it and report
+//! `cached = true` so the engine can reuse the buffer without
 //! recomputing while the same left vertex stays resident at that DFS
 //! depth. The greedy seed asks only for each left's lowest free
 //! neighbour ([`RowSource::first_free_neighbour`]), which an on-demand
@@ -26,20 +25,13 @@
 //! row can touch ([`RowSource::first_word`]), and every scan starts
 //! there.
 
-use crate::bitset::BitsetGraph;
-
-/// One resolved left-vertex row: the words to scan plus a single-word
-/// patch `(patch_word, patch_mask)` to AND in (identity `(0, !0)` when
-/// nothing is masked). `cached` is `true` iff the words were written
-/// into the scratch buffer the caller supplied (and can therefore be
-/// reused until the buffer is handed to a different vertex).
+/// One resolved left-vertex row. `cached` is `true` iff the words were
+/// written into the scratch buffer the caller supplied (and can
+/// therefore be reused until the buffer is handed to a different
+/// vertex).
 pub struct ResolvedRow<'s> {
     /// The row's words (`words()` of them).
     pub row: &'s [u64],
-    /// Index of the word `patch_mask` applies to.
-    pub patch_word: usize,
-    /// Bits to KEEP in `row[patch_word]`; all-ones elsewhere.
-    pub patch_mask: u64,
     /// `true` iff `row` aliases the caller's scratch buffer.
     pub cached: bool,
 }
@@ -72,12 +64,9 @@ pub trait RowSource: Sync {
     /// without building it.
     fn first_free_neighbour(&self, l: usize, free: &[u64], scratch: &mut [u64]) -> Option<usize> {
         let from = self.first_word(l);
-        let resolved = self.phase_row(l, scratch);
+        let row = self.phase_row(l, scratch).row;
         (from..free.len()).find_map(|wi| {
-            let mut cand = resolved.row[wi] & free[wi];
-            if wi == resolved.patch_word {
-                cand &= resolved.patch_mask;
-            }
+            let cand = row[wi] & free[wi];
             (cand != 0).then(|| (wi << 6) | cand.trailing_zeros() as usize)
         })
     }
@@ -93,34 +82,4 @@ pub trait RowSource: Sync {
     /// `scratch` as working space if the row must be computed first.
     /// Returns the number of words charged to the scan statistics.
     fn or_row_into(&self, l: usize, acc: &mut [u64], scratch: &mut [u64]) -> u64;
-}
-
-impl RowSource for BitsetGraph<'_> {
-    fn num_left(&self) -> usize {
-        crate::BipartiteAdjacency::num_left(self)
-    }
-
-    fn num_right(&self) -> usize {
-        crate::BipartiteAdjacency::num_right(self)
-    }
-
-    fn words(&self) -> usize {
-        BitsetGraph::words(self)
-    }
-
-    #[inline]
-    fn phase_row<'s>(&'s self, l: usize, _scratch: &'s mut [u64]) -> ResolvedRow<'s> {
-        let (row, patch_word, patch_mask) = self.row_parts(l);
-        ResolvedRow {
-            row,
-            patch_word,
-            patch_mask,
-            cached: false,
-        }
-    }
-
-    #[inline]
-    fn or_row_into(&self, l: usize, acc: &mut [u64], _scratch: &mut [u64]) -> u64 {
-        BitsetGraph::or_row_into(self, l, acc)
-    }
 }

@@ -5,7 +5,7 @@
 //! is a process-global: unit tests running in parallel threads would
 //! race on the counter values.
 
-use mc_matching::{BipartiteGraph, HopcroftKarp, MatchingAlgorithm};
+use mc_matching::{BitsetGraph, HopcroftKarpBitset};
 use mc_obs::Level;
 
 /// On the ladder graph (`L_i -> {R_i, R_{i+1}}`) the greedy seed already
@@ -15,14 +15,15 @@ use mc_obs::Level;
 fn ladder_runs_zero_rounds_after_greedy_seed() {
     mc_obs::set_level(Level::Info);
     let k = 10_000;
-    let mut g = BipartiteGraph::new(k, k);
+    let mut g = BitsetGraph::new(k);
     for i in 0..k {
-        g.add_edge(i, i);
-        if i + 1 < k {
-            g.add_edge(i, i + 1);
+        let mut row = vec![0u64; k.div_ceil(64)].into_boxed_slice();
+        for r in [i, i + 1].into_iter().filter(|&r| r < k) {
+            row[r >> 6] |= 1u64 << (r & 63);
         }
+        g.push(row);
     }
-    let m = HopcroftKarp.solve(&g);
+    let (m, _) = HopcroftKarpBitset.solve_with_stats(&g);
     assert_eq!(m.size(), k);
 
     let snap = mc_obs::snapshot();

@@ -34,11 +34,11 @@ fn stats_reports_structure() {
 
 /// `mcc stats` on a d=4 CSV with duplicate rows and `-0.0` cells must
 /// print exactly what the library references compute: the matrix-fed
-/// chain decomposition, the naive-DAG Mirsky height, the pairwise
+/// chain decomposition, a pairwise longest-chain height, the pairwise
 /// contending scan and the dense Section-5.1 solve.
 #[test]
 fn stats_matches_the_library_references_at_d4() {
-    use monotone_classification::chains::{AntichainPartition, ChainDecomposition, DominanceDag};
+    use monotone_classification::chains::ChainDecomposition;
     use monotone_classification::core::passive::{solve_passive_dense, ContendingPoints};
     use monotone_classification::geom::DominanceIndex;
 
@@ -81,8 +81,23 @@ fn stats_matches_the_library_references_at_d4() {
     let weighted = set.with_unit_weights();
     let width =
         ChainDecomposition::compute_from_index(&DominanceIndex::build(set.points())).width();
-    let height =
-        AntichainPartition::from_dag(&DominanceDag::build_naive(set.points())).longest_chain_len();
+    // Longest chain by the O(n²) DP over `dominates`, visiting points in
+    // ascending coordinate sum (strict dominance raises it); equal points
+    // chain up too, so a duplicate sits one above its twin.
+    let points = set.points();
+    let n = points.len();
+    let sum = |i: usize| points.point(i).iter().sum::<f64>();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| sum(a).total_cmp(&sum(b)).then(a.cmp(&b)));
+    let mut chain_len = vec![1usize; n];
+    for (k, &v) in order.iter().enumerate() {
+        for &u in &order[..k] {
+            if points.dominates(v, u) {
+                chain_len[v] = chain_len[v].max(chain_len[u] + 1);
+            }
+        }
+    }
+    let height = chain_len.iter().copied().max().unwrap_or(0);
     let con = ContendingPoints::compute_generic(&weighted);
     let k_star = solve_passive_dense(&weighted).weighted_error;
     assert!(

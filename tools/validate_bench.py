@@ -19,7 +19,7 @@ import sys
 REQUIRED = {
     "dominance": ["config", "timings_ms", "speedup", "equivalence"],
     "flow": ["config", "sizes", "timings_ms", "edges", "speedup", "equivalence"],
-    "matching": ["config", "timings_ms", "speedup", "stats", "equivalence", "matrix_free"],
+    "matching": ["config", "timings_ms", "stats", "equivalence", "matrix_free"],
     "scale": ["config", "kernel", "parity", "telemetry", "sizes"],
     "serve": ["config", "throughput", "latency_ms", "server"],
 }
@@ -169,6 +169,8 @@ def main():
             if not all(v is True for v in doc["equivalence"].values()):
                 fail(f"{path}: equivalence flags not all true: {doc['equivalence']}")
         if name == "matching":
+            if doc["equivalence"].get("certified") is not True:
+                fail(f"{path}: decomposition not certified: {doc['equivalence']}")
             mf = doc["matrix_free"]
             if not isinstance(mf, dict):
                 fail(f"{path}: `matrix_free` must be an object with a `sizes` array")
