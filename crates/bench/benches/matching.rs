@@ -3,13 +3,17 @@
 //! graphs, plus the end-to-end `ChainDecomposition` record written to
 //! `BENCH_matching.json` at the repo root (n = 20 000, d = 4; override
 //! the size with `MC_BENCH_MATCHING_N` for smoke runs), and the
-//! matrix-free `compute_from_oracle` timings on the scale workload's
-//! Lemma-6 instances at n ∈ {10⁵, 10⁶}.
+//! `compute_from_oracle` timings on the scale workload's Lemma-6
+//! instances at n ∈ {10⁵, 10⁶}. Every decomposition recorded must pass
+//! its Dilworth certificate (`validate()`).
+//!
+//! `cargo bench -p mc-bench --bench matching -- record_comparison` runs
+//! the record alone.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use mc_chains::ChainDecomposition;
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
-use mc_geom::{DominanceIndex, PointSet, RankOracle};
+use mc_geom::{PointSet, RankOracle};
 use mc_matching::{BitsetGraph, HopcroftKarpBitset, Kuhn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,16 +89,14 @@ fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
     PointSet::from_rows(dim, &rows)
 }
 
-/// The matrix-backed decomposition on the real Lemma-6 workload at
-/// criterion scale.
+/// The decomposition on the real Lemma-6 workload at criterion scale.
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching/engine");
     group.sample_size(10);
     for n in [1_000usize, 4_000] {
         let points = random_points(n, 4, 0xE0);
-        let index = DominanceIndex::build(&points);
-        group.bench_with_input(BenchmarkId::new("bitset", n), &index, |b, index| {
-            b.iter(|| ChainDecomposition::compute_from_index(index).width())
+        group.bench_with_input(BenchmarkId::new("bitset", n), &points, |b, points| {
+            b.iter(|| ChainDecomposition::compute(points).width())
         });
     }
     group.finish();
@@ -134,8 +136,7 @@ fn scale_ones_oracle(n: usize) -> (PointSet, RankOracle) {
 }
 
 /// The matrix-free record: `compute_from_oracle` on the pipeline's own
-/// Lemma-6 instances, with the width checked against the matrix path
-/// (`compute_from_index` over a dominator matrix of the same points).
+/// Lemma-6 instances, each certified by its antichain.
 fn matrix_free_section() -> String {
     let reps = 3;
     let mut entries = Vec::new();
@@ -143,13 +144,10 @@ fn matrix_free_section() -> String {
         let (ones, oracle) = scale_ones_oracle(n);
         let t = time_runs(reps, || ChainDecomposition::compute_from_oracle(&oracle));
         let dec = ChainDecomposition::compute_from_oracle(&oracle);
-        dec.validate(&ones).expect("matrix-free path invalid");
-        let via_matrix = ChainDecomposition::compute_from_index(&DominanceIndex::build(&ones));
-        let width_identical = dec.width() == via_matrix.width()
-            && dec.antichain().len() == via_matrix.antichain().len();
+        let certified = dec.validate(&ones).is_ok();
         println!(
             "matching/matrix-free: n = {n} ({} ones) | width {} | {t:?} | \
-             width identical: {width_identical}",
+             certified: {certified}",
             oracle.len(),
             dec.width()
         );
@@ -159,7 +157,7 @@ fn matrix_free_section() -> String {
       "instance": {},
       "width": {},
       "oracle_ms": {:.3},
-      "width_identical": {width_identical}
+      "certified": {certified}
     }}"#,
             oracle.len(),
             dec.width(),
@@ -179,9 +177,9 @@ fn matrix_free_section() -> String {
     )
 }
 
-/// The end-to-end record: the matrix-backed `ChainDecomposition` off a
-/// shared index, certified by `validate()`, with the matching's phase
-/// counters, saved as JSON.
+/// The end-to-end record: `ChainDecomposition::compute` (rank, gather
+/// the oracle in a linear extension, match), certified by `validate()`,
+/// with the matching's phase counters, saved as JSON.
 fn record_comparison(_c: &mut Criterion) {
     let n: usize = std::env::var("MC_BENCH_MATCHING_N")
         .ok()
@@ -192,18 +190,14 @@ fn record_comparison(_c: &mut Criterion) {
     let points = random_points(n, dim, 0xE4);
 
     println!("matching/comparison: n = {n}, d = {dim} ({reps} reps each)");
-    let index_build = time_runs(reps, || DominanceIndex::build(&points).len());
-    let index = DominanceIndex::build(&points);
-    let bitset = time_runs(reps, || {
-        ChainDecomposition::compute_from_index(&index).width()
-    });
+    let bitset = time_runs(reps, || ChainDecomposition::compute(&points).width());
 
     // One more run with the counters on, for the phase statistics of
     // the decomposition just timed, and its Dilworth certificate.
     let level = mc_obs::level();
     mc_obs::set_level(mc_obs::Level::Info);
     mc_obs::reset();
-    let bitset_dec = ChainDecomposition::compute_from_index(&index);
+    let bitset_dec = ChainDecomposition::compute(&points);
     let snap = mc_obs::snapshot();
     mc_obs::set_level(level);
     let certified = bitset_dec.validate(&points).is_ok();
@@ -232,7 +226,6 @@ fn record_comparison(_c: &mut Criterion) {
   "meta": {meta},
   "config": {{ "n": {n}, "dim": {dim}, "reps": {reps}, "profile": "bench" }},
   "timings_ms": {{
-    "index_build": {:.3},
     "chain_decomposition_bitset": {:.3}
   }},
   "stats": {{
@@ -249,7 +242,6 @@ fn record_comparison(_c: &mut Criterion) {
   "matrix_free": {matrix_free}
 }}
 "#,
-        index_build.as_secs_f64() * 1e3,
         bitset.as_secs_f64() * 1e3,
         bitset_dec.width(),
     );

@@ -2,8 +2,9 @@
 //! at n ∈ {10⁵, 10⁶, 10⁷} (wall time split into span-timed stages, peak
 //! RSS, network size), the scalar-vs-blocked compare-kernel microbench,
 //! and the n = 20 000
-//! parity check of the matrix-free pipeline against the dominator-matrix
-//! path — all written to `BENCH_scale.json` at the repo root.
+//! parity check of the streaming solve against the in-memory ladder and
+//! the dense Section-5.1 network — all written to `BENCH_scale.json` at
+//! the repo root.
 //!
 //! Override the solve sizes with `MC_BENCH_SCALE_NS` (comma-separated,
 //! e.g. `MC_BENCH_SCALE_NS=100000,300000` for CI smoke runs).
@@ -12,7 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mc_chains::ChainDecomposition;
 use mc_core::passive::{solve_passive_dense, solve_passive_scale, PassiveSolver};
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
-use mc_geom::{kernel, DominanceIndex, PointSet};
+use mc_geom::{kernel, PointSet};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -96,8 +97,9 @@ fn kernel_section() -> String {
 
 /// n = 20 000 parity: the streaming solve must agree with the in-memory
 /// ladder pipeline exactly (same algorithm, different plumbing) and
-/// with the paper-literal dense dominator-matrix path to flow tolerance;
-/// the width must match a matrix-built chain decomposition bit for bit.
+/// with the paper-literal dense network to flow tolerance; its width must
+/// be certified minimum by a decomposition of the label-1 points that
+/// passes `validate()` (chains plus an antichain of the same size).
 fn parity_section() -> String {
     let n = 20_000;
     let config = ScaleConfig::new(n, 4, 0x5CA1E);
@@ -114,27 +116,26 @@ fn parity_section() -> String {
     let ladder = PassiveSolver::new().solve(&ws);
     let dense = solve_passive_dense(&ws);
 
-    // The matrix-built width: a chain decomposition over the label-1
-    // points from a full dominator matrix (the pre-oracle code path).
+    // The certified width: a decomposition of the label-1 points whose
+    // antichain proves it minimum.
     let one_rows: Vec<Vec<f64>> = (0..ws.len())
         .filter(|&i| ws.label(i).is_one())
         .map(|i| ws.points().point(i).to_vec())
         .collect();
     let ones_points = PointSet::from_rows(ws.dim(), &one_rows);
-    let width_matrix =
-        ChainDecomposition::compute_from_index(&DominanceIndex::build(&ones_points)).width();
+    let dec = ChainDecomposition::compute(&ones_points);
+    let width_certified = dec.validate(&ones_points).is_ok() && dec.width() == scale.width;
 
     let ladder_identical = scale.weighted_error == ladder.weighted_error;
     let dense_delta = (scale.weighted_error - dense.weighted_error).abs();
-    let width_identical = scale.width == width_matrix;
     println!(
         "scale/parity: n = {n} | error {} (ladder identical: {ladder_identical}, \
-         dense delta {dense_delta:.2e}) | width {} vs matrix {width_matrix}",
+         dense delta {dense_delta:.2e}) | width {} (certified: {width_certified})",
         scale.weighted_error, scale.width
     );
     assert!(ladder_identical, "streaming vs in-memory ladder disagree");
-    assert!(dense_delta < 1e-9, "streaming vs dense matrix disagree");
-    assert!(width_identical, "oracle vs matrix width disagree");
+    assert!(dense_delta < 1e-9, "streaming vs dense network disagree");
+    assert!(width_certified, "width is not certified minimum");
     format!(
         r#"{{
     "n": {n},
@@ -142,8 +143,7 @@ fn parity_section() -> String {
     "error_identical_to_ladder": {ladder_identical},
     "error_delta_vs_dense": {dense_delta:.3e},
     "width": {},
-    "width_matrix": {width_matrix},
-    "width_identical": {width_identical}
+    "width_certified": {width_certified}
   }}"#,
         scale.weighted_error, scale.width
     )
@@ -352,7 +352,8 @@ fn size_entry(n: usize) -> String {
 
 /// The whole record, written as one JSON document. Section order is
 /// load-bearing for the RSS column: kernel (tiny) → solves ascending →
-/// parity (which builds a 20k×20k matrix, after every RSS is taken).
+/// parity (whose dense network holds an edge per dominating pair, after
+/// every RSS is taken).
 fn record_scale(_c: &mut Criterion) {
     let sizes: Vec<usize> = std::env::var("MC_BENCH_SCALE_NS")
         .unwrap_or_else(|_| "100000,1000000,10000000".into())

@@ -34,16 +34,16 @@
 //! chains and antichain are mapped back to the caller's indices, chains
 //! listed by ascending head and the antichain ascending.
 //!
-//! The matrix path ([`ChainDecomposition::compute_from_index`]), which
-//! permutes a `DominanceIndex`'s rows into the same labelling, stays as
-//! the reference the oracle paths are diffed against; every result is
-//! certified by [`ChainDecomposition::validate`].
+//! Every result is certified by [`ChainDecomposition::validate`]: the
+//! chains partition the points and an antichain of the same size proves
+//! them minimum (Dilworth). The tests also check the width against
+//! Kuhn's `n − |M|` over a pairwise dominance scan.
 
 use mc_geom::{
-    iter_ones, linear_extension_order, matrix_bytes, row_budget_bytes, DominanceIndex, PointSet,
-    RankOracle, RankTable,
+    linear_extension_order, matrix_bytes, row_budget_bytes, DominanceIndex, PointSet, RankOracle,
+    RankTable,
 };
-use mc_matching::{BitsetGraph, HopcroftKarpBitset, Matching, OracleGraph, RowSource};
+use mc_matching::{HopcroftKarpBitset, Matching, OracleGraph, RowSource};
 use mc_obs::{CancelToken, Cancelled};
 
 /// `true` iff all of the `n`-point split graph's rows (`n·⌈n/64⌉·8`
@@ -95,10 +95,9 @@ impl ChainDecomposition {
     /// relabelled in a linear extension and matched over a permuted copy
     /// of the oracle (callers that can build the oracle in that order use
     /// [`compute_from_linear_extension_cancellable`](Self::compute_from_linear_extension_cancellable)
-    /// and hold one). The oracle rows are bit-identical to the
-    /// dominator-matrix rows, so the chains, width, and antichain
-    /// certificate match [`compute_from_index`](Self::compute_from_index)
-    /// exactly.
+    /// and hold one). The labelling and the rows equal
+    /// [`compute`](Self::compute)'s, so the chains, width, and antichain
+    /// certificate do too.
     pub fn compute_from_oracle(oracle: &RankOracle) -> Self {
         let never = CancelToken::never();
         let labels = oracle.linear_extension();
@@ -148,32 +147,12 @@ impl ChainDecomposition {
         Ok(dec)
     }
 
-    /// Computes the decomposition from a prebuilt [`DominanceIndex`]:
-    /// the matrix-backed reference the oracle paths are diffed against.
-    /// It matches in the same linear-extension labelling, over owned
-    /// copies of the index's strict-successor rows with their bits
-    /// permuted into label order, so its chains and antichain equal
-    /// [`compute`](Self::compute)'s.
+    /// [`compute_from_table_cancellable`](Self::compute_from_table_cancellable)
+    /// under the [`DominanceIndex`] name, for mcbench's traced active
+    /// replay; it goes with that name (ROADMAP item 9).
     pub fn compute_from_index(index: &DominanceIndex) -> Self {
-        let _span = mc_obs::span("path_cover");
-        let n = index.len();
-        let labels = linear_extension_order(n, index.dim(), |k, i| index.rank(k, i));
-        let mut label_of = vec![0usize; n];
-        for (l, &i) in labels.iter().enumerate() {
-            label_of[i] = l;
-        }
-        let mut g = BitsetGraph::new(n);
-        let mut row = vec![0u64; index.words()];
-        for &i in &labels {
-            index.strict_successor_row_into(i, &mut row);
-            let mut permuted = vec![0u64; index.words()].into_boxed_slice();
-            for j in iter_ones(&row) {
-                let m = label_of[j];
-                permuted[m >> 6] |= 1u64 << (m & 63);
-            }
-            g.push(permuted);
-        }
-        Self::from_rows(&g, &labels, &CancelToken::never()).expect("a never-token cannot cancel")
+        Self::compute_from_table_cancellable(index, &CancelToken::never())
+            .expect("a never-token cannot cancel")
     }
 
     /// Matches the split graph `g`, whose vertex `l` is caller index
@@ -389,21 +368,25 @@ mod tests {
     }
 
     #[test]
-    fn oracle_path_reproduces_matrix_path_exactly() {
-        // Same chains, same antichain — not merely the same width: the
-        // oracle rows are bit-identical to the matrix rows, so every
-        // tie-break in the matching engine resolves the same way.
+    fn oracle_paths_are_certified_minimum_covers() {
+        // Same chains, same antichain on every entry — not merely the
+        // same width — each certified by its antichain and as wide as
+        // Kuhn's minimum path cover over the pairwise scan.
         let cases = [
             crate::test_support::figure1_like_points(),
             PointSet::from_rows(2, &[vec![1.0, 1.0], vec![1.0, 1.0], vec![1.0, 1.0]]),
             PointSet::from_values_1d(&[5.0, 2.0, 9.0, 1.0, 2.0]),
         ];
         for points in &cases {
-            let via_matrix = ChainDecomposition::compute_from_index(&DominanceIndex::build(points));
+            let via_table = ChainDecomposition::compute(points);
             let via_oracle = ChainDecomposition::compute_from_oracle(&RankOracle::build(points));
-            assert_eq!(via_matrix.chains(), via_oracle.chains());
-            assert_eq!(via_matrix.antichain(), via_oracle.antichain());
-            via_oracle.validate(points).unwrap();
+            let via_index = ChainDecomposition::compute_from_index(&RankTable::build(points));
+            for dec in [&via_oracle, &via_index] {
+                assert_eq!(dec.chains(), via_table.chains());
+                assert_eq!(dec.antichain(), via_table.antichain());
+            }
+            via_table.validate(points).unwrap();
+            assert_eq!(via_table.width(), crate::test_support::kuhn_width(points));
         }
     }
 
@@ -460,10 +443,12 @@ mod tests {
                 decompose_cached_and_on_demand(&oracle, &labels);
             assert_eq!(cached.chains(), on_demand.chains(), "{what}");
             assert_eq!(cached.antichain(), on_demand.antichain(), "{what}");
-            let via_matrix = ChainDecomposition::compute_from_index(&DominanceIndex::build(points));
-            assert_eq!(cached.chains(), via_matrix.chains(), "{what}");
-            assert_eq!(cached.antichain(), via_matrix.antichain(), "{what}");
             cached.validate(points).unwrap();
+            assert_eq!(
+                cached.width(),
+                crate::test_support::kuhn_width(points),
+                "{what}"
+            );
             assert_eq!(none_cached, 0, "{what}");
             let rounds = HopcroftKarpBitset
                 .solve_with_stats(&OracleGraph::new(&oracle))

@@ -13,10 +13,10 @@
 //! The "DAG" step is virtual: the split graph is read directly off
 //! `mc_geom::RankOracle` rows and matched with the word-parallel
 //! `HopcroftKarpBitset` engine, and the Mirsky height relaxes over the
-//! same rows, so neither builds a `Θ(n²/64)` dominator matrix. The
-//! matrix-fed path (`mc_geom::DominanceIndex`) stays as the tested
-//! reference, and [`ChainDecomposition::validate`] checks every
-//! decomposition's Dilworth certificate directly.
+//! same rows, so neither builds a `Θ(n²/64)` dominator matrix.
+//! [`ChainDecomposition::validate`] checks every decomposition's
+//! Dilworth certificate directly, and the tests check the width against
+//! Kuhn's matching over a pairwise dominance scan.
 //!
 //! # Example
 //!

@@ -36,6 +36,26 @@ pub fn figure1_like_points() -> PointSet {
     )
 }
 
+/// Kuhn's minimum path cover `n − |M|` of the Lemma-6 split graph of
+/// `points`, built by a pairwise dominance scan (equal points oriented by
+/// ascending index): the width every decomposition must have.
+#[cfg(test)]
+pub(crate) fn kuhn_width(points: &PointSet) -> usize {
+    use mc_geom::{bitmask_of, Dominance};
+    use mc_matching::{BitsetGraph, Kuhn};
+    let n = points.len();
+    let mut g = BitsetGraph::new(n);
+    for u in 0..n {
+        let succeeds = |v: usize| match points.compare(u, v) {
+            Dominance::DominatedBy => true,
+            Dominance::Equal => v > u,
+            _ => false,
+        };
+        g.push(bitmask_of(n, (0..n).filter(|&v| succeeds(v))).into_boxed_slice());
+    }
+    n - Kuhn.solve(&g).size()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

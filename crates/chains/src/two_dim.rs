@@ -178,8 +178,6 @@ impl TwoDimDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decomposition::ChainDecomposition;
-    use mc_geom::DominanceIndex;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -205,10 +203,9 @@ mod tests {
             let fast = TwoDimDecomposition::compute(&points);
             fast.validate(&points)
                 .unwrap_or_else(|e| panic!("trial {trial}: {e}\n{points:?}"));
-            let generic = ChainDecomposition::compute_from_index(&DominanceIndex::build(&points));
             assert_eq!(
                 fast.width(),
-                generic.width(),
+                crate::test_support::kuhn_width(&points),
                 "trial {trial}: width mismatch on {points:?}"
             );
         }

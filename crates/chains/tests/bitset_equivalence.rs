@@ -7,17 +7,17 @@
 //!   of the same *size* as the `O(V·E)` reference `Kuhn` over a pairwise
 //!   `compare` scan of the same points, and every matched pair is an
 //!   edge of that scan;
-//! * `ChainDecomposition::compute_from_index` passes `validate()` (the
-//!   chains partition the points and an antichain of the same size
-//!   certifies them) and has `n − |M|` chains, the minimum path cover;
+//! * `ChainDecomposition::compute` passes `validate()` (the chains
+//!   partition the points and an antichain of the same size certifies
+//!   them) and has `n − |M|` chains, the minimum path cover;
 //! * both hold on the paper's Figure-1 fixture;
 //! * the production decompositions (`compute`, `compute_from_oracle`),
-//!   which match in a linear-extension labelling, return exactly the
-//!   matrix reference's chains and antichain, and the relabelled
-//!   oracle's rows hold no bit below their diagonal word.
+//!   which match in a linear-extension labelling, return the same chains
+//!   and antichain, both certified, with Kuhn's `n − |M|` chains, and the
+//!   relabelled oracle's rows hold no bit below their diagonal word.
 
 use mc_chains::ChainDecomposition;
-use mc_geom::{linear_extension_order, Dominance, DominanceIndex, PointSet, RankOracle, RankTable};
+use mc_geom::{linear_extension_order, Dominance, PointSet, RankOracle, RankTable};
 use mc_matching::{BitsetGraph, HopcroftKarpBitset, Kuhn, OracleGraph};
 use mc_obs::CancelToken;
 use proptest::prelude::*;
@@ -70,8 +70,8 @@ fn pairwise_split_graph(points: &PointSet) -> BitsetGraph {
     g
 }
 
-/// The bitset engine against Kuhn, and the matrix path's decomposition
-/// against its own certificate and the path-cover count.
+/// The bitset engine against Kuhn, and the decomposition against its own
+/// certificate and the path-cover count.
 fn check_engines_agree(points: &PointSet) {
     let scan = pairwise_split_graph(points);
     let kuhn = Kuhn.solve(&scan);
@@ -89,7 +89,7 @@ fn check_engines_agree(points: &PointSet) {
     );
 
     // Decomposition level: a certified minimum path cover.
-    let dec = ChainDecomposition::compute_from_index(&DominanceIndex::build(points));
+    let dec = ChainDecomposition::compute(points);
     dec.validate(points).unwrap();
     assert_eq!(
         dec.width(),
@@ -98,21 +98,17 @@ fn check_engines_agree(points: &PointSet) {
     );
 }
 
-/// The production paths against the matrix reference in the same
-/// labelling, plus the diagonal property the engine's scans rely on.
+/// The production paths against each other and Kuhn's path-cover count
+/// over the pairwise scan, plus the diagonal property the engine's scans
+/// rely on.
 fn check_linear_extension_paths(points: &PointSet) {
-    let index = DominanceIndex::build(points);
-    let reference = ChainDecomposition::compute_from_index(&index);
     let production = ChainDecomposition::compute(points);
     let from_oracle = ChainDecomposition::compute_from_oracle(&RankOracle::build(points));
-    for (what, dec) in [
-        ("compute", &production),
-        ("compute_from_oracle", &from_oracle),
-    ] {
-        assert_eq!(dec.chains(), reference.chains(), "{what}: chains");
-        assert_eq!(dec.antichain(), reference.antichain(), "{what}: antichain");
-        dec.validate(points).unwrap();
-    }
+    assert_eq!(from_oracle.chains(), production.chains(), "chains");
+    assert_eq!(from_oracle.antichain(), production.antichain(), "antichain");
+    production.validate(points).unwrap();
+    let cover = points.len() - Kuhn.solve(&pairwise_split_graph(points)).size();
+    assert_eq!(production.width(), cover, "width is not n - |M|");
     let table = RankTable::build(points);
     let labels = linear_extension_order(points.len(), points.dim(), |k, i| table.column(k)[i]);
     let oracle = RankOracle::try_from_table_subset(&table, &labels, &CancelToken::never()).unwrap();
@@ -153,7 +149,7 @@ proptest! {
 
     /// n on both sides of 64 and 128, so rows span one to three words.
     #[test]
-    fn linear_extension_paths_equal_the_reference(
+    fn linear_extension_paths_agree_and_are_minimum(
         points in (3usize..=5).prop_flat_map(|dim| point_sets(40..170, dim))
     ) {
         check_linear_extension_paths(&points);
@@ -196,7 +192,5 @@ proptest! {
 fn engines_agree_on_figure1() {
     let points = mc_chains::test_support::figure1_like_points();
     check_engines_agree(&points);
-    let index = DominanceIndex::build(&points);
-    let dec = ChainDecomposition::compute_from_index(&index);
-    assert_eq!(dec.width(), 6);
+    assert_eq!(ChainDecomposition::compute(&points).width(), 6);
 }

@@ -54,9 +54,8 @@ pub(crate) fn ranked_minimum_chains(points: &PointSet) -> (Vec<Vec<usize>>, Opti
         2 => (TwoDimDecomposition::compute(points).chains().to_vec(), None),
         // The Lemma-6 matching runs matrix-free off one oracle that
         // gathers the table's columns in a linear extension: rows are
-        // cached when they fit the row budget, computed on demand above
-        // it, and bit-identical to the dominator matrix's rows either
-        // way.
+        // cached when they fit the row budget and computed on demand
+        // above it, identical either way.
         _ => {
             let table = RankTable::build(points);
             let dec =

@@ -13,7 +13,7 @@ use crate::passive::contending::ContendingPoints;
 use crate::passive::pipeline::{read_cut, ClassifierNetwork};
 use crate::passive::solver::PassiveSolution;
 use mc_flow::{Capacity, FlowNetwork};
-use mc_geom::{bitmask_of, iter_ones, DominanceIndex, Label, WeightedSet};
+use mc_geom::{Label, WeightedSet};
 use mc_obs::CancelToken;
 
 /// Optimal passive solve by enumerating all `2^n` label assignments and
@@ -79,35 +79,30 @@ pub fn solve_passive_brute_force(data: &WeightedSet) -> PassiveSolution {
 
 /// Optimal passive solve over the paper's literal Section-5.1 network:
 /// contending points from the independent pairwise scan
-/// ([`ContendingPoints::compute_generic_parallel`]), one infinite type-3
-/// edge per dominating `(zero, one)` pair read off a full
-/// [`DominanceIndex`], then Dinic and the same cut readout as
-/// [`crate::passive::PassiveSolver`]. `Θ(n²)` time, edges and matrix
-/// bits: the slow reference the production gadgets are tested and
-/// benchmarked against, not a production path.
+/// ([`ContendingPoints::compute_generic`]), one infinite type-3 edge per
+/// dominating `(zero, one)` pair found by a pairwise `dominates` test,
+/// then Dinic and the same cut readout as
+/// [`crate::passive::PassiveSolver`]. `Θ(n²)` time and edges: the slow
+/// reference the production gadgets are tested and benchmarked against,
+/// not a production path.
 pub fn solve_passive_dense(data: &WeightedSet) -> PassiveSolution {
     if data.is_empty() {
         return PassiveSolution::empty(data.dim());
     }
-    let con = ContendingPoints::compute_generic_parallel(data);
-    let network = (!con.is_empty())
-        .then(|| build_dense_network(data, &con, &DominanceIndex::build(data.points())));
+    let con = ContendingPoints::compute_generic(data);
+    let network = (!con.is_empty()).then(|| build_dense_network(data, &con));
     let cut = read_cut(con, network, data.len(), &CancelToken::never(), false)
         .expect("a never-token cannot cancel");
     PassiveSolution::from_cut(data, None, cut)
 }
 
 /// The Section-5.1 network over `con`: one infinite type-3 edge per
-/// dominating `(zero, one)` pair, enumerated as set bits of
-/// `row(q) AND zeros_mask` per contending label-1 point `q`. Each zero
-/// node's forward edges arrive in ascending one-index order and each one
-/// node's residual edges in ascending zero-index order.
-pub(crate) fn build_dense_network(
-    data: &WeightedSet,
-    con: &ContendingPoints,
-    index: &DominanceIndex,
-) -> ClassifierNetwork {
-    let n = data.len();
+/// contending `(zero, one)` pair with `zero ⪰ one`, tested pairwise per
+/// contending label-1 point. Each zero node's forward edges arrive in
+/// ascending one-index order and each one node's residual edges in
+/// ascending zero-index order.
+pub(crate) fn build_dense_network(data: &WeightedSet, con: &ContendingPoints) -> ClassifierNetwork {
+    let points = data.points();
     let source = 0;
     let sink = 1;
     let mut net = FlowNetwork::new(2 + con.len(), source, sink);
@@ -121,18 +116,9 @@ pub(crate) fn build_dense_network(
     for (oi, &q) in con.ones.iter().enumerate() {
         net.add_edge(one_nodes[oi], sink, data.weight(q));
     }
-    // Global index → position in `con.zeros` (which is ascending, so bit
-    // order and zero-index order coincide).
-    let mut zero_pos = vec![u32::MAX; n];
-    for (zi, &p) in con.zeros.iter().enumerate() {
-        zero_pos[p] = zi as u32;
-    }
-    let zeros_mask = bitmask_of(n, con.zeros.iter().copied());
-    let mut row = Vec::with_capacity(index.words());
     for (oi, &q) in con.ones.iter().enumerate() {
-        if index.dominators_and_into(q, &zeros_mask, &mut row) {
-            for p in iter_ones(&row) {
-                let zi = zero_pos[p] as usize;
+        for (zi, &p) in con.zeros.iter().enumerate() {
+            if points.dominates(p, q) {
                 net.add_edge(zero_nodes[zi], one_nodes[oi], Capacity::Infinite);
             }
         }

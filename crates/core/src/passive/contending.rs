@@ -91,37 +91,27 @@ impl ContendingPoints {
 
     /// The generic `O(d·n²)` pairwise scan (any dimension); the
     /// reference implementation the sweep and the oracle row-`AND` are
-    /// tested against.
+    /// tested against. A label-0 point contends iff it dominates a
+    /// label-1 point, and that label-1 point contends too, so one pass
+    /// over ordered pairs discovers both sides.
     pub fn compute_generic(data: &WeightedSet) -> Self {
-        let (zeros, ones_mask) = generic_scan(data, 0..data.len());
-        Self::assemble(zeros, ones_mask)
-    }
-
-    /// Parallel version of the generic scan: the outer loop over label-0
-    /// points shards across cores via
-    /// [`parallel_chunks`]; per-chunk hit masks for
-    /// the label-1 side are OR-merged at the end. Shares its kernel body
-    /// with [`ContendingPoints::compute_generic`].
-    pub fn compute_generic_parallel(data: &WeightedSet) -> Self {
         let n = data.len();
-        let chunks = parallel_chunks(n, |range| generic_scan(data, range));
+        let points = data.points();
         let mut zeros = Vec::new();
         let mut ones_mask = vec![false; n];
-        for (local_zeros, local_mask) in chunks {
-            zeros.extend(local_zeros);
-            for (q, hit) in local_mask.into_iter().enumerate() {
-                ones_mask[q] |= hit;
+        for p in (0..n).filter(|&p| data.label(p).is_zero()) {
+            let mut contends = false;
+            for (q, hit) in ones_mask.iter_mut().enumerate() {
+                if data.label(q).is_one() && points.dominates(p, q) {
+                    contends = true;
+                    *hit = true;
+                }
+            }
+            if contends {
+                zeros.push(p);
             }
         }
-        Self::assemble(zeros, ones_mask)
-    }
-
-    fn assemble(zeros: Vec<usize>, ones_mask: Vec<bool>) -> Self {
-        let ones = ones_mask
-            .iter()
-            .enumerate()
-            .filter_map(|(q, &hit)| hit.then_some(q))
-            .collect();
+        let ones = (0..n).filter(|&q| ones_mask[q]).collect();
         Self { zeros, ones }
     }
 
@@ -134,34 +124,6 @@ impl ContendingPoints {
     pub fn is_empty(&self) -> bool {
         self.zeros.is_empty() && self.ones.is_empty()
     }
-}
-
-/// Shared kernel of the generic scan: examines label-0 points in
-/// `range`, returning the contenders found plus a full-width hit mask
-/// for the label-1 side. A label-0 point contends iff it dominates a
-/// label-1 point; that label-1 point contends too, so one pass over
-/// ordered pairs discovers both sides.
-fn generic_scan(data: &WeightedSet, range: Range<usize>) -> (Vec<usize>, Vec<bool>) {
-    let n = data.len();
-    let points = data.points();
-    let mut zeros = Vec::new();
-    let mut ones_mask = vec![false; n];
-    for p in range {
-        if data.label(p).is_one() {
-            continue;
-        }
-        let mut contends = false;
-        for (q, mask_slot) in ones_mask.iter_mut().enumerate() {
-            if p != q && data.label(q).is_one() && points.dominates(p, q) {
-                contends = true;
-                *mask_slot = true;
-            }
-        }
-        if contends {
-            zeros.push(p);
-        }
-    }
-    (zeros, ones_mask)
 }
 
 #[cfg(test)]
@@ -263,18 +225,6 @@ mod tests {
             ws.push(&coords, Label::from_bool(rng.gen_bool(0.5)), 1.0);
         }
         ws
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        for &n in &[0usize, 50, 5000] {
-            let ws = random_wset(n, 3, 0xC0);
-            assert_eq!(
-                ContendingPoints::compute_generic(&ws),
-                ContendingPoints::compute_generic_parallel(&ws),
-                "n = {n}"
-            );
-        }
     }
 
     #[test]

@@ -740,14 +740,13 @@ pub(crate) struct LadderOutcome {
 ///
 /// No `Θ(n²/64)` structure exists anywhere in this path: the Lemma-6
 /// matching runs over a [`RankOracle`] gathered from the table's
-/// label-1 rows (`O(d·|P₁|)` resident, rows computed on demand and
-/// bit-identical to the dominator matrix's), and the zero sweep streams
-/// the rank columns and labels through one block screen, then runs one
-/// [`HeadQuery`] per zero it lets through plus binary searches on the
-/// chains that zero hits. The sweep fans out over point ranges with
-/// `parallel_chunks`; chunk results concatenate in range order, so the
-/// contending sets, the network, and hence the min cut are identical to
-/// the sequential pipeline.
+/// label-1 rows (`O(d·|P₁|)` resident, rows computed on demand), and
+/// the zero sweep streams the rank columns and labels through one block
+/// screen, then runs one [`HeadQuery`] per zero it lets through plus
+/// binary searches on the chains that zero hits. The sweep fans out
+/// over point ranges with `parallel_chunks`; chunk results concatenate
+/// in range order, so the contending sets, the network, and hence the
+/// min cut are identical to the sequential pipeline.
 ///
 /// `cover`, when given, is a cover of the label-1 points by ascending
 /// chains (point ids, each label-1 point in exactly one chain). The
@@ -857,8 +856,8 @@ fn discover_with(
             // Lemma 6 on the label-1 points, matrix-free: gathering
             // rank columns preserves per-dimension order (and
             // equality), so the oracle's on-demand rows — and with
-            // them the matching, chains, and width — are
-            // bit-identical to a dominator matrix over the subset.
+            // them the matching, chains, and width — equal those of
+            // the subset's own points.
             // The gather visits `ones` in a linear extension (label
             // `l` is position `order[l]` of `ones`), so the one
             // oracle is already in the matching's labelling and the
@@ -966,7 +965,7 @@ mod tests {
     use super::*;
     use crate::passive::brute::build_dense_network;
     use mc_flow::{Dinic, EdmondsKarp, FlowSolution, MaxFlowAlgorithm};
-    use mc_geom::{DominanceIndex, Label, WeightedSet};
+    use mc_geom::{Label, WeightedSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1571,13 +1570,21 @@ mod tests {
             "ladder edges {} exceed O(w·n) bound {bound} (w = {w})",
             ladder.net.num_edges()
         );
-        let index = DominanceIndex::build(ws.points());
-        let dense = build_dense_network(&ws, con, &index);
+        // The dense network: the source and sink edges plus one edge per
+        // dominating contending (zero, one) pair, counted pairwise.
+        let pairs: usize = con
+            .zeros
+            .iter()
+            .map(|&p| {
+                let dominated = |q: &&usize| ws.points().dominates(p, **q);
+                con.ones.iter().filter(dominated).count()
+            })
+            .sum();
+        let dense = con.len() + pairs;
         assert!(
-            ladder.net.num_edges() <= dense.net.num_edges() + 2 * con.ones.len(),
-            "ladder ({}) must never exceed dense ({}) by more than the rungs",
-            ladder.net.num_edges(),
-            dense.net.num_edges()
+            ladder.net.num_edges() <= dense + 2 * con.ones.len(),
+            "ladder ({}) must never exceed dense ({dense}) by more than the rungs",
+            ladder.net.num_edges()
         );
     }
 
@@ -1588,7 +1595,6 @@ mod tests {
             for trial in 0..40 {
                 let n = rng.gen_range(1..50);
                 let ws = random_weighted(n, dim, 4.0, &mut rng);
-                let index = DominanceIndex::build(ws.points());
                 let reference = ContendingPoints::compute_generic(&ws);
                 let (con, network) = ladder_of(&ws);
                 assert_eq!(
@@ -1599,7 +1605,7 @@ mod tests {
                 match network {
                     None => assert!(reference.is_empty()),
                     Some(ladder) => {
-                        let dense = build_dense_network(&ws, &reference, &index);
+                        let dense = build_dense_network(&ws, &reference);
                         let dv = Dinic.solve(&dense.net).value();
                         let lv = Dinic.solve(&ladder.net).value();
                         assert!(

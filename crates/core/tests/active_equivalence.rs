@@ -1,7 +1,8 @@
-//! Differential test: the matrix-free active solve equals the pipeline
-//! it replaced, rebuilt here from public parts — one `DominanceIndex`
-//! over P, the Lemma-6 decomposition off its rows, and the per-chain
-//! sampling — and its Σ solve matches the paper-literal dense reference.
+//! Differential test: the active solve equals its pipeline rebuilt here
+//! from public parts — a certified Lemma-6 decomposition of P
+//! (`validate()`, and Kuhn's `n − |M|` over a pairwise dominance scan)
+//! and the per-chain sampling — and its Σ solve matches the
+//! paper-literal dense reference.
 //!
 //! Compared per input: probes, width, and Σ (points, labels, weights)
 //! bit for bit. Σ's weighted error must match the dense reference's
@@ -13,7 +14,8 @@
 use mc_chains::ChainDecomposition;
 use mc_core::passive::solve_passive_dense;
 use mc_core::{find_monotonicity_violation, ActiveParams, ActiveSolver, InMemoryOracle};
-use mc_geom::{DominanceIndex, Label, LabeledSet};
+use mc_geom::{bitmask_of, Dominance, Label, LabeledSet, PointSet};
+use mc_matching::{BitsetGraph, Kuhn};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,15 +23,41 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Largest input whose width is also checked against Kuhn: its
+/// adjacency lists hold every dominating pair, `Θ(n²)` words. Above it
+/// the antichain certificate that `validate()` checks proves the width
+/// minimum on its own.
+const KUHN_MAX_N: usize = 1_500;
+
+/// Kuhn's minimum path cover `n − |M|` over the Lemma-6 split graph of
+/// `points`, built by a pairwise scan (equal points oriented by index).
+fn kuhn_width(points: &PointSet) -> usize {
+    let n = points.len();
+    let mut g = BitsetGraph::new(n);
+    for u in 0..n {
+        let succeeds = |v: usize| match points.compare(u, v) {
+            Dominance::DominatedBy => true,
+            Dominance::Equal => v > u,
+            _ => false,
+        };
+        g.push(bitmask_of(n, (0..n).filter(|&v| succeeds(v))).into_boxed_slice());
+    }
+    n - Kuhn.solve(&g).size()
+}
+
 /// Runs both pipelines with the same parameters and asserts identical
 /// output; returns the probes used.
-fn assert_same_as_index_pipeline(data: &LabeledSet, params: ActiveParams, what: &str) -> usize {
+fn assert_same_as_staged_pipeline(data: &LabeledSet, params: ActiveParams, what: &str) -> usize {
     let solver = ActiveSolver::new(params);
     let mut oracle = InMemoryOracle::from_labeled(data);
     let new = solver.solve(data.points(), &mut oracle);
 
-    let index = DominanceIndex::build(data.points());
-    let dec = ChainDecomposition::compute_from_index(&index);
+    let dec = ChainDecomposition::compute(data.points());
+    dec.validate(data.points())
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    if data.len() <= KUHN_MAX_N {
+        assert_eq!(dec.width(), kuhn_width(data.points()), "{what}: Kuhn width");
+    }
     let mut oracle = InMemoryOracle::from_labeled(data);
     let (sigma, probes) =
         solver.collect_sigma_with_chains(data.points(), dec.chains(), &mut oracle);
@@ -114,7 +142,7 @@ fn random_sets_with_duplicates_and_signed_zeros() {
             let label = planted_label(&mut rng, &coords, cut, noise);
             data.push(&coords, label);
         }
-        assert_same_as_index_pipeline(
+        assert_same_as_staged_pipeline(
             &data,
             ActiveParams::new(0.5).with_seed(case),
             &format!("random case {case} (d {dim}, n {n})"),
@@ -167,7 +195,7 @@ fn mutually_incomparable_chains() {
     .enumerate()
     {
         let data = incomparable_chains(&mut rng, dim, width, len);
-        assert_same_as_index_pipeline(
+        assert_same_as_staged_pipeline(
             &data,
             ActiveParams::new(0.5).with_seed(100 + case as u64),
             &format!("chains case {case} (d {dim}, width {width}, len {len})"),
@@ -183,7 +211,7 @@ fn mutually_incomparable_chains() {
 fn sampled_long_chains() {
     let mut rng = StdRng::seed_from_u64(0x5A3);
     let data = incomparable_chains(&mut rng, 3, 2, 4000);
-    let probes = assert_same_as_index_pipeline(
+    let probes = assert_same_as_staged_pipeline(
         &data,
         ActiveParams::new(1.0).with_seed(7).with_delta(0.5),
         "sampled chains (d 3, width 2, len 4000)",

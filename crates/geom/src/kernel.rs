@@ -4,8 +4,6 @@
 //! rank column and a threshold into a bitset of the points at or above
 //! it. Its consumers:
 //!
-//! * the explicit `d ≥ 3` matrix fill of [`crate::DominanceIndex`]
-//!   (only when a caller still asks for the full matrix),
 //! * the chain-head query of the passive chain-ladder sweep, and
 //! * the rows of [`crate::RankOracle`] (dominator rows, and the suffix
 //!   rows the serving `AnchorIndex` and canonical anchor pruning ask
@@ -64,23 +62,6 @@ fn ge_word_partial(chunk: &[u32], threshold: u32) -> u64 {
         ge |= ((r >= threshold) as u64) << b;
     }
     ge
-}
-
-/// Packs `col[j] >= threshold` into bit `j` of `out` (one fresh mask,
-/// no narrowing). `out.len()` must be `col.len().div_ceil(64)`; padding
-/// bits of the final word are left zero.
-pub fn ge_mask_into(col: &[u32], threshold: u32, out: &mut [u64]) {
-    debug_assert_eq!(out.len(), col.len().div_ceil(64));
-    let full_words = col.len() / 64;
-    let (full, tail) = col.split_at(full_words * 64);
-    let mut chunks = full.chunks_exact(64);
-    for (w, chunk) in chunks.by_ref().enumerate() {
-        let chunk: &[u32; 64] = chunk.try_into().expect("exact 64-rank chunk");
-        out[w] = ge_word_full(chunk, threshold);
-    }
-    if !tail.is_empty() {
-        out[full_words] = ge_word_partial(tail, threshold);
-    }
 }
 
 /// Narrows the bitset `row` over `col.len()` points to those with
@@ -212,9 +193,6 @@ mod tests {
             ones_mask_into(n, &mut blocked);
             assert_eq!(and_ge_mask(col, t, &mut blocked), ref_any, "n {n} t {t}");
             assert_eq!(blocked, reference, "and_ge_mask, n {n} t {t}");
-            let mut fresh = vec![!0u64; words];
-            ge_mask_into(col, t, &mut fresh);
-            assert_eq!(fresh, reference, "ge_mask_into, n {n} t {t}");
         };
         for n in [1usize, 63, 64, 65, 256, 300, 513] {
             let col: Vec<u32> = (0..n)
@@ -242,19 +220,6 @@ mod tests {
                 check(&col, t);
             }
         }
-    }
-
-    #[test]
-    fn ge_mask_into_matches_naive_bits() {
-        let col: Vec<u32> = (0..130).map(|i| (i % 7) as u32).collect();
-        let mut out = vec![0u64; 3];
-        ge_mask_into(&col, 3, &mut out);
-        for (j, &r) in col.iter().enumerate() {
-            let bit = out[j / 64] >> (j % 64) & 1 == 1;
-            assert_eq!(bit, r >= 3, "bit {j}");
-        }
-        // Padding bits beyond n stay clear.
-        assert_eq!(out[2] >> (130 - 128), 0);
     }
 
     #[test]

@@ -30,23 +30,18 @@ pub mod parallel;
 pub mod point;
 mod radix;
 pub mod rank;
-pub mod transform;
 
 pub use dataset::{LabeledSet, PointSet, WeightedSet};
 pub use dominance::{dominates, incomparable, strictly_dominates, Dominance};
 pub use error::GeomError;
-pub use index::{
-    bitmask_of, count_dominating_pairs, iter_ones, matrix_bytes, row_budget_bytes, DominanceIndex,
-    RankTable,
-};
+pub use index::{bitmask_of, iter_ones, matrix_bytes, row_budget_bytes, DominanceIndex, RankTable};
 pub use label::Label;
 pub use oracle::{linear_extension_order, RankOracle};
-pub use parallel::{max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold};
+pub use parallel::{max_threads, parallel_chunks, parallel_threshold};
 pub use point::Point;
 pub use rank::{
     compress_column_ranks, compress_column_ranks_with_values, rank_key, rank_keys_into,
 };
-pub use transform::{transform_pointset, AxisTransform};
 
 #[cfg(test)]
 mod tests {

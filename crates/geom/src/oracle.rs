@@ -1,10 +1,9 @@
 //! Matrix-free dominator-row oracle over rank columns.
 //!
-//! [`RankOracle`] answers the same row queries as the bitset matrix of
-//! [`DominanceIndex`](crate::DominanceIndex) — "which points dominate
-//! `p_i`?", as a `⌈n/64⌉`-word bitset — but assembles each row on demand
-//! instead of materializing the `Θ(n²/64)` matrix. That matrix is the
-//! workspace's last memory wall: at `n = 10⁶` it would occupy ~125 GB.
+//! [`RankOracle`] is the workspace's one dominance substrate. It answers
+//! "which points dominate `p_i`?" as a `⌈n/64⌉`-word bitset, assembling
+//! each row on demand instead of materializing a `Θ(n²/64)` dominator
+//! matrix, which at `n = 10⁶` would occupy ~125 GB.
 //!
 //! Rows come from **per-dimension suffix bitsets**. For every dimension
 //! `k` the oracle keeps the points in ascending rank order and, at every
@@ -33,11 +32,10 @@
 //! `d` compare passes. Besides the table the oracle holds `12·d·n`
 //! bytes: ranks, sorted orders and tie-group starts.
 //!
-//! Rows are bit-identical to [`DominanceIndex::dominator_row_words`](crate::DominanceIndex::dominator_row_words)
-//! over the same points (same rank compression, same `-0.0 == 0.0`
-//! canonicalization, same duplicate-group tie-breaks), which is what
-//! lets the bitset Hopcroft–Karp engine and the König certificate run
-//! matrix-free with unchanged results.
+//! Its reference is the pairwise scan: bit `j` of row `i` is set iff
+//! [`PointSet::dominates`]`(j, i)`, with `-0.0 == 0.0`, and the strict
+//! rows orient equal points by ascending index. The tests diff every
+//! row, strict row and duplicate group against that scan.
 
 use crate::dataset::PointSet;
 use crate::index::{duplicate_groups, row_budget_bytes, RankTable};
@@ -82,7 +80,7 @@ pub struct RankOracle {
     /// words` hold `S_k[c]`.
     suffix: Vec<u64>,
     /// Canonical duplicate-group id per point (equal rank tuples ⇔
-    /// equal group), with member lists exactly as in `DominanceIndex`.
+    /// equal group), with each group's members listed ascending.
     dup_group: Vec<u32>,
     dup_members: Vec<u32>,
     dup_offsets: Vec<u32>,
@@ -338,8 +336,7 @@ impl RankOracle {
     }
 
     /// Members of `i`'s duplicate group, sorted ascending and always
-    /// containing `i` itself — same contract as
-    /// [`crate::DominanceIndex::dup_group_members`].
+    /// containing `i` itself.
     #[inline]
     pub fn dup_group_members(&self, i: usize) -> &[u32] {
         let g = self.dup_group[i] as usize;
@@ -347,10 +344,8 @@ impl RankOracle {
     }
 
     /// Computes `i`'s *reflexive dominator row* into `out`: bit `j` is
-    /// set iff `p_j ⪰ p_i` (so bit `i` is always set). Bit-identical to
-    /// [`crate::DominanceIndex::dominator_row_words`] over the same
-    /// points. This is [`Self::suffix_row_into`] at the positions
-    /// `pos_k(i)`.
+    /// set iff `p_j ⪰ p_i` (so bit `i` is always set). This is
+    /// [`Self::suffix_row_into`] at the positions `pos_k(i)`.
     ///
     /// # Panics
     ///
@@ -575,7 +570,7 @@ fn gather_columns<'c>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::DominanceIndex;
+    use crate::{bitmask_of, Dominance};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -590,26 +585,46 @@ mod tests {
         }
     }
 
+    /// The pairwise reference for point `i`: its dominator row (bit `j`
+    /// iff `points.dominates(j, i)`), its strict-successor row (the
+    /// dominators other than `i`, equal points kept only above `i`) and
+    /// its duplicate group.
+    fn pairwise_rows(points: &PointSet, i: usize) -> (Vec<u64>, Vec<u64>, Vec<u32>) {
+        let n = points.len();
+        let above = |j: usize| points.dominates(j, i);
+        let dominators = bitmask_of(n, (0..n).filter(|&j| above(j)));
+        let strict = bitmask_of(
+            n,
+            (0..n).filter(|&j| above(j) && (j > i || !points.dominates(i, j))),
+        );
+        let group = (0..n as u32)
+            .filter(|&j| points.compare(i, j as usize) == Dominance::Equal)
+            .collect();
+        (dominators, strict, group)
+    }
+
     #[test]
-    fn rows_match_dominance_index_bit_for_bit() {
+    fn rows_match_the_pairwise_scan_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x0AC1E);
         for dim in [1usize, 2, 3, 4] {
             for _ in 0..6 {
                 let n = rng.gen_range(0..120);
                 let points = random_points(n, dim, 4.0, &mut rng);
-                let index = DominanceIndex::build(&points);
                 let oracle = RankOracle::build(&points);
                 assert_eq!((oracle.len(), oracle.dim()), (n, dim));
                 let mut row = vec![0u64; oracle.words()];
                 let mut strict = vec![0u64; oracle.words()];
-                let mut strict_ref = vec![0u64; oracle.words()];
                 for i in 0..n {
+                    let (want, want_strict, group) = pairwise_rows(&points, i);
                     oracle.dominator_row_into(i, &mut row);
-                    assert_eq!(row, index.dominator_row_words(i), "dim {dim} n {n} i {i}");
+                    assert_eq!(row, want, "dim {dim} n {n} i {i}");
                     oracle.strict_successor_row_into(i, &mut strict);
-                    index.strict_successor_row_into(i, &mut strict_ref);
-                    assert_eq!(strict, strict_ref, "strict, dim {dim} n {n} i {i}");
-                    assert_eq!(oracle.dup_group_members(i), index.dup_group_members(i));
+                    assert_eq!(strict, want_strict, "strict, dim {dim} n {n} i {i}");
+                    assert_eq!(oracle.dup_group_members(i), &group[..]);
+                    for j in 0..n {
+                        assert_eq!(oracle.dominates(i, j), points.dominates(i, j));
+                        assert_eq!(oracle.equal_points(i, j), group.contains(&(j as u32)));
+                    }
                 }
             }
         }
@@ -670,7 +685,7 @@ mod tests {
     }
 
     #[test]
-    fn signed_zeros_canonicalize_like_the_index() {
+    fn signed_zeros_canonicalize() {
         let points = PointSet::from_rows(2, &[vec![-0.0, 0.0], vec![0.0, -0.0], vec![1.0, -0.0]]);
         let oracle = RankOracle::build(&points);
         assert!(oracle.equal_points(0, 1));
@@ -680,32 +695,26 @@ mod tests {
         assert_eq!(row, vec![0b111]);
     }
 
-    /// Every dominator and strict row of `ranks` (column-major over `n`
-    /// points) at checkpoint strides 64, 128 and one covering all `n`
-    /// points must equal `index`'s rows bit for bit.
-    fn assert_rows_match_at_every_stride(
-        n: usize,
-        dim: usize,
-        ranks: &[u32],
-        index: &DominanceIndex,
-        what: &str,
-    ) {
+    /// Every dominator and strict row of `ranks` (column-major over the
+    /// `n` points of `points`) at checkpoint strides 64, 128 and one
+    /// covering all `n` points must equal the pairwise scan of `points`
+    /// bit for bit.
+    fn assert_rows_match_at_every_stride(points: &PointSet, ranks: &[u32], what: &str) {
+        let (n, dim) = (points.len(), points.dim());
+        let want: Vec<_> = (0..n).map(|i| pairwise_rows(points, i)).collect();
         let never = CancelToken::never();
         for stride in [64, 128, n.next_power_of_two().max(MIN_STRIDE)] {
             let oracle = RankOracle::with_stride(n, dim, ranks.to_vec(), stride, &never).unwrap();
             let mut row = vec![0u64; oracle.words()];
-            let mut strict_ref = vec![0u64; oracle.words()];
-            for i in 0..n {
+            for (i, (dominators, strict, _)) in want.iter().enumerate() {
                 oracle.dominator_row_into(i, &mut row);
                 assert_eq!(
-                    row,
-                    index.dominator_row_words(i),
+                    &row, dominators,
                     "{what}: dim {dim} n {n} stride {stride} i {i}"
                 );
                 oracle.strict_successor_row_into(i, &mut row);
-                index.strict_successor_row_into(i, &mut strict_ref);
                 assert_eq!(
-                    row, strict_ref,
+                    &row, strict,
                     "{what}, strict: dim {dim} n {n} stride {stride} i {i}"
                 );
             }
@@ -717,14 +726,13 @@ mod tests {
     }
 
     #[test]
-    fn rows_match_dominance_index_at_every_stride() {
+    fn rows_match_the_pairwise_scan_at_every_stride() {
         let mut rng = StdRng::seed_from_u64(0x5714DE);
         // No n is a multiple of 64 (so none of 128 either).
         for dim in 1..=6usize {
             for n in [1usize, 37, 65, 130, 201, 299] {
                 let points = random_points(n, dim, 5.0, &mut rng);
-                let index = DominanceIndex::build(&points);
-                assert_rows_match_at_every_stride(n, dim, &dense_ranks(&points), &index, "random");
+                assert_rows_match_at_every_stride(&points, &dense_ranks(&points), "random");
             }
         }
 
@@ -735,14 +743,12 @@ mod tests {
             .map(|i| vec![(i % 3) as f64, ((i * 7) % 5) as f64])
             .collect();
         let points = PointSet::from_rows(2, &rows);
-        let index = DominanceIndex::build(&points);
-        assert_rows_match_at_every_stride(150, 2, &dense_ranks(&points), &index, "straddling ties");
+        assert_rows_match_at_every_stride(&points, &dense_ranks(&points), "straddling ties");
 
         // All duplicates: every tie group starts at position 0.
         let dup_rows: Vec<Vec<f64>> = (0..150).map(|_| vec![3.0, -1.0, 2.0]).collect();
         let points = PointSet::from_rows(3, &dup_rows);
-        let index = DominanceIndex::build(&points);
-        assert_rows_match_at_every_stride(150, 3, &dense_ranks(&points), &index, "duplicates");
+        assert_rows_match_at_every_stride(&points, &dense_ranks(&points), "duplicates");
 
         // Sparse ranks gathered off a parent table.
         for dim in [1usize, 3, 6] {
@@ -751,14 +757,7 @@ mod tests {
             let picks: Vec<usize> = (0..400).filter(|_| rng.gen_bool(0.5)).collect();
             let gathered =
                 RankOracle::try_from_table_subset(&table, &picks, &CancelToken::never()).unwrap();
-            let index = DominanceIndex::build(&points.subset(&picks));
-            assert_rows_match_at_every_stride(
-                picks.len(),
-                dim,
-                &gathered.ranks,
-                &index,
-                "gathered",
-            );
+            assert_rows_match_at_every_stride(&points.subset(&picks), &gathered.ranks, "gathered");
         }
     }
 

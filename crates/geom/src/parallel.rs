@@ -1,7 +1,7 @@
 //! Shared chunked-parallelism helper for the quadratic kernels.
 //!
-//! Several hot paths in the workspace (dominance-index construction, the
-//! dominance-DAG scan, contending-point discovery) are embarrassingly
+//! Several hot paths in the workspace (contending-point discovery, the
+//! ladder's zero sweep, the Hopcroft–Karp BFS layers) are embarrassingly
 //! parallel over a range of row indices. They previously each carried
 //! their own copy of the same `std::thread::scope` boilerplate, with
 //! hard-coded `n < 2_000` / `n < 4_000` sequential cutoffs. This module
@@ -151,65 +151,6 @@ where
     results
 }
 
-/// Like [`parallel_chunks`], but for kernels that fill a preallocated
-/// output of `stride` elements per row: `out` must hold exactly
-/// `n * stride` elements for some row count `n`, and `kernel` receives
-/// each row range together with the output slice for exactly those rows.
-///
-/// # Panics
-///
-/// Panics if `out.len()` is not a multiple of `stride` (`stride == 0`
-/// requires `out` to be empty).
-pub fn parallel_chunks_mut<U, F>(out: &mut [U], stride: usize, kernel: F)
-where
-    U: Send,
-    F: Fn(Range<usize>, &mut [U]) + Sync,
-{
-    if stride == 0 {
-        assert!(out.is_empty(), "stride 0 with a non-empty output");
-        kernel(0..0, out);
-        return;
-    }
-    assert_eq!(out.len() % stride, 0, "output length must be n * stride");
-    let n = out.len() / stride;
-    let threads = max_threads();
-    if n < parallel_threshold() || threads <= 1 {
-        mc_obs::counter_add("parallel.sequential", 1);
-        kernel(0..n, out);
-        return;
-    }
-    let obs_on = mc_obs::enabled();
-    let chunk_ns: Vec<AtomicU64> = if obs_on {
-        (0..threads).map(|_| AtomicU64::new(0)).collect()
-    } else {
-        Vec::new()
-    };
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut lo = 0usize;
-        for t in 0..threads {
-            let hi = (lo + chunk).min(n);
-            let (mine, tail) = rest.split_at_mut((hi - lo) * stride);
-            rest = tail;
-            let kernel = &kernel;
-            let chunk_ns = &chunk_ns;
-            let range = lo..hi;
-            scope.spawn(move || {
-                let start = obs_on.then(Instant::now);
-                kernel(range, mine);
-                if let Some(start) = start {
-                    chunk_ns[t].store(start.elapsed().as_nanos() as u64, Relaxed);
-                }
-            });
-            lo = hi;
-        }
-    });
-    if obs_on {
-        note_dispatch(&chunk_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,32 +212,6 @@ mod tests {
         let parts = parallel_chunks(10_000, |r| r.collect::<Vec<usize>>());
         let flat: Vec<usize> = parts.into_iter().flatten().collect();
         assert_eq!(flat, (0..10_000).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn chunks_mut_fills_every_row() {
-        for n in [0usize, 5, 4_097] {
-            let stride = 3;
-            let mut out = vec![0usize; n * stride];
-            parallel_chunks_mut(&mut out, stride, |rows, slice| {
-                for (local, row) in rows.enumerate() {
-                    for s in 0..stride {
-                        slice[local * stride + s] = row * 10 + s;
-                    }
-                }
-            });
-            for row in 0..n {
-                for s in 0..stride {
-                    assert_eq!(out[row * stride + s], row * 10 + s);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn zero_stride_requires_empty_output() {
-        let mut out: [u8; 0] = [];
-        parallel_chunks_mut(&mut out, 0, |_, _| {});
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Stable ordering by integer keys without comparison sorts.
 //!
 //! [`radix_sort_by_key`] is the one ordering pass behind the
-//! [`crate::RankOracle`] build: its per-dimension sorted orders, the
-//! duplicate groups it shares with [`crate::DominanceIndex`], and the
-//! linear extension ([`crate::linear_extension_order`]). Keys may be
+//! [`crate::RankOracle`] build: its per-dimension sorted orders, its
+//! duplicate groups, and the linear extension ([`crate::linear_extension_order`]). Keys may be
 //! dense (ranks below `n`), sparse (a gathered subset keeps its parent
 //! table's ranks) or wider than `u32` (rank sums); one code path serves
 //! all of them, because the digits cover only the bits in which the keys

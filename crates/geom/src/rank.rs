@@ -1,6 +1,5 @@
 //! Dense per-dimension rank compression: the one kernel behind
-//! [`crate::RankTable`], [`crate::RankOracle`], [`crate::DominanceIndex`]
-//! and the columnar loader.
+//! [`crate::RankTable`], [`crate::RankOracle`] and the columnar loader.
 //!
 //! Each coordinate `v` becomes an order-preserving `u64` key of
 //! `canon(v)` ([`rank_key`]: `-0.0` folded into `0.0`, so IEEE `>=` and

@@ -1,12 +1,10 @@
-//! Property tests for the rank-compressed dominance index: on random
+//! Property tests for the rank-compressed dominance substrate: on random
 //! point sets — with duplicates, per-dimension ties, signed zeros, and
-//! infinities — every query the index answers must agree with the naive
-//! coordinate-wise comparison it replaces.
+//! infinities — every row, strict row, duplicate group and comparison
+//! that `RankOracle` and `RankTable` answer must agree with the pairwise
+//! coordinate-wise scan (`PointSet::compare`/`dominates`).
 
-use mc_geom::{
-    compress_column_ranks, count_dominating_pairs, Dominance, DominanceIndex, PointSet, RankOracle,
-    RankTable,
-};
+use mc_geom::{bitmask_of, compress_column_ranks, Dominance, PointSet, RankOracle, RankTable};
 use mc_obs::cancel::CancelToken;
 use proptest::prelude::*;
 
@@ -37,162 +35,105 @@ fn point_sets(max_n: usize, dim: usize) -> impl Strategy<Value = PointSet> {
     )
 }
 
-fn naive_pair_count(points: &PointSet) -> u64 {
-    let n = points.len();
-    let mut count = 0;
-    for i in 0..n {
-        for j in 0..n {
-            if i != j && points.dominates(i, j) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `compare`/`dominates`/`equal_points` answered from ranks and bitset
-    /// rows must match the coordinate-wise comparisons, in every dimension
-    /// the build dispatches differently on (1, 2, generic).
+    /// Rows, strict rows, duplicate groups and `dominates`/`equal_points`
+    /// answered from ranks and suffix bitsets must match the pairwise
+    /// coordinate-wise scan, in every dimension up to 5.
     #[test]
-    fn index_agrees_with_naive_compare_d1(points in point_sets(24, 1)) {
-        check_against_naive(&points);
+    fn oracle_agrees_with_pairwise_scan_d1(points in point_sets(24, 1)) {
+        check_against_pairwise(&points);
     }
 
     #[test]
-    fn index_agrees_with_naive_compare_d2(points in point_sets(24, 2)) {
-        check_against_naive(&points);
+    fn oracle_agrees_with_pairwise_scan_d2(points in point_sets(24, 2)) {
+        check_against_pairwise(&points);
     }
 
     #[test]
-    fn index_agrees_with_naive_compare_d3(points in point_sets(20, 3)) {
-        check_against_naive(&points);
+    fn oracle_agrees_with_pairwise_scan_d3(points in point_sets(20, 3)) {
+        check_against_pairwise(&points);
     }
 
     #[test]
-    fn index_agrees_with_naive_compare_d5(points in point_sets(16, 5)) {
-        check_against_naive(&points);
-    }
-
-    /// Restricting the index must be indistinguishable from rebuilding it
-    /// on the restricted point set.
-    #[test]
-    fn subset_equals_rebuild(points in point_sets(24, 3), keep_mask in prop::collection::vec(prop::bool::ANY, 24)) {
-        let keep: Vec<usize> = (0..points.len()).filter(|&i| keep_mask.get(i).copied().unwrap_or(false)).collect();
-        let sub_points = {
-            let mut ps = PointSet::new(points.dim());
-            for &i in &keep {
-                ps.push(points.point(i));
-            }
-            ps
-        };
-        let restricted = DominanceIndex::build(&points).subset(&keep);
-        let rebuilt = DominanceIndex::build(&sub_points);
-        prop_assert_eq!(restricted.len(), rebuilt.len());
-        for a in 0..keep.len() {
-            for b in 0..keep.len() {
-                prop_assert_eq!(restricted.compare(a, b), rebuilt.compare(a, b));
-                prop_assert_eq!(restricted.equal_points(a, b), rebuilt.equal_points(a, b));
-            }
-        }
-    }
-
-    /// The Fenwick sweep (d ≤ 2) and the bitset popcount must both equal
-    /// the naive ordered-pair count.
-    #[test]
-    fn pair_counts_agree_d1(points in point_sets(32, 1)) {
-        prop_assert_eq!(count_dominating_pairs(&points), naive_pair_count(&points));
+    fn oracle_agrees_with_pairwise_scan_d4(points in point_sets(16, 4)) {
+        check_against_pairwise(&points);
     }
 
     #[test]
-    fn pair_counts_agree_d2(points in point_sets(32, 2)) {
-        prop_assert_eq!(count_dominating_pairs(&points), naive_pair_count(&points));
-    }
-
-    #[test]
-    fn pair_counts_agree_d4(points in point_sets(24, 4)) {
-        prop_assert_eq!(count_dominating_pairs(&points), naive_pair_count(&points));
-    }
-
-    /// The matrix-free oracle must answer every dominator-row query
-    /// bit-identically to the materialized bitset matrix, across the
-    /// dimensionalities the passive pipeline actually runs (1..=4) and
-    /// under the same duplicate/signed-zero/infinity stress.
-    #[test]
-    fn oracle_rows_match_matrix_d1(points in point_sets(24, 1)) {
-        check_oracle_rows(&points);
-    }
-
-    #[test]
-    fn oracle_rows_match_matrix_d2(points in point_sets(24, 2)) {
-        check_oracle_rows(&points);
-    }
-
-    #[test]
-    fn oracle_rows_match_matrix_d3(points in point_sets(20, 3)) {
-        check_oracle_rows(&points);
-    }
-
-    #[test]
-    fn oracle_rows_match_matrix_d4(points in point_sets(16, 4)) {
-        check_oracle_rows(&points);
+    fn oracle_agrees_with_pairwise_scan_d5(points in point_sets(16, 5)) {
+        check_against_pairwise(&points);
     }
 
     /// Gathering a subset's rank columns out of a full table must be
-    /// indistinguishable — row for row — from rebuilding a dominance
-    /// matrix on the restricted point set, which is exactly the ladder's
-    /// matrix-free substitution.
+    /// indistinguishable — row for row — from the pairwise scan of the
+    /// restricted point set, which is exactly the ladder's substitution.
     #[test]
-    fn oracle_subset_rows_match_rebuilt_matrix(
+    fn oracle_subset_rows_match_the_pairwise_scan(
         points in point_sets(24, 3),
         keep_mask in prop::collection::vec(prop::bool::ANY, 24),
     ) {
         let keep: Vec<usize> = (0..points.len())
             .filter(|&i| keep_mask.get(i).copied().unwrap_or(false))
             .collect();
-        let sub_points = {
-            let mut ps = PointSet::new(points.dim());
-            for &i in &keep {
-                ps.push(points.point(i));
-            }
-            ps
-        };
         let table = RankTable::build(&points);
         let oracle = RankOracle::try_from_table_subset(&table, &keep, &CancelToken::never())
             .expect("never-token cannot cancel");
-        let rebuilt = DominanceIndex::build(&sub_points);
-        let mut row = vec![0u64; oracle.words()];
-        for a in 0..keep.len() {
-            oracle.dominator_row_into(a, &mut row);
-            prop_assert_eq!(&row[..], rebuilt.dominator_row_words(a), "row {} of keep {:?}", a, &keep);
-        }
+        check_rows(&oracle, &points.subset(&keep));
     }
 }
 
-/// Oracle dominator rows vs matrix dominator rows, plus the rank-table
-/// invariants the oracle builds on.
-fn check_oracle_rows(points: &PointSet) {
-    let index = DominanceIndex::build(points);
-    let oracle = RankOracle::build(points);
-    assert_eq!(oracle.len(), points.len());
+/// Every dominator row, strict row and duplicate group of `oracle`
+/// against the pairwise scan of `points` (the same points, in order).
+fn check_rows(oracle: &RankOracle, points: &PointSet) {
+    let n = points.len();
+    assert_eq!(oracle.len(), n);
     let mut row = vec![0u64; oracle.words()];
-    for i in 0..points.len() {
+    for i in 0..n {
         oracle.dominator_row_into(i, &mut row);
+        let dominators = bitmask_of(n, (0..n).filter(|&j| points.dominates(j, i)));
         assert_eq!(
-            &row[..],
-            index.dominator_row_words(i),
-            "dominator row {i} diverges on {:?}",
+            row,
+            dominators,
+            "dominator row {i} of {:?}",
             points.point(i)
         );
+        // Equal points are oriented by index: only the later ones succeed.
+        oracle.strict_successor_row_into(i, &mut row);
+        let strict = bitmask_of(
+            n,
+            (0..n).filter(|&j| match points.compare(i, j) {
+                Dominance::DominatedBy => true,
+                Dominance::Equal => j > i,
+                _ => false,
+            }),
+        );
+        assert_eq!(row, strict, "strict row {i} of {:?}", points.point(i));
+        let group: Vec<u32> = (0..n as u32)
+            .filter(|&j| points.compare(i, j as usize) == Dominance::Equal)
+            .collect();
+        assert_eq!(oracle.dup_group_members(i), &group[..], "group of {i}");
     }
-    // The table the oracle compresses from must agree with coordinate
-    // comparison on reflexive dominance.
+}
+
+/// The oracle and the rank table against the pairwise scan.
+fn check_against_pairwise(points: &PointSet) {
+    let oracle = RankOracle::build(points);
+    check_rows(&oracle, points);
     let table = RankTable::build(points);
     for i in 0..points.len() {
         for j in 0..points.len() {
-            assert_eq!(table.dominates(i, j), points.dominates(i, j));
+            let expected = points.compare(i, j);
+            assert_eq!(
+                oracle.dominates(i, j),
+                expected.ge(),
+                "dominates({i}, {j}) on {:?} vs {:?}",
+                points.point(i),
+                points.point(j)
+            );
+            assert_eq!(table.dominates(i, j), expected.ge());
+            assert_eq!(oracle.equal_points(i, j), expected == Dominance::Equal);
         }
     }
 }
@@ -270,29 +211,6 @@ mod rank_table_edges {
         let streamed = RankTable::from_rank_columns(rows.len(), 2, ranks);
         for k in 0..2 {
             assert_eq!(streamed.column(k), built.column(k), "column {k}");
-        }
-    }
-}
-
-fn check_against_naive(points: &PointSet) {
-    let index = DominanceIndex::build(points);
-    assert_eq!(index.len(), points.len());
-    for i in 0..points.len() {
-        // Reflexivity: every point dominates itself in the bitset.
-        assert!(index.dominates(i, i));
-        for j in 0..points.len() {
-            let expected = points.compare(i, j);
-            assert_eq!(
-                index.compare(i, j),
-                expected,
-                "compare({}, {}) on {:?} vs {:?}",
-                i,
-                j,
-                points.point(i),
-                points.point(j)
-            );
-            assert_eq!(index.dominates(i, j), points.dominates(i, j));
-            assert_eq!(index.equal_points(i, j), expected == Dominance::Equal);
         }
     }
 }

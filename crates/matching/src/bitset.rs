@@ -2,10 +2,9 @@
 //!
 //! [`BitsetGraph`] stores each left vertex's neighbourhood as a
 //! `⌈nr/64⌉`-word bitset row, built up front: the materialized
-//! [`RowSource`]. The matrix-backed Lemma-6 reference
-//! (`ChainDecomposition::compute_from_index`) fills one from a
-//! dominator matrix, and tests fill them from edge lists or pairwise
-//! dominance scans.
+//! [`RowSource`]. Tests and benches fill one from edge lists or from a
+//! pairwise dominance scan, the reference the oracle rows are checked
+//! against.
 
 use crate::row_source::{ResolvedRow, RowSource};
 
@@ -71,6 +70,27 @@ impl RowSource for BitsetGraph {
             *a |= w;
         }
         self.words as u64
+    }
+}
+
+#[cfg(test)]
+impl BitsetGraph {
+    /// The Lemma-6 split graph of `points` by a pairwise scan: right `v`
+    /// is adjacent to left `u` iff `v` dominates `u`, with equal points
+    /// oriented by ascending index (only the later one succeeds).
+    pub(crate) fn pairwise_split(points: &mc_geom::PointSet) -> Self {
+        use mc_geom::Dominance;
+        let n = points.len();
+        let mut g = Self::new(n);
+        for u in 0..n {
+            let succeeds = |v: usize| match points.compare(u, v) {
+                Dominance::DominatedBy => true,
+                Dominance::Equal => v > u,
+                _ => false,
+            };
+            g.push(mc_geom::bitmask_of(n, (0..n).filter(|&v| succeeds(v))).into_boxed_slice());
+        }
+        g
     }
 }
 

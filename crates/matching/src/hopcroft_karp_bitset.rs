@@ -607,13 +607,13 @@ mod tests {
     }
 
     /// The on-demand oracle source, with and without its phase row
-    /// cache, must reproduce the matching over owned copies of the
-    /// index's strict-successor rows vertex for vertex — not just the
+    /// cache, must reproduce the matching over owned rows of the
+    /// pairwise strict-successor scan vertex for vertex — not just the
     /// same size — across dimensions and duplicate-heavy grids.
     #[test]
     fn oracle_source_matches_bitset_source_exactly() {
         use crate::OracleGraph;
-        use mc_geom::{DominanceIndex, PointSet, RankOracle};
+        use mc_geom::{PointSet, RankOracle};
         let mut rng = StdRng::seed_from_u64(0x0DD);
         for dim in [1usize, 2, 3, 4] {
             for _ in 0..4 {
@@ -626,14 +626,8 @@ mod tests {
                     })
                     .collect();
                 let points = PointSet::from_rows(dim, &rows);
-                let index = DominanceIndex::build(&points);
                 let oracle = RankOracle::build(&points);
-                let mut bg = BitsetGraph::new(n);
-                for u in 0..n {
-                    let mut row = vec![0u64; index.words()].into_boxed_slice();
-                    index.strict_successor_row_into(u, &mut row);
-                    bg.push(row);
-                }
+                let bg = BitsetGraph::pairwise_split(&points);
                 let (mb, sb, zb) = HopcroftKarpBitset
                     .solve_with_stats_cancellable(&bg, &CancelToken::never())
                     .unwrap();

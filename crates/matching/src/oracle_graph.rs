@@ -23,9 +23,10 @@
 //! the cache after that: each round ends in a BFS that revisits nearly
 //! all of them. The greedy seed never fills it.
 //!
-//! Rows are bit-identical to `mc_geom::DominanceIndex`'s
-//! strict-successor rows over the same points, so the engine returns the
-//! same matching and König set over either substrate.
+//! Rows are bit-identical to the strict-successor rows of a pairwise
+//! dominance scan over the same points (equal points oriented by
+//! ascending index), so the engine returns the same matching and König
+//! set over owned copies of those rows.
 
 use crate::row_source::{ResolvedRow, RowSource};
 use mc_geom::RankOracle;
@@ -134,7 +135,8 @@ impl RowSource for OracleGraph<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_geom::{DominanceIndex, PointSet, RankOracle};
+    use crate::BitsetGraph;
+    use mc_geom::{PointSet, RankOracle};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -150,7 +152,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_match_the_index_strict_successor_rows() {
+    fn rows_match_the_pairwise_strict_successor_rows() {
         let mut rng = StdRng::seed_from_u64(0x06A);
         for dim in [1usize, 2, 3] {
             let n = rng.gen_range(1..80);
@@ -161,9 +163,8 @@ mod tests {
             let rows: Vec<Vec<f64>> = order.iter().map(|&i| points.point(i).to_vec()).collect();
             let sorted = PointSet::from_rows(dim, &rows);
             for points in [&points, &sorted] {
-                let index = DominanceIndex::build(points);
+                let scan = BitsetGraph::pairwise_split(points);
                 let oracle = RankOracle::build(points);
-                let mut want = vec![0u64; index.words()];
                 let on_demand = OracleGraph::new(&oracle);
                 let cached = OracleGraph::with_row_cache(&oracle);
                 // Visit every row twice through the phases: the first
@@ -172,7 +173,7 @@ mod tests {
                     let mut scratch = vec![0u64; og.words()];
                     for _ in 0..2 {
                         for l in 0..n {
-                            index.strict_successor_row_into(l, &mut want);
+                            let want = scan.phase_row(l, &mut []).row.to_vec();
                             let row = og.phase_row(l, &mut scratch).row;
                             assert_eq!(row, &want[..], "dim {dim} n {n} l {l}");
                             let mut acc = vec![0u64; og.words()];

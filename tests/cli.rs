@@ -33,14 +33,14 @@ fn stats_reports_structure() {
 }
 
 /// `mcc stats` on a d=4 CSV with duplicate rows and `-0.0` cells must
-/// print exactly what the library references compute: the matrix-fed
-/// chain decomposition, a pairwise longest-chain height, the pairwise
-/// contending scan and the dense Section-5.1 solve.
+/// print exactly what the library references compute: the width of a
+/// chain decomposition certified by its antichain, a pairwise
+/// longest-chain height, the pairwise contending scan and the dense
+/// Section-5.1 solve.
 #[test]
 fn stats_matches_the_library_references_at_d4() {
     use monotone_classification::chains::ChainDecomposition;
     use monotone_classification::core::passive::{solve_passive_dense, ContendingPoints};
-    use monotone_classification::geom::DominanceIndex;
 
     const PALETTE: [&str; 5] = ["-0.0", "0.0", "1", "2.5", "4"];
     let mut state = 0x5EED_u64;
@@ -79,8 +79,9 @@ fn stats_matches_the_library_references_at_d4() {
 
     let set = monotone_classification::data::csv::parse_labeled(&text).unwrap();
     let weighted = set.with_unit_weights();
-    let width =
-        ChainDecomposition::compute_from_index(&DominanceIndex::build(set.points())).width();
+    let dec = ChainDecomposition::compute(set.points());
+    dec.validate(set.points()).unwrap();
+    let width = dec.width();
     // Longest chain by the O(n²) DP over `dominates`, visiting points in
     // ascending coordinate sum (strict dominance raises it); equal points
     // chain up too, so a duplicate sits one above its twin.

@@ -5,7 +5,7 @@ use monotone_classification::core::baselines::probe_all;
 use monotone_classification::core::passive::{solve_passive, ContendingPoints};
 use monotone_classification::core::{ActiveParams, ActiveSolver, LabelOracle, NoisyOracle};
 use monotone_classification::data::planted::{planted_sum_concept, PlantedConfig};
-use monotone_classification::geom::{transform_pointset, AxisTransform, LabeledSet, WeightedSet};
+use monotone_classification::geom::{LabeledSet, PointSet, RankTable, WeightedSet};
 
 /// An unreliable-but-consistent annotator: the pipeline must behave as if
 /// the flipped labels were the ground truth — no crashes, monotone
@@ -42,8 +42,15 @@ fn active_pipeline_under_annotator_noise() {
 #[test]
 fn monotone_transforms_preserve_problem_structure() {
     let ds = planted_sum_concept(&PlantedConfig::new(250, 2, 0.15, 3));
-    let transforms = [AxisTransform::Rank, AxisTransform::Log1p];
-    let mapped_points = transform_pointset(ds.data.points(), &transforms);
+    // Axis 0 becomes its dense ranks, axis 1 `ln(1 + x − min)`: both
+    // strictly increasing on the observed values.
+    let points = ds.data.points();
+    let ranks = RankTable::build(points);
+    let min_y = points.iter().map(|p| p[1]).fold(f64::INFINITY, f64::min);
+    let mut mapped_points = PointSet::new(2);
+    for (i, p) in points.iter().enumerate() {
+        mapped_points.push(&[f64::from(ranks.column(0)[i]), (1.0 + p[1] - min_y).ln()]);
+    }
     let mapped = LabeledSet::new(mapped_points, ds.data.labels().to_vec());
 
     assert_eq!(

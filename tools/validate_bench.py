@@ -17,7 +17,6 @@ import sys
 
 # Top-level sections each record must carry, keyed by its `bench` tag.
 REQUIRED = {
-    "dominance": ["config", "timings_ms", "speedup", "equivalence"],
     "flow": ["config", "sizes", "timings_ms", "edges", "speedup", "equivalence"],
     "matching": ["config", "timings_ms", "stats", "equivalence", "matrix_free"],
     "scale": ["config", "kernel", "parity", "telemetry", "sizes"],
@@ -85,6 +84,9 @@ def check_meta(path, doc):
         fail(f"{path}: meta.git_sha must be a non-empty string")
     if not isinstance(meta["threads"], int) or meta["threads"] < 1:
         fail(f"{path}: meta.threads must be a positive integer")
+    # Optional: records written before the flag existed do not carry it.
+    if "dirty" in meta and not isinstance(meta["dirty"], bool):
+        fail(f"{path}: meta.dirty must be true or false")
 
 
 def main():
@@ -160,14 +162,6 @@ def main():
                         f"{path}: server acknowledged {server.get('points')} points "
                         f"but the generator recorded {t['points']}"
                     )
-        if name == "dominance":
-            # `contending_oracle` is the cold `ContendingPoints::compute`
-            # (matrix-free since it stopped building an index).
-            for section in ("timings_ms", "speedup"):
-                if "contending_oracle" not in doc[section]:
-                    fail(f"{path}: {section} missing 'contending_oracle'")
-            if not all(v is True for v in doc["equivalence"].values()):
-                fail(f"{path}: equivalence flags not all true: {doc['equivalence']}")
         if name == "matching":
             if doc["equivalence"].get("certified") is not True:
                 fail(f"{path}: decomposition not certified: {doc['equivalence']}")
@@ -181,11 +175,11 @@ def main():
             if not isinstance(rows, list) or not rows:
                 fail(f"{path}: matrix_free.sizes must be a non-empty array of per-size rows")
             for row in rows:
-                for key in ("n", "instance", "width", "oracle_ms", "width_identical"):
+                for key in ("n", "instance", "width", "oracle_ms", "certified"):
                     if key not in row:
                         fail(f"{path}: matrix_free row missing {key!r}: {row}")
-                if row["width_identical"] is not True:
-                    fail(f"{path}: matrix_free row n={row['n']} is not width-identical")
+                if row["certified"] is not True:
+                    fail(f"{path}: matrix_free row n={row['n']} is not certified")
         print(f"{path}: OK ({name})")
     print(f"{len(paths)} bench records valid")
 
