@@ -6,7 +6,7 @@
 //! d = 4; override the size list with `MC_BENCH_FLOW_N` for smoke runs).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc_core::passive::{solve_passive_dense, PassiveSolution, PassiveSolver};
+use mc_core::passive::{solve_passive, solve_passive_dense, PassiveSolution};
 use mc_geom::{Label, WeightedSet};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -58,7 +58,7 @@ fn bench_strategies(c: &mut Criterion) {
             b.iter(|| solve_passive_dense(ws).weighted_error)
         });
         group.bench_with_input(BenchmarkId::new("ladder", n), &ws, |b, ws| {
-            b.iter(|| PassiveSolver::new().solve(ws).weighted_error)
+            b.iter(|| solve_passive(ws).weighted_error)
         });
     }
     group.finish();
@@ -108,11 +108,11 @@ fn measure(n: usize, width: usize, noise: f64, reps: usize) -> SizeResult {
     println!("flow/comparison: dense vs chain ladder at n = {n}, d = 4 ({reps} reps each)");
 
     let dense = time_runs(reps, || solve_passive_dense(&ws).weighted_error);
-    let ladder = time_runs(reps, || PassiveSolver::new().solve(&ws).weighted_error);
+    let ladder = time_runs(reps, || solve_passive(&ws).weighted_error);
 
     // Equivalence + counters off one instrumented solve per network.
     let (dense_err, dense_snap) = instrumented_solve(&ws, solve_passive_dense);
-    let (ladder_err, ladder_snap) = instrumented_solve(&ws, |ws| PassiveSolver::new().solve(ws));
+    let (ladder_err, ladder_snap) = instrumented_solve(&ws, solve_passive);
 
     let result = SizeResult {
         n,

@@ -15,6 +15,7 @@ use mc_chains::ChainDecomposition;
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
 use mc_geom::{PointSet, RankOracle};
 use mc_matching::{BitsetGraph, HopcroftKarpBitset, Kuhn};
+use mc_obs::CancelToken;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -54,10 +55,11 @@ fn dominance_split_graph(n: usize, seed: u64) -> BitsetGraph {
 
 fn bench_random(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching/random");
+    let never = CancelToken::never();
     for n in [200usize, 500, 1000] {
         let g = random_bipartite(n, 5, 1);
         group.bench_with_input(BenchmarkId::new("hopcroft-karp-bitset", n), &g, |b, g| {
-            b.iter(|| HopcroftKarpBitset.solve_with_stats(g).0.size())
+            b.iter(|| HopcroftKarpBitset.try_solve(g, &never).unwrap().0.size())
         });
         group.bench_with_input(BenchmarkId::new("kuhn", n), &g, |b, g| {
             b.iter(|| Kuhn.solve(g).size())
@@ -68,11 +70,12 @@ fn bench_random(c: &mut Criterion) {
 
 fn bench_dominance(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching/dominance-split");
+    let never = CancelToken::never();
     group.sample_size(20);
     for n in [200usize, 400] {
         let g = dominance_split_graph(n, 2);
         group.bench_with_input(BenchmarkId::new("hopcroft-karp-bitset", n), &g, |b, g| {
-            b.iter(|| HopcroftKarpBitset.solve_with_stats(g).0.size())
+            b.iter(|| HopcroftKarpBitset.try_solve(g, &never).unwrap().0.size())
         });
         group.bench_with_input(BenchmarkId::new("kuhn", n), &g, |b, g| {
             b.iter(|| Kuhn.solve(g).size())

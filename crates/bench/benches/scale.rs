@@ -11,7 +11,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mc_chains::ChainDecomposition;
-use mc_core::passive::{solve_passive_dense, solve_passive_scale, PassiveSolver};
+use mc_core::passive::{solve_passive, solve_passive_dense, solve_passive_scale};
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
 use mc_geom::{kernel, PointSet};
 use std::fmt::Write as _;
@@ -113,7 +113,7 @@ fn parity_section() -> String {
     std::fs::remove_file(&path).ok();
 
     let scale = solve_passive_scale(&table, &labels, &weights);
-    let ladder = PassiveSolver::new().solve(&ws);
+    let ladder = solve_passive(&ws);
     let dense = solve_passive_dense(&ws);
 
     // The certified width: a decomposition of the label-1 points whose

@@ -1,7 +1,7 @@
 //! Runs every experiment in sequence, printing each table.
 //! Run with `--full` for the paper-scale sweeps (default: quick).
 //! With `--json-out <path>` the run also writes a JSON bench report:
-//! run metadata (git SHA, effective `MC_PAR_THRESHOLD` / `MC_THREADS`,
+//! run metadata (git SHA, effective `MC_THREADS`,
 //! seed, thread count) and a per-phase `mc-obs` breakdown for every
 //! experiment.
 

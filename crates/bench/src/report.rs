@@ -102,16 +102,15 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
 }
 
 /// Renders the run-level metadata object stamped into every JSON bench
-/// report: git SHA, the *effective* `MC_PAR_THRESHOLD` / `MC_THREADS`
-/// values (after env parsing and defaulting), the sweep seed, and the
-/// machine's thread count.
+/// report: git SHA, the *effective* `MC_THREADS` value (after env
+/// parsing and defaulting), the sweep seed, and the machine's thread
+/// count.
 pub fn run_metadata_json(seed: u64, quick: bool) -> String {
     let mut obj = Obj::new();
     if let Some(sha) = mc_obs::meta::git_sha() {
         obj = obj.str("git_sha", &sha);
     }
-    obj.u64("mc_par_threshold", mc_geom::parallel_threshold() as u64)
-        .u64("mc_threads", mc_geom::max_threads() as u64)
+    obj.u64("mc_threads", mc_geom::max_threads() as u64)
         .u64("threads_available", mc_obs::meta::available_threads())
         .u64("seed", seed)
         .bool("quick", quick)
@@ -201,7 +200,6 @@ mod tests {
     #[test]
     fn run_metadata_carries_tunables_and_seed() {
         let meta = run_metadata_json(42, true);
-        assert!(meta.contains("\"mc_par_threshold\":"), "{meta}");
         assert!(meta.contains("\"mc_threads\":"), "{meta}");
         assert!(meta.contains("\"threads_available\":"), "{meta}");
         assert!(meta.contains("\"seed\":42"), "{meta}");

@@ -67,11 +67,11 @@ pub struct ChainDecomposition {
 impl ChainDecomposition {
     /// Computes a minimum chain decomposition of `points` matrix-free:
     /// the points are ranked once and decomposed off the ranks
-    /// ([`compute_from_table_cancellable`](Self::compute_from_table_cancellable)).
+    /// ([`try_compute_from_table`](Self::try_compute_from_table)).
     /// No `Θ(n²/64)` dominator matrix is built; the row cache stays
     /// within [`row_budget_bytes`].
     pub fn compute(points: &PointSet) -> Self {
-        Self::compute_from_table_cancellable(&RankTable::build(points), &CancelToken::never())
+        Self::try_compute_from_table(&RankTable::build(points), &CancelToken::never())
             .expect("a never-token cannot cancel")
     }
 
@@ -79,22 +79,22 @@ impl ChainDecomposition {
     /// ordered in a linear extension ([`linear_extension_order`]), one
     /// [`RankOracle`] gathers their rank columns in that order
     /// ([`RankOracle::try_from_table_subset`]), and the matching runs on
-    /// it ([`compute_from_linear_extension_cancellable`](Self::compute_from_linear_extension_cancellable)).
+    /// it ([`try_compute_from_linear_extension`](Self::try_compute_from_linear_extension)).
     /// Callers that keep the table, such as the active solver, rank
     /// their points once for Lemma 6 and for later restrictions.
-    pub fn compute_from_table_cancellable(
+    pub fn try_compute_from_table(
         table: &RankTable,
         token: &CancelToken,
     ) -> Result<Self, Cancelled> {
         let labels = linear_extension_order(table.len(), table.dim(), |k, i| table.column(k)[i]);
         let oracle = RankOracle::try_from_table_subset(table, &labels, token)?;
-        Self::compute_from_linear_extension_cancellable(&oracle, &labels, token)
+        Self::try_compute_from_linear_extension(&oracle, &labels, token)
     }
 
     /// Matrix-free decomposition over any [`RankOracle`]: the points are
     /// relabelled in a linear extension and matched over a permuted copy
     /// of the oracle (callers that can build the oracle in that order use
-    /// [`compute_from_linear_extension_cancellable`](Self::compute_from_linear_extension_cancellable)
+    /// [`try_compute_from_linear_extension`](Self::try_compute_from_linear_extension)
     /// and hold one). The labelling and the rows equal
     /// [`compute`](Self::compute)'s, so the chains, width, and antichain
     /// certificate do too.
@@ -103,9 +103,7 @@ impl ChainDecomposition {
         let labels = oracle.linear_extension();
         oracle
             .try_permuted(&labels, &never)
-            .and_then(|sorted| {
-                Self::compute_from_linear_extension_cancellable(&sorted, &labels, &never)
-            })
+            .and_then(|sorted| Self::try_compute_from_linear_extension(&sorted, &labels, &never))
             .expect("a never-token cannot cancel")
     }
 
@@ -117,7 +115,7 @@ impl ChainDecomposition {
     /// when all rows would fit the row budget the graph keeps every row
     /// a phase asks for; otherwise every visit recomputes its row. The
     /// rows are bit-identical either way, so the result is too.
-    pub fn compute_from_linear_extension_cancellable(
+    pub fn try_compute_from_linear_extension(
         oracle: &RankOracle,
         labels: &[usize],
         token: &CancelToken,
@@ -147,11 +145,11 @@ impl ChainDecomposition {
         Ok(dec)
     }
 
-    /// [`compute_from_table_cancellable`](Self::compute_from_table_cancellable)
+    /// [`try_compute_from_table`](Self::try_compute_from_table)
     /// under the [`DominanceIndex`] name, for mcbench's traced active
     /// replay; it goes with that name (ROADMAP item 9).
     pub fn compute_from_index(index: &DominanceIndex) -> Self {
-        Self::compute_from_table_cancellable(index, &CancelToken::never())
+        Self::try_compute_from_table(index, &CancelToken::never())
             .expect("a never-token cannot cancel")
     }
 
@@ -174,7 +172,7 @@ impl ChainDecomposition {
                 antichain: Vec::new(),
             });
         }
-        let (matching, _, reach) = HopcroftKarpBitset.solve_with_stats_cancellable(g, token)?;
+        let (matching, _, reach) = HopcroftKarpBitset.try_solve(g, token)?;
         token.poll()?;
         let mut chains = Self::chains_from_matching(n, &matching);
         let mut antichain: Vec<usize> = (0..n)
@@ -451,7 +449,8 @@ mod tests {
             );
             assert_eq!(none_cached, 0, "{what}");
             let rounds = HopcroftKarpBitset
-                .solve_with_stats(&OracleGraph::new(&oracle))
+                .try_solve(&OracleGraph::new(&oracle), &CancelToken::never())
+                .unwrap()
                 .1
                 .rounds;
             (rows_cached, rounds, cached.chains().len())

@@ -79,7 +79,9 @@ fn check_engines_agree(points: &PointSet) {
 
     // Matching size parity with the O(V·E) reference on the split graph.
     let oracle = RankOracle::build(points);
-    let (m, stats) = HopcroftKarpBitset.solve_with_stats(&OracleGraph::new(&oracle));
+    let (m, stats, _) = HopcroftKarpBitset
+        .try_solve(&OracleGraph::new(&oracle), &CancelToken::never())
+        .unwrap();
     m.validate(&scan).unwrap();
     assert_eq!(m.size(), kuhn.size(), "matching size differs from Kuhn");
     assert_eq!(
@@ -134,8 +136,12 @@ fn check_linear_extension_paths(points: &PointSet) {
     // The oracle graph's greedy seed starts each scan past the diagonal
     // bit; the materialized rows are scanned whole. Same seed, same
     // matching.
-    let (masked, masked_stats) = HopcroftKarpBitset.solve_with_stats(&OracleGraph::new(&oracle));
-    let (scanned, scanned_stats) = HopcroftKarpBitset.solve_with_stats(&rows);
+    let (masked, masked_stats, _) = HopcroftKarpBitset
+        .try_solve(&OracleGraph::new(&oracle), &CancelToken::never())
+        .unwrap();
+    let (scanned, scanned_stats, _) = HopcroftKarpBitset
+        .try_solve(&rows, &CancelToken::never())
+        .unwrap();
     assert_eq!(
         masked_stats.greedy_matched, scanned_stats.greedy_matched,
         "greedy seed differs"

@@ -46,25 +46,12 @@ pub struct BudgetedSolution {
     pub report: SolveReport,
 }
 
-/// Learns a monotone classifier probing at most `budget` distinct labels.
-///
-/// # Panics
-///
-/// Panics if `oracle.len() != points.len()`.
-pub fn solve_with_budget(
-    points: &PointSet,
-    oracle: &mut dyn LabelOracle,
-    budget: usize,
-    seed: u64,
-) -> BudgetedSolution {
-    try_solve_with_budget(points, oracle, budget, seed).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_with_budget`] returning invalid inputs as errors. Failed
-/// probes are dropped from the sample (the survivors' weights are
-/// rescaled), and the budget is still respected — failed probes are
-/// never billed. Oracle failures degrade the result instead of aborting
-/// it (see [`BudgetedSolution::report`]).
+/// Learns a monotone classifier probing at most `budget` distinct
+/// labels, returning invalid inputs (an oracle/points size mismatch) as
+/// errors. Failed probes are dropped from the sample (the survivors'
+/// weights are rescaled), and the budget is still respected — failed
+/// probes are never billed. Oracle failures degrade the result instead
+/// of aborting it (see [`BudgetedSolution::report`]).
 pub fn try_solve_with_budget(
     points: &PointSet,
     oracle: &mut dyn LabelOracle,
@@ -212,7 +199,7 @@ mod tests {
         let ls = staircase_2d(1000);
         for budget in [0usize, 10, 100, 500, 1000, 5000] {
             let mut oracle = InMemoryOracle::from_labeled(&ls);
-            let sol = solve_with_budget(ls.points(), &mut oracle, budget, 1);
+            let sol = try_solve_with_budget(ls.points(), &mut oracle, budget, 1).unwrap();
             assert!(
                 sol.probes_used <= budget.min(1000),
                 "budget {budget}: used {}",
@@ -225,7 +212,7 @@ mod tests {
     fn full_budget_recovers_exact_optimum() {
         let ls = staircase_2d(600);
         let mut oracle = InMemoryOracle::from_labeled(&ls);
-        let sol = solve_with_budget(ls.points(), &mut oracle, 600, 2);
+        let sol = try_solve_with_budget(ls.points(), &mut oracle, 600, 2).unwrap();
         assert_eq!(sol.probes_used, 600);
         assert_eq!(sol.classifier.error_on(&ls), 0);
     }
@@ -238,7 +225,7 @@ mod tests {
             let mut total = 0u64;
             for seed in 0..5 {
                 let mut oracle = InMemoryOracle::from_labeled(&ls);
-                let sol = solve_with_budget(ls.points(), &mut oracle, budget, seed);
+                let sol = try_solve_with_budget(ls.points(), &mut oracle, budget, seed).unwrap();
                 total += sol.classifier.error_on(&ls);
             }
             total
@@ -255,7 +242,7 @@ mod tests {
     fn zero_budget_returns_trivial_classifier() {
         let ls = staircase_2d(50);
         let mut oracle = InMemoryOracle::from_labeled(&ls);
-        let sol = solve_with_budget(ls.points(), &mut oracle, 0, 3);
+        let sol = try_solve_with_budget(ls.points(), &mut oracle, 0, 3).unwrap();
         assert_eq!(sol.probes_used, 0);
         assert!(sol.sigma.is_empty());
     }
@@ -264,7 +251,7 @@ mod tests {
     fn empty_input() {
         let ls = LabeledSet::empty(3);
         let mut oracle = InMemoryOracle::from_labeled(&ls);
-        let sol = solve_with_budget(ls.points(), &mut oracle, 10, 4);
+        let sol = try_solve_with_budget(ls.points(), &mut oracle, 10, 4).unwrap();
         assert_eq!(sol.probes_used, 0);
     }
 
@@ -317,7 +304,9 @@ mod tests {
         let ls = staircase_2d(400);
         let run = |seed| {
             let mut oracle = InMemoryOracle::from_labeled(&ls);
-            solve_with_budget(ls.points(), &mut oracle, 150, seed).probes_used
+            try_solve_with_budget(ls.points(), &mut oracle, 150, seed)
+                .unwrap()
+                .probes_used
         };
         assert_eq!(run(9), run(9));
     }

@@ -9,9 +9,8 @@ pub mod budgeted;
 pub mod one_dim;
 pub mod solver;
 
-pub use budgeted::{solve_with_budget, try_solve_with_budget, BudgetedSolution};
+pub use budgeted::{try_solve_with_budget, BudgetedSolution};
 pub use one_dim::{
-    sigma_errors_by_boundary, try_weighted_sample_1d, weighted_sample_1d, OneDimParams,
-    OneDimSample, SigmaEntry,
+    sigma_errors_by_boundary, weighted_sample_1d, OneDimParams, OneDimSample, SigmaEntry,
 };
 pub use solver::{ActiveParams, ActiveSolution, ActiveSolver};

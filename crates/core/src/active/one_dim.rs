@@ -145,8 +145,9 @@ pub struct OneDimSample {
 }
 
 /// Runs the Section-3 recursion over `oracle.len()` items sorted
-/// ascending; positions `0..len` are the 1D coordinates. Failed probes
-/// are dropped as in [`try_weighted_sample_1d`].
+/// ascending; positions `0..len` are the 1D coordinates. Draws whose
+/// probe fails are *dropped* from Σ while every level's weight is
+/// rescaled to the draws that did answer.
 ///
 /// # Panics
 ///
@@ -169,7 +170,7 @@ pub fn weighted_sample_1d(
 ///
 /// Only parameter validation produces an `Err`; oracle failures degrade
 /// the sample instead of aborting the run.
-pub fn try_weighted_sample_1d(
+pub(crate) fn try_weighted_sample_1d(
     oracle: &mut dyn LabelOracle,
     params: &OneDimParams,
     rng: &mut StdRng,

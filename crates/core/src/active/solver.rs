@@ -170,10 +170,10 @@ impl ActiveSolver {
         points: &PointSet,
         oracle: &mut dyn LabelOracle,
     ) -> Result<ActiveSolution, McError> {
-        if points.is_empty() {
-            return self.try_solve_with_chains(points, &[], oracle);
-        }
         let _span = mc_obs::span("active");
+        if points.is_empty() {
+            return self.solve_with_chains_inner(points, &[], None, oracle);
+        }
         // Phase 1: minimum chain decomposition (Lemma 6, dispatched on
         // dimensionality — see `crate::decompose::minimum_chains`). At
         // d ≥ 3 it matches off rank columns; no dominance matrix over P
@@ -213,33 +213,18 @@ impl ActiveSolver {
     ///
     /// # Panics
     ///
-    /// Panics if the chains do not partition the point indices (debug
-    /// builds additionally verify ascending dominance within chains).
+    /// Panics if `oracle.len() != points.len()`, ε ∉ (0, 1], or the
+    /// chains do not partition the point indices (debug builds
+    /// additionally verify ascending dominance within chains).
     pub fn solve_with_chains(
         &self,
         points: &PointSet,
         chains: &[Vec<usize>],
         oracle: &mut dyn LabelOracle,
     ) -> ActiveSolution {
-        self.try_solve_with_chains(points, chains, oracle)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ActiveSolver::solve_with_chains`] returning invalid inputs as
-    /// errors; see [`ActiveSolver::try_solve`] for the failure semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chains do not partition the point indices (that is
-    /// a caller bug, not an input-data problem).
-    pub fn try_solve_with_chains(
-        &self,
-        points: &PointSet,
-        chains: &[Vec<usize>],
-        oracle: &mut dyn LabelOracle,
-    ) -> Result<ActiveSolution, McError> {
         let _span = mc_obs::span("active");
         self.solve_with_chains_inner(points, chains, None, oracle)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The sampling and Σ phases over `chains`. `table`, the points'

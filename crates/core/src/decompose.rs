@@ -58,9 +58,8 @@ pub(crate) fn ranked_minimum_chains(points: &PointSet) -> (Vec<Vec<usize>>, Opti
         // above it, identical either way.
         _ => {
             let table = RankTable::build(points);
-            let dec =
-                ChainDecomposition::compute_from_table_cancellable(&table, &CancelToken::never())
-                    .expect("a never-token cannot cancel");
+            let dec = ChainDecomposition::try_compute_from_table(&table, &CancelToken::never())
+                .expect("a never-token cannot cancel");
             (dec.chains().to_vec(), Some(table))
         }
     };

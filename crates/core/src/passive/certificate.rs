@@ -103,7 +103,7 @@ impl Certificate {
 /// scale the solver itself handles.
 pub fn certify_passive(data: &WeightedSet) -> (PassiveSolution, Certificate) {
     crate::passive::solver::PassiveSolver::new()
-        .solve_certified_cancellable(data, &mc_obs::CancelToken::never())
+        .solve_certified(data, &mc_obs::CancelToken::never())
         .expect("a never-token cannot cancel")
 }
 
@@ -419,7 +419,7 @@ mod tests {
                 let n = rng.gen_range(1..40);
                 let ws = random_weighted(n, dim, &mut rng);
                 let (sol, cert) = PassiveSolver::new()
-                    .solve_certified_cancellable(&ws, &mc_obs::CancelToken::never())
+                    .try_solve_certified(&ws, &mc_obs::CancelToken::never())
                     .unwrap();
                 assert_eq!(cert.optimal_error, sol.weighted_error);
                 cert.verify(&ws)

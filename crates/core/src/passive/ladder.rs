@@ -752,7 +752,7 @@ pub(crate) struct LadderOutcome {
 /// chains (point ids, each label-1 point in exactly one chain). The
 /// ladder uses it instead of running Lemma 6 when it is certified
 /// minimum ([`certified_cover`]); otherwise it is ignored.
-pub(crate) fn discover_and_build_from_table_cancellable(
+pub(crate) fn try_discover_and_build_from_table(
     table: &RankTable,
     labels: &[Label],
     weights: &[f64],
@@ -868,9 +868,7 @@ fn discover_with(
                 linear_extension_order(ones.len(), table.dim(), |k, p| table.column(k)[ones[p]]);
             let gathered: Vec<usize> = order.iter().map(|&p| ones[p]).collect();
             oracle = RankOracle::try_from_table_subset(table, &gathered, token)?;
-            dec = ChainDecomposition::compute_from_linear_extension_cancellable(
-                &oracle, &order, token,
-            )?;
+            dec = ChainDecomposition::try_compute_from_linear_extension(&oracle, &order, token)?;
             let mut one_label = vec![0u32; ones.len()];
             for (l, &local) in order.iter().enumerate() {
                 one_label[local] = l as u32;
@@ -986,14 +984,9 @@ mod tests {
     fn ladder_of(ws: &WeightedSet) -> (ContendingPoints, Option<ClassifierNetwork>) {
         let table = RankTable::build(ws.points());
         let never = CancelToken::never();
-        let out = discover_and_build_from_table_cancellable(
-            &table,
-            ws.labels(),
-            ws.weights(),
-            None,
-            &never,
-        )
-        .unwrap();
+        let out =
+            try_discover_and_build_from_table(&table, ws.labels(), ws.weights(), None, &never)
+                .unwrap();
         (out.con, out.network)
     }
 
@@ -1223,14 +1216,9 @@ mod tests {
             let ws = random_weighted(1200, dim, 1e6, &mut rng);
 
             let table = RankTable::build(ws.points());
-            let fast = discover_and_build_from_table_cancellable(
-                &table,
-                ws.labels(),
-                ws.weights(),
-                None,
-                &never,
-            )
-            .unwrap();
+            let fast =
+                try_discover_and_build_from_table(&table, ws.labels(), ws.weights(), None, &never)
+                    .unwrap();
             let slow = discover_with(
                 &table,
                 ws.labels(),
@@ -1337,14 +1325,9 @@ mod tests {
             let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
             assert_eq!(rank_sum(&cols, planted), min_sum, "dim {dim}");
             assert_eq!(rank_sum(&cols, planted + 1), min_sum - 1, "dim {dim}");
-            let fast = discover_and_build_from_table_cancellable(
-                &table,
-                ws.labels(),
-                ws.weights(),
-                None,
-                &never,
-            )
-            .unwrap();
+            let fast =
+                try_discover_and_build_from_table(&table, ws.labels(), ws.weights(), None, &never)
+                    .unwrap();
             let slow = discover_with(
                 &table,
                 ws.labels(),
@@ -1439,14 +1422,9 @@ mod tests {
                 );
             }
 
-            let fast = discover_and_build_from_table_cancellable(
-                &table,
-                &labels,
-                ws.weights(),
-                None,
-                &never,
-            )
-            .unwrap();
+            let fast =
+                try_discover_and_build_from_table(&table, &labels, ws.weights(), None, &never)
+                    .unwrap();
             let slow = discover_with(&table, &labels, ws.weights(), None, &never, reference_sweep)
                 .unwrap();
             assert_eq!(
@@ -1554,7 +1532,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x1ADE);
         let ws = random_weighted(600, 3, 6.0, &mut rng);
         let table = RankTable::build(ws.points());
-        let out = discover_and_build_from_table_cancellable(
+        let out = try_discover_and_build_from_table(
             &table,
             ws.labels(),
             ws.weights(),
@@ -1717,14 +1695,9 @@ mod tests {
             }
             let what = format!("trial {trial}: d {dim}, n {n}");
             let table = RankTable::build(ws.points());
-            let out = discover_and_build_from_table_cancellable(
-                &table,
-                ws.labels(),
-                ws.weights(),
-                None,
-                &never,
-            )
-            .unwrap();
+            let out =
+                try_discover_and_build_from_table(&table, ws.labels(), ws.weights(), None, &never)
+                    .unwrap();
             let Some(seeded) = out.network else {
                 continue;
             };
@@ -1873,7 +1846,7 @@ mod tests {
     #[test]
     fn certified_cover_gives_the_lemma6_answer_and_a_comparable_head_falls_back() {
         use crate::passive::pipeline::read_cut;
-        use crate::passive::PassiveSolver;
+        use crate::passive::{solve_passive, PassiveSolver};
         let mut rng = StdRng::seed_from_u64(0xC0FE);
         let never = CancelToken::never();
         let (mut certified, mut fallbacks) = (0, 0);
@@ -1904,7 +1877,7 @@ mod tests {
                 antichain,
                 "{what}"
             );
-            let with = discover_and_build_from_table_cancellable(
+            let with = try_discover_and_build_from_table(
                 &table,
                 sigma.labels(),
                 sigma.weights(),
@@ -1912,7 +1885,7 @@ mod tests {
                 &never,
             )
             .unwrap();
-            let without = discover_and_build_from_table_cancellable(
+            let without = try_discover_and_build_from_table(
                 &table,
                 sigma.labels(),
                 sigma.weights(),
@@ -1950,7 +1923,7 @@ mod tests {
             // The active solver ranks Σ by gathering P's table; the
             // gathered ranks are sparse but order like Σ's own.
             let gathered = RankTable::build(ws.points()).subset(&kept);
-            let plain = PassiveSolver::new().solve(&sigma);
+            let plain = solve_passive(&sigma);
             for (table, name) in [(None, "reused"), (Some(gathered), "gathered")] {
                 let reused = PassiveSolver::new().solve_with_cover(&sigma, table, &cover);
                 assert_eq!(

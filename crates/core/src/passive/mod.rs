@@ -24,5 +24,5 @@ pub use brute::{solve_passive_brute_force, solve_passive_dense};
 pub use certificate::{certify_passive, Certificate, InversionCharge};
 pub use contending::ContendingPoints;
 pub use one_dim::{solve_passive_1d, OneDimOptimum};
-pub use scale::{solve_passive_scale, solve_passive_scale_cancellable, ScaleSolution};
+pub use scale::{solve_passive_scale, try_solve_passive_scale, ScaleSolution};
 pub use solver::{solve_passive, PassiveSolution, PassiveSolver};

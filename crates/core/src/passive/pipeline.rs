@@ -90,9 +90,7 @@ pub(crate) fn solve_ranked(
         let network = (!con.is_empty()).then(|| sparse::build_sparse_network(table, weights, &con));
         (con, network, 0)
     } else {
-        let out = ladder::discover_and_build_from_table_cancellable(
-            table, labels, weights, cover, token,
-        )?;
+        let out = ladder::try_discover_and_build_from_table(table, labels, weights, cover, token)?;
         (out.con, out.network, out.width)
     };
     let readout = read_cut(con, network, labels.len(), token, certify)?;
@@ -129,7 +127,7 @@ pub(crate) fn read_cut(
     mc_obs::counter_add("passive.network_nodes", readout.network_nodes as u64);
     mc_obs::counter_add("passive.network_edges", readout.network_edges as u64);
 
-    let flow = Dinic.solve_cancellable(&network.net, token)?;
+    let flow = Dinic.try_solve(&network.net, token)?;
     let cut = flow.min_cut(&network.net);
     mc_obs::gauge_set("passive.cut_weight", cut.weight);
     debug_assert!(

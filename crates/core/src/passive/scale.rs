@@ -56,22 +56,23 @@ pub struct ScaleSolution {
     pub report: SolveReport,
 }
 
-/// Solves Problem 2 off prebuilt rank columns. Infallible spelling of
-/// [`solve_passive_scale_cancellable`] for callers without a deadline.
+/// Solves Problem 2 off prebuilt rank columns. The infallible
+/// convenience of [`try_solve_passive_scale`] for callers without a
+/// deadline.
 ///
 /// # Panics
 ///
 /// Panics if `labels` and `weights` do not both match `table.len()`
-/// (the cancellable twin returns a typed error instead).
+/// (the fallible entry returns a typed error instead).
 pub fn solve_passive_scale(table: &RankTable, labels: &[Label], weights: &[f64]) -> ScaleSolution {
-    match solve_passive_scale_cancellable(table, labels, weights, &CancelToken::never()) {
+    match try_solve_passive_scale(table, labels, weights, &CancelToken::never()) {
         Ok(s) => s,
         Err(McError::InvalidParameter { message }) => panic!("{message}"),
         Err(_) => unreachable!("a never-token cannot cancel"),
     }
 }
 
-/// Cancellable streaming passive solve: Theorem 4 on `(RankTable,
+/// Streaming passive solve under `token`: Theorem 4 on `(RankTable,
 /// labels, weights)` with `O(d·n + w·n)` residency end to end.
 ///
 /// The token reaches the max-flow phases and, at `d ≥ 3`, the ladder's
@@ -79,7 +80,7 @@ pub fn solve_passive_scale(table: &RankTable, labels: &[Label], weights: &[f64])
 /// matching behind the chain decomposition and the parallel zero sweep. Errors are
 /// [`McError::InvalidParameter`] on length mismatches and
 /// [`McError::Timeout`]/[`McError::Cancelled`] on cancellation.
-pub fn solve_passive_scale_cancellable(
+pub fn try_solve_passive_scale(
     table: &RankTable,
     labels: &[Label],
     weights: &[f64],
@@ -198,8 +199,7 @@ mod tests {
         let mut ws = WeightedSet::empty(2);
         ws.push(&[0.0, 0.0], Label::Zero, 1.0);
         let table = RankTable::build(ws.points());
-        let err = solve_passive_scale_cancellable(&table, &[], &[1.0], &CancelToken::never())
-            .unwrap_err();
+        let err = try_solve_passive_scale(&table, &[], &[1.0], &CancelToken::never()).unwrap_err();
         assert!(matches!(err, McError::InvalidParameter { .. }));
     }
 
@@ -228,8 +228,7 @@ mod tests {
         let table = RankTable::build(ws.points());
         let token = CancelToken::new();
         token.cancel();
-        let err =
-            solve_passive_scale_cancellable(&table, ws.labels(), ws.weights(), &token).unwrap_err();
+        let err = try_solve_passive_scale(&table, ws.labels(), ws.weights(), &token).unwrap_err();
         assert_eq!(err, McError::Cancelled);
     }
 }

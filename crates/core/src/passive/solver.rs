@@ -39,9 +39,10 @@
 //! ```
 
 use crate::classifier::MonotoneClassifier;
+use crate::error::McError;
 use crate::passive::certificate::Certificate;
 use crate::passive::pipeline::{solve_ranked, CutReadout};
-use mc_geom::{DominanceIndex, Label, RankTable, WeightedSet};
+use mc_geom::{DominanceIndex, GeomError, Label, RankTable, WeightedSet};
 use mc_obs::{CancelToken, Cancelled};
 
 /// Result of a passive solve.
@@ -134,58 +135,49 @@ impl PassiveSolver {
         Self
     }
 
-    /// Validating variant of [`PassiveSolver::solve`] for user-supplied
-    /// data: rejects non-finite coordinates (which would poison every
-    /// dominance comparison) with a typed error instead of computing
-    /// nonsense. Weights and lengths are already guaranteed by
-    /// [`WeightedSet`]'s constructors, and the solve is matrix-free at
-    /// every `n`. The solve then runs under `token` as in
-    /// [`PassiveSolver::solve_cancellable`]; an expired deadline comes
-    /// back as [`crate::McError::Timeout`].
+    /// Solves Problem 2 on user-supplied data under `token`, returning
+    /// an optimal monotone classifier and its weighted error. Rejects
+    /// non-finite coordinates (which would poison every dominance
+    /// comparison) with a typed error instead of computing nonsense;
+    /// weights and lengths are already guaranteed by [`WeightedSet`]'s
+    /// constructors, and the solve is matrix-free at every `n`.
+    ///
+    /// The token reaches every super-linear stage of the pipeline — rank
+    /// sorts, Hopcroft–Karp matching, ladder binary searches, and the
+    /// max-flow phases — each of which polls it at least every ~64k
+    /// units of work; an expired deadline comes back as
+    /// [`McError::Timeout`], a cancel as [`McError::Cancelled`]. On
+    /// cancellation the partially-built state is dropped wholesale; the
+    /// inputs are never mutated, so a fresh solve on the same data is
+    /// unaffected (`tests/cancel_safety.rs` asserts bit-identical
+    /// re-solves).
     pub fn try_solve(
         &self,
         data: &WeightedSet,
         token: &CancelToken,
-    ) -> Result<PassiveSolution, crate::error::McError> {
-        for (index, p) in data.points().iter().enumerate() {
-            for (axis, &value) in p.iter().enumerate() {
-                if !value.is_finite() {
-                    return Err(
-                        mc_geom::GeomError::NonFiniteCoordinate { index, axis, value }.into(),
-                    );
-                }
-            }
-        }
-        Ok(self.solve_cancellable(data, token)?)
+    ) -> Result<PassiveSolution, McError> {
+        check_finite(data)?;
+        Ok(self.solve_inner(data, None, None, token, false)?.0)
     }
 
-    /// Solves Problem 2 on `data`, returning an optimal monotone
-    /// classifier and its weighted error.
-    pub fn solve(&self, data: &WeightedSet) -> PassiveSolution {
-        self.solve_cancellable(data, &CancelToken::never())
-            .expect("a never-token cannot cancel")
-    }
-
-    /// Cancellable twin of [`PassiveSolver::solve`]: the token reaches
-    /// every super-linear stage of the pipeline — rank sorts,
-    /// Hopcroft–Karp matching, ladder binary searches, and the max-flow
-    /// phases — each of which polls it at least every ~64k units of
-    /// work. On cancellation the partially-built state is dropped
-    /// wholesale; the inputs are never mutated, so a fresh solve on the
-    /// same data is unaffected (`tests/cancel_safety.rs` asserts
-    /// bit-identical re-solves).
-    pub fn solve_cancellable(
+    /// Like [`PassiveSolver::try_solve`], but also decomposes the max
+    /// flow into a verifiable dual [`Certificate`] — the packing of
+    /// inversions proving the returned error optimal. The decomposition
+    /// walks flow paths `source → zero → gadget… → one → sink`, a shape
+    /// both gadgets (and the dense reference) share, so
+    /// [`Certificate::verify`] can audit the answer against the raw data
+    /// without re-solving.
+    pub fn try_solve_certified(
         &self,
         data: &WeightedSet,
         token: &CancelToken,
-    ) -> Result<PassiveSolution, Cancelled> {
-        Ok(self
-            .solve_inner_cancellable(data, None, None, token, false)?
-            .0)
+    ) -> Result<(PassiveSolution, Certificate), McError> {
+        check_finite(data)?;
+        Ok(self.solve_certified(data, token)?)
     }
 
-    /// [`PassiveSolver::solve`] for the active solvers, which hold a
-    /// chain cover of `data`'s label-1 points and, at `d ≥ 3`, its rank
+    /// [`solve_passive`] for the active solvers, which hold a chain
+    /// cover of `data`'s label-1 points and, at `d ≥ 3`, its rank
     /// table. `cover` lists point ids of `data` in ascending chains, each
     /// label-1 point in one chain. The `d ≥ 3` ladder wires its rungs on
     /// the cover instead of running Lemma 6 when the cover is certified
@@ -199,25 +191,19 @@ impl PassiveSolver {
         table: Option<RankTable>,
         cover: &[Vec<usize>],
     ) -> PassiveSolution {
-        self.solve_inner_cancellable(data, table, Some(cover), &CancelToken::never(), false)
+        self.solve_inner(data, table, Some(cover), &CancelToken::never(), false)
             .expect("a never-token cannot cancel")
             .0
     }
 
-    /// Like [`PassiveSolver::solve_cancellable`], but also decomposes
-    /// the max flow into a verifiable dual [`Certificate`] — the packing
-    /// of inversions proving the returned error optimal. The
-    /// decomposition walks flow paths `source → zero → gadget… → one →
-    /// sink`, a shape both gadgets (and the dense reference) share, so
-    /// [`Certificate::verify`] can audit the answer against the raw data
-    /// without re-solving.
-    pub fn solve_certified_cancellable(
+    /// [`PassiveSolver::try_solve_certified`] without the finiteness
+    /// check, returning the token's stop as [`Cancelled`].
+    pub(crate) fn solve_certified(
         &self,
         data: &WeightedSet,
         token: &CancelToken,
     ) -> Result<(PassiveSolution, Certificate), Cancelled> {
-        let (solution, certificate) =
-            self.solve_inner_cancellable(data, None, None, token, true)?;
+        let (solution, certificate) = self.solve_inner(data, None, None, token, true)?;
         let certificate = certificate.unwrap_or(Certificate {
             optimal_error: solution.weighted_error,
             charges: Vec::new(),
@@ -225,21 +211,20 @@ impl PassiveSolver {
         Ok((solution, certificate))
     }
 
-    /// [`PassiveSolver::solve`] for callers that hold a
-    /// [`DominanceIndex`] over `data.points()`. The index is unused: the
-    /// solve is matrix-free at every dimension. This spelling remains
-    /// only for mcbench's traced active replay, and goes when ROADMAP
-    /// item 9 retires that replay.
+    /// [`solve_passive`] for callers that hold a [`DominanceIndex`] over
+    /// `data.points()`. The index is unused: the solve is matrix-free at
+    /// every dimension. This spelling remains only for mcbench's traced
+    /// active replay, and goes when ROADMAP item 9 retires that replay.
     ///
     /// # Panics
     ///
     /// Panics if `index` was not built over exactly `data.points()`.
     pub fn solve_with_index(&self, data: &WeightedSet, index: &DominanceIndex) -> PassiveSolution {
         assert_eq!(index.len(), data.len(), "index/point-set size mismatch");
-        self.solve(data)
+        solve_passive(data)
     }
 
-    fn solve_inner_cancellable(
+    fn solve_inner(
         &self,
         data: &WeightedSet,
         table: Option<RankTable>,
@@ -268,9 +253,27 @@ impl PassiveSolver {
     }
 }
 
-/// Solves Problem 2 with the default solver.
+/// Rejects the first non-finite coordinate of `data`.
+fn check_finite(data: &WeightedSet) -> Result<(), GeomError> {
+    for (index, p) in data.points().iter().enumerate() {
+        for (axis, &value) in p.iter().enumerate() {
+            if !value.is_finite() {
+                return Err(GeomError::NonFiniteCoordinate { index, axis, value });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Solves Problem 2 with the default solver, returning an optimal
+/// monotone classifier and its weighted error. The infallible
+/// convenience of [`PassiveSolver::try_solve`]: no deadline and no
+/// finiteness check.
 pub fn solve_passive(data: &WeightedSet) -> PassiveSolution {
-    PassiveSolver::new().solve(data)
+    PassiveSolver::new()
+        .solve_inner(data, None, None, &CancelToken::never(), false)
+        .expect("a never-token cannot cancel")
+        .0
 }
 
 #[cfg(test)]
@@ -289,16 +292,52 @@ mod tests {
 
     #[test]
     fn try_solve_types_a_stopped_token() {
+        use crate::passive::try_solve_passive_scale;
         use crate::McError;
         let ws = wset(&[(vec![0.0], Label::One, 10.0), (vec![1.0], Label::Zero, 2.0)]);
+        let table = RankTable::build(ws.points());
+        let solver = PassiveSolver::new();
         let expired = CancelToken::with_deadline(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let err = PassiveSolver::new().try_solve(&ws, &expired).unwrap_err();
-        assert_eq!(err, McError::Timeout);
         let cancelled = CancelToken::new();
         cancelled.cancel();
-        let err = PassiveSolver::new().try_solve(&ws, &cancelled).unwrap_err();
-        assert_eq!(err, McError::Cancelled);
+        for (token, want) in [
+            (&expired, McError::Timeout),
+            (&cancelled, McError::Cancelled),
+        ] {
+            assert_eq!(solver.try_solve(&ws, token).unwrap_err(), want);
+            assert_eq!(solver.try_solve_certified(&ws, token).unwrap_err(), want);
+            let scale = try_solve_passive_scale(&table, ws.labels(), ws.weights(), token);
+            assert_eq!(scale.unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn try_entries_reject_non_finite_coordinates() {
+        use crate::McError;
+        let never = CancelToken::never();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let ws = wset(&[
+                (vec![0.0, 1.0], Label::One, 1.0),
+                (vec![2.0, bad], Label::Zero, 1.0),
+            ]);
+            let want = |e: McError| {
+                matches!(
+                    e,
+                    McError::Geom(GeomError::NonFiniteCoordinate {
+                        index: 1,
+                        axis: 1,
+                        ..
+                    })
+                )
+            };
+            let solver = PassiveSolver::new();
+            assert!(want(solver.try_solve(&ws, &never).unwrap_err()), "{bad}");
+            assert!(
+                want(solver.try_solve_certified(&ws, &never).unwrap_err()),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

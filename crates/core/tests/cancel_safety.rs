@@ -7,7 +7,8 @@
 //! the same `Arc`'d inputs, then re-solve on those inputs with a live
 //! token and demand answers bit-identical to an undisturbed baseline.
 
-use mc_core::passive::{PassiveSolution, PassiveSolver};
+use mc_core::passive::{solve_passive, PassiveSolution, PassiveSolver};
+use mc_core::McError;
 use mc_geom::{Label, WeightedSet};
 use mc_obs::CancelToken;
 use proptest::prelude::*;
@@ -48,7 +49,7 @@ proptest! {
         delay_us in 0u64..400,
     ) {
         let data = Arc::new(build(&rows));
-        let baseline = PassiveSolver::new().solve(&data);
+        let baseline = solve_passive(&data);
 
         // Race a cancel against the solve at a seed-derived delay: the
         // token may trip before the solve starts, mid-build, mid-flow,
@@ -57,25 +58,27 @@ proptest! {
         let solver_data = Arc::clone(&data);
         let solver_token = token.clone();
         let handle = std::thread::spawn(move || {
-            PassiveSolver::new().solve_cancellable(&solver_data, &solver_token)
+            PassiveSolver::new().try_solve(&solver_data, &solver_token)
         });
         std::thread::sleep(Duration::from_micros(delay_us));
         token.cancel();
         let raced = handle.join().expect("cancellation must not panic");
 
-        // If the solve outran the cancel, even its answer is identical.
-        if let Ok(sol) = raced {
-            assert_bit_identical(&sol, &baseline);
+        // If the solve outran the cancel, even its answer is identical;
+        // otherwise the stop is typed as a cancel.
+        match raced {
+            Ok(sol) => assert_bit_identical(&sol, &baseline),
+            Err(e) => assert_eq!(e, McError::Cancelled),
         }
 
         // The shared inputs are untouched: two fresh solves (one
         // uncertified, one certified) reproduce the baseline bit for bit.
         let after = PassiveSolver::new()
-            .solve_cancellable(&data, &CancelToken::never())
+            .try_solve(&data, &CancelToken::never())
             .expect("a never-token cannot cancel");
         assert_bit_identical(&after, &baseline);
         let (certified, cert) = PassiveSolver::new()
-            .solve_certified_cancellable(&data, &CancelToken::never())
+            .try_solve_certified(&data, &CancelToken::never())
             .expect("a never-token cannot cancel");
         assert_bit_identical(&certified, &baseline);
         cert.verify(&data).expect("certificate audits clean");

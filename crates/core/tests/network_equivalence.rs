@@ -4,7 +4,7 @@
 //! assignments are valid monotone labelings achieving it.
 
 use mc_core::find_monotonicity_violation;
-use mc_core::passive::{solve_passive_dense, PassiveSolution, PassiveSolver};
+use mc_core::passive::{solve_passive, solve_passive_dense, PassiveSolution};
 use mc_geom::{Label, WeightedSet};
 use proptest::prelude::*;
 
@@ -57,7 +57,7 @@ fn check_against_dense(ws: &WeightedSet) -> f64 {
     let dense = solve_passive_dense(ws);
     // The reference must satisfy its own invariants too.
     check_solution(ws, "dense", &dense, dense.weighted_error);
-    let sol = PassiveSolver::new().solve(ws);
+    let sol = solve_passive(ws);
     check_solution(ws, "solver", &sol, dense.weighted_error);
     assert_eq!(sol.contending, dense.contending, "contending\n{ws:?}");
     dense.weighted_error
@@ -108,7 +108,7 @@ fn uniform_labels_cost_nothing() {
                 ws.push(&vec![(i % 5) as f64; dim], label, 1.0 + i as f64);
             }
             for (what, sol) in [
-                ("solver", PassiveSolver::new().solve(&ws)),
+                ("solver", solve_passive(&ws)),
                 ("dense", solve_passive_dense(&ws)),
             ] {
                 assert_eq!(sol.weighted_error, 0.0, "{label:?}/{what}/d={dim}");

@@ -1,4 +1,4 @@
-//! Frozen CSR flow topology and a reusable Dinic engine.
+//! Frozen CSR flow topology and the Dinic engine that runs on it.
 //!
 //! [`FlowNetwork`](crate::FlowNetwork) grows by `add_edge` into paired
 //! edge arrays and keeps no adjacency. Freezing the finished network
@@ -12,8 +12,8 @@
 //! view unchanged.
 //!
 //! [`DinicEngine`] factors the blocking-flow algorithm out of the
-//! [`Dinic`](crate::Dinic) front-end so its level/arc/queue/path buffers
-//! can be reused across phases and across solves on a [`CsrNetwork`].
+//! [`Dinic`](crate::Dinic) front-end, so its level/arc/queue/path
+//! buffers are reused across the phases of a solve.
 
 use crate::EPS;
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
@@ -21,7 +21,7 @@ use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
 /// Contiguous (CSR) snapshot of a flow network's adjacency, produced by
 /// [`FlowNetwork::freeze`](crate::FlowNetwork::freeze).
 #[derive(Debug, Clone)]
-pub struct CsrNetwork {
+pub(crate) struct CsrNetwork {
     source: usize,
     sink: usize,
     /// `start[u]..start[u + 1]` indexes `u`'s slice of `edge_ids`.
@@ -62,12 +62,12 @@ impl CsrNetwork {
     }
 
     /// The source node.
-    pub fn source(&self) -> usize {
+    pub(crate) fn source(&self) -> usize {
         self.source
     }
 
     /// The sink node.
-    pub fn sink(&self) -> usize {
+    pub(crate) fn sink(&self) -> usize {
         self.sink
     }
 
@@ -98,7 +98,7 @@ impl CsrNetwork {
 /// (a previous solve's, kept after capacity-only additions, or a greedy
 /// seed) stays put, and the engine pushes exactly the delta.
 #[derive(Debug, Clone, Default)]
-pub struct DinicEngine {
+pub(crate) struct DinicEngine {
     level: Vec<i32>,
     /// Current-arc pointers for the DFS phase.
     arc: Vec<u32>,
@@ -118,7 +118,7 @@ pub struct DinicEngine {
 
 impl DinicEngine {
     /// A fresh engine with empty buffers.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -137,7 +137,7 @@ impl DinicEngine {
     /// left mid-solve — partially augmented but internally consistent
     /// (`e ^ 1` pairing preserved); callers that might resume must
     /// re-run on a fresh residual array.
-    pub fn max_flow(
+    pub(crate) fn max_flow(
         &mut self,
         g: &CsrNetwork,
         residual: &mut [f64],
@@ -296,7 +296,7 @@ impl DinicEngine {
     /// Publishes and zeroes the accumulated `flow.{bfs_rounds,
     /// augmenting_paths, bfs_visits, dfs_steps}` counters. Callers flush
     /// once per solve so hot loops never touch the registry.
-    pub fn flush_stats(&mut self) {
+    pub(crate) fn flush_stats(&mut self) {
         mc_obs::counter_add("flow.bfs_rounds", self.bfs_rounds);
         mc_obs::counter_add("flow.augmenting_paths", self.augmenting_paths);
         mc_obs::counter_add("flow.bfs_visits", self.bfs_visits);

@@ -7,9 +7,9 @@
 //! `T_maxflow(n)` budget of Theorem 4.
 //!
 //! The front-end here is thin: it freezes the network into the CSR
-//! layout and runs the reusable [`DinicEngine`], which owns the BFS/DFS
-//! phases and their scratch buffers (see [`crate::csr`]), from the
-//! network's initial flow ([`FlowNetwork::set_initial_flow`]).
+//! layout and runs the crate's blocking-flow engine, which owns the
+//! BFS/DFS phases and their scratch buffers, from the network's initial
+//! flow ([`FlowNetwork::set_initial_flow`]).
 
 use crate::csr::DinicEngine;
 use crate::network::FlowNetwork;
@@ -26,11 +26,11 @@ impl MaxFlowAlgorithm for Dinic {
     }
 
     fn solve(&self, net: &FlowNetwork) -> FlowSolution {
-        self.solve_cancellable(net, &mc_obs::CancelToken::never())
+        self.try_solve(net, &mc_obs::CancelToken::never())
             .expect("a never-token cannot cancel")
     }
 
-    fn solve_cancellable(
+    fn try_solve(
         &self,
         net: &FlowNetwork,
         token: &mc_obs::CancelToken,

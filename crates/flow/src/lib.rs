@@ -6,9 +6,6 @@
 //!
 //! * [`FlowNetwork`] — a residual-graph network with first-class infinite
 //!   capacities (for the paper's type-3 edges);
-//! * [`CsrNetwork`] / [`DinicEngine`] — a frozen contiguous (CSR) view of
-//!   the adjacency and a reusable blocking-flow engine running on its
-//!   slices;
 //! * two interchangeable solvers behind [`MaxFlowAlgorithm`]: [`Dinic`]
 //!   (the one production engine) and [`EdmondsKarp`] (the one slow
 //!   reference it is diffed against);
@@ -30,13 +27,12 @@
 //! assert_eq!(cut.weight, 2.0); // min cut == max flow (Lemma 7)
 //! ```
 
-pub mod csr;
+mod csr;
 pub mod dinic;
 pub mod edmonds_karp;
 pub mod network;
 pub mod solution;
 
-pub use csr::{CsrNetwork, DinicEngine};
 pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
 pub use network::{Capacity, EdgeId, FlowNetwork, NodeId};
@@ -57,9 +53,8 @@ pub trait MaxFlowAlgorithm {
     /// Computes a maximum flow on `net`.
     fn solve(&self, net: &FlowNetwork) -> FlowSolution;
 
-    /// Cancellable variant of [`solve`](Self::solve), polled through
-    /// `token` so a deadline or an explicit cancel can stop the solver
-    /// mid-flow.
+    /// [`solve`](Self::solve) polled through `token`, so a deadline or
+    /// an explicit cancel can stop the solver mid-flow.
     ///
     /// The default implementation polls once up front and then runs the
     /// plain `solve` to completion — correct for the reference
@@ -67,7 +62,7 @@ pub trait MaxFlowAlgorithm {
     /// unbounded cancellation latency. The production engine
     /// ([`Dinic`]) overrides it with bounded-latency checkpoint polling
     /// in its hot loops.
-    fn solve_cancellable(
+    fn try_solve(
         &self,
         net: &FlowNetwork,
         token: &mc_obs::CancelToken,

@@ -274,7 +274,7 @@ impl FlowNetwork {
     /// its edges in insertion order. Edge ids (and therefore the `e ^ 1`
     /// residual pairing and every per-edge array such as the residuals
     /// from `initial_residuals`) are unchanged.
-    pub fn freeze(&self) -> CsrNetwork {
+    pub(crate) fn freeze(&self) -> CsrNetwork {
         CsrNetwork::from_pairs(self.source, self.sink, self.n, self.head.clone())
     }
 

@@ -127,8 +127,8 @@ impl RankTable {
         Self::try_build(points, &CancelToken::never()).expect("a never-token cannot cancel")
     }
 
-    /// Cancellable twin of [`build`](Self::build); polls the token
-    /// between the per-dimension sorts.
+    /// [`build`](Self::build) under `token`, polled between the
+    /// per-dimension sorts.
     pub fn try_build(points: &PointSet, token: &CancelToken) -> Result<Self, Cancelled> {
         Ok(Self {
             n: points.len(),

@@ -37,7 +37,7 @@ pub use error::GeomError;
 pub use index::{bitmask_of, iter_ones, matrix_bytes, row_budget_bytes, DominanceIndex, RankTable};
 pub use label::Label;
 pub use oracle::{linear_extension_order, RankOracle};
-pub use parallel::{max_threads, parallel_chunks, parallel_threshold};
+pub use parallel::{max_threads, parallel_chunks};
 pub use point::Point;
 pub use rank::{
     compress_column_ranks, compress_column_ranks_with_values, rank_key, rank_keys_into,

@@ -106,14 +106,12 @@ impl RankOracle {
     /// Builds the oracle from raw points: `O(d·n log n)` rank
     /// compression and sorting plus the budgeted suffix-bitset table.
     pub fn build(points: &PointSet) -> Self {
-        Self::try_build(points, &CancelToken::never()).expect("a never-token cannot cancel")
-    }
-
-    /// Cancellable twin of [`build`](Self::build); polls between the
-    /// per-dimension rank sorts and while filling the table.
-    pub fn try_build(points: &PointSet, token: &CancelToken) -> Result<Self, Cancelled> {
-        let ranks = try_compress_ranks(points, token)?;
-        Self::try_from_rank_columns(points.len(), points.dim(), ranks, token)
+        let never = CancelToken::never();
+        try_compress_ranks(points, &never)
+            .and_then(|ranks| {
+                Self::try_from_rank_columns(points.len(), points.dim(), ranks, &never)
+            })
+            .expect("a never-token cannot cancel")
     }
 
     /// Builds the oracle over this oracle's points in the order `order`:

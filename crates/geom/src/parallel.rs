@@ -2,20 +2,18 @@
 //!
 //! Several hot paths in the workspace (contending-point discovery, the
 //! ladder's zero sweep, the Hopcroft–Karp BFS layers) are embarrassingly
-//! parallel over a range of row indices. They previously each carried
-//! their own copy of the same `std::thread::scope` boilerplate, with
-//! hard-coded `n < 2_000` / `n < 4_000` sequential cutoffs. This module
-//! centralizes both the chunking and the tunables:
+//! parallel over a range of row indices. This module holds the one
+//! chunking helper and its limits:
 //!
-//! * `MC_PAR_THRESHOLD` — minimum `n` before threads are spawned
-//!   (default [`DEFAULT_PAR_THRESHOLD`]); below it the kernel runs
-//!   inline on the calling thread.
+//! * [`PAR_THRESHOLD`] — minimum `n` before threads are spawned; below
+//!   it the kernel runs inline on the calling thread.
 //! * `MC_THREADS` — cap on the number of worker threads (default: all
 //!   available cores).
 //!
-//! Both are read from the environment on every call, which keeps the
-//! knobs usable from tests and one-off experiment runs. The machine's
-//! available parallelism is probed once per process instead: on Linux
+//! `MC_THREADS` is read from the environment on every call, so a caller
+//! can set it at start-up (as benchmark drivers do) and tests can vary
+//! it per process. The machine's available parallelism is probed once
+//! per process instead: on Linux
 //! the probe reads cgroup files and takes tens of microseconds, as long
 //! as some dispatched kernels run (a Hopcroft–Karp BFS layer, a
 //! single-point classify frame), and a solve or a connection dispatches
@@ -26,13 +24,13 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Default sequential cutoff: below this many rows, thread startup
-/// costs more than it saves.
-pub const DEFAULT_PAR_THRESHOLD: usize = 2_048;
+/// Sequential cutoff: below this many rows, thread startup costs more
+/// than it saves.
+pub const PAR_THRESHOLD: usize = 2_048;
 
 /// Parses a tunable env value. `None` (unset) quietly yields the
 /// default; a set-but-invalid value — non-UTF-8, non-numeric, or zero
-/// (both knobs are minimum-1 quantities) — yields the default *with* a
+/// (a thread count is at least 1) — yields the default *with* a
 /// one-shot warning, instead of being silently swallowed.
 fn parse_env(var: &'static str, value: Option<std::ffi::OsString>, default: usize) -> usize {
     let Some(raw) = value else {
@@ -52,16 +50,6 @@ fn parse_env(var: &'static str, value: Option<std::ffi::OsString>, default: usiz
             default
         }
     }
-}
-
-/// The minimum problem size `n` at which the helpers go parallel.
-/// Overridable via `MC_PAR_THRESHOLD`.
-pub fn parallel_threshold() -> usize {
-    parse_env(
-        "MC_PAR_THRESHOLD",
-        std::env::var_os("MC_PAR_THRESHOLD"),
-        DEFAULT_PAR_THRESHOLD,
-    )
 }
 
 /// The number of worker threads the helpers may use: the machine's
@@ -105,14 +93,14 @@ fn note_dispatch(chunk_ns: &[AtomicU64]) {
 /// concatenating them reproduces the sequential output).
 ///
 /// Runs inline on the calling thread (one chunk) when `n` is below
-/// [`parallel_threshold`] or only one thread is allowed.
+/// [`PAR_THRESHOLD`] or only one thread is allowed.
 pub fn parallel_chunks<T, F>(n: usize, kernel: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
     let threads = max_threads();
-    if n < parallel_threshold() || threads <= 1 {
+    if n < PAR_THRESHOLD || threads <= 1 {
         mc_obs::counter_add("parallel.sequential", 1);
         return vec![kernel(0..n)];
     }
@@ -215,9 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn threads_and_threshold_have_sane_defaults() {
+    fn threads_have_a_sane_default() {
         assert!(max_threads() >= 1);
-        assert!(parallel_threshold() >= 1);
     }
 
     #[test]

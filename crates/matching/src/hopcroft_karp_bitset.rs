@@ -23,7 +23,7 @@
 //!    source scans lazily from the diagonal word and builds no row.
 //! 2. **Frontier-bitset BFS** — each layer ORs the frontier's rows into
 //!    one `reached` bitset (fanned out via `mc_geom::parallel_chunks`
-//!    above the `MC_PAR_THRESHOLD` cut-over), then walks
+//!    above `mc_geom::parallel::PAR_THRESHOLD` rows), then walks
 //!    `reached AND NOT seen` once to assign layers — and records each
 //!    layer's newly seen rights as a **level mask** with a sparse list
 //!    of its nonzero words.
@@ -317,26 +317,17 @@ impl<G: RowSource> State<'_, '_, G> {
 }
 
 impl HopcroftKarpBitset {
-    /// Computes a maximum matching of `g` and the phase statistics
-    /// (greedy hits, rounds, augmentations, words scanned). Generic over
-    /// the row source: owned [`BitsetGraph`](crate::BitsetGraph) rows and
+    /// Computes a maximum matching of `g`, the phase statistics (greedy
+    /// hits, rounds, augmentations, words scanned) and König's `Z` off
+    /// the last layering ([`AlternatingReach`]). Generic over the row
+    /// source: owned [`BitsetGraph`](crate::BitsetGraph) rows and
     /// on-demand [`OracleGraph`](crate::OracleGraph) rows produce
-    /// identical matchings.
-    pub fn solve_with_stats<G: RowSource>(&self, g: &G) -> (Matching, MatchingStats) {
-        let (matching, stats, _) = self
-            .solve_with_stats_cancellable(g, &mc_obs::CancelToken::never())
-            .expect("a never-token cannot cancel");
-        (matching, stats)
-    }
-
-    /// Cancellable twin of [`solve_with_stats`](Self::solve_with_stats),
-    /// which also returns König's `Z` off the last layering
-    /// ([`AlternatingReach`]): the token is checkpointed on the words the
+    /// identical matchings. The token is checkpointed on the words the
     /// greedy seed scans, polled between Hopcroft–Karp rounds, and
     /// checkpointed once per row the BFS/DFS phases resolve (on-demand
     /// sources compute or cache rows there). On cancellation the partial
     /// matching is discarded.
-    pub fn solve_with_stats_cancellable<G: RowSource>(
+    pub fn try_solve<G: RowSource>(
         &self,
         g: &G,
         token: &CancelToken,
@@ -466,7 +457,10 @@ mod tests {
     }
 
     fn solve(g: &BitsetGraph) -> Matching {
-        HopcroftKarpBitset.solve_with_stats(g).0
+        HopcroftKarpBitset
+            .try_solve(g, &CancelToken::never())
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -484,7 +478,9 @@ mod tests {
         // finds L1's only right taken and seeds L0->R2; the phased search
         // must undo L2->R0 via the path L1, R0, L2, R1 to match all three.
         let g = graph(3, 3, &[(0, 2), (1, 0), (2, 0), (2, 1)]);
-        let (m, stats) = HopcroftKarpBitset.solve_with_stats(&g);
+        let (m, stats, _) = HopcroftKarpBitset
+            .try_solve(&g, &CancelToken::never())
+            .unwrap();
         assert_eq!(m.size(), 3);
         m.validate(&g).unwrap();
         assert_eq!(stats.greedy_matched, 2);
@@ -512,7 +508,9 @@ mod tests {
                 edges.push((i, i + 1));
             }
         }
-        let (m, stats) = HopcroftKarpBitset.solve_with_stats(&graph(k, k, &edges));
+        let (m, stats, _) = HopcroftKarpBitset
+            .try_solve(&graph(k, k, &edges), &CancelToken::never())
+            .unwrap();
         assert_eq!(m.size(), k);
         assert_eq!(stats.greedy_matched, k as u64);
         assert_eq!(stats.rounds, 0);
@@ -534,7 +532,9 @@ mod tests {
             edges.push((i, i + 1));
         }
         let g = graph(k + 1, k + 1, &edges);
-        let (m, stats) = HopcroftKarpBitset.solve_with_stats(&g);
+        let (m, stats, _) = HopcroftKarpBitset
+            .try_solve(&g, &CancelToken::never())
+            .unwrap();
         assert_eq!(m.size(), k + 1);
         m.validate(&g).unwrap();
         assert_eq!(stats.greedy_matched, k as u64);
@@ -574,7 +574,7 @@ mod tests {
         ] {
             let g = graph(nl, nr, &edges);
             let (m, _, reach) = HopcroftKarpBitset
-                .solve_with_stats_cancellable(&g, &CancelToken::never())
+                .try_solve(&g, &CancelToken::never())
                 .unwrap();
             m.validate(&g).unwrap();
             assert_eq!(m.size(), size, "{what}");
@@ -593,7 +593,7 @@ mod tests {
                 .collect();
             let g = graph(nl, nr, &edges);
             let (m, _, reach) = HopcroftKarpBitset
-                .solve_with_stats_cancellable(&g, &CancelToken::never())
+                .try_solve(&g, &CancelToken::never())
                 .unwrap();
             m.validate(&g).unwrap();
             assert_eq!(
@@ -629,7 +629,7 @@ mod tests {
                 let oracle = RankOracle::build(&points);
                 let bg = BitsetGraph::pairwise_split(&points);
                 let (mb, sb, zb) = HopcroftKarpBitset
-                    .solve_with_stats_cancellable(&bg, &CancelToken::never())
+                    .try_solve(&bg, &CancelToken::never())
                     .unwrap();
                 mb.validate(&bg).unwrap();
                 assert_koenig_cover(&bg, &mb, &zb, &format!("dim {dim} n {n}"));
@@ -638,7 +638,7 @@ mod tests {
                     OracleGraph::with_row_cache(&oracle),
                 ] {
                     let (mo, so, zo) = HopcroftKarpBitset
-                        .solve_with_stats_cancellable(&og, &CancelToken::never())
+                        .try_solve(&og, &CancelToken::never())
                         .unwrap();
                     assert_eq!(mb, mo, "dim {dim} n {n}");
                     assert_eq!(sb.greedy_matched, so.greedy_matched);

@@ -20,12 +20,15 @@
 //!
 //! ```
 //! use mc_matching::{BitsetGraph, HopcroftKarpBitset};
+//! use mc_obs::CancelToken;
 //!
 //! // Left 0 is adjacent to rights 0 and 1, left 1 to right 0 only.
 //! let mut g = BitsetGraph::new(2);
 //! g.push(Box::new([0b11]));
 //! g.push(Box::new([0b01]));
-//! let (matching, _stats) = HopcroftKarpBitset.solve_with_stats(&g);
+//! let (matching, _stats, _koenig) = HopcroftKarpBitset
+//!     .try_solve(&g, &CancelToken::never())
+//!     .unwrap();
 //! assert_eq!(matching.size(), 2);
 //! matching.validate(&g).unwrap();
 //! ```

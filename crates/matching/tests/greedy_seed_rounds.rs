@@ -6,7 +6,7 @@
 //! race on the counter values.
 
 use mc_matching::{BitsetGraph, HopcroftKarpBitset};
-use mc_obs::Level;
+use mc_obs::{CancelToken, Level};
 
 /// On the ladder graph (`L_i -> {R_i, R_{i+1}}`) the greedy seed already
 /// finds the perfect matching, so the phased search must run zero
@@ -23,7 +23,9 @@ fn ladder_runs_zero_rounds_after_greedy_seed() {
         }
         g.push(row);
     }
-    let (m, _) = HopcroftKarpBitset.solve_with_stats(&g);
+    let (m, _, _) = HopcroftKarpBitset
+        .try_solve(&g, &CancelToken::never())
+        .unwrap();
     assert_eq!(m.size(), k);
 
     let snap = mc_obs::snapshot();

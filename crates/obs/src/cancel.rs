@@ -125,8 +125,8 @@ impl CancelToken {
     }
 
     /// A token that never stops. Free to construct (no allocation);
-    /// every poll short-circuits. Non-cancellable public APIs wrap
-    /// their cancellable twins with this.
+    /// every poll short-circuits. Infallible conveniences call their
+    /// stage's `try_*` entry with this.
     pub fn never() -> Self {
         Self { inner: None }
     }

@@ -9,7 +9,7 @@
 //! simulated entity-matching workload and shows held-out quality
 //! converging to the exact optimum as the budget grows.
 
-use monotone_classification::core::active::solve_with_budget;
+use monotone_classification::core::active::try_solve_with_budget;
 use monotone_classification::core::metrics::{train_test_split, ConfusionMatrix};
 use monotone_classification::core::passive::solve_passive;
 use monotone_classification::core::InMemoryOracle;
@@ -40,7 +40,8 @@ fn main() {
 
     for budget in [50usize, 150, 400, 1000, train.len()] {
         let mut oracle = InMemoryOracle::from_labeled(&train);
-        let sol = solve_with_budget(train.points(), &mut oracle, budget, 7);
+        let sol = try_solve_with_budget(train.points(), &mut oracle, budget, 7)
+            .expect("the oracle labels exactly the training points");
         let m = ConfusionMatrix::evaluate(&sol.classifier, &test);
         println!(
             "{:>8} {:>10} {:>10.3} {:>10.3} {:>+8.3}",

@@ -421,16 +421,10 @@ impl ObsOutput {
             eprint!("{}", obs::sink::render_phase_tree(&snap));
         }
         if let Some(path) = &self.metrics_out {
-            let mut meta: Vec<(&str, Value)> = vec![
-                (
-                    "mc_par_threshold",
-                    Value::U(monotone_classification::geom::parallel_threshold() as u64),
-                ),
-                (
-                    "mc_threads",
-                    Value::U(monotone_classification::geom::max_threads() as u64),
-                ),
-            ];
+            let mut meta: Vec<(&str, Value)> = vec![(
+                "mc_threads",
+                Value::U(monotone_classification::geom::max_threads() as u64),
+            )];
             meta.extend(extra_meta.iter().cloned());
             let mut file = std::fs::File::create(path)
                 .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
@@ -560,7 +554,7 @@ fn cmd_passive_columnar(
     limit: Option<Duration>,
     obs_out: &ObsOutput,
 ) -> Result<(), CliError> {
-    use monotone_classification::core::passive::solve_passive_scale_cancellable;
+    use monotone_classification::core::passive::try_solve_passive_scale;
     use monotone_classification::data::columnar::ColumnarDataset;
     if get_value(values, "out").is_some() {
         return Err(CliError::Usage(
@@ -592,7 +586,7 @@ fn cmd_passive_columnar(
             ("d", Value::U(d as u64)),
         ],
     )?;
-    let sol = solve_passive_scale_cancellable(&table, &labels, &weights, &token)?;
+    let sol = try_solve_passive_scale(&table, &labels, &weights, &token)?;
     let total_secs = start.elapsed().as_secs_f64();
     println!(
         "n = {n}, d = {d}, contending = {} ({} label-0, {} label-1)",

@@ -58,7 +58,7 @@ pub use mc_geom::{Label, LabeledSet, Point, PointSet, WeightedSet};
 // Fault-tolerance layer: typed errors, fault-injection and retry oracles,
 // degradation reports (see `mc_core::oracle` and the "Failure model"
 // section of docs/ALGORITHMS.md).
-pub use mc_core::active::{solve_with_budget, try_solve_with_budget};
+pub use mc_core::active::try_solve_with_budget;
 pub use mc_core::{
     AbstainingOracle, FlakyOracle, McError, MeteredOracle, OracleError, OracleStats, RetryOracle,
     RetryPolicy, SolveReport,

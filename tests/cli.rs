@@ -891,15 +891,17 @@ fn passive_columnar_answer_is_identical_across_thread_counts() {
         "{}",
         String::from_utf8_lossy(&gen.stderr)
     );
-    // A threshold of 1 makes every chunked kernel fan out whenever more
-    // than one worker is allowed, so the two runs really differ in how
-    // the work is split.
+    // Above 2,048 rows the chunked kernels (the ladder's zero sweep, the
+    // Hopcroft–Karp BFS layers) split their work whenever more than one
+    // worker is allowed, so the two runs differ in how the work is split.
     let run = |threads: &str| {
+        let metrics = write_temp(&format!("threads-{threads}.jsonl"), "");
         let out = mcc()
             .args(["passive"])
             .arg(&data)
+            .arg("--metrics-out")
+            .arg(&metrics)
             .env("MC_THREADS", threads)
-            .env("MC_PAR_THRESHOLD", "1")
             .output()
             .unwrap();
         assert!(
@@ -908,15 +910,30 @@ fn passive_columnar_answer_is_identical_across_thread_counts() {
             String::from_utf8_lossy(&out.stderr)
         );
         // Everything but the timing/RSS line must repeat exactly.
-        String::from_utf8_lossy(&out.stdout)
+        let stdout = String::from_utf8_lossy(&out.stdout)
             .lines()
             .filter(|l| !l.starts_with("load "))
             .map(str::to_owned)
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>();
+        (stdout, std::fs::read_to_string(&metrics).unwrap())
     };
-    let one = run("1");
+    let (one, _) = run("1");
     assert!(one.iter().any(|l| l.contains("dominance width")), "{one:?}");
-    assert_eq!(one, run("4"));
+    let (four, metrics) = run("4");
+    assert_eq!(one, four);
+    // `MC_THREADS` is capped at the host's cores, so only a host with two
+    // or more cores really splits the second run.
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+        let dispatches = metrics
+            .lines()
+            .find(|l| l.contains(r#""name":"parallel.dispatches""#))
+            .and_then(|l| l.split(r#""value":"#).nth(1))
+            .and_then(|v| v.trim_end_matches('}').parse::<u64>().ok());
+        assert!(
+            dispatches.is_some_and(|d| d > 0),
+            "no parallel dispatch at MC_THREADS=4:\n{metrics}"
+        );
+    }
 }
 
 /// The same unit-weight points as CSV and as MCC1 take the same gadget
