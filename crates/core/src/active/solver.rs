@@ -38,7 +38,7 @@ use crate::active::one_dim::{try_weighted_sample_1d, OneDimParams};
 use crate::classifier::MonotoneClassifier;
 use crate::error::McError;
 use crate::oracle::{LabelOracle, SubsetOracle};
-use crate::passive::solver::{PassiveSolution, PassiveSolver};
+use crate::passive::solver::{check_coordinates, PassiveSolution, PassiveSolver};
 use crate::report::SolveReport;
 use mc_geom::{Label, PointSet, RankTable, WeightedSet};
 use rand::rngs::StdRng;
@@ -150,7 +150,8 @@ impl ActiveSolver {
     ///
     /// # Panics
     ///
-    /// Panics if `oracle.len() != points.len()` or ε ∉ (0, 1].
+    /// Panics if `oracle.len() != points.len()`, ε ∉ (0, 1] or a
+    /// coordinate is NaN.
     pub fn solve(&self, points: &PointSet, oracle: &mut dyn LabelOracle) -> ActiveSolution {
         self.try_solve(points, oracle)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -164,13 +165,16 @@ impl ActiveSolver {
     /// whether and how the result degraded.
     ///
     /// `Err` is reserved for invalid inputs (oracle/points size
-    /// mismatch, ε ∉ (0, 1], …); oracle failures never abort the solve.
+    /// mismatch, ε ∉ (0, 1], a NaN coordinate as
+    /// [`mc_geom::GeomError::NonFiniteCoordinate`], …; `±∞` coordinates are
+    /// solved); oracle failures never abort the solve.
     pub fn try_solve(
         &self,
         points: &PointSet,
         oracle: &mut dyn LabelOracle,
     ) -> Result<ActiveSolution, McError> {
         let _span = mc_obs::span("active");
+        check_coordinates(points, f64::is_nan)?;
         if points.is_empty() {
             return self.solve_with_chains_inner(points, &[], None, oracle);
         }
@@ -471,6 +475,51 @@ mod tests {
 
     fn optimal_error(ls: &LabeledSet) -> f64 {
         solve_passive(&ls.with_unit_weights()).weighted_error
+    }
+
+    /// Three points, the middle one with `value` on axis 1.
+    fn with_cell(value: f64) -> LabeledSet {
+        let mut ls = LabeledSet::empty(2);
+        ls.push(&[0.0, 0.0], Label::Zero);
+        ls.push(&[1.0, value], Label::One);
+        ls.push(&[2.0, 2.0], Label::One);
+        ls
+    }
+
+    #[test]
+    fn try_solve_rejects_nan_and_solves_infinities() {
+        let ls = with_cell(f64::NAN);
+        let mut oracle = InMemoryOracle::from_labeled(&ls);
+        let err = ActiveSolver::with_epsilon(0.5)
+            .try_solve(ls.points(), &mut oracle)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                McError::Geom(mc_geom::GeomError::NonFiniteCoordinate {
+                    index: 1,
+                    axis: 1,
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            let ls = with_cell(inf);
+            let mut oracle = InMemoryOracle::from_labeled(&ls);
+            let sol = ActiveSolver::with_epsilon(0.5)
+                .try_solve(ls.points(), &mut oracle)
+                .unwrap();
+            assert_eq!(sol.classifier.error_on(&ls), optimal_error(&ls) as u64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "point 1, axis 1: coordinate NaN is not finite")]
+    fn solve_panics_on_nan_with_the_geom_error() {
+        let ls = with_cell(f64::NAN);
+        let mut oracle = InMemoryOracle::from_labeled(&ls);
+        ActiveSolver::with_epsilon(0.5).solve(ls.points(), &mut oracle);
     }
 
     #[test]

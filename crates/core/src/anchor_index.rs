@@ -1,31 +1,45 @@
-//! Anchor index: the query fast path over [`mc_geom::RankOracle`] rows.
+//! Anchor index: the query fast path over [`mc_geom::RankOracle`]
+//! suffixes.
 //!
 //! [`MonotoneClassifier::classify`] is a naive scan — every query walks
 //! all `a` anchors and compares `d` floats each, `O(a·d)` float work per
 //! point. That is fine for training-time evaluation but not for serving
 //! millions of queries per second. [`AnchorIndex`] preprocesses the
-//! anchor set once so that a single-point query costs `O(d log a)`
-//! binary-search steps plus one oracle row: `d·⌈a/64⌉` word ANDs and
-//! fewer than `d·B` bit clears, `B` the oracle's checkpoint stride.
+//! anchor set once so that a single-point query costs `d` bucket lookups
+//! plus one existence test over the oracle's suffix bitsets: at most
+//! `(d − 1)·⌈p/64⌉` word ANDs, `p ≤ a` the dimension-0 prefix below,
+//! and `d` rank compares per surviving bit, stopping at the first anchor
+//! the point dominates.
 //!
-//! * **Values and counts** (per dimension): the anchors' coordinates on
-//!   dimension `k` are collapsed to dense ranks `0..m_k` via
-//!   [`mc_geom::compress_column_ranks_with_values`], keeping the sorted
-//!   distinct values and the cumulative count `above[k][c]` of anchors
-//!   whose rank is `≥ c`. A query coordinate `q` is bound with one
-//!   binary search: `c = vals[k].partition_point(|v| *v <= q)` counts
-//!   the values at or below `q` under the same IEEE `<=` the naive
-//!   `dominates` scan uses (so `NaN`, `±∞` and signed zeros agree
-//!   bit-for-bit with the scan by construction). `c = 0` means `q`
-//!   dominates no anchor on `k`, and the answer is [`Label::Zero`].
+//! * **Values, guides and counts** (per dimension): the anchors'
+//!   coordinates on dimension `k` are collapsed to dense ranks `0..m_k`
+//!   via [`mc_geom::compress_column_ranks_with_values`], keeping the
+//!   sorted distinct values and the cumulative count `above[k][c]` of
+//!   anchors whose rank is `≥ c`. A query coordinate `q` is bound to `c`,
+//!   the number of values at or below `q` under the same IEEE `<=` the
+//!   naive `dominates` scan uses (so `±∞` and signed zeros agree
+//!   bit-for-bit with the scan by construction; a `NaN` coordinate
+//!   dominates nothing and answers [`Label::Zero`] first). A bucket
+//!   guide over the values' [`rank_key`]s, about one bucket per value,
+//!   finds `c` with one `partition_point` inside `q`'s bucket, `O(1)`
+//!   values in expectation rather than `log m_k` steps over all of them.
+//!   `c = 0` means `q` dominates no anchor on `k`, and the answer is 0.
 //! * **One oracle over reversed ranks**: the [`RankOracle`] holds each
 //!   anchor's reversed rank `m_k − 1 − r`, so its sorted order on `k`
 //!   runs from the largest coordinate down, and the anchors `q` dominates
 //!   on `k` are exactly those at sorted position `≥ above[k][c]` — a tie
-//!   group start. [`RankOracle::suffix_row_into`] ANDs those suffixes
-//!   across dimensions; the answer is 1 iff the row is non-empty. When a
-//!   small `MC_MATRIX_BUDGET_BYTES` widens the oracle's stride, its
-//!   rank-compare fallback bounds a row at about `d` compare passes.
+//!   group start. [`RankOracle::suffix_intersects`] asks whether some
+//!   anchor lies in all those suffixes; the answer is 1 iff one does. No
+//!   row is built.
+//! * **Dimension 0 as an index bound**: every [`MonotoneClassifier`]
+//!   stores its anchors in lexicographic order, so the anchors at or
+//!   below `q₀` on dimension 0 are the first `p = a − above[0][c₀]`. The
+//!   existence test reads only the words below `⌈p/64⌉`, masks the bits
+//!   past `p`, and needs no dimension-0 suffix. When a small
+//!   `MC_MATRIX_BUDGET_BYTES` widens the oracle's stride, more bits
+//!   survive the ANDs and wait for rank compares; at one checkpoint per
+//!   dimension the test is a rank scan of the prefix, about `d` compare
+//!   passes at worst.
 //!
 //! The index answers exactly like the classifier it was built from —
 //! tested bit-identically against the naive scan in
@@ -36,17 +50,75 @@
 
 use crate::classifier::MonotoneClassifier;
 use mc_geom::{
-    compress_column_ranks_with_values, parallel_chunks, row_budget_bytes, Label, PointSet,
-    RankOracle,
+    compress_column_ranks_with_values, parallel_chunks, rank_key, row_budget_bytes, Label,
+    PointSet, RankOracle,
 };
 
-/// Reusable per-thread query scratch: the anchor bitset row plus the
-/// per-dimension oracle positions. Allocation-free across queries once
-/// warm; one per worker thread, never shared.
+/// Reusable per-thread query scratch: the per-dimension oracle
+/// positions. Allocation-free across queries once warm; one per worker
+/// thread, never shared.
 #[derive(Debug, Default, Clone)]
 pub struct QueryScratch {
-    row: Vec<u64>,
     pos: Vec<u32>,
+}
+
+/// A bucket guide over one dimension's sorted distinct values: bucket
+/// `b` covers the [`rank_key`]s from `lo + b·2^shift` up to the next
+/// bucket's, and `starts[b]` counts the values whose key lies below it.
+/// About one bucket per value, so binding a coordinate searches one
+/// bucket, `O(1)` values in expectation, instead of all `m_k`.
+#[derive(Debug, Clone)]
+struct KeyGuide {
+    lo: u64,
+    shift: u32,
+    /// `buckets + 1` entries, the last one `m_k`.
+    starts: Vec<u32>,
+}
+
+impl KeyGuide {
+    fn build(vals: &[f64]) -> Self {
+        let (Some(&first), Some(&last)) = (vals.first(), vals.last()) else {
+            return Self {
+                lo: 0,
+                shift: 0,
+                starts: vec![0],
+            };
+        };
+        let lo = rank_key(first);
+        let span = rank_key(last) - lo;
+        // At most `m_k.next_power_of_two()` buckets.
+        let bits = u64::BITS - span.leading_zeros();
+        let shift = bits.saturating_sub(vals.len().next_power_of_two().trailing_zeros());
+        let buckets = (span >> shift) as usize + 1;
+        let mut starts = vec![0u32; buckets + 1];
+        for &v in vals {
+            starts[((rank_key(v) - lo) >> shift) as usize + 1] += 1;
+        }
+        for b in 1..=buckets {
+            starts[b] += starts[b - 1];
+        }
+        Self { lo, shift, starts }
+    }
+
+    /// The number of `vals` at or below `q` under IEEE `<=`, for a
+    /// non-NaN `q`: every value in a bucket below `q`'s is `< q` and
+    /// every value in one above is `> q`, so one `partition_point`
+    /// inside `q`'s bucket decides the count.
+    #[inline]
+    fn count_at_or_below(&self, vals: &[f64], q: f64) -> usize {
+        let Some(offset) = rank_key(q).checked_sub(self.lo) else {
+            return 0;
+        };
+        let b = offset >> self.shift;
+        if b >= (self.starts.len() - 1) as u64 {
+            return vals.len();
+        }
+        let (from, to) = (
+            self.starts[b as usize] as usize,
+            self.starts[b as usize + 1] as usize,
+        );
+        from + vals[from..to].partition_point(|v| *v <= q)
+    }
 }
 
 /// An immutable index over a [`MonotoneClassifier`]'s anchor set. See
@@ -61,6 +133,8 @@ pub struct AnchorIndex {
     /// `vals[k]` = sorted distinct canonical anchor values on dimension
     /// `k` (`vals[k][r]` is the coordinate shared by rank-`r` anchors).
     vals: Vec<Vec<f64>>,
+    /// `guides[k]` locates a coordinate among `vals[k]`.
+    guides: Vec<KeyGuide>,
     /// `above[k][c]` = anchors whose rank on dimension `k` is `≥ c`
     /// (`m_k + 1` entries): the oracle's first sorted position of the
     /// anchors with rank `< c`.
@@ -100,7 +174,14 @@ impl AnchorIndex {
     fn build_within(h: &MonotoneClassifier, budget_bytes: u64) -> Self {
         let dim = h.dim();
         let num_anchors = h.anchors().len();
+        debug_assert!(
+            h.anchors()
+                .windows(2)
+                .all(|w| w[0][0].total_cmp(&w[1][0]).is_le()),
+            "anchors must be sorted on dimension 0"
+        );
         let (ranks, vals) = reversed_rank_columns(dim, h.anchors());
+        let guides = vals.iter().map(|v| KeyGuide::build(v)).collect();
         let above = vals
             .iter()
             .enumerate()
@@ -122,6 +203,7 @@ impl AnchorIndex {
             dim,
             num_anchors,
             vals,
+            guides,
             above,
             oracle,
         }
@@ -138,12 +220,14 @@ impl AnchorIndex {
     }
 
     /// Resident size of the index payload in bytes: the oracle's table
-    /// and arrays ([`RankOracle::payload_bytes`]), the distinct values
-    /// and the cumulative counts. For capacity planning and telemetry.
+    /// and arrays ([`RankOracle::payload_bytes`]), the distinct values,
+    /// their bucket guides and the cumulative counts. For capacity
+    /// planning and telemetry.
     pub fn payload_bytes(&self) -> usize {
         let distinct: usize = self.vals.iter().map(|v| v.len() * 8).sum();
+        let guides: usize = self.guides.iter().map(|g| g.starts.len() * 4).sum();
         let counts: usize = self.above.iter().map(|c| c.len() * 4).sum();
-        self.oracle.payload_bytes() + distinct + counts
+        self.oracle.payload_bytes() + distinct + guides + counts
     }
 
     /// Classifies one point, allocating fresh scratch. Convenience
@@ -166,19 +250,30 @@ impl AnchorIndex {
             return Label::Zero;
         }
         scratch.pos.clear();
-        for ((&q, vals), above) in p.iter().zip(&self.vals).zip(&self.above) {
-            // Values at or below q under IEEE `<=`: NaN compares false
-            // against everything, so a NaN coordinate yields c = 0 —
-            // the same "dominates nothing" answer the naive scan gives.
-            let c = vals.partition_point(|v| *v <= q);
+        let mut prefix = 0;
+        for (k, &q) in p.iter().enumerate() {
+            // NaN compares false against everything, so it dominates no
+            // anchor: the naive scan's answer.
+            if q.is_nan() {
+                return Label::Zero;
+            }
+            let c = self.guides[k].count_at_or_below(&self.vals[k], q);
             if c == 0 {
                 return Label::Zero;
             }
-            scratch.pos.push(above[c]);
+            let start = self.above[k][c];
+            if k == 0 {
+                // The anchors are sorted on dimension 0, so those at or
+                // below `q₀` there are exactly the first `a − start`:
+                // the scan's index bound decides dimension 0, and its
+                // suffix is the whole set.
+                prefix = self.num_anchors - start as usize;
+                scratch.pos.push(0);
+            } else {
+                scratch.pos.push(start);
+            }
         }
-        scratch.row.resize(self.oracle.words(), 0);
-        self.oracle.suffix_row_into(&scratch.pos, &mut scratch.row);
-        Label::from_bool(scratch.row.iter().any(|&w| w != 0))
+        Label::from_bool(self.oracle.suffix_intersects(&scratch.pos, prefix))
     }
 
     /// Classifies a flat row-major batch (`data.len()` must be a
@@ -475,6 +570,60 @@ mod tests {
         assert_eq!(idx.oracle.payload_bytes(), oracle);
         let values = 2 * a * 8;
         let counts = 2 * (a + 1) * 4;
-        assert_eq!(idx.payload_bytes(), oracle + values + counts);
+        // At most one bucket per value, rounded up to a power of two,
+        // plus the closing count.
+        assert!(idx.guides.iter().all(|g| g.starts.len() <= 512 + 1));
+        let guides: usize = idx.guides.iter().map(|g| g.starts.len() * 4).sum();
+        assert_eq!(idx.payload_bytes(), oracle + values + guides + counts);
+    }
+
+    /// The guide's count must equal a `partition_point` over all the
+    /// values, for values spread over many binades, clustered in one,
+    /// with `±∞`, signed zeros and subnormals, and for queries at, next
+    /// to and between them.
+    #[test]
+    fn key_guide_counts_like_a_full_binary_search() {
+        let mut rng = StdRng::seed_from_u64(0x6E1DE);
+        let tiny = f64::from_bits(1); // the smallest subnormal
+        let columns: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![5.0],
+            vec![f64::NEG_INFINITY],
+            vec![f64::NEG_INFINITY, f64::INFINITY],
+            vec![-tiny, 0.0, tiny],
+            (0..500).map(|i| 1.0 + i as f64 * 1e-12).collect(),
+            (0..300).map(|_| rng.gen_range(-1e6..1e6)).collect(),
+            (0..300).map(|i| (i as f64 - 150.0).powi(9)).collect(),
+            (0..200)
+                .map(|_| 2f64.powi(rng.gen_range(-1000..1000)) * rng.gen_range(-1.0..1.0))
+                .chain([f64::NEG_INFINITY, f64::INFINITY, 0.0, f64::MAX, f64::MIN])
+                .collect(),
+        ];
+        for column in columns {
+            let (_, vals) = compress_column_ranks_with_values(&column);
+            let guide = KeyGuide::build(&vals);
+            assert!(guide.starts.len() <= vals.len().next_power_of_two() + 1);
+            let mut queries = vec![
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                -0.0,
+                0.0,
+                tiny,
+                -tiny,
+                f64::MAX,
+                f64::MIN,
+            ];
+            for &v in &vals {
+                queries.extend([v, v.next_up(), v.next_down(), v * 0.5, v * 2.0]);
+            }
+            for &q in queries.iter().filter(|q| !q.is_nan()) {
+                assert_eq!(
+                    guide.count_at_or_below(&vals, q),
+                    vals.partition_point(|v| *v <= q),
+                    "q {q:e} over {} values",
+                    vals.len()
+                );
+            }
+        }
     }
 }

@@ -221,7 +221,10 @@ impl MonotoneClassifier {
         self.dim
     }
 
-    /// The minimal anchors of the positive region.
+    /// The minimal anchors of the positive region, in lexicographic
+    /// `f64::total_cmp` order (no `NaN`, no `-0.0`). The anchor index
+    /// relies on it: the anchors at or below a value on dimension 0 are
+    /// a prefix of this list.
     pub fn anchors(&self) -> &[Vec<f64>] {
         &self.anchors
     }

@@ -4,9 +4,10 @@
 //! * [`classifier`] — monotone classifiers in anchor (minimal-up-set)
 //!   representation; monotone by construction.
 //! * [`anchor_index`] — the query fast path ([`AnchorIndex`]): `d`
-//!   binary searches, then one `mc_geom::RankOracle` row of `d·⌈a/64⌉`
-//!   word ANDs and fewer than `d·B` bit clears per point (`B` the
-//!   oracle's checkpoint stride), bit-identical to the naive anchor scan.
+//!   bucket-guided lookups, then one `mc_geom::RankOracle` existence
+//!   test over the anchors at or below the point on dimension 0 (word
+//!   ANDs plus rank compares for the surviving bits, stopping at the
+//!   first dominated anchor), bit-identical to the naive anchor scan.
 //! * [`passive`] — Problem 2: optimal weighted classification in
 //!   `O(d·n²) + T_maxflow(n)` via min-cut (Theorem 4), plus exponential
 //!   and 1D baselines.

@@ -100,8 +100,14 @@ impl Certificate {
 /// The certificate comes from `decompose_flow` on whatever network
 /// the solver built — the `d ≤ 2` sweep or the `d ≥ 3` ladder — so this
 /// costs one solve plus a near-linear decomposition, and works at any
-/// scale the solver itself handles.
+/// scale the solver itself handles. `±∞` coordinates are solved.
+///
+/// # Panics
+///
+/// Panics with the [`mc_geom::GeomError::NonFiniteCoordinate`] text on
+/// a NaN coordinate.
 pub fn certify_passive(data: &WeightedSet) -> (PassiveSolution, Certificate) {
+    crate::passive::solver::assert_no_nan(data.points());
     crate::passive::solver::PassiveSolver::new()
         .solve_certified(data, &mc_obs::CancelToken::never())
         .expect("a never-token cannot cancel")
@@ -247,6 +253,15 @@ mod tests {
             );
         }
         ws
+    }
+
+    #[test]
+    #[should_panic(expected = "point 0, axis 1: coordinate NaN is not finite")]
+    fn certify_passive_panics_on_nan_with_the_geom_error() {
+        let mut ws = WeightedSet::empty(2);
+        ws.push(&[0.0, f64::NAN], Label::One, 1.0);
+        ws.push(&[f64::INFINITY, 1.0], Label::Zero, 1.0);
+        certify_passive(&ws);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::classifier::MonotoneClassifier;
 use crate::error::McError;
 use crate::passive::certificate::Certificate;
 use crate::passive::pipeline::{solve_ranked, CutReadout};
-use mc_geom::{DominanceIndex, GeomError, Label, RankTable, WeightedSet};
+use mc_geom::{DominanceIndex, GeomError, Label, PointSet, RankTable, WeightedSet};
 use mc_obs::{CancelToken, Cancelled};
 
 /// Result of a passive solve.
@@ -253,11 +253,14 @@ impl PassiveSolver {
     }
 }
 
-/// Rejects the first non-finite coordinate of `data`.
-fn check_finite(data: &WeightedSet) -> Result<(), GeomError> {
-    for (index, p) in data.points().iter().enumerate() {
+/// Rejects the first coordinate of `points` that `reject` flags.
+pub(crate) fn check_coordinates(
+    points: &PointSet,
+    reject: impl Fn(f64) -> bool,
+) -> Result<(), GeomError> {
+    for (index, p) in points.iter().enumerate() {
         for (axis, &value) in p.iter().enumerate() {
-            if !value.is_finite() {
+            if reject(value) {
                 return Err(GeomError::NonFiniteCoordinate { index, axis, value });
             }
         }
@@ -265,11 +268,30 @@ fn check_finite(data: &WeightedSet) -> Result<(), GeomError> {
     Ok(())
 }
 
+/// Rejects the first non-finite coordinate of `data`.
+fn check_finite(data: &WeightedSet) -> Result<(), GeomError> {
+    check_coordinates(data.points(), |v| !v.is_finite())
+}
+
+/// Panics with the [`GeomError`] text of the first NaN coordinate,
+/// which rank compression cannot order; `±∞` rank like any value.
+pub(crate) fn assert_no_nan(points: &PointSet) {
+    if let Err(e) = check_coordinates(points, f64::is_nan) {
+        panic!("{e}");
+    }
+}
+
 /// Solves Problem 2 with the default solver, returning an optimal
 /// monotone classifier and its weighted error. The infallible
-/// convenience of [`PassiveSolver::try_solve`]: no deadline and no
-/// finiteness check.
+/// convenience of [`PassiveSolver::try_solve`]: no deadline, and `±∞`
+/// coordinates are solved rather than rejected.
+///
+/// # Panics
+///
+/// Panics with the [`GeomError::NonFiniteCoordinate`] text on a NaN
+/// coordinate.
 pub fn solve_passive(data: &WeightedSet) -> PassiveSolution {
+    assert_no_nan(data.points());
     PassiveSolver::new()
         .solve_inner(data, None, None, &CancelToken::never(), false)
         .expect("a never-token cannot cancel")
@@ -338,6 +360,26 @@ mod tests {
                 "{bad}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "point 1, axis 0: coordinate NaN is not finite")]
+    fn solve_passive_panics_on_nan_with_the_geom_error() {
+        let ws = wset(&[
+            (vec![0.0, 1.0], Label::One, 1.0),
+            (vec![f64::NAN, 2.0], Label::Zero, 1.0),
+        ]);
+        solve_passive(&ws);
+    }
+
+    #[test]
+    fn solve_passive_ranks_infinities_like_any_value() {
+        // The +∞ zero dominates the −∞ one: one inversion.
+        let ws = wset(&[
+            (vec![f64::NEG_INFINITY, 0.0], Label::One, 1.0),
+            (vec![f64::INFINITY, 1.0], Label::Zero, 3.0),
+        ]);
+        assert_eq!(solve_passive(&ws).weighted_error, 1.0);
     }
 
     #[test]

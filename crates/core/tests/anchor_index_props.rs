@@ -6,7 +6,9 @@
 //! * **Bit-identical queries**: [`AnchorIndex`] must answer every point
 //!   exactly like the naive anchor scan it replaces — across duplicate
 //!   anchors, per-dimension ties, signed zeros, infinities, `NaN`
-//!   queries, and the empty anchor set.
+//!   queries, and the empty anchor set — and on the shapes that stress
+//!   the index's dimension-0 bound: many anchors sharing each
+//!   dimension-0 value, and batches whose every answer is 0.
 //! * **Canonical pruning**: [`MonotoneClassifier::from_anchors`] must
 //!   classify identically to the raw, unpruned anchor list (including
 //!   `NaN`-poisoned anchors, which can never fire), keep an antichain,
@@ -222,6 +224,88 @@ proptest! {
                 idx.classify_with(&flipped, &mut scratch)
             );
         }
+    }
+}
+
+/// Anchors on three planes `x₁ + x₂ = 120 − 20·x₀` with `x₀ ∈ {0, 1,
+/// 2}`: an antichain whose dimension-0 values are shared by about a
+/// third of the anchors each, so the index's dimension-0 prefix ends
+/// inside a tie group of up to ~100 anchors and crosses words.
+fn tied_dim0_anchors(max_n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop::collection::vec((0usize..3, 0usize..=80), 64..max_n).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(x0, x1)| {
+                let sum = 120 - 20 * x0;
+                vec![x0 as f64, x1 as f64, (sum - x1) as f64]
+            })
+            .collect()
+    })
+}
+
+/// Queries at, between and beyond the tied dimension-0 values, with
+/// coordinates 1 and 2 on the anchors' grid and a `NaN` now and then.
+fn tied_dim0_queries(max_n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    const X0: [f64; 7] = [-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0];
+    prop::collection::vec(
+        (0usize..X0.len(), 0usize..=130, 0usize..=130, 0usize..40),
+        1..max_n,
+    )
+    .prop_map(|rows| {
+        rows.into_iter()
+            .map(|(x0, x1, x2, nan)| {
+                let x2 = if nan == 0 { f64::NAN } else { x2 as f64 };
+                vec![X0[x0], x1 as f64, x2]
+            })
+            .collect()
+    })
+}
+
+/// Anchors on the grid plane `x₀ + x₁ + x₂ = 90` and queries below it
+/// (sums 60–89), each coordinate inside the anchors' range: no query
+/// dominates an anchor, so every answer is 0, yet few fail on a single
+/// dimension, and the index scans its whole dimension-0 prefix.
+fn plane_and_queries_below(max_n: usize) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<Vec<f64>>)> {
+    let anchors = prop::collection::vec((0usize..=90, 0usize..=90), 64..max_n).prop_map(|rows| {
+        rows.into_iter()
+            .map(|(a, b)| {
+                let (x0, x1) = (a.min(b), a.max(b) - a.min(b));
+                vec![x0 as f64, x1 as f64, (90 - x0 - x1) as f64]
+            })
+            .collect::<Vec<_>>()
+    });
+    let queries = prop::collection::vec((0usize..=89, 0usize..=89, 60usize..90), 1..max_n)
+        .prop_map(|rows| {
+            rows.into_iter()
+                .map(|(a, b, sum)| {
+                    let x0 = a.min(sum);
+                    let x1 = b.min(sum - x0);
+                    vec![x0 as f64, x1 as f64, (sum - x0 - x1) as f64]
+                })
+                .collect::<Vec<_>>()
+        });
+    (anchors, queries)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Many anchors share each dimension-0 value; the index bounds its
+    /// scan by the anchors at or below `q₀` there, a prefix that ends
+    /// inside a tie group.
+    #[test]
+    fn index_matches_naive_scan_with_heavy_dim0_ties(
+        anchors in tied_dim0_anchors(400),
+        queries in tied_dim0_queries(64),
+    ) {
+        check_index_matches_naive(anchors, &queries, 3);
+    }
+
+    /// Batches whose every answer is 0: the index must confirm no slack
+    /// bit and scan to the end of its bound.
+    #[test]
+    fn index_answers_all_zero_batches((anchors, queries) in plane_and_queries_below(400)) {
+        prop_assert!(queries.iter().all(|p| naive_scan(&anchors, p) == Label::Zero));
+        check_index_matches_naive(anchors, &queries, 3);
     }
 }
 

@@ -19,18 +19,21 @@
 //!
 //! That is `d·⌈n/64⌉` word ANDs plus fewer than `d·B` bit clears per
 //! row, where a rank-compare pass costs `d·n` compares. The same
-//! formula answers any tuple of tie-group starts, not only a point's
-//! own: [`RankOracle::suffix_row_into`] takes the positions directly,
-//! which is how the serving `AnchorIndex` turns a query point's bound
-//! coordinates into the row of anchors it dominates. The stride `B`
-//! starts at 64 and doubles until the table (`d·⌈n/B⌉·⌈n/64⌉·8` bytes)
-//! fits [`crate::row_budget_bytes`], or until one checkpoint per
-//! dimension covers every point. A small budget can widen `B` until one
-//! dimension's clears cost more than a compare pass over its rank
-//! column; that dimension then narrows the row with
-//! [`kernel::and_ge_mask`] instead, so a row costs at most about the
-//! `d` compare passes. Besides the table the oracle holds `12·d·n`
-//! bytes: ranks, sorted orders and tie-group starts.
+//! suffixes answer any tuple of tie-group starts, not only a point's
+//! own: [`RankOracle::suffix_intersects`] takes the positions directly
+//! and asks only whether a point below an index bound lies in every
+//! suffix. It builds no row: it ANDs the suffix words a cache line at a
+//! time and confirms each surviving bit by comparing its tie-group
+//! starts with the positions, stopping at the first. That is how the
+//! serving `AnchorIndex` asks whether a query point dominates some
+//! anchor. The stride `B` starts at 64 and doubles until the table
+//! (`d·⌈n/B⌉·⌈n/64⌉·8` bytes) fits [`crate::row_budget_bytes`], or
+//! until one checkpoint per dimension covers every point. A small
+//! budget can widen `B` until one dimension's clears cost more than a
+//! compare pass over its rank column; that dimension then narrows the
+//! row with [`kernel::and_ge_mask`] instead, so a row costs at most
+//! about the `d` compare passes. Besides the table the oracle holds
+//! `12·d·n` bytes: ranks, sorted orders and tie-group starts.
 //!
 //! Its reference is the pairwise scan: bit `j` of row `i` is set iff
 //! [`PointSet::dominates`]`(j, i)`, with `-0.0 == 0.0`, and the strict
@@ -53,6 +56,10 @@ const MIN_STRIDE: usize = 64;
 /// `words · CLEARS_PER_COMPARE_WORD` clears on one dimension, a row
 /// narrows by the compare pass instead.
 const CLEARS_PER_COMPARE_WORD: usize = 16;
+
+/// Words [`RankOracle::suffix_intersects`] ANDs across the dimensions
+/// before it looks for a surviving bit: one 64-byte cache line.
+const SUFFIX_CHUNK: usize = 8;
 
 /// On-demand dominator-row oracle; see the module docs.
 #[derive(Debug, Clone)]
@@ -342,8 +349,8 @@ impl RankOracle {
     }
 
     /// Computes `i`'s *reflexive dominator row* into `out`: bit `j` is
-    /// set iff `p_j ⪰ p_i` (so bit `i` is always set). This is
-    /// [`Self::suffix_row_into`] at the positions `pos_k(i)`.
+    /// set iff `p_j ⪰ p_i` (so bit `i` is always set): the points at
+    /// sorted position `≥ pos_k(i)` on every dimension `k`.
     ///
     /// # Panics
     ///
@@ -353,25 +360,74 @@ impl RankOracle {
         self.row_at(|k| self.group_start[k * n + i] as usize, 0, out);
     }
 
-    /// Computes the *suffix row* at per-dimension sorted positions
-    /// `pos` into `out`: bit `j` is set iff, on every dimension `k`,
-    /// point `j` sits at sorted position `≥ pos[k]`. Each `pos[k]` must
-    /// start a rank tie group on dimension `k`, so the row is also
-    /// "rank ≥ the rank at `pos[k]`". At most `d·⌈n/64⌉` word ANDs
-    /// plus, per dimension, fewer than `B` bit clears or one
-    /// rank-compare pass, whichever is cheaper.
+    /// `true` iff some point `j < end` sits at sorted position `≥
+    /// pos[k]` on every dimension `k`. Each `pos[k]` must start a rank
+    /// tie group on dimension `k`, so that is also "rank ≥ the rank at
+    /// `pos[k]`" on every `k`. No row is built: each chunk of 8 words
+    /// (one cache line) ANDs the `d` checkpoint suffixes
+    /// `S_k[⌊pos[k]/B⌋]`, and each surviving bit — a point in every
+    /// suffix, possibly one of the `< B` slack points a checkpoint holds
+    /// below `pos[k]` — is confirmed by `d` compares of its own tie-group
+    /// starts against `pos`, so the scan stops at the first confirmed
+    /// point. Only words below `⌈end/64⌉` are read. That is at most
+    /// `d·⌈end/64⌉` word ANDs plus the compares of the surviving bits;
+    /// under a stride widened to one checkpoint every bit survives, and
+    /// the test costs about the `d` compare passes of a rank scan.
     ///
     /// # Panics
     ///
-    /// Panics if `pos.len() != self.dim()`, `out.len() != self.words()`
-    /// or a position is not below `len()`.
-    pub fn suffix_row_into(&self, pos: &[u32], out: &mut [u64]) {
+    /// Panics if `pos.len() != self.dim()` or a position is not below
+    /// `len()`.
+    pub fn suffix_intersects(&self, pos: &[u32], end: usize) -> bool {
         assert_eq!(pos.len(), self.dim, "one position per dimension");
         assert!(
             pos.iter().all(|&p| (p as usize) < self.n),
             "position out of range"
         );
-        self.row_at(|k| pos[k] as usize, 0, out);
+        let n = self.n;
+        let end = end.min(n);
+        let end_words = end.div_ceil(64);
+        // `pos[k]` and `j`'s own tie-group start are both group starts,
+        // so `j` ranks at or above the group at `pos[k]` iff its group
+        // starts there or later.
+        let confirmed = |j: usize| (0..self.dim).all(|k| self.group_start[k * n + j] >= pos[k]);
+        for from in (0..end_words).step_by(SUFFIX_CHUNK) {
+            let to = (from + SUFFIX_CHUNK).min(end_words);
+            let mut chunk = [!0u64; SUFFIX_CHUNK];
+            for (k, &p) in pos.iter().enumerate() {
+                let c = p as usize >> self.stride_shift;
+                if c == 0 {
+                    continue; // S_k[0] holds every point
+                }
+                let base = (k * self.checkpoints + c) * self.words;
+                let words = &self.suffix[base + from..base + to];
+                // A full chunk ANDs as a fixed-size array, which compiles
+                // to vector instructions; only the last chunk is shorter.
+                if let Ok(full) = <&[u64; SUFFIX_CHUNK]>::try_from(words) {
+                    for (o, &w) in chunk.iter_mut().zip(full) {
+                        *o &= w;
+                    }
+                } else {
+                    for (o, &w) in chunk.iter_mut().zip(words) {
+                        *o &= w;
+                    }
+                }
+            }
+            if to == end_words && !end.is_multiple_of(64) {
+                chunk[to - from - 1] &= (1u64 << (end % 64)) - 1;
+            }
+            for (wi, &word) in (from..to).zip(&chunk) {
+                let mut cand = word;
+                while cand != 0 {
+                    let j = (wi << 6) | cand.trailing_zeros() as usize;
+                    cand &= cand - 1;
+                    if confirmed(j) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
     }
 
     /// The row of the points at sorted position `≥ pos(k)` on every
@@ -759,41 +815,80 @@ mod tests {
         }
     }
 
+    /// Points whose coordinates come from a short list with `±∞` and
+    /// both signed zeros, so every column has large tie groups.
+    fn tied_points(n: usize, dim: usize, rng: &mut StdRng) -> PointSet {
+        const VALUES: [f64; 7] = [f64::NEG_INFINITY, -2.0, -0.0, 0.0, 1.5, 3.0, f64::INFINITY];
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..dim).map(|_| VALUES[rng.gen_range(0..7usize)]).collect())
+            .collect();
+        PointSet::from_rows(dim, &rows)
+    }
+
     #[test]
-    fn suffix_rows_match_a_rank_scan_at_every_stride() {
+    fn suffix_intersects_matches_a_rank_scan_at_every_stride() {
         let mut rng = StdRng::seed_from_u64(0x5_0FF1);
+        let never = CancelToken::never();
+        let mut mid_checkpoint = 0;
         for dim in 1..=5usize {
             for n in [1usize, 63, 64, 65, 200, 333] {
-                let points = random_points(n, dim, 6.0, &mut rng);
-                let ranks = dense_ranks(&points);
-                for stride in [64, 128, n.next_power_of_two().max(MIN_STRIDE)] {
-                    let never = CancelToken::never();
-                    let oracle =
-                        RankOracle::with_stride(n, dim, ranks.clone(), stride, &never).unwrap();
-                    let mut row = vec![0u64; oracle.words()];
-                    for _ in 0..40 {
-                        // Each dimension's position is the group start of
-                        // an independently drawn point.
-                        let pos: Vec<u32> = (0..dim)
-                            .map(|k| oracle.group_start[k * n + rng.gen_range(0..n)])
-                            .collect();
-                        oracle.suffix_row_into(&pos, &mut row);
-                        let mut want = vec![0u64; oracle.words()];
-                        for j in 0..n {
-                            let inside = (0..dim).all(|k| {
-                                let p = pos[k] as usize;
-                                oracle.rank(k, j)
-                                    >= oracle.rank(k, oracle.order[k * n + p] as usize)
+                for tied in [false, true] {
+                    let points = if tied {
+                        tied_points(n, dim, &mut rng)
+                    } else {
+                        random_points(n, dim, 6.0, &mut rng)
+                    };
+                    let ranks = dense_ranks(&points);
+                    for stride in [64, 128, n.next_power_of_two().max(MIN_STRIDE)] {
+                        let oracle =
+                            RankOracle::with_stride(n, dim, ranks.clone(), stride, &never).unwrap();
+                        let ends = [0, 1, n / 2, n - 1, n, n + 3, 64, 65, 127, 128, 129];
+                        for t in 0..60 {
+                            // Each dimension's position is the group start
+                            // of an independently drawn point.
+                            let pos: Vec<u32> = (0..dim)
+                                .map(|k| oracle.group_start[k * n + rng.gen_range(0..n)])
+                                .collect();
+                            mid_checkpoint +=
+                                usize::from(pos.iter().any(|&p| !p.is_multiple_of(64)));
+                            let end = if t < ends.len() {
+                                ends[t]
+                            } else {
+                                rng.gen_range(0..=n)
+                            };
+                            let want = (0..n.min(end)).any(|j| {
+                                (0..dim).all(|k| {
+                                    let at = oracle.order[k * n + pos[k] as usize] as usize;
+                                    oracle.rank(k, j) >= oracle.rank(k, at)
+                                })
                             });
-                            if inside {
-                                want[j >> 6] |= 1 << (j & 63);
-                            }
+                            assert_eq!(
+                                oracle.suffix_intersects(&pos, end),
+                                want,
+                                "dim {dim} n {n} tied {tied} stride {stride} pos {pos:?} end {end}"
+                            );
                         }
-                        assert_eq!(row, want, "dim {dim} n {n} stride {stride} pos {pos:?}");
+                        // At a point's own positions the suffixes hold its
+                        // dominators, so the test asks the pairwise scan
+                        // whether one sits below `end`.
+                        for i in 0..n {
+                            let pos: Vec<u32> =
+                                (0..dim).map(|k| oracle.group_start[k * n + i]).collect();
+                            let end = rng.gen_range(0..=n);
+                            assert_eq!(
+                                oracle.suffix_intersects(&pos, end),
+                                (0..end).any(|j| points.dominates(j, i)),
+                                "dim {dim} n {n} tied {tied} stride {stride} i {i} end {end}"
+                            );
+                        }
                     }
                 }
             }
         }
+        assert!(
+            mid_checkpoint > 1000,
+            "{mid_checkpoint} mid-checkpoint queries"
+        );
     }
 
     #[test]

@@ -374,6 +374,8 @@ pub fn fast_classify_frame(bytes: &[u8]) -> Option<(Vec<f64>, usize, usize)> {
         }
         if rows == 0 {
             dim = row_len;
+            // Later rows are about as long as the first one.
+            data.reserve(body.len() / pos * dim);
         } else if row_len != dim {
             return None;
         }

@@ -303,10 +303,12 @@ impl Outcome {
 }
 
 fn handle_request(payload: &[u8], ctx: &ServerCtx) -> Outcome {
+    let t0 = Instant::now();
     let request = match parse_request(payload) {
         Ok(r) => r,
         Err(e) => return Outcome::err(&format!("bad request: {e}")),
     };
+    let decode_us = t0.elapsed().as_micros() as u64;
     match request {
         Request::Classify { data, dim, n } => {
             // One Arc clone; the whole batch is answered from this
@@ -321,12 +323,18 @@ fn handle_request(payload: &[u8], ctx: &ServerCtx) -> Outcome {
                     ))
                 };
             }
-            let t0 = Instant::now();
+            let t1 = Instant::now();
             let labels = snap.index.classify_batch(&data);
-            ctx.stats.note_classify(t0.elapsed().as_micros() as u64);
+            let t2 = Instant::now();
+            let response = encode_classify_response(snap.generation, &labels);
+            ctx.stats.note_classify_frame(
+                decode_us,
+                (t2 - t1).as_micros() as u64,
+                t2.elapsed().as_micros() as u64,
+            );
             Outcome {
                 batch_points: Some(n as u64),
-                ..Outcome::ok(encode_classify_response(snap.generation, &labels))
+                ..Outcome::ok(response)
             }
         }
         Request::Reload { path } => {

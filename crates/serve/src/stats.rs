@@ -17,8 +17,16 @@
 //! * `serve.swaps` — snapshot hot-swaps (counter)
 //! * `serve.batch_points` — classify batch sizes (histogram)
 //! * `serve.latency_us` — per-request service time, µs (histogram)
+//! * `serve.decode_us` — time parsing each classify frame's request,
+//!   µs (histogram)
 //! * `serve.classify_us` — time inside the anchor index's
 //!   `classify_batch` per classify frame, µs (histogram)
+//! * `serve.encode_us` — time encoding each classify frame's reply,
+//!   µs (histogram)
+//!
+//! The three stage histograms count the classify frames answered
+//! without error; `latency_us` minus their sum is the frame's write,
+//! flush and bookkeeping.
 
 use mc_obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -41,9 +49,13 @@ pub struct ServeStats {
     /// Per-request service latency in microseconds (time from frame
     /// decode start to the flushed reply).
     pub latency_us: Histogram,
+    /// Per classify frame, the microseconds spent parsing the request.
+    pub decode_us: Histogram,
     /// Per classify frame, the microseconds spent inside
     /// `AnchorIndex::classify_batch`: the index's share of `latency_us`.
     pub classify_us: Histogram,
+    /// Per classify frame, the microseconds spent encoding the reply.
+    pub encode_us: Histogram,
 }
 
 impl ServeStats {
@@ -83,10 +95,17 @@ impl ServeStats {
         mc_obs::record("serve.latency_us", latency_us);
     }
 
-    /// Notes one classify frame's time inside the index.
-    pub fn note_classify(&self, classify_us: u64) {
-        self.classify_us.record(classify_us);
-        mc_obs::record("serve.classify_us", classify_us);
+    /// Notes one answered classify frame's stage times: request
+    /// decode, the index query and reply encode.
+    pub fn note_classify_frame(&self, decode_us: u64, classify_us: u64, encode_us: u64) {
+        for (h, name, us) in [
+            (&self.decode_us, "serve.decode_us", decode_us),
+            (&self.classify_us, "serve.classify_us", classify_us),
+            (&self.encode_us, "serve.encode_us", encode_us),
+        ] {
+            h.record(us);
+            mc_obs::record(name, us);
+        }
     }
 
     /// Notes a snapshot swap.
@@ -110,10 +129,18 @@ impl ServeStats {
             .u64("latency_us_p50", q(&self.latency_us, 0.50))
             .u64("latency_us_p99", q(&self.latency_us, 0.99))
             .u64("latency_us_max", self.latency_us.max().unwrap_or(0))
+            .u64("decode_us_count", self.decode_us.count())
+            .u64("decode_us_p50", q(&self.decode_us, 0.50))
+            .u64("decode_us_p99", q(&self.decode_us, 0.99))
+            .u64("decode_us_max", self.decode_us.max().unwrap_or(0))
             .u64("classify_us_count", self.classify_us.count())
             .u64("classify_us_p50", q(&self.classify_us, 0.50))
             .u64("classify_us_p99", q(&self.classify_us, 0.99))
             .u64("classify_us_max", self.classify_us.max().unwrap_or(0))
+            .u64("encode_us_count", self.encode_us.count())
+            .u64("encode_us_p50", q(&self.encode_us, 0.50))
+            .u64("encode_us_p99", q(&self.encode_us, 0.99))
+            .u64("encode_us_max", self.encode_us.max().unwrap_or(0))
             .finish()
     }
 }
@@ -133,7 +160,7 @@ mod tests {
         s.note_latency(250);
         s.note_request(None, true);
         s.note_latency(10);
-        s.note_classify(40);
+        s.note_classify_frame(12, 40, 3);
         s.note_swap();
         assert_eq!(s.connections.load(Relaxed), 1);
         assert_eq!(s.requests.load(Relaxed), 2);
@@ -142,7 +169,9 @@ mod tests {
         assert_eq!(s.swaps.load(Relaxed), 1);
         assert_eq!(s.batch_points.count(), 1);
         assert_eq!(s.latency_us.count(), 2);
+        assert_eq!(s.decode_us.count(), 1);
         assert_eq!(s.classify_us.count(), 1);
+        assert_eq!(s.encode_us.count(), 1);
     }
 
     #[test]
@@ -150,7 +179,7 @@ mod tests {
         let s = ServeStats::new();
         s.note_request(Some(7), false);
         s.note_latency(123);
-        s.note_classify(45);
+        s.note_classify_frame(20, 45, 5);
         let json = s.to_json(3);
         let tree = json_in::parse(json.as_bytes()).expect("valid JSON");
         for key in [
@@ -165,15 +194,26 @@ mod tests {
             "latency_us_p50",
             "latency_us_p99",
             "latency_us_max",
+            "decode_us_count",
+            "decode_us_p50",
+            "decode_us_p99",
+            "decode_us_max",
             "classify_us_count",
             "classify_us_p50",
             "classify_us_p99",
             "classify_us_max",
+            "encode_us_count",
+            "encode_us_p50",
+            "encode_us_p99",
+            "encode_us_max",
         ] {
             assert!(tree.get(key).is_some(), "missing {key}");
         }
         assert_eq!(tree.get("points").unwrap().as_u64(), Some(7));
         assert_eq!(tree.get("generation").unwrap().as_u64(), Some(3));
-        assert_eq!(tree.get("classify_us_count").unwrap().as_u64(), Some(1));
+        for key in ["decode_us_count", "classify_us_count", "encode_us_count"] {
+            assert_eq!(tree.get(key).unwrap().as_u64(), Some(1), "{key}");
+        }
+        assert_eq!(tree.get("decode_us_p50").unwrap().as_u64(), Some(20));
     }
 }

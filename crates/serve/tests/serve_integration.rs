@@ -76,8 +76,10 @@ fn concurrent_clients_are_all_served_and_metrics_reconcile() {
     assert_eq!(get("points"), (CLIENTS * REQUESTS * BATCH) as u64);
     assert_eq!(get("errors"), 0);
     assert_eq!(get("connections"), CLIENTS as u64 + 1);
-    // Every classify frame, and nothing else, is timed inside the index.
-    assert_eq!(get("classify_us_count"), (CLIENTS * REQUESTS) as u64);
+    // Every classify frame, and nothing else, is timed in each stage.
+    for stage in ["decode_us_count", "classify_us_count", "encode_us_count"] {
+        assert_eq!(get(stage), (CLIENTS * REQUESTS) as u64, "{stage}");
+    }
     server.shutdown_and_join();
 }
 

@@ -1266,8 +1266,12 @@ fn cmd_bench_serve(args: &[String]) -> Result<(), CliError> {
                     .u64("swaps", get("swaps"))
                     .u64("latency_us_p50", get("latency_us_p50"))
                     .u64("latency_us_p99", get("latency_us_p99"))
+                    .u64("decode_us_p50", get("decode_us_p50"))
+                    .u64("decode_us_p99", get("decode_us_p99"))
                     .u64("classify_us_p50", get("classify_us_p50"))
                     .u64("classify_us_p99", get("classify_us_p99"))
+                    .u64("encode_us_p50", get("encode_us_p50"))
+                    .u64("encode_us_p99", get("encode_us_p99"))
                     .finish()
             }
             None => "null".into(),
