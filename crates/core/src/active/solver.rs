@@ -43,7 +43,6 @@ use crate::report::SolveReport;
 use mc_geom::{Label, PointSet, RankTable, WeightedSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::{Duration, Instant};
 
 /// Parameters of the active solver.
 #[derive(Debug, Clone)]
@@ -97,7 +96,9 @@ impl ActiveParams {
 }
 
 /// Result of an active solve, including the side products the paper
-/// highlights (the weighted sample Σ, the width, phase timings).
+/// highlights (the weighted sample Σ, the width). Phase times are the
+/// `active/chain_decomposition`, `active/sampling` and `active/passive`
+/// spans of the `mc-obs` registry.
 #[derive(Debug, Clone)]
 pub struct ActiveSolution {
     /// The `(1+ε)`-approximate monotone classifier.
@@ -110,12 +111,6 @@ pub struct ActiveSolution {
     pub width: usize,
     /// `w-err_Σ` of the returned classifier (the minimized objective).
     pub sigma_weighted_error: f64,
-    /// Wall-clock time of the chain decomposition phase.
-    pub decomposition_time: Duration,
-    /// Wall-clock time of the per-chain sampling phase.
-    pub sampling_time: Duration,
-    /// Wall-clock time of the passive solve on Σ.
-    pub passive_time: Duration,
     /// How the solve fared against the oracle (all-clean for an oracle
     /// that always answers).
     pub report: SolveReport,
@@ -182,12 +177,8 @@ impl ActiveSolver {
         // dimensionality — see `crate::decompose::minimum_chains`). At
         // d ≥ 3 it matches off rank columns; no dominance matrix over P
         // is built.
-        let t0 = Instant::now();
         let (chains, table) = crate::decompose::ranked_minimum_chains(points);
-        let decomposition_time = t0.elapsed();
-        let mut sol = self.solve_with_chains_inner(points, &chains, table.as_ref(), oracle)?;
-        sol.decomposition_time = decomposition_time;
-        Ok(sol)
+        self.solve_with_chains_inner(points, &chains, table.as_ref(), oracle)
     }
 
     /// Runs only the probing phases (chain sampling, Sections 3–4),
@@ -252,14 +243,12 @@ impl ActiveSolver {
         // wired on the active chains restricted to Σ's label-1 points
         // when their heads certify that cover minimum, and Σ's ranks are
         // P's, gathered rather than sorted again.
-        let t2 = Instant::now();
         let sigma_table = table.map(|t| t.subset(&partial.sigma_points));
         let PassiveSolution {
             classifier,
             weighted_error,
             ..
         } = PassiveSolver::new().solve_with_cover(&partial.sigma, sigma_table, &partial.cover);
-        let passive_time = t2.elapsed();
 
         Ok(ActiveSolution {
             classifier,
@@ -267,9 +256,6 @@ impl ActiveSolver {
             sigma: partial.sigma,
             width: partial.width,
             sigma_weighted_error: weighted_error,
-            decomposition_time: Duration::ZERO,
-            sampling_time: partial.sampling_time,
-            passive_time,
             report: partial.report,
         })
     }
@@ -296,7 +282,6 @@ impl ActiveSolver {
                 cover: Vec::new(),
                 probes_used: 0,
                 width: 0,
-                sampling_time: Duration::ZERO,
                 report: SolveReport::default(),
             });
         }
@@ -327,7 +312,6 @@ impl ActiveSolver {
         let span = mc_obs::span("sampling");
         mc_obs::gauge_set("sampling.epsilon", self.params.epsilon);
         mc_obs::gauge_set("sampling.delta_per_chain", delta_chain);
-        let t1 = Instant::now();
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let mut report = SolveReport::default();
         let mut merged: Vec<Option<(mc_geom::Label, f64)>> = vec![None; n];
@@ -383,7 +367,6 @@ impl ActiveSolver {
             }
         }
         let cover = sigma_cover(chains, &sigma_of, sigma.labels());
-        let sampling_time = t1.elapsed();
         report.finalize(&stats_before, &oracle.stats());
         drop(span);
 
@@ -409,7 +392,6 @@ impl ActiveSolver {
             cover,
             probes_used: oracle.probes_used() - probes_before,
             width: w,
-            sampling_time,
             report,
         })
     }
@@ -447,7 +429,6 @@ struct SamplingPhase {
     cover: Vec<Vec<usize>>,
     probes_used: usize,
     width: usize,
-    sampling_time: Duration,
     report: SolveReport,
 }
 

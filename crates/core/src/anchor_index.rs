@@ -144,8 +144,9 @@ pub struct AnchorIndex {
 }
 
 /// Column-major reversed ranks (`ranks[k * a + i] = m_k − 1 − r`) of
-/// `anchors`, plus each dimension's sorted distinct values. An oracle
-/// over them has anchor `j` in anchor `i`'s dominator row iff `i ⪰ j`.
+/// `anchors`, plus each dimension's sorted distinct values. In an oracle
+/// over them, anchor `j` lies in every suffix at anchor `i`'s own
+/// positions iff `i ⪰ j`.
 pub(crate) fn reversed_rank_columns(dim: usize, anchors: &[Vec<f64>]) -> (Vec<u32>, Vec<Vec<f64>>) {
     let a = anchors.len();
     let mut ranks = Vec::with_capacity(dim * a);

@@ -76,15 +76,13 @@ impl MonotoneClassifier {
     /// anything as 1 and removing it is behavior-identical.
     ///
     /// The sweep sorts first (`O(a log a)` comparisons), then scans in
-    /// lexicographic order, where an anchor can only be made redundant
-    /// by an already-kept one. While the kept set has at most `⌈a/64⌉`
-    /// anchors, each candidate is compared with every kept anchor
-    /// (`O(m·d)` for `m` kept). Past that, a [`RankOracle`] over the
-    /// candidates' reversed ranks is built once, and each remaining
-    /// candidate costs one oracle row ANDed with the kept bitset: the
-    /// `d·⌈a/64⌉` word ANDs plus the row's bit clears. Either test gives
-    /// the same answer, so the output does not depend on the switch, and
-    /// callers whose kept set stays small never build the oracle.
+    /// lexicographic order, where everything an anchor dominates comes
+    /// before it. So an anchor is redundant iff it dominates an earlier
+    /// one. One [`RankOracle`] over the anchors' reversed ranks answers
+    /// that per anchor with [`RankOracle::suffix_intersects`]: at most
+    /// `d·⌈i/64⌉` word ANDs for the `i`-th anchor, plus `d` rank
+    /// compares per surviving bit, stopping at the first dominated
+    /// anchor.
     ///
     /// # Panics
     ///
@@ -118,14 +116,12 @@ impl MonotoneClassifier {
         });
         canonical.dedup();
         // If `b ⪯ a` (so `a` is redundant) then `b` sorts before `a`
-        // lexicographically; scanning in sorted order means every anchor
-        // that could prune `a` is already kept, and nothing kept is ever
-        // invalidated later.
+        // lexicographically, so every anchor that could prune `a` comes
+        // before it.
         let kept = keep_minimal(
             canonical.len(),
             dim,
-            |i, j| dominates(&canonical[i], &canonical[j]),
-            || reversed_rank_columns(dim, &canonical).0,
+            reversed_rank_columns(dim, &canonical).0,
         );
         let mut is_kept = vec![false; canonical.len()];
         for &i in &kept {
@@ -178,10 +174,10 @@ impl MonotoneClassifier {
 
     /// [`from_positive_points`](Self::from_positive_points) off the
     /// points' rank columns: the minimal positive points are found by
-    /// rank compares in a linear extension of the positives
-    /// ([`linear_extension_order`]), where a point can only be made
-    /// redundant by one already kept (an equal point is kept once), and
-    /// only the kept points are copied out as anchors. [`from_anchors`](Self::from_anchors)
+    /// the same oracle sweep, over a linear extension of the positives
+    /// ([`linear_extension_order`]), where everything a point dominates
+    /// comes before it (an equal point is kept once), and only the kept
+    /// points are copied out as anchors. [`from_anchors`](Self::from_anchors)
     /// then canonicalises them, so the result is `==` to
     /// `from_positive_points(points, positive)`.
     pub(crate) fn from_ranked_positives(
@@ -196,19 +192,11 @@ impl MonotoneClassifier {
         let candidates: Vec<usize> = (0..points.len()).filter(|&i| positive[i]).collect();
         let order = linear_extension_order(candidates.len(), dim, |k, l| cols[k][candidates[l]]);
         let point = |l: usize| candidates[order[l]];
-        let kept = keep_minimal(
-            order.len(),
-            dim,
-            |a, b| {
-                let (p, q) = (point(a), point(b));
-                cols.iter().all(|col| col[p] >= col[q])
-            },
-            || {
-                cols.iter()
-                    .flat_map(|col| (0..order.len()).map(move |l| u32::MAX - col[point(l)]))
-                    .collect()
-            },
-        );
+        let reversed_ranks = cols
+            .iter()
+            .flat_map(|col| (0..order.len()).map(move |l| u32::MAX - col[point(l)]))
+            .collect();
+        let kept = keep_minimal(order.len(), dim, reversed_ranks);
         let anchors = kept
             .into_iter()
             .map(|l| points.point(point(l)).to_vec())
@@ -259,86 +247,24 @@ impl MonotoneClassifier {
 /// The minimal candidates among `0..count`, ascending: the sweep of
 /// [`MonotoneClassifier::from_anchors`]. The candidates must be numbered
 /// so that each comes after every candidate it dominates, except equal
-/// ones, of which the first is kept. `dominates(i, j)` is reflexive
-/// dominance of candidate `i` over `j`; `reversed_ranks` gives
-/// column-major order-reversing ranks of the candidates (`count` per
-/// dimension), read only if the kept set grows past the switch. While
-/// the kept set is small each candidate is compared with every kept one;
-/// past [`past_switch`], each costs one [`Pruner`] row. Either test gives
-/// the same answer.
-fn keep_minimal(
-    count: usize,
-    dim: usize,
-    dominates: impl Fn(usize, usize) -> bool,
-    reversed_ranks: impl FnOnce() -> Vec<u32>,
-) -> Vec<usize> {
-    let mut kept: Vec<usize> = Vec::new();
-    let mut pruner: Option<Pruner> = None;
-    let mut reversed_ranks = Some(reversed_ranks);
-    for i in 0..count {
-        let redundant = match &mut pruner {
-            Some(p) => p.dominates_kept(i),
-            None => kept.iter().any(|&j| dominates(i, j)),
-        };
-        if redundant {
-            continue;
-        }
-        kept.push(i);
-        match &mut pruner {
-            Some(p) => p.keep(i),
-            None if past_switch(kept.len(), count) => {
-                let ranks = reversed_ranks.take().expect("the pruner is built once")();
-                pruner = Some(Pruner::new(count, dim, ranks, &kept));
-            }
-            None => {}
-        }
-    }
-    kept
-}
-
-/// Whether [`MonotoneClassifier::from_anchors`]'s sweep over
-/// `candidates` anchors, with `kept` kept so far, tests the rest with
-/// oracle rows: once `kept` passes `⌈candidates/64⌉`, a row's
-/// `d·⌈candidates/64⌉` word ANDs cost less than `d` compares per kept
-/// anchor.
-fn past_switch(kept: usize, candidates: usize) -> bool {
-    kept > candidates.div_ceil(64)
-}
-
-/// The bitset side of [`keep_minimal`]'s sweep: an oracle over the
-/// candidates' reversed ranks, whose dominator row of candidate `i`
-/// holds every candidate `i` dominates, and the kept set as a bitset
-/// over candidate indices.
-struct Pruner {
-    oracle: RankOracle,
-    kept: Vec<u64>,
-    row: Vec<u64>,
-}
-
-impl Pruner {
-    fn new(count: usize, dim: usize, reversed_ranks: Vec<u32>, kept: &[usize]) -> Self {
-        let oracle = RankOracle::from_rank_columns(count, dim, reversed_ranks, row_budget_bytes());
-        let words = oracle.words();
-        let mut pruner = Self {
-            oracle,
-            kept: vec![0; words],
-            row: vec![0; words],
-        };
-        for &i in kept {
-            pruner.keep(i);
-        }
-        pruner
-    }
-
-    fn keep(&mut self, i: usize) {
-        self.kept[i >> 6] |= 1 << (i & 63);
-    }
-
-    /// `true` iff candidate `i` dominates a kept candidate.
-    fn dominates_kept(&mut self, i: usize) -> bool {
-        self.oracle.dominator_row_into(i, &mut self.row);
-        self.row.iter().zip(&self.kept).any(|(r, k)| r & k != 0)
-    }
+/// ones, of which the first is kept. Then a candidate that dominates an
+/// earlier one also dominates a kept one (by transitivity), so candidate
+/// `i` is kept iff it dominates no candidate `j < i`. `reversed_ranks`
+/// are the candidates' column-major order-reversing ranks (`count` per
+/// dimension): in one [`RankOracle`] over them, the suffixes at `i`'s
+/// own positions hold exactly the candidates `i` dominates, and
+/// [`RankOracle::suffix_intersects`] with `end = i` asks whether one
+/// comes before `i`.
+fn keep_minimal(count: usize, dim: usize, reversed_ranks: Vec<u32>) -> Vec<usize> {
+    let oracle = RankOracle::from_rank_columns(count, dim, reversed_ranks, row_budget_bytes());
+    let mut pos = Vec::with_capacity(dim);
+    (0..count)
+        .filter(|&i| {
+            pos.clear();
+            pos.extend(oracle.positions(i));
+            !oracle.suffix_intersects(&pos, i)
+        })
+        .collect()
 }
 
 /// Checks that a per-point assignment is monotone *on the given points*:
@@ -501,26 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_switches_to_oracle_rows_past_a_64th_of_the_candidates() {
-        for (kept, candidates, past) in [
-            (1, 1, false),
-            (2, 2, true),
-            (1, 64, false),
-            (2, 64, true),
-            (2, 65, false),
-            (3, 65, true),
-            (16, 1000, false),
-            (17, 1000, true),
-        ] {
-            assert_eq!(
-                past_switch(kept, candidates),
-                past,
-                "{kept} of {candidates}"
-            );
-        }
-    }
-
-    #[test]
     fn next_up_properties() {
         assert!(next_up(0.0) > 0.0);
         assert!(next_up(1.0) > 1.0);
@@ -530,12 +436,171 @@ mod tests {
         assert_eq!(next_up(x), f64::from_bits(x.to_bits() + 1));
     }
 
+    /// The naive minimal filter: `-0.0` stored as `0.0`, each distinct
+    /// point kept iff it dominates no other distinct one, in
+    /// lexicographic `total_cmp` order, as bit patterns.
+    fn pairwise_minimal(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        let canonical: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|x| x.iter().map(|&c| if c == 0.0 { 0.0 } else { c }).collect())
+            .collect();
+        let mut out: Vec<Vec<f64>> = Vec::new();
+        for x in &canonical {
+            let redundant = canonical.iter().any(|y| y != x && dominates(x, y));
+            if !redundant && !out.contains(x) {
+                out.push(x.clone());
+            }
+        }
+        out.sort_by(|a, b| {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        out.iter()
+            .map(|x| x.iter().map(|c| c.to_bits()).collect())
+            .collect()
+    }
+
+    /// Points and a positive mask from one of three families, with the
+    /// kept count when the family fixes it:
+    /// * `0`: coordinates from a palette with both signed zeros and
+    ///   `±∞`, so duplicates and ties abound;
+    /// * `1`: a few ascending chains, so few anchors are kept;
+    /// * `2`: `m` positives on the plane `x₀ + x₁ = m` (an antichain
+    ///   whatever the other coordinates), positives above them, signed-
+    ///   zero duplicates and negatives below, with `a` positives and `m`
+    ///   one of `⌈a/64⌉ − 1`, `⌈a/64⌉`, `⌈a/64⌉ + 1`.
+    fn pruning_family(
+        family: usize,
+        dim: usize,
+        seed: u64,
+    ) -> (PointSet, Vec<bool>, Option<usize>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const PALETTE: [f64; 7] = [f64::NEG_INFINITY, -0.0, 0.0, 1.0, 2.5, 4.0, f64::INFINITY];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pick = |rng: &mut StdRng| PALETTE[rng.gen_range(0..PALETTE.len())];
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut positive = Vec::new();
+        let mut kept = None;
+        match family {
+            0 => {
+                for _ in 0..rng.gen_range(0..300) {
+                    rows.push((0..dim).map(|_| pick(&mut rng)).collect());
+                    positive.push(rng.gen_bool(0.6));
+                }
+            }
+            1 => {
+                for _ in 0..rng.gen_range(1..5) {
+                    let mut at: Vec<f64> = (0..dim).map(|_| rng.gen_range(-50.0..50.0)).collect();
+                    for _ in 0..rng.gen_range(1..80) {
+                        rows.push(at.clone());
+                        positive.push(rng.gen_bool(0.8));
+                        for c in &mut at {
+                            *c += f64::from(rng.gen_range(0..3u8));
+                        }
+                    }
+                }
+            }
+            _ => {
+                let dim = dim.max(2);
+                let a: usize = rng.gen_range(65..400);
+                let m = (a.div_ceil(64) + rng.gen_range(0..3usize))
+                    .saturating_sub(1)
+                    .max(1);
+                let plane: Vec<Vec<f64>> = (0..m)
+                    .map(|l| {
+                        let mut row = vec![l as f64, (m - l) as f64];
+                        row.extend((2..dim).map(|_| pick(&mut rng)));
+                        row
+                    })
+                    .collect();
+                for row in &plane {
+                    rows.push(row.clone());
+                    positive.push(true);
+                    // A negative strictly below every plane point.
+                    rows.push(row.iter().map(|c| c - 1.0).collect());
+                    positive.push(false);
+                }
+                while positive.iter().filter(|&&p| p).count() < a {
+                    let base = &plane[rng.gen_range(0..m)];
+                    let row: Vec<f64> = if rng.gen_bool(0.1) {
+                        // A duplicate, with zeros flipped to `-0.0`.
+                        base.iter()
+                            .map(|&c| if c == 0.0 { -0.0 } else { c })
+                            .collect()
+                    } else {
+                        base.iter()
+                            .map(|&c| c + f64::from(rng.gen_range(0..4u8)))
+                            .collect()
+                    };
+                    rows.push(row);
+                    positive.push(true);
+                }
+                kept = Some(m);
+                return (PointSet::from_rows(dim, &rows), positive, kept);
+            }
+        }
+        let mut points = PointSet::new(dim);
+        for row in &rows {
+            points.push(row);
+        }
+        (points, positive, kept)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Both pruning entries keep exactly the pairwise-minimal
+        /// positives, bit for bit.
+        #[test]
+        fn minimal_anchors_match_the_pairwise_filter(
+            family in 0usize..3,
+            dim in 1usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (points, positive, kept) = pruning_family(family, dim, seed);
+            let rows: Vec<Vec<f64>> = (0..points.len())
+                .filter(|&i| positive[i])
+                .map(|i| points.point(i).to_vec())
+                .collect();
+            let want = pairwise_minimal(&rows);
+            if let Some(m) = kept {
+                proptest::prop_assert_eq!(want.len(), m, "family {} seed {}", family, seed);
+            }
+            let bits = |h: &MonotoneClassifier| -> Vec<Vec<u64>> {
+                h.anchors()
+                    .iter()
+                    .map(|x| x.iter().map(|c| c.to_bits()).collect())
+                    .collect()
+            };
+            let dim = points.dim();
+            proptest::prop_assert_eq!(
+                bits(&MonotoneClassifier::from_anchors(dim, rows)),
+                want.clone(),
+                "from_anchors: family {} seed {}",
+                family,
+                seed
+            );
+            let table = RankTable::build(&points);
+            proptest::prop_assert_eq!(
+                bits(&MonotoneClassifier::from_ranked_positives(&points, &table, &positive)),
+                want,
+                "from_ranked_positives: family {} seed {}",
+                family,
+                seed
+            );
+        }
+    }
+
     #[test]
     fn ranked_positives_anchor_like_every_positive_point() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         // Duplicates, signed zeros and infinities on a small palette;
-        // antichain-heavy layouts push the kept set past the switch.
+        // antichain-heavy layouts keep most of the positives.
         const PALETTE: [f64; 7] = [f64::NEG_INFINITY, -0.0, 0.0, 1.0, 2.5, 4.0, f64::INFINITY];
         let mut rng = StdRng::seed_from_u64(0xA2C4);
         for trial in 0..120 {

@@ -73,7 +73,7 @@ pub fn solve_passive_brute_force(data: &WeightedSet) -> PassiveSolution {
         classifier: MonotoneClassifier::from_positive_points(points, &positive),
         weighted_error: best_err,
         assignment,
-        contending: ContendingPoints::compute(data).len(),
+        contending: ContendingPoints::compute_generic(data).len(),
     }
 }
 

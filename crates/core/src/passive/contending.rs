@@ -15,21 +15,21 @@
 //! (reflexive dominance), which is forced: any classifier assigns equal
 //! points equal outputs, so such a pair always contends.
 //!
-//! Discovery strategies, fastest applicable first:
+//! One engine discovers them in production, and one reference checks
+//! it:
 //!
-//! * `d ≤ 2` — the `O(n log n)` rank sweep in `crate::passive::sparse`;
-//! * `d ≥ 3` in the solver — the chain ladder's binary searches
-//!   (`crate::passive::ladder`);
-//! * `d ≥ 3` in [`ContendingPoints::compute`] — one dominator-row `AND`
-//!   per label-1 point against the label-0 mask, with the rows computed
-//!   on demand by a [`RankOracle`];
-//! * the naive `O(d·n²)` pairwise scan, kept as the reference
-//!   implementation ([`ContendingPoints::compute_generic`]).
+//! * [`ContendingPoints::compute`] runs the solver's own discovery,
+//!   `crate::passive::pipeline::discover`: the `O(n log n)` rank sweep
+//!   of `crate::passive::sparse` at `d ≤ 2`, the chain ladder's binary
+//!   searches (`crate::passive::ladder`) at `d ≥ 3`;
+//! * [`ContendingPoints::compute_generic`], the naive `O(d·n²)`
+//!   pairwise scan, is its reference.
 //!
-//! None of them builds a `Θ(n²/64)` dominator matrix.
+//! Neither builds a `Θ(n²/64)` dominator matrix.
 
-use mc_geom::{bitmask_of, iter_ones, parallel_chunks, RankOracle, RankTable, WeightedSet};
-use std::ops::Range;
+use crate::passive::pipeline::discover;
+use mc_geom::{RankTable, WeightedSet};
+use mc_obs::CancelToken;
 
 /// The partition of contending points by label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,57 +41,25 @@ pub struct ContendingPoints {
 }
 
 impl ContendingPoints {
-    /// Computes the contending points of `data` — `O(n log n)` sweeps for
-    /// `d ≤ 2`, oracle row-`AND`s otherwise: a label-1 point `q` contends
-    /// iff `q`'s dominator row `AND` the label-0 mask is non-empty, and
-    /// the union of those intersections is exactly the contending
-    /// label-0 side. `O(d·n²/64)` word ops, parallel over the label-1
-    /// points, with one row buffer per worker.
+    /// Computes the contending points of `data`: ranks the points and
+    /// runs the passive solver's discovery over them, keeping the sets
+    /// and dropping the network it builds beside them.
     pub fn compute(data: &WeightedSet) -> Self {
-        if data.dim() <= 2 {
-            let table = RankTable::build(data.points());
-            return crate::passive::sparse::contending_sweep(&table, data.labels());
-        }
-        let oracle = RankOracle::build(data.points());
-        let n = data.len();
-        let words = oracle.words();
-        let zeros_mask = bitmask_of(n, (0..n).filter(|&i| data.label(i).is_zero()));
-        let ones_list: Vec<usize> = (0..n).filter(|&i| data.label(i).is_one()).collect();
-
-        let chunks = parallel_chunks(ones_list.len(), |range: Range<usize>| {
-            let mut local_ones = Vec::new();
-            let mut zero_hits = vec![0u64; words];
-            let mut row = vec![0u64; words];
-            for &q in &ones_list[range] {
-                oracle.dominator_row_into(q, &mut row);
-                let mut contends = false;
-                for ((hit, word), mask) in zero_hits.iter_mut().zip(&row).zip(&zeros_mask) {
-                    let both = word & mask;
-                    contends |= both != 0;
-                    *hit |= both;
-                }
-                if contends {
-                    local_ones.push(q);
-                }
-            }
-            (local_ones, zero_hits)
-        });
-
-        let mut ones = Vec::new();
-        let mut zero_hits = vec![0u64; words];
-        for (local_ones, local_hits) in chunks {
-            ones.extend(local_ones); // chunk order ⇒ ascending indices
-            for (hit, word) in zero_hits.iter_mut().zip(&local_hits) {
-                *hit |= word;
-            }
-        }
-        let zeros = iter_ones(&zero_hits).collect();
-        Self { zeros, ones }
+        let table = RankTable::build(data.points());
+        discover(
+            &table,
+            data.labels(),
+            data.weights(),
+            None,
+            &CancelToken::never(),
+        )
+        .expect("a never-token cannot cancel")
+        .con
     }
 
     /// The generic `O(d·n²)` pairwise scan (any dimension); the
-    /// reference implementation the sweep and the oracle row-`AND` are
-    /// tested against. A label-0 point contends iff it dominates a
+    /// reference implementation the sweep and the ladder are tested
+    /// against. A label-0 point contends iff it dominates a
     /// label-1 point, and that label-1 point contends too, so one pass
     /// over ordered pairs discovers both sides.
     pub fn compute_generic(data: &WeightedSet) -> Self {
@@ -213,15 +181,28 @@ mod tests {
         assert!(ContendingPoints::compute(&ws).is_empty());
     }
 
-    fn random_wset(n: usize, dim: usize, seed: u64) -> WeightedSet {
+    /// `n` randomly labelled points in `dim` dimensions, on the grid
+    /// `0..=8` or, when `tied`, on a seven-value palette with both signed
+    /// zeros and `±∞`. About a quarter repeat an earlier point's
+    /// coordinates under a fresh label, so duplicates cross labels.
+    fn random_wset(n: usize, dim: usize, tied: bool, seed: u64) -> WeightedSet {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        const PALETTE: [f64; 7] = [f64::NEG_INFINITY, -1.5, -0.0, 0.0, 2.0, 3.0, f64::INFINITY];
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ws = WeightedSet::empty(dim);
-        for _ in 0..n {
-            let coords: Vec<f64> = (0..dim)
-                .map(|_| rng.gen_range(0.0f64..8.0).round())
-                .collect();
+        for i in 0..n {
+            let coords: Vec<f64> = if i > 0 && rng.gen_bool(0.25) {
+                ws.points().point(rng.gen_range(0..i)).to_vec()
+            } else if tied {
+                (0..dim)
+                    .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())])
+                    .collect()
+            } else {
+                (0..dim)
+                    .map(|_| rng.gen_range(0.0f64..8.0).round())
+                    .collect()
+            };
             ws.push(&coords, Label::from_bool(rng.gen_bool(0.5)), 1.0);
         }
         ws
@@ -229,12 +210,18 @@ mod tests {
 
     #[test]
     fn compute_matches_generic() {
-        for &(n, dim) in &[(0usize, 3usize), (40, 3), (75, 4), (60, 6), (3000, 3)] {
-            let ws = random_wset(n, dim, 0xC1 + n as u64);
+        let mut cases = vec![(3000usize, 3usize, false)];
+        for dim in 1..=6 {
+            for n in [0usize, 1, 2, 40, 75, 200] {
+                cases.extend([(n, dim, false), (n, dim, true)]);
+            }
+        }
+        for (n, dim, tied) in cases {
+            let ws = random_wset(n, dim, tied, 0xC1 + (n * 8 + dim) as u64);
             assert_eq!(
                 ContendingPoints::compute(&ws),
                 ContendingPoints::compute_generic(&ws),
-                "n = {n}, d = {dim}"
+                "n = {n}, d = {dim}, tied = {tied}"
             );
         }
     }

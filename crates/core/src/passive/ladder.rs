@@ -723,8 +723,8 @@ fn wire_ladder(
 /// Everything the matrix-free discovery learns in one pass: the
 /// Lemma-15 contending sets, the ladder network over them (when any
 /// contention exists), and the dominance width of the label-1 points
-/// (the scale benches record it, and the parity harness checks it
-/// against the matrix path bit for bit).
+/// (the scale benches record it; 0 from the `d ≤ 2` sweep ladder of
+/// [`super::pipeline::discover`]).
 pub(crate) struct LadderOutcome {
     pub con: ContendingPoints,
     pub network: Option<ClassifierNetwork>,
@@ -733,7 +733,7 @@ pub(crate) struct LadderOutcome {
 
 /// The matrix-free ladder pipeline off prebuilt rank columns: Lemma-15
 /// contending discovery *and* network construction, the `d ≥ 3` arm of
-/// [`super::pipeline::solve_ranked`]. Returns the contending sets (both
+/// [`super::pipeline::discover`]. Returns the contending sets (both
 /// ascending) and, when they are non-empty, the sparsified network over
 /// exactly those points — identical min cut to the paper-literal dense
 /// network over the same contending sets.

@@ -11,20 +11,23 @@
 //! The type-3 edges matter only through reachability (every gadget edge
 //! is infinite), so any gadget that keeps "zero reaches one ⟺ zero ⪰
 //! one" has the paper-literal network's min cuts. [`solve_ranked`] is the
-//! one place that picks the gadget:
+//! one place that picks the gadget, through [`discover`]:
 //!
 //! * `d ≤ 2` — the divide-and-conquer sweep ladder of
-//!   [`super::sparse`], `O(n log n)` edges, with its own `O(n log n)`
+//!   [`super::sparse`], `O(n log n)` edges, after its `O(n log n)`
 //!   contending sweep;
 //! * `d ≥ 3` — the Lemma-6 chain ladder of [`super::ladder`], `O(w·n)`
 //!   edges, whose chain searches double as contending discovery.
 //!
-//! The dense reference [`super::brute::solve_passive_dense`] builds its
-//! own network and shares only [`read_cut`].
+//! [`ContendingPoints::compute`] runs the same [`discover`] and drops
+//! the network. The dense reference
+//! [`super::brute::solve_passive_dense`] builds its own network over
+//! [`ContendingPoints::compute_generic`] and shares only [`read_cut`].
 
 use crate::passive::certificate::{decompose_flow, Certificate};
 use crate::passive::contending::ContendingPoints;
-use crate::passive::{ladder, sparse};
+use crate::passive::ladder::{self, LadderOutcome};
+use crate::passive::sparse;
 use mc_flow::{Dinic, FlowNetwork, MaxFlowAlgorithm, NodeId};
 use mc_geom::{Label, RankTable};
 use mc_obs::{CancelToken, Cancelled};
@@ -79,22 +82,44 @@ pub(crate) fn solve_ranked(
     token: &CancelToken,
     certify: bool,
 ) -> Result<CutReadout, Cancelled> {
-    debug_assert_eq!(table.len(), labels.len());
-    debug_assert_eq!(table.len(), weights.len());
-    let (con, network, width) = if table.dim() <= 2 {
-        let con = {
-            let _span = mc_obs::span("contending");
-            sparse::contending_sweep(table, labels)
-        };
-        token.poll()?;
-        let network = (!con.is_empty()).then(|| sparse::build_sparse_network(table, weights, &con));
-        (con, network, 0)
-    } else {
-        let out = ladder::try_discover_and_build_from_table(table, labels, weights, cover, token)?;
-        (out.con, out.network, out.width)
-    };
+    let LadderOutcome {
+        con,
+        network,
+        width,
+    } = discover(table, labels, weights, cover, token)?;
     let readout = read_cut(con, network, labels.len(), token, certify)?;
     Ok(CutReadout { width, ..readout })
+}
+
+/// Lemma-15 contending discovery and the type-3 gadget for
+/// `table.dim()`: the sweep ladder at `d ≤ 2`, the chain ladder at
+/// `d ≥ 3`. The one discovery engine: [`solve_ranked`] cuts the network,
+/// and [`ContendingPoints::compute`] keeps only the contending sets.
+/// `labels` and `weights` must both have `table.len()` entries; `cover`
+/// is [`solve_ranked`]'s.
+pub(crate) fn discover(
+    table: &RankTable,
+    labels: &[Label],
+    weights: &[f64],
+    cover: Option<&[Vec<usize>]>,
+    token: &CancelToken,
+) -> Result<LadderOutcome, Cancelled> {
+    debug_assert_eq!(table.len(), labels.len());
+    debug_assert_eq!(table.len(), weights.len());
+    if table.dim() > 2 {
+        return ladder::try_discover_and_build_from_table(table, labels, weights, cover, token);
+    }
+    let con = {
+        let _span = mc_obs::span("contending");
+        sparse::contending_sweep(table, labels)
+    };
+    token.poll()?;
+    let network = (!con.is_empty()).then(|| sparse::build_sparse_network(table, weights, &con));
+    Ok(LadderOutcome {
+        con,
+        network,
+        width: 0,
+    })
 }
 
 /// Max flow, min cut and flip readout over a built network, shared by

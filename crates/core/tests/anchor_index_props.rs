@@ -356,9 +356,8 @@ mod edges {
 }
 
 /// Canonical pruning against a brute-force all-pairs reference, on
-/// candidate sets large enough that the kept set crosses the `⌈a/64⌉`
-/// switch where `from_anchors` moves from pairwise compares to oracle
-/// rows.
+/// candidate sets from 63 to 1,100 anchors with 1 to 1,000 of them kept,
+/// and the index built over the result against the naive scan.
 mod pruning_reference {
     use super::*;
     use rand::rngs::StdRng;
@@ -392,8 +391,7 @@ mod pruning_reference {
         out
     }
 
-    /// Distinct non-`NaN` candidates after canonicalization: the `a`
-    /// of the switch rule.
+    /// Distinct non-`NaN` candidates after canonicalization.
     fn distinct_candidates(raw: &[Vec<f64>]) -> usize {
         let mut bits: Vec<Vec<u64>> = raw
             .iter()
@@ -478,11 +476,10 @@ mod pruning_reference {
     }
 
     #[test]
-    fn from_anchors_matches_the_all_pairs_reference_across_the_switch() {
+    fn from_anchors_matches_the_all_pairs_reference() {
         let mut rng = StdRng::seed_from_u64(0x5_1C7);
-        // (antichain size m, dominated extras, d, g, level): the switch
-        // sits at ⌈(m + extra)/64⌉ kept anchors, and the kept set
-        // crosses it iff m exceeds that.
+        // (antichain size m, dominated extras, d, g, level): m anchors
+        // are kept of m + extra, from a few to nearly all.
         for (m, extra, d, g, sum) in [
             (1, 62, 3, 12, 16),
             (2, 62, 3, 12, 16),

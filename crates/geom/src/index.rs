@@ -12,8 +12,9 @@
 //!   rejected up front ([`crate::GeomError::NonFiniteCoordinate`] guards
 //!   the data entry points).
 //! * [`crate::RankOracle`] builds on the same columns and answers
-//!   dominator rows as `⌈n/64⌉`-word bitsets, on demand, without a
-//!   `Θ(n²/64)` matrix.
+//!   strict-successor rows as `⌈n/64⌉`-word bitsets, on demand, and
+//!   dominance existence tests without a row, with no `Θ(n²/64)`
+//!   matrix.
 //!
 //! This module also holds the bitset helpers the row consumers share
 //! ([`iter_ones`], [`bitmask_of`]), the row budget

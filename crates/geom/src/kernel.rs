@@ -5,11 +5,10 @@
 //! it. Its consumers:
 //!
 //! * the chain-head query of the passive chain-ladder sweep, and
-//! * the rows of [`crate::RankOracle`] (dominator rows, and the suffix
-//!   rows the serving `AnchorIndex` and canonical anchor pruning ask
-//!   for), but only on a dimension where a budget-widened checkpoint
-//!   stride leaves more bits to clear than a compare pass costs (rows
-//!   otherwise AND precomputed per-dimension suffix bitsets).
+//! * the strict-successor rows of [`crate::RankOracle`], but only on a
+//!   dimension where a budget-widened checkpoint stride leaves more bits
+//!   to clear than a compare pass costs (rows otherwise AND precomputed
+//!   per-dimension suffix bitsets).
 //!
 //! The inner loops are written for autovectorization rather than
 //! explicit intrinsics (safe code only, no target-specific flags): each

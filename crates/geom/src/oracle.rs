@@ -1,9 +1,10 @@
 //! Matrix-free dominator-row oracle over rank columns.
 //!
 //! [`RankOracle`] is the workspace's one dominance substrate. It answers
-//! "which points dominate `p_i`?" as a `⌈n/64⌉`-word bitset, assembling
+//! "which points succeed `p_i`?" as a `⌈n/64⌉`-word bitset, assembling
 //! each row on demand instead of materializing a `Θ(n²/64)` dominator
-//! matrix, which at `n = 10⁶` would occupy ~125 GB.
+//! matrix, which at `n = 10⁶` would occupy ~125 GB, and "does a point
+//! below an index bound dominate `p_i`?" without a row.
 //!
 //! Rows come from **per-dimension suffix bitsets**. For every dimension
 //! `k` the oracle keeps the points in ascending rank order and, at every
@@ -18,15 +19,18 @@
 //! ```
 //!
 //! That is `d·⌈n/64⌉` word ANDs plus fewer than `d·B` bit clears per
-//! row, where a rank-compare pass costs `d·n` compares. The same
-//! suffixes answer any tuple of tie-group starts, not only a point's
-//! own: [`RankOracle::suffix_intersects`] takes the positions directly
-//! and asks only whether a point below an index bound lies in every
-//! suffix. It builds no row: it ANDs the suffix words a cache line at a
-//! time and confirms each surviving bit by comparing its tie-group
-//! starts with the positions, stopping at the first. That is how the
-//! serving `AnchorIndex` asks whether a query point dominates some
-//! anchor. The stride `B` starts at 64 and doubles until the table
+//! row, where a rank-compare pass costs `d·n` compares; the Lemma-6
+//! matching reads it with `i` and smaller-index duplicates masked out
+//! (the strict-successor row). The same suffixes answer any tuple of
+//! tie-group starts, not only a point's own
+//! ([`RankOracle::positions`]): [`RankOracle::suffix_intersects`] takes
+//! the positions directly and asks only whether a point below an index
+//! bound lies in every suffix. It builds no row: it ANDs the suffix
+//! words a cache line at a time and confirms each surviving bit by
+//! comparing its tie-group starts with the positions, stopping at the
+//! first. That is how the serving `AnchorIndex` asks whether a query
+//! point dominates some anchor, and how anchor pruning asks whether a
+//! candidate dominates an earlier one. The stride `B` starts at 64 and doubles until the table
 //! (`d·⌈n/B⌉·⌈n/64⌉·8` bytes) fits [`crate::row_budget_bytes`], or
 //! until one checkpoint per dimension covers every point. A small
 //! budget can widen `B` until one dimension's clears cost more than a
@@ -38,7 +42,8 @@
 //! Its reference is the pairwise scan: bit `j` of row `i` is set iff
 //! [`PointSet::dominates`]`(j, i)`, with `-0.0 == 0.0`, and the strict
 //! rows orient equal points by ascending index. The tests diff every
-//! row, strict row and duplicate group against that scan.
+//! row, strict row, existence test and duplicate group against that
+//! scan.
 
 use crate::dataset::PointSet;
 use crate::index::{duplicate_groups, row_budget_bytes, RankTable};
@@ -348,16 +353,12 @@ impl RankOracle {
         &self.dup_members[self.dup_offsets[g] as usize..self.dup_offsets[g + 1] as usize]
     }
 
-    /// Computes `i`'s *reflexive dominator row* into `out`: bit `j` is
-    /// set iff `p_j ⪰ p_i` (so bit `i` is always set): the points at
-    /// sorted position `≥ pos_k(i)` on every dimension `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.words()`.
-    pub fn dominator_row_into(&self, i: usize, out: &mut [u64]) {
-        let n = self.n;
-        self.row_at(|k| self.group_start[k * n + i] as usize, 0, out);
+    /// Point `i`'s own tie-group starts `pos_k(i)`, one per dimension:
+    /// the positions whose suffixes hold exactly the points that
+    /// dominate `i`, so [`suffix_intersects`](Self::suffix_intersects)
+    /// at them asks whether some point below an index bound does.
+    pub fn positions(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        (0..self.dim).map(move |k| self.group_start[k * self.n + i])
     }
 
     /// `true` iff some point `j < end` sits at sorted position `≥
@@ -639,6 +640,15 @@ mod tests {
         }
     }
 
+    /// `i`'s reflexive dominator row: the points at sorted position
+    /// `≥ pos_k(i)` on every dimension `k`, so bit `i` is always set.
+    fn dominator_row(oracle: &RankOracle, i: usize) -> Vec<u64> {
+        let mut row = vec![0u64; oracle.words()];
+        let pos: Vec<u32> = oracle.positions(i).collect();
+        oracle.row_at(|k| pos[k] as usize, 0, &mut row);
+        row
+    }
+
     /// The pairwise reference for point `i`: its dominator row (bit `j`
     /// iff `points.dominates(j, i)`), its strict-successor row (the
     /// dominators other than `i`, equal points kept only above `i`) and
@@ -666,12 +676,10 @@ mod tests {
                 let points = random_points(n, dim, 4.0, &mut rng);
                 let oracle = RankOracle::build(&points);
                 assert_eq!((oracle.len(), oracle.dim()), (n, dim));
-                let mut row = vec![0u64; oracle.words()];
                 let mut strict = vec![0u64; oracle.words()];
                 for i in 0..n {
                     let (want, want_strict, group) = pairwise_rows(&points, i);
-                    oracle.dominator_row_into(i, &mut row);
-                    assert_eq!(row, want, "dim {dim} n {n} i {i}");
+                    assert_eq!(dominator_row(&oracle, i), want, "dim {dim} n {n} i {i}");
                     oracle.strict_successor_row_into(i, &mut strict);
                     assert_eq!(strict, want_strict, "strict, dim {dim} n {n} i {i}");
                     assert_eq!(oracle.dup_group_members(i), &group[..]);
@@ -696,12 +704,12 @@ mod tests {
                 RankOracle::try_from_table_subset(&table, &picks, &CancelToken::never()).unwrap();
             let rebuilt = RankOracle::build(&points.subset(&picks));
             assert_eq!(gathered.len(), rebuilt.len());
-            let mut a = vec![0u64; gathered.words()];
-            let mut b = vec![0u64; rebuilt.words()];
             for i in 0..picks.len() {
-                gathered.dominator_row_into(i, &mut a);
-                rebuilt.dominator_row_into(i, &mut b);
-                assert_eq!(a, b, "dim {dim} local {i}");
+                assert_eq!(
+                    dominator_row(&gathered, i),
+                    dominator_row(&rebuilt, i),
+                    "dim {dim} local {i}"
+                );
                 for j in 0..picks.len() {
                     assert_eq!(gathered.dominates(i, j), rebuilt.dominates(i, j));
                     assert_eq!(gathered.equal_points(i, j), rebuilt.equal_points(i, j));
@@ -717,8 +725,7 @@ mod tests {
         assert_eq!(empty.words(), 0);
 
         let one = RankOracle::build(&PointSet::from_rows(2, &[vec![1.0, 2.0]]));
-        let mut row = vec![0u64; 1];
-        one.dominator_row_into(0, &mut row);
+        let mut row = dominator_row(&one, 0);
         assert_eq!(row, vec![1]);
         one.strict_successor_row_into(0, &mut row);
         assert_eq!(row, vec![0]);
@@ -728,8 +735,7 @@ mod tests {
         let dup_rows: Vec<Vec<f64>> = (0..70).map(|_| vec![3.0, 3.0]).collect();
         let dups = PointSet::from_rows(2, &dup_rows);
         let oracle = RankOracle::build(&dups);
-        let mut row = vec![0u64; oracle.words()];
-        oracle.dominator_row_into(33, &mut row);
+        let mut row = dominator_row(&oracle, 33);
         assert_eq!(crate::index::iter_ones(&row).count(), 70);
         oracle.strict_successor_row_into(33, &mut row);
         assert_eq!(
@@ -744,9 +750,7 @@ mod tests {
         let oracle = RankOracle::build(&points);
         assert!(oracle.equal_points(0, 1));
         assert!(oracle.dominates(2, 0) && !oracle.dominates(0, 2));
-        let mut row = vec![0u64; 1];
-        oracle.dominator_row_into(0, &mut row);
-        assert_eq!(row, vec![0b111]);
+        assert_eq!(dominator_row(&oracle, 0), vec![0b111]);
     }
 
     /// Every dominator and strict row of `ranks` (column-major over the
@@ -761,9 +765,9 @@ mod tests {
             let oracle = RankOracle::with_stride(n, dim, ranks.to_vec(), stride, &never).unwrap();
             let mut row = vec![0u64; oracle.words()];
             for (i, (dominators, strict, _)) in want.iter().enumerate() {
-                oracle.dominator_row_into(i, &mut row);
                 assert_eq!(
-                    &row, dominators,
+                    &dominator_row(&oracle, i),
+                    dominators,
                     "{what}: dim {dim} n {n} stride {stride} i {i}"
                 );
                 oracle.strict_successor_row_into(i, &mut row);
@@ -872,8 +876,7 @@ mod tests {
                         // dominators, so the test asks the pairwise scan
                         // whether one sits below `end`.
                         for i in 0..n {
-                            let pos: Vec<u32> =
-                                (0..dim).map(|k| oracle.group_start[k * n + i]).collect();
+                            let pos: Vec<u32> = oracle.positions(i).collect();
                             let end = rng.gen_range(0..=n);
                             assert_eq!(
                                 oracle.suffix_intersects(&pos, end),

@@ -1,8 +1,8 @@
 //! Property tests for the rank-compressed dominance substrate: on random
 //! point sets — with duplicates, per-dimension ties, signed zeros, and
-//! infinities — every row, strict row, duplicate group and comparison
-//! that `RankOracle` and `RankTable` answer must agree with the pairwise
-//! coordinate-wise scan (`PointSet::compare`/`dominates`).
+//! infinities — every strict row, existence test, duplicate group and
+//! comparison that `RankOracle` and `RankTable` answer must agree with
+//! the pairwise coordinate-wise scan (`PointSet::compare`/`dominates`).
 
 use mc_geom::{bitmask_of, compress_column_ranks, Dominance, PointSet, RankOracle, RankTable};
 use mc_obs::cancel::CancelToken;
@@ -38,7 +38,7 @@ fn point_sets(max_n: usize, dim: usize) -> impl Strategy<Value = PointSet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Rows, strict rows, duplicate groups and `dominates`/`equal_points`
+    /// Strict rows, existence tests, duplicate groups and `dominates`/`equal_points`
     /// answered from ranks and suffix bitsets must match the pairwise
     /// coordinate-wise scan, in every dimension up to 5.
     #[test]
@@ -84,21 +84,26 @@ proptest! {
     }
 }
 
-/// Every dominator row, strict row and duplicate group of `oracle`
-/// against the pairwise scan of `points` (the same points, in order).
+/// Every strict row, duplicate group and existence test at a point's
+/// own positions of `oracle` against the pairwise scan of `points` (the
+/// same points, in order).
 fn check_rows(oracle: &RankOracle, points: &PointSet) {
     let n = points.len();
     assert_eq!(oracle.len(), n);
     let mut row = vec![0u64; oracle.words()];
     for i in 0..n {
-        oracle.dominator_row_into(i, &mut row);
-        let dominators = bitmask_of(n, (0..n).filter(|&j| points.dominates(j, i)));
-        assert_eq!(
-            row,
-            dominators,
-            "dominator row {i} of {:?}",
-            points.point(i)
-        );
+        // At its own positions the suffixes hold `i`'s dominators, so
+        // the first dominator's index is the least `end` that succeeds.
+        let pos: Vec<u32> = oracle.positions(i).collect();
+        let first = (0..n).find(|&j| points.dominates(j, i));
+        for end in 0..=n {
+            assert_eq!(
+                oracle.suffix_intersects(&pos, end),
+                first.is_some_and(|j| j < end),
+                "dominator of {i} below {end}, {:?}",
+                points.point(i)
+            );
+        }
         // Equal points are oriented by index: only the later ones succeed.
         oracle.strict_successor_row_into(i, &mut row);
         let strict = bitmask_of(
