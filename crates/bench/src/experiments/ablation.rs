@@ -5,17 +5,49 @@
 //!   probing cost scaling with the divisor (the `1/φ²` law) while the
 //!   achieved error stays within the guarantee for all settings.
 //! * **A2 — chain decomposition algorithm.** Generic Lemma-6 pipeline
-//!   (`O(d·n² + n^2.5)`) vs the 2D patience specialization
-//!   (`O(n log n)`): identical widths, orders-of-magnitude time gap.
+//!   (`O(d·n² + n^2.5)`, `ChainDecomposition::compute_from_oracle`) vs
+//!   the 2D patience piles that `ChainDecomposition::compute` picks at
+//!   `d = 2` (`O(n log n)`): identical widths, orders-of-magnitude time
+//!   gap.
 //! * **A4 — decomposition minimality.** Probing cost as a minimum
-//!   decomposition is fragmented into more chains.
+//!   decomposition is fragmented into more chains, next to a greedy
+//!   first-fit cover.
 
 use crate::report::{fmt_duration, fmt_f64, Table};
-use mc_chains::{ChainDecomposition, TwoDimDecomposition};
+use mc_chains::ChainDecomposition;
 use mc_core::{ActiveParams, ActiveSolver, InMemoryOracle};
 use mc_data::controlled_width::{generate, ControlledWidthConfig};
 use mc_data::planted::{planted_sum_concept, PlantedConfig};
+use mc_geom::{PointSet, RankOracle};
 use std::time::Instant;
+
+/// Greedy first-fit chain cover, a deliberately *non-minimum* baseline:
+/// scan the points in lexicographic order (a linear extension of
+/// dominance) and append each to the first chain whose tail it
+/// dominates, else open a chain. The chains are valid but may number
+/// more than the width; `O(n·c·d)` for `c` chains.
+fn first_fit_chains(points: &PointSet) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (pa, pb) = (points.point(a), points.point(b));
+        pa.iter()
+            .zip(pb)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut chains: Vec<Vec<usize>> = Vec::new();
+    for i in order {
+        match chains
+            .iter_mut()
+            .find(|chain| points.dominates(i, *chain.last().expect("chains are never empty")))
+        {
+            Some(chain) => chain.push(i),
+            None => chains.push(vec![i]),
+        }
+    }
+    chains
+}
 
 /// Runs the ablations.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -81,10 +113,10 @@ pub fn run(quick: bool) -> Vec<Table> {
     for &n in sizes {
         let ds = planted_sum_concept(&PlantedConfig::new(n, 2, 0.05, 0xA2));
         let t0 = Instant::now();
-        let generic = ChainDecomposition::compute(ds.data.points());
+        let generic = ChainDecomposition::compute_from_oracle(&RankOracle::build(ds.data.points()));
         let generic_t = t0.elapsed();
         let t1 = Instant::now();
-        let fast = TwoDimDecomposition::compute(ds.data.points());
+        let fast = ChainDecomposition::compute(ds.data.points());
         let fast_t = t1.elapsed();
         assert_eq!(generic.width(), fast.width());
         a2.add_row(vec![
@@ -129,10 +161,12 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
         out
     };
-    let greedy = mc_chains::GreedyDecomposition::compute(ds.data.points());
     let mut variants: Vec<(String, Vec<Vec<usize>>)> = vec![
         ("minimum (w chains)".into(), ds.chains.clone()),
-        ("greedy first-fit".into(), greedy.chains().to_vec()),
+        (
+            "greedy first-fit".into(),
+            first_fit_chains(ds.data.points()),
+        ),
     ];
     for k in [4usize, 16, 64] {
         variants.push((format!("fragmented x{k}"), fragment(&ds.chains, k)));
@@ -157,9 +191,73 @@ pub fn run(quick: bool) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use super::first_fit_chains;
+    use mc_chains::dominance_width;
+    use mc_geom::PointSet;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     #[test]
     fn quick_run_produces_three_tables() {
         let tables = super::run(true);
         assert_eq!(tables.len(), 3);
+    }
+
+    #[test]
+    fn produces_valid_chains_at_least_width_many() {
+        let mut rng = StdRng::seed_from_u64(0x96);
+        for dim in [1usize, 2, 3] {
+            for _ in 0..20 {
+                let n = rng.gen_range(1..60);
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        (0..dim)
+                            .map(|_| rng.gen_range(0.0f64..6.0).round())
+                            .collect()
+                    })
+                    .collect();
+                let points = PointSet::from_rows(dim, &rows);
+                let chains = first_fit_chains(&points);
+                // Valid partition into valid chains.
+                let mut seen = vec![false; n];
+                for chain in &chains {
+                    for pair in chain.windows(2) {
+                        assert!(points.dominates(pair[1], pair[0]));
+                    }
+                    for &i in chain {
+                        assert!(!seen[i]);
+                        seen[i] = true;
+                    }
+                }
+                assert!(seen.iter().all(|&s| s));
+                assert!(chains.len() >= dominance_width(&points));
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_can_be_suboptimal() {
+        // A known adversarial pattern where first-fit over-partitions:
+        // interleaved low/high pairs in 2D.
+        let mut rows = Vec::new();
+        let k = 8;
+        for i in 0..k {
+            rows.push(vec![i as f64, (k - i) as f64 * 10.0]); // antichain part
+            rows.push(vec![i as f64 + 0.5, (k - i) as f64 * 10.0 + 5.0]);
+        }
+        let points = PointSet::from_rows(2, &rows);
+        let w = dominance_width(&points);
+        assert!(first_fit_chains(&points).len() >= w, "sanity");
+    }
+
+    #[test]
+    fn single_chain_input() {
+        let points = PointSet::from_values_1d(&[2.0, 1.0, 3.0]);
+        assert_eq!(first_fit_chains(&points).len(), 1);
+    }
+
+    #[test]
+    fn empty_input() {
+        assert!(first_fit_chains(&PointSet::new(2)).is_empty());
     }
 }

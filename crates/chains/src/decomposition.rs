@@ -1,31 +1,35 @@
 //! Minimum chain decomposition via Dilworth's theorem (Lemma 6).
 //!
 //! Dilworth \[10\]: the minimum number of chains that partition a poset
-//! equals the maximum antichain size (the *dominance width* `w`). The
-//! constructive route, used by the paper's Lemma 6:
+//! equals the maximum antichain size (the *dominance width* `w`).
+//! [`ChainDecomposition::try_compute_from_table`] is the one place that
+//! picks how to find them, by dimension:
 //!
-//! 1. build the dominance DAG (it is its own transitive closure);
-//! 2. a partition into `k` chains = a cover of the DAG by `k`
-//!    vertex-disjoint paths;
-//! 3. minimum path cover = `n − (maximum matching of the split bipartite
-//!    graph)`, solved with Hopcroft–Karp in `O(E·sqrt(V))`;
-//! 4. König's minimum vertex cover of the same graph yields a maximum
-//!    antichain *certificate* of the same size.
+//! * `d = 1` — the points are totally preordered: one chain, sorted by
+//!   `(rank, index)`, `O(n log n)`;
+//! * `d = 2` — the patience piles of `two_dim` over the two rank
+//!   columns, `O(n log n)`, with a back-pointer antichain;
+//! * `d ≥ 3` — the constructive route of the paper's Lemma 6:
+//!   1. the dominance DAG (it is its own transitive closure);
+//!   2. a partition into `k` chains = a cover of the DAG by `k`
+//!      vertex-disjoint paths;
+//!   3. minimum path cover = `n − (maximum matching of the split
+//!      bipartite graph)`, solved with Hopcroft–Karp in `O(E·sqrt(V))`;
+//!   4. König's minimum vertex cover of the same graph yields a maximum
+//!      antichain *certificate* of the same size.
 //!
-//! Total: `O(d·n² + n^2.5)`, matching Lemma 6.
+//!   Total: `O(d·n² + n^2.5)`, matching Lemma 6.
 //!
 //! One matching engine implements steps 3 and 4:
 //! `mc_matching::HopcroftKarpBitset` runs word-parallel phases straight
 //! over bitset rows, so no DAG adjacency lists (Θ(n²) edges) are ever
 //! materialized, and its last, failing BFS layering is König's
 //! alternating-reachable set, so the antichain needs no second
-//! traversal.
-//! [`ChainDecomposition::compute`] takes its rows from a `RankOracle`'s
-//! suffix bitsets and, when all `n` rows would fit the row budget, keeps
-//! the rows the Hopcroft–Karp phases ask for; no dominator matrix is
-//! built.
+//! traversal. The rows come from a `RankOracle`'s suffix bitsets and,
+//! when all `n` rows would fit the row budget, the graph keeps the rows
+//! the Hopcroft–Karp phases ask for; no dominator matrix is built.
 //!
-//! Every path matches in one labelling: a *linear extension* of the
+//! Every matching runs in one labelling: a *linear extension* of the
 //! poset, ascending `(Σ_k rank_k, index)`. Each point then comes after
 //! everything it dominates, so the split graph's row `l` holds no bit
 //! below word `⌊l/64⌋`, and the engine's top-down greedy seed finds each
@@ -33,12 +37,15 @@
 //! over the relabelled points (one oracle per decomposition), and the
 //! chains and antichain are mapped back to the caller's indices, chains
 //! listed by ascending head and the antichain ascending.
+//! [`ChainDecomposition::compute_from_oracle`] runs this matching at
+//! every dimension, so it is the reference for the `d ≤ 2` arms.
 //!
 //! Every result is certified by [`ChainDecomposition::validate`]: the
 //! chains partition the points and an antichain of the same size proves
 //! them minimum (Dilworth). The tests also check the width against
 //! Kuhn's `n − |M|` over a pairwise dominance scan.
 
+use crate::two_dim;
 use mc_geom::{
     linear_extension_order, matrix_bytes, row_budget_bytes, DominanceIndex, PointSet, RankOracle,
     RankTable,
@@ -59,14 +66,14 @@ fn rows_fit_cache(n: usize) -> bool {
 pub struct ChainDecomposition {
     /// The chains; `chains[c][i]` is a point index, and
     /// `chains[c][i+1]` dominates `chains[c][i]`.
-    chains: Vec<Vec<usize>>,
+    pub(crate) chains: Vec<Vec<usize>>,
     /// Point indices forming a maximum antichain (one certificate).
-    antichain: Vec<usize>,
+    pub(crate) antichain: Vec<usize>,
 }
 
 impl ChainDecomposition {
-    /// Computes a minimum chain decomposition of `points` matrix-free:
-    /// the points are ranked once and decomposed off the ranks
+    /// Computes a minimum chain decomposition of `points`: the points
+    /// are ranked once and decomposed off the ranks
     /// ([`try_compute_from_table`](Self::try_compute_from_table)).
     /// No `Θ(n²/64)` dominator matrix is built; the row cache stays
     /// within [`row_budget_bytes`].
@@ -75,29 +82,47 @@ impl ChainDecomposition {
             .expect("a never-token cannot cancel")
     }
 
-    /// Decomposes the points of `table` off their ranks: they are
-    /// ordered in a linear extension ([`linear_extension_order`]), one
-    /// [`RankOracle`] gathers their rank columns in that order
+    /// Decomposes the points of `table` off their ranks, picking the
+    /// algorithm by `table.dim()`: one chain sorted by `(rank, index)` at
+    /// `d = 1`; the patience piles over the two rank columns at `d = 2`
+    /// (chains in pile order); at `d ≥ 3` the points are ordered in a
+    /// linear extension ([`linear_extension_order`]), one [`RankOracle`]
+    /// gathers their rank columns in that order
     /// ([`RankOracle::try_from_table_subset`]), and the matching runs on
     /// it ([`try_compute_from_linear_extension`](Self::try_compute_from_linear_extension)).
-    /// Callers that keep the table, such as the active solver, rank
+    /// Callers that keep the table, such as the active solvers, rank
     /// their points once for Lemma 6 and for later restrictions.
     pub fn try_compute_from_table(
         table: &RankTable,
         token: &CancelToken,
     ) -> Result<Self, Cancelled> {
-        let labels = linear_extension_order(table.len(), table.dim(), |k, i| table.column(k)[i]);
-        let oracle = RankOracle::try_from_table_subset(table, &labels, token)?;
-        Self::try_compute_from_linear_extension(&oracle, &labels, token)
+        match table.dim() {
+            1 => {
+                let rank = table.column(0);
+                let mut chain: Vec<usize> = (0..table.len()).collect();
+                chain.sort_by_key(|&i| rank[i]);
+                let antichain = chain.first().copied().into_iter().collect();
+                let chains = Some(chain).filter(|c| !c.is_empty()).into_iter().collect();
+                Ok(Self { chains, antichain })
+            }
+            2 => Ok(two_dim::patience_piles(table.column(0), table.column(1))),
+            _ => {
+                let labels =
+                    linear_extension_order(table.len(), table.dim(), |k, i| table.column(k)[i]);
+                let oracle = RankOracle::try_from_table_subset(table, &labels, token)?;
+                Self::try_compute_from_linear_extension(&oracle, &labels, token)
+            }
+        }
     }
 
-    /// Matrix-free decomposition over any [`RankOracle`]: the points are
-    /// relabelled in a linear extension and matched over a permuted copy
-    /// of the oracle (callers that can build the oracle in that order use
+    /// Matrix-free Hopcroft–Karp decomposition over any [`RankOracle`],
+    /// at every dimension: the points are relabelled in a linear
+    /// extension and matched over a permuted copy of the oracle (callers
+    /// that can build the oracle in that order use
     /// [`try_compute_from_linear_extension`](Self::try_compute_from_linear_extension)
-    /// and hold one). The labelling and the rows equal
+    /// and hold one). At `d ≥ 3` the labelling and the rows equal
     /// [`compute`](Self::compute)'s, so the chains, width, and antichain
-    /// certificate do too.
+    /// certificate do too; at `d ≤ 2` only the width must agree.
     pub fn compute_from_oracle(oracle: &RankOracle) -> Self {
         let never = CancelToken::never();
         let labels = oracle.linear_extension();
@@ -311,6 +336,20 @@ mod tests {
     }
 
     #[test]
+    fn one_dim_is_single_sorted_chain() {
+        let points = PointSet::from_values_1d(&[3.0, 1.0, 2.0]);
+        assert_eq!(
+            ChainDecomposition::compute(&points).chains(),
+            [vec![1, 2, 0]]
+        );
+        // Duplicates keep their index order within the one chain.
+        let points = PointSet::from_values_1d(&[5.0, 2.0, 9.0, 1.0, 2.0]);
+        let dec = ChainDecomposition::compute(&points);
+        dec.validate(&points).unwrap();
+        assert_eq!(dec.chains(), [vec![3, 1, 4, 0, 2]]);
+    }
+
+    #[test]
     fn pure_antichain() {
         let points = PointSet::from_rows(
             2,
@@ -366,25 +405,100 @@ mod tests {
     }
 
     #[test]
+    fn empty_set() {
+        // Every dimension arm: no chains, no antichain.
+        for dim in [1, 2, 3, 4] {
+            let empty = PointSet::new(dim);
+            let dec = ChainDecomposition::compute(&empty);
+            assert!(dec.chains().is_empty());
+            assert!(dec.antichain().is_empty());
+            dec.validate(&empty).unwrap();
+        }
+    }
+
+    /// `points` with every point lifted by `lift` constant coordinates,
+    /// which keeps the dominance order.
+    fn lifted(points: &PointSet, lift: usize) -> PointSet {
+        let rows: Vec<Vec<f64>> = points
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .copied()
+                    .chain(std::iter::repeat_n(0.0, lift))
+                    .collect()
+            })
+            .collect();
+        PointSet::from_rows(points.dim() + lift, &rows)
+    }
+
+    #[test]
     fn oracle_paths_are_certified_minimum_covers() {
-        // Same chains, same antichain on every entry — not merely the
-        // same width — each certified by its antichain and as wide as
-        // Kuhn's minimum path cover over the pairwise scan.
+        // At d ≥ 3 every entry runs the same matching: same chains, same
+        // antichain — not merely the same width. At d ≤ 2 the table
+        // entries sort or pile instead, so they agree with the oracle's
+        // matching on the width. Each is certified by its antichain and
+        // as wide as Kuhn's minimum path cover over the pairwise scan.
         let cases = [
             crate::test_support::figure1_like_points(),
             PointSet::from_rows(2, &[vec![1.0, 1.0], vec![1.0, 1.0], vec![1.0, 1.0]]),
             PointSet::from_values_1d(&[5.0, 2.0, 9.0, 1.0, 2.0]),
         ];
-        for points in &cases {
-            let via_table = ChainDecomposition::compute(points);
-            let via_oracle = ChainDecomposition::compute_from_oracle(&RankOracle::build(points));
-            let via_index = ChainDecomposition::compute_from_index(&RankTable::build(points));
-            for dec in [&via_oracle, &via_index] {
-                assert_eq!(dec.chains(), via_table.chains());
-                assert_eq!(dec.antichain(), via_table.antichain());
+        for low in &cases {
+            for points in [low.clone(), lifted(low, 3 - low.dim())] {
+                let via_table = ChainDecomposition::compute(&points);
+                let via_oracle =
+                    ChainDecomposition::compute_from_oracle(&RankOracle::build(&points));
+                let via_index = ChainDecomposition::compute_from_index(&RankTable::build(&points));
+                for dec in [&via_table, &via_oracle, &via_index] {
+                    dec.validate(&points).unwrap();
+                    assert_eq!(dec.width(), crate::test_support::kuhn_width(&points));
+                }
+                assert_eq!(via_index.chains(), via_table.chains());
+                assert_eq!(via_index.antichain(), via_table.antichain());
+                if points.dim() >= 3 {
+                    assert_eq!(via_oracle.chains(), via_table.chains());
+                    assert_eq!(via_oracle.antichain(), via_table.antichain());
+                }
             }
-            via_table.validate(points).unwrap();
-            assert_eq!(via_table.width(), crate::test_support::kuhn_width(points));
+        }
+    }
+
+    #[test]
+    fn low_dimension_arms_are_certified_minimum_covers() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Both signed zeros, both infinities and a small palette, so
+        // that ties across `-0.0`/`+0.0` and duplicates occur.
+        const PALETTE: [f64; 7] = [f64::NEG_INFINITY, -0.0, 0.0, -1.5, 1.0, 2.0, f64::INFINITY];
+        let mut rng = StdRng::seed_from_u64(0x10D1);
+        for dim in [1usize, 2] {
+            for trial in 0..150 {
+                let n = rng.gen_range(0..70);
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        (0..dim)
+                            .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())])
+                            .collect()
+                    })
+                    .collect();
+                let points = PointSet::from_rows(dim, &rows);
+                let dec = ChainDecomposition::try_compute_from_table(
+                    &RankTable::build(&points),
+                    &CancelToken::never(),
+                )
+                .unwrap();
+                let what = format!("dim {dim} trial {trial}: {rows:?}");
+                dec.validate(&points)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let reference =
+                    ChainDecomposition::compute_from_oracle(&RankOracle::build(&points));
+                assert_eq!(dec.width(), reference.width(), "{what}");
+                assert_eq!(
+                    dec.width(),
+                    crate::test_support::kuhn_width(&points),
+                    "{what}"
+                );
+            }
         }
     }
 

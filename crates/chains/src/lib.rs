@@ -3,12 +3,19 @@
 //! The *dominance width* `w` of a point set `P` is the size of its largest
 //! antichain. By Dilworth's theorem, `w` is also the minimum number of
 //! chains partitioning `P`, and the paper's active classifier (Section 4)
-//! processes each such chain as an independent 1D problem. This crate
-//! implements the constructive `O(d·n² + n^2.5)` pipeline from the proof
-//! of Lemma 6:
+//! processes each such chain as an independent 1D problem.
 //!
-//! dominance DAG → split bipartite graph → Hopcroft–Karp matching →
-//! minimum path cover (= chains) + König antichain certificate.
+//! * [`decomposition`] — [`ChainDecomposition`], the one Lemma-6 entry:
+//!   [`ChainDecomposition::try_compute_from_table`] picks the algorithm
+//!   by dimension (a sort at `d = 1`, the patience piles of `two_dim` at
+//!   `d = 2`, and at `d ≥ 3` the constructive `O(d·n² + n^2.5)` pipeline
+//!   from the proof of Lemma 6: dominance DAG → split bipartite graph →
+//!   Hopcroft–Karp matching → minimum path cover (= chains) + König
+//!   antichain certificate).
+//! * [`mirsky`] — the dual partition into antichains and the height.
+//! * [`brute`] — exhaustive width for tiny inputs (the experiments'
+//!   ground truth).
+//! * [`test_support`] — shared fixtures.
 //!
 //! The "DAG" step is virtual: the split graph is read directly off
 //! `mc_geom::RankOracle` rows and matched with the word-parallel
@@ -38,15 +45,12 @@
 
 pub mod brute;
 pub mod decomposition;
-pub mod greedy;
 pub mod mirsky;
 pub mod test_support;
-pub mod two_dim;
+mod two_dim;
 
 pub use decomposition::{dominance_width, ChainDecomposition};
-pub use greedy::GreedyDecomposition;
 pub use mirsky::{longest_chain_len, AntichainPartition};
-pub use two_dim::TwoDimDecomposition;
 
 #[cfg(test)]
 mod tests {

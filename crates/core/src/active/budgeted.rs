@@ -21,61 +21,35 @@
 //! is monotone, and as `B → n` the result converges to the exact
 //! optimum.
 
-use crate::active::solver::sigma_cover;
-use crate::classifier::MonotoneClassifier;
-use crate::decompose::ranked_minimum_chains;
+use crate::active::solver::{check_oracle_size, close_sigma, decompose};
+use crate::active::ActiveSolution;
 use crate::error::McError;
 use crate::oracle::LabelOracle;
-use crate::passive::PassiveSolver;
 use crate::report::SolveReport;
-use mc_geom::{PointSet, WeightedSet};
+use mc_geom::{Label, PointSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Result of a budgeted solve.
-#[derive(Debug, Clone)]
-pub struct BudgetedSolution {
-    /// The learned monotone classifier.
-    pub classifier: MonotoneClassifier,
-    /// Distinct labels probed (≤ the requested budget).
-    pub probes_used: usize,
-    /// The importance-weighted sample the classifier was fit on.
-    pub sigma: WeightedSet,
-    /// How the solve fared against the oracle (all-clean for an oracle
-    /// that always answers).
-    pub report: SolveReport,
-}
 
 /// Learns a monotone classifier probing at most `budget` distinct
 /// labels, returning invalid inputs (an oracle/points size mismatch) as
 /// errors. Failed probes are dropped from the sample (the survivors'
 /// weights are rescaled), and the budget is still respected — failed
 /// probes are never billed. Oracle failures degrade the result instead
-/// of aborting it (see [`BudgetedSolution::report`]).
+/// of aborting it (see [`ActiveSolution::report`]). The solution's
+/// `sigma` is the importance-weighted sample the classifier was fit on,
+/// in point order.
 pub fn try_solve_with_budget(
     points: &PointSet,
     oracle: &mut dyn LabelOracle,
     budget: usize,
     seed: u64,
-) -> Result<BudgetedSolution, McError> {
-    if points.len() != oracle.len() {
-        return Err(McError::OracleSizeMismatch {
-            oracle: oracle.len(),
-            points: points.len(),
-        });
-    }
+) -> Result<ActiveSolution, McError> {
+    check_oracle_size(points, oracle)?;
     let n = points.len();
     let before = oracle.probes_used();
     let stats_before = oracle.stats();
-    if n == 0 || budget == 0 {
-        return Ok(BudgetedSolution {
-            classifier: MonotoneClassifier::all_zero(points.dim().max(1)),
-            probes_used: 0,
-            sigma: WeightedSet::empty(points.dim().max(1)),
-            report: SolveReport::default(),
-        });
-    }
-    let (chains, table) = ranked_minimum_chains(points);
+    let (dec, table) = decompose(points);
+    let chains = dec.chains();
     let budget = budget.min(n);
 
     // Proportional allocation by log(1 + m), then redistribute the slack
@@ -112,9 +86,7 @@ pub fn try_solve_with_budget(
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut report = SolveReport::default();
-    let mut sigma = WeightedSet::empty(points.dim());
-    let mut sigma_points = Vec::new();
-    let mut sigma_of = vec![u32::MAX; n];
+    let mut slots: Vec<Option<(Label, f64)>> = vec![None; n];
     for (c, chain) in chains.iter().enumerate() {
         let m = chain.len();
         let t = allocation[c];
@@ -125,11 +97,7 @@ pub fn try_solve_with_budget(
             for &i in chain {
                 report.attempts += 1;
                 match oracle.probe(i) {
-                    Ok(label) => {
-                        sigma_of[i] = sigma.len() as u32;
-                        sigma_points.push(i);
-                        sigma.push(points.point(i), label, 1.0);
-                    }
+                    Ok(label) => slots[i] = Some((label, 1.0)),
                     Err(_) => report.dropped += 1,
                 }
             }
@@ -144,7 +112,7 @@ pub fn try_solve_with_budget(
         // Collect the answered probes first: failed ones are dropped and
         // the weight rescales to the survivors, keeping the chain's total
         // Σ weight near m.
-        let mut answered: Vec<(usize, mc_geom::Label)> = Vec::with_capacity(t);
+        let mut answered: Vec<(usize, Label)> = Vec::with_capacity(t);
         for &pos in &positions[..t] {
             let i = chain[pos];
             report.attempts += 1;
@@ -156,26 +124,20 @@ pub fn try_solve_with_budget(
         if !answered.is_empty() {
             let weight = m as f64 / answered.len() as f64;
             for (i, label) in answered {
-                sigma_of[i] = sigma.len() as u32;
-                sigma_points.push(i);
-                sigma.push(points.point(i), label, weight);
+                slots[i] = Some((label, weight));
             }
         }
     }
     report.finalize(&stats_before, &oracle.stats());
-
-    // Σ lists each chain's probes in random order; the cover lists them
-    // in chain order, which is ascending.
-    let cover = sigma_cover(&chains, &sigma_of, sigma.labels());
-    // At d ≥ 3 Σ's ranks are a gather of P's.
-    let sigma_table = table.map(|t| t.subset(&sigma_points));
-    let sol = PassiveSolver::new().solve_with_cover(&sigma, sigma_table, &cover);
-    Ok(BudgetedSolution {
-        classifier: sol.classifier,
-        probes_used: oracle.probes_used() - before,
-        sigma,
+    let probes_used = oracle.probes_used() - before;
+    Ok(close_sigma(
+        points,
+        chains,
+        Some(&table),
+        &slots,
+        probes_used,
         report,
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -205,6 +167,8 @@ mod tests {
                 "budget {budget}: used {}",
                 sol.probes_used
             );
+            // Every answered probe is one Σ entry.
+            assert_eq!(sol.sigma.len(), sol.probes_used, "budget {budget}");
         }
     }
 

@@ -9,7 +9,7 @@ pub mod budgeted;
 pub mod one_dim;
 pub mod solver;
 
-pub use budgeted::{try_solve_with_budget, BudgetedSolution};
+pub use budgeted::try_solve_with_budget;
 pub use one_dim::{
     sigma_errors_by_boundary, weighted_sample_1d, OneDimParams, OneDimSample, SigmaEntry,
 };

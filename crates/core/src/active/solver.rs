@@ -40,7 +40,9 @@ use crate::error::McError;
 use crate::oracle::{LabelOracle, SubsetOracle};
 use crate::passive::solver::{check_coordinates, PassiveSolution, PassiveSolver};
 use crate::report::SolveReport;
+use mc_chains::ChainDecomposition;
 use mc_geom::{Label, PointSet, RankTable, WeightedSet};
+use mc_obs::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -170,15 +172,10 @@ impl ActiveSolver {
     ) -> Result<ActiveSolution, McError> {
         let _span = mc_obs::span("active");
         check_coordinates(points, f64::is_nan)?;
-        if points.is_empty() {
-            return self.solve_with_chains_inner(points, &[], None, oracle);
-        }
-        // Phase 1: minimum chain decomposition (Lemma 6, dispatched on
-        // dimensionality — see `crate::decompose::minimum_chains`). At
-        // d ≥ 3 it matches off rank columns; no dominance matrix over P
-        // is built.
-        let (chains, table) = crate::decompose::ranked_minimum_chains(points);
-        self.solve_with_chains_inner(points, &chains, table.as_ref(), oracle)
+        // Phase 1: minimum chain decomposition (Lemma 6) off P's ranks;
+        // no dominance matrix over P is built.
+        let (dec, table) = decompose(points);
+        self.solve_over(points, dec.chains(), Some(&table), oracle)
     }
 
     /// Runs only the probing phases (chain sampling, Sections 3–4),
@@ -193,10 +190,13 @@ impl ActiveSolver {
         chains: &[Vec<usize>],
         oracle: &mut dyn LabelOracle,
     ) -> (WeightedSet, usize) {
-        let partial = self
+        let phase = self
             .try_sampling_phase(points, chains, oracle)
             .unwrap_or_else(|e| panic!("{e}"));
-        (partial.sigma, partial.probes_used)
+        (
+            sigma_in_point_order(points, &phase.slots).0,
+            phase.probes_used,
+        )
     }
 
     /// Like [`ActiveSolver::solve`], but with a caller-supplied chain
@@ -218,46 +218,28 @@ impl ActiveSolver {
         oracle: &mut dyn LabelOracle,
     ) -> ActiveSolution {
         let _span = mc_obs::span("active");
-        self.solve_with_chains_inner(points, chains, None, oracle)
+        self.solve_over(points, chains, None, oracle)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The sampling and Σ phases over `chains`. `table`, the points'
-    /// rank table when the decomposition built one, ranks Σ by a gather
-    /// of its rows.
-    fn solve_with_chains_inner(
+    /// The sampling and Σ phases over `chains`. `table`, P's rank table
+    /// when the caller ranked P, ranks Σ by a gather of its rows.
+    fn solve_over(
         &self,
         points: &PointSet,
         chains: &[Vec<usize>],
         table: Option<&RankTable>,
         oracle: &mut dyn LabelOracle,
     ) -> Result<ActiveSolution, McError> {
-        let partial = self.try_sampling_phase(points, chains, oracle)?;
-
-        // Phase 3: minimize w-err_Σ over monotone classifiers = Problem 2
-        // on Σ (Theorem 3's reduction to the passive solver). Under
-        // degradation Σ is missing the unanswerable points, but it is
-        // still a fully-labeled weighted set — the reduction is
-        // unaffected and the result stays monotone. At d ≥ 3 the solve
-        // is the matrix-free chain ladder over Σ's own rank columns,
-        // wired on the active chains restricted to Σ's label-1 points
-        // when their heads certify that cover minimum, and Σ's ranks are
-        // P's, gathered rather than sorted again.
-        let sigma_table = table.map(|t| t.subset(&partial.sigma_points));
-        let PassiveSolution {
-            classifier,
-            weighted_error,
-            ..
-        } = PassiveSolver::new().solve_with_cover(&partial.sigma, sigma_table, &partial.cover);
-
-        Ok(ActiveSolution {
-            classifier,
-            probes_used: partial.probes_used,
-            sigma: partial.sigma,
-            width: partial.width,
-            sigma_weighted_error: weighted_error,
-            report: partial.report,
-        })
+        let phase = self.try_sampling_phase(points, chains, oracle)?;
+        Ok(close_sigma(
+            points,
+            chains,
+            table,
+            &phase.slots,
+            phase.probes_used,
+            phase.report,
+        ))
     }
 
     fn try_sampling_phase(
@@ -266,22 +248,14 @@ impl ActiveSolver {
         chains: &[Vec<usize>],
         oracle: &mut dyn LabelOracle,
     ) -> Result<SamplingPhase, McError> {
-        if points.len() != oracle.len() {
-            return Err(McError::OracleSizeMismatch {
-                oracle: oracle.len(),
-                points: points.len(),
-            });
-        }
+        check_oracle_size(points, oracle)?;
         let n = points.len();
         let probes_before = oracle.probes_used();
         let stats_before = oracle.stats();
         if n == 0 {
             return Ok(SamplingPhase {
-                sigma: WeightedSet::empty(points.dim().max(1)),
-                sigma_points: Vec::new(),
-                cover: Vec::new(),
+                slots: Vec::new(),
                 probes_used: 0,
-                width: 0,
                 report: SolveReport::default(),
             });
         }
@@ -314,7 +288,7 @@ impl ActiveSolver {
         mc_obs::gauge_set("sampling.delta_per_chain", delta_chain);
         let mut rng = StdRng::seed_from_u64(self.params.seed);
         let mut report = SolveReport::default();
-        let mut merged: Vec<Option<(mc_geom::Label, f64)>> = vec![None; n];
+        let mut slots: Vec<Option<(Label, f64)>> = vec![None; n];
         let one_dim_params = OneDimParams {
             epsilon: self.params.epsilon,
             delta: delta_chain.clamp(f64::MIN_POSITIVE, 1.0),
@@ -347,7 +321,7 @@ impl ActiveSolver {
             );
             for entry in sample.sigma {
                 let global = chain[entry.position];
-                match &mut merged[global] {
+                match &mut slots[global] {
                     Some((label, weight)) => {
                         debug_assert_eq!(*label, entry.label, "oracle labels are stable");
                         *weight += entry.weight;
@@ -356,17 +330,6 @@ impl ActiveSolver {
                 }
             }
         }
-        let mut sigma = WeightedSet::empty(points.dim());
-        let mut sigma_points = Vec::new();
-        let mut sigma_of = vec![u32::MAX; n];
-        for (global, slot) in merged.iter().enumerate() {
-            if let Some((label, weight)) = slot {
-                sigma_of[global] = sigma.len() as u32;
-                sigma_points.push(global);
-                sigma.push(points.point(global), *label, *weight);
-            }
-        }
-        let cover = sigma_cover(chains, &sigma_of, sigma.labels());
         report.finalize(&stats_before, &oracle.stats());
         drop(span);
 
@@ -375,7 +338,10 @@ impl ActiveSolver {
         // report.attempts for a single solve after a reset).
         mc_obs::counter_add("sampling.chains", w as u64);
         mc_obs::counter_add("sampling.draws", total_draws);
-        mc_obs::counter_add("sampling.sigma_points", sigma.len() as u64);
+        mc_obs::counter_add(
+            "sampling.sigma_points",
+            slots.iter().flatten().count() as u64,
+        );
         mc_obs::counter_add("oracle.attempts", report.attempts as u64);
         mc_obs::counter_add("oracle.retries", report.retries as u64);
         mc_obs::counter_add("oracle.dropped", report.dropped as u64);
@@ -387,13 +353,93 @@ impl ActiveSolver {
         }
 
         Ok(SamplingPhase {
-            sigma,
-            sigma_points,
-            cover,
+            slots,
             probes_used: oracle.probes_used() - probes_before,
-            width: w,
             report,
         })
+    }
+}
+
+/// Rejects an oracle that does not label exactly `points`.
+pub(crate) fn check_oracle_size(
+    points: &PointSet,
+    oracle: &dyn LabelOracle,
+) -> Result<(), McError> {
+    if points.len() != oracle.len() {
+        return Err(McError::OracleSizeMismatch {
+            oracle: oracle.len(),
+            points: points.len(),
+        });
+    }
+    Ok(())
+}
+
+/// Lemma 6 for both active solvers: ranks P once and decomposes it
+/// ([`ChainDecomposition::try_compute_from_table`] picks the algorithm by
+/// dimension). The caller keeps the table for Σ's gather.
+pub(crate) fn decompose(points: &PointSet) -> (ChainDecomposition, RankTable) {
+    let _span = mc_obs::span("chain_decomposition");
+    let table = RankTable::build(points);
+    let dec = ChainDecomposition::try_compute_from_table(&table, &CancelToken::never())
+        .expect("a never-token cannot cancel");
+    mc_obs::gauge_set("chains.width", dec.width() as f64);
+    (dec, table)
+}
+
+/// Σ in point order from per-point `(label, weight)` slots, with the
+/// point of P behind each entry (ascending).
+fn sigma_in_point_order(
+    points: &PointSet,
+    slots: &[Option<(Label, f64)>],
+) -> (WeightedSet, Vec<usize>) {
+    let mut sigma = WeightedSet::empty(points.dim().max(1));
+    let mut sigma_points = Vec::new();
+    for (p, slot) in slots.iter().enumerate() {
+        if let Some((label, weight)) = slot {
+            sigma_points.push(p);
+            sigma.push(points.point(p), *label, *weight);
+        }
+    }
+    (sigma, sigma_points)
+}
+
+/// The Σ closing both active solvers share (Theorem 3's reduction):
+/// minimize `w-err_Σ` over monotone classifiers, Problem 2 on Σ. Σ is
+/// built in point order from the per-point slots of the sampled chains
+/// and solved by the passive solver, with P's chains restricted to Σ's
+/// label-1 points as the cover that the `d ≥ 3` ladder wires when their
+/// heads certify it minimum, and, when the caller ranked P (`table`),
+/// Σ's ranks gathered from P's rather than sorted again. Under
+/// degradation Σ is missing the unanswerable points, but it is still a
+/// fully-labeled weighted set: the reduction is unaffected and the
+/// result stays monotone.
+pub(crate) fn close_sigma(
+    points: &PointSet,
+    chains: &[Vec<usize>],
+    table: Option<&RankTable>,
+    slots: &[Option<(Label, f64)>],
+    probes_used: usize,
+    report: SolveReport,
+) -> ActiveSolution {
+    let (sigma, sigma_points) = sigma_in_point_order(points, slots);
+    let mut sigma_of = vec![u32::MAX; points.len()];
+    for (s, &p) in sigma_points.iter().enumerate() {
+        sigma_of[p] = s as u32;
+    }
+    let cover = sigma_cover(chains, &sigma_of, sigma.labels());
+    let sigma_table = table.map(|t| t.subset(&sigma_points));
+    let PassiveSolution {
+        classifier,
+        weighted_error,
+        ..
+    } = PassiveSolver::new().solve_with_cover(&sigma, sigma_table, &cover);
+    ActiveSolution {
+        classifier,
+        probes_used,
+        sigma,
+        width: chains.len(),
+        sigma_weighted_error: weighted_error,
+        report,
     }
 }
 
@@ -422,13 +468,9 @@ pub(crate) fn sigma_cover(
 
 /// Intermediate result of the probing phases (before the passive solve).
 struct SamplingPhase {
-    sigma: WeightedSet,
-    /// The point of P behind each Σ entry, ascending.
-    sigma_points: Vec<usize>,
-    /// [`sigma_cover`] of the chains the sampler walked.
-    cover: Vec<Vec<usize>>,
+    /// Σ's `(label, weight)` at each point of P (`None` if unsampled).
+    slots: Vec<Option<(Label, f64)>>,
     probes_used: usize,
-    width: usize,
     report: SolveReport,
 }
 

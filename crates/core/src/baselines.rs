@@ -134,9 +134,9 @@ pub fn chain_binary_search(points: &PointSet, oracle: &mut dyn LabelOracle) -> B
             probes_used: 0,
         };
     }
-    let chains = crate::decompose::minimum_chains(points);
+    let dec = mc_chains::ChainDecomposition::compute(points);
     let mut anchors: Vec<Vec<f64>> = Vec::new();
-    for chain in &chains {
+    for chain in dec.chains() {
         // Find the smallest position whose probe returns 1, binary-search
         // style (exact if the chain's labels are monotone).
         let mut lo = 0usize;

@@ -14,6 +14,9 @@
 //! * [`active`] — Problem 1: `(1+ε)`-approximate classification with
 //!   `O((w/ε²)·log(n/w)·log n)` probes (Theorems 2 and 3), built on the
 //!   Section-3 recursive 1D sampler and the Section-4 chain reduction.
+//!   Both active solvers (the paper's and the budgeted one) rank P once,
+//!   take Lemma 6 from `mc_chains::ChainDecomposition`, which picks the
+//!   algorithm by dimension, and share one Σ closing.
 //! * [`sampling`] — Lemma 5 sample-size machinery.
 //! * [`oracle`] — probe-counting label oracles ([`LabelOracle`]), whose
 //!   probes return `Result<Label, OracleError>`, with a retry/circuit
@@ -27,7 +30,6 @@ pub mod active;
 pub mod anchor_index;
 pub mod baselines;
 pub mod classifier;
-pub mod decompose;
 pub mod error;
 pub mod metrics;
 pub mod oracle;
@@ -38,7 +40,6 @@ pub mod sampling;
 pub use active::{ActiveParams, ActiveSolution, ActiveSolver};
 pub use anchor_index::{AnchorIndex, QueryScratch};
 pub use classifier::{find_monotonicity_violation, MonotoneClassifier};
-pub use decompose::minimum_chains;
 pub use error::McError;
 pub use metrics::{cross_validate_passive, train_test_split, ConfusionMatrix};
 pub use oracle::{
